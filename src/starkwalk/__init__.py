@@ -43,6 +43,7 @@ from .fcs import (
     free_dressing_weights,
     free_kernel,
     position_cgf,
+    position_cgf_oracle,
     repeated_interaction_propagator,
     run_energy_fcs,
     run_position_fcs,

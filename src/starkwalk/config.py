@@ -48,6 +48,7 @@ class Tolerances:
     energy_conservation: float = 1e-12
     energy_rate: float = 1e-6
     position_cgf_gap: float = 0.02
+    position_cgf_identity: float = 1e-12   # closed-form CGF vs the windowed oracle
 
     # single-atom dynamics
     position_oracle: float = 1e-9

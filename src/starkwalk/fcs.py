@@ -13,11 +13,15 @@ Position: the position is measured at time 0 and time n tau.  The
 first measurement dephases the state in the position basis; each
 conditional position eigenstate then evolves with n reduced channel
 steps.  Iterating the channel on position eigenprojectors is exactly a
-trinomial walk followed by the free Bloch kernel (the free evolutions
-commute with the kicks and collect at the end), which is how the
-`reduced` method evaluates the protocol with relative accuracy deep in
-the tails; the `matrix` method iterates the channel literally and is
-used to cross-check the reduction at small n.
+trinomial walk followed by the free Bloch kernel J_d(z_n)^2 (the free
+evolutions commute with the kicks and collect at the end), which is how
+the `reduced` method evaluates the protocol with relative accuracy deep
+in the tails; the `matrix` method iterates the channel literally and is
+used to cross-check the reduction at small n.  Neumann's addition
+theorem sums the kernel's exponential moment, so the cumulant generating
+function of the increment has the closed form
+n e(eta) + log I_0(2 z_n sinh(eta/2)) for every state; the windowed
+deformed-channel route stays as its oracle.
 """
 from __future__ import annotations
 
@@ -26,11 +30,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import i0e
 
 from .bessel import bessel_j_array, bessel_table
-from .channel import DeformedChannel, apply_channel
+from .channel import apply_channel, kraus_weights
 from .config import TOL
-from .errors import BudgetError, WindowError
+from .errors import BudgetError, NumericsError, WindowError
 from .params import ModelParams
 from .singleatom import oracle_unitary
 from .state import (
@@ -311,6 +316,11 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     return n * scgf(-alpha * be, params)
 
 
+def _kernel_argument(t: float, params: ModelParams) -> float:
+    """z = |(4/F) sin(F t / 2)|, the argument of the free Bloch kernel at time t."""
+    return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
+
+
 def free_kernel(t: float, params: ModelParams,
                 halfwidth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2.
@@ -320,7 +330,7 @@ def free_kernel(t: float, params: ModelParams,
     from the generating function of the Bessel profile and is verified
     against the windowed transform in the test suite.
     """
-    z = abs(4.0 / params.F * math.sin(0.5 * params.F * t))
+    z = _kernel_argument(t, params)
     if halfwidth is None:
         be = params.beta * params.E
         halfwidth = int(math.ceil(3.0 * z)) + 80 + int(20.0 * be)
@@ -366,7 +376,7 @@ class PositionFcsResult:
 
 
 def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
-                     method: str = "auto", prune: float = 1e-12) -> PositionFcsResult:
+                     method: str = "reduced", prune: float = 1e-12) -> PositionFcsResult:
     """Distribution of the two-time position increment dX = x' - x.
 
     The first measurement dephases rho_p in the position basis; each
@@ -376,16 +386,14 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     (which is the content of the protocol's insensitivity to
     localization).
 
-    method='reduced' (default for large n) evaluates the conditional
-    evolution exactly: the kicks keep position eigenprojectors diagonal,
+    method='reduced' (the default) evaluates the conditional evolution
+    exactly at every n: the kicks keep position eigenprojectors diagonal,
     giving the trinomial walk, and the deferred free evolutions
     contribute the Bloch kernel; the two laws convolve.  The tails keep
     relative accuracy, which direct matrix evolution cannot provide.
     method='matrix' iterates apply_channel literally on the conditional
-    states (small n; used to validate the reduction).
+    states on rho_p's window (small n; used to validate the reduction).
     """
-    if method == "auto":
-        method = "matrix" if n <= 16 else "reduced"
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
         d, kernel = free_kernel(n * params.tau, params)
@@ -430,9 +438,34 @@ class PositionCgf(NamedTuple):
     rate_limit: float   # log theta(-eta / beta E) = lim g_n / n
 
 
+def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
+    """g_n(eta) = log E[e^{eta dX_n}] in closed form, the same for every state.
+
+    dX_n is the trinomial walk plus an independent displacement d drawn
+    from the free Bloch kernel J_d(z_n)^2, z_n = |(4/F) sin(F n tau / 2)|.
+    The walk contributes n e(eta); Neumann's addition theorem
+    sum_d J_d(z)^2 e^{eta d} = I_0(2 z sinh(eta/2)) sums the kernel, so
+
+        g_n(eta) = n e(eta) + log I_0(2 z_n sinh(eta/2)),
+
+    with log I_0(x) evaluated as log(i0e(x)) + |x| so that it cannot
+    overflow.  Checked against `position_cgf_oracle` and against the
+    exact distribution of `run_position_fcs`.
+    """
+    z = _kernel_argument(n * params.tau, params)
+    try:
+        x = 2.0 * z * math.sinh(0.5 * eta)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise NumericsError(f"position CGF overflows at eta = {eta!r} (n = {n})")
+    rate = scgf(eta, params)
+    return PositionCgf(value=n * rate + math.log(i0e(x)) + abs(x), rate_limit=rate)
+
+
 def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow,
                           table) -> np.ndarray:
-    """|<x| e^{i n tau H_p} |z>|^2 over the x-window, for the CGF dressing.
+    """|<x| e^{i n tau H_p} |z>|^2 over the x-window, for the oracle's dressing.
 
     The transform is real, so the complex propagator splits into two real
     matrix products.
@@ -444,10 +477,9 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow,
     return v_re**2 + v_im**2
 
 
-def position_cgf(n: int, eta: float, rho_p: ParticleDensityMatrix,
-                 params: ModelParams, table=None,
-                 dressing: np.ndarray | None = None) -> PositionCgf:
-    """g_n(eta) evaluated exactly on the window through the deformed channel.
+def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
+                        params: ModelParams) -> float:
+    """g_n(eta) evaluated on rho_p's window through the deformed channel.
 
     Sandwiching the kicks between e^{+-eta X/2} turns the interaction-
     picture map into its deformation with exponent -eta, so
@@ -457,41 +489,35 @@ def position_cgf(n: int, eta: float, rho_p: ParticleDensityMatrix,
     where q is the position-dephased diagonal of rho_p (a classical
     weight vector, since the kicks preserve position diagonality) and
     Q_n(eta) = e^{-eta X/2} e^{i n tau H_p} e^{eta X} e^{-i n tau H_p} e^{-eta X/2}
-    is the uniformly bounded free dressing, whose diagonal is computed
-    from the windowed transform.
+    is the uniformly bounded free dressing, whose diagonal is summed over
+    the whole window from the windowed transform.  Independent of the
+    Bessel-kernel reduction behind `position_cgf`; costs O(n_x^2 n_k).
+    Refuses with WindowError when the deformed weights that leave the
+    window exceed `TOL.position_cgf_identity` of the total.
     """
     window = rho_p.window
-    if table is None:
-        table = bessel_table(params.F, required_order(window))
+    table = bessel_table(params.F, required_order(window))
     xs, q = position_distribution(rho_p, table)
 
-    ch = DeformedChannel.build(params, 0.0)
-    gamma = -eta
-    w_down = math.exp(gamma) * ch.triple.p_minus
-    w_up = math.exp(-gamma) * ch.triple.p_plus
+    triple = kraus_weights(params)
+    w_down = math.exp(-eta) * triple.p_minus
+    w_up = math.exp(eta) * triple.p_plus
     w = q.copy()
     lost = 0.0
     for _ in range(n):
         lost += w_down * w[0] + w_up * w[-1]
-        out = ch.triple.p_zero * w
+        out = triple.p_zero * w
         out[:-1] += w_down * w[1:]
         out[1:] += w_up * w[:-1]
         w = out
     total = float(np.sum(w))
-    if lost > 1e-12 * total:
+    if lost > TOL.position_cgf_identity * total:
         raise WindowError(
             f"deformed weights leaked {lost:.3e} past the x-window "
             f"(total {total:.3e}); enlarge the window for n = {n}"
         )
 
-    W2 = free_dressing_weights(n, params, window, table) if dressing is None else dressing
-    # the dressing diagonal sum_z e^{eta (z-x)} |V_{xz}|^2 is restricted to the
-    # band where |V|^2 sits above the matmul noise floor; the true kernel
-    # decays superexponentially so the omitted tail is far below it
-    band = max(20, min(80, int(25.0 / max(abs(eta), 0.25))))
-    offsets = xs[None, :] - xs[:, None]
-    mask = np.abs(offsets) <= band
-    qdiag = np.sum(np.where(mask, W2 * np.exp(eta * offsets), 0.0), axis=1)
-
-    value = math.log(float(np.dot(w, qdiag)))
-    return PositionCgf(value=value, rate_limit=scgf(eta, params))
+    W2 = free_dressing_weights(n, params, window, table)
+    # sum_z e^{eta (z - x)} |V_xz|^2 over the window
+    qdiag = np.sum(W2 * np.exp(eta * (xs[None, :] - xs[:, None])), axis=1)
+    return math.log(float(np.dot(w, qdiag)))

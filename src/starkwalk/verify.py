@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import fcs as fcs_mod
-from .bessel import bessel_table
 from .channel import apply_channel, channel_oracle, kraus_weights, theta
 from .config import TOL, Tolerances
 from .params import ModelParams, derive_params
@@ -28,7 +27,7 @@ from .singleatom import (
     propagate_closed,
     propagate_oracle,
 )
-from .state import LatticeWindow, ParticleDensityMatrix, position_operator, required_order
+from .state import LatticeWindow, ParticleDensityMatrix, position_operator
 from .walk import (
     log_convolve_step,
     log_step_kernel,
@@ -243,17 +242,22 @@ def check_energy_fcs(tol: Tolerances = TOL) -> CheckResult:
 
 
 def check_position_fcs(tol: Tolerances = TOL) -> CheckResult:
-    """9. (1/n) g_n within 0.02 of the limit at n = 500; FT ratio bracket."""
+    """9. (1/n) g_n within 0.02 of the limit at n = 500; FT ratio bracket;
+    closed-form g_n equal to the windowed deformed-channel oracle at n = 40."""
     params = CHECK_PARAMS
     n = 500
-    window = LatticeWindow.for_dynamics(0, 0, steps=n + 40, F=params.F)
-    table = bessel_table(params.F, required_order(window))
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    dressing = fcs_mod.free_dressing_weights(n, params, window, table)
     worst_gap = 0.0
     for eta in (-0.5, 0.5):
-        g = fcs_mod.position_cgf(n, eta, rho, params, table=table, dressing=dressing)
+        g = fcs_mod.position_cgf(n, eta, params)
         worst_gap = max(worst_gap, abs(g.value / n - g.rate_limit))
+
+    n_id = 40
+    window = LatticeWindow.for_dynamics(0, 0, steps=n_id + 20, F=params.F)
+    rho = ParticleDensityMatrix.eigenstate(window, 0)
+    identity = max(abs(fcs_mod.position_cgf(n_id, eta, params).value
+                       - fcs_mod.position_cgf_oracle(n_id, eta, rho, params))
+                   for eta in (-0.5, 0.5))
+    identity_ok = identity <= tol.position_cgf_identity
 
     small = LatticeWindow(-8, 7, -8, 7)
     dist = fcs_mod.run_position_fcs(n, ParticleDensityMatrix.eigenstate(small, 0),
@@ -262,10 +266,12 @@ def check_position_fcs(tol: Tolerances = TOL) -> CheckResult:
     ratio = dist.ft_log_ratio(v, delta, params.tau)
     be = params.beta * params.E
     in_bracket = -be * (v + delta) <= ratio <= -be * (v - delta)
-    passed = worst_gap <= tol.position_cgf_gap and in_bracket
+    passed = worst_gap <= tol.position_cgf_gap and in_bracket and identity_ok
     return CheckResult("position counting statistics", passed, worst_gap,
                        tol.position_cgf_gap,
-                       f"FT ratio {ratio:.4f} in [{-be*(v+delta):.2f}, {-be*(v-delta):.2f}]: {in_bracket}")
+                       f"FT ratio {ratio:.4f} in [{-be*(v+delta):.2f}, {-be*(v-delta):.2f}]: "
+                       f"{in_bracket}; oracle defect {identity:.2e} vs "
+                       f"{tol.position_cgf_identity:.0e}: {identity_ok}")
 
 
 def check_einstein(tol: Tolerances = TOL) -> CheckResult:

@@ -160,16 +160,31 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams,
     return WalkSample(n=n, trials=trials, seed=seed, values=values, counts=cnt)
 
 
+def _log_cosh(u: float) -> float:
+    """log cosh(u), finite for every finite u."""
+    u = abs(u)
+    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
+
+
 def scgf(eta: float, params: ModelParams) -> float:
     """Scaled cumulant generating function e(eta) = log theta(-eta / beta E).
 
-    Evaluated through cosh(beta E/2 + eta)/cosh(beta E/2), which equals
-    theta(-eta/beta E) identically and stays defined at beta E = 0.
-    Satisfies e(0) = 0 and the symmetry e(-beta E - eta) = e(eta).
+    Evaluated as log((1 - p) + p r) with r = cosh(beta E/2 + eta)/cosh(beta E/2),
+    which equals theta(-eta/beta E) identically and stays defined at
+    beta E = 0.  log r comes from log-cosh differences, and the larger of
+    the two terms is factored out of the sum, so nothing overflows at any
+    finite eta: e(eta) -> |eta| + log p_+- as eta -> +-inf.  Satisfies
+    e(0) = 0 and the symmetry e(-beta E - eta) = e(eta).
     """
     d = derive_params(params)
+    if d.p == 0.0:
+        # the walk never moves; the factored form below would take log(0) far out
+        return 0.0
     be = params.beta * params.E
-    return math.log((1.0 - d.p) + d.p * math.cosh(0.5 * be + eta) / math.cosh(0.5 * be))
+    log_r = _log_cosh(0.5 * be + eta) - _log_cosh(0.5 * be)
+    if log_r <= 0.0:
+        return math.log((1.0 - d.p) + d.p * math.exp(log_r))
+    return log_r + math.log(d.p + (1.0 - d.p) * math.exp(-log_r))
 
 
 def _scgf_derivatives(eta: float, params: ModelParams) -> tuple[float, float, float]:

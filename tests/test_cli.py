@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import starkwalk.cli as cli
-from starkwalk import ConfigError
+from starkwalk import TOL, ConfigError, ModelParams, transport_coefficients
 from starkwalk.cli import (
     ResultTable,
     parse_config,
@@ -78,6 +78,21 @@ def test_fcs_energy_rows_diagonal():
     assert table.columns[:2] == ["ds_particle", "ds_env"]
     for row in table.rows:
         assert abs(row[0] - row[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 10, 16, 17])
+def test_fcs_position_any_n(n, tmp_path):
+    # every n, the smallest included, goes through the reduced route
+    out = tmp_path / "pos.csv"
+    rc = cli.main("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 "
+                  f"fcs-position --n {n} --out {out}".split())
+    assert rc == 0
+    table = read_table(str(out))
+    dx = np.array([row[0] for row in table.rows], dtype=float)
+    prob = np.array([row[1] for row in table.rows])
+    assert abs(prob.sum() - 1.0) <= TOL.trace
+    drift = n * transport_coefficients(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)).v_d
+    assert abs(float(np.dot(dx, prob)) - drift) <= TOL.walk_moments_rel * max(1.0, drift)
 
 
 def test_json_round_trip(tmp_path):

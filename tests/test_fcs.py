@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from starkwalk import (
+    TOL,
     BudgetError,
     LatticeWindow,
     ModelParams,
+    NumericsError,
     ParticleDensityMatrix,
     ReservoirConfig,
     apply_channel,
@@ -15,6 +17,7 @@ from starkwalk import (
     environment_reduced_map,
     free_kernel,
     position_cgf,
+    position_cgf_oracle,
     repeated_interaction_propagator,
     required_order,
     run_energy_fcs,
@@ -259,22 +262,32 @@ def test_position_fcs_mean_is_drift(params):
 
 
 def test_position_cgf_zero_eta(params):
-    n = 10
-    window = LatticeWindow.for_dynamics(0, 0, steps=n + 10, F=params.F)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    g = position_cgf(n, 0.0, rho, params)
+    g = position_cgf(10, 0.0, params)
     assert abs(g.value) <= 1e-10
     assert g.rate_limit == 0.0
 
 
-def test_position_cgf_matches_distribution(params):
-    n = 20
+@pytest.mark.parametrize("E", [2.0, 0.0], ids=["check", "betaE0"])
+@pytest.mark.parametrize("n", [5, 40, 200])
+def test_position_cgf_identity(n, E):
+    # closed form vs the windowed deformed-channel oracle and vs the exact
+    # walk (x) Bloch-kernel distribution
+    params = ModelParams(E=E, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     window = LatticeWindow.for_dynamics(0, 0, steps=n + 20, F=params.F)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     dist = run_position_fcs(n, rho, params, method="reduced")
-    for eta in (0.5, -0.4, 0.25):
-        g = position_cgf(n, eta, rho, params)
-        assert abs(g.value - dist.log_mgf(eta)) <= 1e-8
+    for eta in (-0.5, 0.3, 1.0):
+        g = position_cgf(n, eta, params).value
+        assert abs(g - position_cgf_oracle(n, eta, rho, params)) <= TOL.position_cgf_identity
+        assert abs(g - dist.log_mgf(eta)) <= TOL.position_cgf_identity
+
+
+def test_position_cgf_overflow_is_numerics_error(params):
+    # finite up to |eta| ~ 1420, where sinh(eta / 2) leaves the float range
+    assert math.isfinite(position_cgf(7, 1400.0, params).value)
+    for eta in (1500.0, -1500.0, math.nan):
+        with pytest.raises(NumericsError):
+            position_cgf(7, eta, params)
 
 
 def test_step_unitary_is_unitary_on_interior(params, window):

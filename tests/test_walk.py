@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from starkwalk import (
+    TOL,
     ModelParams,
     kraus_weights,
     rate_function,
@@ -147,6 +148,18 @@ def test_scgf_basics(params):
     for eta in np.linspace(-2.0, 2.0, 17):
         assert abs(scgf(-be - eta, params) - scgf(eta, params)) <= 1e-12
         assert abs(scgf(eta, params) - math.log(theta(-eta / be, params))) <= 1e-14
+
+
+def test_scgf_far_tails(params):
+    # e(eta) -> |eta| + log p_+- without overflow; the FT symmetry survives
+    kt = kraus_weights(params)
+    be = params.beta * params.E
+    assert math.isclose(scgf(800.0, params), 800.0 + math.log(kt.p_plus),
+                        rel_tol=TOL.scgf_symmetry)
+    assert math.isclose(scgf(-800.0, params), 800.0 + math.log(kt.p_minus),
+                        rel_tol=TOL.scgf_symmetry)
+    assert math.isclose(scgf(-be - 800.0, params), scgf(800.0, params),
+                        rel_tol=TOL.scgf_symmetry)
 
 
 def test_scgf_derivatives_match_transport(params):
