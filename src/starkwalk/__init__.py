@@ -12,13 +12,14 @@ __version__ = "0.1.0"
 
 from .bessel import BesselTable, bessel_halfwidth, bessel_j_array, bessel_table
 from .channel import (
-    DeformedChannel,
     KrausTriple,
     adjoint_apply,
     apply_channel,
     apply_deformed,
     channel_oracle,
+    deformed_weights,
     kraus_weights,
+    log_theta,
     master_step,
     theta,
     time_reversal_conjugate,

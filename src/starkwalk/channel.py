@@ -3,11 +3,13 @@
 One interaction reduces, after tracing out the atom, to a three-term
 Kraus map: shift the state down one eigenbasis index with weight p_minus,
 leave it with weight p_0 = 1 - p, shift it up with weight p_plus.  The
-alpha-deformed version reweights the two shifts by e^{+-alpha beta E};
-its trace growth rate theta(alpha) is the kernel of all the counting
-statistics downstream.  Every closed-form step here is cross-checkable
-against `channel_oracle`, which evaluates the defining partial trace with
-the single-atom propagator.
+deformation with exponent gamma (alpha beta E, or -eta for the position
+statistics) reweights them to (e^gamma p_-, p_0, e^-gamma p_+); one step
+is `np.convolve` with these weights on a classical vector and `_kick` on
+a density matrix.  Its trace growth rate, in the one closed form
+`log_theta`, is the kernel of all the counting statistics downstream.
+Every closed-form step here is cross-checkable against `channel_oracle`,
+which evaluates the defining partial trace with the single-atom propagator.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import WindowError
+from .errors import NumericsError, WindowError
 from .params import ModelParams, derive_params
 from .singleatom import AtomGibbs, JointDensityMatrix, propagate_oracle
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
@@ -44,17 +46,54 @@ def kraus_weights(params: ModelParams) -> KrausTriple:
                        p_plus=d.p / (1.0 + g))
 
 
-def theta(alpha: float, params: ModelParams) -> float:
-    """Trace growth rate of the deformed map.
+def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
+    """(e^gamma p_-, p_0, e^-gamma p_+): the (down, stay, up) weights of the deformed map.
 
-    theta(alpha) = (1 - p) + p cosh((1/2 - alpha) beta E) / cosh(beta E / 2),
-    evaluated through cosh directly so that the identity
-    theta(alpha) = e^{alpha beta E} p_- + p_0 + e^{-alpha beta E} p_+
-    remains a genuine cross-check against kraus_weights.
+    gamma = alpha beta E for the alpha-deformation; gamma = 0 gives the
+    Kraus weights bit for bit.  The weights sum to exp(log_theta(gamma)).
+    """
+    kt = kraus_weights(params)
+    try:
+        return np.array([math.exp(gamma) * kt.p_minus, kt.p_zero,
+                         math.exp(-gamma) * kt.p_plus])
+    except OverflowError:
+        raise NumericsError(f"deformed weights overflow at gamma = {gamma!r}") from None
+
+
+def _log_cosh(u: float) -> float:
+    """log cosh(u), finite for every finite u."""
+    u = abs(u)
+    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
+
+
+def log_theta(gamma: float, params: ModelParams) -> float:
+    """log of the trace growth rate of the deformation with exponent gamma.
+
+    theta = (1 - p) + p r with r = cosh(beta E/2 - gamma)/cosh(beta E/2),
+    which equals the sum of `deformed_weights(gamma)` identically and stays
+    defined at beta E = 0.  log r comes from log-cosh differences, and the
+    larger of the two terms is factored out of the sum, so nothing
+    overflows at any finite gamma.  The one closed form behind `theta`,
+    `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
+    log_theta(gamma) = log_theta(beta E - gamma).
     """
     d = derive_params(params)
+    if d.p == 0.0:
+        # the walk never moves; the factored form below would take log(0) far out
+        return 0.0
     be = params.beta * params.E
-    return (1.0 - d.p) + d.p * math.cosh((0.5 - alpha) * be) / math.cosh(0.5 * be)
+    log_r = _log_cosh(0.5 * be - gamma) - _log_cosh(0.5 * be)
+    if log_r <= 0.0:
+        return math.log((1.0 - d.p) + d.p * math.exp(log_r))
+    return log_r + math.log(d.p + (1.0 - d.p) * math.exp(-log_r))
+
+
+def theta(alpha: float, params: ModelParams) -> float:
+    """Trace growth rate exp(log_theta(alpha beta E)); NumericsError past the double range."""
+    try:
+        return math.exp(log_theta(alpha * params.beta * params.E, params))
+    except OverflowError:
+        raise NumericsError(f"theta({alpha!r}) overflows a double; use log_theta") from None
 
 
 def _shift(coeffs: np.ndarray, direction: int) -> np.ndarray:
@@ -67,51 +106,9 @@ def _shift(coeffs: np.ndarray, direction: int) -> np.ndarray:
     return out
 
 
-def _deformed_weights(gamma: float, triple: KrausTriple) -> tuple[float, float, float]:
-    """(down, stay, up) weights of the deformation with exponent gamma = alpha beta E."""
-    return (math.exp(gamma) * triple.p_minus,
-            triple.p_zero,
-            math.exp(-gamma) * triple.p_plus)
-
-
-@dataclass(frozen=True)
-class DeformedChannel:
-    """The deformed reduced map for a fixed alpha, with precomputed weights."""
-
-    params: ModelParams
-    alpha: float
-    triple: KrausTriple
-    w_down: float
-    w_stay: float
-    w_up: float
-
-    @classmethod
-    def build(cls, params: ModelParams, alpha: float) -> "DeformedChannel":
-        triple = kraus_weights(params)
-        gamma = alpha * params.beta * params.E
-        w_down, w_stay, w_up = _deformed_weights(gamma, triple)
-        return cls(params, alpha, triple, w_down, w_stay, w_up)
-
-    def theta(self) -> float:
-        return theta(self.alpha, self.params)
-
-    def apply_interaction_array(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.w_down * _shift(coeffs, -1)
-                + self.w_stay * coeffs
-                + self.w_up * _shift(coeffs, +1))
-
-    def adjoint_interaction_array(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.w_down * _shift(coeffs, +1)
-                + self.w_stay * coeffs
-                + self.w_up * _shift(coeffs, -1))
-
-    def step_diagonal(self, weights: np.ndarray) -> np.ndarray:
-        """Action on a diagonal (classical) weight vector; exact positive arithmetic."""
-        w = np.asarray(weights, dtype=float)
-        out = self.w_stay * w
-        out[:-1] += self.w_down * w[1:]
-        out[1:] += self.w_up * w[:-1]
-        return out
+def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The three weighted translations (down, stay, up) on eigenbasis coefficients."""
+    return w[0] * _shift(coeffs, -1) + w[1] * coeffs + w[2] * _shift(coeffs, +1)
 
 
 def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
@@ -122,8 +119,8 @@ def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
     never silently truncated.
     """
     require_interior(dm, band=1)
-    ch = DeformedChannel.build(params, alpha)
-    return ParticleDensityMatrix(dm.window, ch.apply_interaction_array(dm.coeffs))
+    w = deformed_weights(alpha * params.beta * params.E, params)
+    return ParticleDensityMatrix(dm.window, _kick(dm.coeffs, w))
 
 
 def apply_channel(dm: ParticleDensityMatrix, alpha: float,
@@ -155,8 +152,8 @@ def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
     On interior entries the identity observable satisfies
     adjoint(I) = theta(alpha) I exactly.
     """
-    ch = DeformedChannel.build(params, alpha)
-    out = ch.adjoint_interaction_array(np.asarray(B, dtype=complex))
+    w = deformed_weights(alpha * params.beta * params.E, params)
+    out = _kick(np.asarray(B, dtype=complex), w[::-1])
     u = np.exp(1j * params.tau * params.F * window.k_values)
     return u.conj()[:, None] * out * u[None, :]
 
@@ -173,11 +170,12 @@ def time_reversal_conjugate(A: np.ndarray) -> np.ndarray:
 def master_step(pmf: np.ndarray, params: ModelParams) -> np.ndarray:
     """Classical Markov step on eigenbasis-diagonal states.
 
-    p_k -> p_+ p_{k-1} + p_0 p_k + p_- p_{k+1}; coincides exactly with the
-    diagonal of apply_channel on the matching diagonal density matrix.
+    p_k -> p_+ p_{k-1} + p_0 p_k + p_- p_{k+1}, one trinomial convolution
+    restricted to the window; coincides with the diagonal of apply_channel
+    on the matching diagonal density matrix.
     """
     pmf = np.asarray(pmf, dtype=float)
     edge = max(abs(pmf[0]), abs(pmf[-1]))
     if edge > TOL.boundary:
         raise WindowError(f"pmf occupies the window edge (mass {edge:.3e})")
-    return DeformedChannel.build(params, 0.0).step_diagonal(pmf)
+    return np.convolve(pmf, kraus_weights(params).as_array())[1:-1]

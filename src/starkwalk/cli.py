@@ -46,6 +46,8 @@ EXPERIMENTS = ("spectrum", "single-atom", "channel-evolve", "walk", "rate",
 
 _PARAM_KEYS = ("E", "F", "lambda", "tau", "beta")
 _RUN_KEYS = ("experiment", "n", "trials", "seed", "window", "m", "format", "out")
+# smallest accepted value of each integer run key (window: k_min < k_max)
+_INT_MIN = {"n": 0, "trials": 1, "seed": 0, "window": 2, "m": 1}
 
 
 @dataclass
@@ -128,14 +130,18 @@ def parse_config(argv: list[str]) -> RunConfig:
         params = ModelParams(E=float(merged["E"]), F=float(merged["F"]),
                              lam=float(merged["lambda"]), tau=float(merged["tau"]),
                              beta=float(merged["beta"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     cfg = RunConfig(params=params, experiment=merged["experiment"])
     for key, attr in (("n", "n"), ("trials", "trials"), ("seed", "seed"),
                       ("window", "window"), ("m", "m"), ("format", "fmt"), ("out", "out")):
         if key in merged:
-            setattr(cfg, attr, merged[key])
+            value = merged[key]
+            if key in _INT_MIN and (not isinstance(value, int) or isinstance(value, bool)
+                                    or value < _INT_MIN[key]):
+                raise ConfigError(f"{key} must be an integer >= {_INT_MIN[key]}, got {value!r}")
+            setattr(cfg, attr, value)
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r}")
     return cfg

@@ -21,5 +21,5 @@ class NumericsError(StarkwalkError):
     """An iterative numerical routine failed to converge."""
 
 
-class ConfigError(StarkwalkError):
-    """Invalid or incomplete run configuration."""
+class ConfigError(StarkwalkError, ValueError):
+    """Invalid or incomplete run configuration, or an argument out of range."""

@@ -33,9 +33,9 @@ import numpy as np
 from scipy.special import i0e
 
 from .bessel import bessel_j_array, bessel_table
-from .channel import apply_channel, kraus_weights
+from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
-from .errors import BudgetError, NumericsError, WindowError
+from .errors import BudgetError, ConfigError, NumericsError, WindowError
 from .params import ModelParams
 from .singleatom import oracle_unitary
 from .state import (
@@ -62,9 +62,9 @@ class ReservoirConfig:
 
     def __post_init__(self):
         if self.n < 0 or self.M < 1:
-            raise ValueError("need n >= 0 and M >= 1")
+            raise ConfigError("need n >= 0 and M >= 1")
         if self.n > self.M:
-            raise ValueError(f"n = {self.n} interactions exceed the M = {self.M} atoms")
+            raise ConfigError(f"n = {self.n} interactions exceed the M = {self.M} atoms")
         if self.window.n_k > MAX_WINDOW or self.M > MAX_ATOMS:
             raise BudgetError(
                 f"brute-force budget is window <= {MAX_WINDOW}, M <= {MAX_ATOMS} "
@@ -313,7 +313,7 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
 def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     """Cumulant generating function of dS_n: exactly n log theta(alpha)."""
     be = params.beta * params.E
-    return n * scgf(-alpha * be, params)
+    return n * log_theta(alpha * be, params)
 
 
 def _kernel_argument(t: float, params: ModelParams) -> float:
@@ -402,7 +402,7 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
         dx = np.arange(lo, lo + probs.size)
         return PositionFcsResult(n=n, dx=dx, probs=probs, method="reduced")
     if method != "matrix":
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigError(f"unknown method {method!r}")
 
     window = rho_p.window
     table = bessel_table(params.F, required_order(window))
@@ -499,17 +499,13 @@ def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
     table = bessel_table(params.F, required_order(window))
     xs, q = position_distribution(rho_p, table)
 
-    triple = kraus_weights(params)
-    w_down = math.exp(-eta) * triple.p_minus
-    w_up = math.exp(eta) * triple.p_plus
-    w = q.copy()
+    weights = deformed_weights(-eta, params)
+    w = q
     lost = 0.0
     for _ in range(n):
-        lost += w_down * w[0] + w_up * w[-1]
-        out = triple.p_zero * w
-        out[:-1] += w_down * w[1:]
-        out[1:] += w_up * w[:-1]
-        w = out
+        out = np.convolve(w, weights)
+        lost += out[0] + out[-1]
+        w = out[1:-1]
     total = float(np.sum(w))
     if lost > TOL.position_cgf_identity * total:
         raise WindowError(

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -23,17 +26,21 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("E", "F", "lam", "tau", "beta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if not self.F > 0.0:
-            raise ValueError(
+            raise ConfigError(
                 "F must be > 0: the untilted (F=0) band has continuous "
                 "spectrum and is outside the scope of this package"
             )
         if not self.tau > 0.0:
-            raise ValueError("tau must be > 0")
+            raise ConfigError("tau must be > 0")
         if self.E < 0.0:
-            raise ValueError("E must be >= 0")
+            raise ConfigError("E must be >= 0")
         if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+            raise ConfigError("beta must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 After n interactions the eigenbasis index performs a walk S_n with i.i.d.
 steps in {-1, 0, +1} of probabilities (p_-, p_0, p_+).  This module holds
 the transport coefficients, the exact law of S_n (linear and log space),
-seeded Monte Carlo sampling, the scaled cumulant generating function and
-the closed-form / numerical Legendre pair of rate functions.
+seeded Monte Carlo sampling, the scaled cumulant generating function
+(the channel's `log_theta` at gamma = -eta) and the closed-form /
+numerical Legendre pair of rate functions.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausTriple, kraus_weights
-from .errors import NumericsError
+from .channel import KrausTriple, kraus_weights, log_theta
+from .errors import ConfigError, NumericsError
 from .params import ModelParams, derive_params
 
 
@@ -76,7 +77,7 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
     O(n^2); n ~ 10^4 stays in the seconds range.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     triple = kraus_weights(params)
     kernel = triple.as_array()
     pmf = np.array([1.0])
@@ -107,7 +108,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     genuinely impossible values (zero step weights).
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     logk = log_step_kernel(params)
     logp = np.array([0.0])
     for _ in range(n):
@@ -143,11 +144,11 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams,
     (N_-, N_0, N_+), a sufficient statistic for S_n = N_+ - N_-.
     """
     if trials <= 0:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     if streams <= 0 or trials % streams != 0:
-        raise ValueError("streams must divide trials")
+        raise ConfigError("streams must divide trials")
     pvals = kraus_weights(params).as_array()
     per = trials // streams
     chunks = []
@@ -160,31 +161,14 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams,
     return WalkSample(n=n, trials=trials, seed=seed, values=values, counts=cnt)
 
 
-def _log_cosh(u: float) -> float:
-    """log cosh(u), finite for every finite u."""
-    u = abs(u)
-    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
-
-
 def scgf(eta: float, params: ModelParams) -> float:
-    """Scaled cumulant generating function e(eta) = log theta(-eta / beta E).
+    """Scaled cumulant generating function e(eta) = log_theta(-eta).
 
-    Evaluated as log((1 - p) + p r) with r = cosh(beta E/2 + eta)/cosh(beta E/2),
-    which equals theta(-eta/beta E) identically and stays defined at
-    beta E = 0.  log r comes from log-cosh differences, and the larger of
-    the two terms is factored out of the sum, so nothing overflows at any
-    finite eta: e(eta) -> |eta| + log p_+- as eta -> +-inf.  Satisfies
+    The log of E[e^{eta S_1}] = e^{-eta} p_- + p_0 + e^{eta} p_+; finite at
+    every finite eta (e(eta) -> |eta| + log p_+- as eta -> +-inf), with
     e(0) = 0 and the symmetry e(-beta E - eta) = e(eta).
     """
-    d = derive_params(params)
-    if d.p == 0.0:
-        # the walk never moves; the factored form below would take log(0) far out
-        return 0.0
-    be = params.beta * params.E
-    log_r = _log_cosh(0.5 * be + eta) - _log_cosh(0.5 * be)
-    if log_r <= 0.0:
-        return math.log((1.0 - d.p) + d.p * math.exp(log_r))
-    return log_r + math.log(d.p + (1.0 - d.p) * math.exp(-log_r))
+    return log_theta(-eta, params)
 
 
 def _scgf_derivatives(eta: float, params: ModelParams) -> tuple[float, float, float]:
@@ -199,11 +183,6 @@ def _scgf_derivatives(eta: float, params: ModelParams) -> tuple[float, float, fl
     return math.log(den), e1, e2
 
 
-def _rate_a(params: ModelParams) -> float:
-    d = derive_params(params)
-    return d.p / ((1.0 - d.p) * math.cosh(0.5 * params.beta * params.E))
-
-
 def rate_function(x: float, params: ModelParams) -> float:
     """Closed-form large-deviation rate function of S_n / n.
 
@@ -214,7 +193,8 @@ def rate_function(x: float, params: ModelParams) -> float:
 
     on (-1, 1); +inf outside [-1, 1]; at x = +-1 the continuous limits
     -log p_+ and -log p_- are returned.  Strictly convex, I(v_d tau) = 0,
-    and I(x) = -beta E x + I(-x) holds exactly.
+    and I(x) = -beta E x + I(-x) holds exactly.  NumericsError where doubles
+    fail it (p = 1, cosh overflow, x + R cancelling to 0 at x < 0).
     """
     if not -1.0 <= x <= 1.0:
         return math.inf
@@ -223,12 +203,19 @@ def rate_function(x: float, params: ModelParams) -> float:
         edge = triple.p_plus if x > 0 else triple.p_minus
         return math.inf if edge == 0.0 else -math.log(edge)
     d = derive_params(params)
-    a = _rate_a(params)
-    R = math.sqrt(x * x + a * a * (1.0 - x * x))
+    if d.p == 0.0:
+        # the walk never moves: S_n = 0 surely
+        return 0.0 if x == 0.0 else math.inf
     be = params.beta * params.E
-    return (-0.5 * be * x
-            + x * math.log((x + R) / (a * (1.0 - x)))
-            - math.log((1.0 - d.p) * (1.0 + R) / (1.0 - x * x)))
+    try:
+        a = d.p / ((1.0 - d.p) * math.cosh(0.5 * be))
+        R = math.sqrt(x * x + a * a * (1.0 - x * x))
+        return (-0.5 * be * x
+                + x * math.log((x + R) / (a * (1.0 - x)))
+                - math.log((1.0 - d.p) * (1.0 + R) / (1.0 - x * x)))
+    except (ArithmeticError, ValueError):
+        raise NumericsError(f"closed-form rate function fails in doubles at x={x!r} "
+                            f"(p = {d.p!r}, beta E = {be!r})") from None
 
 
 def _legendre_sup(x: float, params: ModelParams, max_iter: int = 200) -> tuple[float, float]:
@@ -263,7 +250,7 @@ def _legendre_sup(x: float, params: ModelParams, max_iter: int = 200) -> tuple[f
 def rate_function_numeric(x: float, params: ModelParams) -> float:
     """Rate function as the Legendre-Fenchel transform sup_eta [eta x - e(eta)]."""
     if not -1.0 < x < 1.0:
-        raise ValueError("numeric rate function requires x strictly inside (-1, 1)")
+        raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
     return _legendre_sup(x, params)[1]
 
 
@@ -277,7 +264,7 @@ def rate_function_entropy(s: float, params: ModelParams) -> float:
     """
     be = params.beta * params.E
     if be <= 0.0:
-        raise ValueError("entropy rate function needs beta E > 0")
+        raise ConfigError("entropy rate function needs beta E > 0")
     x = -s / be
     if abs(x) >= 1.0:
         # endpoint limits fall back to the closed form; +inf beyond them

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from starkwalk import AccuracyError, bessel_halfwidth, bessel_j_array, bessel_table
+from starkwalk import TOL, AccuracyError, bessel_halfwidth, bessel_j_array, bessel_table
 
 from conftest import bessel_series
 
@@ -34,7 +34,7 @@ def test_quadratic_normalization(F):
 def test_against_power_series_sweep(z):
     values = bessel_j_array(z, 40)
     worst = max(abs(values[nu] - bessel_series(nu, z)) for nu in range(41))
-    assert worst <= 1e-12
+    assert worst <= TOL.bessel_vs_series
 
 
 def test_series_relative_accuracy_in_decay_tail():

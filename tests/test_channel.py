@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from starkwalk import (
+    TOL,
     AtomGibbs,
-    DeformedChannel,
     LatticeWindow,
     ModelParams,
+    NumericsError,
     ParticleDensityMatrix,
     WindowError,
     adjoint_apply,
@@ -17,11 +18,13 @@ from starkwalk import (
     derive_params,
     free_evolve,
     kraus_weights,
+    log_theta,
     master_step,
     oracle_unitary,
     theta,
     time_reversal_conjugate,
 )
+from starkwalk.verify import CHECK_PARAMS
 
 from conftest import random_density, random_interior_operator
 
@@ -67,6 +70,20 @@ def test_theta_equals_kraus_mgf(params):
         via_kraus = (math.exp(a * be) * kt.p_minus + kt.p_zero
                      + math.exp(-a * be) * kt.p_plus)
         assert abs(theta(a, params) - via_kraus) <= 1e-13
+
+
+def test_theta_overflow_is_numerics_error():
+    # log theta(400) ~ 800 is finite; theta itself exceeds the double range
+    assert math.isfinite(log_theta(400.0 * CHECK_PARAMS.beta * CHECK_PARAMS.E, CHECK_PARAMS))
+    with pytest.raises(NumericsError):
+        theta(400.0, CHECK_PARAMS)
+
+
+def test_log_theta_symmetry_far_out(params):
+    be = params.beta * params.E
+    for gamma in (-800.0, 800.0):
+        assert math.isclose(log_theta(gamma, params), log_theta(be - gamma, params),
+                            rel_tol=TOL.scgf_symmetry)
 
 
 def test_deformed_on_eigenstate_is_trinomial(params, window):
@@ -150,7 +167,7 @@ def test_adjoint_duality(params, window):
         B = rng.normal(size=(window.n_k,) * 2) + 1j * rng.normal(size=(window.n_k,) * 2)
         lhs = np.trace(B @ apply_channel(A, alpha, params).coeffs)
         rhs = np.trace(adjoint_apply(B, window, alpha, params) @ A.coeffs)
-        assert abs(lhs - rhs) <= 1e-10
+        assert abs(lhs - rhs) <= TOL.adjoint_duality
 
 
 def test_adjoint_matches_defining_partial_trace(params, window):
@@ -193,7 +210,7 @@ def test_time_reversal_relates_adjoint_to_deformation(params, window):
         lhs = adjoint_apply(A, window, alpha, params)
         conj_in = ParticleDensityMatrix(window, time_reversal_conjugate(A))
         rhs = time_reversal_conjugate(apply_channel(conj_in, 1.0 - alpha, params).coeffs)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
+        assert np.max(np.abs(lhs - rhs)) <= TOL.time_reversal
 
 
 def test_master_step_delta(params, window):
@@ -213,7 +230,7 @@ def test_master_step_equals_channel_diagonal(params, window):
     w /= w.sum()
     out_vec = master_step(w, params)
     out_dm = apply_channel(ParticleDensityMatrix.from_diagonal(window, w), 0.0, params)
-    assert np.max(np.abs(out_vec - np.diagonal(out_dm.coeffs).real)) <= 1e-14
+    assert np.max(np.abs(out_vec - np.diagonal(out_dm.coeffs).real)) <= TOL.master_vs_channel
 
 
 def test_master_step_edge_refusal(params, window):
@@ -229,8 +246,7 @@ def test_exponential_family_is_stationary_direction(params, window):
     k = window.k_values.astype(float)
     for a, b in ((1.0, 0.0), (0.3, 0.2), (0.0, 1.0)):
         w = a + b * np.exp(be * (k - k[-1]))   # shifted to avoid overflow
-        ch = DeformedChannel.build(params, 0.0)
-        out = ch.step_diagonal(w)
+        out = np.convolve(w, kt.as_array())[1:-1]
         rel = np.abs(out[1:-1] / w[1:-1] - 1.0)
         assert np.max(rel) <= 1e-13
 

@@ -185,3 +185,29 @@ def test_spectrum_and_channel_evolve_experiments():
     assert len(table.rows) == 11
     for row in table.rows:
         assert abs(row[1] - 1.0) <= 1e-10   # trace preserved
+
+
+FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
+
+
+@pytest.mark.parametrize("args", [
+    f"{FLAGS} walk --n -3",
+    f"{FLAGS} walk --trials 0",
+    f"{FLAGS} rate --n -2",
+    f"{FLAGS} fcs-position --n -1",
+    f"{FLAGS} fcs-energy --n -1",
+    f"{FLAGS} channel-evolve --n -1",
+    "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
+    "config-n-string",
+])
+def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
+    if args == "config-n-string":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1,
+                                    "experiment": "walk", "n": "10"}))
+        argv = ["--config", str(path)]
+    else:
+        argv = args.split()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from starkwalk import ModelParams, derive_params
+from starkwalk import ConfigError, ModelParams, derive_params
 
 
 def test_reference_point_derived_scalars(params):
@@ -50,6 +50,12 @@ def test_invalid_inputs_rejected():
         ModelParams(E=-0.1, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(ValueError):
         ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=-0.5)
+    # non-finite or non-real inputs are refused by name
+    for field in ("E", "F", "lam", "tau", "beta"):
+        for bad in (math.nan, math.inf, "2"):
+            values = {"E": 2.0, "F": 1.0, "lam": 0.5, "tau": 1.0, "beta": 1.0, field: bad}
+            with pytest.raises(ConfigError, match=field):
+                ModelParams(**values)
 
 
 def test_omega0_zero_corner():

@@ -1,0 +1,68 @@
+"""Property tests over a box of model parameters.
+
+Every draw either raises a StarkwalkError (the input contract) or
+satisfies the closed-form invariants of the Kraus weights, theta, the
+scaled cumulant generating function and the rate function.  The search
+is derandomized, so the suite stays deterministic.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starkwalk import (
+    TOL,
+    ModelParams,
+    StarkwalkError,
+    deformed_weights,
+    kraus_weights,
+    log_theta,
+    rate_function,
+    scgf,
+    theta,
+    transport_coefficients,
+)
+
+def _real(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# (E, F, lam, tau, beta); F = 0 and tau = 0 sit inside the box on purpose:
+# they must be refused.  beta E reaches 2500, past where cosh overflows.
+params_box = st.tuples(_real(0.0, 50.0), _real(0.0, 20.0), _real(-5.0, 5.0),
+                       _real(0.0, 20.0), _real(0.0, 50.0))
+
+
+def _invariants(raw, alpha, eta, x):
+    params = ModelParams(*raw)
+    be = params.beta * params.E
+
+    kt = kraus_weights(params)
+    assert abs(kt.as_array().sum() - 1.0) <= TOL.theta_kraus_identity
+    assert np.array_equal(deformed_weights(0.0, params), kt.as_array())
+
+    assert math.isclose(theta(1.0 - alpha, params), theta(alpha, params),
+                        rel_tol=TOL.theta_symmetry)
+    assert math.isclose(scgf(-be - eta, params), scgf(eta, params),
+                        rel_tol=TOL.scgf_symmetry, abs_tol=TOL.scgf_symmetry)
+
+    tc = transport_coefficients(params)
+    assert abs(rate_function(tc.v_d * params.tau, params)) <= TOL.rate_match
+    assert rate_function(x, params) >= -TOL.rate_match
+
+    # one step from a delta carries mass theta; compared in log space, where
+    # the closed form keeps relative accuracy even when theta is ~1e200
+    gamma = alpha * be
+    mass = np.convolve([1.0], deformed_weights(gamma, params)).sum()
+    assert math.isclose(math.log(mass), log_theta(gamma, params),
+                        rel_tol=TOL.theta_kraus_identity, abs_tol=TOL.theta_kraus_identity)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(params_box, _real(-2.0, 3.0), _real(-5.0, 5.0), _real(-1.0, 1.0))
+def test_closed_forms_hold_or_refuse(raw, alpha, eta, x):
+    try:
+        _invariants(raw, alpha, eta, x)
+    except StarkwalkError:
+        pass

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from starkwalk import (
+    TOL,
     AtomGibbs,
     JointDensityMatrix,
     LatticeWindow,
@@ -216,7 +217,7 @@ def test_position_expectation_quasiperiodic_fit(params, window):
     ])
     coef, *_ = np.linalg.lstsq(design, xs, rcond=None)
     residual = np.max(np.abs(design @ coef - xs))
-    assert residual <= 1e-8
+    assert residual <= TOL.quasi_periodic_fit
 
 
 def test_rabi_resonance_factorizes():
@@ -234,7 +235,7 @@ def test_rabi_resonance_factorizes():
     W_free = np.kron(np.diag([1.0, np.exp(-1j * p.tau * p.F)]),
                      np.diag(np.exp(-1j * p.tau * Ek)))
     factorized = W_free @ state.coeffs @ W_free.conj().T
-    assert np.max(np.abs(evolved.coeffs - factorized)) <= 1e-12
+    assert np.max(np.abs(evolved.coeffs - factorized)) <= TOL.rabi_factorization
 
 
 def test_diagonal_hamiltonian_corner():

@@ -144,10 +144,13 @@ def test_sampling_argument_errors(params):
 
 def test_scgf_basics(params):
     assert scgf(0.0, params) == 0.0
+    kt = kraus_weights(params)
     be = params.beta * params.E
     for eta in np.linspace(-2.0, 2.0, 17):
         assert abs(scgf(-be - eta, params) - scgf(eta, params)) <= 1e-12
-        assert abs(scgf(eta, params) - math.log(theta(-eta / be, params))) <= 1e-14
+        # the log of the one-step moment E[e^{eta S_1}] from the Kraus weights
+        moment = kt.p_minus * math.exp(-eta) + kt.p_zero + kt.p_plus * math.exp(eta)
+        assert abs(scgf(eta, params) - math.log(moment)) <= 1e-14
 
 
 def test_scgf_far_tails(params):
