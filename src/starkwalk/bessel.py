@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import AccuracyError
+from .errors import AccuracyError, ConfigError
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
@@ -31,9 +31,9 @@ def _miller_start(z: float, nmax: int) -> int:
 def bessel_j_array(z: float, nmax: int) -> np.ndarray:
     """J_0(z) .. J_nmax(z) for z >= 0, by normalized downward recurrence."""
     if z < 0.0:
-        raise ValueError("bessel_j_array needs z >= 0; use J_nu(-z) = (-1)^nu J_nu(z)")
+        raise ConfigError("bessel_j_array needs z >= 0; use J_nu(-z) = (-1)^nu J_nu(z)")
     if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+        raise ConfigError("nmax must be >= 0")
     if z == 0.0:
         out = np.zeros(nmax + 1)
         out[0] = 1.0
@@ -94,7 +94,7 @@ def bessel_table(F: float, order_max: int) -> BesselTable:
     table cannot support faithful basis transforms.
     """
     if F <= 0.0:
-        raise ValueError("F must be > 0")
+        raise ConfigError("F must be > 0")
     z = 2.0 / F
     half = bessel_j_array(z, order_max)
     captured = half[0] ** 2 + 2.0 * np.sum(half[1:] ** 2)

@@ -75,8 +75,10 @@ def log_theta(gamma: float, params: ModelParams) -> float:
     larger of the two terms is factored out of the sum, so nothing
     overflows at any finite gamma.  The one closed form behind `theta`,
     `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
-    log_theta(gamma) = log_theta(beta E - gamma).
+    log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN.
     """
+    if math.isnan(gamma):
+        raise NumericsError("log_theta of NaN")
     d = derive_params(params)
     if d.p == 0.0:
         # the walk never moves; the factored form below would take log(0) far out

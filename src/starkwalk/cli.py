@@ -142,6 +142,8 @@ def parse_config(argv: list[str]) -> RunConfig:
                                     or value < _INT_MIN[key]):
                 raise ConfigError(f"{key} must be an integer >= {_INT_MIN[key]}, got {value!r}")
             setattr(cfg, attr, value)
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a path string, got {cfg.out!r}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r}")
     return cfg

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import WindowError
+from .errors import ConfigError, WindowError
 from .params import DerivedParams, ModelParams, derive_params
 from .state import (
     LatticeWindow,
@@ -64,7 +64,7 @@ class JointDensityMatrix:
         n = 2 * self.window.n_k
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.shape != (n, n):
-            raise ValueError(f"joint coefficient shape {arr.shape}, expected {(n, n)}")
+            raise ConfigError(f"joint coefficient shape {arr.shape}, expected {(n, n)}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bessel import BesselTable, bessel_halfwidth
 from .config import TOL
-from .errors import WindowError
+from .errors import ConfigError, WindowError
 from .params import ModelParams
 
 
@@ -32,7 +32,7 @@ class LatticeWindow:
 
     def __post_init__(self):
         if self.k_max <= self.k_min or self.x_max <= self.x_min:
-            raise ValueError("window bounds must satisfy k_min < k_max, x_min < x_max")
+            raise ConfigError("window bounds must satisfy k_min < k_max, x_min < x_max")
 
     @property
     def n_k(self) -> int:
@@ -147,7 +147,7 @@ class ParticleDensityMatrix:
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.shape != (self.window.n_k, self.window.n_k):
-            raise ValueError(f"coefficient shape {arr.shape} does not match window size {self.window.n_k}")
+            raise ConfigError(f"coefficient shape {arr.shape} does not match window size {self.window.n_k}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -163,7 +163,7 @@ class ParticleDensityMatrix:
     def from_diagonal(cls, window: LatticeWindow, weights: np.ndarray) -> "ParticleDensityMatrix":
         w = np.asarray(weights, dtype=float)
         if w.shape != (window.n_k,):
-            raise ValueError("diagonal weight vector does not match window size")
+            raise ConfigError("diagonal weight vector does not match window size")
         return cls(window, np.diag(w.astype(complex)))
 
     @classmethod
@@ -189,11 +189,11 @@ class ParticleDensityMatrix:
 
     def check_density(self, tol=TOL) -> None:
         if self.hermiticity_defect() > tol.hermiticity:
-            raise ValueError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
+            raise ConfigError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
         if abs(self.trace() - 1.0) > tol.trace:
-            raise ValueError(f"trace {self.trace():.12f} != 1")
+            raise ConfigError(f"trace {self.trace():.12f} != 1")
         if self.min_eigenvalue() < tol.psd_min_eig:
-            raise ValueError(f"not PSD: min eigenvalue {self.min_eigenvalue():.3e}")
+            raise ConfigError(f"not PSD: min eigenvalue {self.min_eigenvalue():.3e}")
 
 
 def require_interior(dm: ParticleDensityMatrix, band: int = 1, tol: float | None = None) -> None:

@@ -4,12 +4,13 @@ After n interactions the eigenbasis index performs a walk S_n with i.i.d.
 steps in {-1, 0, +1} of probabilities (p_-, p_0, p_+).  This module holds
 the transport coefficients, the exact law of S_n (linear and log space),
 seeded Monte Carlo sampling, the scaled cumulant generating function
-(the channel's `log_theta` at gamma = -eta) and the closed-form /
-numerical Legendre pair of rate functions.
+(`log_theta` at gamma = -eta) and the closed-form / numerical Legendre pair
+of rate functions, both built on the log Kraus weights (`log_step_kernel`).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,15 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
 
 
 def log_step_kernel(params: ModelParams) -> np.ndarray:
-    """log of the step weights (p_-, p_0, p_+); -inf for zero weights."""
-    with np.errstate(divide="ignore"):
-        return np.log(kraus_weights(params).as_array())
+    """log of the step weights (p_-, p_0, p_+); -inf for zero weights.
+
+    l_+ = log p - log1p(e^{-beta E}), l_- = l_+ - beta E, l_0 = log1p(-p):
+    exact where the weights underflow (p_- past beta E ~ 745).
+    """
+    p, be = derive_params(params).p, params.beta * params.E
+    l_plus = (math.log(p) if p > 0.0 else -math.inf) - math.log1p(math.exp(-be))
+    l_zero = math.log1p(-p) if p < 1.0 else -math.inf
+    return np.array([l_plus - be, l_zero, l_plus])
 
 
 def log_convolve_step(logp: np.ndarray, logk: np.ndarray) -> np.ndarray:
@@ -171,79 +178,72 @@ def scgf(eta: float, params: ModelParams) -> float:
     return log_theta(-eta, params)
 
 
-def _scgf_derivatives(eta: float, params: ModelParams) -> tuple[float, float, float]:
-    """(e, e', e'') at eta, from the explicit cosh/sinh forms."""
-    d = derive_params(params)
-    be = params.beta * params.E
-    b = d.p / math.cosh(0.5 * be)
-    u = 0.5 * be + eta
-    den = (1.0 - d.p) + b * math.cosh(u)
-    e1 = b * math.sinh(u) / den
-    e2 = ((1.0 - d.p) * b * math.cosh(u) + b * b) / den**2
-    return math.log(den), e1, e2
+def _tilted_moments(eta: float, params: ModelParams, log_k: list) -> tuple[float, float, float]:
+    """(e, e', e'') at eta from the tilted step law q_s = exp(l_s + eta s - e(eta)).
+
+    e' = q_+ - q_-, e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and
+    every term of e'' is positive, so nothing overflows or cancels.
+    """
+    e = scgf(eta, params)
+    l_m, l_0, l_p = log_k
+    q_m, q_0, q_p = math.exp(l_m - eta - e), math.exp(l_0 - e), math.exp(l_p + eta - e)
+    return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p
 
 
 def rate_function(x: float, params: ModelParams) -> float:
     """Closed-form large-deviation rate function of S_n / n.
 
-    With a = p / ((1-p) cosh(beta E/2)) and R(x) = sqrt(x^2 + a^2 (1-x^2)):
+    With the log weights l_s of `log_step_kernel`, a^2 = 4 exp(l_+ + l_- - 2 l_0)
+    and R = sqrt(x^2 + a^2 (1-x^2)), on [0, 1) (the first term is 0 at x = 0):
 
-        I(x) = -x beta E / 2 + x log((x + R) / (a (1 - x)))
-               - log((1-p)(1 + R) / (1 - x^2))
+        I(x) = x log((x + R) / (2 (1-x))) - x (l_+ - l_0) - l_0 - log((1 + R) / (1-x^2))
 
-    on (-1, 1); +inf outside [-1, 1]; at x = +-1 the continuous limits
-    -log p_+ and -log p_- are returned.  Strictly convex, I(v_d tau) = 0,
-    and I(x) = -beta E x + I(-x) holds exactly.  NumericsError where doubles
-    fail it (p = 1, cosh overflow, x + R cancelling to 0 at x < 0).
+    I(1) = -l_+, I(x) = I(-x) - beta E x for x < 0, +inf outside [-1, 1]: no
+    term overflows or cancels at any beta E.  The frozen walk (p = 0) has
+    I = 0 at x = 0 only; NumericsError for NaN x and, inside (-1, 1), at p = 1.
     """
+    if math.isnan(x):
+        raise NumericsError("rate function of NaN")
     if not -1.0 <= x <= 1.0:
         return math.inf
-    triple = kraus_weights(params)
-    if abs(x) == 1.0:
-        edge = triple.p_plus if x > 0 else triple.p_minus
-        return math.inf if edge == 0.0 else -math.log(edge)
-    d = derive_params(params)
-    if d.p == 0.0:
-        # the walk never moves: S_n = 0 surely
+    if x < 0.0:
+        return rate_function(-x, params) - params.beta * params.E * x
+    l_minus, l_zero, l_plus = log_step_kernel(params).tolist()
+    if l_plus == -math.inf:  # p = 0: the walk never moves, S_n = 0 surely
         return 0.0 if x == 0.0 else math.inf
-    be = params.beta * params.E
-    try:
-        a = d.p / ((1.0 - d.p) * math.cosh(0.5 * be))
-        R = math.sqrt(x * x + a * a * (1.0 - x * x))
-        return (-0.5 * be * x
-                + x * math.log((x + R) / (a * (1.0 - x)))
-                - math.log((1.0 - d.p) * (1.0 + R) / (1.0 - x * x)))
-    except (ArithmeticError, ValueError):
-        raise NumericsError(f"closed-form rate function fails in doubles at x={x!r} "
-                            f"(p = {d.p!r}, beta E = {be!r})") from None
+    if x == 1.0:
+        return -l_plus
+    if l_zero == -math.inf:
+        raise NumericsError(f"closed-form rate function needs p < 1 inside (-1, 1), x={x!r}")
+    a2 = 4.0 * math.exp(l_plus + l_minus - 2.0 * l_zero)
+    R = math.sqrt(x * x + a2 * (1.0 - x * x))
+    tilt = x * math.log((x + R) / (2.0 * (1.0 - x))) if x > 0.0 else 0.0
+    return tilt - x * (l_plus - l_zero) - l_zero - math.log((1.0 + R) / (1.0 - x * x))
 
 
 def _legendre_sup(x: float, params: ModelParams, max_iter: int = 200) -> tuple[float, float]:
-    """Solve e'(eta) = x by safeguarded Newton; returns (eta*, eta* x - e(eta*))."""
+    """Solve e'(eta) = x by safeguarded Newton; returns (eta*, eta* x - e(eta*)).
+
+    The bracket doubles until it holds x.  Newton stops at rounding level in e',
+    or at a step or bracket of a few ulps of eta; it bisects where e'' is subnormal.
+    """
+    log_k = log_step_kernel(params).tolist()
     lo, hi = -2.0, 2.0
-    while _scgf_derivatives(lo, params)[1] > x:
+    while not math.isinf(lo) and _tilted_moments(lo, params, log_k)[1] > x:
         lo *= 2.0
-        if lo < -690.0:  # cosh overflows shortly beyond this
-            raise NumericsError(f"cannot bracket Legendre sup at x={x}")
-    while _scgf_derivatives(hi, params)[1] < x:
+    while not math.isinf(hi) and _tilted_moments(hi, params, log_k)[1] < x:
         hi *= 2.0
-        if hi > 690.0:
-            raise NumericsError(f"cannot bracket Legendre sup at x={x}")
+    if math.isinf(lo) or math.isinf(hi):
+        raise NumericsError(f"cannot bracket Legendre sup at x={x}")
     eta = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        e0, e1, e2 = _scgf_derivatives(eta, params)
+        e0, e1, e2 = _tilted_moments(eta, params, log_k)
         f = e1 - x
-        if abs(f) <= 1e-14 * (1.0 + abs(x)):
+        lo, hi = (lo, eta) if f > 0.0 else (eta, hi)
+        step = f / e2 if e2 >= sys.float_info.min else math.inf
+        if abs(f) <= 1e-14 * (1.0 + abs(x)) or min(abs(step), hi - lo) <= 4.0 * math.ulp(eta):
             return eta, eta * x - e0
-        if f > 0.0:
-            hi = eta
-        else:
-            lo = eta
-        step = f / e2
-        candidate = eta - step
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        eta = candidate
+        eta = eta - step if lo < eta - step < hi else 0.5 * (lo + hi)
     raise NumericsError(f"Legendre sup did not converge at x={x}")
 
 

@@ -188,6 +188,9 @@ def test_spectrum_and_channel_evolve_experiments():
 
 
 FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
+# config-file cases: the run keys each one adds to a valid walk configuration
+BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
+               "config-out-int": {"out": 3}}
 
 
 @pytest.mark.parametrize("args", [
@@ -198,16 +201,26 @@ FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
     f"{FLAGS} fcs-energy --n -1",
     f"{FLAGS} channel-evolve --n -1",
     "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
-    "config-n-string",
+    *BAD_CONFIGS,
 ])
 def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
-    if args == "config-n-string":
+    if args in BAD_CONFIGS:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1,
-                                    "experiment": "walk", "n": "10"}))
+                                    "experiment": "walk", **BAD_CONFIGS[args]}))
         argv = ["--config", str(path)]
     else:
         argv = args.split()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_rate_far_from_equilibrium(capsys):
+    # beta E = 1500: p_- underflows and cosh(beta E / 2) overflows a double
+    argv = "--E 1500 --F 1 --lambda 1 --tau 2 --beta 1 rate --n 20".split()
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "x,rate_closed,rate_numeric,abs_diff"
+    abs_diff = [float(line.split(",")[3]) for line in lines[2:]]
+    assert len(abs_diff) == 21 and max(abs_diff) <= TOL.rate_match

@@ -1,8 +1,10 @@
 """Property tests over a box of model parameters.
 
 Every draw either raises a StarkwalkError (the input contract) or
-satisfies the closed-form invariants of the Kraus weights, theta, the
-scaled cumulant generating function and the rate function.  The search
+satisfies the closed-form invariants of the Kraus weights, theta and the
+scaled cumulant generating function.  The rate function may not refuse:
+for every p < 1 its closed form is >= 0, vanishes at the drift and, for
+p > 0 inside (-1, 1), equals the numeric Legendre transform.  The search
 is derandomized, so the suite stays deterministic.
 """
 import math
@@ -16,9 +18,11 @@ from starkwalk import (
     ModelParams,
     StarkwalkError,
     deformed_weights,
+    derive_params,
     kraus_weights,
     log_theta,
     rate_function,
+    rate_function_numeric,
     scgf,
     theta,
     transport_coefficients,
@@ -34,8 +38,7 @@ params_box = st.tuples(_real(0.0, 50.0), _real(0.0, 20.0), _real(-5.0, 5.0),
                        _real(0.0, 20.0), _real(0.0, 50.0))
 
 
-def _invariants(raw, alpha, eta, x):
-    params = ModelParams(*raw)
+def _invariants(params, alpha, eta):
     be = params.beta * params.E
 
     kt = kraus_weights(params)
@@ -47,10 +50,6 @@ def _invariants(raw, alpha, eta, x):
     assert math.isclose(scgf(-be - eta, params), scgf(eta, params),
                         rel_tol=TOL.scgf_symmetry, abs_tol=TOL.scgf_symmetry)
 
-    tc = transport_coefficients(params)
-    assert abs(rate_function(tc.v_d * params.tau, params)) <= TOL.rate_match
-    assert rate_function(x, params) >= -TOL.rate_match
-
     # one step from a delta carries mass theta; compared in log space, where
     # the closed form keeps relative accuracy even when theta is ~1e200
     gamma = alpha * be
@@ -59,10 +58,26 @@ def _invariants(raw, alpha, eta, x):
                         rel_tol=TOL.theta_kraus_identity, abs_tol=TOL.theta_kraus_identity)
 
 
+def _rate_invariants(params, x):
+    """Must hold without refusal for every p < 1, whatever beta E."""
+    tc = transport_coefficients(params)
+    assert abs(rate_function(tc.v_d * params.tau, params)) <= TOL.rate_match
+    assert rate_function(x, params) >= -TOL.rate_match
+    if derive_params(params).p > 0.0 and abs(x) < 1.0:
+        assert math.isclose(rate_function(x, params), rate_function_numeric(x, params),
+                            rel_tol=TOL.rate_match, abs_tol=TOL.rate_match)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(params_box, _real(-2.0, 3.0), _real(-5.0, 5.0), _real(-1.0, 1.0))
 def test_closed_forms_hold_or_refuse(raw, alpha, eta, x):
     try:
-        _invariants(raw, alpha, eta, x)
+        params = ModelParams(*raw)
+    except StarkwalkError:
+        return
+    try:
+        _invariants(params, alpha, eta)
     except StarkwalkError:
         pass
+    if derive_params(params).p < 1.0:
+        _rate_invariants(params, x)

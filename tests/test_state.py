@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from starkwalk import (
+    ConfigError,
+    JointDensityMatrix,
     LatticeWindow,
     ParticleDensityMatrix,
     WindowError,
+    bessel_j_array,
     bessel_table,
     bloch_coefficients,
     bloch_offset,
@@ -146,3 +149,22 @@ def test_density_checks(window):
     bad = ParticleDensityMatrix(window, 2.0 * dm.coeffs)
     with pytest.raises(ValueError):
         bad.check_density()
+
+
+_W = LatticeWindow(-2, 2, -4, 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LatticeWindow(0, 0, -1, 1),
+    lambda: ParticleDensityMatrix(_W, np.eye(4)),
+    lambda: JointDensityMatrix(_W, np.eye(5)),
+    lambda: ParticleDensityMatrix.from_diagonal(_W, np.ones(4)),
+    lambda: ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0).check_density(),
+    lambda: bessel_j_array(-1.0, 3),
+    lambda: bessel_j_array(1.0, -1),
+    lambda: bessel_table(0.0, 5),
+], ids=["window-bounds", "particle-shape", "joint-shape", "diagonal-shape", "trace",
+        "bessel-negative-z", "bessel-negative-order", "table-zero-force"])
+def test_bad_arguments_raise_config_error(build):
+    with pytest.raises(ConfigError):
+        build()

@@ -1,12 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from starkwalk import (
     TOL,
     ModelParams,
+    NumericsError,
+    derive_params,
+    energy_cgf,
     kraus_weights,
+    log_theta,
     rate_function,
     rate_function_entropy,
     rate_function_numeric,
@@ -17,6 +22,7 @@ from starkwalk import (
     walk_log_pmf,
     walk_pmf_exact,
 )
+from starkwalk.verify import CHECK_PARAMS
 
 
 def test_transport_reference_point(params):
@@ -95,6 +101,16 @@ def test_log_pmf_agrees_with_linear(params):
     logp = walk_log_pmf(n, params)
     mask = law.pmf > 1e-250
     assert np.max(np.abs(np.exp(logp[mask]) / law.pmf[mask] - 1.0)) <= 1e-10
+
+
+def test_log_pmf_far_from_equilibrium():
+    # beta E = 800: p_- = e^{-812} underflows, its log does not
+    params = ModelParams(E=800.0, F=1.0, lam=1.0, tau=2.0, beta=1.0)
+    n, be = 3, params.beta * params.E
+    logp = walk_log_pmf(n, params)
+    assert np.all(np.isfinite(logp))
+    for k in range(1, n + 1):
+        assert abs(logp[n - k] - (logp[n + k] - be * k)) <= TOL.fluctuation_rel
 
 
 def test_log_pmf_reaches_below_denormals(params):
@@ -190,9 +206,10 @@ def test_rate_function_properties(params):
     assert abs(rate_function(0.0, params) - 0.07716780505219559) < 1e-15
     be = params.beta * params.E
     xs = np.linspace(-0.95, 0.95, 39)
+    # the closed form is built on this symmetry, so the Legendre oracle checks it
     for x in xs:
-        assert abs(rate_function(float(x), params)
-                   - (-be * x + rate_function(float(-x), params))) <= 1e-10
+        assert abs(rate_function_numeric(float(x), params)
+                   - (-be * x + rate_function_numeric(float(-x), params))) <= 1e-10
     # strict convexity via second differences
     vals = [rate_function(float(x), params) for x in xs]
     second = np.diff(vals, 2)
@@ -218,6 +235,48 @@ def test_numeric_rate_matches_closed_form(params):
     assert abs(rate_function_numeric(tc.v_d * params.tau, params)) <= 1e-12
     with pytest.raises(ValueError):
         rate_function_numeric(1.0, params)
+
+
+def _rate_reference(x, params):
+    """I(x) at 60 digits from the exact maximiser z = e^eta of eta x - e(eta)."""
+    with mpmath.workdps(60):
+        p, be = mpmath.mpf(derive_params(params).p), mpmath.mpf(params.beta * params.E)
+        p_plus = p / (1 + mpmath.exp(-be))
+        p_minus, p_zero = p_plus * mpmath.exp(-be), 1 - p
+        if abs(x) == 1.0:
+            return float(-mpmath.log(p_plus if x > 0 else p_minus))
+        x = mpmath.mpf(x)
+        # (1-x) p_+ z^2 - x p_0 z - (1+x) p_- = 0, each root form free of cancellation
+        a, b, c = (1 - x) * p_plus, x * p_zero, (1 + x) * p_minus
+        root = mpmath.sqrt(b * b + 4 * a * c)
+        z = (b + root) / (2 * a) if x > 0 else 2 * c / (root - b)
+        return float(x * mpmath.log(z) - mpmath.log(p_minus / z + p_zero + p_plus * z))
+
+
+@pytest.mark.parametrize("params", [
+    CHECK_PARAMS,
+    ModelParams(E=3.0, F=1.0, lam=1.0, tau=2.0, beta=11.0),
+    ModelParams(E=800.0, F=1.0, lam=1.0, tau=2.0, beta=1.0),
+    ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+], ids=["check-params", "small-a", "beta-E-800", "beta-E-2500"])
+def test_rate_function_matches_mpmath(params):
+    for x in (-1.0, -0.999, -0.5, -0.3, -0.01, 0.0, 0.3, 0.999, 1.0):
+        ref = _rate_reference(x, params)
+        assert math.isclose(rate_function(x, params), ref, rel_tol=TOL.rate_match)
+        if abs(x) < 1.0:
+            assert math.isclose(rate_function_numeric(x, params), ref, rel_tol=TOL.rate_match)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda v: log_theta(v, CHECK_PARAMS),
+    lambda v: theta(v, CHECK_PARAMS),
+    lambda v: scgf(v, CHECK_PARAMS),
+    lambda v: energy_cgf(3, v, CHECK_PARAMS),
+    lambda v: rate_function(v, CHECK_PARAMS),
+], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function"])
+def test_nan_argument_is_numerics_error(fn):
+    with pytest.raises(NumericsError):
+        fn(math.nan)
 
 
 def test_double_legendre_recovers_scgf(params):
