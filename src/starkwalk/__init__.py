@@ -93,4 +93,5 @@ from .walk import (
     transport_coefficients,
     walk_log_pmf,
     walk_pmf_exact,
+    walk_pmf_oracle,
 )

@@ -71,23 +71,33 @@ def log_theta(gamma: float, params: ModelParams) -> float:
 
     theta = (1 - p) + p r with r = cosh(beta E/2 - gamma)/cosh(beta E/2),
     which equals the sum of `deformed_weights(gamma)` identically and stays
-    defined at beta E = 0.  log r comes from log-cosh differences, and the
-    larger of the two terms is factored out of the sum, so nothing
-    overflows at any finite gamma.  The one closed form behind `theta`,
-    `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
+    defined at beta E = 0.  log r comes from log-cosh differences, so
+    nothing overflows at any finite gamma.  The one closed form behind
+    `theta`, `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
     log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN.
     """
     if math.isnan(gamma):
         raise NumericsError("log_theta of NaN")
-    d = derive_params(params)
-    if d.p == 0.0:
+    return _log_theta(gamma, derive_params(params).p, params.beta * params.E)
+
+
+def _log_theta(gamma: float, p: float, be: float) -> float:
+    """`log_theta` at jump probability p and beta E = be, for a non-NaN gamma.
+
+    log1p(p expm1(log r)) keeps relative accuracy when theta is near 1 (small
+    p); where theta <= 1/2 the sum of the two positive terms does, and past
+    log r = 709 the larger term is factored out before expm1 overflows.
+    """
+    if p == 0.0:
         # the walk never moves; the factored form below would take log(0) far out
         return 0.0
-    be = params.beta * params.E
     log_r = _log_cosh(0.5 * be - gamma) - _log_cosh(0.5 * be)
-    if log_r <= 0.0:
-        return math.log((1.0 - d.p) + d.p * math.exp(log_r))
-    return log_r + math.log(d.p + (1.0 - d.p) * math.exp(-log_r))
+    if log_r >= 709.0:
+        return log_r + math.log(p + (1.0 - p) * math.exp(-log_r))
+    x = p * math.expm1(log_r)
+    if x > -0.5:
+        return math.log1p(x)
+    return math.log((1.0 - p) + p * math.exp(log_r))
 
 
 def theta(alpha: float, params: ModelParams) -> float:

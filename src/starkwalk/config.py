@@ -34,6 +34,7 @@ class Tolerances:
     # random walk statistics
     walk_moments_rel: float = 1e-10
     walk_cgf_rel: float = 1e-10
+    walk_law_rel: float = 1e-11    # ratio-recurrence law vs the n-fold convolution
     fluctuation_rel: float = 1e-10
     rate_match: float = 1e-8
     scgf_symmetry: float = 1e-12

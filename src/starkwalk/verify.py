@@ -9,6 +9,7 @@ acceptance tests and the `verify-all` CLI experiment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,9 @@ from .walk import (
     rate_function_numeric,
     sample_walk,
     transport_coefficients,
+    walk_log_pmf,
     walk_pmf_exact,
+    walk_pmf_oracle,
 )
 
 CHECK_PARAMS = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
@@ -133,7 +136,8 @@ def check_theta_identities(tol: Tolerances = TOL) -> CheckResult:
 
 
 def check_transport(tol: Tolerances = TOL) -> CheckResult:
-    """4. Exact walk moments at n in {1, 50}; Monte Carlo mean within 4 sigma."""
+    """4. Exact walk moments at n in {1, 50}; Monte Carlo mean within 4 sigma;
+    the ratio-recurrence law equal to the n-fold convolution at n = 2000."""
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
     worst = 0.0
@@ -146,10 +150,14 @@ def check_transport(tol: Tolerances = TOL) -> CheckResult:
     sample = sample_walk(n, trials, seed=7, params=params)
     dev = abs(sample.mean() / (n * params.tau) - tc.v_d)
     bound = 4.0 * math.sqrt(2.0 * tc.D / (n * params.tau * trials))
-    passed = worst <= tol.walk_moments_rel and dev <= bound
+    exact, oracle = walk_pmf_exact(2000, params).pmf, walk_pmf_oracle(2000, params).pmf
+    normal = oracle >= sys.float_info.min
+    law_gap = float(np.max(np.abs(exact[normal] / oracle[normal] - 1.0)))
+    passed = worst <= tol.walk_moments_rel and dev <= bound and law_gap <= tol.walk_law_rel
     return CheckResult("transport coefficients vs walk moments", passed, worst,
                        tol.walk_moments_rel,
-                       f"MC deviation {dev:.2e} vs 4-sigma {bound:.2e}")
+                       f"MC deviation {dev:.2e} vs 4-sigma {bound:.2e}; "
+                       f"law vs convolution {law_gap:.2e} vs {tol.walk_law_rel:.0e}")
 
 
 def check_clt(tol: Tolerances = TOL) -> CheckResult:
@@ -193,7 +201,8 @@ def check_ldp(tol: Tolerances = TOL) -> CheckResult:
 
 
 def check_fluctuation(tol: Tolerances = TOL) -> CheckResult:
-    """7. Exact walk fluctuation symmetry for all n <= 200; energy FT at n <= 3."""
+    """7. Exact walk fluctuation symmetry for all n <= 200; energy FT at n <= 3;
+    the log walk law equal to the log-space convolution at n = 200."""
     params = CHECK_PARAMS
     be = params.beta * params.E
     logk = log_step_kernel(params)
@@ -204,6 +213,8 @@ def check_fluctuation(tol: Tolerances = TOL) -> CheckResult:
         k = np.arange(1, n + 1)
         defect = np.abs(logp[n - k] - (logp[n + k] - be * k))
         worst = max(worst, float(np.max(defect)))
+    log_gap = float(np.max(np.abs(walk_log_pmf(200, params) - logp)
+                           / np.maximum(1.0, np.abs(logp))))
 
     worst_energy = 0.0
     window = LatticeWindow(-16, 15, -16, 15)
@@ -218,10 +229,12 @@ def check_fluctuation(tol: Tolerances = TOL) -> CheckResult:
             pmj = probs[np.searchsorted(m, -j)]
             worst_energy = max(worst_energy,
                                abs(pmj / (math.exp(be * j) * pj) - 1.0))
-    passed = worst <= tol.fluctuation_rel and worst_energy <= tol.fluctuation_rel
+    passed = (worst <= tol.fluctuation_rel and worst_energy <= tol.fluctuation_rel
+              and log_gap <= tol.walk_law_rel)
     return CheckResult("fluctuation identities", passed, max(worst, worst_energy),
                        tol.fluctuation_rel,
-                       f"walk log-defect {worst:.2e}, energy FT {worst_energy:.2e}")
+                       f"walk log-defect {worst:.2e}, energy FT {worst_energy:.2e}; "
+                       f"log law vs log convolution {log_gap:.2e} vs {tol.walk_law_rel:.0e}")
 
 
 def check_energy_fcs(tol: Tolerances = TOL) -> CheckResult:

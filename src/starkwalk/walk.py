@@ -2,10 +2,12 @@
 
 After n interactions the eigenbasis index performs a walk S_n with i.i.d.
 steps in {-1, 0, +1} of probabilities (p_-, p_0, p_+).  This module holds
-the transport coefficients, the exact law of S_n (linear and log space),
-seeded Monte Carlo sampling, the scaled cumulant generating function
-(`log_theta` at gamma = -eta) and the closed-form / numerical Legendre pair
-of rate functions, both built on the log Kraus weights (`log_step_kernel`).
+the transport coefficients, the exact law of S_n (linear and log space, in
+O(n) from one ratio recurrence for the coefficients of (p_- + p_0 z + p_+ z^2)^n,
+with the n-fold convolutions as its oracles), seeded Monte Carlo sampling,
+the scaled cumulant generating function (`log_theta` at gamma = -eta) and
+the closed-form / numerical Legendre pair of rate functions, all built on
+the log Kraus weights (`log_step_kernel`).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausTriple, kraus_weights, log_theta
+from .channel import KrausTriple, _log_theta, kraus_weights, log_theta
 from .errors import ConfigError, NumericsError
 from .params import ModelParams, derive_params
 
@@ -68,14 +70,91 @@ class WalkLaw:
         return float(np.dot(np.exp(eta * self.support), self.pmf))
 
 
-def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
-    """n-fold convolution of the step law, in plain 64-bit arithmetic.
+def _outward_ratios(n: int, log_k: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
+    """The reachable sites of S_n and the log ratios between neighbours, split at the mode.
 
-    All sums are of positive terms, so every representable entry keeps
-    relative accuracy; entries beyond the float range underflow to zero
-    (below ~1e-308, reached near the support edges once n is a few
-    hundred).  Use walk_log_pmf when those tails matter.  Cost is
-    O(n^2); n ~ 10^4 stays in the seconds range.
+    Returns (sites, down, up): `sites` indexes the support -n..n; `up[i]` is
+    log P[site mode+i+1] / P[site mode+i] and `down[i]` is
+    log P[site mode-i-1] / P[site mode-i], so cumulative sums (products of
+    exponentials) outward from the mode give the law relative to its mode.
+
+    Miller's power-series recurrence for (p_- + p_0 z + p_+ z^2)^n in ratio
+    form: with q = p_+ p_- / p_0^2 and t_{-1} = inf,
+    t_j = [(n-j) + (2n-j+1) q / t_{j-1}] / (j+1) for j = 0..n-1, the lower
+    half's ratios are t_{s+n} p_0 / p_-, and the upper half's are the same
+    numbers mirrored, p_+ / (t_{n-1-s} p_0).  Every term is positive and
+    each step damps the relative error it inherits, so each t_j keeps a few
+    ulps; the log weights keep the ratios finite where p_- underflows.
+    """
+    l_minus, l_zero, l_plus = log_k.tolist()
+    if l_plus == -math.inf:        # p = 0: S_n = 0 surely
+        sites, ratios = slice(n, n + 1), np.empty(0)
+    elif l_zero == -math.inf:      # p = 1: a binomial on the sites of the parity of n
+        m = np.arange(n)
+        sites = slice(0, 2 * n + 1, 2)
+        ratios = (np.log(n - m) - np.log(m + 1)) + (l_plus - l_minus)
+    else:
+        q = math.exp(l_plus + l_minus - 2.0 * l_zero)
+        t, prev = [], math.inf
+        for j in range(n):
+            prev = ((n - j) + (2 * n - j + 1) * q / prev) / (j + 1)
+            t.append(prev)
+        log_t = np.log(t)
+        sites = slice(0, 2 * n + 1)
+        ratios = np.concatenate([log_t + (l_zero - l_minus),
+                                 -(log_t[::-1] + (l_zero - l_plus))])
+    mode = int(np.argmax(np.concatenate([[0.0], np.cumsum(ratios)])))
+    return sites, -ratios[:mode][::-1], ratios[mode:]
+
+
+def _outward_products(ratios: np.ndarray) -> np.ndarray:
+    """exp(cumsum(ratios)) with 1 prepended, as cumulative products of exponentials.
+
+    Each parity class of sites takes its own product of two-step ratios, so a
+    law that alternates between heavy and light sites (p_0 near 0) never
+    passes a heavy site's value through a light neighbour that underflowed.
+    """
+    steps = np.exp(np.concatenate([ratios[:1], ratios[:-1] + ratios[1:]]))
+    out = np.ones(ratios.size + 1)
+    out[1::2] = np.cumprod(steps[0::2])
+    out[2::2] = np.cumprod(steps[1::2])
+    return out
+
+
+def _place(n: int, sites: slice, values: np.ndarray, fill: float) -> np.ndarray:
+    """The law on the support -n..n: `values` on `sites`, `fill` elsewhere."""
+    out = np.full(2 * n + 1, fill)
+    out[sites] = values
+    return out
+
+
+def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
+    """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(n).
+
+    P[S_n = s] / P[mode] is the cumulative product of the neighbour ratios
+    of `_outward_ratios` outward from the mode, normalised with a
+    correctly rounded sum.  Entries in the normal double range keep relative
+    accuracy, their error growing at most linearly with the distance from
+    the mode (~1e-13 at n = 2*10^4).  n = 0 and n = 1 are the delta and the
+    step law itself; unreachable sites (p = 0, or the wrong parity at p = 1)
+    are 0.
+    """
+    if n < 0:
+        raise ConfigError("n must be >= 0")
+    triple = kraus_weights(params)
+    if n == 1:
+        return WalkLaw(triple=triple, n=n, pmf=triple.as_array())
+    sites, down, up = _outward_ratios(n, log_step_kernel(params))
+    rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
+    return WalkLaw(triple=triple, n=n, pmf=_place(n, sites, rel / math.fsum(rel), 0.0))
+
+
+def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
+    """The law of S_n as n sequential convolutions of the step law.
+
+    The independent route for `walk_pmf_exact`: sums of positive terms, so
+    entries in the normal double range keep relative accuracy.  Cost is
+    O(n^2); meant for n <= 2000.
     """
     if n < 0:
         raise ConfigError("n must be >= 0")
@@ -109,18 +188,23 @@ def log_convolve_step(logp: np.ndarray, logk: np.ndarray) -> np.ndarray:
 
 
 def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
-    """log P[S_n = k] on support -n..n, by log-space convolution.
+    """log P[S_n = k] on support -n..n, by the ratio recurrence in O(n).
 
-    Exact deep into the tails where the linear pmf underflows; -inf marks
-    genuinely impossible values (zero step weights).
+    The cumulative sum of the log neighbour ratios of `_outward_ratios`
+    outward from the mode, less the log of the correctly rounded sum of
+    its exponentials: finite and accurate relative to max(1, |log P|) deep
+    into the tails where the linear law underflows, and at any beta E.
+    -inf marks impossible values (p = 0, or the wrong parity at p = 1).
+    n = 1 is `log_step_kernel` itself; `log_convolve_step` is the oracle.
     """
     if n < 0:
         raise ConfigError("n must be >= 0")
     logk = log_step_kernel(params)
-    logp = np.array([0.0])
-    for _ in range(n):
-        logp = log_convolve_step(logp, logk)
-    return logp
+    if n == 1:
+        return logk
+    sites, down, up = _outward_ratios(n, logk)
+    rel = np.concatenate([np.cumsum(down)[::-1], [0.0], np.cumsum(up)])
+    return _place(n, sites, rel - math.log(math.fsum(np.exp(rel))), -math.inf)
 
 
 @dataclass(frozen=True)
@@ -178,13 +262,14 @@ def scgf(eta: float, params: ModelParams) -> float:
     return log_theta(-eta, params)
 
 
-def _tilted_moments(eta: float, params: ModelParams, log_k: list) -> tuple[float, float, float]:
+def _tilted_moments(eta: float, p: float, be: float, log_k: list) -> tuple[float, float, float]:
     """(e, e', e'') at eta from the tilted step law q_s = exp(l_s + eta s - e(eta)).
 
+    p and be = beta E are the inputs of `scgf`, computed once by the caller.
     e' = q_+ - q_-, e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and
     every term of e'' is positive, so nothing overflows or cancels.
     """
-    e = scgf(eta, params)
+    e = _log_theta(-eta, p, be)
     l_m, l_0, l_p = log_k
     q_m, q_0, q_p = math.exp(l_m - eta - e), math.exp(l_0 - e), math.exp(l_p + eta - e)
     return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p
@@ -228,16 +313,17 @@ def _legendre_sup(x: float, params: ModelParams, max_iter: int = 200) -> tuple[f
     or at a step or bracket of a few ulps of eta; it bisects where e'' is subnormal.
     """
     log_k = log_step_kernel(params).tolist()
+    p, be = derive_params(params).p, params.beta * params.E
     lo, hi = -2.0, 2.0
-    while not math.isinf(lo) and _tilted_moments(lo, params, log_k)[1] > x:
+    while not math.isinf(lo) and _tilted_moments(lo, p, be, log_k)[1] > x:
         lo *= 2.0
-    while not math.isinf(hi) and _tilted_moments(hi, params, log_k)[1] < x:
+    while not math.isinf(hi) and _tilted_moments(hi, p, be, log_k)[1] < x:
         hi *= 2.0
     if math.isinf(lo) or math.isinf(hi):
         raise NumericsError(f"cannot bracket Legendre sup at x={x}")
     eta = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        e0, e1, e2 = _tilted_moments(eta, params, log_k)
+        e0, e1, e2 = _tilted_moments(eta, p, be, log_k)
         f = e1 - x
         lo, hi = (lo, eta) if f > 0.0 else (eta, hi)
         step = f / e2 if e2 >= sys.float_info.min else math.inf

@@ -6,12 +6,13 @@ arithmetic, propagators from scipy's expm on a directly assembled
 Hamiltonian, and walk expectations from explicit enumeration.
 """
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from starkwalk import JointDensityMatrix, LatticeWindow, ModelParams, ParticleDensityMatrix
+from starkwalk import TOL, JointDensityMatrix, LatticeWindow, ModelParams, ParticleDensityMatrix
 
 
 @pytest.fixture
@@ -80,3 +81,12 @@ def random_interior_operator(rng, window: LatticeWindow, half: int) -> np.ndarra
     i0 = window.k_index(-half)
     A[i0:i0 + s, i0:i0 + s] = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
     return A
+
+
+def assert_law_matches_oracle(pmf, oracle):
+    """Walk law vs the convolution oracle: relative agreement where the oracle is in
+    the normal double range; elsewhere both are below it (subnormals carry no
+    relative accuracy)."""
+    normal = oracle >= sys.float_info.min
+    assert np.max(np.abs(pmf[normal] / oracle[normal] - 1.0), initial=0.0) <= TOL.walk_law_rel
+    assert np.all(pmf[~normal] < 2.0 * sys.float_info.min)

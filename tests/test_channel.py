@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,6 +85,27 @@ def test_log_theta_symmetry_far_out(params):
     for gamma in (-800.0, 800.0):
         assert math.isclose(log_theta(gamma, params), log_theta(be - gamma, params),
                             rel_tol=TOL.scgf_symmetry)
+
+
+def _log_theta_reference(gamma, params):
+    """log(e^gamma p_- + p_0 + e^-gamma p_+) at 60 digits from the double p."""
+    with mpmath.workdps(60):
+        p, be = mpmath.mpf(derive_params(params).p), mpmath.mpf(params.beta * params.E)
+        p_plus = p / (1 + mpmath.exp(-be))
+        return float(mpmath.log(mpmath.exp(gamma) * p_plus * mpmath.exp(-be) + (1 - p)
+                                + mpmath.exp(-gamma) * p_plus))
+
+
+@pytest.mark.parametrize("params, gammas", [
+    # p = 9.1e-8: theta is within 1e-7 of 1
+    (ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0), (-1.0, 1.0, 1250.0)),
+    # p = 1: theta = r, down to e^-49 at gamma = beta E / 2
+    (ModelParams(E=100.0, F=100.0, lam=math.pi / 2, tau=1.0, beta=1.0), (-1.0, 1.0, 50.0)),
+], ids=["small-p", "p-one"])
+def test_log_theta_matches_mpmath(params, gammas):
+    for gamma in gammas:
+        assert math.isclose(log_theta(gamma, params), _log_theta_reference(gamma, params),
+                            rel_tol=TOL.theta_kraus_identity)
 
 
 def test_deformed_on_eigenstate_is_trinomial(params, window):

@@ -4,8 +4,9 @@ Every draw either raises a StarkwalkError (the input contract) or
 satisfies the closed-form invariants of the Kraus weights, theta and the
 scaled cumulant generating function.  The rate function may not refuse:
 for every p < 1 its closed form is >= 0, vanishes at the drift and, for
-p > 0 inside (-1, 1), equals the numeric Legendre transform.  The search
-is derandomized, so the suite stays deterministic.
+p > 0 inside (-1, 1), equals the numeric Legendre transform.  The walk
+law may not refuse either: for n <= 30 it equals the n-fold convolution.
+The search is derandomized, so the suite stays deterministic.
 """
 import math
 
@@ -26,7 +27,12 @@ from starkwalk import (
     scgf,
     theta,
     transport_coefficients,
+    walk_pmf_exact,
+    walk_pmf_oracle,
 )
+
+from conftest import assert_law_matches_oracle
+
 
 def _real(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
@@ -69,8 +75,8 @@ def _rate_invariants(params, x):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(params_box, _real(-2.0, 3.0), _real(-5.0, 5.0), _real(-1.0, 1.0))
-def test_closed_forms_hold_or_refuse(raw, alpha, eta, x):
+@given(params_box, _real(-2.0, 3.0), _real(-5.0, 5.0), _real(-1.0, 1.0), st.integers(0, 30))
+def test_closed_forms_hold_or_refuse(raw, alpha, eta, x, n):
     try:
         params = ModelParams(*raw)
     except StarkwalkError:
@@ -81,3 +87,5 @@ def test_closed_forms_hold_or_refuse(raw, alpha, eta, x):
         pass
     if derive_params(params).p < 1.0:
         _rate_invariants(params, x)
+    # the walk law may not refuse: it equals the n-fold convolution
+    assert_law_matches_oracle(walk_pmf_exact(n, params).pmf, walk_pmf_oracle(n, params).pmf)

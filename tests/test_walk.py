@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,8 +22,23 @@ from starkwalk import (
     transport_coefficients,
     walk_log_pmf,
     walk_pmf_exact,
+    walk_pmf_oracle,
 )
 from starkwalk.verify import CHECK_PARAMS
+from starkwalk.walk import log_convolve_step, log_step_kernel
+
+from conftest import assert_law_matches_oracle
+
+# the law's corner cases: frozen walk, parity-locked walk, p_0 = 1e-14 (the law
+# alternates between heavy and light sites), no bias, p_- underflowing
+LAW_PARAMS = {
+    "check-params": CHECK_PARAMS,
+    "p-zero": ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0),
+    "p-one": ModelParams(E=1.0, F=1.0, lam=math.pi / 2, tau=1.0, beta=1.0),
+    "p-near-one": ModelParams(E=1.0, F=1.0, lam=math.pi / 2 - 1e-7, tau=1.0, beta=0.0),
+    "beta-E-0": ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0),
+    "beta-E-800": ModelParams(E=800.0, F=1.0, lam=1.0, tau=2.0, beta=1.0),
+}
 
 
 def test_transport_reference_point(params):
@@ -101,6 +117,100 @@ def test_log_pmf_agrees_with_linear(params):
     logp = walk_log_pmf(n, params)
     mask = law.pmf > 1e-250
     assert np.max(np.abs(np.exp(logp[mask]) / law.pmf[mask] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("params", LAW_PARAMS.values(), ids=LAW_PARAMS.keys())
+def test_law_matches_convolution_oracle(params):
+    for n in (0, 1, 2, 50, 200, 2000):
+        pmf, oracle = walk_pmf_exact(n, params).pmf, walk_pmf_oracle(n, params).pmf
+        assert pmf.shape == oracle.shape == (2 * n + 1,)
+        assert_law_matches_oracle(pmf, oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 2000])
+def test_impossible_sites_are_exact_zeros(n):
+    frozen = LAW_PARAMS["p-zero"]
+    delta = np.eye(2 * n + 1)[n]
+    assert np.array_equal(walk_pmf_exact(n, frozen).pmf, delta)
+    assert np.array_equal(walk_log_pmf(n, frozen), np.where(delta == 1.0, 0.0, -np.inf))
+    # p = 1 never stays put: S_n has the parity of n
+    locked = LAW_PARAMS["p-one"]
+    assert not walk_pmf_exact(n, locked).pmf[1::2].any()
+    assert np.all(walk_log_pmf(n, locked)[1::2] == -math.inf)
+    assert np.all(np.isfinite(walk_log_pmf(n, locked)[0::2]))
+
+
+@pytest.mark.parametrize("params", [
+    *LAW_PARAMS.values(), ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+], ids=[*LAW_PARAMS.keys(), "beta-E-2500"])
+def test_log_law_matches_log_convolution(params):
+    logk = log_step_kernel(params)
+    logp = np.array([0.0])
+    for n in range(201):
+        if n:
+            logp = log_convolve_step(logp, logk)
+        if n in (0, 1, 2, 3, 50, 200):
+            law = walk_log_pmf(n, params)
+            finite = np.isfinite(logp)
+            assert np.array_equal(np.isfinite(law), finite)
+            assert np.all(law[~finite] == -math.inf)
+            gap = np.abs(law[finite] - logp[finite]) / np.maximum(1.0, np.abs(logp[finite]))
+            assert np.max(gap) <= TOL.walk_law_rel
+
+
+def test_log_law_fluctuation_identity_at_n_2000():
+    # the log-space convolution misses this identity at n = 2000 by 1.1e-10
+    params = ModelParams(E=2.04, F=1.0, lam=0.49, tau=1.0, beta=1.01)
+    n, be = 2000, params.beta * params.E
+    logp = walk_log_pmf(n, params)
+    k = np.arange(1, n + 1)
+    assert np.max(np.abs(logp[n - k] - (logp[n + k] - be * k))) <= TOL.fluctuation_rel
+
+
+def _multinomial_reference(n, s, params):
+    """P[S_n = s] at 50 digits: the sum over N_- of the trinomial multinomial terms."""
+    with mpmath.workdps(50):
+        p, be = mpmath.mpf(derive_params(params).p), mpmath.mpf(params.beta * params.E)
+        p_plus = p / (1 + mpmath.exp(-be))
+        p_minus, p_zero = p_plus * mpmath.exp(-be), 1 - p
+        m = max(0, -s)                    # N_- = m, N_+ = m + s, N_0 = n - 2m - s
+        term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(m + s + 1)
+                          - mpmath.loggamma(m + 1) - mpmath.loggamma(n - 2 * m - s + 1)
+                          + (m + s) * mpmath.log(p_plus) + m * mpmath.log(p_minus)
+                          + (n - 2 * m - s) * mpmath.log(p_zero))
+        q = p_plus * p_minus / p_zero**2
+        terms = []
+        while n - 2 * m - s >= 0:
+            terms.append(term)
+            zeros = n - 2 * m - s
+            term *= zeros * (zeros - 1) * q / ((m + s + 1) * (m + 1))
+            m += 1
+        return mpmath.fsum(terms)
+
+
+def test_law_matches_multinomial_spot_values():
+    params, n = CHECK_PARAMS, 10_000
+    tc = transport_coefficients(params)
+    mean, sigma = n * tc.v_d * params.tau, math.sqrt(n * 2.0 * tc.D * params.tau)
+    pmf, logp = walk_pmf_exact(n, params).pmf, walk_log_pmf(n, params)
+    mode = int(np.argmax(pmf)) - n
+    for s in (mode, round(mean - 3.0 * sigma), round(mean + 3.0 * sigma), -n // 2, n // 2):
+        ref = _multinomial_reference(n, s, params)
+        log_ref = float(mpmath.log(ref))
+        assert abs(logp[s + n] - log_ref) <= TOL.walk_law_rel * max(1.0, abs(log_ref))
+        if ref >= sys.float_info.min:
+            assert math.isclose(pmf[s + n], float(ref), rel_tol=TOL.walk_law_rel)
+
+
+def test_law_at_n_100000_mass_and_moments():
+    params, n = CHECK_PARAMS, 100_000
+    tc = transport_coefficients(params)
+    law = walk_pmf_exact(n, params)
+    assert abs(math.fsum(law.pmf) - 1.0) <= 1e-14
+    mean = math.fsum(law.support * law.pmf)
+    var = math.fsum((law.support - mean) ** 2 * law.pmf)    # two passes
+    assert math.isclose(mean, n * tc.v_d * params.tau, rel_tol=TOL.walk_moments_rel)
+    assert math.isclose(var, n * 2.0 * tc.D * params.tau, rel_tol=TOL.walk_moments_rel)
 
 
 def test_log_pmf_far_from_equilibrium():
