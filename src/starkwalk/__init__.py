@@ -35,7 +35,6 @@ from .errors import (
 )
 from .fcs import (
     EnergyFcsResult,
-    MeasurementRecord,
     PositionCgf,
     PositionFcsResult,
     ReservoirConfig,
@@ -55,7 +54,6 @@ from .params import DerivedParams, ModelParams, derive_params
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
-    SectorBlock,
     closed_unitary,
     hamiltonian_blocks,
     heisenberg_maps,

@@ -60,10 +60,20 @@ def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
         raise NumericsError(f"deformed weights overflow at gamma = {gamma!r}") from None
 
 
-def _log_cosh(u: float) -> float:
-    """log cosh(u), finite for every finite u."""
-    u = abs(u)
-    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
+def _log_r(gamma: float, be: float) -> float:
+    """log r, r = cosh(be/2 - gamma)/cosh(be/2), with relative accuracy at every gamma.
+
+    log r is even about gamma = be/2, so gamma folds to g <= be/2 (exactly,
+    by Sterbenz's lemma, near the fold).  For |g| <= 1, r - 1 = (cosh g - 1)
+    - tanh(be/2) sinh g = 2 sinh^2(g/2) - tanh(be/2) sinh g has no large
+    terms to cancel; beyond, log r = -g + log1p(e^{-2(be/2 - g)}) - log1p(e^{-be}),
+    where neither exponential overflows.
+    """
+    a = 0.5 * be
+    g = gamma if gamma <= a else be - gamma
+    if abs(g) <= 1.0:
+        return math.log1p(2.0 * math.sinh(0.5 * g) ** 2 - math.tanh(a) * math.sinh(g))
+    return -g + math.log1p(math.exp(-2.0 * (a - g))) - math.log1p(math.exp(-be))
 
 
 def log_theta(gamma: float, params: ModelParams) -> float:
@@ -71,8 +81,8 @@ def log_theta(gamma: float, params: ModelParams) -> float:
 
     theta = (1 - p) + p r with r = cosh(beta E/2 - gamma)/cosh(beta E/2),
     which equals the sum of `deformed_weights(gamma)` identically and stays
-    defined at beta E = 0.  log r comes from log-cosh differences, so
-    nothing overflows at any finite gamma.  The one closed form behind
+    defined at beta E = 0.  log r is evaluated without subtracting large
+    terms, so nothing overflows at any finite gamma.  The one closed form behind
     `theta`, `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
     log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN.
     """
@@ -91,7 +101,7 @@ def _log_theta(gamma: float, p: float, be: float) -> float:
     if p == 0.0:
         # the walk never moves; the factored form below would take log(0) far out
         return 0.0
-    log_r = _log_cosh(0.5 * be - gamma) - _log_cosh(0.5 * be)
+    log_r = _log_r(gamma, be)
     if log_r >= 709.0:
         return log_r + math.log(p + (1.0 - p) * math.exp(-log_r))
     x = p * math.expm1(log_r)

@@ -174,15 +174,12 @@ def _default_window(cfg: RunConfig, steps: int) -> LatticeWindow:
 def _exp_spectrum(cfg: RunConfig) -> ResultTable:
     window = _default_window(cfg, steps=2)
     d = derive_params(cfg.params)
+    blocks, _ = hamiltonian_blocks(cfg.params, window)
+    eig = np.linalg.eigvalsh(blocks)
     rows = []
-    for blk in hamiltonian_blocks(cfg.params, window):
-        if blk.edge:
-            continue
-        k = window.k_values[blk.labels[0][1]]
-        lo, hi = np.linalg.eigvalsh(blk.h)
+    for k, (lo, hi) in zip(window.k_values[:-1].tolist(), eig.tolist()):
         base = 2.0 - cfg.params.F * k + 0.5 * (cfg.params.E - cfg.params.F)
-        rows.append([int(k), float(lo), float(hi),
-                     base - 0.5 * d.omega0, base + 0.5 * d.omega0])
+        rows.append([k, lo, hi, base - 0.5 * d.omega0, base + 0.5 * d.omega0])
     return ResultTable(["k", "eig_minus", "eig_plus", "predicted_minus", "predicted_plus"], rows)
 
 
@@ -247,11 +244,14 @@ def _exp_fcs_energy(cfg: RunConfig) -> ResultTable:
     rcfg = fcs_mod.ReservoirConfig(params=cfg.params, M=m_atoms, n=cfg.n, window=window)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = fcs_mod.run_energy_fcs(rcfg, rho)
-    joint: dict = {}
-    for rec in result.records(prune=1e-15):
-        key = (float(rec.ds_particle) + 0.0, float(rec.ds_env) + 0.0)
-        joint[key] = joint.get(key, 0.0) + float(rec.weight)
-    rows = [[dp, de, w] for (dp, de), w in sorted(joint.items())]
+    mp, me, w = result.increment_tables()
+    live = w > 1e-15
+    # both columns are beta E times an integer increment, so they agree exactly
+    # wherever the increments do; at beta E = 0 every outcome is one 0.0 row
+    ds = result.beta_E * np.stack([mp[live], me[live]], axis=1) + 0.0
+    keys, inverse = np.unique(ds, axis=0, return_inverse=True)
+    probs = np.bincount(inverse.reshape(-1), weights=w[live])
+    rows = [[dp, de, p] for (dp, de), p in zip(keys.tolist(), probs.tolist())]
     return ResultTable(["ds_particle", "ds_env", "prob"], rows)
 
 

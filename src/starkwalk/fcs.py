@@ -37,7 +37,7 @@ from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
 from .params import ModelParams
-from .singleatom import oracle_unitary
+from .singleatom import joint_hamiltonian, oracle_unitary
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
@@ -76,9 +76,33 @@ class ReservoirConfig:
         return self.window.n_k << self.M
 
 
-def _popcounts(M: int) -> np.ndarray:
-    bits = np.arange(1 << M)
-    return np.array([bin(b).count("1") for b in bits])
+def _occupations(M: int) -> np.ndarray:
+    """occ[bits, j] = 1 if atom j is excited in configuration `bits` (atom 0 leads)."""
+    return (np.arange(1 << M)[:, None] >> np.arange(M - 1, -1, -1)) & 1
+
+
+def _apply_pair(pair: np.ndarray, X: np.ndarray, j: int, M: int) -> np.ndarray:
+    """(pair on (atom j, particle)) @ X for a joint matrix X with dim rows.
+
+    pair is atom-major 2K x 2K like the single-atom operators; the rows of X
+    split as (atoms before j, atom j, atoms after j, particle).
+    """
+    K = pair.shape[0] // 2
+    rows = X.reshape(1 << j, 2, 1 << (M - 1 - j), K, -1)
+    out = np.tensordot(pair.reshape(2, K, 2, K), rows, axes=([2, 3], [1, 3]))
+    return out.transpose(2, 0, 3, 1, 4).reshape(X.shape)
+
+
+def _idle_excitations(cfg: ReservoirConfig, j: int) -> np.ndarray:
+    """Excited atoms other than atom j, for every joint index (bits, k)."""
+    occ = _occupations(cfg.M)
+    return np.repeat(occ.sum(axis=1) - occ[:, j], cfg.window.n_k)
+
+
+def _step(cfg: ReservoirConfig, W: np.ndarray, j: int, U: np.ndarray) -> np.ndarray:
+    """e^{-i tau H_j} @ U, from the single-atom propagator W and the idle phases."""
+    idle_phase = np.exp(-1j * cfg.params.tau * cfg.params.E)
+    return idle_phase ** _idle_excitations(cfg, j)[:, None] * _apply_pair(W, U, j, cfg.M)
 
 
 def step_unitary(cfg: ReservoirConfig, j: int) -> np.ndarray:
@@ -87,61 +111,31 @@ def step_unitary(cfg: ReservoirConfig, j: int) -> np.ndarray:
     Joint index = bits * n_k + k; idle excited atoms contribute free
     phases e^{-i tau E} each.
     """
-    K = cfg.window.n_k
     W = oracle_unitary(cfg.params.tau, cfg.params, cfg.window)
-    nbits = 1 << cfg.M
-    mask_j = 1 << (cfg.M - 1 - j)
-    idle_phase = np.exp(-1j * cfg.params.tau * cfg.params.E)
-    U = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for bits in range(nbits):
-        for bits2 in range(nbits):
-            if (bits ^ bits2) & ~mask_j:
-                continue
-            a = 1 if bits & mask_j else 0
-            a2 = 1 if bits2 & mask_j else 0
-            idle_exc = bin(bits & ~mask_j).count("1")
-            block = W[a * K:(a + 1) * K, a2 * K:(a2 + 1) * K]
-            U[bits * K:(bits + 1) * K, bits2 * K:(bits2 + 1) * K] = idle_phase**idle_exc * block
-    return U
+    return _step(cfg, W, j, np.eye(cfg.dim, dtype=complex))
 
 
 def repeated_interaction_propagator(cfg: ReservoirConfig) -> np.ndarray:
     """U(n tau, 0) = e^{-i tau H_n} ... e^{-i tau H_1} on the joint space."""
+    W = oracle_unitary(cfg.params.tau, cfg.params, cfg.window)
     U = np.eye(cfg.dim, dtype=complex)
     for j in range(cfg.n):
-        U = step_unitary(cfg, j) @ U
+        U = _step(cfg, W, j, U)
     return U
 
 
 def step_hamiltonian(cfg: ReservoirConfig, j: int) -> np.ndarray:
     """H during the j-th interval: particle + all atoms + coupling to atom j."""
-    from .singleatom import joint_hamiltonian
-
-    K = cfg.window.n_k
     pair = joint_hamiltonian(cfg.params, cfg.window)  # (particle (x) one atom)
-    nbits = 1 << cfg.M
-    mask_j = 1 << (cfg.M - 1 - j)
-    pops = _popcounts(cfg.M)
-    H = np.zeros((cfg.dim, cfg.dim))
-    for bits in range(nbits):
-        for bits2 in range(nbits):
-            if (bits ^ bits2) & ~mask_j:
-                continue
-            a = 1 if bits & mask_j else 0
-            a2 = 1 if bits2 & mask_j else 0
-            block = pair[a * K:(a + 1) * K, a2 * K:(a2 + 1) * K].copy()
-            if bits == bits2:
-                idle_exc = pops[bits & ~mask_j]
-                block += cfg.params.E * idle_exc * np.eye(K)
-            H[bits * K:(bits + 1) * K, bits2 * K:(bits2 + 1) * K] = block
-    return H
+    idle = cfg.params.E * _idle_excitations(cfg, j)
+    return _apply_pair(pair, np.eye(cfg.dim), j, cfg.M) + np.diag(idle)
 
 
 def environment_weights(cfg: ReservoirConfig) -> np.ndarray:
     """Diagonal of rho_beta^{(x)M} over the atom-bit configurations."""
     g = math.exp(-cfg.params.beta * cfg.params.E)
     z = 1.0 + g
-    pops = _popcounts(cfg.M)
+    pops = _occupations(cfg.M).sum(axis=1)
     return g**pops / z**cfg.M
 
 
@@ -156,30 +150,14 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
     K = cfg.window.n_k
     g = math.exp(-cfg.params.beta * cfg.params.E)
     z = 1.0 + g
-    pops = _popcounts(cfg.M)
+    pops = _occupations(cfg.M).sum(axis=1)
     # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
     w_in = (g**pops) ** (1.0 - alpha) / z ** (cfg.M * (1.0 - alpha))
     w_out = (g**pops) ** alpha / z ** (cfg.M * alpha)
     U = repeated_interaction_propagator(cfg)
     joint = np.kron(np.diag(w_in.astype(complex)), np.asarray(A, dtype=complex))
-    evolved = U @ joint @ U.conj().T
-    out = np.zeros((K, K), dtype=complex)
-    for bits in range(1 << cfg.M):
-        out += w_out[bits] * evolved[bits * K:(bits + 1) * K, bits * K:(bits + 1) * K]
-    return out
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One (first outcome, second outcome) pair of the energy protocol."""
-
-    e_particle_0: float
-    e_env_0: float
-    e_particle_1: float
-    e_env_1: float
-    ds_particle: float
-    ds_env: float
-    weight: float
+    evolved = (U @ joint @ U.conj().T).reshape(1 << cfg.M, K, 1 << cfg.M, K)
+    return np.einsum("b,bkbl->kl", w_out, evolved)
 
 
 @dataclass(frozen=True)
@@ -197,29 +175,6 @@ class EnergyFcsResult:
     @property
     def beta_E(self) -> float:
         return self.cfg.params.beta * self.cfg.params.E
-
-    def records(self, prune: float = 0.0) -> list[MeasurementRecord]:
-        kv = self.cfg.window.k_values
-        E, F = self.cfg.params.E, self.cfg.params.F
-        be = self.beta_E
-        out = []
-        K, nm = self.prob4.shape[0], self.prob4.shape[1]
-        for i in range(K):
-            for m in range(nm):
-                for j in range(K):
-                    for m0 in range(nm):
-                        w = self.prob4[i, m, j, m0]
-                        if w <= prune:
-                            continue
-                        ep0, ep1 = 2.0 - F * kv[j], 2.0 - F * kv[i]
-                        ee0, ee1 = E * m0, E * m
-                        out.append(MeasurementRecord(
-                            e_particle_0=ep0, e_env_0=ee0,
-                            e_particle_1=ep1, e_env_1=ee1,
-                            ds_particle=(be / F) * (ep1 - ep0),
-                            ds_env=-self.cfg.params.beta * (ee1 - ee0),
-                            weight=w))
-        return out
 
     def total_weight(self) -> float:
         return float(np.sum(self.prob4))
@@ -294,7 +249,7 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
     if rho_p.boundary_mass(band) > TOL.boundary:
         raise WindowError(f"rho_p support within {band} sites of the window edge")
     K = cfg.window.n_k
-    pops = _popcounts(cfg.M)
+    pops = _occupations(cfg.M).sum(axis=1)
     w_env = environment_weights(cfg)
     qk = np.diagonal(rho_p.coeffs).real
 

@@ -102,42 +102,37 @@ def _require_interior(state: JointDensityMatrix, band: int = 2) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SectorBlock:
-    """One invariant sector: basis labels ((atom, k), ...) and the Hamiltonian block."""
-
-    labels: tuple
-    h: np.ndarray
-    edge: bool
-
-
-def hamiltonian_blocks(params: ModelParams, window: LatticeWindow) -> list[SectorBlock]:
+def hamiltonian_blocks(params: ModelParams,
+                       window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
     """Sector decomposition of H = H_p + H_a + lam (T b* + T* b) on the window.
 
-    Interior sectors pair (ground, k) with (excited, k+1); the two states
-    left unpaired by the truncation become 1x1 edge blocks.
+    Returns (blocks, edges).  blocks[i], shape (n_k - 1, 2, 2), is H on the
+    sector ((ground, k_i), (excited, k_{i+1})); edges are the energies of
+    the two states the truncation leaves unpaired, (ground, k_max) and
+    (excited, k_min).
     """
-    blocks = []
     Ek = 2.0 - params.F * window.k_values.astype(float)
-    for i in range(window.n_k - 1):
-        h = np.array([[Ek[i], params.lam],
-                      [params.lam, Ek[i + 1] + params.E]])
-        blocks.append(SectorBlock(labels=((0, i), (1, i + 1)), h=h, edge=False))
-    blocks.append(SectorBlock(labels=((0, window.n_k - 1),),
-                              h=np.array([[Ek[-1]]]), edge=True))
-    blocks.append(SectorBlock(labels=((1, 0),),
-                              h=np.array([[Ek[0] + params.E]]), edge=True))
-    return blocks
+    blocks = np.empty((window.n_k - 1, 2, 2))
+    blocks[:, 0, 0] = Ek[:-1]
+    blocks[:, 0, 1] = blocks[:, 1, 0] = params.lam
+    blocks[:, 1, 1] = Ek[1:] + params.E
+    return blocks, np.array([Ek[-1], Ek[0] + params.E])
+
+
+def _scatter(blocks: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Dense atom-major 2n_k x 2n_k operator from sector blocks and edge entries."""
+    n = blocks.shape[0] + 1
+    out = np.zeros((2 * n, 2 * n), dtype=np.result_type(blocks, edges))
+    ground = np.arange(n - 1)
+    idx = np.stack([ground, ground + n + 1], axis=1)
+    out[idx[:, :, None], idx[:, None, :]] = blocks
+    out[n - 1, n - 1], out[n, n] = edges
+    return out
 
 
 def joint_hamiltonian(params: ModelParams, window: LatticeWindow) -> np.ndarray:
     """Dense H on the joint space, assembled from the sector blocks."""
-    n = window.n_k
-    H = np.zeros((2 * n, 2 * n))
-    for blk in hamiltonian_blocks(params, window):
-        idx = [a * n + i for a, i in blk.labels]
-        H[np.ix_(idx, idx)] = blk.h
-    return H
+    return _scatter(*hamiltonian_blocks(params, window))
 
 
 def half_angle(derived: DerivedParams) -> tuple[float, float]:
@@ -152,61 +147,41 @@ def half_angle(derived: DerivedParams) -> tuple[float, float]:
     return cos_t, sin_t
 
 
-def rotation_matrix(params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """The real rotation U with U (psi_k, ground) = cos |k,g> - sin |k+1,e>, etc.
-
-    Columns at the window edge are truncated; propagation therefore
-    requires interior support with a two-site margin.
-    """
-    n = window.n_k
-    cos_t, sin_t = half_angle(derive_params(params))
-    U = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        U[i, i] = cos_t                      # (g,k) <- (g,k)
-        if i + 1 < n:
-            U[n + i + 1, i] = -sin_t         # (e,k+1) <- (g,k)
-            U[n + i + 1, n + i] = cos_t      # (e,k+1) <- (e,k)
-        U[i, n + i] = sin_t                  # (g,k) <- (e,k)
-    return U
-
-
 def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """e^{-itH} from the closed form: rotation, diagonal phases, rotation back."""
+    """e^{-itH} from the closed form: rotation, diagonal phases, rotation back.
+
+    Every sector is e^{-it(E_k + (E - F)/2)} R diag(e^{it omega0/2}, e^{-it omega0/2}) R^T,
+    with R the real rotation by the mixing angle onto the dressed states
+    (cos|k,g> - sin|k+1,e>, sin|k,g> + cos|k+1,e>); the two unpaired edge
+    states take their bare phases.
+    """
     d = derive_params(params)
-    if d.omega0 == 0.0:
-        # lam == 0 and E == F: H is diagonal in the product basis
-        Ek = 2.0 - params.F * window.k_values.astype(float)
-        phases = np.concatenate([Ek, Ek + params.E])
-        return np.diag(np.exp(-1j * t * phases))
-    U = rotation_matrix(params, window)
+    cos_t, sin_t = half_angle(d)
+    R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
+    dressed = (R * np.exp(0.5j * t * d.omega0 * np.array([1.0, -1.0]))) @ R.T
     Ek = 2.0 - params.F * window.k_values.astype(float)
-    shift = 0.5 * (params.E - params.F)
-    diag = np.concatenate([Ek + shift - 0.5 * d.omega0,
-                           Ek + shift + 0.5 * d.omega0])
-    return (U * np.exp(-1j * t * diag)[None, :]) @ U.T
+    phase = np.exp(-1j * t * (Ek[:-1] + 0.5 * (params.E - params.F)))
+    edges = np.exp(-1j * t * np.array([Ek[-1], Ek[0] + params.E]))
+    return _scatter(phase[:, None, None] * dressed, edges)
 
 
 def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """e^{-itH} assembled sector by sector from 2x2 spectral decompositions."""
-    n = window.n_k
-    W = np.zeros((2 * n, 2 * n), dtype=complex)
-    for blk in hamiltonian_blocks(params, window):
-        idx = [a * n + i for a, i in blk.labels]
-        if len(idx) == 1:
-            W[idx[0], idx[0]] = np.exp(-1j * t * blk.h[0, 0])
-            continue
-        e1, e2, lam = blk.h[0, 0], blk.h[1, 1], blk.h[0, 1]
-        mu, delta = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
-        r = math.hypot(delta, lam)
-        phase = np.exp(-1j * t * mu)
-        if r == 0.0:
-            W[np.ix_(idx, idx)] = phase * np.eye(2)
-            continue
-        c, s = math.cos(r * t), math.sin(r * t)
-        W[np.ix_(idx, idx)] = phase * np.array(
-            [[c - 1j * s * delta / r, -1j * s * lam / r],
-             [-1j * s * lam / r, c + 1j * s * delta / r]])
-    return W
+    """e^{-itH} from the 2x2 spectral formula applied to every sector block at once.
+
+    A block mu + [[delta, lam], [lam, -delta]] exponentiates to
+    e^{-it mu} (cos(rt) - i sin(rt) [[delta, lam], [lam, -delta]] / r), r = hypot(delta, lam).
+    """
+    blocks, edges = hamiltonian_blocks(params, window)
+    e1, e2, lam = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
+    mu, delta = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
+    r = np.hypot(delta, lam)
+    c, s = np.cos(r * t), np.sin(r * t)
+    # sin(rt) = 0 where r = 0, so a unit divisor there leaves the identity block
+    r_safe = np.where(r > 0.0, r, 1.0)
+    diag, off = 1j * (s * delta / r_safe), -1j * (s * lam / r_safe)
+    W = np.stack([np.stack([c - diag, off], axis=-1),
+                  np.stack([off, c + diag], axis=-1)], axis=-2)
+    return _scatter(np.exp(-1j * t * mu)[:, None, None] * W, np.exp(-1j * t * edges))
 
 
 def propagate_closed(state: JointDensityMatrix, t: float,

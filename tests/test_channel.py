@@ -25,6 +25,7 @@ from starkwalk import (
     theta,
     time_reversal_conjugate,
 )
+from starkwalk.channel import _log_theta
 from starkwalk.verify import CHECK_PARAMS
 
 from conftest import random_density, random_interior_operator
@@ -106,6 +107,30 @@ def test_log_theta_matches_mpmath(params, gammas):
     for gamma in gammas:
         assert math.isclose(log_theta(gamma, params), _log_theta_reference(gamma, params),
                             rel_tol=TOL.theta_kraus_identity)
+
+
+def _log_theta_at(gamma, p, be):
+    """log((1 - p) + p cosh(be/2 - gamma)/cosh(be/2)) at 60 digits from the doubles."""
+    with mpmath.workdps(60):
+        gamma, p, be = mpmath.mpf(gamma), mpmath.mpf(p), mpmath.mpf(be)
+        return mpmath.log((1 - p) + p * mpmath.cosh(be / 2 - gamma) / mpmath.cosh(be / 2))
+
+
+GAMMA_GRID = [s * g for g in (1e-6, 1e-3, 0.1, 1.0, 5.0) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("be", [0.0, 1e-3, 1.0, 30.0, 700.0, 2500.0])
+def test_log_theta_core_is_relative_at_small_gamma(be):
+    # small |gamma| against large beta E: log r must not come from subtracting
+    # two log-coshes of size beta E / 2
+    for gamma in GAMMA_GRID:
+        for p in (1e-6, 0.3, 0.999):
+            want = _log_theta_at(gamma, p, be)
+            got = _log_theta(gamma, p, be)
+            if want == 0:
+                assert got == 0.0          # gamma = beta E: theta = 1 exactly
+            else:
+                assert abs((got - want) / want) <= 1e-14, (gamma, p, be)
 
 
 def test_deformed_on_eigenstate_is_trinomial(params, window):

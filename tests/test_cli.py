@@ -72,12 +72,18 @@ def test_walk_experiment_zero_coupling():
 
 
 def test_fcs_energy_rows_diagonal():
-    cfg = parse_config("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 "
-                       "fcs-energy --n 2 --m 2".split())
-    table = run_experiment(cfg)
-    assert table.columns[:2] == ["ds_particle", "ds_env"]
-    for row in table.rows:
-        assert abs(row[0] - row[1]) <= 1e-12
+    # one row per increment m, ds_particle = ds_env = beta E * m exactly, also
+    # where beta E = 1.17 is not a multiple of F = 0.7
+    for physics, n in (("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1", 2),
+                       ("--E 1.3 --F 0.7 --lambda 0.37 --tau 1.1 --beta 0.9", 3)):
+        cfg = parse_config(f"{physics} fcs-energy --n {n} --m {n}".split())
+        table = run_experiment(cfg)
+        assert table.columns[:2] == ["ds_particle", "ds_env"]
+        keys = [row[0] for row in table.rows]
+        assert len(keys) == len(set(keys)) == 2 * n + 1
+        be = cfg.params.beta * cfg.params.E
+        for m, row in zip(range(-n, n + 1), table.rows):
+            assert row[0] == row[1] == be * m
 
 
 @pytest.mark.parametrize("n", [0, 10, 16, 17])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from starkwalk import (
     TOL,
@@ -291,10 +292,44 @@ def test_position_cgf_overflow_is_numerics_error(params):
 
 
 def test_step_unitary_is_unitary_on_interior(params, window):
+    # every atom position, and the whole joint space: the edge states of the
+    # single-atom propagator are exact phases
     cfg = ReservoirConfig(params=params, M=2, n=2, window=window)
-    U = step_unitary(cfg, 0)
-    G = U.conj().T @ U
+    for j in range(cfg.M):
+        U = step_unitary(cfg, j)
+        assert np.max(np.abs(U.conj().T @ U - np.eye(cfg.dim))) <= 1e-12
+
+
+def test_step_unitary_is_exponential_of_step_hamiltonian(params):
+    # every atom position: the pair steps against expm of the dense step Hamiltonian
+    window = LatticeWindow(-4, 3, -4, 3)
+    cfg = ReservoirConfig(params=params, M=3, n=3, window=window)
+    for j in range(cfg.M):
+        direct = expm(-1j * params.tau * step_hamiltonian(cfg, j))
+        assert np.max(np.abs(step_unitary(cfg, j) - direct)) <= 1e-13
+
+
+def test_step_hamiltonian_matches_first_principles(params):
+    # kron-assembled H_j: particle + atom j coupled, the other atoms idle
+    window = LatticeWindow(-4, 3, -4, 3)
+    cfg = ReservoirConfig(params=params, M=3, n=3, window=window)
     K = window.n_k
-    inner = np.concatenate([b * K + np.arange(2, K - 2) for b in range(4)])
-    defect = G[np.ix_(inner, inner)] - np.eye(inner.size)
-    assert np.max(np.abs(defect)) <= 1e-12
+    S = np.eye(K, k=-1)
+    b = np.array([[0.0, 1.0], [0.0, 0.0]])
+    num = np.diag([0.0, 1.0])
+    Hp = np.diag(2.0 - params.F * window.k_values.astype(float))
+
+    def on_atom(j, op):
+        ops = [np.eye(2)] * cfg.M
+        ops[j] = op
+        out = np.eye(1)
+        for o in ops:
+            out = np.kron(out, o)
+        return out
+
+    for j in range(cfg.M):
+        H = np.kron(np.eye(1 << cfg.M), Hp)
+        for i in range(cfg.M):
+            H = H + params.E * np.kron(on_atom(i, num), np.eye(K))
+        H = H + params.lam * (np.kron(on_atom(j, b.T), S) + np.kron(on_atom(j, b), S.T))
+        assert np.max(np.abs(step_hamiltonian(cfg, j) - H)) <= 1e-14

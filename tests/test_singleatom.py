@@ -43,30 +43,30 @@ def number_operator(params, window):
 
 def test_block_eigenvalues_match_ladder(params, window):
     d = derive_params(params)
-    for blk in hamiltonian_blocks(params, window):
-        if blk.edge:
-            continue
-        k = window.k_values[blk.labels[0][1]]
-        ev = np.linalg.eigvalsh(blk.h)
-        base = 2.0 - params.F * k + 0.5 * (params.E - params.F)
-        assert abs(ev[0] - (base - 0.5 * d.omega0)) <= 1e-12
-        assert abs(ev[1] - (base + 0.5 * d.omega0)) <= 1e-12
+    blocks, edges = hamiltonian_blocks(params, window)
+    assert blocks.shape == (window.n_k - 1, 2, 2)
+    ev = np.linalg.eigvalsh(blocks)
+    base = 2.0 - params.F * window.k_values[:-1] + 0.5 * (params.E - params.F)
+    assert np.max(np.abs(ev[:, 0] - (base - 0.5 * d.omega0))) <= 1e-12
+    assert np.max(np.abs(ev[:, 1] - (base + 0.5 * d.omega0))) <= 1e-12
+    # the unpaired states: (ground, k_max) and (excited, k_min)
+    Ek = 2.0 - params.F * window.k_values
+    assert np.array_equal(edges, [Ek[-1], Ek[0] + params.E])
 
 
 def test_blocks_decouple_at_zero_coupling(window):
     p = ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
-    for blk in hamiltonian_blocks(p, window):
-        if not blk.edge:
-            assert blk.h[0, 1] == 0.0
+    blocks, _ = hamiltonian_blocks(p, window)
+    assert np.all(blocks[:, 0, 1] == 0.0) and np.all(blocks[:, 1, 0] == 0.0)
 
 
 def test_equal_frequency_block_gap(window):
     p = ModelParams(E=1.0, F=1.0, lam=0.6, tau=1.0, beta=1.0)
-    blk = hamiltonian_blocks(p, window)[3]
-    ev = np.linalg.eigvalsh(blk.h)
-    assert abs((ev[1] - ev[0]) - 2.0 * abs(p.lam)) <= 1e-12
-    k = window.k_values[blk.labels[0][1]]
-    assert abs(np.trace(blk.h) - 2.0 * (2.0 - p.F * k)) <= 1e-12
+    blocks, _ = hamiltonian_blocks(p, window)
+    ev = np.linalg.eigvalsh(blocks)
+    assert np.max(np.abs((ev[:, 1] - ev[:, 0]) - 2.0 * abs(p.lam))) <= 1e-12
+    Ek = 2.0 - p.F * window.k_values[:-1]
+    assert np.max(np.abs(np.trace(blocks, axis1=1, axis2=2) - 2.0 * Ek)) <= 1e-12
 
 
 def test_joint_hamiltonian_matches_first_principles(params, window):
@@ -97,19 +97,21 @@ def test_closed_vs_oracle_vs_expm(params, window):
         b = propagate_oracle(state, t, params)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10
         W = expm(-1j * t * H)
+        # the window's H leaves its edge states unpaired, so the whole
+        # matrices agree, edge entries included
+        assert np.max(np.abs(closed_unitary(t, params, window) - W)) <= 1e-12
+        assert np.max(np.abs(oracle_unitary(t, params, window) - W)) <= 1e-12
         direct = W @ state.coeffs @ W.conj().T
         assert np.max(np.abs(a.coeffs - direct)) <= 1e-10
         assert abs(a.trace() - state.trace()) <= 1e-12
 
 
 def test_unitarity_of_interior_action(params, window):
-    # truncated columns only affect the two edge sectors
-    W = closed_unitary(1.3, params, window)
-    G = W.conj().T @ W
-    n = window.n_k
-    interior = np.concatenate([np.arange(2, n - 2), n + np.arange(2, n - 2)])
-    defect = G[np.ix_(interior, interior)] - np.eye(interior.size)
-    assert np.max(np.abs(defect)) <= 1e-14
+    # the edge states carry their exact 1x1 phases, so both propagators are
+    # unitary on the whole window, edges included
+    for unitary in (closed_unitary, oracle_unitary):
+        W = unitary(1.3, params, window)
+        assert np.max(np.abs(W.conj().T @ W - np.eye(2 * window.n_k))) <= 1e-14
 
 
 def test_dressed_eigenstate_is_stationary(params, window):
@@ -239,7 +241,7 @@ def test_rabi_resonance_factorizes():
 
 
 def test_diagonal_hamiltonian_corner():
-    # lam = 0 and E = F: closed form falls back to the diagonal propagator
+    # lam = 0 and E = F: omega0 = 0 and R = 1, so every sector is a bare phase
     p = ModelParams(E=1.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
     window = LatticeWindow(-8, 7, -8, 7)
     rng = np.random.default_rng(16)
