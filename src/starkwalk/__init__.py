@@ -61,6 +61,7 @@ from .singleatom import (
     oracle_unitary,
     position_expectation,
     position_motion_bound,
+    position_oracle,
     propagate_closed,
     propagate_oracle,
 )

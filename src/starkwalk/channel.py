@@ -157,14 +157,16 @@ def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
 
     Builds rho (x) rho_beta^{1-alpha}, conjugates with the sector-block
     propagator over one interaction, multiplies by I (x) rho_beta^{alpha}
-    and traces out the atom.  Entirely independent of the Kraus route.
+    and traces out the atom: the two diagonal atom blocks, each weighted by
+    its scalar of rho_beta^{alpha}.  Entirely independent of the Kraus route.
     """
     gibbs = AtomGibbs.from_params(params)
     joint = JointDensityMatrix.product(dm, gibbs.power(1.0 - alpha))
-    evolved = propagate_oracle(joint, params.tau, params)
-    weighted = JointDensityMatrix(
-        dm.window, np.kron(gibbs.power(alpha), np.eye(dm.window.n_k)) @ evolved.coeffs)
-    return weighted.partial_trace_atom()
+    evolved = propagate_oracle(joint, params.tau, params).coeffs
+    n = dm.window.n_k
+    w_ground, w_excited = np.diagonal(gibbs.power(alpha))
+    return ParticleDensityMatrix(
+        dm.window, w_ground * evolved[:n, :n] + w_excited * evolved[n:, n:])
 
 
 def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,

@@ -27,11 +27,11 @@ from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
     hamiltonian_blocks,
-    oracle_unitary,
     position_expectation,
     position_motion_bound,
+    position_oracle,
 )
-from .state import LatticeWindow, ParticleDensityMatrix, position_distribution, position_operator, required_order
+from .state import LatticeWindow, ParticleDensityMatrix, position_distribution, required_order
 from .verify import run_all
 from .walk import (
     rate_function,
@@ -188,14 +188,11 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
     window = _default_window(cfg, steps=4)
     rho_p = ParticleDensityMatrix.eigenstate(window, 0)
     state = JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
-    xop = np.kron(np.eye(2), position_operator(window, params.F))
     bound = position_motion_bound(params)
     rows = []
     for t in np.linspace(0.0, cfg.n * params.tau, 20 * cfg.n + 1):
         xt = position_expectation(float(t), state, params)
-        W = oracle_unitary(float(t), params, window)
-        oracle = float(np.trace(xop @ (W @ state.coeffs @ W.conj().T)).real)
-        rows.append([float(t), xt, oracle, bound])
+        rows.append([float(t), xt, position_oracle(float(t), state, params), bound])
     return ResultTable(["t", "x_closed", "x_oracle", "bound"], rows)
 
 

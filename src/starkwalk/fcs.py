@@ -88,7 +88,7 @@ def _apply_pair(pair: np.ndarray, X: np.ndarray, j: int, M: int) -> np.ndarray:
     split as (atoms before j, atom j, atoms after j, particle).
     """
     K = pair.shape[0] // 2
-    rows = X.reshape(1 << j, 2, 1 << (M - 1 - j), K, -1)
+    rows = X.reshape(1 << j, 2, 1 << (M - 1 - j), K, X.shape[1])
     out = np.tensordot(pair.reshape(2, K, 2, K), rows, axes=([2, 3], [1, 3]))
     return out.transpose(2, 0, 3, 1, 4).reshape(X.shape)
 
@@ -115,13 +115,17 @@ def step_unitary(cfg: ReservoirConfig, j: int) -> np.ndarray:
     return _step(cfg, W, j, np.eye(cfg.dim, dtype=complex))
 
 
+def _evolve(cfg: ReservoirConfig, X: np.ndarray) -> np.ndarray:
+    """U(n tau, 0) @ X: the n pair steps applied to the columns of X."""
+    W = oracle_unitary(cfg.params.tau, cfg.params, cfg.window)
+    for j in range(cfg.n):
+        X = _step(cfg, W, j, X)
+    return X
+
+
 def repeated_interaction_propagator(cfg: ReservoirConfig) -> np.ndarray:
     """U(n tau, 0) = e^{-i tau H_n} ... e^{-i tau H_1} on the joint space."""
-    W = oracle_unitary(cfg.params.tau, cfg.params, cfg.window)
-    U = np.eye(cfg.dim, dtype=complex)
-    for j in range(cfg.n):
-        U = _step(cfg, W, j, U)
-    return U
+    return _evolve(cfg, np.eye(cfg.dim, dtype=complex))
 
 
 def step_hamiltonian(cfg: ReservoirConfig, j: int) -> np.ndarray:
@@ -241,7 +245,9 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
     The particle energy projections are the eigenbasis projectors (the
     ladder is nondegenerate for F > 0); reservoir levels are grouped by
     total excitation number.  The first measurement dephases rho_p in the
-    eigenbasis; conditional states are diagonal, so only |U|^2 enters.
+    eigenbasis; conditional states are diagonal, so only |U|^2 enters, and
+    only on the columns where diag(rho_p) is nonzero: 2^M columns for an
+    eigenstate, which the pair steps evolve without forming U.
     """
     if rho_p.window != cfg.window:
         raise WindowError("rho_p window differs from the reservoir window")
@@ -253,15 +259,21 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
     w_env = environment_weights(cfg)
     qk = np.diagonal(rho_p.coeffs).real
 
-    U = repeated_interaction_propagator(cfg)
-    W2 = np.abs(U) ** 2
+    # evolve only the identity columns (bits, k) of the k that rho_p occupies
+    live = np.flatnonzero(qk)
+    cols = (K * np.arange(1 << cfg.M)[:, None] + live[None, :]).ravel()
+    start_cols = np.zeros((cfg.dim, cols.size), dtype=complex)
+    start_cols[cols, np.arange(cols.size)] = 1.0
+    W2 = np.abs(_evolve(cfg, start_cols)) ** 2
     # starting states are diagonal, so outcome probabilities only mix |U|^2
-    W2r = W2.reshape(1 << cfg.M, K, 1 << cfg.M, K)
-    start = w_env[:, None] * qk[None, :]
-    weighted = W2r * start[None, None, :, :]
-    C = np.zeros((cfg.M + 1, 1 << cfg.M))
-    C[pops, np.arange(1 << cfg.M)] = 1.0
-    prob4 = np.einsum("aibj,ma,nb->imjn", weighted, C, C)
+    W2r = W2.reshape(1 << cfg.M, K, 1 << cfg.M, live.size)
+    start = w_env[:, None] * qk[None, live]
+    terms = (W2r * start[None, None]).transpose(0, 2, 1, 3).reshape(-1, K, live.size)
+    # bin by (final, initial) excitation count, summing final bits outer, initial bits inner
+    binned = np.zeros((cfg.M + 1, cfg.M + 1, K, live.size))
+    np.add.at(binned, (np.repeat(pops, 1 << cfg.M), np.tile(pops, 1 << cfg.M)), terms)
+    prob4 = np.zeros((K, cfg.M + 1, K, cfg.M + 1))
+    prob4[:, :, live, :] = binned.transpose(2, 0, 3, 1)
     return EnergyFcsResult(cfg=cfg, prob4=prob4)
 
 

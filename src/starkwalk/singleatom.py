@@ -20,16 +20,9 @@ from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
     bloch_coefficients,
-    bloch_matrix,
     position_operator,
     shift_matrix,
 )
-
-# atom operators in the (ground, excited) basis
-B_ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]])
-B_CREATE = B_ANNIHILATE.T
-N_ATOM = np.diag([0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class AtomGibbs:
@@ -147,14 +140,9 @@ def half_angle(derived: DerivedParams) -> tuple[float, float]:
     return cos_t, sin_t
 
 
-def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """e^{-itH} from the closed form: rotation, diagonal phases, rotation back.
-
-    Every sector is e^{-it(E_k + (E - F)/2)} R diag(e^{it omega0/2}, e^{-it omega0/2}) R^T,
-    with R the real rotation by the mixing angle onto the dressed states
-    (cos|k,g> - sin|k+1,e>, sin|k,g> + cos|k+1,e>); the two unpaired edge
-    states take their bare phases.
-    """
+def _closed_blocks(t: float, params: ModelParams,
+                   window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, edges) of e^{-itH} from the closed form; see `closed_unitary`."""
     d = derive_params(params)
     cos_t, sin_t = half_angle(d)
     R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
@@ -162,15 +150,12 @@ def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
     Ek = 2.0 - params.F * window.k_values.astype(float)
     phase = np.exp(-1j * t * (Ek[:-1] + 0.5 * (params.E - params.F)))
     edges = np.exp(-1j * t * np.array([Ek[-1], Ek[0] + params.E]))
-    return _scatter(phase[:, None, None] * dressed, edges)
+    return phase[:, None, None] * dressed, edges
 
 
-def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """e^{-itH} from the 2x2 spectral formula applied to every sector block at once.
-
-    A block mu + [[delta, lam], [lam, -delta]] exponentiates to
-    e^{-it mu} (cos(rt) - i sin(rt) [[delta, lam], [lam, -delta]] / r), r = hypot(delta, lam).
-    """
+def _oracle_blocks(t: float, params: ModelParams,
+                   window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, edges) of e^{-itH} from the spectral formula; see `oracle_unitary`."""
     blocks, edges = hamiltonian_blocks(params, window)
     e1, e2, lam = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
     mu, delta = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
@@ -181,23 +166,64 @@ def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
     diag, off = 1j * (s * delta / r_safe), -1j * (s * lam / r_safe)
     W = np.stack([np.stack([c - diag, off], axis=-1),
                   np.stack([off, c + diag], axis=-1)], axis=-2)
-    return _scatter(np.exp(-1j * t * mu)[:, None, None] * W, np.exp(-1j * t * edges))
+    return np.exp(-1j * t * mu)[:, None, None] * W, np.exp(-1j * t * edges)
+
+
+def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
+    """e^{-itH} from the closed form: rotation, diagonal phases, rotation back.
+
+    Every sector is e^{-it(E_k + (E - F)/2)} R diag(e^{it omega0/2}, e^{-it omega0/2}) R^T,
+    with R the real rotation by the mixing angle onto the dressed states
+    (cos|k,g> - sin|k+1,e>, sin|k,g> + cos|k+1,e>); the two unpaired edge
+    states take their bare phases.
+    """
+    return _scatter(*_closed_blocks(t, params, window))
+
+
+def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
+    """e^{-itH} from the 2x2 spectral formula applied to every sector block at once.
+
+    A block mu + [[delta, lam], [lam, -delta]] exponentiates to
+    e^{-it mu} (cos(rt) - i sin(rt) [[delta, lam], [lam, -delta]] / r), r = hypot(delta, lam).
+    """
+    return _scatter(*_oracle_blocks(t, params, window))
+
+
+def _apply_rows(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """W @ A for W = _scatter(blocks, edges), by slices in O(n_k) per column.
+
+    The sector pairs are rows [:n_k - 1] (ground, k_i) and [n_k + 1:]
+    (excited, k_{i+1}); rows n_k - 1 and n_k are the two edge states.
+    """
+    n = blocks.shape[0] + 1
+    ground, excited = A[:n - 1], A[n + 1:]
+    out = np.empty(A.shape, dtype=np.result_type(blocks, A))
+    out[:n - 1] = blocks[:, 0, 0, None] * ground + blocks[:, 0, 1, None] * excited
+    out[n + 1:] = blocks[:, 1, 0, None] * ground + blocks[:, 1, 1, None] * excited
+    out[n - 1] = edges[0] * A[n - 1]
+    out[n] = edges[1] * A[n]
+    return out
+
+
+def _conjugate(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """W A W^dagger as (W (W A)^dagger)^dagger: two row applications, O(n_k^2)."""
+    return _apply_rows(blocks, edges, _apply_rows(blocks, edges, A).conj().T).conj().T
 
 
 def propagate_closed(state: JointDensityMatrix, t: float,
                      params: ModelParams) -> JointDensityMatrix:
     """Evolve by time t using the closed-form propagator (rotation + phases)."""
     _require_interior(state)
-    W = closed_unitary(t, params, state.window)
-    return JointDensityMatrix(state.window, W @ state.coeffs @ W.conj().T)
+    W = _closed_blocks(t, params, state.window)
+    return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
 
 
 def propagate_oracle(state: JointDensityMatrix, t: float,
                      params: ModelParams) -> JointDensityMatrix:
     """Evolve by time t exponentiating each 2x2 sector block spectrally."""
     _require_interior(state)
-    W = oracle_unitary(t, params, state.window)
-    return JointDensityMatrix(state.window, W @ state.coeffs @ W.conj().T)
+    W = _oracle_blocks(t, params, state.window)
+    return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
 
 
 def _free_conjugate(A: np.ndarray, t: float, params: ModelParams,
@@ -251,23 +277,44 @@ def position_expectation(t: float, initial: JointDensityMatrix,
                          params: ModelParams) -> float:
     """<X(t)> from the closed-form Heisenberg evolution of the position.
 
-    The result is a trigonometric polynomial in the Bloch frequency F and
-    the Rabi frequency omega0; the motion stays within
-    position_motion_bound of its starting point for all t.
+    X(t) = I (x) (X + B(t)) + s^2 st2 (b*b - bb*)
+           + s c st2 (b* (x) S + b (x) S^T) - (i/2) s sin(omega0 t) (b* (x) S - b (x) S^T),
+    with s, c = sin 2theta, cos 2theta and st2 = sin^2(omega0 t / 2).  Its
+    trace against rho reads only three diagonals of the atom blocks:
+    Tr(S R) = sum R[i, i+1] and Tr(S^T R) = sum R[i+1, i].  The result is a
+    trigonometric polynomial in the Bloch frequency F and the Rabi
+    frequency omega0; the motion stays within position_motion_bound of its
+    starting point for all t.
     """
     d = derive_params(params)
-    window = initial.window
-    n = window.n_k
-    I2 = np.eye(2)
-    S = shift_matrix(n)
-    Xfree = np.kron(I2, position_operator(window, params.F)
-                    + bloch_matrix(bloch_coefficients(t, params.F), n))
-    op = Xfree.astype(complex)
-    if d.omega0 > 0.0:
-        st2 = math.sin(0.5 * d.omega0 * t) ** 2
-        op += (d.sin2theta**2) * st2 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
-        op += (d.sin2theta * d.cos2theta) * st2 * (
-            np.kron(B_CREATE, S) + np.kron(B_ANNIHILATE, S.T))
-        op += -0.5j * d.sin2theta * math.sin(d.omega0 * t) * (
-            np.kron(B_CREATE, S) - np.kron(B_ANNIHILATE, S.T))
-    return float(np.trace(op @ initial.coeffs).real)
+    n = initial.window.n_k
+    c = initial.coeffs
+    gg, ee, ge, eg = c[:n, :n], c[n:, n:], c[:n, n:], c[n:, :n]
+    # the particle part against R = gg + ee: Tr(diag(k) R), Tr(S R), Tr(S^T R)
+    k_mean = np.dot(initial.window.k_values, np.diagonal(gg) + np.diagonal(ee))
+    s_up = np.sum(np.diagonal(gg, 1)) + np.sum(np.diagonal(ee, 1))
+    s_down = np.sum(np.diagonal(gg, -1)) + np.sum(np.diagonal(ee, -1))
+    # X + B(t) = diag(k) + (c_- - 1/F) S + (c_+ - 1/F) S^T
+    bloch = bloch_coefficients(t, params.F)
+    free = (k_mean + (bloch.c_minus - 1.0 / params.F) * s_up
+            + (bloch.c_plus - 1.0 / params.F) * s_down)
+    # b* (x) S pairs with Tr(S R_ge), b (x) S^T with Tr(S^T R_eg); s = 0 when omega0 = 0
+    up, down = np.sum(np.diagonal(ge, 1)), np.sum(np.diagonal(eg, -1))
+    st2 = math.sin(0.5 * d.omega0 * t) ** 2
+    atom = ((d.sin2theta**2) * st2 * (np.trace(gg) - np.trace(ee))
+            + (d.sin2theta * d.cos2theta) * st2 * (up + down)
+            - 0.5j * d.sin2theta * math.sin(d.omega0 * t) * (up - down))
+    return float((free + atom).real)
+
+
+def position_oracle(t: float, initial: JointDensityMatrix, params: ModelParams) -> float:
+    """<X(t)> = Tr[(I (x) X) W rho W^dagger] with W from `propagate_oracle`.
+
+    The single-atom position oracle: the state evolves through the
+    spectral sector exponentials and the trace against the lattice
+    position is taken entrywise, O(n_k^2), with no Heisenberg algebra.
+    """
+    evolved = propagate_oracle(initial, t, params).coeffs
+    n = initial.window.n_k
+    X = position_operator(initial.window, params.F)
+    return float(np.sum(X.T * (evolved[:n, :n] + evolved[n:, n:])).real)

@@ -224,7 +224,7 @@ def position_distribution(dm: ParticleDensityMatrix, table: BesselTable,
                           check_leakage: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Position pmf over the window: pmf(x) = sum_{kk'} psi_k(x) rho_{kk'} psi_k'(x)."""
     psi = transform_matrix(dm.window, table)
-    pmf = np.einsum("xk,kl,xl->x", psi, dm.coeffs, psi).real
+    pmf = np.sum((psi @ dm.coeffs) * psi, axis=1).real
     if check_leakage:
         leak = abs(float(np.sum(pmf)) - dm.trace())
         if leak > TOL.leakage:

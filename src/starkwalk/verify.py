@@ -22,13 +22,13 @@ from .params import ModelParams, derive_params
 from .singleatom import (
     JointDensityMatrix,
     AtomGibbs,
-    oracle_unitary,
     position_expectation,
     position_motion_bound,
+    position_oracle,
     propagate_closed,
     propagate_oracle,
 )
-from .state import LatticeWindow, ParticleDensityMatrix, position_operator
+from .state import LatticeWindow, ParticleDensityMatrix
 from .walk import (
     log_convolve_step,
     log_step_kernel,
@@ -327,15 +327,12 @@ def check_boundedness(tol: Tolerances = TOL) -> CheckResult:
     rho_p = ParticleDensityMatrix(window, np.outer(vec, vec.conj()))
     state = JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
 
-    xop = np.kron(np.eye(2), position_operator(window, params.F))
     bound = position_motion_bound(params)
     x0 = position_expectation(0.0, state, params)
     worst_dev, worst_excess = 0.0, -math.inf
     for t in np.linspace(0.0, 50.0 * params.tau, 201):
         xt = position_expectation(float(t), state, params)
-        W = oracle_unitary(float(t), params, window)
-        evolved = W @ state.coeffs @ W.conj().T
-        oracle = float(np.trace(xop @ evolved).real)
+        oracle = position_oracle(float(t), state, params)
         worst_dev = max(worst_dev, abs(xt - oracle))
         worst_excess = max(worst_excess, abs(xt - x0) - bound)
     passed = worst_dev <= tol.position_oracle and worst_excess <= 0.0

@@ -13,6 +13,7 @@ from starkwalk import (
     ParticleDensityMatrix,
     ReservoirConfig,
     apply_channel,
+    bessel_halfwidth,
     bessel_table,
     energy_cgf,
     environment_reduced_map,
@@ -29,6 +30,7 @@ from starkwalk import (
     transform_matrix,
     transport_coefficients,
 )
+from starkwalk.fcs import environment_weights
 
 from conftest import random_density
 
@@ -108,6 +110,30 @@ def test_energy_fcs_normalization_and_support(params, cfg, window):
     m, probs = result.entropy_distribution()
     assert abs(probs.sum() - 1.0) <= 1e-10
     assert m.min() >= -cfg.n and m.max() <= cfg.n
+
+
+def full_propagator_prob4(cfg, rho):
+    """prob4 from every column of the full U, binned by excitation counts
+    with final bits outer and initial bits inner."""
+    K, B = cfg.window.n_k, 1 << cfg.M
+    pops = [bin(b).count("1") for b in range(B)]
+    W2 = (np.abs(repeated_interaction_propagator(cfg)) ** 2).reshape(B, K, B, K)
+    start = environment_weights(cfg)[:, None] * np.diagonal(rho.coeffs).real[None, :]
+    prob4 = np.zeros((K, cfg.M + 1, K, cfg.M + 1))
+    for a in range(B):
+        for b in range(B):
+            prob4[:, pops[a], :, pops[b]] += W2[a, :, b, :] * start[b]
+    return prob4
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_energy_fcs_starting_columns_equal_full_propagator(params, window, M):
+    rng = np.random.default_rng(41)
+    cfg = ReservoirConfig(params=params, M=M, n=M, window=window)
+    mixed = random_density(rng, window, 3)
+    for rho in (ParticleDensityMatrix.eigenstate(window, 0),
+                ParticleDensityMatrix.eigenstate(window, 2), mixed):
+        assert np.array_equal(run_energy_fcs(cfg, rho).prob4, full_propagator_prob4(cfg, rho))
 
 
 def test_energy_fcs_cgf_identity(params, window):
@@ -207,6 +233,20 @@ def test_free_kernel_degenerate_at_bloch_period(params):
     center = np.searchsorted(d, 0)
     assert abs(kernel[center] - 1.0) <= 1e-12
     assert kernel.sum() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("F", [1.0, 0.25])
+@pytest.mark.parametrize("beta_E", [0.0, 2.0, 30.0])
+def test_free_kernel_halfwidth_covers_bessel_tail(F, beta_E):
+    # the heuristic halfwidth 3z + 80 + 20 beta E leaves out less kernel mass
+    # than the tabulation tolerance at every z the kernel takes, 0 .. 4/F
+    p = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=beta_E / 2.0)
+    for z in np.linspace(0.0, 4.0 / F, 41):
+        t = 2.0 * math.asin(min(1.0, z * F / 4.0)) / F
+        d, kernel = free_kernel(t, p)
+        z_t = abs(4.0 / F * math.sin(0.5 * F * t))
+        assert d[-1] >= bessel_halfwidth(z_t, TOL.bessel_normalization)
+        assert abs(kernel.sum() - 1.0) <= TOL.bessel_normalization
 
 
 def test_position_fcs_zero_steps(params):

@@ -20,11 +20,19 @@ from starkwalk import (
     oracle_unitary,
     position_expectation,
     position_motion_bound,
+    position_oracle,
     propagate_closed,
     propagate_oracle,
     shift_matrix,
 )
-from starkwalk.singleatom import assemble_joint
+from starkwalk.singleatom import (
+    _apply_rows,
+    _closed_blocks,
+    _conjugate,
+    _oracle_blocks,
+    _scatter,
+    assemble_joint,
+)
 from starkwalk.state import bloch_coefficients, bloch_matrix, position_operator
 
 from conftest import direct_joint_hamiltonian, random_joint
@@ -102,8 +110,25 @@ def test_closed_vs_oracle_vs_expm(params, window):
         assert np.max(np.abs(closed_unitary(t, params, window) - W)) <= 1e-12
         assert np.max(np.abs(oracle_unitary(t, params, window) - W)) <= 1e-12
         direct = W @ state.coeffs @ W.conj().T
+        # whole matrices, edge rows and columns included
         assert np.max(np.abs(a.coeffs - direct)) <= 1e-10
+        assert np.max(np.abs(b.coeffs - direct)) <= 1e-10
         assert abs(a.trace() - state.trace()) <= 1e-12
+        assert abs(b.trace() - state.trace()) <= 1e-12
+
+
+@pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
+def test_row_applier_matches_dense_unitary(params, window, builder):
+    # propagate_* refuse states on the edge rows, so the row applier is
+    # checked directly on arbitrary full matrices, edge rows included
+    rng = np.random.default_rng(18)
+    n2 = 2 * window.n_k
+    A = rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))
+    for t in (0.1, 1.0, 3.0):
+        blocks, edges = builder(t, params, window)
+        W = _scatter(blocks, edges)
+        assert np.max(np.abs(_apply_rows(blocks, edges, A) - W @ A)) <= 1e-13
+        assert np.max(np.abs(_conjugate(blocks, edges, A) - W @ A @ W.conj().T)) <= 1e-12
 
 
 def test_unitarity_of_interior_action(params, window):
@@ -181,6 +206,37 @@ def test_heisenberg_reconstruction_vs_oracle(params, window):
     assert np.max(np.abs((recon - direct)[np.ix_(inner, inner)])) <= 1e-10
 
 
+def heisenberg_position(t, params, window):
+    """Dense X(t) = e^{itH} (I (x) X) e^{-itH} with the atom traced against its
+    own operators: the closed-form Heisenberg evolution, assembled with np.kron."""
+    d = derive_params(params)
+    n = window.n_k
+    S = shift_matrix(n)
+    b = np.array([[0.0, 1.0], [0.0, 0.0]])
+    op = np.kron(np.eye(2), position_operator(window, params.F)
+                 + bloch_matrix(bloch_coefficients(t, params.F), n)).astype(complex)
+    st2 = math.sin(0.5 * d.omega0 * t) ** 2
+    op += (d.sin2theta**2) * st2 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
+    op += (d.sin2theta * d.cos2theta) * st2 * (np.kron(b.T, S) + np.kron(b, S.T))
+    op += -0.5j * d.sin2theta * math.sin(d.omega0 * t) * (np.kron(b.T, S) - np.kron(b, S.T))
+    return op
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+    ModelParams(E=1.0, F=0.7, lam=1.3, tau=1.0, beta=0.2),
+    ModelParams(E=0.5, F=1.5, lam=0.0, tau=1.0, beta=2.0),
+    ModelParams(E=1.0, F=1.0, lam=0.0, tau=1.0, beta=1.0),
+])
+def test_position_expectation_matches_dense_heisenberg_operator(p, window):
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        state = random_joint(rng, window, 4)
+        for t in (0.0, 0.37, 1.0, 2.9, 11.5):
+            dense = float(np.trace(heisenberg_position(t, p, window) @ state.coeffs).real)
+            assert abs(position_expectation(t, state, p) - dense) <= 1e-12
+
+
 def test_position_expectation_zero_coupling_is_bloch(window):
     p = ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
     rng = np.random.default_rng(12)
@@ -200,10 +256,13 @@ def test_position_expectation_matches_oracle_and_bound(params, window):
     x0 = position_expectation(0.0, state, params)
     for t in np.linspace(0.0, 12.0, 31):
         xt = position_expectation(float(t), state, params)
-        W = oracle_unitary(float(t), params, window)
-        oracle = float(np.trace(X @ (W @ state.coeffs @ W.conj().T)).real)
-        assert abs(xt - oracle) <= 1e-9
+        oracle = position_oracle(float(t), state, params)
+        assert abs(xt - oracle) <= TOL.position_oracle
         assert abs(xt - x0) <= bound
+        # the oracle is the plain trace against the dense evolved state
+        W = oracle_unitary(float(t), params, window)
+        dense = float(np.trace(X @ (W @ state.coeffs @ W.conj().T)).real)
+        assert abs(oracle - dense) <= 1e-12
 
 
 def test_position_expectation_quasiperiodic_fit(params, window):
