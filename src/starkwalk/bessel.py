@@ -15,10 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import AccuracyError, ConfigError
+from .errors import AccuracyError, BudgetError, ConfigError
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
+# Highest order the downward recurrence may start from: 8 MB of doubles and
+# ~1 s of scalar loop.  The start order grows as z = 2/F, so this admits
+# tilts F down to ~2e-6.
+MAX_MILLER_ORDER = 10**6
 
 
 def _miller_start(z: float, nmax: int) -> int:
@@ -30,16 +34,23 @@ def _miller_start(z: float, nmax: int) -> int:
 
 def bessel_j_array(z: float, nmax: int) -> np.ndarray:
     """J_0(z) .. J_nmax(z) for z >= 0, by normalized downward recurrence."""
-    if z < 0.0:
-        raise ConfigError("bessel_j_array needs z >= 0; use J_nu(-z) = (-1)^nu J_nu(z)")
+    if not math.isfinite(z) or z < 0.0:
+        raise ConfigError("bessel_j_array needs finite z >= 0; "
+                          "use J_nu(-z) = (-1)^nu J_nu(z)")
     if nmax < 0:
         raise ConfigError("nmax must be >= 0")
+    start = _miller_start(z, nmax)
+    if start > MAX_MILLER_ORDER:
+        raise BudgetError(
+            f"J_nu({z:.6g}) up to order {nmax} needs the recurrence to start at "
+            f"order {start}, past the budget of {MAX_MILLER_ORDER}; the argument "
+            f"2/F grows as the tilt F shrinks"
+        )
     if z == 0.0:
         out = np.zeros(nmax + 1)
         out[0] = 1.0
         return out
 
-    start = _miller_start(z, nmax)
     raw = np.zeros(start + 2)
     raw[start] = 1e-30
     for m in range(start, 0, -1):

@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from starkwalk import TOL, AccuracyError, bessel_halfwidth, bessel_j_array, bessel_table
+from starkwalk import (
+    TOL,
+    AccuracyError,
+    BudgetError,
+    ConfigError,
+    bessel_halfwidth,
+    bessel_j_array,
+    bessel_table,
+)
+from starkwalk.bessel import MAX_MILLER_ORDER
 
 from conftest import bessel_series
 
@@ -53,6 +64,19 @@ def test_large_argument_normalization():
 def test_range_too_small_is_an_error():
     with pytest.raises(AccuracyError):
         bessel_table(F=0.05, order_max=20)   # argument 40 needs far more range
+
+
+@pytest.mark.parametrize("z,nmax", [(2e9, 0), (1.0, MAX_MILLER_ORDER), (0.0, MAX_MILLER_ORDER)])
+def test_recurrence_past_budget_is_budget_error(z, nmax):
+    # refused before the start-order array is allocated
+    with pytest.raises(BudgetError, match="budget"):
+        bessel_j_array(z, nmax)
+
+
+@pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
+def test_bad_argument_is_config_error(z):
+    with pytest.raises(ConfigError):
+        bessel_j_array(z, 4)
 
 
 def test_halfwidth_captures_mass():

@@ -207,6 +207,9 @@ BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
     f"{FLAGS} fcs-energy --n -1",
     f"{FLAGS} channel-evolve --n -1",
     "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
+    # a tilt this small asks the Bessel recurrence for 2e9 orders
+    "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
+    "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
     *BAD_CONFIGS,
 ])
 def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
