@@ -20,9 +20,7 @@ from .channel import (
     deformed_weights,
     kraus_weights,
     log_theta,
-    master_step,
     theta,
-    time_reversal_conjugate,
 )
 from .config import TOL, Tolerances
 from .errors import (
@@ -56,7 +54,6 @@ from .singleatom import (
     JointDensityMatrix,
     closed_unitary,
     hamiltonian_blocks,
-    heisenberg_maps,
     joint_hamiltonian,
     oracle_unitary,
     position_expectation,
@@ -70,14 +67,10 @@ from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
     bloch_coefficients,
-    bloch_matrix,
-    bloch_offset,
     free_evolve,
     position_distribution,
-    position_mean,
     position_operator,
     required_order,
-    shift_matrix,
     transform_matrix,
 )
 from .walk import (

@@ -77,8 +77,7 @@ class BesselTable:
     """J_nu(2/F) on the symmetric order range |nu| <= order_max.
 
     values[nu + order_max] holds J_nu; negative orders satisfy
-    J_{-nu} = (-1)^nu J_nu exactly by construction.  psi(k, x) is the
-    eigenfunction value J_{k-x}(argument).
+    J_{-nu} = (-1)^nu J_nu exactly by construction.
     """
 
     argument: float
@@ -89,9 +88,6 @@ class BesselTable:
         if abs(nu) > self.order_max:
             raise IndexError(f"order {nu} outside table range {self.order_max}")
         return float(self.values[nu + self.order_max])
-
-    def psi(self, k: int, x: int) -> float:
-        return self.j(k - x)
 
     def normalization_defect(self) -> float:
         return abs(float(np.sum(self.values**2)) - 1.0)

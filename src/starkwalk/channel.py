@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
-from .errors import NumericsError, WindowError
+from .errors import NumericsError
 from .params import ModelParams, derive_params
 from .singleatom import AtomGibbs, JointDensityMatrix, propagate_oracle
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
@@ -140,7 +139,7 @@ def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
     Refuses with WindowError when support touches the boundary: mass is
     never silently truncated.
     """
-    require_interior(dm, band=1)
+    require_interior(dm)
     w = deformed_weights(alpha * params.beta * params.E, params)
     return ParticleDensityMatrix(dm.window, _kick(dm.coeffs, w))
 
@@ -180,26 +179,3 @@ def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
     out = _kick(np.asarray(B, dtype=complex), w[::-1])
     u = np.exp(1j * params.tau * params.F * window.k_values)
     return u.conj()[:, None] * out * u[None, :]
-
-
-def time_reversal_conjugate(A: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugation in the position basis.
-
-    The eigenfunctions are real in the position representation, so the
-    induced antilinear map conjugates eigenbasis coefficients entrywise.
-    """
-    return np.conj(np.asarray(A))
-
-
-def master_step(pmf: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Classical Markov step on eigenbasis-diagonal states.
-
-    p_k -> p_+ p_{k-1} + p_0 p_k + p_- p_{k+1}, one trinomial convolution
-    restricted to the window; coincides with the diagonal of apply_channel
-    on the matching diagonal density matrix.
-    """
-    pmf = np.asarray(pmf, dtype=float)
-    edge = max(abs(pmf[0]), abs(pmf[-1]))
-    if edge > TOL.boundary:
-        raise WindowError(f"pmf occupies the window edge (mass {edge:.3e})")
-    return np.convolve(pmf, kraus_weights(params).as_array())[1:-1]

@@ -37,7 +37,6 @@ from .walk import (
     rate_function,
     rate_function_numeric,
     sample_walk,
-    transport_coefficients,
     walk_pmf_exact,
 )
 

@@ -48,6 +48,8 @@ from .walk import scgf, walk_pmf_exact
 
 MAX_WINDOW = 64
 MAX_ATOMS = 4
+# starting positions of at most this weight are not evolved by the matrix route
+_PRUNE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -287,23 +289,20 @@ def _kernel_argument(t: float, params: ModelParams) -> float:
     return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
 
 
-def free_kernel(t: float, params: ModelParams,
-                halfwidth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2.
 
     The free propagator is translation covariant up to phases, so the
     kernel depends only on the displacement d; the closed form follows
     from the generating function of the Bessel profile and is verified
-    against the windowed transform in the test suite.
+    against the windowed transform in the test suite.  The orders run to
+    3z + 80 + 20 beta E, less the trailing ones whose square underflows to 0.
     """
     z = _kernel_argument(t, params)
-    if halfwidth is None:
-        be = params.beta * params.E
-        halfwidth = int(math.ceil(3.0 * z)) + 80 + int(20.0 * be)
-    j = bessel_j_array(z, halfwidth)
-    half = j**2
+    halfwidth = int(math.ceil(3.0 * z)) + 80 + int(20.0 * params.beta * params.E)
+    half = np.trim_zeros(bessel_j_array(z, halfwidth) ** 2, "b")
     kernel = np.concatenate([half[:0:-1], half])
-    d = np.arange(-halfwidth, halfwidth + 1)
+    d = np.arange(1 - half.size, half.size)
     return d, kernel
 
 
@@ -324,8 +323,10 @@ class PositionFcsResult:
         return float(np.dot((self.dx - m) ** 2, self.probs))
 
     def log_mgf(self, eta: float) -> float:
-        # factor the largest exponent out so tails cannot overflow
-        expo = eta * self.dx + np.log(np.where(self.probs > 0.0, self.probs, 1e-320))
+        # zero probabilities drop out; the largest exponent is factored out
+        # so that the tails cannot overflow
+        live = self.probs > 0.0
+        expo = eta * self.dx[live] + np.log(self.probs[live])
         top = float(np.max(expo))
         return top + math.log(float(np.sum(np.exp(expo - top))))
 
@@ -342,7 +343,7 @@ class PositionFcsResult:
 
 
 def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
-                     method: str = "reduced", prune: float = 1e-12) -> PositionFcsResult:
+                     method: str = "reduced") -> PositionFcsResult:
     """Distribution of the two-time position increment dX = x' - x.
 
     The first measurement dephases rho_p in the position basis; each
@@ -358,7 +359,8 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     contribute the Bloch kernel; the two laws convolve.  The tails keep
     relative accuracy, which direct matrix evolution cannot provide.
     method='matrix' iterates apply_channel literally on the conditional
-    states on rho_p's window (small n; used to validate the reduction).
+    states on rho_p's window (small n; used to validate the reduction),
+    skipping the starting positions of weight at most 1e-12.
     """
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
@@ -378,7 +380,7 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     probs = np.zeros(dx.size)
     skipped = 0.0
     for xi, qx in enumerate(q):
-        if qx <= prune:
+        if qx <= _PRUNE:
             # conditional states too light to evolve on this window;
             # accounted for and bounded by the leakage budget below
             skipped += max(qx, 0.0)
@@ -392,11 +394,17 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     if skipped > TOL.leakage:
         raise WindowError(
             f"pruned conditional weight {skipped:.3e} exceeds the leakage "
-            f"budget {TOL.leakage:.1e}; enlarge the window or raise `prune`"
+            f"budget {TOL.leakage:.1e}; enlarge the window"
         )
     return PositionFcsResult(n=n, dx=dx, probs=probs, method="matrix")
 
 
+# Below 1.5, log I_0(x) = log1p(sum_{k >= 1} y^k / (k!)^2) with y = x^2 / 4,
+# the sum in Horner form: np.i0 rounds I_0 near 1 to an ulp of 1, which costs
+# log I_0 ~ x^2/4 up to 45 ulps there.  At 1.5 the first term left out, the
+# 13th, is 2e-23 of the sum; from 1.5 up np.i0 keeps log I_0 within 4 ulps.
+_LOG_I0_SMALL = 1.5
+_LOG_I0_SMALL_TERMS = 12
 # np.i0 overflows a double past x ~ 713, so past 700 log I_0 takes the
 # asymptotic series of sqrt(2 pi x) e^{-x} I_0(x) in 1/x instead.  Five terms:
 # at x = 700 the sixth is 5e-18, 4e-5 of an ulp of log I_0(700) = 695.6.
@@ -409,6 +417,11 @@ _LOG_I0_SERIES = tuple(math.prod((2 * j - 1) ** 2 / (8 * j) for j in range(1, k 
 def _log_i0(x: float) -> float:
     """log I_0(x) for finite x; it cannot overflow."""
     x = abs(x)
+    if x < _LOG_I0_SMALL:
+        y, t = 0.25 * x * x, 1.0
+        for k in range(_LOG_I0_SMALL_TERMS, 1, -1):
+            t = 1.0 + t * y / (k * k)
+        return math.log1p(y * t)
     if x <= _LOG_I0_SERIES_FROM:
         return math.log(float(np.i0(x)))
     u, tail = 1.0 / x, 0.0

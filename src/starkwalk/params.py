@@ -47,28 +47,18 @@ class ModelParams:
 class DerivedParams:
     """Scalars derived from ModelParams.
 
-    omega0        -- Rabi frequency sqrt((E-F)^2 + 4 lam^2)
-    p             -- jump probability per interaction, in [0, 1]
-    cos2theta     -- (E-F)/omega0 (mixing angle), 1 when omega0 == 0
-    sin2theta     -- 2 lam/omega0, 0 when omega0 == 0
-    zbeta         -- atomic partition function 1 + exp(-beta E)
-    gibbs_excited -- thermal weight of the excited atom state
-    bloch_freq    -- Bloch frequency of the free oscillation (= F)
-    resonant      -- True when p == 0 (lam == 0 or omega0 tau in 2 pi Z)
+    omega0    -- Rabi frequency sqrt((E-F)^2 + 4 lam^2)
+    p         -- jump probability per interaction, in [0, 1]
+    cos2theta -- (E-F)/omega0 (mixing angle), 1 when omega0 == 0
+    sin2theta -- 2 lam/omega0, 0 when omega0 == 0
+
+    The thermal weights of the atom live in `singleatom.AtomGibbs`.
     """
 
     omega0: float
     p: float
     cos2theta: float
     sin2theta: float
-    zbeta: float
-    gibbs_excited: float
-    bloch_freq: float
-    resonant: bool
-
-    @property
-    def gibbs_ground(self) -> float:
-        return 1.0 / self.zbeta
 
 
 def derive_params(raw: ModelParams) -> DerivedParams:
@@ -83,14 +73,4 @@ def derive_params(raw: ModelParams) -> DerivedParams:
     else:
         # lam == 0 and E == F: the coupling vanishes and H is diagonal
         cos2, sin2, p = 1.0, 0.0, 0.0
-    zbeta = 1.0 + math.exp(-raw.beta * raw.E)
-    return DerivedParams(
-        omega0=omega0,
-        p=p,
-        cos2theta=cos2,
-        sin2theta=sin2,
-        zbeta=zbeta,
-        gibbs_excited=math.exp(-raw.beta * raw.E) / zbeta,
-        bloch_freq=raw.F,
-        resonant=(p == 0.0),
-    )
+    return DerivedParams(omega0=omega0, p=p, cos2theta=cos2, sin2theta=sin2)

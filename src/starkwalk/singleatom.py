@@ -16,28 +16,20 @@ import numpy as np
 from .config import TOL
 from .errors import ConfigError, WindowError
 from .params import DerivedParams, ModelParams, derive_params
-from .state import (
-    LatticeWindow,
-    ParticleDensityMatrix,
-    bloch_coefficients,
-    position_operator,
-    shift_matrix,
-)
+from .state import LatticeWindow, ParticleDensityMatrix, bloch_coefficients, position_operator
+
 
 @dataclass(frozen=True)
 class AtomGibbs:
     """Thermal weights of one atom: (w_ground, w_excited) = (1, e^{-beta E}) / Z."""
 
-    beta_E: float
     w_ground: float
     w_excited: float
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "AtomGibbs":
-        z = 1.0 + math.exp(-params.beta * params.E)
-        return cls(beta_E=params.beta * params.E,
-                   w_ground=1.0 / z,
-                   w_excited=math.exp(-params.beta * params.E) / z)
+        g = math.exp(-params.beta * params.E)
+        return cls(w_ground=1.0 / (1.0 + g), w_excited=g / (1.0 + g))
 
     def density(self) -> np.ndarray:
         return np.diag([self.w_ground, self.w_excited])
@@ -69,16 +61,6 @@ class JointDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.coeffs).real)
 
-    def partial_trace_atom(self) -> ParticleDensityMatrix:
-        n = self.window.n_k
-        return ParticleDensityMatrix(
-            self.window, self.coeffs[:n, :n] + self.coeffs[n:, n:])
-
-    def partial_trace_particle(self) -> np.ndarray:
-        n = self.window.n_k
-        blocks = self.coeffs.reshape(2, n, 2, n)
-        return np.einsum("akbk->ab", blocks)
-
     def boundary_mass(self, band: int = 1) -> float:
         n = self.window.n_k
         d = np.abs(np.diagonal(self.coeffs))
@@ -86,11 +68,11 @@ class JointDensityMatrix:
         return float(np.max(edges))
 
 
-def _require_interior(state: JointDensityMatrix, band: int = 2) -> None:
-    mass = state.boundary_mass(band)
+def _require_interior(state: JointDensityMatrix) -> None:
+    mass = state.boundary_mass(2)
     if mass > TOL.boundary:
         raise WindowError(
-            f"joint support within {band} sites of the window edge "
+            "joint support within 2 sites of the window edge "
             f"(occupancy {mass:.3e}); enlarge the window"
         )
 
@@ -224,46 +206,6 @@ def propagate_oracle(state: JointDensityMatrix, t: float,
     _require_interior(state)
     W = _oracle_blocks(t, params, state.window)
     return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
-
-
-def _free_conjugate(A: np.ndarray, t: float, params: ModelParams,
-                    window: LatticeWindow) -> np.ndarray:
-    u = np.exp(1j * t * params.F * window.k_values)
-    return u[:, None] * A * u.conj()[None, :]
-
-
-def heisenberg_maps(A: np.ndarray, t: float, params: ModelParams,
-                    window: LatticeWindow):
-    """Decompose e^{-itH} (A (x) rho_beta) e^{itH} over the atom operators.
-
-    Returns (A_comp, B_comp, Bstar_comp, C_comp) with the joint operator
-    equal to A_comp (x) b*b + B_comp (x) b + Bstar_comp (x) b* + C_comp (x) bb*,
-    where Bstar_comp is the adjoint of the B-map applied to A*.
-    """
-    d = derive_params(params)
-    gibbs = AtomGibbs.from_params(params)
-    At = _free_conjugate(np.asarray(A, dtype=complex), t, params, window)
-    S = shift_matrix(window.n_k)
-    if d.omega0 > 0.0:
-        st = math.sin(0.5 * d.omega0 * t)
-        pt = (d.sin2theta * st) ** 2
-        bfac = d.sin2theta * (0.5j * math.sin(d.omega0 * t) - d.cos2theta * st**2) / d.zbeta
-    else:
-        pt, bfac = 0.0, 0.0j
-
-    def bmap(M):
-        return bfac * (M @ S.T - math.exp(-gibbs.beta_E) * S.T @ M)
-
-    a_comp = gibbs.w_excited * (1.0 - pt) * At + gibbs.w_ground * pt * (S @ At @ S.T)
-    c_comp = gibbs.w_ground * (1.0 - pt) * At + gibbs.w_excited * pt * (S.T @ At @ S)
-    b_comp = bmap(At)
-    bstar_comp = bmap(At.conj().T).conj().T
-    return a_comp, b_comp, bstar_comp, c_comp
-
-
-def assemble_joint(a_comp, b_comp, bstar_comp, c_comp) -> np.ndarray:
-    """Joint matrix from atom-operator components (atom-major blocks)."""
-    return np.block([[c_comp, b_comp], [bstar_comp, a_comp]])
 
 
 def position_motion_bound(params: ModelParams) -> float:

@@ -62,7 +62,7 @@ class LatticeWindow:
 
     @classmethod
     def for_dynamics(cls, k_lo: int, k_hi: int, steps: int, F: float,
-                     margin: int = 8, x_pad: int | None = None) -> "LatticeWindow":
+                     margin: int = 8) -> "LatticeWindow":
         """Window for a state supported on [k_lo, k_hi] evolving for `steps` kicks.
 
         Each kick moves eigenbasis support by at most one site, so
@@ -70,8 +70,7 @@ class LatticeWindow:
         strictly interior; the position range pads further by the spread
         of the Bessel profile.
         """
-        if x_pad is None:
-            x_pad = bessel_halfwidth(2.0 / F) + 8
+        x_pad = bessel_halfwidth(2.0 / F) + 8
         k_min = k_lo - steps - margin
         k_max = k_hi + steps + margin
         return cls(k_min=k_min, k_max=k_max, x_min=k_min - x_pad, x_max=k_max + x_pad)
@@ -93,11 +92,6 @@ def transform_matrix(window: LatticeWindow, table: BesselTable) -> np.ndarray:
     return table.values[nu + table.order_max]
 
 
-def shift_matrix(n: int) -> np.ndarray:
-    """Matrix of the translation T in the eigenbasis: T psi_k = psi_{k+1}."""
-    return np.eye(n, k=-1)
-
-
 def position_operator(window: LatticeWindow, F: float) -> np.ndarray:
     """Lattice position X in the eigenbasis: k on the diagonal, -1/F beside it."""
     n = window.n_k
@@ -113,10 +107,6 @@ class BlochCoefficients(NamedTuple):
     c_plus: complex
     c_minus: complex
 
-    @property
-    def sup_norm(self) -> float:
-        return abs(self.c_plus) + abs(self.c_minus)
-
 
 def bloch_coefficients(t: float, F: float) -> BlochCoefficients:
     """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2)."""
@@ -124,17 +114,6 @@ def bloch_coefficients(t: float, F: float) -> BlochCoefficients:
     phase = 0.5 * F * t
     c_plus = amp * np.exp(1j * phase) / 2j
     return BlochCoefficients(c_plus=complex(c_plus), c_minus=complex(np.conj(c_plus)))
-
-
-def bloch_offset(n: int, params: ModelParams) -> BlochCoefficients:
-    """Free position offset after n kicks, B_n, as Brillouin-zone coefficients."""
-    return bloch_coefficients(n * params.tau, params.F)
-
-
-def bloch_matrix(coeffs: BlochCoefficients, n_k: int) -> np.ndarray:
-    """B(t) as an eigenbasis matrix: e^{i xi} shifts k down, e^{-i xi} shifts up."""
-    S = shift_matrix(n_k)
-    return coeffs.c_plus * S.T + coeffs.c_minus * S
 
 
 @dataclass(frozen=True)
@@ -187,23 +166,22 @@ class ParticleDensityMatrix:
         d = np.abs(np.diagonal(self.coeffs))
         return float(max(np.max(d[:band]), np.max(d[-band:])))
 
-    def check_density(self, tol=TOL) -> None:
-        if self.hermiticity_defect() > tol.hermiticity:
+    def check_density(self) -> None:
+        if self.hermiticity_defect() > TOL.hermiticity:
             raise ConfigError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
-        if abs(self.trace() - 1.0) > tol.trace:
+        if abs(self.trace() - 1.0) > TOL.trace:
             raise ConfigError(f"trace {self.trace():.12f} != 1")
-        if self.min_eigenvalue() < tol.psd_min_eig:
+        if self.min_eigenvalue() < TOL.psd_min_eig:
             raise ConfigError(f"not PSD: min eigenvalue {self.min_eigenvalue():.3e}")
 
 
-def require_interior(dm: ParticleDensityMatrix, band: int = 1, tol: float | None = None) -> None:
+def require_interior(dm: ParticleDensityMatrix) -> None:
     """Refuse (rather than truncate) when support reaches the window edge."""
-    limit = TOL.boundary if tol is None else tol
-    mass = dm.boundary_mass(band)
-    if mass > limit:
+    mass = dm.boundary_mass()
+    if mass > TOL.boundary:
         raise WindowError(
-            f"support within {band} sites of the window edge "
-            f"(occupancy {mass:.3e} > {limit:.1e}); enlarge the window"
+            "support within 1 sites of the window edge "
+            f"(occupancy {mass:.3e} > {TOL.boundary:.1e}); enlarge the window"
         )
 
 
@@ -220,21 +198,15 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     return ParticleDensityMatrix(dm.window, phase * dm.coeffs)
 
 
-def position_distribution(dm: ParticleDensityMatrix, table: BesselTable,
-                          check_leakage: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def position_distribution(dm: ParticleDensityMatrix,
+                          table: BesselTable) -> tuple[np.ndarray, np.ndarray]:
     """Position pmf over the window: pmf(x) = sum_{kk'} psi_k(x) rho_{kk'} psi_k'(x)."""
     psi = transform_matrix(dm.window, table)
     pmf = np.sum((psi @ dm.coeffs) * psi, axis=1).real
-    if check_leakage:
-        leak = abs(float(np.sum(pmf)) - dm.trace())
-        if leak > TOL.leakage:
-            raise WindowError(
-                f"position mass {leak:.3e} outside the x-window exceeds the "
-                f"leakage budget {TOL.leakage:.1e}"
-            )
+    leak = abs(float(np.sum(pmf)) - dm.trace())
+    if leak > TOL.leakage:
+        raise WindowError(
+            f"position mass {leak:.3e} outside the x-window exceeds the "
+            f"leakage budget {TOL.leakage:.1e}"
+        )
     return dm.window.x_values, pmf
-
-
-def position_mean(dm: ParticleDensityMatrix, table: BesselTable) -> float:
-    x, pmf = position_distribution(dm, table)
-    return float(np.dot(x, pmf))

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import fcs as fcs_mod
 from .channel import apply_channel, channel_oracle, kraus_weights, theta
-from .config import TOL, Tolerances
-from .params import ModelParams, derive_params
+from .config import TOL
+from .params import ModelParams
 from .singleatom import (
     JointDensityMatrix,
     AtomGibbs,
@@ -83,7 +83,7 @@ def _random_joint(rng, window: LatticeWindow, half: int) -> JointDensityMatrix:
     return JointDensityMatrix(window, coeffs)
 
 
-def check_channel_oracle(tol: Tolerances = TOL) -> CheckResult:
+def check_channel_oracle() -> CheckResult:
     """1. Kraus route vs the defining partial trace, 20 states x 3 alphas."""
     params = CHECK_PARAMS
     window = LatticeWindow(-32, 31, -32, 31)
@@ -95,11 +95,11 @@ def check_channel_oracle(tol: Tolerances = TOL) -> CheckResult:
             a = apply_channel(dm, alpha, params)
             b = channel_oracle(dm, alpha, params)
             worst = max(worst, float(np.linalg.norm(a.coeffs - b.coeffs, "nuc")))
-    return CheckResult("channel vs partial-trace oracle", worst <= tol.channel_oracle,
-                       worst, tol.channel_oracle, "trace-norm distance")
+    return CheckResult("channel vs partial-trace oracle", worst <= TOL.channel_oracle,
+                       worst, TOL.channel_oracle, "trace-norm distance")
 
 
-def check_propagator(tol: Tolerances = TOL) -> CheckResult:
+def check_propagator() -> CheckResult:
     """2. Closed-form propagator vs sector-block exponentials."""
     params = CHECK_PARAMS
     window = LatticeWindow(-24, 23, -24, 23)
@@ -111,11 +111,11 @@ def check_propagator(tol: Tolerances = TOL) -> CheckResult:
             a = propagate_closed(state, t, params)
             b = propagate_oracle(state, t, params)
             worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
-    return CheckResult("closed propagator vs 2x2 oracle", worst <= tol.propagator_agreement,
-                       worst, tol.propagator_agreement)
+    return CheckResult("closed propagator vs 2x2 oracle", worst <= TOL.propagator_agreement,
+                       worst, TOL.propagator_agreement)
 
 
-def check_theta_identities(tol: Tolerances = TOL) -> CheckResult:
+def check_theta_identities() -> CheckResult:
     """3. theta(0) = theta(1) = 1, theta(1-a) = theta(a), Kraus identity."""
     params = CHECK_PARAMS
     triple = kraus_weights(params)
@@ -128,13 +128,13 @@ def check_theta_identities(tol: Tolerances = TOL) -> CheckResult:
         viak = (math.exp(a * be) * triple.p_minus + triple.p_zero
                 + math.exp(-a * be) * triple.p_plus)
         worst_kraus = max(worst_kraus, abs(theta(a, params) - viak))
-    passed = worst_sym <= tol.theta_symmetry and worst_kraus <= tol.theta_kraus_identity
+    passed = worst_sym <= TOL.theta_symmetry and worst_kraus <= TOL.theta_kraus_identity
     return CheckResult("theta symmetry and Kraus identity", passed,
-                       max(worst_sym, worst_kraus), tol.theta_symmetry,
-                       f"kraus defect {worst_kraus:.2e} vs {tol.theta_kraus_identity:.0e}")
+                       max(worst_sym, worst_kraus), TOL.theta_symmetry,
+                       f"kraus defect {worst_kraus:.2e} vs {TOL.theta_kraus_identity:.0e}")
 
 
-def check_transport(tol: Tolerances = TOL) -> CheckResult:
+def check_transport() -> CheckResult:
     """4. Exact walk moments at n in {1, 50}; Monte Carlo mean within 4 sigma;
     the ratio-recurrence law equal to the n-fold convolution at n = 2000."""
     params = CHECK_PARAMS
@@ -152,11 +152,11 @@ def check_transport(tol: Tolerances = TOL) -> CheckResult:
     exact, oracle = walk_pmf_exact(2000, params).pmf, walk_pmf_oracle(2000, params).pmf
     normal = oracle >= sys.float_info.min
     law_gap = float(np.max(np.abs(exact[normal] / oracle[normal] - 1.0)))
-    passed = worst <= tol.walk_moments_rel and dev <= bound and law_gap <= tol.walk_law_rel
+    passed = worst <= TOL.walk_moments_rel and dev <= bound and law_gap <= TOL.walk_law_rel
     return CheckResult("transport coefficients vs walk moments", passed, worst,
-                       tol.walk_moments_rel,
+                       TOL.walk_moments_rel,
                        f"MC deviation {dev:.2e} vs 4-sigma {bound:.2e}; "
-                       f"law vs convolution {law_gap:.2e} vs {tol.walk_law_rel:.0e}")
+                       f"law vs convolution {law_gap:.2e} vs {TOL.walk_law_rel:.0e}")
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -167,7 +167,7 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
 
 
-def check_clt(tol: Tolerances = TOL) -> CheckResult:
+def check_clt() -> CheckResult:
     """5. Kolmogorov distance of the standardized exact pmf at n = 10^4."""
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
@@ -180,11 +180,11 @@ def check_clt(tol: Tolerances = TOL) -> CheckResult:
     phi = _normal_cdf(z)
     dist = float(np.max(np.maximum(np.abs(cdf - phi),
                                    np.abs(np.concatenate([[0.0], cdf[:-1]]) - phi))))
-    return CheckResult("central limit theorem (Kolmogorov)", dist <= tol.clt_kolmogorov,
-                       dist, tol.clt_kolmogorov)
+    return CheckResult("central limit theorem (Kolmogorov)", dist <= TOL.clt_kolmogorov,
+                       dist, TOL.clt_kolmogorov)
 
 
-def check_ldp(tol: Tolerances = TOL) -> CheckResult:
+def check_ldp() -> CheckResult:
     """6. LDP errors at n = 800 small and monotone in n; closed vs numeric rate."""
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
@@ -202,12 +202,12 @@ def check_ldp(tol: Tolerances = TOL) -> CheckResult:
     grid = np.linspace(-0.999, 0.999, 401)
     rate_gap = max(abs(rate_function(float(x), params) - rate_function_numeric(float(x), params))
                    for x in grid)
-    passed = worst800 <= tol.ldp_abs and monotone and rate_gap <= tol.rate_match
-    return CheckResult("large deviations rate", passed, worst800, tol.ldp_abs,
+    passed = worst800 <= TOL.ldp_abs and monotone and rate_gap <= TOL.rate_match
+    return CheckResult("large deviations rate", passed, worst800, TOL.ldp_abs,
                        f"monotone={monotone}, closed-vs-numeric {rate_gap:.2e}")
 
 
-def check_fluctuation(tol: Tolerances = TOL) -> CheckResult:
+def check_fluctuation() -> CheckResult:
     """7. Exact walk fluctuation symmetry for all n <= 200; energy FT at n <= 3;
     the log walk law equal to the log-space convolution at n = 200."""
     params = CHECK_PARAMS
@@ -236,15 +236,15 @@ def check_fluctuation(tol: Tolerances = TOL) -> CheckResult:
             pmj = probs[np.searchsorted(m, -j)]
             worst_energy = max(worst_energy,
                                abs(pmj / (math.exp(be * j) * pj) - 1.0))
-    passed = (worst <= tol.fluctuation_rel and worst_energy <= tol.fluctuation_rel
-              and log_gap <= tol.walk_law_rel)
+    passed = (worst <= TOL.fluctuation_rel and worst_energy <= TOL.fluctuation_rel
+              and log_gap <= TOL.walk_law_rel)
     return CheckResult("fluctuation identities", passed, max(worst, worst_energy),
-                       tol.fluctuation_rel,
+                       TOL.fluctuation_rel,
                        f"walk log-defect {worst:.2e}, energy FT {worst_energy:.2e}; "
-                       f"log law vs log convolution {log_gap:.2e} vs {tol.walk_law_rel:.0e}")
+                       f"log law vs log convolution {log_gap:.2e} vs {TOL.walk_law_rel:.0e}")
 
 
-def check_energy_fcs(tol: Tolerances = TOL) -> CheckResult:
+def check_energy_fcs() -> CheckResult:
     """8. Brute force M = n = 3: diagonal support and E[e^{a dS}] = theta(a)^n."""
     params = CHECK_PARAMS
     window = LatticeWindow(-16, 15, -16, 15)
@@ -256,12 +256,12 @@ def check_energy_fcs(tol: Tolerances = TOL) -> CheckResult:
     for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
         target = theta(alpha, params) ** cfg.n
         worst = max(worst, abs(result.mgf(alpha) / target - 1.0))
-    passed = off <= tol.fcs_support and worst <= tol.fcs_mgf_rel
-    return CheckResult("energy counting statistics", passed, worst, tol.fcs_mgf_rel,
+    passed = off <= TOL.fcs_support and worst <= TOL.fcs_mgf_rel
+    return CheckResult("energy counting statistics", passed, worst, TOL.fcs_mgf_rel,
                        f"off-diagonal mass {off:.2e}")
 
 
-def check_position_fcs(tol: Tolerances = TOL) -> CheckResult:
+def check_position_fcs() -> CheckResult:
     """9. (1/n) g_n within 0.02 of the limit at n = 500; FT ratio bracket;
     closed-form g_n equal to the windowed deformed-channel oracle at n = 40."""
     params = CHECK_PARAMS
@@ -277,7 +277,7 @@ def check_position_fcs(tol: Tolerances = TOL) -> CheckResult:
     identity = max(abs(fcs_mod.position_cgf(n_id, eta, params).value
                        - fcs_mod.position_cgf_oracle(n_id, eta, rho, params))
                    for eta in (-0.5, 0.5))
-    identity_ok = identity <= tol.position_cgf_identity
+    identity_ok = identity <= TOL.position_cgf_identity
 
     small = LatticeWindow(-8, 7, -8, 7)
     dist = fcs_mod.run_position_fcs(n, ParticleDensityMatrix.eigenstate(small, 0),
@@ -286,23 +286,23 @@ def check_position_fcs(tol: Tolerances = TOL) -> CheckResult:
     ratio = dist.ft_log_ratio(v, delta, params.tau)
     be = params.beta * params.E
     in_bracket = -be * (v + delta) <= ratio <= -be * (v - delta)
-    passed = worst_gap <= tol.position_cgf_gap and in_bracket and identity_ok
+    passed = worst_gap <= TOL.position_cgf_gap and in_bracket and identity_ok
     return CheckResult("position counting statistics", passed, worst_gap,
-                       tol.position_cgf_gap,
+                       TOL.position_cgf_gap,
                        f"FT ratio {ratio:.4f} in [{-be*(v+delta):.2f}, {-be*(v-delta):.2f}]: "
                        f"{in_bracket}; oracle defect {identity:.2e} vs "
-                       f"{tol.position_cgf_identity:.0e}: {identity_ok}")
+                       f"{TOL.position_cgf_identity:.0e}: {identity_ok}")
 
 
-def check_einstein(tol: Tolerances = TOL) -> CheckResult:
+def check_einstein() -> CheckResult:
     """10. Einstein relation D beta / mu = 1 on the E = F line at F = 1e-3."""
     params = ModelParams(E=1e-3, F=1e-3, lam=0.3, tau=1.0, beta=1.0)
     tc = transport_coefficients(params)
     defect = abs(tc.D * params.beta / tc.mobility - 1.0)
-    return CheckResult("Einstein relation", defect <= tol.einstein, defect, tol.einstein)
+    return CheckResult("Einstein relation", defect <= TOL.einstein, defect, TOL.einstein)
 
 
-def check_energy_bookkeeping(tol: Tolerances = TOL) -> CheckResult:
+def check_energy_bookkeeping() -> CheckResult:
     """11. Total energy: rate (E-F) v_d tau off resonance, exact conservation at E = F."""
     window = LatticeWindow(-16, 15, -16, 15)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
@@ -317,12 +317,12 @@ def check_energy_bookkeeping(tol: Tolerances = TOL) -> CheckResult:
     balanced = ModelParams(E=1.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     cfg_b = fcs_mod.ReservoirConfig(params=balanced, M=3, n=3, window=window)
     conins = fcs_mod.run_energy_fcs(cfg_b, rho).max_total_energy_change()
-    passed = rate_err <= tol.energy_rate and conins <= tol.energy_conservation
-    return CheckResult("energy bookkeeping", passed, rate_err, tol.energy_rate,
+    passed = rate_err <= TOL.energy_rate and conins <= TOL.energy_conservation
+    return CheckResult("energy bookkeeping", passed, rate_err, TOL.energy_rate,
                        f"E=F conservation defect {conins:.2e}")
 
 
-def check_boundedness(tol: Tolerances = TOL) -> CheckResult:
+def check_boundedness() -> CheckResult:
     """12. Single-atom <X(t)> within the closed-form bound and equal to the oracle."""
     params = CHECK_PARAMS
     window = LatticeWindow(-24, 23, -24, 23)
@@ -342,8 +342,8 @@ def check_boundedness(tol: Tolerances = TOL) -> CheckResult:
         oracle = position_oracle(float(t), state, params)
         worst_dev = max(worst_dev, abs(xt - oracle))
         worst_excess = max(worst_excess, abs(xt - x0) - bound)
-    passed = worst_dev <= tol.position_oracle and worst_excess <= 0.0
-    return CheckResult("single-atom boundedness", passed, worst_dev, tol.position_oracle,
+    passed = worst_dev <= TOL.position_oracle and worst_excess <= 0.0
+    return CheckResult("single-atom boundedness", passed, worst_dev, TOL.position_oracle,
                        f"max |<X>-<X_0>| - bound = {worst_excess:.3f}")
 
 
@@ -363,5 +363,5 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(tol: Tolerances = TOL) -> list[CheckResult]:
-    return [fn(tol) for _, fn in ALL_CHECKS]
+def run_all() -> list[CheckResult]:
+    return [fn() for _, fn in ALL_CHECKS]

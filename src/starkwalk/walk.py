@@ -225,30 +225,21 @@ class WalkSample:
         return float(np.dot((self.values - m) ** 2, self.counts) / self.trials)
 
 
-def sample_walk(n: int, trials: int, seed: int, params: ModelParams,
-                streams: int = 1) -> WalkSample:
+def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSample:
     """Monte Carlo sample of S_n over `trials` independent walks.
 
-    Generator: numpy Philox (counter-based), streams separated with
-    .jumped(stream index), so output is bit-identical across platforms
-    for a fixed (seed, streams).  Each walk is reduced to its step counts
-    (N_-, N_0, N_+), a sufficient statistic for S_n = N_+ - N_-.
+    Generator: numpy Philox (counter-based) seeded with `seed`, so output is
+    bit-identical across platforms for a fixed seed.  Each walk is reduced
+    to its step counts (N_-, N_0, N_+), a sufficient statistic for
+    S_n = N_+ - N_-.
     """
     if trials <= 0:
         raise ConfigError("trials must be >= 1")
     if n < 0:
         raise ConfigError("n must be >= 0")
-    if streams <= 0 or trials % streams != 0:
-        raise ConfigError("streams must divide trials")
-    pvals = kraus_weights(params).as_array()
-    per = trials // streams
-    chunks = []
-    for j in range(streams):
-        rng = np.random.Generator(np.random.Philox(seed).jumped(j))
-        counts = rng.multinomial(n, pvals, size=per)
-        chunks.append(counts[:, 2] - counts[:, 0])
-    s = np.concatenate(chunks)
-    values, cnt = np.unique(s, return_counts=True)
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = rng.multinomial(n, kraus_weights(params).as_array(), size=trials)
+    values, cnt = np.unique(counts[:, 2] - counts[:, 0], return_counts=True)
     return WalkSample(n=n, trials=trials, seed=seed, values=values, counts=cnt)
 
 
@@ -306,7 +297,7 @@ def rate_function(x: float, params: ModelParams) -> float:
     return tilt - x * (l_plus - l_zero) - l_zero - math.log((1.0 + R) / (1.0 - x * x))
 
 
-def _legendre_sup(x: float, params: ModelParams, max_iter: int = 200) -> tuple[float, float]:
+def _legendre_sup(x: float, params: ModelParams) -> tuple[float, float]:
     """Solve e'(eta) = x by safeguarded Newton; returns (eta*, eta* x - e(eta*)).
 
     The bracket doubles until it holds x.  Newton stops at rounding level in e',
@@ -322,7 +313,7 @@ def _legendre_sup(x: float, params: ModelParams, max_iter: int = 200) -> tuple[f
     if math.isinf(lo) or math.isinf(hi):
         raise NumericsError(f"cannot bracket Legendre sup at x={x}")
     eta = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         e0, e1, e2 = _tilted_moments(eta, p, be, log_k)
         f = e1 - x
         lo, hi = (lo, eta) if f > 0.0 else (eta, hi)

@@ -5,7 +5,6 @@ Bessel values come from the power series evaluated in 50-digit
 arithmetic, propagators from scipy's expm on a directly assembled
 Hamiltonian, and walk expectations from explicit enumeration.
 """
-import math
 import sys
 
 import mpmath as mp

@@ -249,6 +249,15 @@ def test_free_kernel_halfwidth_covers_bessel_tail(F, beta_E):
         assert abs(kernel.sum() - 1.0) <= TOL.bessel_normalization
 
 
+def test_free_kernel_ends_on_nonzero_orders():
+    # at beta E = 30 the orders run to 3z + 80 + 20 beta E = 692, but past
+    # order 119 J_d(4)^2 underflows to an exact 0, which the kernel leaves out
+    p = ModelParams(E=30.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    d, kernel = free_kernel(math.pi / p.F, p)   # z = 4
+    assert kernel.size == 239 and np.array_equal(d, np.arange(-119, 120))
+    assert kernel[0] > 0.0 and kernel[-1] > 0.0
+
+
 def test_position_fcs_zero_steps(params):
     small = LatticeWindow(-8, 7, -8, 7)
     rho = ParticleDensityMatrix.eigenstate(small, 0)
@@ -321,6 +330,18 @@ def test_position_cgf_identity(n, E):
         g = position_cgf(n, eta, params).value
         assert abs(g - position_cgf_oracle(n, eta, rho, params)) <= TOL.position_cgf_identity
         assert abs(g - dist.log_mgf(eta)) <= TOL.position_cgf_identity
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_log_mgf_skips_zero_probabilities(n):
+    # at beta E = 30 the law holds exact zeros where p_-^n underflows; any
+    # tiny weight standing in for them would dominate at |eta| = 3
+    params = ModelParams(E=30.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    rho = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
+    dist = run_position_fcs(n, rho, params, method="reduced")
+    for eta in (-3.0, -1.0, 1.0, 1.5, 3.0):
+        g = position_cgf(n, eta, params).value
+        assert abs(dist.log_mgf(eta) - g) <= TOL.position_cgf_identity
 
 
 def test_position_cgf_overflow_is_numerics_error(params):

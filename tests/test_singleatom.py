@@ -10,12 +10,10 @@ from starkwalk import (
     JointDensityMatrix,
     LatticeWindow,
     ModelParams,
-    ParticleDensityMatrix,
     WindowError,
     closed_unitary,
     derive_params,
     hamiltonian_blocks,
-    heisenberg_maps,
     joint_hamiltonian,
     oracle_unitary,
     position_expectation,
@@ -23,7 +21,6 @@ from starkwalk import (
     position_oracle,
     propagate_closed,
     propagate_oracle,
-    shift_matrix,
 )
 from starkwalk.singleatom import (
     _apply_rows,
@@ -31,9 +28,8 @@ from starkwalk.singleatom import (
     _conjugate,
     _oracle_blocks,
     _scatter,
-    assemble_joint,
 )
-from starkwalk.state import bloch_coefficients, bloch_matrix, position_operator
+from starkwalk.state import bloch_coefficients, position_operator
 
 from conftest import direct_joint_hamiltonian, random_joint
 
@@ -166,44 +162,11 @@ def test_edge_support_is_refused(params, window):
         propagate_closed(JointDensityMatrix(window, c), 1.0, params)
 
 
-def test_heisenberg_maps_at_zero_time(params, window):
-    rng = np.random.default_rng(9)
-    gibbs = AtomGibbs.from_params(params)
-    A = rng.normal(size=(window.n_k,) * 2) + 1j * rng.normal(size=(window.n_k,) * 2)
-    a_comp, b_comp, bstar_comp, c_comp = heisenberg_maps(A, 0.0, params, window)
-    assert np.max(np.abs(a_comp - gibbs.w_excited * A)) <= 1e-14
-    assert np.max(np.abs(c_comp - gibbs.w_ground * A)) <= 1e-14
-    assert np.max(np.abs(b_comp)) == 0.0
-    assert np.max(np.abs(bstar_comp)) == 0.0
-
-
-def test_heisenberg_maps_zero_coupling(window):
-    p = ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=0.7)
-    gibbs = AtomGibbs.from_params(p)
-    rng = np.random.default_rng(10)
-    A = rng.normal(size=(window.n_k,) * 2) + 1j * rng.normal(size=(window.n_k,) * 2)
-    t = 1.7
-    a_comp, b_comp, _, c_comp = heisenberg_maps(A, t, p, window)
-    k = window.k_values
-    At = np.exp(1j * t * p.F * (k[:, None] - k[None, :])) * A
-    assert np.max(np.abs(a_comp - gibbs.w_excited * At)) <= 1e-13
-    assert np.max(np.abs(c_comp - gibbs.w_ground * At)) <= 1e-13
-    assert np.max(np.abs(b_comp)) == 0.0
-
-
-def test_heisenberg_reconstruction_vs_oracle(params, window):
-    rng = np.random.default_rng(11)
-    n = window.n_k
-    A = np.zeros((n, n), dtype=complex)
-    A[4:-4, 4:-4] = rng.normal(size=(n - 8, n - 8)) + 1j * rng.normal(size=(n - 8, n - 8))
-    t = params.tau
-    recon = assemble_joint(*heisenberg_maps(A, t, params, window))
-    gibbs = AtomGibbs.from_params(params)
-    joint = JointDensityMatrix.product(ParticleDensityMatrix(window, A), gibbs.density())
-    W = oracle_unitary(t, params, window)
-    direct = W @ joint.coeffs @ W.conj().T
-    inner = np.concatenate([np.arange(2, n - 2), n + np.arange(2, n - 2)])
-    assert np.max(np.abs((recon - direct)[np.ix_(inner, inner)])) <= 1e-10
+def bloch_matrix(t, F, n):
+    """B(t) as an eigenbasis matrix: e^{i xi} shifts k down, e^{-i xi} shifts up."""
+    coeffs = bloch_coefficients(t, F)
+    S = np.eye(n, k=-1)
+    return coeffs.c_plus * S.T + coeffs.c_minus * S
 
 
 def heisenberg_position(t, params, window):
@@ -211,10 +174,10 @@ def heisenberg_position(t, params, window):
     own operators: the closed-form Heisenberg evolution, assembled with np.kron."""
     d = derive_params(params)
     n = window.n_k
-    S = shift_matrix(n)
+    S = np.eye(n, k=-1)
     b = np.array([[0.0, 1.0], [0.0, 0.0]])
     op = np.kron(np.eye(2), position_operator(window, params.F)
-                 + bloch_matrix(bloch_coefficients(t, params.F), n)).astype(complex)
+                 + bloch_matrix(t, params.F, n)).astype(complex)
     st2 = math.sin(0.5 * d.omega0 * t) ** 2
     op += (d.sin2theta**2) * st2 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
     op += (d.sin2theta * d.cos2theta) * st2 * (np.kron(b.T, S) + np.kron(b, S.T))
@@ -243,7 +206,7 @@ def test_position_expectation_zero_coupling_is_bloch(window):
     state = random_joint(rng, window, 4)
     X = position_operator(window, p.F)
     for t in (0.0, 0.9, 4.4):
-        free = np.kron(np.eye(2), X + bloch_matrix(bloch_coefficients(t, p.F), window.n_k))
+        free = np.kron(np.eye(2), X + bloch_matrix(t, p.F, window.n_k))
         expected = float(np.trace(free @ state.coeffs).real)
         assert abs(position_expectation(t, state, p) - expected) <= 1e-12
 
@@ -317,12 +280,3 @@ def test_gibbs_weights(params):
     flat = AtomGibbs.from_params(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
     assert flat.w_excited == flat.w_ground == 0.5
 
-
-def test_partial_traces(params, window):
-    rng = np.random.default_rng(17)
-    state = random_joint(rng, window, 4)
-    reduced = state.partial_trace_atom()
-    assert abs(reduced.trace() - state.trace()) <= 1e-12
-    atom = state.partial_trace_particle()
-    assert abs(np.trace(atom).real - state.trace()) <= 1e-12
-    assert atom.shape == (2, 2)

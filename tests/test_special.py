@@ -44,6 +44,18 @@ def test_log_i0_matches_scipy(x):
     assert abs(_log_i0(x) - ref) <= LOG_I0_REL * max(1.0, abs(ref))
 
 
+def test_log_i0_small_argument_sweep():
+    # log I_0(x) ~ x^2/4 keeps relative accuracy down to x = 1e-10, where
+    # log(np.i0(x)) is left with the rounding of I_0 to an ulp of 1, and
+    # across the hand-over to np.i0 at 1.5
+    for x in np.geomspace(1e-10, 3.0, 601):
+        with mp.workdps(60):
+            ref = mp.log(mp.besseli(0, mp.mpf(x)))
+            err = float(abs(mp.mpf(_log_i0(x)) - ref))
+        assert err <= 4.0 * math.ulp(float(ref)), x
+        assert _log_i0(-x) == _log_i0(x)
+
+
 Z = np.linspace(-40.0, 40.0, 801)
 TINY = np.finfo(float).tiny
 

@@ -240,11 +240,6 @@ def test_sampling_reproducible(params):
     assert not (np.array_equal(a.values, c.values) and np.array_equal(a.counts, c.counts))
 
 
-def test_sampling_streams_partition(params):
-    whole = sample_walk(50, 4000, seed=9, params=params, streams=4)
-    assert whole.counts.sum() == 4000
-
-
 def test_sampling_zero_coupling():
     p = ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
     s = sample_walk(100, 1000, seed=1, params=p)
@@ -265,7 +260,7 @@ def test_sampling_argument_errors(params):
     with pytest.raises(ValueError):
         sample_walk(10, 0, seed=0, params=params)
     with pytest.raises(ValueError):
-        sample_walk(10, 7, seed=0, params=params, streams=2)
+        sample_walk(-1, 10, seed=0, params=params)
 
 
 def test_scgf_basics(params):
