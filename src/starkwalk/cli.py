@@ -188,10 +188,10 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
     rho_p = ParticleDensityMatrix.eigenstate(window, 0)
     state = JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
     bound = position_motion_bound(params)
-    rows = []
-    for t in np.linspace(0.0, cfg.n * params.tau, 20 * cfg.n + 1):
-        xt = position_expectation(float(t), state, params)
-        rows.append([float(t), xt, position_oracle(float(t), state, params), bound])
+    ts = np.linspace(0.0, cfg.n * params.tau, 20 * cfg.n + 1)
+    xt = position_expectation(ts, state, params).tolist()
+    oracle = position_oracle(ts, state, params).tolist()
+    rows = [[t, x, o, bound] for t, x, o in zip(ts.tolist(), xt, oracle)]
     return ResultTable(["t", "x_closed", "x_oracle", "bound"], rows)
 
 

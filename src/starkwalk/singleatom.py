@@ -122,33 +122,55 @@ def half_angle(derived: DerivedParams) -> tuple[float, float]:
     return cos_t, sin_t
 
 
-def _closed_blocks(t: float, params: ModelParams,
+def _times(t, max_ndim: int = 1) -> np.ndarray:
+    """t as a float array of at most max_ndim axes; a time that is not finite is refused."""
+    try:
+        ts = np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"evolution time {t!r} is not a number") from exc
+    if ts.ndim > max_ndim:
+        raise ConfigError(f"evolution time of shape {ts.shape}: expected at most "
+                          f"{max_ndim} axes")
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError(f"evolution time must be finite, got {t!r}")
+    return ts
+
+
+def _closed_blocks(t: float | np.ndarray, params: ModelParams,
                    window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, edges) of e^{-itH} from the closed form; see `closed_unitary`."""
+    """(blocks, edges) of e^{-itH} from the closed form; see `closed_unitary`.
+
+    t is a float or an array of times, which leads the shapes of both outputs.
+    """
     d = derive_params(params)
     cos_t, sin_t = half_angle(d)
     R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
-    dressed = (R * np.exp(0.5j * t * d.omega0 * np.array([1.0, -1.0]))) @ R.T
+    t = np.asarray(t, dtype=float)[..., None]
+    dressed = (R * np.exp(0.5j * t[..., None] * d.omega0 * np.array([1.0, -1.0]))) @ R.T
     Ek = 2.0 - params.F * window.k_values.astype(float)
     phase = np.exp(-1j * t * (Ek[:-1] + 0.5 * (params.E - params.F)))
     edges = np.exp(-1j * t * np.array([Ek[-1], Ek[0] + params.E]))
-    return phase[:, None, None] * dressed, edges
+    return phase[..., None, None] * dressed[..., None, :, :], edges
 
 
-def _oracle_blocks(t: float, params: ModelParams,
+def _oracle_blocks(t: float | np.ndarray, params: ModelParams,
                    window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, edges) of e^{-itH} from the spectral formula; see `oracle_unitary`."""
+    """(blocks, edges) of e^{-itH} from the spectral formula; see `oracle_unitary`.
+
+    t is a float or an array of times, which leads the shapes of both outputs.
+    """
     blocks, edges = hamiltonian_blocks(params, window)
     e1, e2, lam = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
     mu, delta = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
     r = np.hypot(delta, lam)
+    t = np.asarray(t, dtype=float)[..., None]
     c, s = np.cos(r * t), np.sin(r * t)
     # sin(rt) = 0 where r = 0, so a unit divisor there leaves the identity block
     r_safe = np.where(r > 0.0, r, 1.0)
     diag, off = 1j * (s * delta / r_safe), -1j * (s * lam / r_safe)
     W = np.stack([np.stack([c - diag, off], axis=-1),
                   np.stack([off, c + diag], axis=-1)], axis=-2)
-    return np.exp(-1j * t * mu)[:, None, None] * W, np.exp(-1j * t * edges)
+    return np.exp(-1j * t * mu)[..., None, None] * W, np.exp(-1j * t * edges)
 
 
 def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
@@ -176,25 +198,75 @@ def _apply_rows(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndar
 
     The sector pairs are rows [:n_k - 1] (ground, k_i) and [n_k + 1:]
     (excited, k_{i+1}); rows n_k - 1 and n_k are the two edge states.
+    Leading (time) axes of blocks and edges broadcast against those of A.
     """
-    n = blocks.shape[0] + 1
-    ground, excited = A[:n - 1], A[n + 1:]
-    out = np.empty(A.shape, dtype=np.result_type(blocks, A))
-    out[:n - 1] = blocks[:, 0, 0, None] * ground + blocks[:, 0, 1, None] * excited
-    out[n + 1:] = blocks[:, 1, 0, None] * ground + blocks[:, 1, 1, None] * excited
-    out[n - 1] = edges[0] * A[n - 1]
-    out[n] = edges[1] * A[n]
+    n = blocks.shape[-3] + 1
+    ground, excited = A[..., :n - 1, :], A[..., n + 1:, :]
+    shape = np.broadcast_shapes(blocks.shape[:-3], A.shape[:-2]) + A.shape[-2:]
+    out = np.empty(shape, dtype=np.result_type(blocks, A))
+    out[..., :n - 1, :] = blocks[..., 0, 0, None] * ground + blocks[..., 0, 1, None] * excited
+    out[..., n + 1:, :] = blocks[..., 1, 0, None] * ground + blocks[..., 1, 1, None] * excited
+    out[..., n - 1, :] = edges[..., 0, None] * A[..., n - 1, :]
+    out[..., n, :] = edges[..., 1, None] * A[..., n, :]
     return out
 
 
+def _dagger(A: np.ndarray) -> np.ndarray:
+    return A.conj().swapaxes(-1, -2)
+
+
+def _occupied(A: np.ndarray) -> slice:
+    """The k-range that W A W^dagger can reach from A, as a slice of window indices.
+
+    It covers every k where a row or column of either atom block is
+    nonzero, widened by one site each side so that it holds both members
+    of every sector that touches A, and clamped to the window.  The zero
+    matrix takes the first sector.
+    """
+    n = A.shape[-1] // 2
+    # real and imaginary parts side by side: column j of A is float columns 2j, 2j + 1
+    nz = np.ascontiguousarray(A, dtype=complex).view(np.float64) != 0.0
+    occ = nz.any(axis=1) | nz.any(axis=0).reshape(-1, 2).any(axis=1)
+    k = np.flatnonzero(occ[:n] | occ[n:])
+    if not k.size:
+        return slice(0, 2)
+    return slice(max(int(k[0]) - 1, 0), min(int(k[-1]) + 2, n))
+
+
+def _conjugate_on(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray,
+                  ks: slice) -> np.ndarray:
+    """W A W^dagger on the k-range ks = _occupied(A), in O(m^2) for m sites.
+
+    W is block-diagonal in the sectors, so every entry of A and of
+    W A W^dagger outside the range is exactly 0.  Inside it the sectors
+    are blocks[ks.start:ks.stop - 1] and each entry is formed from the same
+    rows as on the whole window, so the result is bit-equal to the
+    full-window route.  The sub-window's two unpaired rows take the
+    window's edge phases: where the range is clamped they are the real edge
+    states, and elsewhere their rows and columns are zero.  Leading (time)
+    axes of blocks and edges lead the result.
+    """
+    n, m = A.shape[-1] // 2, ks.stop - ks.start
+    sub_blocks = blocks[..., ks.start:ks.stop - 1, :, :]
+    sub = A.reshape(2, n, 2, n)[:, ks, :, ks].reshape(2 * m, 2 * m)
+    return _dagger(_apply_rows(sub_blocks, edges, _dagger(_apply_rows(sub_blocks, edges, sub))))
+
+
 def _conjugate(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """W A W^dagger as (W (W A)^dagger)^dagger: two row applications, O(n_k^2)."""
-    return _apply_rows(blocks, edges, _apply_rows(blocks, edges, A).conj().T).conj().T
+    """W A W^dagger as (W (W A)^dagger)^dagger on the occupied range of A, zero elsewhere."""
+    ks = _occupied(A)
+    sub = _conjugate_on(blocks, edges, A, ks)
+    n, m = A.shape[-1] // 2, ks.stop - ks.start
+    lead = sub.shape[:-2]
+    out = np.zeros(lead + (2, n, 2, n), dtype=sub.dtype)
+    out[..., :, ks, :, ks] = sub.reshape(lead + (2, m, 2, m))
+    return out.reshape(lead + A.shape[-2:])
 
 
 def propagate_closed(state: JointDensityMatrix, t: float,
                      params: ModelParams) -> JointDensityMatrix:
     """Evolve by time t using the closed-form propagator (rotation + phases)."""
+    t = _times(t, 0)
     _require_interior(state)
     W = _closed_blocks(t, params, state.window)
     return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
@@ -203,6 +275,7 @@ def propagate_closed(state: JointDensityMatrix, t: float,
 def propagate_oracle(state: JointDensityMatrix, t: float,
                      params: ModelParams) -> JointDensityMatrix:
     """Evolve by time t exponentiating each 2x2 sector block spectrally."""
+    t = _times(t, 0)
     _require_interior(state)
     W = _oracle_blocks(t, params, state.window)
     return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
@@ -215,8 +288,8 @@ def position_motion_bound(params: ModelParams) -> float:
     return 4.0 / params.F + s2**2 + s2 * abs(d.cos2theta) + s2
 
 
-def position_expectation(t: float, initial: JointDensityMatrix,
-                         params: ModelParams) -> float:
+def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
+                         params: ModelParams) -> float | np.ndarray:
     """<X(t)> from the closed-form Heisenberg evolution of the position.
 
     X(t) = I (x) (X + B(t)) + s^2 st2 (b*b - bb*)
@@ -226,8 +299,13 @@ def position_expectation(t: float, initial: JointDensityMatrix,
     Tr(S R) = sum R[i, i+1] and Tr(S^T R) = sum R[i+1, i].  The result is a
     trigonometric polynomial in the Bloch frequency F and the Rabi
     frequency omega0; the motion stays within position_motion_bound of its
-    starting point for all t.
+    starting point for all t.  t is a float (a float is returned) or a 1-D
+    array of times (an array is returned): the state is read once, and each
+    time costs O(1).  A float takes the same array arithmetic as each
+    entry of an array, so both forms give the same bits.
     """
+    ts = _times(t)
+    times = ts.reshape(-1)
     d = derive_params(params)
     n = initial.window.n_k
     c = initial.coeffs
@@ -237,26 +315,45 @@ def position_expectation(t: float, initial: JointDensityMatrix,
     s_up = np.sum(np.diagonal(gg, 1)) + np.sum(np.diagonal(ee, 1))
     s_down = np.sum(np.diagonal(gg, -1)) + np.sum(np.diagonal(ee, -1))
     # X + B(t) = diag(k) + (c_- - 1/F) S + (c_+ - 1/F) S^T
-    bloch = bloch_coefficients(t, params.F)
+    bloch = bloch_coefficients(times, params.F)
     free = (k_mean + (bloch.c_minus - 1.0 / params.F) * s_up
             + (bloch.c_plus - 1.0 / params.F) * s_down)
     # b* (x) S pairs with Tr(S R_ge), b (x) S^T with Tr(S^T R_eg); s = 0 when omega0 = 0
     up, down = np.sum(np.diagonal(ge, 1)), np.sum(np.diagonal(eg, -1))
-    st2 = math.sin(0.5 * d.omega0 * t) ** 2
+    st2 = np.sin(0.5 * d.omega0 * times) ** 2
     atom = ((d.sin2theta**2) * st2 * (np.trace(gg) - np.trace(ee))
             + (d.sin2theta * d.cos2theta) * st2 * (up + down)
-            - 0.5j * d.sin2theta * math.sin(d.omega0 * t) * (up - down))
-    return float((free + atom).real)
+            - 0.5j * d.sin2theta * np.sin(d.omega0 * times) * (up - down))
+    x = (free + atom).real
+    return float(x[0]) if ts.ndim == 0 else x
 
 
-def position_oracle(t: float, initial: JointDensityMatrix, params: ModelParams) -> float:
-    """<X(t)> = Tr[(I (x) X) W rho W^dagger] with W from `propagate_oracle`.
+# complex entries per time batch of `position_oracle`, which bounds its memory
+_BATCH_ENTRIES = 1 << 18
 
-    The single-atom position oracle: the state evolves through the
-    spectral sector exponentials and the trace against the lattice
-    position is taken entrywise, O(n_k^2), with no Heisenberg algebra.
+
+def position_oracle(t: float | np.ndarray, initial: JointDensityMatrix,
+                    params: ModelParams) -> float | np.ndarray:
+    """<X(t)> = Tr[(I (x) X) W rho W^dagger] with W the spectral sector exponentials.
+
+    The single-atom position oracle: the state evolves through
+    `_oracle_blocks`, as in `propagate_oracle`, on its occupied k-range,
+    and the trace against the lattice position is taken entrywise on that
+    range, with no Heisenberg algebra.  t is a float (a float is returned)
+    or a 1-D array of times (an array is returned), evolved in batches.
     """
-    evolved = propagate_oracle(initial, t, params).coeffs
-    n = initial.window.n_k
-    X = position_operator(initial.window, params.F)
-    return float(np.sum(X.T * (evolved[:n, :n] + evolved[n:, n:])).real)
+    ts = _times(t)
+    _require_interior(initial)
+    window = initial.window
+    ks = _occupied(initial.coeffs)
+    m = ks.stop - ks.start
+    X = position_operator(window, params.F)[ks, ks]
+    times = ts.reshape(-1)
+    out = np.empty(times.shape)
+    step = max(1, _BATCH_ENTRIES // (4 * window.n_k + 4 * m * m))
+    for i in range(0, times.size, step):
+        evolved = _conjugate_on(*_oracle_blocks(times[i:i + step], params, window),
+                                initial.coeffs, ks)
+        out[i:i + step] = np.sum(X.T * (evolved[..., :m, :m] + evolved[..., m:, m:]),
+                                 axis=(-2, -1)).real
+    return float(out[0]) if ts.ndim == 0 else out

@@ -9,7 +9,6 @@ psi_k(x) = J_{k-x}(2/F).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,11 +107,17 @@ class BlochCoefficients(NamedTuple):
     c_minus: complex
 
 
-def bloch_coefficients(t: float, F: float) -> BlochCoefficients:
-    """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2)."""
-    amp = (4.0 / F) * math.sin(0.5 * F * t)
+def bloch_coefficients(t: float | np.ndarray, F: float) -> BlochCoefficients:
+    """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2).
+
+    t is a float (complex coefficients) or an array of times (arrays).
+    """
+    t = np.asarray(t, dtype=float)
+    amp = (4.0 / F) * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
     c_plus = amp * np.exp(1j * phase) / 2j
+    if c_plus.ndim:
+        return BlochCoefficients(c_plus=c_plus, c_minus=np.conj(c_plus))
     return BlochCoefficients(c_plus=complex(c_plus), c_minus=complex(np.conj(c_plus)))
 
 
@@ -193,8 +198,10 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     states are exact fixed points (the phase is built from the integer
     index difference, so the diagonal factor is exactly one).
     """
-    k = dm.window.k_values
-    phase = np.exp(1j * t * params.F * (k[:, None] - k[None, :]))
+    n = dm.window.n_k
+    # one exponential per index difference d = k - k', gathered onto the matrix
+    d = np.arange(n)
+    phase = np.exp(1j * t * params.F * np.arange(1 - n, n))[d[:, None] - d[None, :] + n - 1]
     return ParticleDensityMatrix(dm.window, phase * dm.coeffs)
 
 

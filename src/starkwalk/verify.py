@@ -335,13 +335,12 @@ def check_boundedness() -> CheckResult:
     state = JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
 
     bound = position_motion_bound(params)
-    x0 = position_expectation(0.0, state, params)
-    worst_dev, worst_excess = 0.0, -math.inf
-    for t in np.linspace(0.0, 50.0 * params.tau, 201):
-        xt = position_expectation(float(t), state, params)
-        oracle = position_oracle(float(t), state, params)
-        worst_dev = max(worst_dev, abs(xt - oracle))
-        worst_excess = max(worst_excess, abs(xt - x0) - bound)
+    ts = np.linspace(0.0, 50.0 * params.tau, 201)
+    xt = position_expectation(ts, state, params)
+    oracle = position_oracle(ts, state, params)
+    # ts[0] = 0, so xt[0] is <X(0)>
+    worst_dev = float(np.max(np.abs(xt - oracle)))
+    worst_excess = float(np.max(np.abs(xt - xt[0]) - bound))
     passed = worst_dev <= TOL.position_oracle and worst_excess <= 0.0
     return CheckResult("single-atom boundedness", passed, worst_dev, TOL.position_oracle,
                        f"max |<X>-<X_0>| - bound = {worst_excess:.3f}")

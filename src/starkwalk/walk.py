@@ -11,6 +11,7 @@ the log Kraus weights (`log_step_kernel`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,6 +129,16 @@ def _place(n: int, sites: slice, values: np.ndarray, fill: float) -> np.ndarray:
     return out
 
 
+# Python floats made at a time by `_fsum`: bounds its memory at large n
+_FSUM_CHUNK = 1 << 12
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum of x, fed Python floats chunk by chunk (faster than numpy scalars)."""
+    chunks = (x[i:i + _FSUM_CHUNK].tolist() for i in range(0, x.size, _FSUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
+
+
 def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
     """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(n).
 
@@ -146,7 +157,7 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
         return WalkLaw(triple=triple, n=n, pmf=triple.as_array())
     sites, down, up = _outward_ratios(n, log_step_kernel(params))
     rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
-    return WalkLaw(triple=triple, n=n, pmf=_place(n, sites, rel / math.fsum(rel), 0.0))
+    return WalkLaw(triple=triple, n=n, pmf=_place(n, sites, rel / _fsum(rel), 0.0))
 
 
 def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
@@ -204,7 +215,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
         return logk
     sites, down, up = _outward_ratios(n, logk)
     rel = np.concatenate([np.cumsum(down)[::-1], [0.0], np.cumsum(up)])
-    return _place(n, sites, rel - math.log(math.fsum(np.exp(rel))), -math.inf)
+    return _place(n, sites, rel - math.log(_fsum(np.exp(rel))), -math.inf)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from starkwalk import (
     TOL,
     AtomGibbs,
+    ConfigError,
     JointDensityMatrix,
     LatticeWindow,
     ModelParams,
@@ -26,6 +27,7 @@ from starkwalk.singleatom import (
     _apply_rows,
     _closed_blocks,
     _conjugate,
+    _dagger,
     _oracle_blocks,
     _scatter,
 )
@@ -127,6 +129,54 @@ def test_row_applier_matches_dense_unitary(params, window, builder):
         assert np.max(np.abs(_conjugate(blocks, edges, A) - W @ A @ W.conj().T)) <= 1e-12
 
 
+def crop_inputs(window):
+    """Operators that exercise the occupied-range crop of `_conjugate`."""
+    rng = np.random.default_rng(21)
+    n = window.n_k
+    states = [random_joint(rng, window, half).coeffs for half in (0, 2, 4)]
+    # off-diagonal support reaching each window edge: (ground, k_max) and
+    # (excited, k_min) are the unpaired edge states, so the crop is clamped
+    # there and the real edge phases apply
+    upper = np.zeros((2 * n, 2 * n), dtype=complex)
+    upper[n - 1, n - 4], upper[n - 4, n - 1] = 0.3 + 0.4j, 0.3 - 0.4j
+    upper[2 * n - 1, n - 2] = -0.7j
+    lower = np.zeros((2 * n, 2 * n), dtype=complex)
+    lower[n, n + 3], lower[n + 3, n] = 0.2 - 0.1j, 0.2 + 0.1j
+    lower[0, n + 1] = 1.1
+    both = upper + lower
+    both[5, 6] = 0.5
+    full = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    return states + [upper, lower, both, np.zeros((2 * n, 2 * n), dtype=complex), full]
+
+
+@pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
+def test_cropped_conjugate_matches_dense(params, window, builder):
+    # _conjugate works on the occupied k-range of A only; it must agree with
+    # the dense W A W^dagger entry for entry, and bit for bit with the two row
+    # applications over the whole window
+    for A in crop_inputs(window):
+        for t in (0.1, 1.0, 3.0):
+            blocks, edges = builder(t, params, window)
+            W = _scatter(blocks, edges)
+            out = _conjugate(blocks, edges, A)
+            assert np.max(np.abs(out - W @ A @ W.conj().T)) <= 1e-12
+            whole = _dagger(_apply_rows(blocks, edges, _dagger(_apply_rows(blocks, edges, A))))
+            assert np.array_equal(out, whole)
+
+
+@pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
+def test_time_batched_conjugate_equals_each_time(params, window, builder):
+    ts = np.array([0.0, 0.1, 1.0, 3.0, 17.25])
+    blocks, edges = builder(ts, params, window)
+    assert blocks.shape == (ts.size, window.n_k - 1, 2, 2) and edges.shape == (ts.size, 2)
+    for A in crop_inputs(window):
+        batched = _conjugate(blocks, edges, A)
+        for i, t in enumerate(ts):
+            one = builder(float(t), params, window)
+            assert np.array_equal(blocks[i], one[0]) and np.array_equal(edges[i], one[1])
+            assert np.array_equal(batched[i], _conjugate(*one, A))
+
+
 def test_unitarity_of_interior_action(params, window):
     # the edge states carry their exact 1x1 phases, so both propagators are
     # unitary on the whole window, edges included
@@ -226,6 +276,61 @@ def test_position_expectation_matches_oracle_and_bound(params, window):
         W = oracle_unitary(float(t), params, window)
         dense = float(np.trace(X @ (W @ state.coeffs @ W.conj().T)).real)
         assert abs(oracle - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+    ModelParams(E=1.0, F=1.0, lam=0.0, tau=1.0, beta=1.0),   # omega0 = 0
+])
+def test_position_routes_accept_time_arrays(p, window):
+    rng = np.random.default_rng(22)
+    state = random_joint(rng, window, 4)
+    ts = np.linspace(0.0, 50.0, 201)
+    for route in (position_expectation, position_oracle):
+        batched = route(ts, state, p)
+        assert isinstance(batched, np.ndarray) and batched.shape == ts.shape
+        each = [route(float(t), state, p) for t in ts]
+        assert all(isinstance(x, float) for x in each)
+        assert np.array_equal(batched, each)
+        assert isinstance(route(np.float64(2.5), state, p), float)
+        assert route(np.array([], dtype=float), state, p).shape == (0,)
+
+
+def test_position_oracle_batches_bound_memory(params, window, monkeypatch):
+    # a batch smaller than the number of times gives the same values
+    rng = np.random.default_rng(23)
+    state = random_joint(rng, window, 3)
+    ts = np.linspace(0.0, 9.0, 37)
+    whole = position_oracle(ts, state, params)
+    monkeypatch.setattr("starkwalk.singleatom._BATCH_ENTRIES", 1)
+    assert np.array_equal(position_oracle(ts, state, params), whole)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_refused(params, window, bad):
+    rng = np.random.default_rng(24)
+    state = random_joint(rng, window, 3)
+    for route in (propagate_closed, propagate_oracle):
+        with pytest.raises(ConfigError, match="finite"):
+            route(state, bad, params)
+    for route in (position_expectation, position_oracle):
+        with pytest.raises(ConfigError, match="finite"):
+            route(bad, state, params)
+        with pytest.raises(ConfigError, match="finite"):
+            route(np.array([0.0, 1.0, bad]), state, params)
+
+
+def test_time_shape_is_checked(params, window):
+    rng = np.random.default_rng(25)
+    state = random_joint(rng, window, 3)
+    for route in (propagate_closed, propagate_oracle):
+        with pytest.raises(ConfigError):
+            route(state, np.array([0.1, 1.0]), params)
+        with pytest.raises(ConfigError):
+            route(state, "soon", params)
+    for route in (position_expectation, position_oracle):
+        with pytest.raises(ConfigError):
+            route(np.zeros((2, 2)), state, params)
 
 
 def test_position_expectation_quasiperiodic_fit(params, window):

@@ -57,6 +57,18 @@ def test_free_evolve_preserves_spectrum(params, window):
         assert np.max(np.abs(ev_in - ev_out)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.1, 1.0, 3.7, 123.4])
+def test_free_evolve_is_the_phase_map(params, t):
+    # one exponential per index difference, gathered: the same argument for
+    # every entry as the direct e^{i t F (k - k')}, so equal bit for bit
+    window = LatticeWindow(-32, 31, -32, 31)
+    rng = np.random.default_rng(4)
+    dm = random_density(rng, window, 20)
+    k = window.k_values
+    direct = np.exp(1j * t * params.F * (k[:, None] - k[None, :])) * dm.coeffs
+    assert np.array_equal(free_evolve(dm, t, params).coeffs, direct)
+
+
 def test_free_evolve_diagonal_states_fixed(params, window):
     dm = ParticleDensityMatrix.from_diagonal(window, np.ones(window.n_k) / window.n_k)
     out = free_evolve(dm, 2.17, params)

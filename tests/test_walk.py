@@ -25,7 +25,7 @@ from starkwalk import (
     walk_pmf_oracle,
 )
 from starkwalk.verify import CHECK_PARAMS
-from starkwalk.walk import log_convolve_step, log_step_kernel
+from starkwalk.walk import _FSUM_CHUNK, _fsum, log_convolve_step, log_step_kernel
 
 from conftest import assert_law_matches_oracle
 
@@ -407,3 +407,15 @@ def test_entropy_rate_function(params):
         # identity with the displacement rate function
         assert abs(rate_function_entropy(float(s), params)
                    - rate_function(float(-s / be), params)) <= 1e-10
+
+
+def test_chunked_fsum_is_correctly_rounded():
+    # exact cancellation across chunk boundaries: only a correctly rounded
+    # sum over the whole array returns the small terms
+    rng = np.random.default_rng(5)
+    for size in (0, 1, _FSUM_CHUNK - 1, _FSUM_CHUNK, 3 * _FSUM_CHUNK + 7):
+        x = rng.random(size)
+        assert _fsum(x) == math.fsum(x)
+    x = np.zeros(2 * _FSUM_CHUNK + 3)
+    x[0], x[_FSUM_CHUNK + 1], x[-1], x[5] = 1e100, -1e100, 1.0, 0.5
+    assert _fsum(x) == 1.5
