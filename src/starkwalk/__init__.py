@@ -45,8 +45,6 @@ from .fcs import (
     repeated_interaction_propagator,
     run_energy_fcs,
     run_position_fcs,
-    step_hamiltonian,
-    step_unitary,
 )
 from .params import DerivedParams, ModelParams, derive_params
 from .singleatom import (
@@ -54,7 +52,6 @@ from .singleatom import (
     JointDensityMatrix,
     closed_unitary,
     hamiltonian_blocks,
-    joint_hamiltonian,
     oracle_unitary,
     position_expectation,
     position_motion_bound,

@@ -19,6 +19,9 @@ from .errors import AccuracyError, BudgetError, ConfigError
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
+# below this z, J_nu(z) is (z/2)^nu / nu! to half an ulp: the next series term
+# is (z/2)^2 / (nu + 1) < 2^-54 of it, and the recurrence would overflow at 2 m / z
+_SERIES_BELOW = 2.0**-26
 # Highest order the downward recurrence may start from: 8 MB of doubles and
 # ~1 s of scalar loop.  The start order grows as z = 2/F, so this admits
 # tilts F down to ~2e-6.
@@ -33,7 +36,7 @@ def _miller_start(z: float, nmax: int) -> int:
 
 
 def bessel_j_array(z: float, nmax: int) -> np.ndarray:
-    """J_0(z) .. J_nmax(z) for z >= 0, by normalized downward recurrence."""
+    """J_0(z) .. J_nmax(z) for z >= 0, by normalized downward recurrence (series below 2^-26)."""
     if not math.isfinite(z) or z < 0.0:
         raise ConfigError("bessel_j_array needs finite z >= 0; "
                           "use J_nu(-z) = (-1)^nu J_nu(z)")
@@ -46,9 +49,10 @@ def bessel_j_array(z: float, nmax: int) -> np.ndarray:
             f"order {start}, past the budget of {MAX_MILLER_ORDER}; the argument "
             f"2/F grows as the tilt F shrinks"
         )
-    if z == 0.0:
-        out = np.zeros(nmax + 1)
-        out[0] = 1.0
+    if z < _SERIES_BELOW:
+        # the leading term as a running product, one rounding per order
+        out = np.ones(nmax + 1)
+        out[1:] = np.cumprod(0.5 * z / np.arange(1, nmax + 1))
         return out
 
     raw = np.zeros(start + 2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .params import ModelParams, derive_params
+from .params import ModelParams, _require_phase, derive_params
 from .singleatom import AtomGibbs, JointDensityMatrix, propagate_oracle
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
 
@@ -177,5 +177,6 @@ def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
     """
     w = deformed_weights(alpha * params.beta * params.E, params)
     out = _kick(np.asarray(B, dtype=complex), w[::-1])
+    _require_phase(params.tau, params.F * window.k_values)
     u = np.exp(1j * params.tau * params.F * window.k_values)
     return u.conj()[:, None] * out * u[None, :]

@@ -21,7 +21,7 @@ from . import fcs as fcs_mod
 from .bessel import bessel_table
 from .channel import apply_channel
 from .config import TOL
-from .errors import ConfigError, StarkwalkError
+from .errors import ConfigError, NumericsError, StarkwalkError
 from .params import ModelParams, derive_params
 from .singleatom import (
     AtomGibbs,
@@ -188,6 +188,8 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
     rho_p = ParticleDensityMatrix.eigenstate(window, 0)
     state = JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
     bound = position_motion_bound(params)
+    if not np.isfinite(cfg.n * params.tau):
+        raise NumericsError(f"the time n tau = {cfg.n} * {params.tau!r} overflows a double")
     ts = np.linspace(0.0, cfg.n * params.tau, 20 * cfg.n + 1)
     xt = position_expectation(ts, state, params).tolist()
     oracle = position_oracle(ts, state, params).tolist()

@@ -35,8 +35,8 @@ from .bessel import bessel_j_array, bessel_table
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
-from .params import ModelParams
-from .singleatom import joint_hamiltonian, oracle_unitary
+from .params import ModelParams, _require_phase
+from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
@@ -82,45 +82,26 @@ def _occupations(M: int) -> np.ndarray:
     return (np.arange(1 << M)[:, None] >> np.arange(M - 1, -1, -1)) & 1
 
 
-def _apply_pair(pair: np.ndarray, X: np.ndarray, j: int, M: int) -> np.ndarray:
-    """(pair on (atom j, particle)) @ X for a joint matrix X with dim rows.
-
-    pair is atom-major 2K x 2K like the single-atom operators; the rows of X
-    split as (atoms before j, atom j, atoms after j, particle).
-    """
-    K = pair.shape[0] // 2
-    rows = X.reshape(1 << j, 2, 1 << (M - 1 - j), K, X.shape[1])
-    out = np.tensordot(pair.reshape(2, K, 2, K), rows, axes=([2, 3], [1, 3]))
-    return out.transpose(2, 0, 3, 1, 4).reshape(X.shape)
-
-
-def _idle_excitations(cfg: ReservoirConfig, j: int) -> np.ndarray:
-    """Excited atoms other than atom j, for every joint index (bits, k)."""
-    occ = _occupations(cfg.M)
-    return np.repeat(occ.sum(axis=1) - occ[:, j], cfg.window.n_k)
-
-
-def _step(cfg: ReservoirConfig, W: np.ndarray, j: int, U: np.ndarray) -> np.ndarray:
-    """e^{-i tau H_j} @ U, from the single-atom propagator W and the idle phases."""
-    idle_phase = np.exp(-1j * cfg.params.tau * cfg.params.E)
-    return idle_phase ** _idle_excitations(cfg, j)[:, None] * _apply_pair(W, U, j, cfg.M)
-
-
-def step_unitary(cfg: ReservoirConfig, j: int) -> np.ndarray:
-    """e^{-i tau H_j} on the joint space: atom j interacts, the others idle.
-
-    Joint index = bits * n_k + k; idle excited atoms contribute free
-    phases e^{-i tau E} each.
-    """
-    W = oracle_unitary(cfg.params.tau, cfg.params, cfg.window)
-    return _step(cfg, W, j, np.eye(cfg.dim, dtype=complex))
-
-
 def _evolve(cfg: ReservoirConfig, X: np.ndarray) -> np.ndarray:
-    """U(n tau, 0) @ X: the n pair steps applied to the columns of X."""
-    W = oracle_unitary(cfg.params.tau, cfg.params, cfg.window)
+    """U(n tau, 0) @ X: the n pair steps applied to the columns of X.
+
+    Step j applies the single-atom propagator to the (atom j, particle)
+    rows, into which the rows of X split as (atoms before j, atom j, atoms
+    after j, particle), and a free phase e^{-i tau E} for each other
+    excited atom.
+    """
+    p, K, M, cols = cfg.params, cfg.window.n_k, cfg.M, X.shape[1]
+    W = _oracle_blocks(p.tau, p, cfg.window)
+    occ = _occupations(M)
+    _require_phase(p.tau, p.E)
+    idle_phase = np.exp(-1j * p.tau * p.E)
     for j in range(cfg.n):
-        X = _step(cfg, W, j, X)
+        before, after = 1 << j, 1 << (M - 1 - j)
+        rows = X.reshape(before, 2, after, K, cols).swapaxes(1, 2)
+        stepped = _apply_rows(*W, rows.reshape(before, after, 2 * K, cols))
+        stepped = stepped.reshape(before, after, 2, K, cols).swapaxes(1, 2).reshape(X.shape)
+        idle = np.repeat(occ.sum(axis=1) - occ[:, j], K)
+        X = idle_phase ** idle[:, None] * stepped
     return X
 
 
@@ -129,19 +110,10 @@ def repeated_interaction_propagator(cfg: ReservoirConfig) -> np.ndarray:
     return _evolve(cfg, np.eye(cfg.dim, dtype=complex))
 
 
-def step_hamiltonian(cfg: ReservoirConfig, j: int) -> np.ndarray:
-    """H during the j-th interval: particle + all atoms + coupling to atom j."""
-    pair = joint_hamiltonian(cfg.params, cfg.window)  # (particle (x) one atom)
-    idle = cfg.params.E * _idle_excitations(cfg, j)
-    return _apply_pair(pair, np.eye(cfg.dim), j, cfg.M) + np.diag(idle)
-
-
 def environment_weights(cfg: ReservoirConfig) -> np.ndarray:
     """Diagonal of rho_beta^{(x)M} over the atom-bit configurations."""
-    g = math.exp(-cfg.params.beta * cfg.params.E)
-    z = 1.0 + g
-    pops = _occupations(cfg.M).sum(axis=1)
-    return g**pops / z**cfg.M
+    gibbs = AtomGibbs.from_params(cfg.params)
+    return np.prod(np.where(_occupations(cfg.M), gibbs.w_excited, gibbs.w_ground), axis=1)
 
 
 def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
@@ -153,16 +125,12 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
     the deformed channel.
     """
     K = cfg.window.n_k
-    g = math.exp(-cfg.params.beta * cfg.params.E)
-    z = 1.0 + g
-    pops = _occupations(cfg.M).sum(axis=1)
     # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
-    w_in = (g**pops) ** (1.0 - alpha) / z ** (cfg.M * (1.0 - alpha))
-    w_out = (g**pops) ** alpha / z ** (cfg.M * alpha)
+    w = environment_weights(cfg)
     U = repeated_interaction_propagator(cfg)
-    joint = np.kron(np.diag(w_in.astype(complex)), np.asarray(A, dtype=complex))
+    joint = np.kron(np.diag((w ** (1.0 - alpha)).astype(complex)), np.asarray(A, dtype=complex))
     evolved = (U @ joint @ U.conj().T).reshape(1 << cfg.M, K, 1 << cfg.M, K)
-    return np.einsum("b,bkbl->kl", w_out, evolved)
+    return np.einsum("b,bkbl->kl", w ** alpha, evolved)
 
 
 @dataclass(frozen=True)
@@ -186,15 +154,11 @@ class EnergyFcsResult:
 
     def increment_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mp, me, weight) arrays: dS_p = beta E * mp, dS_env = beta E * me."""
-        K, nm = self.prob4.shape[0], self.prob4.shape[1]
-        kv = self.cfg.window.k_values
-        ks = np.broadcast_to(kv[None, None, :, None], self.prob4.shape)
-        ke = np.broadcast_to(kv[:, None, None, None], self.prob4.shape)
-        ms = np.broadcast_to(np.arange(nm)[None, None, None, :], self.prob4.shape)
-        me_ = np.broadcast_to(np.arange(nm)[None, :, None, None], self.prob4.shape)
-        mp = (ks - ke).ravel()          # k - k'
-        me = (ms - me_).ravel()         # m - m'
-        return mp, me, self.prob4.ravel()
+        shape = self.prob4.shape
+        kv, m = self.cfg.window.k_values, np.arange(shape[1])
+        mp = np.broadcast_to(kv[None, None, :, None] - kv[:, None, None, None], shape)  # k - k'
+        me = np.broadcast_to(m[None, None, None, :] - m[None, :, None, None], shape)    # m - m'
+        return mp.ravel(), me.ravel(), self.prob4.ravel()
 
     def off_diagonal_mass(self) -> float:
         mp, me, w = self.increment_tables()
@@ -286,7 +250,12 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
 
 def _kernel_argument(t: float, params: ModelParams) -> float:
     """z = |(4/F) sin(F t / 2)|, the argument of the free Bloch kernel at time t."""
+    _require_phase(t, params.F)
     return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
+
+
+# log of 2^-537.5: a J_d(z) below it squares to under half the smallest subnormal
+_LOG_KERNEL_TAIL = -537.5 * math.log(2.0)
 
 
 def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -296,11 +265,17 @@ def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     kernel depends only on the displacement d; the closed form follows
     from the generating function of the Bessel profile and is verified
     against the windowed transform in the test suite.  The orders run to
-    3z + 80 + 20 beta E, less the trailing ones whose square underflows to 0.
+    the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d! is below
+    2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0 there
+    and past it.  Trailing orders whose square is 0 are trimmed, and every
+    representable entry is kept.  The scan takes fewer steps than the
+    recurrence that `bessel_j_array` runs down from past the same order.
     """
     z = _kernel_argument(t, params)
-    halfwidth = int(math.ceil(3.0 * z)) + 80 + int(20.0 * params.beta * params.E)
-    half = np.trim_zeros(bessel_j_array(z, halfwidth) ** 2, "b")
+    top = math.ceil(0.5 * z)
+    while z > 0.0 and top * math.log(0.5 * z) - math.lgamma(top + 1.0) >= _LOG_KERNEL_TAIL:
+        top += 1
+    half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
     kernel = np.concatenate([half[:0:-1], half])
     d = np.arange(1 - half.size, half.size)
     return d, kernel
@@ -470,6 +445,7 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow,
     matrix products.
     """
     psi = transform_matrix(window, table)
+    _require_phase(n * params.tau, params.F * window.k_values)
     arg = n * params.tau * params.F * window.k_values
     v_re = (psi * np.cos(arg)[None, :]) @ psi.T
     v_im = (psi * np.sin(arg)[None, :]) @ psi.T

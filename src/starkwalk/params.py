@@ -5,7 +5,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, NumericsError
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,24 @@ def derive_params(raw: ModelParams) -> DerivedParams:
     if omega0 > 0.0:
         cos2 = delta / omega0
         sin2 = 2.0 * raw.lam / omega0
+        half_turn = 0.5 * omega0 * raw.tau
+        if not math.isfinite(half_turn):
+            raise NumericsError(f"phase omega0 tau / 2 overflows a double (omega0 = {omega0:.6g})")
         # p = (4 lam^2/omega0^2) sin^2(omega0 tau/2); this grouping keeps p <= 1 exactly
-        p = (sin2 * math.sin(0.5 * omega0 * raw.tau)) ** 2
+        p = (sin2 * math.sin(half_turn)) ** 2
     else:
         # lam == 0 and E == F: the coupling vanishes and H is diagonal
         cos2, sin2, p = 1.0, 0.0, 0.0
     return DerivedParams(omega0=omega0, p=p, cos2theta=cos2, sin2theta=sin2)
+
+
+def _require_phase(t, *energies) -> None:
+    """Refuse with NumericsError a time t (number or array) at which t * energy overflows.
+
+    Rounding is monotone, so max |t| times max |energy| bounds every such phase;
+    it is taken in Python floats, which overflow to inf without a warning.
+    """
+    span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
+    top = max(float(np.abs(e).max()) for e in energies)
+    if not math.isfinite(span * top):
+        raise NumericsError(f"phase t * energy overflows a double at |t| = {span:.6g}")

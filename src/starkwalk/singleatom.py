@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConfigError, WindowError
-from .params import DerivedParams, ModelParams, derive_params
+from .params import DerivedParams, ModelParams, _require_phase, derive_params
 from .state import LatticeWindow, ParticleDensityMatrix, bloch_coefficients, position_operator
 
 
@@ -105,11 +105,6 @@ def _scatter(blocks: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def joint_hamiltonian(params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """Dense H on the joint space, assembled from the sector blocks."""
-    return _scatter(*hamiltonian_blocks(params, window))
-
-
 def half_angle(derived: DerivedParams) -> tuple[float, float]:
     """(cos theta, sin theta) from the doubled angle, stable at the lam -> 0 edges."""
     c2 = derived.cos2theta
@@ -145,11 +140,12 @@ def _closed_blocks(t: float | np.ndarray, params: ModelParams,
     d = derive_params(params)
     cos_t, sin_t = half_angle(d)
     R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
+    Ek = 2.0 - params.F * window.k_values.astype(float)
+    sector, bare = Ek[:-1] + 0.5 * (params.E - params.F), np.array([Ek[-1], Ek[0] + params.E])
+    _require_phase(t, d.omega0, sector, bare)
     t = np.asarray(t, dtype=float)[..., None]
     dressed = (R * np.exp(0.5j * t[..., None] * d.omega0 * np.array([1.0, -1.0]))) @ R.T
-    Ek = 2.0 - params.F * window.k_values.astype(float)
-    phase = np.exp(-1j * t * (Ek[:-1] + 0.5 * (params.E - params.F)))
-    edges = np.exp(-1j * t * np.array([Ek[-1], Ek[0] + params.E]))
+    phase, edges = np.exp(-1j * t * sector), np.exp(-1j * t * bare)
     return phase[..., None, None] * dressed[..., None, :, :], edges
 
 
@@ -163,6 +159,7 @@ def _oracle_blocks(t: float | np.ndarray, params: ModelParams,
     e1, e2, lam = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
     mu, delta = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
     r = np.hypot(delta, lam)
+    _require_phase(t, r, mu, edges)
     t = np.asarray(t, dtype=float)[..., None]
     c, s = np.cos(r * t), np.sin(r * t)
     # sin(rt) = 0 where r = 0, so a unit divisor there leaves the identity block
@@ -307,6 +304,7 @@ def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
     ts = _times(t)
     times = ts.reshape(-1)
     d = derive_params(params)
+    _require_phase(times, d.omega0)
     n = initial.window.n_k
     c = initial.coeffs
     gg, ee, ge, eg = c[:n, :n], c[n:, n:], c[:n, n:], c[n:, :n]

@@ -17,7 +17,7 @@ import numpy as np
 from .bessel import BesselTable, bessel_halfwidth
 from .config import TOL
 from .errors import ConfigError, WindowError
-from .params import ModelParams
+from .params import ModelParams, _require_phase
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,7 @@ def bloch_coefficients(t: float | np.ndarray, F: float) -> BlochCoefficients:
 
     t is a float (complex coefficients) or an array of times (arrays).
     """
+    _require_phase(t, F)
     t = np.asarray(t, dtype=float)
     amp = (4.0 / F) * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
@@ -199,6 +200,7 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     index difference, so the diagonal factor is exactly one).
     """
     n = dm.window.n_k
+    _require_phase(t, params.F * (n - 1))
     # one exponential per index difference d = k - k', gathered onto the matrix
     d = np.arange(n)
     phase = np.exp(1j * t * params.F * np.arange(1 - n, n))[d[:, None] - d[None, :] + n - 1]

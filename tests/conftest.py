@@ -48,6 +48,30 @@ def direct_joint_hamiltonian(params: ModelParams, window: LatticeWindow) -> np.n
     return H
 
 
+def direct_step_hamiltonian(params: ModelParams, window: LatticeWindow, M: int,
+                            j: int) -> np.ndarray:
+    """H_j = H_p + sum_i E b_i* b_i + lam (T b_j* + T* b_j) on M atoms (x) particle.
+
+    Assembled from kron products: atom 0 is the leading factor, the
+    particle the trailing one, and only atom j is coupled.
+    """
+    K = window.n_k
+    S = np.eye(K, k=-1)          # translation in the eigenbasis
+    b = np.array([[0.0, 1.0], [0.0, 0.0]])
+    Hp = np.diag(2.0 - params.F * window.k_values.astype(float))
+
+    def on_atom(i, op):
+        out = np.eye(1)
+        for a in range(M):
+            out = np.kron(out, op if a == i else np.eye(2))
+        return out
+
+    H = np.kron(np.eye(1 << M), Hp)
+    for i in range(M):
+        H = H + params.E * np.kron(on_atom(i, np.diag([0.0, 1.0])), np.eye(K))
+    return H + params.lam * (np.kron(on_atom(j, b.T), S) + np.kron(on_atom(j, b), S.T))
+
+
 def random_density(rng, window: LatticeWindow, half: int, center: int = 0) -> ParticleDensityMatrix:
     coeffs = np.zeros((window.n_k, window.n_k), dtype=complex)
     s = 2 * half + 1

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_against_power_series_sweep(z):
     values = bessel_j_array(z, 40)
     worst = max(abs(values[nu] - bessel_series(nu, z)) for nu in range(41))
     assert worst <= TOL.bessel_vs_series
+
+
+@pytest.mark.parametrize("z", [1e-10, 1e-300])
+def test_tiny_argument_is_leading_series_term(z):
+    # below 2^-26 J_nu(z) is (z/2)^nu / nu!; the downward recurrence would
+    # overflow at 2 m / z.  Where the oracle is subnormal both round below it.
+    values = bessel_j_array(z, 40)
+    for nu in range(41):
+        oracle = bessel_series(nu, z)
+        if abs(oracle) >= sys.float_info.min:
+            assert abs(values[nu] / oracle - 1.0) <= TOL.bessel_vs_series
+        else:
+            assert abs(values[nu]) < 2.0 * sys.float_info.min
 
 
 def test_series_relative_accuracy_in_decay_tail():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,27 @@ def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    # beta E at the top of the double range
+    "--E 1e308 --F 1 --lambda 0.5 --tau 1 --beta 1 fcs-position --n 3",
+    # t E overflows in the phases
+    "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 single-atom --n 1",
+    "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 channel-evolve --n 2",
+    "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 fcs-position --n 2",
+    # the Bessel argument 2 / F is 2e-300
+    "--E 2 --F 1e300 --lambda 0.5 --tau 1 --beta 1 spectrum",
+])
+def test_extreme_input_gives_finite_rows_or_refuses(args, capsys):
+    rc = cli.main(args.split() + ["--out", "-"])
+    out, err = capsys.readouterr()
+    if rc == 2:
+        assert err.startswith("error: ") and "Traceback" not in err
+        return
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def test_rate_far_from_equilibrium(capsys):

@@ -14,6 +14,7 @@ from starkwalk import (
     ReservoirConfig,
     apply_channel,
     bessel_halfwidth,
+    bessel_j_array,
     bessel_table,
     energy_cgf,
     environment_reduced_map,
@@ -24,15 +25,13 @@ from starkwalk import (
     required_order,
     run_energy_fcs,
     run_position_fcs,
-    step_hamiltonian,
-    step_unitary,
     theta,
     transform_matrix,
     transport_coefficients,
 )
 from starkwalk.fcs import environment_weights
 
-from conftest import random_density
+from conftest import direct_step_hamiltonian, random_density
 
 
 @pytest.fixture
@@ -74,7 +73,7 @@ def test_propagator_trivial_cases(params, window):
 
 
 def test_conserved_quantity_commutes(params, window):
-    # beta* H_p + beta H_env commutes with every step Hamiltonian
+    # beta* H_p + beta H_env commutes with every step, so with U after each of them
     cfg = ReservoirConfig(params=params, M=2, n=2, window=window)
     K = window.n_k
     beta_star = params.beta * params.E / params.F
@@ -83,9 +82,10 @@ def test_conserved_quantity_commutes(params, window):
     pops = np.array([bin(b).count("1") for b in range(1 << cfg.M)])
     Henv = np.kron(np.diag(params.E * pops.astype(float)), np.eye(K))
     Q = beta_star * Hp + params.beta * Henv
-    for j in range(cfg.M):
-        Hj = step_hamiltonian(cfg, j)
-        comm = Q @ Hj - Hj @ Q
+    for n in range(1, cfg.M + 1):
+        U = repeated_interaction_propagator(ReservoirConfig(params=params, M=cfg.M, n=n,
+                                                            window=window))
+        comm = Q @ U - U @ Q
         assert np.max(np.abs(comm)) <= 1e-12
 
 
@@ -238,8 +238,8 @@ def test_free_kernel_degenerate_at_bloch_period(params):
 @pytest.mark.parametrize("F", [1.0, 0.25])
 @pytest.mark.parametrize("beta_E", [0.0, 2.0, 30.0])
 def test_free_kernel_halfwidth_covers_bessel_tail(F, beta_E):
-    # the heuristic halfwidth 3z + 80 + 20 beta E leaves out less kernel mass
-    # than the tabulation tolerance at every z the kernel takes, 0 .. 4/F
+    # the halfwidth, past which every J_d(z)^2 rounds to 0, leaves out less
+    # kernel mass than the tabulation tolerance at every z the kernel takes, 0 .. 4/F
     p = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=beta_E / 2.0)
     for z in np.linspace(0.0, 4.0 / F, 41):
         t = 2.0 * math.asin(min(1.0, z * F / 4.0)) / F
@@ -250,12 +250,27 @@ def test_free_kernel_halfwidth_covers_bessel_tail(F, beta_E):
 
 
 def test_free_kernel_ends_on_nonzero_orders():
-    # at beta E = 30 the orders run to 3z + 80 + 20 beta E = 692, but past
-    # order 119 J_d(4)^2 underflows to an exact 0, which the kernel leaves out
+    # at z = 4 the orders run to 120, the first d >= z/2 with (z/2)^d / d! below
+    # 2^-537.5; J_120(4)^2 underflows to an exact 0, which the kernel leaves out
     p = ModelParams(E=30.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     d, kernel = free_kernel(math.pi / p.F, p)   # z = 4
     assert kernel.size == 239 and np.array_equal(d, np.arange(-119, 120))
     assert kernel[0] > 0.0 and kernel[-1] > 0.0
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-10, 0.3, 1.0, 4.0, 17.0, 100.0])
+def test_free_kernel_keeps_every_representable_entry(z):
+    # every J_d(z)^2 past the kernel's last order is an exact 0, at every beta E
+    F = min(1.0, 4.0 / z)
+    t = 2.0 * math.asin(z * F / 4.0) / F
+    p0 = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=0.0)
+    d, kernel = free_kernel(t, p0)
+    z_t = abs(4.0 / F * math.sin(0.5 * F * t))
+    tail = bessel_j_array(z_t, d[-1] + 200) ** 2
+    assert np.all(tail[d[-1] + 1:] == 0.0) and tail[d[-1]] > 0.0
+    for beta in (1.0, 15.0, 1e300):
+        d_b, kernel_b = free_kernel(t, ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=beta))
+        assert np.array_equal(d_b, d) and np.array_equal(kernel_b, kernel)
 
 
 def test_position_fcs_zero_steps(params):
@@ -354,43 +369,22 @@ def test_position_cgf_overflow_is_numerics_error(params):
 
 def test_step_unitary_is_unitary_on_interior(params, window):
     # every atom position, and the whole joint space: the edge states of the
-    # single-atom propagator are exact phases
-    cfg = ReservoirConfig(params=params, M=2, n=2, window=window)
-    for j in range(cfg.M):
-        U = step_unitary(cfg, j)
+    # single-atom propagator are exact phases, so U is unitary after each step
+    for n in (1, 2, 3):
+        cfg = ReservoirConfig(params=params, M=3, n=n, window=window)
+        U = repeated_interaction_propagator(cfg)
         assert np.max(np.abs(U.conj().T @ U - np.eye(cfg.dim))) <= 1e-12
 
 
 def test_step_unitary_is_exponential_of_step_hamiltonian(params):
-    # every atom position: the pair steps against expm of the dense step Hamiltonian
+    # the propagator after each step against the product of expm of the
+    # kron-assembled step Hamiltonians: particle + atom j coupled, the others idle
     window = LatticeWindow(-4, 3, -4, 3)
-    cfg = ReservoirConfig(params=params, M=3, n=3, window=window)
-    for j in range(cfg.M):
-        direct = expm(-1j * params.tau * step_hamiltonian(cfg, j))
-        assert np.max(np.abs(step_unitary(cfg, j) - direct)) <= 1e-13
-
-
-def test_step_hamiltonian_matches_first_principles(params):
-    # kron-assembled H_j: particle + atom j coupled, the other atoms idle
-    window = LatticeWindow(-4, 3, -4, 3)
-    cfg = ReservoirConfig(params=params, M=3, n=3, window=window)
-    K = window.n_k
-    S = np.eye(K, k=-1)
-    b = np.array([[0.0, 1.0], [0.0, 0.0]])
-    num = np.diag([0.0, 1.0])
-    Hp = np.diag(2.0 - params.F * window.k_values.astype(float))
-
-    def on_atom(j, op):
-        ops = [np.eye(2)] * cfg.M
-        ops[j] = op
-        out = np.eye(1)
-        for o in ops:
-            out = np.kron(out, o)
-        return out
-
-    for j in range(cfg.M):
-        H = np.kron(np.eye(1 << cfg.M), Hp)
-        for i in range(cfg.M):
-            H = H + params.E * np.kron(on_atom(i, num), np.eye(K))
-        H = H + params.lam * (np.kron(on_atom(j, b.T), S) + np.kron(on_atom(j, b), S.T))
-        assert np.max(np.abs(step_hamiltonian(cfg, j) - H)) <= 1e-14
+    M = 3
+    direct = np.eye(window.n_k << M)
+    for n in (1, 2, 3):
+        H = direct_step_hamiltonian(params, window, M, n - 1)
+        direct = expm(-1j * params.tau * H) @ direct
+        U = repeated_interaction_propagator(ReservoirConfig(params=params, M=M, n=n,
+                                                            window=window))
+        assert np.max(np.abs(U - direct)) <= 1e-13

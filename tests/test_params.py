@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from starkwalk import ConfigError, ModelParams, derive_params
+from starkwalk import ConfigError, ModelParams, NumericsError, derive_params
 
 
 def test_reference_point_derived_scalars(params):
@@ -61,3 +61,10 @@ def test_omega0_zero_corner():
     assert d.omega0 == 0.0
     assert d.p == 0.0
     assert d.cos2theta == 1.0 and d.sin2theta == 0.0
+
+
+@pytest.mark.parametrize("E, lam, tau", [(1e308, 0.5, 10.0), (2.0, 1e308, 1.0)])
+def test_overflowing_rabi_phase_is_numerics_error(E, lam, tau):
+    # omega0 tau / 2 (or omega0 itself, past 2 lam) leaves the double range
+    with pytest.raises(NumericsError, match="overflows"):
+        derive_params(ModelParams(E=E, F=1.0, lam=lam, tau=tau, beta=1.0))

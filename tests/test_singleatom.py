@@ -11,11 +11,11 @@ from starkwalk import (
     JointDensityMatrix,
     LatticeWindow,
     ModelParams,
+    NumericsError,
     WindowError,
     closed_unitary,
     derive_params,
     hamiltonian_blocks,
-    joint_hamiltonian,
     oracle_unitary,
     position_expectation,
     position_motion_bound,
@@ -76,12 +76,13 @@ def test_equal_frequency_block_gap(window):
 
 
 def test_joint_hamiltonian_matches_first_principles(params, window):
-    H = joint_hamiltonian(params, window)
+    # the sector blocks and edge energies scattered onto the dense joint space
+    H = _scatter(*hamiltonian_blocks(params, window))
     assert np.array_equal(H, direct_joint_hamiltonian(params, window))
 
 
 def test_number_operator_commutes_exactly(params, window):
-    H = joint_hamiltonian(params, window)
+    H = _scatter(*hamiltonian_blocks(params, window))
     N = number_operator(params, window)
     assert np.max(np.abs(H @ N - N @ H)) == 0.0
 
@@ -318,6 +319,21 @@ def test_non_finite_time_is_refused(params, window, bad):
             route(bad, state, params)
         with pytest.raises(ConfigError, match="finite"):
             route(np.array([0.0, 1.0, bad]), state, params)
+
+
+def test_overflowing_phase_is_refused(params, window):
+    # at t = 1.7e308 the phases t E_k overflow a double; at 1e300 they are
+    # finite, without digits, and the routes still run
+    rng = np.random.default_rng(26)
+    state = random_joint(rng, window, 3)
+    for route in (propagate_closed, propagate_oracle):
+        with pytest.raises(NumericsError, match="overflows"):
+            route(state, 1.7e308, params)
+        assert np.all(np.isfinite(route(state, 1e300, params).coeffs))
+    for route in (position_expectation, position_oracle):
+        with pytest.raises(NumericsError, match="overflows"):
+            route(np.array([0.0, 1.7e308]), state, params)
+        assert np.isfinite(route(1e300, state, params))
 
 
 def test_time_shape_is_checked(params, window):
