@@ -177,6 +177,6 @@ def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
     """
     w = deformed_weights(alpha * params.beta * params.E, params)
     out = _kick(np.asarray(B, dtype=complex), w[::-1])
-    _require_phase(params.tau, params.F * window.k_values)
+    _require_phase(params.tau * params.F, window.k_values)
     u = np.exp(1j * params.tau * params.F * window.k_values)
     return u.conj()[:, None] * out * u[None, :]

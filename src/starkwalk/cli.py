@@ -163,10 +163,11 @@ def _metadata(cfg: RunConfig) -> dict:
 
 
 def _default_window(cfg: RunConfig, steps: int) -> LatticeWindow:
+    # --window sets the k-range only; the x-range is padded as for the default window
     if cfg.window is not None:
         half = cfg.window // 2
-        return LatticeWindow(-half, cfg.window - half - 1,
-                             -half - 16, cfg.window - half + 15)
+        return LatticeWindow.for_dynamics(-half, cfg.window - half - 1, steps=0,
+                                          F=cfg.params.F, margin=0)
     return LatticeWindow.for_dynamics(0, 0, steps=steps, F=cfg.params.F)
 
 
@@ -242,13 +243,12 @@ def _exp_fcs_energy(cfg: RunConfig) -> ResultTable:
     rcfg = fcs_mod.ReservoirConfig(params=cfg.params, M=m_atoms, n=cfg.n, window=window)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = fcs_mod.run_energy_fcs(rcfg, rho)
-    mp, me, w = result.increment_tables()
-    live = w > 1e-15
+    live = result.law > 1e-15
     # both columns are beta E times an integer increment, so they agree exactly
     # wherever the increments do; at beta E = 0 every outcome is one 0.0 row
-    ds = result.beta_E * np.stack([mp[live], me[live]], axis=1) + 0.0
+    ds = result.beta_E * (np.argwhere(live) - np.array(result.law.shape) // 2) + 0.0
     keys, inverse = np.unique(ds, axis=0, return_inverse=True)
-    probs = np.bincount(inverse.reshape(-1), weights=w[live])
+    probs = np.bincount(inverse.reshape(-1), weights=result.law[live])
     rows = [[dp, de, p] for (dp, de), p in zip(keys.tolist(), probs.tolist())]
     return ResultTable(["ds_particle", "ds_env", "prob"], rows)
 

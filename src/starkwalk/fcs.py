@@ -3,11 +3,14 @@
 Energy: the reservoir energy and the particle energy are measured
 projectively before the first and after the n-th interaction, on a
 finite reservoir of M >= n atoms simulated brute force (joint unitary
-product, no channel shortcut).  The entropy-like increments
-dS_p = (beta E / F)(E_p' - E_p) and dS_env = -beta (E_env' - E_env)
-coincide with probability one, their cumulant generating function is
-n log theta(alpha), and the transient fluctuation theorem holds exactly
-at every n.
+product, no channel shortcut).  Both energies are ladders, so the
+outcome is the joint law of two integer increments: the particle's
+ladder index k - k' and the reservoir's excitation number m - m'.  The
+entropy-like increments dS_p = (beta E / F)(E_p' - E_p) = beta E (k - k')
+and dS_env = -beta (E_env' - E_env) = beta E (m - m') coincide with
+probability one (the law lives on the diagonal k - k' = m - m'), their
+cumulant generating function is n log theta(alpha), and the transient
+fluctuation theorem holds exactly at every n.
 
 Position: the position is measured at time 0 and time n tau.  The
 first measurement dephases the state in the position basis; each
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import bessel_j_array, bessel_table
+from .bessel import MAX_MILLER_ORDER, _miller_start, bessel_j_array, bessel_table
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
@@ -135,46 +138,45 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
 
 @dataclass(frozen=True)
 class EnergyFcsResult:
-    """Joint law of the two-time energy measurement on the brute-force reservoir.
+    """Joint law of the two integer increments of the two-time energy measurement.
 
-    prob4[i, m, j, m0] is the probability of first outcome (k_j, m0
-    excited atoms) followed by second outcome (k_i, m excited atoms);
-    k indices refer to window.k_values.
+    law[i, j] is the probability that the particle's ladder index fell by
+    k - k' = i - (n_k - 1) and the reservoir lost m - m' = j - M excitations,
+    where (k, m) is the first outcome and (k', m') the second; k indices
+    refer to window.k_values.  The zero increment sits at the centre of each
+    axis, and the conservation law is the diagonal k - k' = m - m'.
     """
 
     cfg: ReservoirConfig
-    prob4: np.ndarray
+    law: np.ndarray
 
     @property
     def beta_E(self) -> float:
-        return self.cfg.params.beta * self.cfg.params.E
+        p = self.cfg.params
+        if not math.isfinite(p.beta * p.E):
+            raise NumericsError(f"beta E = {p.beta!r} * {p.E!r} overflows a double")
+        return p.beta * p.E
+
+    def _increments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The index column k - k' and the index row m - m' of `law`."""
+        K, M = self.cfg.window.n_k, self.cfg.M
+        return np.arange(1 - K, K)[:, None], np.arange(-M, M + 1)[None, :]
 
     def total_weight(self) -> float:
-        return float(np.sum(self.prob4))
-
-    def increment_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mp, me, weight) arrays: dS_p = beta E * mp, dS_env = beta E * me."""
-        shape = self.prob4.shape
-        kv, m = self.cfg.window.k_values, np.arange(shape[1])
-        mp = np.broadcast_to(kv[None, None, :, None] - kv[:, None, None, None], shape)  # k - k'
-        me = np.broadcast_to(m[None, None, None, :] - m[None, :, None, None], shape)    # m - m'
-        return mp.ravel(), me.ravel(), self.prob4.ravel()
+        return float(np.sum(self.law))
 
     def off_diagonal_mass(self) -> float:
-        mp, me, w = self.increment_tables()
-        return float(np.sum(w[mp != me]))
+        dk, dm = self._increments()
+        return float(np.sum(self.law[dk != dm]))
 
     def entropy_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Increments m with dS = beta E * m, and their probabilities.
 
         Trimmed to the carrying range (at most |m| <= n interactions).
         """
-        mp, _, w = self.increment_tables()
-        values = np.arange(mp.min(), mp.max() + 1)
-        probs = np.zeros(values.size)
-        np.add.at(probs, mp - mp.min(), w)
-        live = np.nonzero(probs)[0]
-        return values[live[0]:live[-1] + 1], probs[live[0]:live[-1] + 1]
+        probs = self.law.sum(axis=1)
+        lo, hi = np.flatnonzero(probs)[[0, -1]]
+        return np.arange(lo, hi + 1) - (self.cfg.window.n_k - 1), probs[lo:hi + 1]
 
     def mgf(self, alpha: float) -> float:
         """E[e^{alpha dS_n}] over the joint law."""
@@ -191,17 +193,16 @@ class EnergyFcsResult:
         return self.beta_E**2 * float(np.dot((m - mu) ** 2, probs))
 
     def total_energy_change_mean(self) -> float:
-        """Mean of (E_p' + E_env') - (E_p + E_env)."""
-        mp, me, w = self.increment_tables()
+        """Mean of (E_p' + E_env') - (E_p + E_env) = F (k - k') - E (m - m')."""
+        dk, dm = self._increments()
         E, F = self.cfg.params.E, self.cfg.params.F
-        return float(np.sum(w * (F * mp - E * me)))
+        return float(np.sum(self.law * (F * dk - E * dm)))
 
     def max_total_energy_change(self) -> float:
         """Largest |energy change| carried by any outcome with real weight."""
-        mp, me, w = self.increment_tables()
+        dk, dm = self._increments()
         E, F = self.cfg.params.E, self.cfg.params.F
-        change = np.abs(F * mp - E * me).astype(float)
-        return float(np.max(np.where(w > TOL.fcs_support, change, 0.0)))
+        return float(np.max(np.where(self.law > TOL.fcs_support, np.abs(F * dk - E * dm), 0.0)))
 
 
 def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> EnergyFcsResult:
@@ -212,34 +213,32 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
     total excitation number.  The first measurement dephases rho_p in the
     eigenbasis; conditional states are diagonal, so only |U|^2 enters, and
     only on the columns where diag(rho_p) is nonzero: 2^M columns for an
-    eigenstate, which the pair steps evolve without forming U.
+    eigenstate, which the pair steps evolve without forming U.  Each
+    (final, initial) pair of basis states adds its weight to the cell of
+    its two increments.
     """
     if rho_p.window != cfg.window:
         raise WindowError("rho_p window differs from the reservoir window")
     band = cfg.n + 1
     if rho_p.boundary_mass(band) > TOL.boundary:
         raise WindowError(f"rho_p support within {band} sites of the window edge")
-    K = cfg.window.n_k
-    pops = _occupations(cfg.M).sum(axis=1)
-    w_env = environment_weights(cfg)
+    K, M = cfg.window.n_k, cfg.M
+    pops = _occupations(M).sum(axis=1)
     qk = np.diagonal(rho_p.coeffs).real
 
     # evolve only the identity columns (bits, k) of the k that rho_p occupies
     live = np.flatnonzero(qk)
-    cols = (K * np.arange(1 << cfg.M)[:, None] + live[None, :]).ravel()
+    cols = (K * np.arange(1 << M)[:, None] + live[None, :]).ravel()
     start_cols = np.zeros((cfg.dim, cols.size), dtype=complex)
     start_cols[cols, np.arange(cols.size)] = 1.0
-    W2 = np.abs(_evolve(cfg, start_cols)) ** 2
-    # starting states are diagonal, so outcome probabilities only mix |U|^2
-    W2r = W2.reshape(1 << cfg.M, K, 1 << cfg.M, live.size)
-    start = w_env[:, None] * qk[None, live]
-    terms = (W2r * start[None, None]).transpose(0, 2, 1, 3).reshape(-1, K, live.size)
-    # bin by (final, initial) excitation count, summing final bits outer, initial bits inner
-    binned = np.zeros((cfg.M + 1, cfg.M + 1, K, live.size))
-    np.add.at(binned, (np.repeat(pops, 1 << cfg.M), np.tile(pops, 1 << cfg.M)), terms)
-    prob4 = np.zeros((K, cfg.M + 1, K, cfg.M + 1))
-    prob4[:, :, live, :] = binned.transpose(2, 0, 3, 1)
-    return EnergyFcsResult(cfg=cfg, prob4=prob4)
+    # starting states are diagonal, so outcome probabilities only mix |U|^2;
+    # axes (final bits, final k, initial bits, initial k)
+    W2 = (np.abs(_evolve(cfg, start_cols)) ** 2).reshape(1 << M, K, 1 << M, live.size)
+    terms = W2 * (environment_weights(cfg)[:, None] * qk[None, live])
+    cell = ((live - np.arange(K)[:, None, None] + K - 1) * (2 * M + 1)
+            + pops[:, None] - pops[:, None, None, None] + M)
+    law = np.bincount(cell.ravel(), weights=terms.ravel(), minlength=(2 * K - 1) * (2 * M + 1))
+    return EnergyFcsResult(cfg=cfg, law=law.reshape(2 * K - 1, 2 * M + 1))
 
 
 def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
@@ -269,10 +268,17 @@ def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0 there
     and past it.  Trailing orders whose square is 0 are trimmed, and every
     representable entry is kept.  The scan takes fewer steps than the
-    recurrence that `bessel_j_array` runs down from past the same order.
+    recurrence that `bessel_j_array` runs down from past the same order,
+    and a z whose recurrence would start past `MAX_MILLER_ORDER` from the
+    scan's first order is refused before the scan.
     """
     z = _kernel_argument(t, params)
     top = math.ceil(0.5 * z)
+    if _miller_start(z, top) > MAX_MILLER_ORDER:
+        raise BudgetError(
+            f"the free kernel at t = {t!r} needs J_d(z) at z = (4/F)|sin(F t / 2)| = "
+            f"{z:.6g}, whose recurrence starts past the order budget of {MAX_MILLER_ORDER}"
+        )
     while z > 0.0 and top * math.log(0.5 * z) - math.lgamma(top + 1.0) >= _LOG_KERNEL_TAIL:
         top += 1
     half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
@@ -445,7 +451,7 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow,
     matrix products.
     """
     psi = transform_matrix(window, table)
-    _require_phase(n * params.tau, params.F * window.k_values)
+    _require_phase(n * params.tau * params.F, window.k_values)
     arg = n * params.tau * params.F * window.k_values
     v_re = (psi * np.cos(arg)[None, :]) @ psi.T
     v_im = (psi * np.sin(arg)[None, :]) @ psi.T

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import ConfigError, WindowError
+from .errors import ConfigError, NumericsError, WindowError
 from .params import DerivedParams, ModelParams, _require_phase, derive_params
 from .state import LatticeWindow, ParticleDensityMatrix, bloch_coefficients, position_operator
 
@@ -77,6 +77,18 @@ def _require_interior(state: JointDensityMatrix) -> None:
         )
 
 
+def _ladder(params: ModelParams, window: LatticeWindow) -> np.ndarray:
+    """E_k = 2 - F k on the window, refused where the energies of H overflow a double.
+
+    The bound covers every entry of H, each sector's centre E_k + (E - F)/2
+    and its half Rabi splitting omega0/2 <= (E + F)/2 + |lam|.
+    """
+    k_top = max(abs(window.k_min), abs(window.k_max))
+    if not math.isfinite(2.0 + params.F * (k_top + 1) + params.E + abs(params.lam)):
+        raise NumericsError(f"the energies of H overflow a double at F k = {params.F!r} * {k_top}")
+    return 2.0 - params.F * window.k_values.astype(float)
+
+
 def hamiltonian_blocks(params: ModelParams,
                        window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
     """Sector decomposition of H = H_p + H_a + lam (T b* + T* b) on the window.
@@ -86,7 +98,7 @@ def hamiltonian_blocks(params: ModelParams,
     the two states the truncation leaves unpaired, (ground, k_max) and
     (excited, k_min).
     """
-    Ek = 2.0 - params.F * window.k_values.astype(float)
+    Ek = _ladder(params, window)
     blocks = np.empty((window.n_k - 1, 2, 2))
     blocks[:, 0, 0] = Ek[:-1]
     blocks[:, 0, 1] = blocks[:, 1, 0] = params.lam
@@ -140,7 +152,7 @@ def _closed_blocks(t: float | np.ndarray, params: ModelParams,
     d = derive_params(params)
     cos_t, sin_t = half_angle(d)
     R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
-    Ek = 2.0 - params.F * window.k_values.astype(float)
+    Ek = _ladder(params, window)
     sector, bare = Ek[:-1] + 0.5 * (params.E - params.F), np.array([Ek[-1], Ek[0] + params.E])
     _require_phase(t, d.omega0, sector, bare)
     t = np.asarray(t, dtype=float)[..., None]
@@ -157,7 +169,9 @@ def _oracle_blocks(t: float | np.ndarray, params: ModelParams,
     """
     blocks, edges = hamiltonian_blocks(params, window)
     e1, e2, lam = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
-    mu, delta = 0.5 * (e1 + e2), 0.5 * (e1 - e2)
+    # each energy halved first, so the sum cannot overflow; halving is exact, so mu
+    # is (e1 + e2) / 2 to the bit wherever that sum is finite
+    mu, delta = 0.5 * e1 + 0.5 * e2, 0.5 * (e1 - e2)
     r = np.hypot(delta, lam)
     _require_phase(t, r, mu, edges)
     t = np.asarray(t, dtype=float)[..., None]

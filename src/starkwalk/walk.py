@@ -104,6 +104,10 @@ def _outward_ratios(n: int, log_k: np.ndarray) -> tuple[slice, np.ndarray, np.nd
         sites = slice(0, 2 * n + 1)
         ratios = np.concatenate([log_t + (l_zero - l_minus),
                                  -(log_t[::-1] + (l_zero - l_plus))])
+    # their cumulative sums below are log P ratios across the support, up to ~n beta E
+    if not math.isfinite(float(np.max(np.abs(ratios), initial=0.0)) * ratios.size):
+        raise NumericsError(f"the walk law's log ratios overflow a double over n = {n} steps "
+                            f"(log weights {log_k.tolist()})")
     mode = int(np.argmax(np.concatenate([[0.0], np.cumsum(ratios)])))
     return sites, -ratios[:mode][::-1], ratios[mode:]
 

@@ -319,3 +319,11 @@ def test_spectral_radius_growth_rate(params, window):
             traces.append(dm.trace())
         rates = np.diff(np.log(traces))
         assert np.max(np.abs(rates - math.log(th))) <= 1e-8
+
+
+def test_adjoint_free_phase_overflow_is_refused():
+    # tau F k overflows before the phases form: refused, not a numpy overflow
+    window = LatticeWindow(-16, 15, -16, 15)
+    params = ModelParams(E=2.0, F=1.8e307, lam=0.5, tau=1.0, beta=1.0)
+    with pytest.raises(NumericsError, match="overflows"):
+        adjoint_apply(np.eye(window.n_k), window, 0.0, params)

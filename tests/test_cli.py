@@ -1,8 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import starkwalk.cli as cli
 from starkwalk import TOL, ConfigError, ModelParams, transport_coefficients
@@ -235,6 +239,16 @@ def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
     "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 fcs-position --n 2",
     # the Bessel argument 2 / F is 2e-300
     "--E 2 --F 1e300 --lambda 0.5 --tau 1 --beta 1 spectrum",
+    # beta E overflows a double: the ds columns would be inf * 0
+    "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1e308 fcs-energy --n 2 --m 2",
+    # the free kernel's argument (4/F)|sin(F t / 2)| is 4e6, past the Bessel order budget
+    "--E 2 --F 1e-6 --lambda 0.5 --tau 1e6 --beta 1 fcs-position --n 3",
+    # F k overflows on the window; at F = 6e306 only a sector's two energies summed would
+    "--E 2 --F 1.8e307 --lambda 0.5 --tau 1 --beta 1 spectrum",
+    "--E 2 --F 6e306 --lambda 0.5 --tau 1 --beta 1 fcs-energy --n 2 --m 2",
+    # n beta E leaves the double range in the walk law's log ratios
+    "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 5e307 walk --n 5",
+    "--E 2 --F 1e-6 --lambda 0.5 --tau 1e6 --beta 1 fcs-position --n 3",
 ])
 def test_extreme_input_gives_finite_rows_or_refuses(args, capsys):
     rc = cli.main(args.split() + ["--out", "-"])
@@ -255,3 +269,61 @@ def test_rate_far_from_equilibrium(capsys):
     assert lines[1] == "x,rate_closed,rate_numeric,abs_diff"
     abs_diff = [float(line.split(",")[3]) for line in lines[2:]]
     assert len(abs_diff) == 21 and max(abs_diff) <= TOL.rate_match
+
+
+@pytest.mark.parametrize("F", ["0.1", "0.05"])
+def test_channel_evolve_window_pads_x_by_the_bessel_profile(F, capsys):
+    # --window sets the k-range only: the x-range pads it as the default window
+    # does, by the spread of the Bessel profile J_nu(2/F), so nothing leaks
+    argv = f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 3 --window 30"
+    assert cli.main(argv.split() + ["--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert '"window": 30' in lines[0]
+    traces = [float(line.split(",")[1]) for line in lines[2:]]
+    assert len(traces) == 4 and all(abs(t - 1.0) <= TOL.trace for t in traces)
+
+
+# the run keys of each experiment in the contract sweep: small sizes, so a draw costs ms
+CONTRACT_RUNS = {
+    "spectrum": "",
+    "single-atom": "--n 3",
+    "channel-evolve": "--n 3",
+    "walk": "--n 5",
+    "rate": "--n 6",
+    "fcs-energy": "--n 2 --m 2",
+    "fcs-position": "--n 3",
+}
+_log_uniform = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
+_log_uniform_or_0 = st.one_of(st.just(0.0), _log_uniform)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(experiment="fcs-energy", E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
+@example(experiment="fcs-position", E=2.0, F=1e-6, lam=0.5, tau=1e6, beta=1.0)
+@example(experiment="fcs-position", E=2.0, F=1e-9, lam=0.5, tau=1e9, beta=1.0)
+@given(experiment=st.sampled_from(sorted(CONTRACT_RUNS)), E=_log_uniform_or_0, F=_log_uniform,
+       lam=_log_uniform_or_0, tau=_log_uniform, beta=_log_uniform_or_0)
+def test_every_experiment_gives_valid_rows_or_one_error_line(experiment, E, F, lam, tau, beta):
+    # every input in the box either exits 2 with one error line, or exits 0 with
+    # finite cells that pass the experiment's own invariants
+    argv = [f"--E={E!r}", f"--F={F!r}", f"--lambda={lam!r}", f"--tau={tau!r}",
+            f"--beta={beta!r}", experiment, *CONTRACT_RUNS[experiment].split(), "--out", "-"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return
+    assert rc == 0 and err.getvalue() == ""
+    lines = out.getvalue().splitlines()
+    rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]])
+    assert rows.size and np.all(np.isfinite(rows))
+    col = dict(zip(lines[1].split(","), rows.T))
+    if experiment == "channel-evolve":
+        assert np.all(np.abs(col["trace"] - 1.0) <= TOL.trace)
+    if experiment == "rate":
+        closed, numeric = col["rate_closed"], col["rate_numeric"]
+        assert np.all(np.abs(closed - numeric) <= TOL.rate_match * np.maximum(1.0, np.abs(closed)))
+    if experiment in ("fcs-energy", "fcs-position"):
+        assert abs(col["prob"].sum() - 1.0) <= TOL.trace

@@ -18,6 +18,7 @@ from starkwalk import (
     bessel_table,
     energy_cgf,
     environment_reduced_map,
+    free_dressing_weights,
     free_kernel,
     position_cgf,
     position_cgf_oracle,
@@ -105,6 +106,7 @@ def test_reduction_to_channel_powers(params, window):
 def test_energy_fcs_normalization_and_support(params, cfg, window):
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = run_energy_fcs(cfg, rho)
+    assert result.law.shape == (2 * window.n_k - 1, 2 * cfg.M + 1)
     assert abs(result.total_weight() - 1.0) <= 1e-10
     assert result.off_diagonal_mass() <= 1e-12
     m, probs = result.entropy_distribution()
@@ -112,18 +114,21 @@ def test_energy_fcs_normalization_and_support(params, cfg, window):
     assert m.min() >= -cfg.n and m.max() <= cfg.n
 
 
-def full_propagator_prob4(cfg, rho):
-    """prob4 from every column of the full U, binned by excitation counts
-    with final bits outer and initial bits inner."""
-    K, B = cfg.window.n_k, 1 << cfg.M
-    pops = [bin(b).count("1") for b in range(B)]
+def full_propagator_law(cfg, rho):
+    """The joint law of (k - k', m - m') from every column of the full U, each
+    cell summed over (final bits, final k, initial bits, initial k) in turn."""
+    K, M, B = cfg.window.n_k, cfg.M, 1 << cfg.M
+    pops = np.array([bin(b).count("1") for b in range(B)])
     W2 = (np.abs(repeated_interaction_propagator(cfg)) ** 2).reshape(B, K, B, K)
     start = environment_weights(cfg)[:, None] * np.diagonal(rho.coeffs).real[None, :]
-    prob4 = np.zeros((K, cfg.M + 1, K, cfg.M + 1))
+    ki = np.arange(K)
+    law = np.zeros((2 * K - 1, 2 * M + 1))
     for a in range(B):
-        for b in range(B):
-            prob4[:, pops[a], :, pops[b]] += W2[a, :, b, :] * start[b]
-    return prob4
+        for kf in range(K):
+            # the cells (k - k' + K - 1, m - m' + M) of every initial (bits, k)
+            cells = (ki[None, :] - kf + K - 1, pops[:, None] - pops[a] + M)
+            np.add.at(law, cells, W2[a, kf] * start)
+    return law
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
@@ -133,7 +138,7 @@ def test_energy_fcs_starting_columns_equal_full_propagator(params, window, M):
     mixed = random_density(rng, window, 3)
     for rho in (ParticleDensityMatrix.eigenstate(window, 0),
                 ParticleDensityMatrix.eigenstate(window, 2), mixed):
-        assert np.array_equal(run_energy_fcs(cfg, rho).prob4, full_propagator_prob4(cfg, rho))
+        assert np.array_equal(run_energy_fcs(cfg, rho).law, full_propagator_law(cfg, rho))
 
 
 def test_energy_fcs_cgf_identity(params, window):
@@ -196,7 +201,7 @@ def test_energy_fcs_dephasing_automatic(params, cfg, window):
         window, np.diagonal(rho.coeffs).real)
     a = run_energy_fcs(cfg, rho)
     b = run_energy_fcs(cfg, dephased)
-    assert np.max(np.abs(a.prob4 - b.prob4)) <= 1e-14
+    assert np.max(np.abs(a.law - b.law)) <= 1e-14
 
 
 def test_total_energy_rate_and_conservation(params, window):
@@ -211,6 +216,12 @@ def test_total_energy_rate_and_conservation(params, window):
     cfg_b = ReservoirConfig(params=balanced, M=3, n=3, window=window)
     result_b = run_energy_fcs(cfg_b, rho)
     assert result_b.max_total_energy_change() <= 1e-12
+
+    hot = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
+    result_h = run_energy_fcs(ReservoirConfig(params=hot, M=2, n=2, window=window), rho)
+    assert abs(result_h.total_weight() - 1.0) <= 1e-10
+    with pytest.raises(NumericsError, match="beta E"):
+        result_h.entropy_mean()
 
 
 def test_free_kernel_closed_form(params):
@@ -271,6 +282,22 @@ def test_free_kernel_keeps_every_representable_entry(z):
     for beta in (1.0, 15.0, 1e300):
         d_b, kernel_b = free_kernel(t, ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=beta))
         assert np.array_equal(d_b, d) and np.array_equal(kernel_b, kernel)
+
+
+def test_free_kernel_refuses_past_the_order_budget_at_once():
+    # z = (4/F)|sin(F t / 2)| = 4.0e9: the halfwidth scan from z/2 would take
+    # ~3e9 steps before the Bessel call refused, so the refusal comes first
+    p = ModelParams(E=2.0, F=1e-9, lam=0.5, tau=1.0, beta=1.0)
+    with pytest.raises(BudgetError, match=r"z = \(4/F\)\|sin\(F t / 2\)\| = 3\.98998e\+09"):
+        free_kernel(3e9, p)
+
+
+def test_free_dressing_phase_overflow_is_refused():
+    # n tau F k overflows before the phases form: refused, not a numpy overflow
+    window = LatticeWindow(-8, 7, -8, 7)
+    params = ModelParams(E=2.0, F=1e308, lam=0.5, tau=1.0, beta=1.0)
+    with pytest.raises(NumericsError, match="overflows"):
+        free_dressing_weights(3, params, window, bessel_table(params.F, required_order(window)))
 
 
 def test_position_fcs_zero_steps(params):

@@ -401,3 +401,17 @@ def test_gibbs_weights(params):
     flat = AtomGibbs.from_params(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
     assert flat.w_excited == flat.w_ground == 0.5
 
+
+
+def test_overflowing_energies_are_refused():
+    # F k on the window past the double range is refused; just below it the
+    # blocks stay finite and so does each sector's centre (e1 + e2) / 2
+    window = LatticeWindow(-16, 15, -16, 15)
+    big = ModelParams(E=2.0, F=1.8e307, lam=0.5, tau=1.0, beta=1.0)
+    for route in (hamiltonian_blocks, lambda p, w: closed_unitary(1.0, p, w)):
+        with pytest.raises(NumericsError, match="energies of H overflow"):
+            route(big, window)
+    edge = ModelParams(E=2.0, F=6e306, lam=0.5, tau=1e-300, beta=1.0)
+    blocks, edges = hamiltonian_blocks(edge, window)
+    assert np.all(np.isfinite(blocks)) and np.all(np.isfinite(edges))
+    assert np.all(np.isfinite(oracle_unitary(1e-300, edge, window)))

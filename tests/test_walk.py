@@ -419,3 +419,17 @@ def test_chunked_fsum_is_correctly_rounded():
     x = np.zeros(2 * _FSUM_CHUNK + 3)
     x[0], x[_FSUM_CHUNK + 1], x[-1], x[5] = 1e100, -1e100, 1.0, 0.5
     assert _fsum(x) == 1.5
+
+
+def test_walk_law_refuses_where_its_log_ratios_overflow():
+    # the log ratios between neighbouring sites reach beta E, their sums ~n beta E:
+    # 3e307 at beta E = 1e307 is finite, at beta E = 1e308 or inf they overflow
+    def at(beta):
+        return ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=beta)
+    law = walk_pmf_exact(3, at(5e306)).pmf
+    assert np.all(law[:3] == 0.0) and abs(law.sum() - 1.0) <= 1e-15
+    assert np.array_equal(walk_log_pmf(3, at(5e306))[:3], [-3e307, -2e307, -1e307])
+    for beta in (5e307, 1e308):
+        for route in (walk_pmf_exact, walk_log_pmf):
+            with pytest.raises(NumericsError, match="log ratios overflow"):
+                route(3, at(beta))
