@@ -14,13 +14,21 @@ which evaluates the defining partial trace with the single-atom propagator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .params import ModelParams, _require_phase, derive_params
-from .singleatom import AtomGibbs, JointDensityMatrix, propagate_oracle
+from .singleatom import (
+    AtomGibbs,
+    _conjugate_on,
+    _oracle_blocks,
+    _require_interior,
+    _sites,
+    _support,
+)
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
 
 
@@ -96,12 +104,21 @@ def _log_theta(gamma: float, p: float, be: float) -> float:
     log1p(p expm1(log r)) keeps relative accuracy when theta is near 1 (small
     p); where theta <= 1/2 the sum of the two positive terms does, and past
     log r = 709 the larger term is factored out before expm1 overflows.
+    There, at a subnormal p, the factored sum p + (1 - p)/r would add two
+    subnormals with a few bits each, and theta = 1 + p r may still be near 1.
+    So theta is taken from y = log(p r), where nothing is subnormal (1 - p
+    rounds to 1): log theta = y + log1p(e^-y) for y > 0, log1p(e^y) otherwise.
+    At a normal p, p r > 1.8 there, and a subnormal (1 - p)/r errs by less
+    than half an ulp of p, so the factored sum is kept.
     """
     if p == 0.0:
         # the walk never moves; the factored form below would take log(0) far out
         return 0.0
     log_r = _log_r(gamma, be)
     if log_r >= 709.0:
+        if p < sys.float_info.min:
+            y = math.log(p) + log_r
+            return y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y))
         return log_r + math.log(p + (1.0 - p) * math.exp(-log_r))
     x = p * math.expm1(log_r)
     if x > -0.5:
@@ -150,22 +167,64 @@ def apply_channel(dm: ParticleDensityMatrix, alpha: float,
     return apply_deformed(free_evolve(dm, params.tau, params), alpha, params)
 
 
-def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
-                   params: ModelParams) -> ParticleDensityMatrix:
+def _exponents(alpha) -> np.ndarray:
+    """alpha as a float array of at most one axis; anything else is refused."""
+    try:
+        alphas = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"deformation exponent {alpha!r} is not a number") from exc
+    if alphas.ndim > 1:
+        raise ConfigError(f"deformation exponents of shape {alphas.shape}: expected at most 1 axis")
+    return alphas
+
+
+def channel_oracle(
+        dm: ParticleDensityMatrix, alpha: float | np.ndarray,
+        params: ModelParams) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
     """The defining partial-trace evaluation of the deformed reduced map.
 
     Builds rho (x) rho_beta^{1-alpha}, conjugates with the sector-block
     propagator over one interaction, multiplies by I (x) rho_beta^{alpha}
     and traces out the atom: the two diagonal atom blocks, each weighted by
     its scalar of rho_beta^{alpha}.  Entirely independent of the Kraus route.
+
+    Everything runs on the occupied k-range of rho widened by one site,
+    which holds every entry the product and its evolution can reach, so no
+    2n_k x 2n_k array is formed and the result equals the whole-window
+    evaluation bit for bit.  The edge refusal reads the particle diagonal
+    times the atom weights, the diagonal of the product.  alpha is a float
+    (one state is returned) or a 1-D array (a tuple of states, one per
+    alpha): all of them share one crop, one set of sector blocks and one
+    stacked conjugation.
     """
+    alphas = _exponents(alpha)
     gibbs = AtomGibbs.from_params(params)
-    joint = JointDensityMatrix.product(dm, gibbs.power(1.0 - alpha))
-    evolved = propagate_oracle(joint, params.tau, params).coeffs
-    n = dm.window.n_k
-    w_ground, w_excited = np.diagonal(gibbs.power(alpha))
-    return ParticleDensityMatrix(
-        dm.window, w_ground * evolved[:n, :n] + w_excited * evolved[n:, n:])
+    window, n = dm.window, dm.window.n_k
+    ks = _sites(_support(dm.coeffs))
+    m = ks.stop - ks.start
+    rho, diagonal = dm.coeffs[ks, ks], np.diagonal(dm.coeffs)
+
+    def atom_weights(exponents) -> np.ndarray:
+        """The diagonal of rho_beta^a for each exponent a, shaped (..., 2, 1, 1)."""
+        return (np.array([np.diagonal(gibbs.power(a)) for a in exponents.reshape(-1).tolist()])
+                .reshape(alphas.shape + (2, 1, 1)))
+
+    lifted = atom_weights(1.0 - alphas)
+    for w in lifted.reshape(-1, 2):
+        _require_interior(np.concatenate([w[0] * diagonal, w[1] * diagonal]))
+    joint = np.zeros(alphas.shape + (2, m, 2, m), dtype=complex)
+    joint[..., 0, :, 0, :] = lifted[..., 0, :, :] * rho
+    joint[..., 1, :, 1, :] = lifted[..., 1, :, :] * rho
+    evolved = _conjugate_on(*_oracle_blocks(params.tau, params, window),
+                            joint.reshape(alphas.shape + (2 * m, 2 * m)), ks)
+    weights = atom_weights(alphas)
+    reduced = (weights[..., 0, :, :] * evolved[..., :m, :m]
+               + weights[..., 1, :, :] * evolved[..., m:, m:])
+    out = np.zeros(alphas.shape + (n, n), dtype=complex)
+    out[..., ks, ks] = reduced
+    if alphas.ndim == 0:
+        return ParticleDensityMatrix(window, out)
+    return tuple(ParticleDensityMatrix(window, c) for c in out)
 
 
 def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,

@@ -217,13 +217,12 @@ def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
 def _exp_walk(cfg: RunConfig) -> ResultTable:
     law = walk_pmf_exact(cfg.n, cfg.params)
     sample = sample_walk(cfg.n, cfg.trials, cfg.seed, cfg.params)
-    counts = dict(zip(sample.values.tolist(), sample.counts.tolist()))
-    rows = []
-    for s, p in zip(law.support.tolist(), law.pmf.tolist()):
-        c = counts.get(s, 0)
-        if p < 1e-12 and c == 0:
-            continue
-        rows.append([s, p, c, c / cfg.trials])
+    # sample counts aligned to the support -n..n
+    counts = np.zeros(law.pmf.size, dtype=sample.counts.dtype)
+    counts[sample.values + cfg.n] = sample.counts
+    keep = ~((law.pmf < 1e-12) & (counts == 0))
+    rows = [[s, p, c, c / cfg.trials] for s, p, c in
+            zip(law.support[keep].tolist(), law.pmf[keep].tolist(), counts[keep].tolist())]
     return ResultTable(["displacement", "exact_prob", "count", "empirical_prob"], rows)
 
 
@@ -257,7 +256,8 @@ def _exp_fcs_position(cfg: RunConfig) -> ResultTable:
     window = LatticeWindow(-8, 7, -8, 7)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     dist = fcs_mod.run_position_fcs(cfg.n, rho, cfg.params)
-    rows = [[int(d), float(p)] for d, p in zip(dist.dx, dist.probs) if p > 1e-15]
+    live = dist.probs > 1e-15
+    rows = [[d, p] for d, p in zip(dist.dx[live].tolist(), dist.probs[live].tolist())]
     return ResultTable(["dx", "prob"], rows)
 
 

@@ -257,6 +257,35 @@ def _kernel_argument(t: float, params: ModelParams) -> float:
 _LOG_KERNEL_TAIL = -537.5 * math.log(2.0)
 
 
+def _kernel_top(z: float) -> int:
+    """The first order d >= z/2 at which d log(z/2) - lgamma(d + 1) < `_LOG_KERNEL_TAIL`.
+
+    From z/2 on the bound decreases with d (each step adds log(z/2) - log(d + 1)
+    < 0), so doubling the step until it is crossed, then bisecting, finds the
+    same order as a scan from z/2 in O(log z) evaluations.  It is 0 where z/2
+    rounds to 0: there J_1(z)^2 <= (z/2)^2 is 0 too.
+    """
+    half_z = 0.5 * z
+    if half_z == 0.0:
+        return 0
+    lo = math.ceil(half_z)
+
+    def above(d: int) -> bool:
+        return d * math.log(half_z) - math.lgamma(d + 1.0) >= _LOG_KERNEL_TAIL
+
+    if not above(lo):
+        return lo
+    # above(lo) holds and above(hi) does not
+    step, hi = 1, lo + 1
+    while above(hi):
+        lo, step = hi, 2 * step
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
 def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2.
 
@@ -267,20 +296,18 @@ def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d! is below
     2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0 there
     and past it.  Trailing orders whose square is 0 are trimmed, and every
-    representable entry is kept.  The scan takes fewer steps than the
-    recurrence that `bessel_j_array` runs down from past the same order,
-    and a z whose recurrence would start past `MAX_MILLER_ORDER` from the
-    scan's first order is refused before the scan.
+    representable entry is kept.  That order is found in O(log z) steps
+    (`_kernel_top`), and a z whose recurrence would start from past
+    `MAX_MILLER_ORDER` to reach it is refused before any Bessel value is
+    computed.
     """
     z = _kernel_argument(t, params)
-    top = math.ceil(0.5 * z)
+    top = _kernel_top(z)
     if _miller_start(z, top) > MAX_MILLER_ORDER:
         raise BudgetError(
             f"the free kernel at t = {t!r} needs J_d(z) at z = (4/F)|sin(F t / 2)| = "
             f"{z:.6g}, whose recurrence starts past the order budget of {MAX_MILLER_ORDER}"
         )
-    while z > 0.0 and top * math.log(0.5 * z) - math.lgamma(top + 1.0) >= _LOG_KERNEL_TAIL:
-        top += 1
     half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
     kernel = np.concatenate([half[:0:-1], half])
     d = np.arange(1 - half.size, half.size)

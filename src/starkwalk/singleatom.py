@@ -62,14 +62,20 @@ class JointDensityMatrix:
         return float(np.trace(self.coeffs).real)
 
     def boundary_mass(self, band: int = 1) -> float:
-        n = self.window.n_k
-        d = np.abs(np.diagonal(self.coeffs))
-        edges = np.concatenate([d[:band], d[n - band:n], d[n:n + band], d[-band:]])
-        return float(np.max(edges))
+        return _edge_mass(np.diagonal(self.coeffs), band)
 
 
-def _require_interior(state: JointDensityMatrix) -> None:
-    mass = state.boundary_mass(2)
+def _edge_mass(diagonal: np.ndarray, band: int) -> float:
+    """Largest |entry| of an atom-major joint diagonal within `band` sites of the window edge."""
+    n = diagonal.shape[-1] // 2
+    d = np.abs(diagonal)
+    edges = np.concatenate([d[:band], d[n - band:n], d[n:n + band], d[-band:]])
+    return float(np.max(edges))
+
+
+def _require_interior(diagonal: np.ndarray) -> None:
+    """Refuse a joint state whose diagonal has mass within 2 sites of the window edge."""
+    mass = _edge_mass(diagonal, 2)
     if mass > TOL.boundary:
         raise WindowError(
             "joint support within 2 sites of the window edge "
@@ -129,15 +135,14 @@ def half_angle(derived: DerivedParams) -> tuple[float, float]:
     return cos_t, sin_t
 
 
-def _times(t, max_ndim: int = 1) -> np.ndarray:
-    """t as a float array of at most max_ndim axes; a time that is not finite is refused."""
+def _times(t) -> np.ndarray:
+    """t as a float array of at most one axis; a time that is not finite is refused."""
     try:
         ts = np.asarray(t, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"evolution time {t!r} is not a number") from exc
-    if ts.ndim > max_ndim:
-        raise ConfigError(f"evolution time of shape {ts.shape}: expected at most "
-                          f"{max_ndim} axes")
+    if ts.ndim > 1:
+        raise ConfigError(f"evolution time of shape {ts.shape}: expected at most 1 axis")
     if not np.all(np.isfinite(ts)):
         raise ConfigError(f"evolution time must be finite, got {t!r}")
     return ts
@@ -226,47 +231,63 @@ def _dagger(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
 
 
+def _support(A: np.ndarray) -> np.ndarray:
+    """Mask of the indices i at which row i or column i of A has a nonzero entry."""
+    # real and imaginary parts side by side: column j of A is float columns 2j, 2j + 1
+    nz = np.ascontiguousarray(A, dtype=complex).view(np.float64) != 0.0
+    return nz.any(axis=1) | nz.any(axis=0).reshape(-1, 2).any(axis=1)
+
+
+def _sites(occupied: np.ndarray) -> slice:
+    """The sites marked in `occupied`, widened by one each side and clamped to the window.
+
+    Widened so that the range holds both members of every sector that
+    touches them; with no site marked, the range is the first sector.
+    """
+    k = np.flatnonzero(occupied)
+    if not k.size:
+        return slice(0, 2)
+    return slice(max(int(k[0]) - 1, 0), min(int(k[-1]) + 2, occupied.size))
+
+
 def _occupied(A: np.ndarray) -> slice:
     """The k-range that W A W^dagger can reach from A, as a slice of window indices.
 
-    It covers every k where a row or column of either atom block is
-    nonzero, widened by one site each side so that it holds both members
-    of every sector that touches A, and clamped to the window.  The zero
-    matrix takes the first sector.
+    It covers every k where a row or column of either atom block is nonzero,
+    widened by `_sites`.
     """
     n = A.shape[-1] // 2
-    # real and imaginary parts side by side: column j of A is float columns 2j, 2j + 1
-    nz = np.ascontiguousarray(A, dtype=complex).view(np.float64) != 0.0
-    occ = nz.any(axis=1) | nz.any(axis=0).reshape(-1, 2).any(axis=1)
-    k = np.flatnonzero(occ[:n] | occ[n:])
-    if not k.size:
-        return slice(0, 2)
-    return slice(max(int(k[0]) - 1, 0), min(int(k[-1]) + 2, n))
+    occ = _support(A)
+    return _sites(occ[:n] | occ[n:])
 
 
-def _conjugate_on(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray,
+def _crop(A: np.ndarray, ks: slice) -> np.ndarray:
+    """The atom-major 2n_k x 2n_k operator A on the k-range ks: both atom blocks, 2m x 2m."""
+    n, m = A.shape[-1] // 2, ks.stop - ks.start
+    return A.reshape(2, n, 2, n)[:, ks, :, ks].reshape(2 * m, 2 * m)
+
+
+def _conjugate_on(blocks: np.ndarray, edges: np.ndarray, sub: np.ndarray,
                   ks: slice) -> np.ndarray:
-    """W A W^dagger on the k-range ks = _occupied(A), in O(m^2) for m sites.
+    """W A W^dagger on a k-range ks that holds `_occupied(A)`, from sub = `_crop(A, ks)`.
 
-    W is block-diagonal in the sectors, so every entry of A and of
-    W A W^dagger outside the range is exactly 0.  Inside it the sectors
-    are blocks[ks.start:ks.stop - 1] and each entry is formed from the same
-    rows as on the whole window, so the result is bit-equal to the
+    O(m^2) for m sites.  W is block-diagonal in the sectors, so every entry
+    of A and of W A W^dagger outside the range is exactly 0.  Inside it the
+    sectors are blocks[ks.start:ks.stop - 1] and each entry is formed from
+    the same rows as on the whole window, so the result is bit-equal to the
     full-window route.  The sub-window's two unpaired rows take the
     window's edge phases: where the range is clamped they are the real edge
     states, and elsewhere their rows and columns are zero.  Leading (time)
-    axes of blocks and edges lead the result.
+    axes of blocks and edges, and leading axes of sub, lead the result.
     """
-    n, m = A.shape[-1] // 2, ks.stop - ks.start
     sub_blocks = blocks[..., ks.start:ks.stop - 1, :, :]
-    sub = A.reshape(2, n, 2, n)[:, ks, :, ks].reshape(2 * m, 2 * m)
     return _dagger(_apply_rows(sub_blocks, edges, _dagger(_apply_rows(sub_blocks, edges, sub))))
 
 
 def _conjugate(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:
     """W A W^dagger as (W (W A)^dagger)^dagger on the occupied range of A, zero elsewhere."""
     ks = _occupied(A)
-    sub = _conjugate_on(blocks, edges, A, ks)
+    sub = _conjugate_on(blocks, edges, _crop(A, ks), ks)
     n, m = A.shape[-1] // 2, ks.stop - ks.start
     lead = sub.shape[:-2]
     out = np.zeros(lead + (2, n, 2, n), dtype=sub.dtype)
@@ -274,22 +295,36 @@ def _conjugate(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarr
     return out.reshape(lead + A.shape[-2:])
 
 
-def propagate_closed(state: JointDensityMatrix, t: float,
-                     params: ModelParams) -> JointDensityMatrix:
-    """Evolve by time t using the closed-form propagator (rotation + phases)."""
-    t = _times(t, 0)
-    _require_interior(state)
-    W = _closed_blocks(t, params, state.window)
-    return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
+def _propagate(builder, state: JointDensityMatrix, t,
+               params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
+    """Evolve state by the blocks `builder` forms, for one time or a 1-D array of times."""
+    ts = _times(t)
+    _require_interior(np.diagonal(state.coeffs))
+    evolved = _conjugate(*builder(ts, params, state.window), state.coeffs)
+    if ts.ndim == 0:
+        return JointDensityMatrix(state.window, evolved)
+    return tuple(JointDensityMatrix(state.window, c) for c in evolved)
 
 
-def propagate_oracle(state: JointDensityMatrix, t: float,
-                     params: ModelParams) -> JointDensityMatrix:
-    """Evolve by time t exponentiating each 2x2 sector block spectrally."""
-    t = _times(t, 0)
-    _require_interior(state)
-    W = _oracle_blocks(t, params, state.window)
-    return JointDensityMatrix(state.window, _conjugate(*W, state.coeffs))
+def propagate_closed(state: JointDensityMatrix, t: float | np.ndarray,
+                     params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
+    """Evolve by time t using the closed-form propagator (rotation + phases).
+
+    t is a float (one state is returned) or a 1-D array of times (a tuple
+    of states, one per time).  The sector blocks of all times are formed at
+    once and the state is conjugated once, on its occupied k-range; each
+    entry of a tuple is bit-equal to the call at that time alone.
+    """
+    return _propagate(_closed_blocks, state, t, params)
+
+
+def propagate_oracle(state: JointDensityMatrix, t: float | np.ndarray,
+                     params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
+    """Evolve by time t exponentiating each 2x2 sector block spectrally.
+
+    t is a float or a 1-D array of times, as in `propagate_closed`.
+    """
+    return _propagate(_oracle_blocks, state, t, params)
 
 
 def position_motion_bound(params: ModelParams) -> float:
@@ -355,7 +390,7 @@ def position_oracle(t: float | np.ndarray, initial: JointDensityMatrix,
     or a 1-D array of times (an array is returned), evolved in batches.
     """
     ts = _times(t)
-    _require_interior(initial)
+    _require_interior(np.diagonal(initial.coeffs))
     window = initial.window
     ks = _occupied(initial.coeffs)
     m = ks.stop - ks.start
@@ -365,7 +400,7 @@ def position_oracle(t: float | np.ndarray, initial: JointDensityMatrix,
     step = max(1, _BATCH_ENTRIES // (4 * window.n_k + 4 * m * m))
     for i in range(0, times.size, step):
         evolved = _conjugate_on(*_oracle_blocks(times[i:i + step], params, window),
-                                initial.coeffs, ks)
+                                _crop(initial.coeffs, ks), ks)
         out[i:i + step] = np.sum(X.T * (evolved[..., :m, :m] + evolved[..., m:, m:]),
                                  axis=(-2, -1)).real
     return float(out[0]) if ts.ndim == 0 else out

@@ -96,10 +96,12 @@ def _outward_ratios(n: int, log_k: np.ndarray) -> tuple[slice, np.ndarray, np.nd
         ratios = (np.log(n - m) - np.log(m + 1)) + (l_plus - l_minus)
     else:
         q = math.exp(l_plus + l_minus - 2.0 * l_zero)
-        t, prev = [], math.inf
+        # c = 2n - j + 1 as an exact float, so c q rounds as the integer product did
+        t, prev, c = [], math.inf, 2.0 * n + 1.0
         for j in range(n):
-            prev = ((n - j) + (2 * n - j + 1) * q / prev) / (j + 1)
+            prev = ((n - j) + c * q / prev) / (j + 1)
             t.append(prev)
+            c -= 1.0
         log_t = np.log(t)
         sites = slice(0, 2 * n + 1)
         ratios = np.concatenate([log_t + (l_zero - l_minus),

@@ -11,7 +11,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from starkwalk import TOL, JointDensityMatrix, LatticeWindow, ModelParams, ParticleDensityMatrix
+from starkwalk import (
+    TOL,
+    AtomGibbs,
+    JointDensityMatrix,
+    LatticeWindow,
+    ModelParams,
+    ParticleDensityMatrix,
+    propagate_oracle,
+)
 
 
 @pytest.fixture
@@ -46,6 +54,24 @@ def direct_joint_hamiltonian(params: ModelParams, window: LatticeWindow) -> np.n
          + np.kron(np.diag([0.0, params.E]), np.eye(n))
          + params.lam * (np.kron(b.T, S) + np.kron(b, S.T)))
     return H
+
+
+def kron_channel_oracle(dm: ParticleDensityMatrix, alpha: float,
+                        params: ModelParams) -> ParticleDensityMatrix:
+    """The deformed reduced map as the partial trace over the whole window.
+
+    The full 2n_k x 2n_k product rho (x) rho_beta^{1-alpha} from `np.kron`,
+    `propagate_oracle` over one interaction, then the two diagonal atom
+    blocks weighted by rho_beta^{alpha}: the reference that the cropped
+    `channel_oracle` must equal bit for bit.
+    """
+    gibbs = AtomGibbs.from_params(params)
+    joint = JointDensityMatrix.product(dm, gibbs.power(1.0 - alpha))
+    evolved = propagate_oracle(joint, params.tau, params).coeffs
+    n = dm.window.n_k
+    w_ground, w_excited = np.diagonal(gibbs.power(alpha))
+    return ParticleDensityMatrix(
+        dm.window, w_ground * evolved[:n, :n] + w_excited * evolved[n:, n:])
 
 
 def direct_step_hamiltonian(params: ModelParams, window: LatticeWindow, M: int,

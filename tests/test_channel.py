@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from starkwalk import (
     TOL,
     AtomGibbs,
+    ConfigError,
     LatticeWindow,
     ModelParams,
     NumericsError,
     ParticleDensityMatrix,
+    WindowError,
     adjoint_apply,
     apply_channel,
     apply_deformed,
@@ -24,8 +28,9 @@ from starkwalk import (
 )
 from starkwalk.channel import _log_theta
 from starkwalk.verify import CHECK_PARAMS
+from starkwalk.walk import rate_function, rate_function_numeric
 
-from conftest import random_density, random_interior_operator
+from conftest import kron_channel_oracle, random_density, random_interior_operator
 
 
 @pytest.fixture
@@ -113,6 +118,41 @@ def _log_theta_at(gamma, p, be):
         return mpmath.log((1 - p) + p * mpmath.cosh(be / 2 - gamma) / mpmath.cosh(be / 2))
 
 
+# beta E = 0 and a subnormal jump probability p = 2e-323
+SUBNORMAL_P = ModelParams(E=0.0, F=1.81e-75, lam=2.44e123, tau=1.75e-285, beta=7.14e-264)
+
+
+def test_log_theta_at_subnormal_jump_probability():
+    # past log r = 709, p + (1 - p)/r adds two subnormals, and theta = 1 + p r
+    # may be near 1; from log(p r) it keeps its digits.  log p and log r are
+    # ~740 in size, so log(p r) carries ~2e-13 of rounding: the relative error
+    # of p r, and so of log theta
+    p = derive_params(SUBNORMAL_P).p
+    assert 0.0 < p < sys.float_info.min
+    for gamma in (709.5, 720.0, 740.0, 745.0, 747.25, 760.0, 900.0, -750.0, 1e5):
+        want = _log_theta_at(gamma, p, 0.0)
+        assert abs(log_theta(gamma, SUBNORMAL_P) - want) <= 2e-13 * abs(want), gamma
+    # log r ~ -gamma for gamma < 0 at any beta E
+    for q, be in ((5e-324, 30.0), (1e-320, 1500.0)):
+        for gamma in (-709.5, -745.0, -760.0, -900.0):
+            want = _log_theta_at(gamma, q, be)
+            assert abs(_log_theta(gamma, q, be) - want) <= 2e-13 * abs(want), (gamma, q, be)
+
+
+def test_rate_oracle_at_subnormal_jump_probability():
+    # the Legendre oracle of the rate, which reads log_theta, agrees with the
+    # closed form and with a 60-digit sup_eta [eta x - log((1 - p) + p cosh eta)]
+    p, x = derive_params(SUBNORMAL_P).p, 0.666
+    with mpmath.workdps(60):
+        P, X = mpmath.mpf(p), mpmath.mpf(x)
+        eta = mpmath.findroot(
+            lambda h: X - P * mpmath.sinh(h) / ((1 - P) + P * mpmath.cosh(h)), 747)
+        want = float(eta * X - mpmath.log((1 - P) + P * mpmath.cosh(eta)))
+    assert abs(want - 494.698476610639) <= 1e-12
+    for rate in (rate_function, rate_function_numeric):
+        assert abs(rate(x, SUBNORMAL_P) - want) <= TOL.rate_match * want, rate
+
+
 GAMMA_GRID = [s * g for g in (1e-6, 1e-3, 0.1, 1.0, 5.0) for s in (1.0, -1.0)]
 
 
@@ -187,6 +227,96 @@ def test_channel_vs_oracle(params, window):
             a = apply_channel(dm, alpha, params)
             b = channel_oracle(dm, alpha, params)
             assert np.linalg.norm(a.coeffs - b.coeffs, "nuc") <= 1e-10
+
+
+def oracle_inputs(window):
+    """Operators that exercise the occupied-range crop of `channel_oracle`."""
+    rng = np.random.default_rng(31)
+    n = window.n_k
+    states = [random_density(rng, window, half, center).coeffs
+              for half, center in ((0, 0), (3, -5), (6, 2), (12, 0))]
+    # crops clamped at each window edge: coherences reach the first and last
+    # sites while the diagonal there stays below the edge refusal
+    lower = np.zeros((n, n), dtype=complex)
+    lower[0, 4], lower[4, 0] = 0.3 - 0.2j, 0.3 + 0.2j
+    lower[4, 4], lower[0, 0] = 1.0, 1e-12
+    upper = np.zeros((n, n), dtype=complex)
+    upper[n - 1, n - 6], upper[n - 6, n - 1] = -0.5j, 0.5j
+    upper[n - 6, n - 6] = 1.0
+    full = np.zeros((n, n), dtype=complex)
+    full[2:n - 2, 2:n - 2] = (rng.normal(size=(n - 4, n - 4))
+                              + 1j * rng.normal(size=(n - 4, n - 4)))
+    full[0, n - 1], full[n - 1, 0] = 0.25, 0.25
+    return states + [lower, upper, full, np.zeros((n, n), dtype=complex)]
+
+
+@pytest.mark.parametrize("p,alphas", [
+    (ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0), [0.0, 0.3, 1.0, -0.7, 2.5]),
+    (ModelParams(E=1.0, F=0.7, lam=1.3, tau=2.1, beta=0.0), [0.0, 0.3, 1.0, -0.7, 2.5]),
+    # beta E = 700: w_excited^(1 - alpha) underflows to 0 at alpha = -0.7
+    (ModelParams(E=3.5, F=1.0, lam=0.2, tau=0.6, beta=200.0), [0.0, 0.3, 1.0, -0.7]),
+])
+def test_cropped_oracle_equals_kron_route(p, alphas, window):
+    # the cropped oracle and the whole-window kron route give the same bits,
+    # one alpha at a time and for a whole array of alphas in one call
+    alphas = np.array(alphas)
+    for coeffs in oracle_inputs(window):
+        dm = ParticleDensityMatrix(window, coeffs)
+        batched = channel_oracle(dm, alphas, p)
+        assert isinstance(batched, tuple) and len(batched) == alphas.size
+        for alpha, one in zip(alphas, batched):
+            alone = channel_oracle(dm, float(alpha), p)
+            assert isinstance(alone, ParticleDensityMatrix)
+            reference = kron_channel_oracle(dm, float(alpha), p)
+            assert np.array_equal(alone.coeffs, reference.coeffs)
+            assert np.array_equal(one.coeffs, reference.coeffs)
+    zero = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
+    assert not np.any(channel_oracle(zero, 0.3, p).coeffs)
+    assert channel_oracle(zero, np.array([], dtype=float), p) == ()
+
+
+def test_cropped_oracle_refuses_at_the_edge_as_the_kron_route(params, window):
+    # the refusal reads the particle diagonal times the atom weights: the
+    # product's boundary mass, with the same message
+    n = window.n_k
+    for site in (0, 1, n - 2, n - 1):
+        coeffs = np.zeros((n, n), dtype=complex)
+        coeffs[site, site], coeffs[n // 2, n // 2] = 0.25, 0.75
+        dm = ParticleDensityMatrix(window, coeffs)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(WindowError) as reference:
+                kron_channel_oracle(dm, alpha, params)
+            with pytest.raises(WindowError) as cropped:
+                channel_oracle(dm, alpha, params)
+            assert str(cropped.value) == str(reference.value)
+        with pytest.raises(WindowError, match="window edge"):
+            channel_oracle(dm, np.array([0.0, 1.0]), params)
+
+
+def test_oracle_exponent_shape_is_checked(params, window):
+    dm = ParticleDensityMatrix.eigenstate(window, 0)
+    with pytest.raises(ConfigError):
+        channel_oracle(dm, np.zeros((2, 2)), params)
+    with pytest.raises(ConfigError):
+        channel_oracle(dm, "half", params)
+
+
+def test_cropped_oracle_forms_no_joint_window_array(params):
+    # a 512-site window with 21 occupied sites: the whole-window route holds
+    # several 2n_k x 2n_k complex arrays (16 MiB each) at once; the cropped
+    # route's peak is its n_k x n_k result and that result's copy
+    window = LatticeWindow(-256, 255, -256, 255)
+    n = window.n_k
+    dm = random_density(np.random.default_rng(32), window, 10)
+    channel_oracle(dm, 0.3, params)   # first call outside the trace: imports, caches
+    tracemalloc.start()
+    try:
+        channel_oracle(dm, 0.3, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    joint_bytes = (2 * n) ** 2 * np.dtype(complex).itemsize
+    assert peak < 0.6 * joint_bytes
 
 
 def test_oracle_output_is_density(params, window):

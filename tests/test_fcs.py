@@ -30,7 +30,7 @@ from starkwalk import (
     transform_matrix,
     transport_coefficients,
 )
-from starkwalk.fcs import environment_weights
+from starkwalk.fcs import _LOG_KERNEL_TAIL, _kernel_top, environment_weights
 
 from conftest import direct_step_hamiltonian, random_density
 
@@ -290,6 +290,38 @@ def test_free_kernel_refuses_past_the_order_budget_at_once():
     p = ModelParams(E=2.0, F=1e-9, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(BudgetError, match=r"z = \(4/F\)\|sin\(F t / 2\)\| = 3\.98998e\+09"):
         free_kernel(3e9, p)
+
+
+def scanned_kernel_top(z):
+    """The kernel's last order found by scanning up from z/2, one order at a time."""
+    top = math.ceil(0.5 * z)
+    while z > 0.0 and top * math.log(0.5 * z) - math.lgamma(top + 1.0) >= _LOG_KERNEL_TAIL:
+        top += 1
+    return top
+
+
+def test_kernel_top_equals_the_order_by_order_scan():
+    # the bisection pins the same last order as the scan, so kernels keep their bits
+    zs = [0.0, 1e-300, 1e-10, 0.3, 1.0, 2.0, 4.0, 17.0, 100.0, 2.0 * 10**5]
+    zs += np.logspace(-6, 5, 221).tolist() + np.linspace(0.01, 60.0, 400).tolist()
+    for z in zs:
+        assert _kernel_top(z) == scanned_kernel_top(z), z
+    # z/2 rounds to 0: no order past 0 has a nonzero square
+    assert _kernel_top(5e-324) == 0
+
+
+def test_free_kernel_refuses_below_the_early_bound_without_a_bessel_call(monkeypatch):
+    # z = 9e5 starts the recurrence within budget from z/2, but not from the
+    # kernel's last order (~1.2e6): refused with the z message before any
+    # Bessel value is computed
+    def no_bessel(*args):
+        raise AssertionError("bessel_j_array called")
+
+    monkeypatch.setattr("starkwalk.fcs.bessel_j_array", no_bessel)
+    F = 4.0 / 9e5
+    p = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=1.0)
+    with pytest.raises(BudgetError, match=r"z = \(4/F\)\|sin\(F t / 2\)\| = 900000, "):
+        free_kernel(math.pi / F, p)
 
 
 def test_free_dressing_phase_overflow_is_refused():

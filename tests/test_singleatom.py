@@ -297,6 +297,24 @@ def test_position_routes_accept_time_arrays(p, window):
         assert route(np.array([], dtype=float), state, p).shape == (0,)
 
 
+@pytest.mark.parametrize("route", [propagate_closed, propagate_oracle])
+def test_propagators_accept_time_arrays(params, window, route):
+    # one call over an array of times gives a tuple of states, each bit-equal
+    # to the call at that time alone
+    rng = np.random.default_rng(27)
+    ts = np.array([0.0, 0.1, 1.0, 3.0, 17.25])
+    for half in (0, 3, 5):
+        state = random_joint(rng, window, half)
+        batched = route(state, ts, params)
+        assert isinstance(batched, tuple) and len(batched) == ts.size
+        for t, one in zip(ts, batched):
+            alone = route(state, float(t), params)
+            assert isinstance(alone, JointDensityMatrix)
+            assert np.array_equal(one.coeffs, alone.coeffs)
+    assert route(state, np.array([], dtype=float), params) == ()
+    assert isinstance(route(state, np.float64(2.5), params), JointDensityMatrix)
+
+
 def test_position_oracle_batches_bound_memory(params, window, monkeypatch):
     # a batch smaller than the number of times gives the same values
     rng = np.random.default_rng(23)
@@ -341,7 +359,7 @@ def test_time_shape_is_checked(params, window):
     state = random_joint(rng, window, 3)
     for route in (propagate_closed, propagate_oracle):
         with pytest.raises(ConfigError):
-            route(state, np.array([0.1, 1.0]), params)
+            route(state, np.zeros((2, 2)), params)
         with pytest.raises(ConfigError):
             route(state, "soon", params)
     for route in (position_expectation, position_oracle):
