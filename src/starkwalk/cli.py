@@ -305,7 +305,7 @@ def render(table: ResultTable, fmt: str) -> str:
     lines = [f"# metadata: {json.dumps(table.metadata, sort_keys=True)}"]
     lines.append(",".join(table.columns))
     for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        lines.append(",".join(map(_format_cell, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -35,7 +35,20 @@ class AtomGibbs:
         return np.diag([self.w_ground, self.w_excited])
 
     def power(self, a: float) -> np.ndarray:
-        return np.diag([self.w_ground**a, self.w_excited**a])
+        """rho_beta^a; NumericsError where a weight's power is not a finite double.
+
+        That is 0^a for a < 0 (w_excited rounds to 0 past beta E ~ 745), a
+        power past the double range (|a| ~ 2000 at beta E = 2), or a NaN a.
+        """
+        a = float(a)
+        try:
+            powers = [self.w_ground**a, self.w_excited**a]
+            if all(map(math.isfinite, powers)):
+                return np.diag(powers)
+        except (ZeroDivisionError, OverflowError):
+            pass
+        raise NumericsError(f"rho_beta^a at exponent a = {a!r} is not a finite double "
+                            f"(atom weights {self.w_ground!r}, {self.w_excited!r})")
 
 
 @dataclass(frozen=True)

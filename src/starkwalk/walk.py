@@ -145,14 +145,40 @@ def _fsum(x: np.ndarray) -> float:
     return math.fsum(itertools.chain.from_iterable(chunks))
 
 
+# Terms of the law's sum below this cannot change it except near a rounding tie.
+# The sum is at least the mode's 1.0, so its ulp is at least 2^-52; the terms
+# below 2^-80 add at most (count) 2^-80, i.e. count 2^-28 ulp (1.5e-4 ulp for
+# 40,001 sites), which moves the rounded sum only that close to a tie.
+_HEAD_FLOOR = 2.0 ** -80
+
+
+def _law_sum(rel: np.ndarray) -> float:
+    """math.fsum(rel) for non-negative rel holding the mode's 1.0, summing the head only.
+
+    The terms below `_HEAD_FLOOR` sum to at most `bound` (a power of two
+    times an integer below 2^53, so exact), so the true sum lies in
+    [S_head, S_head + bound]; rounding is monotone, so where both ends round
+    to the same double that is the sum.  Otherwise (with probability about
+    bound / ulp(1)) every term is summed.
+    """
+    head = rel[rel >= _HEAD_FLOOR]
+    s = _fsum(head)
+    bound = _HEAD_FLOOR * (rel.size - head.size)
+    if bound == 0.0 or _fsum(np.append(head, bound)) == s:
+        return s
+    return _fsum(rel)
+
+
 def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
     """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(n).
 
     P[S_n = s] / P[mode] is the cumulative product of the neighbour ratios
     of `_outward_ratios` outward from the mode, normalised with a
-    correctly rounded sum.  Entries in the normal double range keep relative
-    accuracy, their error growing at most linearly with the distance from
-    the mode (~1e-13 at n = 2*10^4).  n = 0 and n = 1 are the delta and the
+    correctly rounded sum (`_law_sum`: only the terms >= 2^-80 are summed
+    where the rest, below 2^-80 each, provably cannot change the rounded
+    result; otherwise all of them).  Entries in the normal double range
+    keep relative accuracy, their error growing at most linearly with the
+    distance from the mode (~1e-13 at n = 2*10^4).  n = 0 and n = 1 are the delta and the
     step law itself; unreachable sites (p = 0, or the wrong parity at p = 1)
     are 0.
     """
@@ -163,7 +189,7 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
         return WalkLaw(triple=triple, n=n, pmf=triple.as_array())
     sites, down, up = _outward_ratios(n, log_step_kernel(params))
     rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
-    return WalkLaw(triple=triple, n=n, pmf=_place(n, sites, rel / _fsum(rel), 0.0))
+    return WalkLaw(triple=triple, n=n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
 
 
 def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
@@ -209,7 +235,8 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
 
     The cumulative sum of the log neighbour ratios of `_outward_ratios`
     outward from the mode, less the log of the correctly rounded sum of
-    its exponentials: finite and accurate relative to max(1, |log P|) deep
+    its exponentials (`_law_sum`, the same head sum and guard as
+    `walk_pmf_exact`): finite and accurate relative to max(1, |log P|) deep
     into the tails where the linear law underflows, and at any beta E.
     -inf marks impossible values (p = 0, or the wrong parity at p = 1).
     n = 1 is `log_step_kernel` itself; `log_convolve_step` is the oracle.
@@ -221,7 +248,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
         return logk
     sites, down, up = _outward_ratios(n, logk)
     rel = np.concatenate([np.cumsum(down)[::-1], [0.0], np.cumsum(up)])
-    return _place(n, sites, rel - math.log(_fsum(np.exp(rel))), -math.inf)
+    return _place(n, sites, rel - math.log(_law_sum(np.exp(rel))), -math.inf)
 
 
 @dataclass(frozen=True)
@@ -256,8 +283,12 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSamp
         raise ConfigError("n must be >= 0")
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, kraus_weights(params).as_array(), size=trials)
-    values, cnt = np.unique(counts[:, 2] - counts[:, 0], return_counts=True)
-    return WalkSample(n=n, trials=trials, seed=seed, values=values, counts=cnt)
+    s = counts[:, 2] - counts[:, 0]
+    # a tally over the sampled range (no sort), nonzero bins in ascending order
+    lo = s.min()
+    tally = np.bincount(s - lo)
+    seen = np.flatnonzero(tally)
+    return WalkSample(n=n, trials=trials, seed=seed, values=seen + lo, counts=tally[seen])
 
 
 def scgf(eta: float, params: ModelParams) -> float:

@@ -301,6 +301,24 @@ def test_oracle_exponent_shape_is_checked(params, window):
         channel_oracle(dm, "half", params)
 
 
+@pytest.mark.parametrize("physics, alpha", [
+    # w_excited rounds to 0 at beta E = 900, and rho_beta^{1 - alpha} needs 0^-1.5
+    ((3.0, 1.0, 0.2, 0.6, 300.0), 2.5),
+    # w_excited^{1 - alpha} = 0.119^-1999 overflows a double at beta E = 2
+    ((2.0, 1.0, 0.5, 1.0, 1.0), 2000.0),
+    # a NaN exponent gives NaN powers, refused the same way
+    ((2.0, 1.0, 0.5, 1.0, 1.0), math.nan),
+])
+def test_oracle_refuses_an_atom_power_past_the_double_range(physics, alpha):
+    E, F, lam, tau, beta = physics
+    p = ModelParams(E=E, F=F, lam=lam, tau=tau, beta=beta)
+    dm = ParticleDensityMatrix.eigenstate(LatticeWindow.for_dynamics(0, 0, 1, p.F), 0)
+    with pytest.raises(NumericsError, match=f"exponent a = {1.0 - alpha!r}"):
+        channel_oracle(dm, alpha, p)
+    with pytest.raises(NumericsError, match="exponent"):
+        channel_oracle(dm, np.array([0.5, alpha]), p)
+
+
 def test_cropped_oracle_forms_no_joint_window_array(params):
     # a 512-site window with 21 occupied sites: the whole-window route holds
     # several 2n_k x 2n_k complex arrays (16 MiB each) at once; the cropped

@@ -25,7 +25,15 @@ from starkwalk import (
     walk_pmf_oracle,
 )
 from starkwalk.verify import CHECK_PARAMS
-from starkwalk.walk import _FSUM_CHUNK, _fsum, log_convolve_step, log_step_kernel
+from starkwalk.walk import (
+    _FSUM_CHUNK,
+    _fsum,
+    _law_sum,
+    _outward_products,
+    _outward_ratios,
+    log_convolve_step,
+    log_step_kernel,
+)
 
 from conftest import assert_law_matches_oracle
 
@@ -419,6 +427,52 @@ def test_chunked_fsum_is_correctly_rounded():
     x = np.zeros(2 * _FSUM_CHUNK + 3)
     x[0], x[_FSUM_CHUNK + 1], x[-1], x[5] = 1e100, -1e100, 1.0, 0.5
     assert _fsum(x) == 1.5
+
+
+def _sum_params():
+    rng = np.random.default_rng(14)
+    drawn = [ModelParams(E=float(rng.uniform(0.1, 5.0)), F=float(rng.uniform(0.5, 2.0)),
+                         lam=float(rng.uniform(0.05, 1.5)), tau=float(rng.uniform(0.2, 2.0)),
+                         beta=float(rng.uniform(0.0, 3.0))) for _ in range(6)]
+    near_one = ModelParams(E=1.0, F=1.0, lam=math.pi / 2 - 1e-4, tau=1.0, beta=0.3)
+    return list(LAW_PARAMS.values()) + [near_one] + drawn
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2000, 20000])
+def test_head_sum_is_the_whole_support_sum(n):
+    # the law relative to its mode, linear and as exponentials of the log
+    # route: summing the head alone, guarded, is fsum over every site
+    for params in _sum_params():
+        logk = log_step_kernel(params)
+        sites, down, up = _outward_ratios(n, logk)
+        rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
+        log_rel = np.concatenate([np.cumsum(down)[::-1], [0.0], np.cumsum(up)])
+        for x in (rel, np.exp(log_rel)):
+            assert _law_sum(x) == _fsum(x)
+        if n != 1:
+            law = walk_pmf_exact(n, params).pmf
+            assert np.array_equal(law[sites], rel / _fsum(rel))
+            log_law = walk_log_pmf(n, params)
+            assert np.array_equal(log_law[sites], log_rel - math.log(_fsum(np.exp(log_rel))))
+
+
+def test_head_sum_falls_back_near_a_rounding_tie():
+    # 1 + 2^-53 is a tie that rounds to 1; the 1e-300 below the floor lifts
+    # the true sum past it, which only the whole sum sees
+    x = np.array([1.0, 2.0 ** -53, 1e-300])
+    assert _fsum(x[:2]) == 1.0
+    assert _law_sum(x) == 1.0 + 2.0 ** -52 == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_sampled_tally_is_the_sorted_unique_tally(params, n):
+    for seed in (0, 3, 7, 11):
+        sample = sample_walk(n, 2000, seed=seed, params=params)
+        rng = np.random.Generator(np.random.Philox(seed))
+        steps = rng.multinomial(n, kraus_weights(params).as_array(), size=2000)
+        values, counts = np.unique(steps[:, 2] - steps[:, 0], return_counts=True)
+        assert np.array_equal(sample.values, values) and sample.values.dtype == values.dtype
+        assert np.array_equal(sample.counts, counts) and sample.counts.dtype == counts.dtype
 
 
 def test_walk_law_refuses_where_its_log_ratios_overflow():
