@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import AccuracyError, BudgetError, ConfigError
+from .params import _require_count
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
@@ -40,8 +41,7 @@ def bessel_j_array(z: float, nmax: int) -> np.ndarray:
     if not math.isfinite(z) or z < 0.0:
         raise ConfigError("bessel_j_array needs finite z >= 0; "
                           "use J_nu(-z) = (-1)^nu J_nu(z)")
-    if nmax < 0:
-        raise ConfigError("nmax must be >= 0")
+    nmax = _require_count(nmax, "nmax")
     start = _miller_start(z, nmax)
     if start > MAX_MILLER_ORDER:
         raise BudgetError(

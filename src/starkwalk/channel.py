@@ -21,14 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .params import ModelParams, _require_phase, derive_params
-from .singleatom import (
-    AtomGibbs,
-    _conjugate_on,
-    _oracle_blocks,
-    _require_interior,
-    _sites,
-    _support,
-)
+from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks, _sites, _support
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
 
 
@@ -156,7 +149,7 @@ def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
     Refuses with WindowError when support touches the boundary: mass is
     never silently truncated.
     """
-    require_interior(dm)
+    require_interior(np.diagonal(dm.coeffs))
     w = deformed_weights(alpha * params.beta * params.E, params)
     return ParticleDensityMatrix(dm.window, _kick(dm.coeffs, w))
 
@@ -210,8 +203,8 @@ def channel_oracle(
                 .reshape(alphas.shape + (2, 1, 1)))
 
     lifted = atom_weights(1.0 - alphas)
-    for w in lifted.reshape(-1, 2):
-        _require_interior(np.concatenate([w[0] * diagonal, w[1] * diagonal]))
+    # the product's diagonal for every alpha, shaped (..., 2, n_k)
+    require_interior(lifted[..., 0] * diagonal, band=2)
     joint = np.zeros(alphas.shape + (2, m, 2, m), dtype=complex)
     joint[..., 0, :, 0, :] = lifted[..., 0, :, :] * rho
     joint[..., 1, :, 1, :] = lifted[..., 1, :, :] * rho

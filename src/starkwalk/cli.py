@@ -22,7 +22,7 @@ from .bessel import bessel_table
 from .channel import apply_channel
 from .config import TOL
 from .errors import ConfigError, NumericsError, StarkwalkError
-from .params import ModelParams, derive_params
+from .params import ModelParams, _require_count, derive_params
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
@@ -40,13 +40,18 @@ from .walk import (
     walk_pmf_exact,
 )
 
-EXPERIMENTS = ("spectrum", "single-atom", "channel-evolve", "walk", "rate",
-               "fcs-energy", "fcs-position", "verify-all")
-
 _PARAM_KEYS = ("E", "F", "lambda", "tau", "beta")
-_RUN_KEYS = ("experiment", "n", "trials", "seed", "window", "m", "format", "out")
-# smallest accepted value of each integer run key (window: k_min < k_max)
-_INT_MIN = {"n": 0, "trials": 1, "seed": 0, "window": 2, "m": 1}
+# every integer run key: its smallest accepted value (window: k_min < k_max) and
+# its help; `EXPERIMENTS` names the ones each experiment reads
+_COUNTS = {
+    "n": (0, "number of interactions / steps"),
+    "trials": (1, "number of sampled walks"),
+    "seed": (0, "seed of the sampled walks"),
+    "window": (2, "override window size"),
+    "m": (1, "reservoir atoms (default n)"),
+}
+# the keys every experiment accepts besides its own
+_OUTPUT_KEYS = ("format", "out")
 
 
 @dataclass
@@ -80,21 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tau", type=float, help="interaction duration (> 0)")
     ap.add_argument("--beta", type=float, help="inverse temperature (>= 0)")
     sub = ap.add_subparsers(dest="experiment")
-    for name in EXPERIMENTS:
+    for name, (_, keys) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int, default=None, help="number of interactions / steps")
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--window", type=int, default=None, help="override window size")
-        sp.add_argument("--m", type=int, default=None, help="reservoir atoms (fcs-energy)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-        sp.add_argument("--out", default=None, help="output path; '-' for stdout")
+        for key in keys:
+            sp.add_argument(f"--{key}", type=int, help=_COUNTS[key][1])
+        sp.add_argument("--format", choices=("csv", "json"))
+        sp.add_argument("--out", help="output path; '-' for stdout")
     return ap
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional JSON config file) into a validated RunConfig."""
-    ns = _build_parser().parse_args(argv)
+    # flags the subcommand does not define come back in `extra`, refused below
+    ns, extra = _build_parser().parse_known_args(argv)
     merged: dict = {}
     if ns.config:
         try:
@@ -102,29 +105,33 @@ def parse_config(argv: list[str]) -> RunConfig:
                 filecfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {ns.config}: {exc}") from exc
-        unknown = set(filecfg) - set(_PARAM_KEYS) - set(_RUN_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(filecfg, dict):
+            raise ConfigError(f"config file {ns.config} must hold a JSON object")
         merged.update(filecfg)
 
     flag_params = {"E": ns.E, "F": ns.F, "lambda": ns.lam, "tau": ns.tau, "beta": ns.beta}
     for key, value in flag_params.items():
         if value is not None:
             merged[key] = value
-    if getattr(ns, "experiment", None):
+    if ns.experiment:
         merged["experiment"] = ns.experiment
-        for key in ("n", "trials", "seed", "window", "m", "fmt", "out"):
-            value = getattr(ns, key, None)
-            if value is not None:
-                merged["format" if key == "fmt" else key] = value
+        for key in EXPERIMENTS[ns.experiment][1] + _OUTPUT_KEYS:
+            if getattr(ns, key) is not None:
+                merged[key] = getattr(ns, key)
 
     missing = [k for k in _PARAM_KEYS if k not in merged]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
     if "experiment" not in merged:
         raise ConfigError(f"missing experiment; choose one of {', '.join(EXPERIMENTS)}")
-    if merged["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {merged['experiment']!r}")
+    experiment = merged["experiment"]
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    reads = EXPERIMENTS[experiment][1]
+    unread = sorted(set(merged) - {*_PARAM_KEYS, "experiment", *reads, *_OUTPUT_KEYS}) + extra
+    if unread:
+        raise ConfigError(f"{experiment} does not read {' '.join(unread)}; "
+                          f"it reads {', '.join(reads + _OUTPUT_KEYS)}")
     try:
         params = ModelParams(E=float(merged["E"]), F=float(merged["F"]),
                              lam=float(merged["lambda"]), tau=float(merged["tau"]),
@@ -132,15 +139,11 @@ def parse_config(argv: list[str]) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg = RunConfig(params=params, experiment=merged["experiment"])
-    for key, attr in (("n", "n"), ("trials", "trials"), ("seed", "seed"),
-                      ("window", "window"), ("m", "m"), ("format", "fmt"), ("out", "out")):
+    cfg = RunConfig(params=params, experiment=experiment,
+                    fmt=merged.get("format", "csv"), out=merged.get("out"))
+    for key in reads:
         if key in merged:
-            value = merged[key]
-            if key in _INT_MIN and (not isinstance(value, int) or isinstance(value, bool)
-                                    or value < _INT_MIN[key]):
-                raise ConfigError(f"{key} must be an integer >= {_INT_MIN[key]}, got {value!r}")
-            setattr(cfg, attr, value)
+            setattr(cfg, key, _require_count(merged[key], key, _COUNTS[key][0]))
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError(f"out must be a path string, got {cfg.out!r}")
     if cfg.fmt not in ("csv", "json"):
@@ -270,21 +273,24 @@ def _exp_verify_all(cfg: RunConfig) -> ResultTable:
     return ResultTable(["check", "status", "measured", "tolerance", "detail"], rows)
 
 
-_RUNNERS = {
-    "spectrum": _exp_spectrum,
-    "single-atom": _exp_single_atom,
-    "channel-evolve": _exp_channel_evolve,
-    "walk": _exp_walk,
-    "rate": _exp_rate,
-    "fcs-energy": _exp_fcs_energy,
-    "fcs-position": _exp_fcs_position,
-    "verify-all": _exp_verify_all,
+# each experiment: its runner and the run keys it reads.  This one table drives
+# the subcommands and their flags, the config-file key check, the fill-in of
+# RunConfig and the dispatch; a key an experiment does not read is refused.
+EXPERIMENTS = {
+    "spectrum": (_exp_spectrum, ("window",)),
+    "single-atom": (_exp_single_atom, ("n", "window")),
+    "channel-evolve": (_exp_channel_evolve, ("n", "window")),
+    "walk": (_exp_walk, ("n", "trials", "seed")),
+    "rate": (_exp_rate, ("n",)),
+    "fcs-energy": (_exp_fcs_energy, ("n", "m", "window")),
+    "fcs-position": (_exp_fcs_position, ("n",)),
+    "verify-all": (_exp_verify_all, ()),
 }
 
 
 def run_experiment(cfg: RunConfig) -> ResultTable:
     """Dispatch to the named experiment; deterministic for a fixed config."""
-    table = _RUNNERS[cfg.experiment](cfg)
+    table = EXPERIMENTS[cfg.experiment][0](cfg)
     table.metadata = _metadata(cfg)
     return table
 

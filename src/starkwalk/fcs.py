@@ -38,12 +38,13 @@ from .bessel import MAX_MILLER_ORDER, _miller_start, bessel_j_array, bessel_tabl
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_phase
+from .params import ModelParams, _require_count, _require_phase
 from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
     position_distribution,
+    require_interior,
     required_order,
     transform_matrix,
 )
@@ -65,8 +66,8 @@ class ReservoirConfig:
     window: LatticeWindow
 
     def __post_init__(self):
-        if self.n < 0 or self.M < 1:
-            raise ConfigError("need n >= 0 and M >= 1")
+        _require_count(self.n, "n")
+        _require_count(self.M, "M", 1)
         if self.n > self.M:
             raise ConfigError(f"n = {self.n} interactions exceed the M = {self.M} atoms")
         if self.window.n_k > MAX_WINDOW or self.M > MAX_ATOMS:
@@ -219,9 +220,7 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
     """
     if rho_p.window != cfg.window:
         raise WindowError("rho_p window differs from the reservoir window")
-    band = cfg.n + 1
-    if rho_p.boundary_mass(band) > TOL.boundary:
-        raise WindowError(f"rho_p support within {band} sites of the window edge")
+    require_interior(np.diagonal(rho_p.coeffs), band=cfg.n + 1)
     K, M = cfg.window.n_k, cfg.M
     pops = _occupations(M).sum(axis=1)
     qk = np.diagonal(rho_p.coeffs).real
@@ -243,6 +242,7 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
 
 def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     """Cumulant generating function of dS_n: exactly n log theta(alpha)."""
+    n = _require_count(n, "n")
     be = params.beta * params.E
     return n * log_theta(alpha * be, params)
 
@@ -321,7 +321,6 @@ class PositionFcsResult:
     n: int
     dx: np.ndarray
     probs: np.ndarray
-    method: str
 
     def mean(self) -> float:
         return float(np.dot(self.dx, self.probs))
@@ -370,13 +369,14 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     states on rho_p's window (small n; used to validate the reduction),
     skipping the starting positions of weight at most 1e-12.
     """
+    n = _require_count(n, "n")
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
         d, kernel = free_kernel(n * params.tau, params)
         probs = np.convolve(walk.pmf, kernel)
         lo = -walk.n + d[0]
         dx = np.arange(lo, lo + probs.size)
-        return PositionFcsResult(n=n, dx=dx, probs=probs, method="reduced")
+        return PositionFcsResult(n=n, dx=dx, probs=probs)
     if method != "matrix":
         raise ConfigError(f"unknown method {method!r}")
 
@@ -404,7 +404,7 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
             f"pruned conditional weight {skipped:.3e} exceeds the leakage "
             f"budget {TOL.leakage:.1e}; enlarge the window"
         )
-    return PositionFcsResult(n=n, dx=dx, probs=probs, method="matrix")
+    return PositionFcsResult(n=n, dx=dx, probs=probs)
 
 
 # Below 1.5, log I_0(x) = log1p(sum_{k >= 1} y^k / (k!)^2) with y = x^2 / 4,
@@ -459,6 +459,7 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     Checked against `position_cgf_oracle` and against the
     exact distribution of `run_position_fcs`.
     """
+    n = _require_count(n, "n")
     z = _kernel_argument(n * params.tau, params)
     try:
         x = 2.0 * z * math.sinh(0.5 * eta)
@@ -477,6 +478,7 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow,
     The transform is real, so the complex propagator splits into two real
     matrix products.
     """
+    n = _require_count(n, "n")
     psi = transform_matrix(window, table)
     _require_phase(n * params.tau * params.F, window.k_values)
     arg = n * params.tau * params.F * window.k_values
@@ -503,6 +505,7 @@ def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
     Refuses with WindowError when the deformed weights that leave the
     window exceed `TOL.position_cgf_identity` of the total.
     """
+    n = _require_count(n, "n")
     window = rho_p.window
     table = bessel_table(params.F, required_order(window))
     xs, q = position_distribution(rho_p, table)

@@ -81,6 +81,13 @@ def derive_params(raw: ModelParams) -> DerivedParams:
     return DerivedParams(omega0=omega0, p=p, cos2theta=cos2, sin2theta=sin2)
 
 
+def _require_count(value, name: str, low: int = 0) -> int:
+    """int(value); ConfigError unless value is an integer >= low (a bool or float is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _require_phase(t, *energies) -> None:
     """Refuse with NumericsError a time t (number or array) at which t * energy overflows.
 

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
-from .errors import ConfigError, NumericsError, WindowError
+from .errors import ConfigError, NumericsError
 from .params import DerivedParams, ModelParams, _require_phase, derive_params
-from .state import LatticeWindow, ParticleDensityMatrix, bloch_coefficients, position_operator
+from .state import (
+    LatticeWindow,
+    ParticleDensityMatrix,
+    bloch_coefficients,
+    position_operator,
+    require_interior,
+)
 
 
 @dataclass(frozen=True)
@@ -73,27 +78,6 @@ class JointDensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.coeffs).real)
-
-    def boundary_mass(self, band: int = 1) -> float:
-        return _edge_mass(np.diagonal(self.coeffs), band)
-
-
-def _edge_mass(diagonal: np.ndarray, band: int) -> float:
-    """Largest |entry| of an atom-major joint diagonal within `band` sites of the window edge."""
-    n = diagonal.shape[-1] // 2
-    d = np.abs(diagonal)
-    edges = np.concatenate([d[:band], d[n - band:n], d[n:n + band], d[-band:]])
-    return float(np.max(edges))
-
-
-def _require_interior(diagonal: np.ndarray) -> None:
-    """Refuse a joint state whose diagonal has mass within 2 sites of the window edge."""
-    mass = _edge_mass(diagonal, 2)
-    if mass > TOL.boundary:
-        raise WindowError(
-            "joint support within 2 sites of the window edge "
-            f"(occupancy {mass:.3e}); enlarge the window"
-        )
 
 
 def _ladder(params: ModelParams, window: LatticeWindow) -> np.ndarray:
@@ -312,7 +296,7 @@ def _propagate(builder, state: JointDensityMatrix, t,
                params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
     """Evolve state by the blocks `builder` forms, for one time or a 1-D array of times."""
     ts = _times(t)
-    _require_interior(np.diagonal(state.coeffs))
+    require_interior(np.diagonal(state.coeffs).reshape(2, -1), band=2)
     evolved = _conjugate(*builder(ts, params, state.window), state.coeffs)
     if ts.ndim == 0:
         return JointDensityMatrix(state.window, evolved)
@@ -403,7 +387,7 @@ def position_oracle(t: float | np.ndarray, initial: JointDensityMatrix,
     or a 1-D array of times (an array is returned), evolved in batches.
     """
     ts = _times(t)
-    _require_interior(np.diagonal(initial.coeffs))
+    require_interior(np.diagonal(initial.coeffs).reshape(2, -1), band=2)
     window = initial.window
     ks = _occupied(initial.coeffs)
     m = ks.stop - ks.start

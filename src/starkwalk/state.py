@@ -167,11 +167,6 @@ class ParticleDensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.coeffs + self.coeffs.conj().T))[0])
 
-    def boundary_mass(self, band: int = 1) -> float:
-        """Largest diagonal occupancy within `band` sites of the window edge."""
-        d = np.abs(np.diagonal(self.coeffs))
-        return float(max(np.max(d[:band]), np.max(d[-band:])))
-
     def check_density(self) -> None:
         if self.hermiticity_defect() > TOL.hermiticity:
             raise ConfigError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
@@ -181,12 +176,19 @@ class ParticleDensityMatrix:
             raise ConfigError(f"not PSD: min eigenvalue {self.min_eigenvalue():.3e}")
 
 
-def require_interior(dm: ParticleDensityMatrix) -> None:
-    """Refuse (rather than truncate) when support reaches the window edge."""
-    mass = dm.boundary_mass()
+def require_interior(diagonal: np.ndarray, band: int = 1) -> None:
+    """Refuse (rather than truncate) a state whose occupancy reaches the window edge.
+
+    `diagonal` is a particle diagonal over the window's k-range, or a stack
+    of them along leading axes (an atom-major joint diagonal reshaped to
+    (2, n_k)); the occupancy is the largest |entry| within `band` sites of
+    either end of any of them.  The one window-edge refusal of the package.
+    """
+    d = np.abs(diagonal)
+    mass = float(max(np.max(d[..., :band], initial=0.0), np.max(d[..., -band:], initial=0.0)))
     if mass > TOL.boundary:
         raise WindowError(
-            "support within 1 sites of the window edge "
+            f"support within {band} sites of the window edge "
             f"(occupancy {mass:.3e} > {TOL.boundary:.1e}); enlarge the window"
         )
 

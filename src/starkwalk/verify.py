@@ -58,29 +58,21 @@ class CheckResult:
                 f"vs tolerance {self.tolerance:.3e}{extra}")
 
 
-def _random_density(rng, window: LatticeWindow, half: int) -> ParticleDensityMatrix:
-    """Random full-rank density matrix supported on |k| <= half."""
-    coeffs = np.zeros((window.n_k, window.n_k), dtype=complex)
-    s = 2 * half + 1
-    g = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+def _random_state(rng, window: LatticeWindow, half: int, atoms: int = 1) -> np.ndarray:
+    """Coefficients of a random full-rank density matrix supported on |k| <= half.
+
+    Over `atoms` atom-major blocks of the window: 1 for a particle state,
+    2 for a particle (x) atom state.
+    """
+    n, s = window.n_k, 2 * half + 1
+    g = rng.normal(size=(atoms * s, atoms * s)) + 1j * rng.normal(size=(atoms * s, atoms * s))
     block = g @ g.conj().T
     block /= np.trace(block).real
     i0 = window.k_index(-half)
-    coeffs[i0:i0 + s, i0:i0 + s] = block
-    return ParticleDensityMatrix(window, coeffs)
-
-
-def _random_joint(rng, window: LatticeWindow, half: int) -> JointDensityMatrix:
-    n = window.n_k
-    coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
-    s = 2 * half + 1
-    g = rng.normal(size=(2 * s, 2 * s)) + 1j * rng.normal(size=(2 * s, 2 * s))
-    block = g @ g.conj().T
-    block /= np.trace(block).real
-    i0 = window.k_index(-half)
-    idx = np.concatenate([np.arange(i0, i0 + s), n + np.arange(i0, i0 + s)])
+    idx = (n * np.arange(atoms)[:, None] + np.arange(i0, i0 + s)).ravel()
+    coeffs = np.zeros((atoms * n, atoms * n), dtype=complex)
     coeffs[np.ix_(idx, idx)] = block
-    return JointDensityMatrix(window, coeffs)
+    return coeffs
 
 
 def _trace_norm(diff: np.ndarray) -> float:
@@ -104,7 +96,7 @@ def check_channel_oracle() -> CheckResult:
     alphas = (0.0, 0.3, 1.0)
     worst = 0.0
     for _ in range(20):
-        dm = _random_density(rng, window, 10)
+        dm = ParticleDensityMatrix(window, _random_state(rng, window, 10))
         for alpha, b in zip(alphas, channel_oracle(dm, np.array(alphas), params)):
             a = apply_channel(dm, alpha, params)
             worst = max(worst, _trace_norm(a.coeffs - b.coeffs))
@@ -120,7 +112,7 @@ def check_propagator() -> CheckResult:
     ts = np.array([0.1, params.tau, 3.0 * params.tau])
     worst = 0.0
     for _ in range(20):
-        state = _random_joint(rng, window, 8)
+        state = JointDensityMatrix(window, _random_state(rng, window, 8, atoms=2))
         for a, b in zip(propagate_closed(state, ts, params), propagate_oracle(state, ts, params)):
             worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
     return CheckResult("closed propagator vs 2x2 oracle", worst <= TOL.propagator_agreement,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausTriple, _log_theta, kraus_weights, log_theta
+from .channel import _log_theta, kraus_weights, log_theta
 from .errors import ConfigError, NumericsError
-from .params import ModelParams, derive_params
+from .params import ModelParams, _require_count, derive_params
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ def transport_coefficients(params: ModelParams) -> TransportCoefficients:
 class WalkLaw:
     """Exact law of S_n: pmf[j] = P[S_n = support[j]] on support -n..n."""
 
-    triple: KrausTriple
     n: int
     pmf: np.ndarray
 
@@ -182,14 +181,12 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
     step law itself; unreachable sites (p = 0, or the wrong parity at p = 1)
     are 0.
     """
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    triple = kraus_weights(params)
+    n = _require_count(n, "n")
     if n == 1:
-        return WalkLaw(triple=triple, n=n, pmf=triple.as_array())
+        return WalkLaw(n=n, pmf=kraus_weights(params).as_array())
     sites, down, up = _outward_ratios(n, log_step_kernel(params))
     rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
-    return WalkLaw(triple=triple, n=n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
+    return WalkLaw(n=n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
 
 
 def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
@@ -199,14 +196,12 @@ def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
     entries in the normal double range keep relative accuracy.  Cost is
     O(n^2); meant for n <= 2000.
     """
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    triple = kraus_weights(params)
-    kernel = triple.as_array()
+    n = _require_count(n, "n")
+    kernel = kraus_weights(params).as_array()
     pmf = np.array([1.0])
     for _ in range(n):
         pmf = np.convolve(pmf, kernel)
-    return WalkLaw(triple=triple, n=n, pmf=pmf)
+    return WalkLaw(n=n, pmf=pmf)
 
 
 def log_step_kernel(params: ModelParams) -> np.ndarray:
@@ -241,8 +236,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     -inf marks impossible values (p = 0, or the wrong parity at p = 1).
     n = 1 is `log_step_kernel` itself; `log_convolve_step` is the oracle.
     """
-    if n < 0:
-        raise ConfigError("n must be >= 0")
+    n = _require_count(n, "n")
     logk = log_step_kernel(params)
     if n == 1:
         return logk
@@ -277,10 +271,8 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSamp
     to its step counts (N_-, N_0, N_+), a sufficient statistic for
     S_n = N_+ - N_-.
     """
-    if trials <= 0:
-        raise ConfigError("trials must be >= 1")
-    if n < 0:
-        raise ConfigError("n must be >= 0")
+    n, trials = _require_count(n, "n"), _require_count(trials, "trials", 1)
+    seed = _require_count(seed, "seed")
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, kraus_weights(params).as_array(), size=trials)
     s = counts[:, 2] - counts[:, 0]
@@ -382,10 +374,12 @@ def rate_function_numeric(x: float, params: ModelParams) -> float:
 def rate_function_entropy(s: float, params: ModelParams) -> float:
     """Rate function of the entropy-like increment per step.
 
-    phi(s) = sup_alpha (alpha s - log theta(alpha)) = I(-s / (beta E));
-    evaluated through its own Legendre sup over alpha (substituting
-    eta = -alpha beta E), independent of the closed form.  Requires
-    beta E > 0; satisfies phi(-s) = phi(s) - s.
+    phi(s) = sup_alpha (alpha s - log theta(alpha)) = I(-s / (beta E)).
+    Inside the range it is the Legendre sup over eta = -alpha beta E at
+    x = -s / (beta E), the same `_legendre_sup` as `rate_function_numeric`,
+    so it is that oracle read on the entropy scale, not a third route; at
+    and past the endpoints it is the closed form.  Requires beta E > 0;
+    satisfies phi(-s) = phi(s) - s.
     """
     be = params.beta * params.E
     if be <= 0.0:

@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +329,49 @@ def test_every_experiment_gives_valid_rows_or_one_error_line(experiment, E, F, l
         assert np.all(np.abs(closed - numeric) <= TOL.rate_match * np.maximum(1.0, np.abs(closed)))
     if experiment in ("fcs-energy", "fcs-position"):
         assert abs(col["prob"].sum() - 1.0) <= TOL.trace
+
+
+# the run keys each experiment reads, written out here so that the CLI's table is checked
+READS = {
+    "spectrum": ("window",),
+    "single-atom": ("n", "window"),
+    "channel-evolve": ("n", "window"),
+    "walk": ("n", "trials", "seed"),
+    "rate": ("n",),
+    "fcs-energy": ("n", "m", "window"),
+    "fcs-position": ("n",),
+    "verify-all": (),
+}
+RUN_KEYS = ("n", "trials", "seed", "window", "m")
+
+
+@pytest.mark.parametrize("experiment", sorted(READS))
+def test_each_experiment_takes_only_the_run_keys_it_reads(experiment, tmp_path, capsys):
+    # a key the experiment does not read is refused, as a flag and in a config file,
+    # with one error line; each key it reads is taken, and --help lists only those
+    physics = {"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1, "experiment": experiment}
+    path = tmp_path / "run.json"
+    for key in RUN_KEYS:
+        path.write_text(json.dumps({**physics, key: 3}))
+        for argv in (f"{FLAGS} {experiment} --{key} 3 --out -".split(),
+                     ["--config", str(path)]):
+            if key in READS[experiment]:
+                assert getattr(parse_config(argv), key) == 3
+                continue
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            lines = err.splitlines()
+            assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+            assert key in lines[0]
+    with pytest.raises(SystemExit) as done:
+        parse_config(f"{FLAGS} {experiment} --help".split())
+    assert done.value.code == 0
+    listed = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M)
+    assert listed == [f"--{key}" for key in READS[experiment]] + ["--format", "--out"]
+
+
+def test_readme_lists_the_run_keys_of_each_experiment():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M))
+    assert {e: tuple(re.findall(r"`--([a-z]+)`", rows.get(e, ""))) for e in READS} == READS
+    assert {name: keys for name, (_, keys) in cli.EXPERIMENTS.items()} == READS

@@ -4,19 +4,36 @@ import numpy as np
 import pytest
 
 from starkwalk import (
+    AtomGibbs,
     ConfigError,
     JointDensityMatrix,
     LatticeWindow,
+    ModelParams,
     ParticleDensityMatrix,
+    ReservoirConfig,
     WindowError,
+    apply_channel,
     bessel_j_array,
     bessel_table,
     bloch_coefficients,
+    channel_oracle,
+    energy_cgf,
+    free_dressing_weights,
     free_evolve,
+    position_cgf,
+    position_cgf_oracle,
     position_distribution,
     position_operator,
+    position_oracle,
+    propagate_closed,
     required_order,
+    run_energy_fcs,
+    run_position_fcs,
+    sample_walk,
     transform_matrix,
+    walk_log_pmf,
+    walk_pmf_exact,
+    walk_pmf_oracle,
 )
 from starkwalk.state import require_interior
 
@@ -155,7 +172,7 @@ def test_boundary_refusal(window):
     c = np.zeros((window.n_k, window.n_k), dtype=complex)
     c[0, 0] = 1.0
     with pytest.raises(WindowError):
-        require_interior(ParticleDensityMatrix(window, c))
+        require_interior(np.diagonal(c))
 
 
 def test_density_checks(window):
@@ -166,20 +183,93 @@ def test_density_checks(window):
         bad.check_density()
 
 
+def test_every_window_edge_refusal_is_the_one_message():
+    # particle, joint, alpha-batch and reservoir refusals: one message, each with its band
+    params = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    window = LatticeWindow(-8, 7, -8, 7)
+    weights = np.zeros(window.n_k)
+    weights[0], weights[window.n_k // 2] = 0.25, 0.75
+    dm = ParticleDensityMatrix.from_diagonal(window, weights)
+    joint = JointDensityMatrix.product(dm, AtomGibbs.from_params(params).density())
+    reservoir = ReservoirConfig(params=params, M=2, n=2, window=window)
+    for band, refuse in (
+            (1, lambda: apply_channel(dm, 0.0, params)),
+            (2, lambda: propagate_closed(joint, 1.0, params)),
+            (2, lambda: position_oracle(np.array([0.5, 1.0]), joint, params)),
+            (2, lambda: channel_oracle(dm, np.array([0.0, 0.3, 1.0]), params)),
+            (3, lambda: run_energy_fcs(reservoir, dm))):
+        with pytest.raises(WindowError, match=rf"^support within {band} sites of the window "
+                           r"edge \(occupancy \S+ > 1\.0e-10\); enlarge the window$"):
+            refuse()
+
+
 _W = LatticeWindow(-2, 2, -4, 4)
+_P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+_RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: LatticeWindow(0, 0, -1, 1),
-    lambda: ParticleDensityMatrix(_W, np.eye(4)),
-    lambda: JointDensityMatrix(_W, np.eye(5)),
-    lambda: ParticleDensityMatrix.from_diagonal(_W, np.ones(4)),
-    lambda: ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0).check_density(),
-    lambda: bessel_j_array(-1.0, 3),
-    lambda: bessel_j_array(1.0, -1),
-    lambda: bessel_table(0.0, 5),
-], ids=["window-bounds", "particle-shape", "joint-shape", "diagonal-shape", "trace",
-        "bessel-negative-z", "bessel-negative-order", "table-zero-force"])
-def test_bad_arguments_raise_config_error(build):
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: LatticeWindow(0, 0, -1, 1), "window bounds", id="window-bounds"),
+    pytest.param(lambda: ParticleDensityMatrix(_W, np.eye(4)), "coefficient shape",
+                 id="particle-shape"),
+    pytest.param(lambda: JointDensityMatrix(_W, np.eye(5)), "joint coefficient shape",
+                 id="joint-shape"),
+    pytest.param(lambda: ParticleDensityMatrix.from_diagonal(_W, np.ones(4)),
+                 "diagonal weight vector", id="diagonal-shape"),
+    pytest.param(lambda: ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0).check_density(),
+                 "trace", id="trace"),
+    pytest.param(lambda: bessel_j_array(-1.0, 3), "finite z >= 0", id="bessel-negative-z"),
+    pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
+                 id="bessel-negative-order"),
+    pytest.param(lambda: bessel_table(0.0, 5), "F must be > 0", id="table-zero-force"),
+    # counts: an integer at or above its floor, or ConfigError naming the argument
+    pytest.param(lambda: walk_pmf_exact(2.5, _P), "n must be an integer >= 0, got 2.5",
+                 id="walk-law-fractional-n"),
+    pytest.param(lambda: walk_pmf_exact(True, _P), "n must be an integer >= 0, got True",
+                 id="walk-law-bool-n"),
+    pytest.param(lambda: walk_log_pmf(2.5, _P), "n must be an integer >= 0, got 2.5",
+                 id="log-law-fractional-n"),
+    pytest.param(lambda: walk_pmf_oracle(2.5, _P), "n must be an integer >= 0, got 2.5",
+                 id="law-oracle-fractional-n"),
+    pytest.param(lambda: sample_walk(2.5, 10, 0, _P), "n must be an integer >= 0, got 2.5",
+                 id="sample-fractional-n"),
+    pytest.param(lambda: sample_walk(3, 2.5, 0, _P), "trials must be an integer >= 1, got 2.5",
+                 id="sample-fractional-trials"),
+    pytest.param(lambda: sample_walk(3, 10, -1, _P), "seed must be an integer >= 0, got -1",
+                 id="sample-negative-seed"),
+    pytest.param(lambda: ReservoirConfig(params=_P, M=2.5, n=2, window=_RHO.window),
+                 "M must be an integer >= 1, got 2.5", id="reservoir-fractional-m"),
+    pytest.param(lambda: bessel_j_array(2.0, 2.5), "nmax must be an integer >= 0, got 2.5",
+                 id="bessel-fractional-order"),
+    pytest.param(lambda: run_position_fcs(-3, _RHO, _P, method="matrix"),
+                 "n must be an integer >= 0, got -3", id="position-fcs-matrix-negative-n"),
+    pytest.param(lambda: run_position_fcs(2.5, _RHO, _P), "n must be an integer >= 0, got 2.5",
+                 id="position-fcs-reduced-fractional-n"),
+    pytest.param(lambda: position_cgf(-2, 0.5, _P), "n must be an integer >= 0, got -2",
+                 id="position-cgf-negative-n"),
+    pytest.param(lambda: energy_cgf(-2, 0.5, _P), "n must be an integer >= 0, got -2",
+                 id="energy-cgf-negative-n"),
+    pytest.param(lambda: position_cgf_oracle(-2, 0.5, _RHO, _P),
+                 "n must be an integer >= 0, got -2", id="position-cgf-oracle-negative-n"),
+    pytest.param(lambda: free_dressing_weights(-1, _P, _RHO.window,
+                                               bessel_table(1.0, required_order(_RHO.window))),
+                 "n must be an integer >= 0, got -1", id="dressing-negative-n"),
+])
+def test_bad_arguments_raise_config_error(build, message):
+    with pytest.raises(ConfigError) as refused:
         build()
+    assert message in str(refused.value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    three, window = np.int64(3), _RHO.window
+    assert np.array_equal(walk_pmf_exact(three, _P).pmf, walk_pmf_exact(3, _P).pmf)
+    assert np.array_equal(walk_log_pmf(three, _P), walk_log_pmf(3, _P))
+    assert np.array_equal(sample_walk(three, three, three, _P).counts,
+                          sample_walk(3, 3, 3, _P).counts)
+    assert ReservoirConfig(params=_P, M=three, n=three, window=window).M == 3
+    assert np.array_equal(bessel_j_array(2.0, three), bessel_j_array(2.0, 3))
+    assert energy_cgf(three, 0.5, _P) == energy_cgf(3, 0.5, _P)
+    assert position_cgf(three, 0.5, _P) == position_cgf(3, 0.5, _P)
+    assert np.array_equal(run_position_fcs(three, _RHO, _P).probs,
+                          run_position_fcs(3, _RHO, _P).probs)
