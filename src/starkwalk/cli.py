@@ -74,8 +74,24 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose own errors (a bad value, an unknown experiment) are ConfigErrors.
+
+    So they take the one `error:` line and exit code 2 of every other
+    refusal; the subcommands' parsers are of this class too.
+    """
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _output_flags(ap: argparse.ArgumentParser, **default) -> None:
+    ap.add_argument("--format", choices=("csv", "json"), **default)
+    ap.add_argument("--out", help="output path; '-' for stdout", **default)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="starkwalk",
         description="Tilted-band repeated-interaction simulator (batch mode).")
     ap.add_argument("--config", help="JSON file with the same keys as the flags")
@@ -84,13 +100,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--lambda", dest="lam", type=float, help="coupling constant")
     ap.add_argument("--tau", type=float, help="interaction duration (> 0)")
     ap.add_argument("--beta", type=float, help="inverse temperature (>= 0)")
+    # also before the subcommand, so a config-file run can set them without naming it
+    _output_flags(ap)
     sub = ap.add_subparsers(dest="experiment")
     for name, (_, keys) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
         for key in keys:
             sp.add_argument(f"--{key}", type=int, help=_COUNTS[key][1])
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--out", help="output path; '-' for stdout")
+        # unset, a subcommand's flag must not overwrite the top-level one with None
+        _output_flags(sp, default=argparse.SUPPRESS)
     return ap
 
 
@@ -113,9 +131,12 @@ def parse_config(argv: list[str]) -> RunConfig:
     for key, value in flag_params.items():
         if value is not None:
             merged[key] = value
+    for key in _OUTPUT_KEYS:
+        if getattr(ns, key) is not None:
+            merged[key] = getattr(ns, key)
     if ns.experiment:
         merged["experiment"] = ns.experiment
-        for key in EXPERIMENTS[ns.experiment][1] + _OUTPUT_KEYS:
+        for key in EXPERIMENTS[ns.experiment][1]:
             if getattr(ns, key) is not None:
                 merged[key] = getattr(ns, key)
 

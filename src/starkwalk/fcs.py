@@ -363,8 +363,10 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     method='reduced' (the default) evaluates the conditional evolution
     exactly at every n: the kicks keep position eigenprojectors diagonal,
     giving the trinomial walk, and the deferred free evolutions
-    contribute the Bloch kernel; the two laws convolve.  The tails keep
-    relative accuracy, which direct matrix evolution cannot provide.
+    contribute the Bloch kernel; the two laws convolve, over the walk's
+    nonzero sites only (O(live span x kernel), bit-equal to the whole
+    convolution).  The tails keep relative accuracy, which direct matrix
+    evolution cannot provide.
     method='matrix' iterates apply_channel literally on the conditional
     states on rho_p's window (small n; used to validate the reduction),
     skipping the starting positions of weight at most 1e-12.
@@ -373,7 +375,14 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
         d, kernel = free_kernel(n * params.tau, params)
-        probs = np.convolve(walk.pmf, kernel)
+        probs = np.zeros(walk.pmf.size + kernel.size - 1)
+        # the walk's nonzero sites padded by kernel.size - 1 zeros: every output
+        # touching them is the same full-length dot product as in the whole
+        # convolution, and every other output is 0
+        live, pad = walk.pmf != 0.0, kernel.size - 1
+        a = max(int(live.argmax()) - pad, 0)
+        b = min(live.size - int(live[::-1].argmax()) + pad, live.size)
+        probs[a:b + kernel.size - 1] = np.convolve(walk.pmf[a:b], kernel)
         lo = -walk.n + d[0]
         dx = np.arange(lo, lo + probs.size)
         return PositionFcsResult(n=n, dx=dx, probs=probs)

@@ -2,9 +2,10 @@
 
 After n interactions the eigenbasis index performs a walk S_n with i.i.d.
 steps in {-1, 0, +1} of probabilities (p_-, p_0, p_+).  This module holds
-the transport coefficients, the exact law of S_n (linear and log space, in
-O(n) from one ratio recurrence for the coefficients of (p_- + p_0 z + p_+ z^2)^n,
-with the n-fold convolutions as its oracles), seeded Monte Carlo sampling,
+the transport coefficients, the exact law of S_n (from one ratio recurrence
+for the coefficients of (p_- + p_0 z + p_+ z^2)^n: the linear law in
+O(live span), with the full recurrence as its oracle, the log law in O(n),
+and the n-fold convolutions as the oracles of both), seeded Monte Carlo sampling,
 the scaled cumulant generating function (`log_theta` at gamma = -eta) and
 the closed-form / numerical Legendre pair of rate functions, all built on
 the log Kraus weights (`log_step_kernel`).
@@ -70,7 +71,106 @@ class WalkLaw:
         return float(np.dot(np.exp(eta * self.support), self.pmf))
 
 
-def _outward_ratios(n: int, log_k: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
+def _ratio_overflow(n: int, log_k: np.ndarray) -> NumericsError:
+    return NumericsError(f"the walk law's log ratios overflow a double over n = {n} steps "
+                         f"(log weights {log_k.tolist()})")
+
+
+def _require_finite_ratios(n: int, log_k: np.ndarray) -> None:
+    """Refuse, for 0 < p < 1, where 2n times a log ratio's weight term overflows."""
+    l_minus, l_zero, l_plus = log_k.tolist()
+    if not math.isfinite(max(l_zero - l_minus, abs(l_zero - l_plus)) * (2 * n)):
+        raise _ratio_overflow(n, log_k)
+
+
+def _t_reads(n: int, a: int, b: int) -> tuple[range, range, int, int]:
+    """The t_j the ratios between sites a..b read: (below, above, first, last).
+
+    The ratio between sites i and i+1 reads t_i below the centre and
+    t_{2n-1-i} above it; `below` and `above` are those j in ratio order
+    (`above` reversed), first..last the range that covers both.
+    """
+    below, above = range(a, min(b, n)), range(2 * n - b, 2 * n - max(a, n))
+    first = min((r.start for r in (below, above) if r), default=n)
+    last = max((r.stop for r in (below, above) if r), default=n) - 1
+    return below, above, first, last
+
+
+def _mean_site(n: int, log_k: np.ndarray) -> int:
+    """The support index nearest the mean n (p_+ - p_-) of S_n."""
+    l_minus, _, l_plus = log_k.tolist()
+    return n + round(n * (math.exp(l_plus) - math.exp(l_minus)))
+
+
+def _meeting(n: int, q: float, start: int, first: int) -> tuple[int, float] | None:
+    """(j, t_j) at the first j < `first` where the two chains begun at `start` agree.
+
+    Each step t_{j-1} -> t_j = [(n-j) + (2n-j+1) q / t_{j-1}] / (j+1), its
+    three roundings included, is non-increasing in t_{j-1}.  The j = 0
+    chain's t_{start-1} is at least the step from inf, (n-start+1)/start, and
+    at most inf; one chain from each end of that bracket encloses the j = 0
+    chain at every step, so where they agree it agrees with them.  None if
+    they have not met before `first`.
+    """
+    hi, lo, c = math.inf, (n - start + 1) / start, 2.0 * n + 1.0 - start
+    for j in range(start, first):
+        hi = ((n - j) + c * q / hi) / (j + 1)
+        lo = ((n - j) + c * q / lo) / (j + 1)
+        if hi == lo:
+            return j, hi
+        c -= 1.0
+    return None
+
+
+def _ratio_recurrence(n: int, q: float, first: int, last: int, start: int = 0) -> list:
+    """t_first .. t_last of Miller's recurrence, bit for bit as begun at j = 0.
+
+    A start past 0 is certified by `_meeting`; where its chains have not met
+    before `first`, the margin first - start doubles, down to the j = 0 start.
+    """
+    j0, prev = 0, math.inf
+    while start > 0:
+        met = _meeting(n, q, start, first)
+        if met:
+            j0, prev = met[0] + 1, met[1]
+            break
+        start = max(0, first - 2 * (first - start))
+    # c = 2n - j + 1 as an exact float, so c q rounds as the integer product did
+    c, out = 2.0 * n + 1.0 - j0, []
+    for j in range(j0, first):
+        prev = ((n - j) + c * q / prev) / (j + 1)
+        c -= 1.0
+    for j in range(first, last + 1):
+        prev = ((n - j) + c * q / prev) / (j + 1)
+        out.append(prev)
+        c -= 1.0
+    return out
+
+
+def _restart_index(n: int, q: float, first: int) -> int:
+    """Where the recurrence for t_first onward starts: 0, or a restart for `_meeting` to certify.
+
+    A step damps a relative error in t_{j-1} by the log-space contraction
+    factor rho_j = (2n-j+1) q / ((j+1) t_j t_{j-1}) = 1 - (n-j) / ((j+1) t_j).
+    The margin first - start is the number of steps at rho_first, t taken
+    at the recurrence's fixed point there, that damps the bracket's first
+    log gap, log(1 + (2n-j+1) q j / ((n-j)(n-j+1))), below 2^-60.  The
+    restart is taken only where its two chains over the margin cost less
+    than the j = 0 start.  Near p = 1 (q large) rho is within ~1e-8 of 1, and
+    the j = 0 start is kept.
+    """
+    if not 0 < first < n:
+        return 0
+    j, c = first, 2.0 * n + 1.0 - first
+    fixed = ((n - j) + math.sqrt((n - j) ** 2 + 4.0 * (j + 1) * c * q)) / (2.0 * (j + 1))
+    damp = min((n - j) / ((j + 1) * fixed), 0.5)      # 1 - rho, at most 1/2 used
+    gap = math.log1p(c * q * j / ((n - j) * (n - j + 1)))
+    steps = (math.log(max(gap, 2.0 ** -60)) + 60.0 * math.log(2.0)) / -math.log1p(-damp)
+    return first - max(1, math.ceil(steps)) if 2.0 * steps < first - 2 else 0
+
+
+def _outward_ratios(n: int, log_k: np.ndarray, sites: slice | None = None,
+                    start: int = 0) -> tuple[slice, np.ndarray, np.ndarray]:
     """The reachable sites of S_n and the log ratios between neighbours, split at the mode.
 
     Returns (sites, down, up): `sites` indexes the support -n..n; `up[i]` is
@@ -85,8 +185,15 @@ def _outward_ratios(n: int, log_k: np.ndarray) -> tuple[slice, np.ndarray, np.nd
     numbers mirrored, p_+ / (t_{n-1-s} p_0).  Every term is positive and
     each step damps the relative error it inherits, so each t_j keeps a few
     ulps; the log weights keep the ratios finite where p_- underflows.
+
+    By default the ratios cover every reachable site, from the j = 0 start:
+    the full recurrence, the oracle of the live span.  For 0 < p < 1,
+    `sites` (a contiguous slice holding the mean) limits them to those sites,
+    and only the t_j they read are computed, from `start`
+    (`_ratio_recurrence`, bit-equal to the j = 0 start).
     """
     l_minus, l_zero, l_plus = log_k.tolist()
+    anchor = 0                     # the site the mode search sums from
     if l_plus == -math.inf:        # p = 0: S_n = 0 surely
         sites, ratios = slice(n, n + 1), np.empty(0)
     elif l_zero == -math.inf:      # p = 1: a binomial on the sites of the parity of n
@@ -94,23 +201,76 @@ def _outward_ratios(n: int, log_k: np.ndarray) -> tuple[slice, np.ndarray, np.nd
         sites = slice(0, 2 * n + 1, 2)
         ratios = (np.log(n - m) - np.log(m + 1)) + (l_plus - l_minus)
     else:
+        _require_finite_ratios(n, log_k)
+        sites = sites or slice(0, 2 * n + 1)
+        below, above, first, last = _t_reads(n, sites.start, sites.stop - 1)
         q = math.exp(l_plus + l_minus - 2.0 * l_zero)
-        # c = 2n - j + 1 as an exact float, so c q rounds as the integer product did
-        t, prev, c = [], math.inf, 2.0 * n + 1.0
-        for j in range(n):
-            prev = ((n - j) + c * q / prev) / (j + 1)
-            t.append(prev)
-            c -= 1.0
-        log_t = np.log(t)
-        sites = slice(0, 2 * n + 1)
-        ratios = np.concatenate([log_t + (l_zero - l_minus),
-                                 -(log_t[::-1] + (l_zero - l_plus))])
+        log_t = np.log(_ratio_recurrence(n, q, first, last, start))
+        low, high = (log_t[r.start - first:r.stop - first] for r in (below, above))
+        ratios = np.concatenate([low + (l_zero - l_minus), -(high[::-1] + (l_zero - l_plus))])
+        anchor = _mean_site(n, log_k) - sites.start
     # their cumulative sums below are log P ratios across the support, up to ~n beta E
     if not math.isfinite(float(np.max(np.abs(ratios), initial=0.0)) * ratios.size):
-        raise NumericsError(f"the walk law's log ratios overflow a double over n = {n} steps "
-                            f"(log weights {log_k.tolist()})")
-    mode = int(np.argmax(np.concatenate([[0.0], np.cumsum(ratios)])))
+        raise _ratio_overflow(n, log_k)
+    # the mode: the first largest cumulative log ratio, summed outward from the
+    # anchor, so a span holding the anchor finds the whole support's mode
+    left = -np.cumsum(ratios[:anchor][::-1])[::-1]
+    mode = int(np.argmax(np.concatenate([left, [0.0], np.cumsum(ratios[anchor:])])))
     return sites, -ratios[:mode][::-1], ratios[mode:]
+
+
+# A site is live where the envelope (2n+1) exp(-n I(k/n)) of P[k] / P[mode]
+# is at least 2^-1075, half the smallest subnormal, times a slack of 2^-32.
+# Past it the full recurrence's products, whose relative error stays far
+# below that slack (with the rounding of n I) while they are normal, are
+# subnormal: there a product can stall at 2^-1074 only while its two-step
+# ratio exceeds 1/2, a tail that slow holds a sum of at least 2, and
+# 2^-1074 / 2 rounds to 0.  So the law is an exact 0 there on both routes.
+_LIVE_FLOOR = (1075 + 32) * math.log(2.0)
+
+
+def _live_span(n: int, log_k: np.ndarray, be: float) -> tuple[slice | None, int]:
+    """The sites where S_n's law can be nonzero in a double, and where their recurrence starts.
+
+    P[k] <= exp(-n I(k/n)) (Chernoff, I the closed-form rate function) and
+    P[mode] >= 1/(2n+1), so P[k] / P[mode] <= (2n+1) exp(-n I(k/n)); the
+    sites where that is below 2^-1075 times the slack of `_LIVE_FLOOR` are
+    exact zeros.  n I(k/n) is convex with its minimum at the mean, so each
+    edge is a bisection from the mean site.  Returns (None, 0), the whole
+    support from the j = 0 start, at n = 0, at p = 0 or 1, and where
+    n I(+-1), the two ends, are under the floor.  The overflow refusal of
+    `_outward_ratios` comes first.
+    """
+    l_minus, l_zero, l_plus = log_k.tolist()
+    if n == 0 or l_plus == -math.inf or l_zero == -math.inf:
+        return None, 0
+    _require_finite_ratios(n, log_k)
+    floor = _LIVE_FLOOR + math.log(2 * n + 1)
+
+    def dead(k: int) -> bool:
+        return n * _rate((k - n) / n, (l_minus, l_zero, l_plus), be) > floor
+
+    if not (dead(0) or dead(2 * n)):
+        return None, 0
+    mean = _mean_site(n, log_k)
+    if dead(mean):
+        return None, 0
+    edges = []
+    for live, far in ((mean, 0), (mean, 2 * n)):
+        if not dead(far):
+            edges.append(far)
+            continue
+        while abs(far - live) > 1:      # `live` is live, `far` dead
+            mid = (live + far) // 2
+            if dead(mid):
+                far = mid
+            else:
+                live = mid
+        edges.append(live)
+    a, b = edges
+    first = _t_reads(n, a, b)[2]
+    q = math.exp(l_plus + l_minus - 2.0 * l_zero)
+    return slice(a, b + 1), _restart_index(n, q, first)
 
 
 def _outward_products(ratios: np.ndarray) -> np.ndarray:
@@ -169,22 +329,27 @@ def _law_sum(rel: np.ndarray) -> float:
 
 
 def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
-    """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(n).
+    """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(live span).
 
     P[S_n = s] / P[mode] is the cumulative product of the neighbour ratios
     of `_outward_ratios` outward from the mode, normalised with a
     correctly rounded sum (`_law_sum`: only the terms >= 2^-80 are summed
     where the rest, below 2^-80 each, provably cannot change the rounded
-    result; otherwise all of them).  Entries in the normal double range
-    keep relative accuracy, their error growing at most linearly with the
-    distance from the mode (~1e-13 at n = 2*10^4).  n = 0 and n = 1 are the delta and the
-    step law itself; unreachable sites (p = 0, or the wrong parity at p = 1)
-    are 0.
+    result; otherwise all of them).  Only the live span (`_live_span`: the
+    sites whose Chernoff envelope is not below 2^-1075 by the slack 2^-32)
+    is computed, its recurrence from a certified restart
+    (`_ratio_recurrence`); every other site is an exact 0.  The result is
+    bit-equal to the same law built on the full recurrence from j = 0, its
+    oracle.  Entries in the normal double range keep relative accuracy,
+    their error growing at most linearly with the distance from the mode
+    (~1e-13 at n = 2*10^4).  n = 0 and n = 1 are the delta and the step law
+    itself; unreachable sites (p = 0, or the wrong parity at p = 1) are 0.
     """
     n = _require_count(n, "n")
     if n == 1:
         return WalkLaw(n=n, pmf=kraus_weights(params).as_array())
-    sites, down, up = _outward_ratios(n, log_step_kernel(params))
+    log_k = log_step_kernel(params)
+    sites, down, up = _outward_ratios(n, log_k, *_live_span(n, log_k, params.beta * params.E))
     rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
     return WalkLaw(n=n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
 
@@ -320,11 +485,16 @@ def rate_function(x: float, params: ModelParams) -> float:
     """
     if math.isnan(x):
         raise NumericsError("rate function of NaN")
+    return _rate(x, log_step_kernel(params).tolist(), params.beta * params.E)
+
+
+def _rate(x: float, log_k, be: float) -> float:
+    """`rate_function` at a non-NaN x from the log weights (l_-, l_0, l_+) and be = beta E."""
     if not -1.0 <= x <= 1.0:
         return math.inf
     if x < 0.0:
-        return rate_function(-x, params) - params.beta * params.E * x
-    l_minus, l_zero, l_plus = log_step_kernel(params).tolist()
+        return _rate(-x, log_k, be) - be * x
+    l_minus, l_zero, l_plus = log_k
     if l_plus == -math.inf:  # p = 0: the walk never moves, S_n = 0 surely
         return 0.0 if x == 0.0 else math.inf
     if x == 1.0:

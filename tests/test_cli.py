@@ -375,3 +375,41 @@ def test_readme_lists_the_run_keys_of_each_experiment():
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M))
     assert {e: tuple(re.findall(r"`--([a-z]+)`", rows.get(e, ""))) for e in READS} == READS
     assert {name: keys for name, (_, keys) in cli.EXPERIMENTS.items()} == READS
+
+
+@pytest.mark.parametrize("args", [
+    f"{FLAGS} walk --n x",
+    f"{FLAGS} walk --format xml",
+    f"{FLAGS} bogus",
+    f"{FLAGS} --format xml rate",
+])
+def test_argparse_errors_are_one_error_line(args, capsys):
+    # argparse's own refusals return 2 in-process, with no usage text
+    assert cli.main(args.split()) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_top_level_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0 and "--config" in capsys.readouterr().out
+
+
+def test_config_run_takes_output_flags_without_the_subcommand(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1,
+                                "experiment": "rate", "n": 4}))
+    assert cli.main(["--config", str(path), "rate", "--out", "-"]) == 0
+    named = capsys.readouterr().out
+    assert cli.main(["--config", str(path), "--out", "-"]) == 0
+    assert capsys.readouterr().out == named
+    assert cli.main(["--config", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["columns"][0] == "x"
+    # the subcommand's own flag wins; unset, it leaves the top-level one alone
+    assert cli.main(["--config", str(path), "--format", "json", "rate", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == named
+    out_file = tmp_path / "rate.csv"
+    assert cli.main(["--config", str(path), "--out", str(out_file), "rate", "--n", "4"]) == 0
+    assert out_file.read_text() == named

@@ -29,6 +29,7 @@ from starkwalk import (
     theta,
     transform_matrix,
     transport_coefficients,
+    walk_pmf_exact,
 )
 from starkwalk.fcs import _LOG_KERNEL_TAIL, _kernel_top, environment_weights
 
@@ -383,6 +384,27 @@ def test_position_fcs_mean_is_drift(params):
     assert abs(dist.variance() - (walk_var + kernel_var)) <= 1e-8
     # per-step variance converges to the transport value
     assert abs(dist.variance() / (n * params.tau) - 2.0 * tc.D) <= kernel_var / n + 1e-10
+
+
+# the corners and centre of the (E, lam, beta) box of 0.98..1.02 times (2, 0.5, 1)
+BOX_PARAMS = [ModelParams(E=2.0 * e, F=1.0, lam=0.5 * lam, tau=1.0, beta=beta)
+              for e in (0.98, 1.02) for lam in (0.98, 1.02) for beta in (0.98, 1.02)]
+BOX_PARAMS.append(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0))
+
+
+@pytest.mark.parametrize("n", [500, 20_000, 100_000])
+def test_position_fcs_crop_is_the_whole_convolution(n):
+    # only the walk's nonzero sites, padded by kernel.size - 1 zeros on each
+    # side, are convolved: every output is the same dot product as in the
+    # convolution over the whole support, or 0 (without the padding, edge
+    # entries near 1e-153 differ in their last bits)
+    rho = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
+    for params in BOX_PARAMS:
+        dist = run_position_fcs(n, rho, params, method="reduced")
+        d, kernel = free_kernel(n * params.tau, params)
+        whole = np.convolve(walk_pmf_exact(n, params).pmf, kernel)
+        assert np.array_equal(dist.probs, whole)
+        assert np.array_equal(dist.dx, np.arange(-n + d[0], n + d[-1] + 1))
 
 
 def test_position_cgf_zero_eta(params):

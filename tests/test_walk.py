@@ -29,13 +29,18 @@ from starkwalk.walk import (
     _FSUM_CHUNK,
     _fsum,
     _law_sum,
+    _live_span,
     _outward_products,
     _outward_ratios,
+    _place,
+    _ratio_recurrence,
     log_convolve_step,
     log_step_kernel,
 )
 
 from conftest import assert_law_matches_oracle
+
+walk_module = sys.modules["starkwalk.walk"]
 
 # the law's corner cases: frozen walk, parity-locked walk, p_0 = 1e-14 (the law
 # alternates between heavy and light sites), no bias, p_- underflowing
@@ -487,3 +492,76 @@ def test_walk_law_refuses_where_its_log_ratios_overflow():
         for route in (walk_pmf_exact, walk_log_pmf):
             with pytest.raises(NumericsError, match="log ratios overflow"):
                 route(3, at(beta))
+
+
+def _full_recurrence_law(n, params):
+    """The linear law on every reachable site, its ratios from the j = 0 start."""
+    sites, down, up = _outward_ratios(n, log_step_kernel(params))
+    rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
+    return _place(n, sites, rel / _law_sum(rel), 0.0)
+
+
+SMALL_P = ModelParams(E=2.0, F=1.0, lam=0.05, tau=1.0, beta=1.0)
+NEAR_ONE = {"p-near-one": LAW_PARAMS["p-near-one"],
+            "near-one-1e-4": ModelParams(E=1.0, F=1.0, lam=math.pi / 2 - 1e-4, tau=1.0, beta=0.3)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2000, 20_000, 100_000])
+def test_live_span_law_is_the_full_recurrence_law(n):
+    # ratios, products and sum on the live span only, from a certified restart,
+    # and exact zeros elsewhere: bit for bit the law of the j = 0 recurrence
+    for params in [*_sum_params(), SMALL_P]:
+        law = walk_pmf_exact(n, params).pmf
+        if n == 1:
+            assert np.array_equal(law, kraus_weights(params).as_array())
+        else:
+            assert np.array_equal(law, _full_recurrence_law(n, params))
+
+
+def test_live_span_law_at_n_10_6():
+    n = 10**6
+    logk = log_step_kernel(CHECK_PARAMS)
+    sites, start = _live_span(n, logk, CHECK_PARAMS.beta * CHECK_PARAMS.E)
+    # 33,069 nonzero sites; the recurrence restarts far past j = 0
+    assert sites.stop - sites.start < 40_000 and start > 800_000
+    law = walk_pmf_exact(n, CHECK_PARAMS).pmf
+    assert np.array_equal(law, _full_recurrence_law(n, CHECK_PARAMS))
+    assert np.count_nonzero(law) == 33_069
+
+
+@pytest.mark.parametrize("n", [2000, 20_000, 100_000])
+def test_near_p_one_takes_the_j0_start(n):
+    # rho is within ~1e-8 of 1 there: no restart can be certified in time
+    for params in NEAR_ONE.values():
+        sites, start = _live_span(n, log_step_kernel(params), params.beta * params.E)
+        assert sites is not None and start == 0
+    for params in (CHECK_PARAMS, SMALL_P):
+        assert _live_span(n, log_step_kernel(params), params.beta * params.E)[1] > 0
+
+
+def test_whole_support_live_reads_only_the_two_ends(monkeypatch):
+    # where n I(+-1) is under the floor the envelope is not searched
+    xs = []
+    real = walk_module._rate
+    monkeypatch.setattr(walk_module, "_rate", lambda x, *a: xs.append(x) or real(x, *a))
+    logk, be = log_step_kernel(CHECK_PARAMS), CHECK_PARAMS.beta * CHECK_PARAMS.E
+    for n in (2, 50, 200):
+        xs.clear()
+        assert _live_span(n, logk, be) == (None, 0)
+        assert {abs(x) for x in xs} == {1.0}
+    xs.clear()
+    assert _live_span(20_000, logk, be)[0] is not None
+    assert min(abs(x) for x in xs) < 1.0
+
+
+@pytest.mark.parametrize("params", [CHECK_PARAMS, *NEAR_ONE.values()],
+                         ids=["check-params", *NEAR_ONE])
+def test_restart_is_bit_equal_or_falls_back_to_j0(params):
+    # starts too close to `first` for the two chains to meet: the margin doubles
+    # (to j = 0 near p = 1) and the values are still those of the j = 0 chain
+    n, (l_minus, l_zero, l_plus) = 20_000, log_step_kernel(params).tolist()
+    q = math.exp(l_plus + l_minus - 2.0 * l_zero)
+    full = _ratio_recurrence(n, q, 0, n - 1)
+    for first in (3, 5_000, 15_000):
+        for start in (1, first - 1, first // 2):
+            assert _ratio_recurrence(n, q, first, n - 1, start) == full[first:]
