@@ -9,6 +9,7 @@ files.  The default output directory can be set with STARKWALK_OUTDIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,14 +42,14 @@ from .walk import (
 )
 
 _PARAM_KEYS = ("E", "F", "lambda", "tau", "beta")
-# every integer run key: its smallest accepted value (window: k_min < k_max) and
-# its help; `EXPERIMENTS` names the ones each experiment reads
+# every integer run key: its smallest accepted value (window: k_min < k_max), its
+# default and its help; `EXPERIMENTS` names the ones each experiment reads
 _COUNTS = {
-    "n": (0, "number of interactions / steps"),
-    "trials": (1, "number of sampled walks"),
-    "seed": (0, "seed of the sampled walks"),
-    "window": (2, "override window size"),
-    "m": (1, "reservoir atoms (default n)"),
+    "n": (0, 100, "number of interactions / steps"),
+    "trials": (1, 10_000, "number of sampled walks"),
+    "seed": (0, 0, "seed of the sampled walks"),
+    "window": (2, None, "override window size"),
+    "m": (1, None, "reservoir atoms (default n)"),
 }
 # the keys every experiment accepts besides its own
 _OUTPUT_KEYS = ("format", "out")
@@ -56,13 +57,15 @@ _OUTPUT_KEYS = ("format", "out")
 
 @dataclass
 class RunConfig:
+    """One run; `parse_config` fills the run keys from `_COUNTS`."""
+
     params: ModelParams
     experiment: str
-    n: int = 100
-    trials: int = 10_000
-    seed: int = 0
-    window: int | None = None
-    m: int | None = None
+    n: int
+    trials: int
+    seed: int
+    window: int | None
+    m: int | None
     fmt: str = "csv"
     out: str | None = None
 
@@ -90,14 +93,17 @@ def _output_flags(ap: argparse.ArgumentParser, **default) -> None:
     ap.add_argument("--out", help="output path; '-' for stdout", **default)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing keeps no state."""
     ap = _Parser(
         prog="starkwalk",
         description="Tilted-band repeated-interaction simulator (batch mode).")
     ap.add_argument("--config", help="JSON file with the same keys as the flags")
     ap.add_argument("--E", type=float, help="atomic Bohr frequency (>= 0)")
     ap.add_argument("--F", type=float, help="static tilt force (> 0)")
-    ap.add_argument("--lambda", dest="lam", type=float, help="coupling constant")
+    ap.add_argument("--lambda", dest="lambda", metavar="LAM", type=float,
+                    help="coupling constant")
     ap.add_argument("--tau", type=float, help="interaction duration (> 0)")
     ap.add_argument("--beta", type=float, help="inverse temperature (>= 0)")
     # also before the subcommand, so a config-file run can set them without naming it
@@ -106,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, keys) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
         for key in keys:
-            sp.add_argument(f"--{key}", type=int, help=_COUNTS[key][1])
+            sp.add_argument(f"--{key}", type=int, help=_COUNTS[key][2])
         # unset, a subcommand's flag must not overwrite the top-level one with None
         _output_flags(sp, default=argparse.SUPPRESS)
     return ap
@@ -116,29 +122,20 @@ def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional JSON config file) into a validated RunConfig."""
     # flags the subcommand does not define come back in `extra`, refused below
     ns, extra = _build_parser().parse_known_args(argv)
+    flags = vars(ns)
+    path = flags.pop("config")
     merged: dict = {}
-    if ns.config:
+    if path:
         try:
-            with open(ns.config) as fh:
+            with open(path) as fh:
                 filecfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {ns.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(filecfg, dict):
-            raise ConfigError(f"config file {ns.config} must hold a JSON object")
+            raise ConfigError(f"config file {path} must hold a JSON object")
         merged.update(filecfg)
-
-    flag_params = {"E": ns.E, "F": ns.F, "lambda": ns.lam, "tau": ns.tau, "beta": ns.beta}
-    for key, value in flag_params.items():
-        if value is not None:
-            merged[key] = value
-    for key in _OUTPUT_KEYS:
-        if getattr(ns, key) is not None:
-            merged[key] = getattr(ns, key)
-    if ns.experiment:
-        merged["experiment"] = ns.experiment
-        for key in EXPERIMENTS[ns.experiment][1]:
-            if getattr(ns, key) is not None:
-                merged[key] = getattr(ns, key)
+    # every flag given overrides the file; the subcommand defines only the keys it reads
+    merged.update((key, value) for key, value in flags.items() if value is not None)
 
     missing = [k for k in _PARAM_KEYS if k not in merged]
     if missing:
@@ -161,10 +158,9 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     cfg = RunConfig(params=params, experiment=experiment,
-                    fmt=merged.get("format", "csv"), out=merged.get("out"))
-    for key in reads:
-        if key in merged:
-            setattr(cfg, key, _require_count(merged[key], key, _COUNTS[key][0]))
+                    fmt=merged.get("format", "csv"), out=merged.get("out"),
+                    **{key: _require_count(merged[key], key, low) if key in merged else default
+                       for key, (low, default, _) in _COUNTS.items()})
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError(f"out must be a path string, got {cfg.out!r}")
     if cfg.fmt not in ("csv", "json"):
@@ -316,14 +312,6 @@ def run_experiment(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def render(table: ResultTable, fmt: str) -> str:
     if fmt == "json":
         payload = {"metadata": table.metadata, "columns": table.columns,
@@ -332,7 +320,8 @@ def render(table: ResultTable, fmt: str) -> str:
     lines = [f"# metadata: {json.dumps(table.metadata, sort_keys=True)}"]
     lines.append(",".join(table.columns))
     for row in table.rows:
-        lines.append(",".join(map(_format_cell, row)))
+        # np.float64 is a float; str gives np.integer, bool and str their plain text
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -350,37 +339,6 @@ def write_output(table: ResultTable, fmt: str, path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise StarkwalkError(f"cannot write {path}: {exc}") from exc
-
-
-def read_table(path: str) -> ResultTable:
-    """Parse a table previously written by write_output (either format)."""
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        return ResultTable(payload["columns"], payload["rows"], payload["metadata"])
-    meta: dict = {}
-    lines = [ln for ln in text.splitlines() if ln]
-    body = []
-    for ln in lines:
-        if ln.startswith("# metadata: "):
-            meta = json.loads(ln[len("# metadata: "):])
-        elif not ln.startswith("#"):
-            body.append(ln)
-    columns = body[0].split(",")
-    rows = []
-    for ln in body[1:]:
-        row = []
-        for cell in ln.split(","):
-            try:
-                row.append(int(cell))
-            except ValueError:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-        rows.append(row)
-    return ResultTable(columns, rows, meta)
 
 
 def main(argv: list[str] | None = None) -> int:

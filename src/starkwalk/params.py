@@ -89,12 +89,17 @@ def _require_count(value, name: str, low: int = 0) -> int:
 
 
 def _require_phase(t, *energies) -> None:
-    """Refuse with NumericsError a time t (number or array) at which t * energy overflows.
+    """Refuse with NumericsError a time t (number or array) at which a phase t * energy
+    overflows or reaches 2^52, where a double keeps no fractional bit of it.
 
     Rounding is monotone, so max |t| times max |energy| bounds every such phase;
     it is taken in Python floats, which overflow to inf without a warning.
     """
     span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
     top = max(float(np.abs(e).max()) for e in energies)
-    if not math.isfinite(span * top):
+    phase = span * top
+    if not math.isfinite(phase):
         raise NumericsError(f"phase t * energy overflows a double at |t| = {span:.6g}")
+    if phase >= 2.0 ** 52:
+        raise NumericsError(f"phase t * energy = {phase:.6g} reaches 2^52 at |t| = {span:.6g}; "
+                            "a double keeps no fractional digit of it")

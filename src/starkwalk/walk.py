@@ -507,12 +507,15 @@ def _rate(x: float, log_k, be: float) -> float:
     return tilt - x * (l_plus - l_zero) - l_zero - math.log((1.0 + R) / (1.0 - x * x))
 
 
-def _legendre_sup(x: float, params: ModelParams) -> tuple[float, float]:
-    """Solve e'(eta) = x by safeguarded Newton; returns (eta*, eta* x - e(eta*)).
+def rate_function_numeric(x: float, params: ModelParams) -> float:
+    """Rate function as the Legendre-Fenchel transform sup_eta [eta x - e(eta)].
 
-    The bracket doubles until it holds x.  Newton stops at rounding level in e',
-    or at a step or bracket of a few ulps of eta; it bisects where e'' is subnormal.
+    Solves e'(eta) = x by safeguarded Newton.  The bracket doubles until it
+    holds x.  Newton stops at rounding level in e', or at a step or bracket of
+    a few ulps of eta; it bisects where e'' is subnormal.
     """
+    if not -1.0 < x < 1.0:
+        raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
     log_k = log_step_kernel(params).tolist()
     p, be = derive_params(params).p, params.beta * params.E
     lo, hi = -2.0, 2.0
@@ -529,33 +532,19 @@ def _legendre_sup(x: float, params: ModelParams) -> tuple[float, float]:
         lo, hi = (lo, eta) if f > 0.0 else (eta, hi)
         step = f / e2 if e2 >= sys.float_info.min else math.inf
         if abs(f) <= 1e-14 * (1.0 + abs(x)) or min(abs(step), hi - lo) <= 4.0 * math.ulp(eta):
-            return eta, eta * x - e0
+            return eta * x - e0
         eta = eta - step if lo < eta - step < hi else 0.5 * (lo + hi)
     raise NumericsError(f"Legendre sup did not converge at x={x}")
-
-
-def rate_function_numeric(x: float, params: ModelParams) -> float:
-    """Rate function as the Legendre-Fenchel transform sup_eta [eta x - e(eta)]."""
-    if not -1.0 < x < 1.0:
-        raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
-    return _legendre_sup(x, params)[1]
 
 
 def rate_function_entropy(s: float, params: ModelParams) -> float:
     """Rate function of the entropy-like increment per step.
 
-    phi(s) = sup_alpha (alpha s - log theta(alpha)) = I(-s / (beta E)).
-    Inside the range it is the Legendre sup over eta = -alpha beta E at
-    x = -s / (beta E), the same `_legendre_sup` as `rate_function_numeric`,
-    so it is that oracle read on the entropy scale, not a third route; at
-    and past the endpoints it is the closed form.  Requires beta E > 0;
-    satisfies phi(-s) = phi(s) - s.
+    phi(s) = sup_alpha (alpha s - log theta(alpha)) = I(-s / (beta E)), read
+    off the closed-form `rate_function`; +inf past the endpoints.  Requires
+    beta E > 0; satisfies phi(-s) = phi(s) - s.
     """
     be = params.beta * params.E
     if be <= 0.0:
         raise ConfigError("entropy rate function needs beta E > 0")
-    x = -s / be
-    if abs(x) >= 1.0:
-        # endpoint limits fall back to the closed form; +inf beyond them
-        return rate_function(x, params)
-    return _legendre_sup(x, params)[1]
+    return rate_function(-s / be, params)

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +18,6 @@ from starkwalk import TOL, ConfigError, ModelParams, transport_coefficients
 from starkwalk.cli import (
     ResultTable,
     parse_config,
-    read_table,
     render,
     run_experiment,
     write_output,
@@ -100,9 +102,9 @@ def test_fcs_position_any_n(n, tmp_path):
     rc = cli.main("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 "
                   f"fcs-position --n {n} --out {out}".split())
     assert rc == 0
-    table = read_table(str(out))
-    dx = np.array([row[0] for row in table.rows], dtype=float)
-    prob = np.array([row[1] for row in table.rows])
+    lines = out.read_text().splitlines()
+    assert lines[1] == "dx,prob"
+    dx, prob = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]]).T
     assert abs(prob.sum() - 1.0) <= TOL.trace
     drift = n * transport_coefficients(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)).v_d
     assert abs(float(np.dot(dx, prob)) - drift) <= TOL.walk_moments_rel * max(1.0, drift)
@@ -113,10 +115,10 @@ def test_json_round_trip(tmp_path):
     table = run_experiment(cfg)
     path = tmp_path / "out.json"
     write_output(table, "json", str(path))
-    back = read_table(str(path))
-    assert back.columns == table.columns
-    assert back.metadata == json.loads(json.dumps(table.metadata))
-    assert np.allclose(np.array(back.rows, dtype=float),
+    back = json.loads(path.read_text())
+    assert back["columns"] == table.columns
+    assert back["metadata"] == json.loads(json.dumps(table.metadata))
+    assert np.allclose(np.array(back["rows"], dtype=float),
                        np.array(table.rows, dtype=float), rtol=0, atol=0)
 
 
@@ -126,10 +128,10 @@ def test_csv_round_trip(tmp_path):
     table = run_experiment(cfg)
     path = tmp_path / "out.csv"
     write_output(table, "csv", str(path))
-    back = read_table(str(path))
-    assert back.columns == table.columns
-    assert back.metadata["seed"] == 5
-    got = np.array([r[:2] for r in back.rows], dtype=float)
+    meta, header, *body = path.read_text().splitlines()
+    assert header.split(",") == table.columns
+    assert json.loads(meta.removeprefix("# metadata: "))["seed"] == 5
+    got = np.array([[float(cell) for cell in line.split(",")[:2]] for line in body])
     want = np.array([r[:2] for r in table.rows], dtype=float)
     assert np.array_equal(got, want)   # repr round-trips floats exactly
 
@@ -154,6 +156,13 @@ def test_empty_table_render():
     assert lines[0].startswith("# metadata:")
     assert lines[1] == "a,b"
     assert len(lines) == 2
+
+
+def test_cell_rule_keeps_the_text_of_each_type():
+    # np.float64 through repr(float), the rest through str: the text of every type
+    table = ResultTable(columns=list("abcdefg"), metadata={},
+                        rows=[[np.float64(0.1), np.int64(3), True, "x", -0.0, 1e-300, math.inf]])
+    assert render(table, "csv").splitlines()[2] == "0.1,3,True,x,-0.0,1e-300,inf"
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):
@@ -413,3 +422,31 @@ def test_config_run_takes_output_flags_without_the_subcommand(tmp_path, capsys):
     out_file = tmp_path / "rate.csv"
     assert cli.main(["--config", str(path), "--out", str(out_file), "rate", "--n", "4"]) == 0
     assert out_file.read_text() == named
+
+
+def test_one_parser_serves_every_call_and_keeps_nothing(tmp_path):
+    # the parser is built once, on first use; no flag of one call leaks into the next
+    parse_config(f"{FLAGS} walk".split())
+    before = cli._build_parser.cache_info()
+    cfg = parse_config(f"{FLAGS} walk --n 5 --seed 3".split())
+    assert (cfg.n, cfg.seed) == (5, 3)
+    cfg = parse_config(f"{FLAGS} walk --n 5".split())
+    assert (cfg.n, cfg.trials, cfg.seed) == (5, 10_000, 0)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"E": 3, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1,
+                                "experiment": "walk", "n": 40, "trials": 300, "seed": 4}))
+    assert parse_config(["--config", str(path), "--format", "json"]).seed == 4
+    cfg = parse_config(f"{FLAGS} walk".split())
+    assert (cfg.params.E, cfg.n, cfg.trials, cfg.seed, cfg.fmt) == (2.0, 100, 10_000, 0, "csv")
+    with pytest.raises(ConfigError, match="rate does not read --trials"):
+        parse_config(f"{FLAGS} rate --trials 3".split())
+    after = cli._build_parser.cache_info()
+    assert after.misses == before.misses == 1 and after.hits == before.hits + 5
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import starkwalk.cli as cli; "
+            "assert cli._build_parser.cache_info().currsize == 0")
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -341,17 +341,21 @@ def test_non_finite_time_is_refused(params, window, bad):
 
 def test_overflowing_phase_is_refused(params, window):
     # at t = 1.7e308 the phases t E_k overflow a double; at 1e300 they are
-    # finite, without digits, and the routes still run
+    # finite but past 2^52, with no fractional digit, and are refused too
     rng = np.random.default_rng(26)
     state = random_joint(rng, window, 3)
     for route in (propagate_closed, propagate_oracle):
         with pytest.raises(NumericsError, match="overflows"):
             route(state, 1.7e308, params)
-        assert np.all(np.isfinite(route(state, 1e300, params).coeffs))
+        with pytest.raises(NumericsError, match=r"2\^52"):
+            route(state, 1e300, params)
+        assert np.all(np.isfinite(route(state, 1e6, params).coeffs))
     for route in (position_expectation, position_oracle):
         with pytest.raises(NumericsError, match="overflows"):
             route(np.array([0.0, 1.7e308]), state, params)
-        assert np.isfinite(route(1e300, state, params))
+        with pytest.raises(NumericsError, match=r"2\^52"):
+            route(np.array([0.0, 1e300]), state, params)
+        assert np.isfinite(route(1e6, state, params))
 
 
 def test_time_shape_is_checked(params, window):
