@@ -2,9 +2,10 @@
 
 Runs one named experiment per invocation and emits a machine-readable
 table (CSV with '#'-prefixed metadata comments, or a single JSON object).
-Outputs embed the parameters, seed, window and tolerances needed to
-reproduce the run exactly; identical configurations produce byte-identical
-files.  The default output directory can be set with STARKWALK_OUTDIR.
+Outputs embed the parameters, the run keys the experiment reads and the
+tolerances needed to reproduce the run exactly; identical configurations
+produce byte-identical files.  The default output directory can be set
+with STARKWALK_OUTDIR.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import fcs as fcs_mod
-from .bessel import bessel_table
-from .channel import apply_channel
+from .channel import kraus_weights
 from .config import TOL
 from .errors import ConfigError, NumericsError, StarkwalkError
 from .params import ModelParams, _require_count, derive_params
@@ -32,7 +32,7 @@ from .singleatom import (
     position_motion_bound,
     position_oracle,
 )
-from .state import LatticeWindow, ParticleDensityMatrix, position_distribution, required_order
+from .state import LatticeWindow, ParticleDensityMatrix
 from .verify import run_all
 from .walk import (
     rate_function,
@@ -169,15 +169,13 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _metadata(cfg: RunConfig) -> dict:
+    # the run keys the experiment reads, and no others: what reproduces the run
     return {
         "version": __version__,
         "params": {"E": cfg.params.E, "F": cfg.params.F, "lambda": cfg.params.lam,
                    "tau": cfg.params.tau, "beta": cfg.params.beta},
         "experiment": cfg.experiment,
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "window": cfg.window,
+        **{key: getattr(cfg, key) for key in EXPERIMENTS[cfg.experiment][1]},
         "tolerances": asdict(TOL),
     }
 
@@ -219,18 +217,16 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
-    params = cfg.params
-    window = _default_window(cfg, steps=cfg.n)
-    table = bessel_table(params.F, required_order(window))
-    dm = ParticleDensityMatrix.eigenstate(window, 0)
+    # kicks shift both eigenbasis indices and free evolution keeps the diagonal, so from
+    # psi_0 each step convolves the position law, first J_x(2/F)^2, with the Kraus weights
+    weights = kraus_weights(cfg.params).as_array()
+    xs, law = fcs_mod._bessel_squares(2.0 / cfg.params.F,
+                                      "the position law of psi_0 needs J_x(z) at z = 2/F")
     rows = []
     for step in range(cfg.n + 1):
-        xs, pmf = position_distribution(dm, table)
-        mean = float(np.dot(xs, pmf))
-        var = float(np.dot((xs - mean) ** 2, pmf))
-        rows.append([step, dm.trace(), mean, var])
-        if step < cfg.n:
-            dm = apply_channel(dm, 0.0, params)
+        mean = float(np.dot(xs, law))
+        rows.append([step, float(law.sum()), mean, float(np.dot((xs - mean) ** 2, law))])
+        law, xs = np.convolve(law, weights), np.arange(xs[0] - 1, xs[-1] + 2)
     return ResultTable(["step", "trace", "mean_x", "var_x"], rows)
 
 
@@ -296,7 +292,7 @@ def _exp_verify_all(cfg: RunConfig) -> ResultTable:
 EXPERIMENTS = {
     "spectrum": (_exp_spectrum, ("window",)),
     "single-atom": (_exp_single_atom, ("n", "window")),
-    "channel-evolve": (_exp_channel_evolve, ("n", "window")),
+    "channel-evolve": (_exp_channel_evolve, ("n",)),
     "walk": (_exp_walk, ("n", "trials", "seed")),
     "rate": (_exp_rate, ("n",)),
     "fcs-energy": (_exp_fcs_energy, ("n", "m", "window")),

@@ -286,32 +286,33 @@ def _kernel_top(z: float) -> int:
     return hi
 
 
+def _bessel_squares(z: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The orders d and J_d(z)^2 at every d whose square is representable.
+
+    The orders run to the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d!
+    is below 2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0
+    there and past it, and trailing zero squares are trimmed.  That order is found
+    in O(log z) steps (`_kernel_top`).  A z whose recurrence would start past
+    `MAX_MILLER_ORDER` to reach it, or an inf or NaN z, is refused before any
+    Bessel value is computed, with a BudgetError that reads "{what} = z, ...".
+    """
+    if not z <= MAX_MILLER_ORDER or _miller_start(z, top := _kernel_top(z)) > MAX_MILLER_ORDER:
+        raise BudgetError(f"{what} = {z:.6g}, whose recurrence starts past the order "
+                          f"budget of {MAX_MILLER_ORDER}")
+    half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
+    return np.arange(1 - half.size, half.size), np.concatenate([half[:0:-1], half])
+
+
 def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2.
+    """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2, on `_bessel_squares`' orders.
 
     The free propagator is translation covariant up to phases, so the
     kernel depends only on the displacement d; the closed form follows
     from the generating function of the Bessel profile and is verified
-    against the windowed transform in the test suite.  The orders run to
-    the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d! is below
-    2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0 there
-    and past it.  Trailing orders whose square is 0 are trimmed, and every
-    representable entry is kept.  That order is found in O(log z) steps
-    (`_kernel_top`), and a z whose recurrence would start from past
-    `MAX_MILLER_ORDER` to reach it is refused before any Bessel value is
-    computed.
+    against the windowed transform in the test suite.
     """
-    z = _kernel_argument(t, params)
-    top = _kernel_top(z)
-    if _miller_start(z, top) > MAX_MILLER_ORDER:
-        raise BudgetError(
-            f"the free kernel at t = {t!r} needs J_d(z) at z = (4/F)|sin(F t / 2)| = "
-            f"{z:.6g}, whose recurrence starts past the order budget of {MAX_MILLER_ORDER}"
-        )
-    half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
-    kernel = np.concatenate([half[:0:-1], half])
-    d = np.arange(1 - half.size, half.size)
-    return d, kernel
+    return _bessel_squares(_kernel_argument(t, params), f"the free kernel at t = {t!r} needs "
+                           "J_d(z) at z = (4/F)|sin(F t / 2)|")
 
 
 @dataclass(frozen=True)

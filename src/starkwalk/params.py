@@ -73,6 +73,9 @@ def derive_params(raw: ModelParams) -> DerivedParams:
         half_turn = 0.5 * omega0 * raw.tau
         if not math.isfinite(half_turn):
             raise NumericsError(f"phase omega0 tau / 2 overflows a double (omega0 = {omega0:.6g})")
+        if half_turn >= 2.0 ** 52:
+            raise NumericsError(f"phase omega0 tau / 2 = {half_turn:.6g} reaches 2^52 at omega0 = "
+                                f"{omega0:.6g}; a double keeps no fractional digit of it")
         # p = (4 lam^2/omega0^2) sin^2(omega0 tau/2); this grouping keeps p <= 1 exactly
         p = (sin2 * math.sin(half_turn)) ** 2
     else:

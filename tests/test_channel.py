@@ -471,7 +471,9 @@ def test_spectral_radius_growth_rate(params, window):
 
 def test_adjoint_free_phase_overflow_is_refused():
     # tau F k overflows before the phases form: refused, not a numpy overflow
+    # (at E = F the Rabi phase omega0 tau / 2 is lam tau, below the 2^52 at which
+    # derive_params would refuse first)
     window = LatticeWindow(-16, 15, -16, 15)
-    params = ModelParams(E=2.0, F=1.8e307, lam=0.5, tau=1.0, beta=1.0)
+    params = ModelParams(E=1.8e307, F=1.8e307, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(NumericsError, match="overflows"):
         adjoint_apply(np.eye(window.n_k), window, 0.0, params)

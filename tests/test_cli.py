@@ -14,7 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starkwalk.cli as cli
-from starkwalk import TOL, ConfigError, ModelParams, transport_coefficients
+from starkwalk import (
+    TOL,
+    ConfigError,
+    LatticeWindow,
+    ModelParams,
+    ParticleDensityMatrix,
+    apply_channel,
+    bessel_table,
+    position_distribution,
+    required_order,
+    transport_coefficients,
+)
 from starkwalk.cli import (
     ResultTable,
     parse_config,
@@ -68,7 +79,18 @@ def test_rate_experiment_table():
     table = run_experiment(cfg)
     assert table.columns == ["x", "rate_closed", "rate_numeric", "abs_diff"]
     assert max(row[3] for row in table.rows) <= 1e-8
-    assert table.metadata["seed"] == 0
+    # rate draws no sample: its metadata holds no seed
+    assert "seed" not in table.metadata
+
+
+def test_metadata_records_the_run_keys_the_experiment_reads():
+    # the atom count changes the rows, so it is in the metadata line too
+    lines = []
+    for m in (2, 3):
+        cfg = parse_config(f"--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 fcs-energy --n 2 --m {m}".split())
+        lines.append(render(run_experiment(cfg), "csv").splitlines()[0])
+    assert lines[0] != lines[1]
+    assert [json.loads(line.removeprefix("# metadata: "))["m"] for line in lines] == [2, 3]
 
 
 def test_walk_experiment_zero_coupling():
@@ -209,6 +231,31 @@ def test_spectrum_and_channel_evolve_experiments():
         assert abs(row[1] - 1.0) <= 1e-10   # trace preserved
 
 
+@pytest.mark.parametrize("n", [0, 1, 10, 30])
+@pytest.mark.parametrize("physics", [
+    "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1",
+    "--E 1.3 --F 0.7 --lambda 0.37 --tau 1.1 --beta 0.9",
+    "--E 2 --F 0.3 --lambda 0.5 --tau 1 --beta 0",
+])
+def test_channel_evolve_rows_match_the_iterated_channel(physics, n):
+    # the rows read the convolution identity; the oracle steps the density matrix
+    # through apply_channel and transforms it to position space at every step
+    cfg = parse_config(f"{physics} channel-evolve --n {n}".split())
+    rows = run_experiment(cfg).rows
+    assert [row[0] for row in rows] == list(range(n + 1))
+    window = LatticeWindow.for_dynamics(0, 0, steps=n, F=cfg.params.F)
+    table = bessel_table(cfg.params.F, required_order(window))
+    dm = ParticleDensityMatrix.eigenstate(window, 0)
+    for _, trace, mean, var in rows:
+        xs, pmf = position_distribution(dm, table)
+        want_mean = float(np.dot(xs, pmf))
+        want_var = float(np.dot((xs - want_mean) ** 2, pmf))
+        assert abs(trace - dm.trace()) <= TOL.trace
+        assert abs(mean - want_mean) <= TOL.master_vs_channel * max(1.0, abs(want_mean))
+        assert abs(var - want_var) <= TOL.master_vs_channel * max(1.0, abs(want_var))
+        dm = apply_channel(dm, 0.0, cfg.params)
+
+
 FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
 # config-file cases: the run keys each one adds to a valid walk configuration
 BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
@@ -222,10 +269,16 @@ BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
     f"{FLAGS} fcs-position --n -1",
     f"{FLAGS} fcs-energy --n -1",
     f"{FLAGS} channel-evolve --n -1",
+    f"{FLAGS} channel-evolve --n 3 --window 30",
+    # omega0 tau / 2 = 7.1e19 is past 2^52: the jump probability would carry no digit
+    "--E 2 --F 1 --lambda 0.5 --tau 1e20 --beta 1 walk --n 3",
     "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
     # a tilt this small asks the Bessel recurrence for 2e9 orders
     "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
     "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
+    # 2/F and 4/F overflow to inf: refused by the Bessel-square budget, not a traceback
+    "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
+    "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 fcs-position --n 2",
     *BAD_CONFIGS,
 ])
 def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
@@ -238,7 +291,7 @@ def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
         argv = args.split()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("args", [
@@ -283,15 +336,17 @@ def test_rate_far_from_equilibrium(capsys):
 
 
 @pytest.mark.parametrize("F", ["0.1", "0.05"])
-def test_channel_evolve_window_pads_x_by_the_bessel_profile(F, capsys):
+def test_window_flag_pads_x_by_the_bessel_profile(F):
     # --window sets the k-range only: the x-range pads it as the default window
-    # does, by the spread of the Bessel profile J_nu(2/F), so nothing leaks
-    argv = f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 3 --window 30"
-    assert cli.main(argv.split() + ["--out", "-"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert '"window": 30' in lines[0]
-    traces = [float(line.split(",")[1]) for line in lines[2:]]
-    assert len(traces) == 4 and all(abs(t - 1.0) <= TOL.trace for t in traces)
+    # does, by the spread of the Bessel profile J_nu(2/F), so an eigenstate at
+    # either end of the k-range keeps its whole position mass in the window
+    cfg = parse_config(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 spectrum --window 30".split())
+    window = cli._default_window(cfg, steps=2)
+    assert window.n_k == 30
+    table = bessel_table(cfg.params.F, required_order(window))
+    for k in (window.k_min, window.k_max):
+        _, pmf = position_distribution(ParticleDensityMatrix.eigenstate(window, k), table)
+        assert abs(float(pmf.sum()) - 1.0) <= TOL.trace
 
 
 # the run keys of each experiment in the contract sweep: small sizes, so a draw costs ms
@@ -344,7 +399,7 @@ def test_every_experiment_gives_valid_rows_or_one_error_line(experiment, E, F, l
 READS = {
     "spectrum": ("window",),
     "single-atom": ("n", "window"),
-    "channel-evolve": ("n", "window"),
+    "channel-evolve": ("n",),
     "walk": ("n", "trials", "seed"),
     "rate": ("n",),
     "fcs-energy": ("n", "m", "window"),

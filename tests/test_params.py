@@ -63,8 +63,10 @@ def test_omega0_zero_corner():
     assert d.cos2theta == 1.0 and d.sin2theta == 0.0
 
 
-@pytest.mark.parametrize("E, lam, tau", [(1e308, 0.5, 10.0), (2.0, 1e308, 1.0)])
+@pytest.mark.parametrize("E, lam, tau", [(1e308, 0.5, 10.0), (2.0, 1e308, 1.0), (2.0, 0.5, 1e20)])
 def test_overflowing_rabi_phase_is_numerics_error(E, lam, tau):
-    # omega0 tau / 2 (or omega0 itself, past 2 lam) leaves the double range
-    with pytest.raises(NumericsError, match="overflows"):
+    # omega0 tau / 2 (or omega0 itself, past 2 lam) leaves the double range; or it
+    # is finite but at or past 2^52, where sin(omega0 tau / 2) keeps no digit
+    finite = math.isfinite(0.5 * math.hypot(E - 1.0, 2.0 * lam) * tau)
+    with pytest.raises(NumericsError, match=r"2\^52" if finite else "overflows"):
         derive_params(ModelParams(E=E, F=1.0, lam=lam, tau=tau, beta=1.0))

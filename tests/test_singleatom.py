@@ -427,9 +427,10 @@ def test_gibbs_weights(params):
 
 def test_overflowing_energies_are_refused():
     # F k on the window past the double range is refused; just below it the
-    # blocks stay finite and so does each sector's centre (e1 + e2) / 2
+    # blocks stay finite and so does each sector's centre (e1 + e2) / 2; tau = 1e-300
+    # keeps the Rabi phase below 2^52, where derive_params would refuse first
     window = LatticeWindow(-16, 15, -16, 15)
-    big = ModelParams(E=2.0, F=1.8e307, lam=0.5, tau=1.0, beta=1.0)
+    big = ModelParams(E=2.0, F=1.8e307, lam=0.5, tau=1e-300, beta=1.0)
     for route in (hamiltonian_blocks, lambda p, w: closed_unitary(1.0, p, w)):
         with pytest.raises(NumericsError, match="energies of H overflow"):
             route(big, window)
