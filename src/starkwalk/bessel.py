@@ -32,15 +32,15 @@ MAX_MILLER_ORDER = 10**6
 def _miller_start(z: float, nmax: int) -> int:
     # Start far enough past the turning point nu ~ z that the admixture of
     # the growing solution decays below double precision before order nmax.
+    if not math.isfinite(z) or z < 0.0:
+        raise ConfigError(f"J_nu(z) needs finite z >= 0, got z = {z!r}; "
+                          "use J_nu(-z) = (-1)^nu J_nu(z)")
     extra = 16 + int(14.0 * max(z, 1.0) ** (1.0 / 3.0))
     return max(nmax, int(math.ceil(z))) + extra
 
 
 def bessel_j_array(z: float, nmax: int) -> np.ndarray:
     """J_0(z) .. J_nmax(z) for z >= 0, by normalized downward recurrence (series below 2^-26)."""
-    if not math.isfinite(z) or z < 0.0:
-        raise ConfigError("bessel_j_array needs finite z >= 0; "
-                          "use J_nu(-z) = (-1)^nu J_nu(z)")
     nmax = _require_count(nmax, "nmax")
     start = _miller_start(z, nmax)
     if start > MAX_MILLER_ORDER:

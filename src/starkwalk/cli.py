@@ -23,7 +23,7 @@ from . import fcs as fcs_mod
 from .channel import kraus_weights
 from .config import TOL
 from .errors import ConfigError, NumericsError, StarkwalkError
-from .params import ModelParams, _require_count, derive_params
+from .params import ModelParams, _require_count, rabi_frequency
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
@@ -48,7 +48,7 @@ _COUNTS = {
     "n": (0, 100, "number of interactions / steps"),
     "trials": (1, 10_000, "number of sampled walks"),
     "seed": (0, 0, "seed of the sampled walks"),
-    "window": (2, None, "override window size"),
+    "window": (2, None, "k sites around 0 (default 21: k = -10..10)"),
     "m": (1, None, "reservoir atoms (default n)"),
 }
 # the keys every experiment accepts besides its own
@@ -180,30 +180,25 @@ def _metadata(cfg: RunConfig) -> dict:
     }
 
 
-def _default_window(cfg: RunConfig, steps: int) -> LatticeWindow:
-    # --window sets the k-range only; the x-range is padded as for the default window
-    if cfg.window is not None:
-        half = cfg.window // 2
-        return LatticeWindow.for_dynamics(-half, cfg.window - half - 1, steps=0,
-                                          F=cfg.params.F, margin=0)
-    return LatticeWindow.for_dynamics(0, 0, steps=steps, F=cfg.params.F)
-
-
+# spectrum, single-atom and fcs-energy read the eigenbasis index k alone, so each of
+# their windows is a k-range, with an x-range (which none of them reads) set equal to it
 def _exp_spectrum(cfg: RunConfig) -> ResultTable:
-    window = _default_window(cfg, steps=2)
-    d = derive_params(cfg.params)
+    k_lo = -10 if cfg.window is None else -(cfg.window // 2)
+    k_hi = 10 if cfg.window is None else k_lo + cfg.window - 1
+    window = LatticeWindow(k_lo, k_hi, k_lo, k_hi)
+    omega0 = rabi_frequency(cfg.params)
     blocks, _ = hamiltonian_blocks(cfg.params, window)
     eig = np.linalg.eigvalsh(blocks)
     rows = []
     for k, (lo, hi) in zip(window.k_values[:-1].tolist(), eig.tolist()):
         base = 2.0 - cfg.params.F * k + 0.5 * (cfg.params.E - cfg.params.F)
-        rows.append([k, lo, hi, base - 0.5 * d.omega0, base + 0.5 * d.omega0])
+        rows.append([k, lo, hi, base - 0.5 * omega0, base + 0.5 * omega0])
     return ResultTable(["k", "eig_minus", "eig_plus", "predicted_minus", "predicted_plus"], rows)
 
 
 def _exp_single_atom(cfg: RunConfig) -> ResultTable:
     params = cfg.params
-    window = _default_window(cfg, steps=4)
+    window = LatticeWindow(-12, 12, -12, 12)
     rho_p = ParticleDensityMatrix.eigenstate(window, 0)
     state = JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
     bound = position_motion_bound(params)
@@ -253,8 +248,7 @@ def _exp_rate(cfg: RunConfig) -> ResultTable:
 
 def _exp_fcs_energy(cfg: RunConfig) -> ResultTable:
     m_atoms = cfg.m if cfg.m is not None else cfg.n
-    window = (LatticeWindow(-16, 15, -16, 15) if cfg.window is None
-              else _default_window(cfg, steps=cfg.n))
+    window = LatticeWindow(-16, 15, -16, 15)
     rcfg = fcs_mod.ReservoirConfig(params=cfg.params, M=m_atoms, n=cfg.n, window=window)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = fcs_mod.run_energy_fcs(rcfg, rho)
@@ -291,11 +285,11 @@ def _exp_verify_all(cfg: RunConfig) -> ResultTable:
 # RunConfig and the dispatch; a key an experiment does not read is refused.
 EXPERIMENTS = {
     "spectrum": (_exp_spectrum, ("window",)),
-    "single-atom": (_exp_single_atom, ("n", "window")),
+    "single-atom": (_exp_single_atom, ("n",)),
     "channel-evolve": (_exp_channel_evolve, ("n",)),
     "walk": (_exp_walk, ("n", "trials", "seed")),
     "rate": (_exp_rate, ("n",)),
-    "fcs-energy": (_exp_fcs_energy, ("n", "m", "window")),
+    "fcs-energy": (_exp_fcs_energy, ("n", "m")),
     "fcs-position": (_exp_fcs_position, ("n",)),
     "verify-all": (_exp_verify_all, ()),
 }

@@ -63,10 +63,15 @@ class DerivedParams:
     sin2theta: float
 
 
+def rabi_frequency(raw: ModelParams) -> float:
+    """omega0 = hypot(E - F, 2 lam), the Rabi frequency of every sector; no time enters it."""
+    return math.hypot(raw.E - raw.F, 2.0 * raw.lam)
+
+
 def derive_params(raw: ModelParams) -> DerivedParams:
     """Evaluate all derived scalars for a valid ModelParams."""
     delta = raw.E - raw.F
-    omega0 = math.hypot(delta, 2.0 * raw.lam)
+    omega0 = rabi_frequency(raw)
     if omega0 > 0.0:
         cos2 = delta / omega0
         sin2 = 2.0 * raw.lam / omega0

@@ -18,6 +18,7 @@ from .params import DerivedParams, ModelParams, _require_phase, derive_params
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
+    _bloch_reach,
     bloch_coefficients,
     position_operator,
     require_interior,
@@ -328,7 +329,7 @@ def position_motion_bound(params: ModelParams) -> float:
     """Uniform bound on |<X(t)> - <X(0)>| for the single-atom evolution."""
     d = derive_params(params)
     s2 = abs(d.sin2theta)
-    return 4.0 / params.F + s2**2 + s2 * abs(d.cos2theta) + s2
+    return _bloch_reach(params.F) + s2**2 + s2 * abs(d.cos2theta) + s2
 
 
 def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,

@@ -9,6 +9,7 @@ psi_k(x) = J_{k-x}(2/F).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bessel import BesselTable, bessel_halfwidth
 from .config import TOL
-from .errors import ConfigError, WindowError
+from .errors import ConfigError, NumericsError, WindowError
 from .params import ModelParams, _require_phase
 
 
@@ -91,8 +92,21 @@ def transform_matrix(window: LatticeWindow, table: BesselTable) -> np.ndarray:
     return table.values[nu + table.order_max]
 
 
+def _bloch_reach(F: float) -> float:
+    """4/F, the reach of the free Bloch oscillation; NumericsError where it overflows a double.
+
+    Every position route reads 4/F or 1/F, so each refuses such a tilt here
+    rather than return an inf or a NaN.
+    """
+    reach = 4.0 / F
+    if not math.isfinite(reach):
+        raise NumericsError(f"the Bloch reach 4/F overflows a double at F = {F!r}")
+    return reach
+
+
 def position_operator(window: LatticeWindow, F: float) -> np.ndarray:
     """Lattice position X in the eigenbasis: k on the diagonal, -1/F beside it."""
+    _bloch_reach(F)
     n = window.n_k
     X = np.diag(window.k_values.astype(float))
     off = np.full(n - 1, -1.0 / F)
@@ -114,7 +128,7 @@ def bloch_coefficients(t: float | np.ndarray, F: float) -> BlochCoefficients:
     """
     _require_phase(t, F)
     t = np.asarray(t, dtype=float)
-    amp = (4.0 / F) * np.sin(0.5 * F * t)
+    amp = _bloch_reach(F) * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
     c_plus = amp * np.exp(1j * phase) / 2j
     if c_plus.ndim:

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import starkwalk.bessel
 import starkwalk.cli as cli
+import starkwalk.fcs
 from starkwalk import (
     TOL,
     ConfigError,
@@ -270,15 +272,18 @@ BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
     f"{FLAGS} fcs-energy --n -1",
     f"{FLAGS} channel-evolve --n -1",
     f"{FLAGS} channel-evolve --n 3 --window 30",
+    f"{FLAGS} single-atom --n 2 --window 30",
+    f"{FLAGS} fcs-energy --n 2 --window 20",
     # omega0 tau / 2 = 7.1e19 is past 2^52: the jump probability would carry no digit
     "--E 2 --F 1 --lambda 0.5 --tau 1e20 --beta 1 walk --n 3",
     "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
     # a tilt this small asks the Bessel recurrence for 2e9 orders
     "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
-    "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
     # 2/F and 4/F overflow to inf: refused by the Bessel-square budget, not a traceback
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 fcs-position --n 2",
+    # the Bloch reach 4/F is inf: the closed form, the oracle and the bound would be NaN or inf
+    "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
     *BAD_CONFIGS,
 ])
 def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
@@ -301,6 +306,8 @@ def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
     "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 single-atom --n 1",
     "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 channel-evolve --n 2",
     "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 fcs-position --n 2",
+    # the Bloch reach 4/F = 4e9 is finite, and single-atom reads no Bessel function
+    "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
     # the Bessel argument 2 / F is 2e-300
     "--E 2 --F 1e300 --lambda 0.5 --tau 1 --beta 1 spectrum",
     # beta E overflows a double: the ds columns would be inf * 0
@@ -335,18 +342,37 @@ def test_rate_far_from_equilibrium(capsys):
     assert len(abs_diff) == 21 and max(abs_diff) <= TOL.rate_match
 
 
-@pytest.mark.parametrize("F", ["0.1", "0.05"])
-def test_window_flag_pads_x_by_the_bessel_profile(F):
-    # --window sets the k-range only: the x-range pads it as the default window
-    # does, by the spread of the Bessel profile J_nu(2/F), so an eigenstate at
-    # either end of the k-range keeps its whole position mass in the window
-    cfg = parse_config(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 spectrum --window 30".split())
-    window = cli._default_window(cfg, steps=2)
-    assert window.n_k == 30
-    table = bessel_table(cfg.params.F, required_order(window))
-    for k in (window.k_min, window.k_max):
-        _, pmf = position_distribution(ParticleDensityMatrix.eigenstate(window, k), table)
-        assert abs(float(pmf.sum()) - 1.0) <= TOL.trace
+def test_spectrum_reads_no_time(capsys):
+    # no column of the ladder spectrum depends on tau: at omega0 tau / 2 past 2^52,
+    # where derive_params refuses, the rows are those of tau = 1
+    physics = "--E 1.697 --F 0.986 --lambda 0.1325 --beta 2"
+    bodies = []
+    for tau in ("1.26e24", "1"):
+        assert cli.main(f"{physics} --tau {tau} spectrum --out -".split()) == 0
+        bodies.append(capsys.readouterr().out.splitlines()[1:])
+    assert bodies[0] == bodies[1] and len(bodies[0]) == 21
+
+
+@pytest.mark.parametrize("F", ["1", "1e-7", "1e-310"])
+@pytest.mark.parametrize("run", ["spectrum", "spectrum --window 12", "single-atom --n 3",
+                                 "fcs-energy --n 2 --m 2"])
+def test_k_range_experiments_do_no_bessel_work(run, F, monkeypatch, capsys):
+    # these experiments read the eigenbasis index k alone, so no Bessel function is
+    # evaluated, also at tilts where 2/F is past the Bessel order budget or is inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Bessel function was evaluated")
+
+    for module in (starkwalk.bessel, starkwalk.fcs):
+        monkeypatch.setattr(module, "bessel_j_array", refuse)
+    rc = cli.main(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 {run} --out -".split())
+    out, err = capsys.readouterr()
+    if run.startswith("single-atom") and F == "1e-310":
+        # 4/F overflows: refused with one line
+        assert rc == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+        return
+    assert rc == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 # the run keys of each experiment in the contract sweep: small sizes, so a draw costs ms
@@ -361,13 +387,18 @@ CONTRACT_RUNS = {
 }
 _log_uniform = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
 _log_uniform_or_0 = st.one_of(st.just(0.0), _log_uniform)
+# tilts down to the subnormal range, where 2/F and 4/F overflow to inf
+_tilt = st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @example(experiment="fcs-energy", E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
+@example(experiment="spectrum", E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
+@example(experiment="single-atom", E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
+@example(experiment="spectrum", E=1.697, F=0.986, lam=0.1325, tau=1.26e24, beta=2.0)
 @example(experiment="fcs-position", E=2.0, F=1e-6, lam=0.5, tau=1e6, beta=1.0)
 @example(experiment="fcs-position", E=2.0, F=1e-9, lam=0.5, tau=1e9, beta=1.0)
-@given(experiment=st.sampled_from(sorted(CONTRACT_RUNS)), E=_log_uniform_or_0, F=_log_uniform,
+@given(experiment=st.sampled_from(sorted(CONTRACT_RUNS)), E=_log_uniform_or_0, F=_tilt,
        lam=_log_uniform_or_0, tau=_log_uniform, beta=_log_uniform_or_0)
 def test_every_experiment_gives_valid_rows_or_one_error_line(experiment, E, F, lam, tau, beta):
     # every input in the box either exits 2 with one error line, or exits 0 with
@@ -398,11 +429,11 @@ def test_every_experiment_gives_valid_rows_or_one_error_line(experiment, E, F, l
 # the run keys each experiment reads, written out here so that the CLI's table is checked
 READS = {
     "spectrum": ("window",),
-    "single-atom": ("n", "window"),
+    "single-atom": ("n",),
     "channel-evolve": ("n",),
     "walk": ("n", "trials", "seed"),
     "rate": ("n",),
-    "fcs-energy": ("n", "m", "window"),
+    "fcs-energy": ("n", "m"),
     "fcs-position": ("n",),
     "verify-all": (),
 }

@@ -358,6 +358,27 @@ def test_overflowing_phase_is_refused(params, window):
         assert np.isfinite(route(1e6, state, params))
 
 
+def test_overflowing_bloch_reach_is_refused(window):
+    # at F = 1e-310, 4/F and 1/F overflow to inf: the bound, X and the Bloch
+    # coefficients would be inf and both position routes NaN, so each refuses;
+    # at F = 1e-300 all are finite
+    rng = np.random.default_rng(27)
+    state = random_joint(rng, window, 3)
+    tiny = ModelParams(E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
+    for refused in (lambda: position_motion_bound(tiny),
+                    lambda: position_operator(window, tiny.F),
+                    lambda: bloch_coefficients(0.0, tiny.F)):
+        with pytest.raises(NumericsError, match="4/F overflows"):
+            refused()
+    for route in (position_expectation, position_oracle):
+        with pytest.raises(NumericsError, match="4/F overflows"):
+            route(np.array([0.0, 1.0]), state, tiny)
+    small = ModelParams(E=2.0, F=1e-300, lam=0.5, tau=1.0, beta=1.0)
+    assert math.isfinite(position_motion_bound(small))
+    for route in (position_expectation, position_oracle):
+        assert np.all(np.isfinite(route(np.array([0.0, 1.0]), state, small)))
+
+
 def test_time_shape_is_checked(params, window):
     rng = np.random.default_rng(25)
     state = random_joint(rng, window, 3)

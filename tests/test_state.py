@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from starkwalk import (
+    TOL,
     AtomGibbs,
     ConfigError,
     JointDensityMatrix,
@@ -13,6 +14,7 @@ from starkwalk import (
     ReservoirConfig,
     WindowError,
     apply_channel,
+    bessel_halfwidth,
     bessel_j_array,
     bessel_table,
     bloch_coefficients,
@@ -60,6 +62,18 @@ def test_window_bookkeeping(window):
     assert window.k_index(window.k_min) == 0
     with pytest.raises(WindowError):
         window.k_index(window.k_max + 1)
+
+
+@pytest.mark.parametrize("F", [0.1, 0.05])
+def test_for_dynamics_pads_x_by_the_bessel_profile(F):
+    # the x-range pads the k-range by the spread of the Bessel profile J_nu(2/F), so an
+    # eigenstate at either end of the k-range keeps its whole position mass in the window
+    window = LatticeWindow.for_dynamics(-15, 14, steps=0, F=F, margin=0)
+    assert window.n_k == 30
+    table = bessel_table(F, required_order(window))
+    for k in (window.k_min, window.k_max):
+        _, pmf = position_distribution(ParticleDensityMatrix.eigenstate(window, k), table)
+        assert abs(float(pmf.sum()) - 1.0) <= TOL.trace
 
 
 def test_free_evolve_preserves_spectrum(params, window):
@@ -222,6 +236,10 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
     pytest.param(lambda: bessel_table(0.0, 5), "F must be > 0", id="table-zero-force"),
+    # 2/F overflows to inf: the x-padding's Bessel probe refuses it as bessel_j_array does
+    pytest.param(lambda: bessel_halfwidth(math.inf), "finite z >= 0", id="halfwidth-infinite-z"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, steps=1, F=1e-310), "finite z >= 0",
+                 id="dynamics-window-infinite-bessel-argument"),
     # counts: an integer at or above its floor, or ConfigError naming the argument
     pytest.param(lambda: walk_pmf_exact(2.5, _P), "n must be an integer >= 0, got 2.5",
                  id="walk-law-fractional-n"),
