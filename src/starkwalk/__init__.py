@@ -10,7 +10,7 @@ against an independent brute-force route.
 
 __version__ = "0.1.0"
 
-from .bessel import BesselTable, bessel_halfwidth, bessel_j_array, bessel_table
+from .bessel import bessel_halfwidth, bessel_j_array, bessel_squares, bessel_table
 from .channel import (
     KrausTriple,
     adjoint_apply,

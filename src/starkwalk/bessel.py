@@ -6,11 +6,16 @@ accuracy preserved deep into the decaying tail (tail values enter
 probability bookkeeping multiplicatively).  Downward recurrence
 normalized with sum_nu J_nu^2 = 1 gives exactly that; the overall sign is
 fixed with the linear sum J_0 + 2 sum J_{2m} = 1.
+
+Every rule on which orders are needed lives here: the recurrence's start
+and its order budget, the mass halfwidth, the tabulated profile J_nu(2/F)
+behind the position transform, and the squared profile J_d(z)^2 of the
+free Bloch kernel.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +32,8 @@ _SERIES_BELOW = 2.0**-26
 # ~1 s of scalar loop.  The start order grows as z = 2/F, so this admits
 # tilts F down to ~2e-6.
 MAX_MILLER_ORDER = 10**6
+# the mass of J_nu(z)^2 that `bessel_halfwidth` leaves outside its range
+_HALFWIDTH_TAIL = 1e-16
 
 
 def _miller_start(z: float, nmax: int) -> int:
@@ -68,37 +75,21 @@ def bessel_j_array(z: float, nmax: int) -> np.ndarray:
     return raw[: nmax + 1] * scale
 
 
-def bessel_halfwidth(z: float, tail: float = 1e-16) -> int:
-    """Smallest w such that the mass sum_{|nu|>w} J_nu(z)^2 is below `tail`."""
+def bessel_halfwidth(z: float) -> int:
+    """Smallest w such that the mass sum_{|nu|>w} J_nu(z)^2 is below 1e-16."""
     probe = bessel_j_array(z, _miller_start(z, 0))
     mass = 2.0 * np.cumsum(probe[::-1] ** 2)[::-1]
-    above = np.nonzero(mass > tail)[0]
+    above = np.nonzero(mass > _HALFWIDTH_TAIL)[0]
     return int(above[-1]) if above.size else 0
 
 
-@dataclass(frozen=True)
-class BesselTable:
-    """J_nu(2/F) on the symmetric order range |nu| <= order_max.
+@functools.lru_cache(maxsize=1)
+def bessel_table(F: float, order_max: int) -> np.ndarray:
+    """The eigenfunction profile J_nu(2/F) for |nu| <= order_max, read-only.
 
-    values[nu + order_max] holds J_nu; negative orders satisfy
-    J_{-nu} = (-1)^nu J_nu exactly by construction.
-    """
-
-    argument: float
-    order_max: int
-    values: np.ndarray
-
-    def j(self, nu: int) -> float:
-        if abs(nu) > self.order_max:
-            raise IndexError(f"order {nu} outside table range {self.order_max}")
-        return float(self.values[nu + self.order_max])
-
-    def normalization_defect(self) -> float:
-        return abs(float(np.sum(self.values**2)) - 1.0)
-
-
-def bessel_table(F: float, order_max: int) -> BesselTable:
-    """Tabulate the eigenfunction profile J_nu(2/F) for |nu| <= order_max.
+    Entry nu + order_max holds J_nu; negative orders satisfy
+    J_{-nu} = (-1)^nu J_nu exactly by construction.  The last table is
+    kept, so the transforms of one window share one recurrence.
 
     Raises AccuracyError when the requested range does not capture the
     full quadratic mass to within the tabulation tolerance, since such a
@@ -120,4 +111,54 @@ def bessel_table(F: float, order_max: int) -> BesselTable:
     signs = np.where(np.arange(1, order_max + 1) % 2 == 0, 1.0, -1.0)
     values[:order_max] = (signs * half[1:])[::-1]
     values.setflags(write=False)
-    return BesselTable(argument=z, order_max=order_max, values=values)
+    return values
+
+
+# log of 2^-537.5: a J_d(z) below it squares to under half the smallest subnormal
+_LOG_KERNEL_TAIL = -537.5 * math.log(2.0)
+
+
+def _kernel_top(z: float) -> int:
+    """The first order d >= z/2 at which d log(z/2) - lgamma(d + 1) < `_LOG_KERNEL_TAIL`.
+
+    From z/2 on the bound decreases with d (each step adds log(z/2) - log(d + 1)
+    < 0), so doubling the step until it is crossed, then bisecting, finds the
+    same order as a scan from z/2 in O(log z) evaluations.  It is 0 where z/2
+    rounds to 0: there J_1(z)^2 <= (z/2)^2 is 0 too.
+    """
+    half_z = 0.5 * z
+    if half_z == 0.0:
+        return 0
+    lo = math.ceil(half_z)
+
+    def above(d: int) -> bool:
+        return d * math.log(half_z) - math.lgamma(d + 1.0) >= _LOG_KERNEL_TAIL
+
+    if not above(lo):
+        return lo
+    # above(lo) holds and above(hi) does not
+    step, hi = 1, lo + 1
+    while above(hi):
+        lo, step = hi, 2 * step
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
+def bessel_squares(z: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The orders d and J_d(z)^2 at every d whose square is representable.
+
+    The orders run to the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d!
+    is below 2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0
+    there and past it, and trailing zero squares are trimmed.  That order is found
+    in O(log z) steps (`_kernel_top`).  A z whose recurrence would start past
+    `MAX_MILLER_ORDER` to reach it, or an inf or NaN z, is refused before any
+    Bessel value is computed, with a BudgetError that reads "{what} = z, ...".
+    """
+    if not z <= MAX_MILLER_ORDER or _miller_start(z, top := _kernel_top(z)) > MAX_MILLER_ORDER:
+        raise BudgetError(f"{what} = {z:.6g}, whose recurrence starts past the order "
+                          f"budget of {MAX_MILLER_ORDER}")
+    half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
+    return np.arange(1 - half.size, half.size), np.concatenate([half[:0:-1], half])

@@ -51,7 +51,10 @@ def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
 
     gamma = alpha beta E for the alpha-deformation; gamma = 0 gives the
     Kraus weights bit for bit.  The weights sum to exp(log_theta(gamma)).
+    NumericsError for NaN.
     """
+    if math.isnan(gamma):
+        raise NumericsError("deformed weights at gamma = NaN")
     kt = kraus_weights(params)
     try:
         return np.array([math.exp(gamma) * kt.p_minus, kt.p_zero,

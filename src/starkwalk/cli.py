@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import fcs as fcs_mod
+from .bessel import bessel_squares
 from .channel import kraus_weights
 from .config import TOL
 from .errors import ConfigError, NumericsError, StarkwalkError
@@ -215,8 +216,8 @@ def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
     # kicks shift both eigenbasis indices and free evolution keeps the diagonal, so from
     # psi_0 each step convolves the position law, first J_x(2/F)^2, with the Kraus weights
     weights = kraus_weights(cfg.params).as_array()
-    xs, law = fcs_mod._bessel_squares(2.0 / cfg.params.F,
-                                      "the position law of psi_0 needs J_x(z) at z = 2/F")
+    xs, law = bessel_squares(2.0 / cfg.params.F,
+                             "the position law of psi_0 needs J_x(z) at z = 2/F")
     rows = []
     for step in range(cfg.n + 1):
         mean = float(np.dot(xs, law))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import MAX_MILLER_ORDER, _miller_start, bessel_j_array, bessel_table
+from .bessel import bessel_squares
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
@@ -45,7 +45,6 @@ from .state import (
     ParticleDensityMatrix,
     position_distribution,
     require_interior,
-    required_order,
     transform_matrix,
 )
 from .walk import scgf, walk_pmf_exact
@@ -126,8 +125,10 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
 
     For alpha = 0 this is the reduced Schroedinger dynamics after n
     interactions; for general alpha it must agree with n applications of
-    the deformed channel.
+    the deformed channel.  NumericsError for NaN alpha.
     """
+    if math.isnan(alpha):
+        raise NumericsError("deformed reduction at alpha = NaN")
     K = cfg.window.n_k
     # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
     w = environment_weights(cfg)
@@ -220,6 +221,7 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
     """
     if rho_p.window != cfg.window:
         raise WindowError("rho_p window differs from the reservoir window")
+    rho_p.check_density()
     require_interior(np.diagonal(rho_p.coeffs), band=cfg.n + 1)
     K, M = cfg.window.n_k, cfg.M
     pops = _occupations(M).sum(axis=1)
@@ -253,66 +255,16 @@ def _kernel_argument(t: float, params: ModelParams) -> float:
     return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
 
 
-# log of 2^-537.5: a J_d(z) below it squares to under half the smallest subnormal
-_LOG_KERNEL_TAIL = -537.5 * math.log(2.0)
-
-
-def _kernel_top(z: float) -> int:
-    """The first order d >= z/2 at which d log(z/2) - lgamma(d + 1) < `_LOG_KERNEL_TAIL`.
-
-    From z/2 on the bound decreases with d (each step adds log(z/2) - log(d + 1)
-    < 0), so doubling the step until it is crossed, then bisecting, finds the
-    same order as a scan from z/2 in O(log z) evaluations.  It is 0 where z/2
-    rounds to 0: there J_1(z)^2 <= (z/2)^2 is 0 too.
-    """
-    half_z = 0.5 * z
-    if half_z == 0.0:
-        return 0
-    lo = math.ceil(half_z)
-
-    def above(d: int) -> bool:
-        return d * math.log(half_z) - math.lgamma(d + 1.0) >= _LOG_KERNEL_TAIL
-
-    if not above(lo):
-        return lo
-    # above(lo) holds and above(hi) does not
-    step, hi = 1, lo + 1
-    while above(hi):
-        lo, step = hi, 2 * step
-        hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return hi
-
-
-def _bessel_squares(z: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The orders d and J_d(z)^2 at every d whose square is representable.
-
-    The orders run to the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d!
-    is below 2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0
-    there and past it, and trailing zero squares are trimmed.  That order is found
-    in O(log z) steps (`_kernel_top`).  A z whose recurrence would start past
-    `MAX_MILLER_ORDER` to reach it, or an inf or NaN z, is refused before any
-    Bessel value is computed, with a BudgetError that reads "{what} = z, ...".
-    """
-    if not z <= MAX_MILLER_ORDER or _miller_start(z, top := _kernel_top(z)) > MAX_MILLER_ORDER:
-        raise BudgetError(f"{what} = {z:.6g}, whose recurrence starts past the order "
-                          f"budget of {MAX_MILLER_ORDER}")
-    half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
-    return np.arange(1 - half.size, half.size), np.concatenate([half[:0:-1], half])
-
-
 def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2, on `_bessel_squares`' orders.
+    """|<x+d| e^{-i t H_p} |x>|^2 = J_d((4/F) sin(F t / 2))^2, on `bessel_squares`' orders.
 
     The free propagator is translation covariant up to phases, so the
     kernel depends only on the displacement d; the closed form follows
     from the generating function of the Bessel profile and is verified
     against the windowed transform in the test suite.
     """
-    return _bessel_squares(_kernel_argument(t, params), f"the free kernel at t = {t!r} needs "
-                           "J_d(z) at z = (4/F)|sin(F t / 2)|")
+    return bessel_squares(_kernel_argument(t, params), f"the free kernel at t = {t!r} needs "
+                          "J_d(z) at z = (4/F)|sin(F t / 2)|")
 
 
 @dataclass(frozen=True)
@@ -347,6 +299,9 @@ class PositionFcsResult:
         scale = self.n * tau
         num = self.window_probability(-scale * (v + delta), -scale * (v - delta))
         den = self.window_probability(scale * (v - delta), scale * (v + delta))
+        if self.n == 0 or not num > 0.0 or not den > 0.0:
+            raise NumericsError(f"log ratio undefined at n = {self.n}: window "
+                                f"probabilities {num:.3e} and {den:.3e}")
         return (math.log(num) - math.log(den)) / self.n
 
 
@@ -391,8 +346,7 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
         raise ConfigError(f"unknown method {method!r}")
 
     window = rho_p.window
-    table = bessel_table(params.F, required_order(window))
-    xs, q = position_distribution(rho_p, table)
+    xs, q = position_distribution(rho_p, params.F)
     span = window.n_x - 1
     dx = np.arange(-span, span + 1)
     probs = np.zeros(dx.size)
@@ -403,10 +357,10 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
             # accounted for and bounded by the leakage budget below
             skipped += max(qx, 0.0)
             continue
-        cond = ParticleDensityMatrix.position_state(window, int(xs[xi]), table)
+        cond = ParticleDensityMatrix.position_state(window, int(xs[xi]), params.F)
         for _ in range(n):
             cond = apply_channel(cond, 0.0, params)
-        _, pmf = position_distribution(cond, table)
+        _, pmf = position_distribution(cond, params.F)
         # pmf index x' contributes to dX = x' - x
         probs[span - xi: 2 * span + 1 - xi] += qx * pmf
     if skipped > TOL.leakage:
@@ -481,15 +435,14 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     return PositionCgf(value=n * rate + _log_i0(x), rate_limit=rate)
 
 
-def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow,
-                          table) -> np.ndarray:
+def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) -> np.ndarray:
     """|<x| e^{i n tau H_p} |z>|^2 over the x-window, for the oracle's dressing.
 
     The transform is real, so the complex propagator splits into two real
     matrix products.
     """
     n = _require_count(n, "n")
-    psi = transform_matrix(window, table)
+    psi = transform_matrix(window, params.F)
     _require_phase(n * params.tau * params.F, window.k_values)
     arg = n * params.tau * params.F * window.k_values
     v_re = (psi * np.cos(arg)[None, :]) @ psi.T
@@ -517,8 +470,7 @@ def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
     """
     n = _require_count(n, "n")
     window = rho_p.window
-    table = bessel_table(params.F, required_order(window))
-    xs, q = position_distribution(rho_p, table)
+    xs, q = position_distribution(rho_p, params.F)
 
     weights = deformed_weights(-eta, params)
     w = q
@@ -534,7 +486,7 @@ def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
             f"(total {total:.3e}); enlarge the window for n = {n}"
         )
 
-    W2 = free_dressing_weights(n, params, window, table)
+    W2 = free_dressing_weights(n, params, window)
     # sum_z e^{eta (z - x)} |V_xz|^2 over the window
     qdiag = np.sum(W2 * np.exp(eta * (xs[None, :] - xs[:, None])), axis=1)
     return math.log(float(np.dot(w, qdiag)))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import BesselTable, bessel_halfwidth
+from .bessel import bessel_halfwidth, bessel_table
 from .config import TOL
 from .errors import ConfigError, NumericsError, WindowError
 from .params import ModelParams, _require_phase
@@ -81,15 +81,11 @@ def required_order(window: LatticeWindow) -> int:
     return max(abs(window.k_max - window.x_min), abs(window.x_max - window.k_min))
 
 
-def transform_matrix(window: LatticeWindow, table: BesselTable) -> np.ndarray:
+def transform_matrix(window: LatticeWindow, F: float) -> np.ndarray:
     """Psi[x, k] = psi_k(x) = J_{k-x}(2/F) over the window (real)."""
-    if table.order_max < required_order(window):
-        raise WindowError(
-            f"Bessel table range {table.order_max} cannot span the window "
-            f"(needs {required_order(window)})"
-        )
+    order = required_order(window)
     nu = window.k_values[None, :] - window.x_values[:, None]
-    return table.values[nu + table.order_max]
+    return bessel_table(F, order)[nu + order]
 
 
 def _bloch_reach(F: float) -> float:
@@ -166,10 +162,9 @@ class ParticleDensityMatrix:
         return cls(window, np.diag(w.astype(complex)))
 
     @classmethod
-    def position_state(cls, window: LatticeWindow, x: int,
-                       table: BesselTable) -> "ParticleDensityMatrix":
+    def position_state(cls, window: LatticeWindow, x: int, F: float) -> "ParticleDensityMatrix":
         """|x><x| expressed in the eigenbasis (trace < 1 only by window truncation)."""
-        psi = transform_matrix(window, table)[window.x_index(x)]
+        psi = transform_matrix(window, F)[window.x_index(x)]
         return cls(window, np.outer(psi, psi).astype(complex))
 
     def trace(self) -> float:
@@ -223,10 +218,9 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     return ParticleDensityMatrix(dm.window, phase * dm.coeffs)
 
 
-def position_distribution(dm: ParticleDensityMatrix,
-                          table: BesselTable) -> tuple[np.ndarray, np.ndarray]:
+def position_distribution(dm: ParticleDensityMatrix, F: float) -> tuple[np.ndarray, np.ndarray]:
     """Position pmf over the window: pmf(x) = sum_{kk'} psi_k(x) rho_{kk'} psi_k'(x)."""
-    psi = transform_matrix(dm.window, table)
+    psi = transform_matrix(dm.window, F)
     pmf = np.sum((psi @ dm.coeffs) * psi, axis=1).real
     leak = abs(float(np.sum(pmf)) - dm.trace())
     if leak > TOL.leakage:

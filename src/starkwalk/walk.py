@@ -463,11 +463,13 @@ def _tilted_moments(eta: float, p: float, be: float, log_k: list) -> tuple[float
 
     p and be = beta E are the inputs of `scgf`, computed once by the caller.
     e' = q_+ - q_-, e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and
-    every term of e'' is positive, so nothing overflows or cancels.
+    every term of e'' is positive, so nothing overflows or cancels.  q_- is
+    taken as exp(l_+ + (-be - eta) - e): near eta = -be the difference is
+    exact (Sterbenz), where l_- - eta would cancel two terms of size be.
     """
     e = _log_theta(-eta, p, be)
-    l_m, l_0, l_p = log_k
-    q_m, q_0, q_p = math.exp(l_m - eta - e), math.exp(l_0 - e), math.exp(l_p + eta - e)
+    _, l_0, l_p = log_k
+    q_m, q_0, q_p = math.exp(l_p + (-be - eta) - e), math.exp(l_0 - e), math.exp(l_p + eta - e)
     return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import starkwalk.bessel
 import starkwalk.cli as cli
-import starkwalk.fcs
 from starkwalk import (
     TOL,
     ConfigError,
@@ -23,9 +22,7 @@ from starkwalk import (
     ModelParams,
     ParticleDensityMatrix,
     apply_channel,
-    bessel_table,
     position_distribution,
-    required_order,
     transport_coefficients,
 )
 from starkwalk.cli import (
@@ -246,10 +243,9 @@ def test_channel_evolve_rows_match_the_iterated_channel(physics, n):
     rows = run_experiment(cfg).rows
     assert [row[0] for row in rows] == list(range(n + 1))
     window = LatticeWindow.for_dynamics(0, 0, steps=n, F=cfg.params.F)
-    table = bessel_table(cfg.params.F, required_order(window))
     dm = ParticleDensityMatrix.eigenstate(window, 0)
     for _, trace, mean, var in rows:
-        xs, pmf = position_distribution(dm, table)
+        xs, pmf = position_distribution(dm, cfg.params.F)
         want_mean = float(np.dot(xs, pmf))
         want_var = float(np.dot((xs - want_mean) ** 2, pmf))
         assert abs(trace - dm.trace()) <= TOL.trace
@@ -362,8 +358,7 @@ def test_k_range_experiments_do_no_bessel_work(run, F, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a Bessel function was evaluated")
 
-    for module in (starkwalk.bessel, starkwalk.fcs):
-        monkeypatch.setattr(module, "bessel_j_array", refuse)
+    monkeypatch.setattr(starkwalk.bessel, "bessel_j_array", refuse)
     rc = cli.main(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 {run} --out -".split())
     out, err = capsys.readouterr()
     if run.startswith("single-atom") and F == "1e-310":

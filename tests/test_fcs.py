@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from starkwalk import (
     TOL,
     BudgetError,
+    ConfigError,
     LatticeWindow,
     ModelParams,
     NumericsError,
@@ -15,7 +16,6 @@ from starkwalk import (
     apply_channel,
     bessel_halfwidth,
     bessel_j_array,
-    bessel_table,
     energy_cgf,
     environment_reduced_map,
     free_dressing_weights,
@@ -23,7 +23,6 @@ from starkwalk import (
     position_cgf,
     position_cgf_oracle,
     repeated_interaction_propagator,
-    required_order,
     run_energy_fcs,
     run_position_fcs,
     theta,
@@ -31,7 +30,8 @@ from starkwalk import (
     transport_coefficients,
     walk_pmf_exact,
 )
-from starkwalk.fcs import _LOG_KERNEL_TAIL, _kernel_top, environment_weights
+from starkwalk.bessel import _LOG_KERNEL_TAIL, _kernel_top
+from starkwalk.fcs import environment_weights
 
 from conftest import direct_step_hamiltonian, random_density
 
@@ -205,6 +205,13 @@ def test_energy_fcs_dephasing_automatic(params, cfg, window):
     assert np.max(np.abs(a.law - b.law)) <= 1e-14
 
 
+def test_energy_fcs_refuses_a_state_without_weight(cfg, window):
+    # an all-zero law would follow, whose mgf and entropy_mean index an empty support
+    empty = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
+    with pytest.raises(ConfigError, match="trace"):
+        run_energy_fcs(cfg, empty)
+
+
 def test_total_energy_rate_and_conservation(params, window):
     tc = transport_coefficients(params)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
@@ -227,8 +234,7 @@ def test_total_energy_rate_and_conservation(params, window):
 
 def test_free_kernel_closed_form(params):
     window = LatticeWindow(-60, 60, -40, 40)
-    table = bessel_table(params.F, required_order(window))
-    psi = transform_matrix(window, table)
+    psi = transform_matrix(window, params.F)
     t = 7.3
     arg = t * params.F * window.k_values
     v = (psi * np.exp(-1j * arg)[None, :]) @ psi.T
@@ -250,14 +256,15 @@ def test_free_kernel_degenerate_at_bloch_period(params):
 @pytest.mark.parametrize("F", [1.0, 0.25])
 @pytest.mark.parametrize("beta_E", [0.0, 2.0, 30.0])
 def test_free_kernel_halfwidth_covers_bessel_tail(F, beta_E):
-    # the halfwidth, past which every J_d(z)^2 rounds to 0, leaves out less
-    # kernel mass than the tabulation tolerance at every z the kernel takes, 0 .. 4/F
+    # the kernel's last order, past which every J_d(z)^2 rounds to 0, reaches the
+    # halfwidth that leaves out 1e-16 of the mass (stricter than the tabulation
+    # tolerance) at every z the kernel takes, 0 .. 4/F
     p = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=beta_E / 2.0)
     for z in np.linspace(0.0, 4.0 / F, 41):
         t = 2.0 * math.asin(min(1.0, z * F / 4.0)) / F
         d, kernel = free_kernel(t, p)
         z_t = abs(4.0 / F * math.sin(0.5 * F * t))
-        assert d[-1] >= bessel_halfwidth(z_t, TOL.bessel_normalization)
+        assert d[-1] >= bessel_halfwidth(z_t)
         assert abs(kernel.sum() - 1.0) <= TOL.bessel_normalization
 
 
@@ -318,7 +325,7 @@ def test_free_kernel_refuses_below_the_early_bound_without_a_bessel_call(monkeyp
     def no_bessel(*args):
         raise AssertionError("bessel_j_array called")
 
-    monkeypatch.setattr("starkwalk.fcs.bessel_j_array", no_bessel)
+    monkeypatch.setattr("starkwalk.bessel.bessel_j_array", no_bessel)
     F = 4.0 / 9e5
     p = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(BudgetError, match=r"z = \(4/F\)\|sin\(F t / 2\)\| = 900000, "):
@@ -330,7 +337,17 @@ def test_free_dressing_phase_overflow_is_refused():
     window = LatticeWindow(-8, 7, -8, 7)
     params = ModelParams(E=2.0, F=1e308, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(NumericsError, match="overflows"):
-        free_dressing_weights(3, params, window, bessel_table(params.F, required_order(window)))
+        free_dressing_weights(3, params, window)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_ft_log_ratio_without_mass_is_numerics_error(params, n):
+    # at n = 5 the windows [4.45, 4.55] and [-4.55, -4.45] hold no lattice site;
+    # at n = 0 the ratio is divided by n
+    rho = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
+    dist = run_position_fcs(n, rho, params)
+    with pytest.raises(NumericsError, match="log ratio"):
+        dist.ft_log_ratio(0.9, 0.01, params.tau)
 
 
 def test_position_fcs_zero_steps(params):
@@ -344,8 +361,7 @@ def test_position_fcs_zero_steps(params):
 def test_position_fcs_matrix_equals_reduction(params):
     n = 6
     window = LatticeWindow.for_dynamics(0, 0, steps=n, F=params.F, margin=26)
-    table = bessel_table(params.F, required_order(window))
-    rho = ParticleDensityMatrix.position_state(window, 0, table)
+    rho = ParticleDensityMatrix.position_state(window, 0, params.F)
     a = run_position_fcs(n, rho, params, method="matrix")
     b = run_position_fcs(n, rho, params, method="reduced")
     lo, hi = max(a.dx[0], b.dx[0]), min(a.dx[-1], b.dx[-1])
@@ -358,12 +374,11 @@ def test_position_fcs_state_independent(params):
     # the increment law does not depend on the dephased initial state
     n = 5
     window = LatticeWindow.for_dynamics(-2, 2, steps=n, F=params.F, margin=26)
-    table = bessel_table(params.F, required_order(window))
-    mix = (0.5 * ParticleDensityMatrix.position_state(window, 0, table).coeffs
-           + 0.3 * ParticleDensityMatrix.position_state(window, 2, table).coeffs
-           + 0.2 * ParticleDensityMatrix.position_state(window, -1, table).coeffs)
+    mix = (0.5 * ParticleDensityMatrix.position_state(window, 0, params.F).coeffs
+           + 0.3 * ParticleDensityMatrix.position_state(window, 2, params.F).coeffs
+           + 0.2 * ParticleDensityMatrix.position_state(window, -1, params.F).coeffs)
     a = run_position_fcs(n, ParticleDensityMatrix(window, mix), params, method="matrix")
-    b = run_position_fcs(n, ParticleDensityMatrix.position_state(window, 0, table),
+    b = run_position_fcs(n, ParticleDensityMatrix.position_state(window, 0, params.F),
                          params, method="matrix")
     assert np.max(np.abs(a.probs - b.probs)) <= 1e-12
 

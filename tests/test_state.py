@@ -42,19 +42,14 @@ from starkwalk.state import require_interior
 from conftest import bessel_series, random_density
 
 
-def position_mean(dm, table):
-    x, pmf = position_distribution(dm, table)
+def position_mean(dm, F):
+    x, pmf = position_distribution(dm, F)
     return float(np.dot(x, pmf))
 
 
 @pytest.fixture
 def window():
     return LatticeWindow.for_dynamics(0, 0, steps=4, F=1.0)
-
-
-@pytest.fixture
-def table(window):
-    return bessel_table(1.0, required_order(window))
 
 
 def test_window_bookkeeping(window):
@@ -70,9 +65,8 @@ def test_for_dynamics_pads_x_by_the_bessel_profile(F):
     # eigenstate at either end of the k-range keeps its whole position mass in the window
     window = LatticeWindow.for_dynamics(-15, 14, steps=0, F=F, margin=0)
     assert window.n_k == 30
-    table = bessel_table(F, required_order(window))
     for k in (window.k_min, window.k_max):
-        _, pmf = position_distribution(ParticleDensityMatrix.eigenstate(window, k), table)
+        _, pmf = position_distribution(ParticleDensityMatrix.eigenstate(window, k), F)
         assert abs(float(pmf.sum()) - 1.0) <= TOL.trace
 
 
@@ -122,33 +116,47 @@ def test_free_evolve_coherence_phase(params, window):
     assert abs(got - np.exp(-1j * 0.83 * params.F)) <= 1e-15
 
 
-def test_position_distribution_of_eigenstate(window, table):
+def test_position_distribution_of_eigenstate(window):
     dm = ParticleDensityMatrix.eigenstate(window, 2)
-    xs, pmf = position_distribution(dm, table)
+    xs, pmf = position_distribution(dm, 1.0)
+    order = required_order(window)
+    table = bessel_table(1.0, order)
     for i, x in enumerate(xs):
-        assert abs(pmf[i] - table.j(2 - int(x)) ** 2) <= 1e-15
+        assert abs(pmf[i] - table[2 - int(x) + order] ** 2) <= 1e-15
     assert abs(np.sum(pmf) - 1.0) <= 1e-8
 
 
-def test_position_mean_of_central_eigenstate(window, table):
+def test_position_mean_of_central_eigenstate(window):
     # profile is symmetric about its rung: mean = sum_x x J_{-x}^2 = 0
     dm = ParticleDensityMatrix.eigenstate(window, 0)
     oracle = sum(x * bessel_series(-x, 2.0) ** 2 for x in range(-30, 31))
     assert abs(oracle) < 1e-15
-    assert abs(position_mean(dm, table) - oracle) <= 1e-12
+    assert abs(position_mean(dm, 1.0) - oracle) <= 1e-12
 
 
 def test_position_leakage_error(params):
     window = LatticeWindow(-12, 11, -3, 3)   # x-range far too narrow
-    table = bessel_table(params.F, required_order(window))
     dm = ParticleDensityMatrix.eigenstate(window, 0)
     with pytest.raises(WindowError):
-        position_distribution(dm, table)
+        position_distribution(dm, params.F)
 
 
-def test_position_operator_matches_bessel_sums(window, table):
+@pytest.mark.parametrize("window,F", [
+    (LatticeWindow(-8, 7, -8, 7), 1.0),
+    (LatticeWindow(-3, 9, -20, 11), 0.5),
+    (LatticeWindow.for_dynamics(-2, 2, steps=3, F=0.05), 0.05),
+])
+def test_transform_matrix_is_the_recurrence_with_parity(window, F):
+    # Psi[x, k] = J_{k-x}(2/F), negative orders by J_{-nu} = (-1)^nu J_nu: bit for bit
+    half = bessel_j_array(2.0 / F, required_order(window))
+    nu = window.k_values[None, :] - window.x_values[:, None]
+    want = np.where(nu < 0, (-1.0) ** np.abs(nu), 1.0) * half[np.abs(nu)]
+    assert np.array_equal(transform_matrix(window, F), want)
+
+
+def test_position_operator_matches_bessel_sums(window):
     X = position_operator(window, 1.0)
-    psi = transform_matrix(window, table)
+    psi = transform_matrix(window, 1.0)
     xs = window.x_values.astype(float)
     direct = psi.T @ np.diag(xs) @ psi
     inner = slice(6, window.n_k - 6)   # interior rows: truncation-free
@@ -173,12 +181,12 @@ def test_bloch_norm_bound(params):
         assert abs(coeffs.c_plus) + abs(coeffs.c_minus) <= 4.0 / params.F + 1e-14
 
 
-def test_free_motion_mean_stays_bounded(params, window, table):
+def test_free_motion_mean_stays_bounded(params, window):
     rng = np.random.default_rng(5)
     dm = random_density(rng, window, 3)
-    m0 = position_mean(dm, table)
+    m0 = position_mean(dm, params.F)
     for t in np.linspace(0.0, 12.0, 25):
-        mt = position_mean(free_evolve(dm, float(t), params), table)
+        mt = position_mean(free_evolve(dm, float(t), params), params.F)
         assert abs(mt - m0) <= 8.0 / params.F
 
 
@@ -269,8 +277,7 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
                  id="energy-cgf-negative-n"),
     pytest.param(lambda: position_cgf_oracle(-2, 0.5, _RHO, _P),
                  "n must be an integer >= 0, got -2", id="position-cgf-oracle-negative-n"),
-    pytest.param(lambda: free_dressing_weights(-1, _P, _RHO.window,
-                                               bessel_table(1.0, required_order(_RHO.window))),
+    pytest.param(lambda: free_dressing_weights(-1, _P, _RHO.window),
                  "n must be an integer >= 0, got -1", id="dressing-negative-n"),
 ])
 def test_bad_arguments_raise_config_error(build, message):

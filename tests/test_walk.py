@@ -7,12 +7,19 @@ import pytest
 
 from starkwalk import (
     TOL,
+    LatticeWindow,
     ModelParams,
     NumericsError,
+    ParticleDensityMatrix,
+    ReservoirConfig,
+    apply_channel,
+    deformed_weights,
     derive_params,
     energy_cgf,
+    environment_reduced_map,
     kraus_weights,
     log_theta,
+    position_cgf_oracle,
     rate_function,
     rate_function_entropy,
     rate_function_numeric,
@@ -385,13 +392,34 @@ def test_rate_function_matches_mpmath(params):
             assert math.isclose(rate_function_numeric(x, params), ref, rel_tol=TOL.rate_match)
 
 
+def test_rate_oracle_matches_closed_form_at_huge_beta_E():
+    # beta E = 9e13, p = 1.2e-28: the Legendre oracle's tilted q_- needs -beta E - eta
+    # as one exact difference; l_- - eta would cancel terms of size beta E
+    params = ModelParams(E=9e13, F=1.0, lam=0.5, tau=1e-13, beta=1.0)
+    for x in np.linspace(-0.999, 0.999, 41):
+        x = float(x)
+        assert math.isclose(rate_function_numeric(x, params), rate_function(x, params),
+                            rel_tol=TOL.rate_match)
+
+
+_NAN_WINDOW = LatticeWindow(-12, 12, -12, 12)
+_NAN_STATE = ParticleDensityMatrix.eigenstate(_NAN_WINDOW, 0)
+
+
 @pytest.mark.parametrize("fn", [
     lambda v: log_theta(v, CHECK_PARAMS),
     lambda v: theta(v, CHECK_PARAMS),
     lambda v: scgf(v, CHECK_PARAMS),
     lambda v: energy_cgf(3, v, CHECK_PARAMS),
     lambda v: rate_function(v, CHECK_PARAMS),
-], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function"])
+    lambda v: deformed_weights(v, CHECK_PARAMS),
+    lambda v: apply_channel(_NAN_STATE, v, CHECK_PARAMS),
+    lambda v: position_cgf_oracle(2, v, _NAN_STATE, CHECK_PARAMS),
+    lambda v: environment_reduced_map(
+        ReservoirConfig(params=CHECK_PARAMS, M=1, n=1, window=_NAN_WINDOW),
+        np.eye(_NAN_WINDOW.n_k), v),
+], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function", "deformed_weights",
+        "apply_channel", "position_cgf_oracle", "environment_reduced_map"])
 def test_nan_argument_is_numerics_error(fn):
     with pytest.raises(NumericsError):
         fn(math.nan)
