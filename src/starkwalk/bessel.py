@@ -7,10 +7,11 @@ probability bookkeeping multiplicatively).  Downward recurrence
 normalized with sum_nu J_nu^2 = 1 gives exactly that; the overall sign is
 fixed with the linear sum J_0 + 2 sum J_{2m} = 1.
 
-Every rule on which orders are needed lives here: the recurrence's start
-and its order budget, the mass halfwidth, the tabulated profile J_nu(2/F)
-behind the position transform, and the squared profile J_d(z)^2 of the
-free Bloch kernel.
+Each z has one profile J_0(z) .. J_{top-1}(z), cut where Kapteyn's bound
+puts every later order below half the smallest subnormal; it is computed
+once and cached, and every table, halfwidth and squared kernel is a prefix
+of it.  So an order's bits do not depend on the range a caller asks for,
+and every rule on which orders are needed lives here.
 """
 from __future__ import annotations
 
@@ -34,62 +35,101 @@ _SERIES_BELOW = 2.0**-26
 MAX_MILLER_ORDER = 10**6
 # the mass of J_nu(z)^2 that `bessel_halfwidth` leaves outside its range
 _HALFWIDTH_TAIL = 1e-16
+# log of 2^-1075: a J_nu(z) below it rounds to an exact 0 in a double
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
-def _miller_start(z: float, nmax: int) -> int:
-    # Start far enough past the turning point nu ~ z that the admixture of
-    # the growing solution decays below double precision before order nmax.
+def _profile_top(z: float) -> int:
+    """The first order nu >= z at which Kapteyn's bound on |J_nu(z)| is below 2^-1075.
+
+    The bound (DLMF 10.14.5) is exp(nu (sqrt(1 - x^2) - arccosh(1/x))) at
+    x = z/nu <= 1.  Its log has derivative -arccosh(nu/z) < 0 in nu past z,
+    so doubling the step until the bound is crossed, then bisecting, finds
+    the same order as a scan from z in O(log z) evaluations.  It is 1 at
+    z = 0, where J_0 = 1 is the only nonzero order.
+    """
+    def above(nu: int) -> bool:
+        s = math.sqrt(1.0 - (z / nu) ** 2)
+        return z > 0.0 and nu * (s - math.log1p(s) + math.log(z) - math.log(nu)) >= _LOG_UNDERFLOW
+
+    lo = max(1, math.ceil(z))
+    if not above(lo):
+        return lo
+    # above(lo) holds and above(hi) does not
+    step, hi = 1, lo + 1
+    while above(hi):
+        lo, step = hi, 2 * step
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
+def _miller_start(z: float, what: str = "J_nu(z) at z") -> int:
+    """The profile's top plus a margin past which the growing solution's admixture
+    has decayed below double precision; refuses a z that is not finite and >= 0,
+    and a start past `MAX_MILLER_ORDER` (before any Bessel value is computed)."""
     if not math.isfinite(z) or z < 0.0:
         raise ConfigError(f"J_nu(z) needs finite z >= 0, got z = {z!r}; "
                           "use J_nu(-z) = (-1)^nu J_nu(z)")
-    extra = 16 + int(14.0 * max(z, 1.0) ** (1.0 / 3.0))
-    return max(nmax, int(math.ceil(z))) + extra
+    # the top is past z, so a z past the budget is refused without the search
+    if z <= MAX_MILLER_ORDER:
+        start = _profile_top(z) + 16 + int(14.0 * max(z, 1.0) ** (1.0 / 3.0))
+        if start <= MAX_MILLER_ORDER:
+            return start
+    raise BudgetError(f"{what} = {z:.6g}, whose recurrence starts past the order budget "
+                      f"of {MAX_MILLER_ORDER}")
+
+
+@functools.lru_cache(maxsize=1)
+def _profile(z: float) -> np.ndarray:
+    """J_0(z) .. J_{top-1}(z), read-only: every order from `_profile_top(z)` on is an exact 0."""
+    start = _miller_start(z)
+    top = _profile_top(z)
+    if z < _SERIES_BELOW:
+        # the leading term as a running product, one rounding per order
+        out = np.ones(top)
+        out[1:] = np.cumprod(0.5 * z / np.arange(1, top))
+    else:
+        raw = np.zeros(start + 2)
+        raw[start] = 1e-30
+        for m in range(start, 0, -1):
+            raw[m - 1] = (2.0 * m / z) * raw[m] - raw[m + 1]
+            if abs(raw[m - 1]) > _RESCALE:
+                raw[m - 1:] /= _RESCALE
+        # quadratic norm fixes the magnitude, linear (alternating-free) sum the sign
+        quad = raw[0] ** 2 + 2.0 * np.sum(raw[1:] ** 2)
+        lin = raw[0] + 2.0 * np.sum(raw[2::2])
+        out = raw[:top] * math.copysign(1.0 / math.sqrt(quad), lin)
+    out.setflags(write=False)
+    return out
 
 
 def bessel_j_array(z: float, nmax: int) -> np.ndarray:
-    """J_0(z) .. J_nmax(z) for z >= 0, by normalized downward recurrence (series below 2^-26)."""
+    """J_0(z) .. J_nmax(z) for z >= 0: a prefix of the cached profile, padded with exact 0s."""
     nmax = _require_count(nmax, "nmax")
-    start = _miller_start(z, nmax)
-    if start > MAX_MILLER_ORDER:
-        raise BudgetError(
-            f"J_nu({z:.6g}) up to order {nmax} needs the recurrence to start at "
-            f"order {start}, past the budget of {MAX_MILLER_ORDER}; the argument "
-            f"2/F grows as the tilt F shrinks"
-        )
-    if z < _SERIES_BELOW:
-        # the leading term as a running product, one rounding per order
-        out = np.ones(nmax + 1)
-        out[1:] = np.cumprod(0.5 * z / np.arange(1, nmax + 1))
-        return out
-
-    raw = np.zeros(start + 2)
-    raw[start] = 1e-30
-    for m in range(start, 0, -1):
-        raw[m - 1] = (2.0 * m / z) * raw[m] - raw[m + 1]
-        if abs(raw[m - 1]) > _RESCALE:
-            raw[m - 1:] /= _RESCALE
-    # quadratic norm fixes the magnitude, linear (alternating-free) sum the sign
-    quad = raw[0] ** 2 + 2.0 * np.sum(raw[1:] ** 2)
-    lin = raw[0] + 2.0 * np.sum(raw[2::2])
-    scale = math.copysign(1.0 / math.sqrt(quad), lin)
-    return raw[: nmax + 1] * scale
+    if nmax > MAX_MILLER_ORDER:
+        raise BudgetError(f"J_nu up to order {nmax} is past the order budget of {MAX_MILLER_ORDER}")
+    profile = _profile(z)
+    out = np.zeros(nmax + 1)
+    out[:profile.size] = profile[:nmax + 1]
+    return out
 
 
 def bessel_halfwidth(z: float) -> int:
     """Smallest w such that the mass sum_{|nu|>w} J_nu(z)^2 is below 1e-16."""
-    probe = bessel_j_array(z, _miller_start(z, 0))
-    mass = 2.0 * np.cumsum(probe[::-1] ** 2)[::-1]
+    mass = 2.0 * np.cumsum(_profile(z)[::-1] ** 2)[::-1]
     above = np.nonzero(mass > _HALFWIDTH_TAIL)[0]
     return int(above[-1]) if above.size else 0
 
 
-@functools.lru_cache(maxsize=1)
 def bessel_table(F: float, order_max: int) -> np.ndarray:
     """The eigenfunction profile J_nu(2/F) for |nu| <= order_max, read-only.
 
     Entry nu + order_max holds J_nu; negative orders satisfy
-    J_{-nu} = (-1)^nu J_nu exactly by construction.  The last table is
-    kept, so the transforms of one window share one recurrence.
+    J_{-nu} = (-1)^nu J_nu exactly by construction.  Every table at one F
+    slices the same cached profile, so an order has the same bits in all.
 
     Raises AccuracyError when the requested range does not capture the
     full quadratic mass to within the tabulation tolerance, since such a
@@ -114,51 +154,15 @@ def bessel_table(F: float, order_max: int) -> np.ndarray:
     return values
 
 
-# log of 2^-537.5: a J_d(z) below it squares to under half the smallest subnormal
-_LOG_KERNEL_TAIL = -537.5 * math.log(2.0)
-
-
-def _kernel_top(z: float) -> int:
-    """The first order d >= z/2 at which d log(z/2) - lgamma(d + 1) < `_LOG_KERNEL_TAIL`.
-
-    From z/2 on the bound decreases with d (each step adds log(z/2) - log(d + 1)
-    < 0), so doubling the step until it is crossed, then bisecting, finds the
-    same order as a scan from z/2 in O(log z) evaluations.  It is 0 where z/2
-    rounds to 0: there J_1(z)^2 <= (z/2)^2 is 0 too.
-    """
-    half_z = 0.5 * z
-    if half_z == 0.0:
-        return 0
-    lo = math.ceil(half_z)
-
-    def above(d: int) -> bool:
-        return d * math.log(half_z) - math.lgamma(d + 1.0) >= _LOG_KERNEL_TAIL
-
-    if not above(lo):
-        return lo
-    # above(lo) holds and above(hi) does not
-    step, hi = 1, lo + 1
-    while above(hi):
-        lo, step = hi, 2 * step
-        hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return hi
-
-
 def bessel_squares(z: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The orders d and J_d(z)^2 at every d whose square is representable.
 
-    The orders run to the first d >= z/2 at which the bound J_d(z) <= (z/2)^d / d!
-    is below 2^-537.5; from z/2 on the bound decreases, so J_d(z)^2 rounds to 0
-    there and past it, and trailing zero squares are trimmed.  That order is found
-    in O(log z) steps (`_kernel_top`).  A z whose recurrence would start past
-    `MAX_MILLER_ORDER` to reach it, or an inf or NaN z, is refused before any
-    Bessel value is computed, with a BudgetError that reads "{what} = z, ...".
+    The squared profile with its trailing zero squares trimmed: past the
+    profile's top, Kapteyn's bound puts J_d(z) below 2^-1075, so every square
+    there is an exact 0.  A z that is not finite and >= 0, or whose recurrence
+    would start past `MAX_MILLER_ORDER`, is refused before any Bessel value is
+    computed, with an error that reads "{what} = z, ...".
     """
-    if not z <= MAX_MILLER_ORDER or _miller_start(z, top := _kernel_top(z)) > MAX_MILLER_ORDER:
-        raise BudgetError(f"{what} = {z:.6g}, whose recurrence starts past the order "
-                          f"budget of {MAX_MILLER_ORDER}")
-    half = np.trim_zeros(bessel_j_array(z, top) ** 2, "b")
+    _miller_start(z, what)
+    half = np.trim_zeros(_profile(z) ** 2, "b")
     return np.arange(1 - half.size, half.size), np.concatenate([half[:0:-1], half])

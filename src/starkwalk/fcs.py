@@ -47,7 +47,7 @@ from .state import (
     require_interior,
     transform_matrix,
 )
-from .walk import scgf, walk_pmf_exact
+from .walk import _mgf, scgf, walk_pmf_exact
 
 MAX_WINDOW = 64
 MAX_ATOMS = 4
@@ -183,7 +183,7 @@ class EnergyFcsResult:
     def mgf(self, alpha: float) -> float:
         """E[e^{alpha dS_n}] over the joint law."""
         m, probs = self.entropy_distribution()
-        return float(np.dot(np.exp(alpha * self.beta_E * m), probs))
+        return _mgf(alpha * self.beta_E, m, probs)
 
     def entropy_mean(self) -> float:
         m, probs = self.entropy_distribution()
@@ -286,9 +286,13 @@ class PositionFcsResult:
         # zero probabilities drop out; the largest exponent is factored out
         # so that the tails cannot overflow
         live = self.probs > 0.0
-        expo = eta * self.dx[live] + np.log(self.probs[live])
-        top = float(np.max(expo))
-        return top + math.log(float(np.sum(np.exp(expo - top))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = eta * self.dx[live] + np.log(self.probs[live])
+            top = float(np.max(expo))
+            value = top + math.log(float(np.sum(np.exp(expo - top))))
+        if not math.isfinite(value):
+            raise NumericsError(f"the log MGF at eta = {eta!r} is not a finite double")
+        return value
 
     def window_probability(self, lo: float, hi: float) -> float:
         sel = (self.dx >= lo) & (self.dx <= hi)

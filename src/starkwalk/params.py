@@ -89,11 +89,19 @@ def derive_params(raw: ModelParams) -> DerivedParams:
     return DerivedParams(omega0=omega0, p=p, cos2theta=cos2, sin2theta=sin2)
 
 
-def _require_count(value, name: str, low: int = 0) -> int:
-    """int(value); ConfigError unless value is an integer >= low (a bool or float is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def _require_integer(value, name: str, low: int | None = None) -> int:
+    """int(value); ConfigError unless value is an integer, and >= low where low is
+    given (a bool or float is not an integer)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or low is not None and value < low):
+        floor = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
     return int(value)
+
+
+def _require_count(value, name: str, low: int = 0) -> int:
+    """A count such as n, M, trials or a seed: an integer >= low."""
+    return _require_integer(value, name, low)
 
 
 def _require_phase(t, *energies) -> None:

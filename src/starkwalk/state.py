@@ -10,6 +10,7 @@ psi_k(x) = J_{k-x}(2/F).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ import numpy as np
 from .bessel import bessel_halfwidth, bessel_table
 from .config import TOL
 from .errors import ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_phase
+from .params import ModelParams, _require_integer, _require_phase
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class LatticeWindow:
     x_max: int
 
     def __post_init__(self):
+        for name in ("k_min", "k_max", "x_min", "x_max"):
+            object.__setattr__(self, name, _require_integer(getattr(self, name), name))
         if self.k_max <= self.k_min or self.x_max <= self.x_min:
             raise ConfigError("window bounds must satisfy k_min < k_max, x_min < x_max")
 
@@ -51,12 +54,12 @@ class LatticeWindow:
         return np.arange(self.x_min, self.x_max + 1)
 
     def k_index(self, k: int) -> int:
-        if not self.k_min <= k <= self.k_max:
+        if not self.k_min <= _require_integer(k, "k") <= self.k_max:
             raise WindowError(f"eigenbasis index {k} outside window [{self.k_min}, {self.k_max}]")
         return k - self.k_min
 
     def x_index(self, x: int) -> int:
-        if not self.x_min <= x <= self.x_max:
+        if not self.x_min <= _require_integer(x, "x") <= self.x_max:
             raise WindowError(f"position {x} outside window [{self.x_min}, {self.x_max}]")
         return x - self.x_min
 
@@ -70,6 +73,7 @@ class LatticeWindow:
         strictly interior; the position range pads further by the spread
         of the Bessel profile.
         """
+        _require_tilt(F)
         x_pad = bessel_halfwidth(2.0 / F) + 8
         k_min = k_lo - steps - margin
         k_max = k_hi + steps + margin
@@ -88,12 +92,20 @@ def transform_matrix(window: LatticeWindow, F: float) -> np.ndarray:
     return bessel_table(F, order)[nu + order]
 
 
+def _require_tilt(F: float) -> None:
+    """ConfigError unless the tilt F is a finite real number > 0."""
+    if not isinstance(F, numbers.Real) or not 0.0 < F < math.inf:
+        raise ConfigError(f"the tilt F must be finite and > 0, got F = {F!r}")
+
+
 def _bloch_reach(F: float) -> float:
-    """4/F, the reach of the free Bloch oscillation; NumericsError where it overflows a double.
+    """4/F, the reach of the free Bloch oscillation, for a tilt that `_require_tilt`
+    accepts; NumericsError where it overflows a double.
 
     Every position route reads 4/F or 1/F, so each refuses such a tilt here
     rather than return an inf or a NaN.
     """
+    _require_tilt(F)
     reach = 4.0 / F
     if not math.isfinite(reach):
         raise NumericsError(f"the Bloch reach 4/F overflows a double at F = {F!r}")
@@ -122,9 +134,10 @@ def bloch_coefficients(t: float | np.ndarray, F: float) -> BlochCoefficients:
 
     t is a float (complex coefficients) or an array of times (arrays).
     """
+    reach = _bloch_reach(F)
     _require_phase(t, F)
     t = np.asarray(t, dtype=float)
-    amp = _bloch_reach(F) * np.sin(0.5 * F * t)
+    amp = reach * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
     c_plus = amp * np.exp(1j * phase) / 2j
     if c_plus.ndim:
@@ -177,6 +190,8 @@ class ParticleDensityMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.coeffs + self.coeffs.conj().T))[0])
 
     def check_density(self) -> None:
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ConfigError("density matrix coefficients must be finite")
         if self.hermiticity_defect() > TOL.hermiticity:
             raise ConfigError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
         if abs(self.trace() - 1.0) > TOL.trace:
@@ -223,7 +238,8 @@ def position_distribution(dm: ParticleDensityMatrix, F: float) -> tuple[np.ndarr
     psi = transform_matrix(dm.window, F)
     pmf = np.sum((psi @ dm.coeffs) * psi, axis=1).real
     leak = abs(float(np.sum(pmf)) - dm.trace())
-    if leak > TOL.leakage:
+    # written so that a NaN leak (a non-finite state) fails it too
+    if not leak <= TOL.leakage:
         raise WindowError(
             f"position mass {leak:.3e} outside the x-window exceeds the "
             f"leakage budget {TOL.leakage:.1e}"

@@ -68,7 +68,18 @@ class WalkLaw:
         return float(np.dot((self.support - m) ** 2, self.pmf))
 
     def mgf(self, eta: float) -> float:
-        return float(np.dot(np.exp(eta * self.support), self.pmf))
+        return _mgf(eta, self.support, self.pmf)
+
+
+def _mgf(eta: float, support: np.ndarray, pmf: np.ndarray) -> float:
+    """E[e^{eta S}] for the law pmf on support; NumericsError where it is not a finite
+    double (a NaN or infinite eta, or a sum that overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(np.exp(eta * support), pmf))
+    if not math.isfinite(value):
+        raise NumericsError(f"the moment generating function E[e^(eta S)] at eta = {eta!r} "
+                            "is not a finite double")
+    return value
 
 
 def _ratio_overflow(n: int, log_k: np.ndarray) -> NumericsError:

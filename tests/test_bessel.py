@@ -9,11 +9,13 @@ from starkwalk import (
     AccuracyError,
     BudgetError,
     ConfigError,
+    LatticeWindow,
     bessel_halfwidth,
     bessel_j_array,
     bessel_table,
+    transform_matrix,
 )
-from starkwalk.bessel import MAX_MILLER_ORDER
+from starkwalk.bessel import MAX_MILLER_ORDER, _profile, _profile_top
 
 from conftest import bessel_series
 
@@ -48,11 +50,68 @@ def test_table_is_read_only():
         table[10] = 0.0
 
 
-def test_last_table_is_kept():
+def test_last_profile_is_kept():
+    # the profile is cached on z, not the table on (F, order_max): tables of any
+    # range at one F slice one recurrence
+    _profile.cache_clear()
     a = bessel_table(F=0.5, order_max=30)
-    assert bessel_table(F=0.5, order_max=30) is a
     assert bessel_table(F=0.5, order_max=31).shape == (63,)
     assert bessel_table(F=0.5, order_max=30) is not a
+    assert _profile.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("F", [0.05, 0.5, 1.0])
+def test_table_is_the_centre_of_any_wider_table(F):
+    # an order has the same bits in every table, also past the profile's top
+    z = 2.0 / F
+    narrow = bessel_halfwidth(z) + 1
+    for order in (narrow, narrow + 1, narrow + 37, _profile_top(z) + 25):
+        wide = bessel_table(F, order)
+        assert np.array_equal(bessel_table(F, narrow), wide[order - narrow:order + narrow + 1])
+    if F == 0.5:
+        assert np.array_equal(bessel_table(F, 30), bessel_table(F, 31)[1:-1])
+
+
+def scanned_profile_top(z):
+    """The profile's top found by scanning up from z, one order at a time, on
+    Kapteyn's bound |J_nu(nu x)| <= x^nu e^{nu s} / (1 + s)^nu, s = sqrt(1 - x^2)."""
+    top = max(1, math.ceil(z))
+    while True:
+        x = z / top
+        s = math.sqrt(1.0 - x * x)
+        if top * (math.log(x) + s - math.log(1.0 + s)) < -1075.0 * math.log(2.0):
+            return top
+        top += 1
+
+
+def test_profile_top_equals_the_order_by_order_scan():
+    # the bisection pins the same last order as the scan
+    zs = [1e-300, 1e-10, 0.3, 1.0, 2.0, 4.0, 17.0, 100.0, 2.0 * 10**5]
+    zs += np.logspace(-6, 5, 221).tolist() + np.linspace(0.01, 60.0, 400).tolist()
+    for z in zs:
+        assert _profile_top(z) == scanned_profile_top(z), z
+    # J_0(0) = 1 is the only nonzero order; at the smallest subnormal z the bound
+    # on J_1 is z e / 2, above 2^-1075
+    assert _profile_top(0.0) == 1 and _profile_top(5e-324) == 2
+
+
+@pytest.mark.parametrize("z", [1e-10, 0.3, 2.0, 4.0, 40.0])
+def test_every_order_from_the_top_on_is_exact_zero(z):
+    # the top's J rounds to 0 in a double (50-digit series), and so does every
+    # later order by Kapteyn's bound; the arrays hold exact 0s there
+    top = _profile_top(z)
+    assert bessel_series(top, z) == 0.0
+    values = bessel_j_array(z, top + 50)
+    assert _profile(z).size == top and np.all(values[top:] == 0.0)
+    assert np.array_equal(values[:top], _profile(z))
+
+
+def test_window_transform_and_halfwidth_share_one_recurrence():
+    _profile.cache_clear()
+    window = LatticeWindow.for_dynamics(-3, 3, 5, F=0.2)
+    transform_matrix(window, 0.2)
+    bessel_halfwidth(2.0 / 0.2)
+    assert _profile.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("F", [2.0, 1.0, 0.5, 0.2])
@@ -99,7 +158,8 @@ def test_range_too_small_is_an_error():
         bessel_table(F=0.05, order_max=20)   # argument 40 needs far more range
 
 
-@pytest.mark.parametrize("z,nmax", [(2e9, 0), (1.0, MAX_MILLER_ORDER), (0.0, MAX_MILLER_ORDER)])
+@pytest.mark.parametrize("z,nmax", [(2e9, 0), (1.0, MAX_MILLER_ORDER + 1),
+                                    (0.0, MAX_MILLER_ORDER + 1)])
 def test_recurrence_past_budget_is_budget_error(z, nmax):
     # refused before the start-order array is allocated
     with pytest.raises(BudgetError, match="budget"):

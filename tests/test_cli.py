@@ -358,7 +358,7 @@ def test_k_range_experiments_do_no_bessel_work(run, F, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a Bessel function was evaluated")
 
-    monkeypatch.setattr(starkwalk.bessel, "bessel_j_array", refuse)
+    monkeypatch.setattr(starkwalk.bessel, "_profile", refuse)
     rc = cli.main(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 {run} --out -".split())
     out, err = capsys.readouterr()
     if run.startswith("single-atom") and F == "1e-310":

@@ -30,7 +30,6 @@ from starkwalk import (
     transport_coefficients,
     walk_pmf_exact,
 )
-from starkwalk.bessel import _LOG_KERNEL_TAIL, _kernel_top
 from starkwalk.fcs import environment_weights
 
 from conftest import direct_step_hamiltonian, random_density
@@ -269,8 +268,8 @@ def test_free_kernel_halfwidth_covers_bessel_tail(F, beta_E):
 
 
 def test_free_kernel_ends_on_nonzero_orders():
-    # at z = 4 the orders run to 120, the first d >= z/2 with (z/2)^d / d! below
-    # 2^-537.5; J_120(4)^2 underflows to an exact 0, which the kernel leaves out
+    # at z = 4 the profile runs to order 205; from J_120(4)^2 on every square
+    # underflows to an exact 0, which the kernel leaves out
     p = ModelParams(E=30.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     d, kernel = free_kernel(math.pi / p.F, p)   # z = 4
     assert kernel.size == 239 and np.array_equal(d, np.arange(-119, 120))
@@ -300,35 +299,17 @@ def test_free_kernel_refuses_past_the_order_budget_at_once():
         free_kernel(3e9, p)
 
 
-def scanned_kernel_top(z):
-    """The kernel's last order found by scanning up from z/2, one order at a time."""
-    top = math.ceil(0.5 * z)
-    while z > 0.0 and top * math.log(0.5 * z) - math.lgamma(top + 1.0) >= _LOG_KERNEL_TAIL:
-        top += 1
-    return top
-
-
-def test_kernel_top_equals_the_order_by_order_scan():
-    # the bisection pins the same last order as the scan, so kernels keep their bits
-    zs = [0.0, 1e-300, 1e-10, 0.3, 1.0, 2.0, 4.0, 17.0, 100.0, 2.0 * 10**5]
-    zs += np.logspace(-6, 5, 221).tolist() + np.linspace(0.01, 60.0, 400).tolist()
-    for z in zs:
-        assert _kernel_top(z) == scanned_kernel_top(z), z
-    # z/2 rounds to 0: no order past 0 has a nonzero square
-    assert _kernel_top(5e-324) == 0
-
-
 def test_free_kernel_refuses_below_the_early_bound_without_a_bessel_call(monkeypatch):
-    # z = 9e5 starts the recurrence within budget from z/2, but not from the
-    # kernel's last order (~1.2e6): refused with the z message before any
-    # Bessel value is computed
+    # z = 9.95e5 is within the budget, but the profile's top (~1.004e6) plus the
+    # Miller margin is not: refused with the z message before any Bessel value
+    # is computed
     def no_bessel(*args):
-        raise AssertionError("bessel_j_array called")
+        raise AssertionError("the Bessel profile was computed")
 
-    monkeypatch.setattr("starkwalk.bessel.bessel_j_array", no_bessel)
-    F = 4.0 / 9e5
+    monkeypatch.setattr("starkwalk.bessel._profile", no_bessel)
+    F = 4.0 / 9.95e5
     p = ModelParams(E=2.0, F=F, lam=0.5, tau=1.0, beta=1.0)
-    with pytest.raises(BudgetError, match=r"z = \(4/F\)\|sin\(F t / 2\)\| = 900000, "):
+    with pytest.raises(BudgetError, match=r"z = \(4/F\)\|sin\(F t / 2\)\| = 995000, "):
         free_kernel(math.pi / F, p)
 
 

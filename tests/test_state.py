@@ -16,6 +16,7 @@ from starkwalk import (
     apply_channel,
     bessel_halfwidth,
     bessel_j_array,
+    bessel_squares,
     bessel_table,
     bloch_coefficients,
     channel_oracle,
@@ -244,7 +245,36 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
     pytest.param(lambda: bessel_table(0.0, 5), "F must be > 0", id="table-zero-force"),
-    # 2/F overflows to inf: the x-padding's Bessel probe refuses it as bessel_j_array does
+    pytest.param(lambda: bessel_squares(-1.0, "z"), "finite z >= 0", id="squares-negative-z"),
+    # the tilt: finite and > 0 before 2/F or 4/F is formed
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 1, F=0.0),
+                 "the tilt F must be finite and > 0, got F = 0.0", id="dynamics-window-zero-force"),
+    pytest.param(lambda: bloch_coefficients(1.0, 0.0), "got F = 0.0", id="bloch-zero-force"),
+    pytest.param(lambda: bloch_coefficients(1.0, -1.0), "got F = -1.0",
+                 id="bloch-negative-force"),
+    pytest.param(lambda: bloch_coefficients(1.0, math.inf), "got F = inf",
+                 id="bloch-infinite-force"),
+    pytest.param(lambda: position_operator(_W, -1.0), "got F = -1.0",
+                 id="position-operator-negative-force"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 1, F="a"), "got F = 'a'",
+                 id="dynamics-window-string-force"),
+    # window bounds and indices are integers
+    pytest.param(lambda: LatticeWindow(-0.5, 3.2, -1, 4), "k_min must be an integer, got -0.5",
+                 id="window-fractional-bounds"),
+    pytest.param(lambda: LatticeWindow("a", 3, -1, 4), "k_min must be an integer, got 'a'",
+                 id="window-string-bound"),
+    pytest.param(lambda: LatticeWindow(-2, 2, -4, True), "x_max must be an integer, got True",
+                 id="window-bool-bound"),
+    pytest.param(lambda: _W.k_index(0.5), "k must be an integer, got 0.5",
+                 id="window-fractional-k"),
+    pytest.param(lambda: ParticleDensityMatrix.eigenstate(_W, 0.5),
+                 "k must be an integer, got 0.5", id="eigenstate-fractional-k"),
+    pytest.param(lambda: _W.x_index(1.5), "x must be an integer, got 1.5",
+                 id="window-fractional-x"),
+    # a non-finite state is refused before any eigenvalue is taken
+    pytest.param(lambda: ParticleDensityMatrix(_W, np.full((5, 5), math.nan)).check_density(),
+                 "coefficients must be finite", id="density-nan"),
+    # 2/F overflows to inf: the x-padding's Bessel profile refuses it as bessel_j_array does
     pytest.param(lambda: bessel_halfwidth(math.inf), "finite z >= 0", id="halfwidth-infinite-z"),
     pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, steps=1, F=1e-310), "finite z >= 0",
                  id="dynamics-window-infinite-bessel-argument"),
@@ -286,8 +316,18 @@ def test_bad_arguments_raise_config_error(build, message):
     assert message in str(refused.value)
 
 
+def test_nan_state_fails_the_leakage_test():
+    # a NaN pmf leaks NaN mass, which the leakage budget refuses
+    window = LatticeWindow.for_dynamics(0, 0, steps=1, F=1.0)
+    nan_state = ParticleDensityMatrix(window, np.full((window.n_k, window.n_k), math.nan))
+    with pytest.raises(WindowError, match="leakage budget"):
+        position_distribution(nan_state, 1.0)
+
+
 def test_numpy_integer_counts_are_accepted():
     three, window = np.int64(3), _RHO.window
+    assert LatticeWindow(-three, three, -three, three) == LatticeWindow(-3, 3, -3, 3)
+    assert window.k_index(three) == window.k_index(3)
     assert np.array_equal(walk_pmf_exact(three, _P).pmf, walk_pmf_exact(3, _P).pmf)
     assert np.array_equal(walk_log_pmf(three, _P), walk_log_pmf(3, _P))
     assert np.array_equal(sample_walk(three, three, three, _P).counts,
