@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .config import TOL
 from .errors import AccuracyError, BudgetError, ConfigError
-from .params import _require_count
+from .params import _require_count, _require_tilt
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
@@ -68,9 +69,9 @@ def _profile_top(z: float) -> int:
 
 def _miller_start(z: float, what: str = "J_nu(z) at z") -> int:
     """The profile's top plus a margin past which the growing solution's admixture
-    has decayed below double precision; refuses a z that is not finite and >= 0,
-    and a start past `MAX_MILLER_ORDER` (before any Bessel value is computed)."""
-    if not math.isfinite(z) or z < 0.0:
+    has decayed below double precision; refuses a z that is not a finite real number
+    >= 0, and a start past `MAX_MILLER_ORDER` (before any Bessel value is computed)."""
+    if not isinstance(z, numbers.Real) or not math.isfinite(z) or z < 0.0:
         raise ConfigError(f"J_nu(z) needs finite z >= 0, got z = {z!r}; "
                           "use J_nu(-z) = (-1)^nu J_nu(z)")
     # the top is past z, so a z past the budget is refused without the search
@@ -135,8 +136,7 @@ def bessel_table(F: float, order_max: int) -> np.ndarray:
     full quadratic mass to within the tabulation tolerance, since such a
     table cannot support faithful basis transforms.
     """
-    if F <= 0.0:
-        raise ConfigError("F must be > 0")
+    _require_tilt(F)
     z = 2.0 / F
     half = bessel_j_array(z, order_max)
     captured = half[0] ** 2 + 2.0 * np.sum(half[1:] ** 2)

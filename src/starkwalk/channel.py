@@ -87,11 +87,16 @@ def log_theta(gamma: float, params: ModelParams) -> float:
     defined at beta E = 0.  log r is evaluated without subtracting large
     terms, so nothing overflows at any finite gamma.  The one closed form behind
     `theta`, `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
-    log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN.
+    log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN, and
+    where the value is undefined (gamma = beta E = inf, whose fold is inf - inf).
     """
     if math.isnan(gamma):
         raise NumericsError("log_theta of NaN")
-    return _log_theta(gamma, derive_params(params).p, params.beta * params.E)
+    be = params.beta * params.E
+    value = _log_theta(gamma, derive_params(params).p, be)
+    if math.isnan(value):
+        raise NumericsError(f"log_theta({gamma!r}) is undefined at beta E = {be!r}")
+    return value
 
 
 def _log_theta(gamma: float, p: float, be: float) -> float:

@@ -45,7 +45,6 @@ class Tolerances:
     # counting statistics
     fcs_support: float = 1e-12
     fcs_mgf_rel: float = 1e-8
-    conservation_commutator: float = 1e-12
     energy_conservation: float = 1e-12
     energy_rate: float = 1e-6
     position_cgf_gap: float = 0.02

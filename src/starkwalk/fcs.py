@@ -47,7 +47,7 @@ from .state import (
     require_interior,
     transform_matrix,
 )
-from .walk import _mgf, scgf, walk_pmf_exact
+from .walk import WalkLaw, _log_mgf, scgf, walk_pmf_exact
 
 MAX_WINDOW = 64
 MAX_ATOMS = 4
@@ -164,35 +164,20 @@ class EnergyFcsResult:
         K, M = self.cfg.window.n_k, self.cfg.M
         return np.arange(1 - K, K)[:, None], np.arange(-M, M + 1)[None, :]
 
-    def total_weight(self) -> float:
-        return float(np.sum(self.law))
-
     def off_diagonal_mass(self) -> float:
         dk, dm = self._increments()
         return float(np.sum(self.law[dk != dm]))
 
-    def entropy_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Increments m with dS = beta E * m, and their probabilities.
+    def walk_law(self) -> WalkLaw:
+        """The law of the ladder displacement S_n = k' - k, the marginal of `law`.
 
-        Trimmed to the carrying range (at most |m| <= n interactions).
+        dS_n = beta E (k - k') = -beta E S_n, so E[e^{alpha dS_n}] is
+        `.mgf(-alpha beta E)`, its mean -beta E `.mean()` and its variance
+        beta E^2 `.variance()`.  Each step moves k by at most one, so the
+        rows |k - k'| <= n carry the whole marginal.
         """
-        probs = self.law.sum(axis=1)
-        lo, hi = np.flatnonzero(probs)[[0, -1]]
-        return np.arange(lo, hi + 1) - (self.cfg.window.n_k - 1), probs[lo:hi + 1]
-
-    def mgf(self, alpha: float) -> float:
-        """E[e^{alpha dS_n}] over the joint law."""
-        m, probs = self.entropy_distribution()
-        return _mgf(alpha * self.beta_E, m, probs)
-
-    def entropy_mean(self) -> float:
-        m, probs = self.entropy_distribution()
-        return self.beta_E * float(np.dot(m, probs))
-
-    def entropy_variance(self) -> float:
-        m, probs = self.entropy_distribution()
-        mu = float(np.dot(m, probs))
-        return self.beta_E**2 * float(np.dot((m - mu) ** 2, probs))
+        K, n = self.cfg.window.n_k, self.cfg.n
+        return WalkLaw(n=n, pmf=self.law.sum(axis=1)[K - 1 - n:K + n][::-1])
 
     def total_energy_change_mean(self) -> float:
         """Mean of (E_p' + E_env') - (E_p + E_env) = F (k - k') - E (m - m')."""
@@ -243,10 +228,17 @@ def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> Energy
 
 
 def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
-    """Cumulant generating function of dS_n: exactly n log theta(alpha)."""
+    """Cumulant generating function of dS_n: exactly n log theta(alpha).
+
+    The exponent is formed as `theta` forms it, (alpha beta) E; NumericsError
+    where n log theta is not a finite double.
+    """
     n = _require_count(n, "n")
-    be = params.beta * params.E
-    return n * log_theta(alpha * be, params)
+    value = n * log_theta(alpha * params.beta * params.E, params)
+    if not math.isfinite(value):
+        raise NumericsError(f"the energy CGF n log theta({alpha!r}) at n = {n} "
+                            "is not a finite double")
+    return value
 
 
 def _kernel_argument(t: float, params: ModelParams) -> float:
@@ -283,16 +275,7 @@ class PositionFcsResult:
         return float(np.dot((self.dx - m) ** 2, self.probs))
 
     def log_mgf(self, eta: float) -> float:
-        # zero probabilities drop out; the largest exponent is factored out
-        # so that the tails cannot overflow
-        live = self.probs > 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = eta * self.dx[live] + np.log(self.probs[live])
-            top = float(np.max(expo))
-            value = top + math.log(float(np.sum(np.exp(expo - top))))
-        if not math.isfinite(value):
-            raise NumericsError(f"the log MGF at eta = {eta!r} is not a finite double")
-        return value
+        return _log_mgf(eta, self.dx, self.probs)
 
     def window_probability(self, lo: float, hi: float) -> float:
         sel = (self.dx >= lo) & (self.dx <= hi)

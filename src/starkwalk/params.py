@@ -104,6 +104,12 @@ def _require_count(value, name: str, low: int = 0) -> int:
     return _require_integer(value, name, low)
 
 
+def _require_tilt(F: float) -> None:
+    """ConfigError unless the tilt F is a finite real number > 0."""
+    if not isinstance(F, numbers.Real) or not 0.0 < F < math.inf:
+        raise ConfigError(f"the tilt F must be finite and > 0, got F = {F!r}")
+
+
 def _require_phase(t, *energies) -> None:
     """Refuse with NumericsError a time t (number or array) at which a phase t * energy
     overflows or reaches 2^52, where a double keeps no fractional bit of it.

@@ -10,7 +10,6 @@ psi_k(x) = J_{k-x}(2/F).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from .bessel import bessel_halfwidth, bessel_table
 from .config import TOL
 from .errors import ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_integer, _require_phase
+from .params import ModelParams, _require_integer, _require_phase, _require_tilt
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,6 @@ def transform_matrix(window: LatticeWindow, F: float) -> np.ndarray:
     order = required_order(window)
     nu = window.k_values[None, :] - window.x_values[:, None]
     return bessel_table(F, order)[nu + order]
-
-
-def _require_tilt(F: float) -> None:
-    """ConfigError unless the tilt F is a finite real number > 0."""
-    if not isinstance(F, numbers.Real) or not 0.0 < F < math.inf:
-        raise ConfigError(f"the tilt F must be finite and > 0, got F = {F!r}")
 
 
 def _bloch_reach(F: float) -> float:

@@ -233,13 +233,12 @@ def check_fluctuation() -> CheckResult:
     for n in (1, 2, 3):
         cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=n, window=window)
         result = fcs_mod.run_energy_fcs(cfg, rho)
-        m, probs = result.entropy_distribution()
-        # P[dS = -sigma] = e^{sigma} P[dS = sigma]: negative increments dominate
+        pmf = result.walk_law().pmf
+        # P[dS = -sigma] = e^{sigma} P[dS = sigma], dS = -beta E S_n: the walk's
+        # positive displacements dominate
         for j in range(1, n + 1):
-            pj = probs[np.searchsorted(m, j)]
-            pmj = probs[np.searchsorted(m, -j)]
             worst_energy = max(worst_energy,
-                               abs(pmj / (math.exp(be * j) * pj) - 1.0))
+                               abs(pmf[n + j] / (math.exp(be * j) * pmf[n - j]) - 1.0))
     passed = (worst <= TOL.fluctuation_rel and worst_energy <= TOL.fluctuation_rel
               and log_gap <= TOL.walk_law_rel)
     return CheckResult("fluctuation identities", passed, max(worst, worst_energy),
@@ -249,20 +248,26 @@ def check_fluctuation() -> CheckResult:
 
 
 def check_energy_fcs() -> CheckResult:
-    """8. Brute force M = n = 3: diagonal support and E[e^{a dS}] = theta(a)^n."""
+    """8. Brute force M = n = 3: diagonal support, E[e^{a dS}] = theta(a)^n, and the
+    reservoir's increment law equal to the walk law."""
     params = CHECK_PARAMS
     window = LatticeWindow(-16, 15, -16, 15)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=3, window=window)
     result = fcs_mod.run_energy_fcs(cfg, rho)
     off = result.off_diagonal_mass()
+    law = result.walk_law()
     worst = 0.0
     for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
         target = theta(alpha, params) ** cfg.n
-        worst = max(worst, abs(result.mgf(alpha) / target - 1.0))
-    passed = off <= TOL.fcs_support and worst <= TOL.fcs_mgf_rel
+        worst = max(worst, abs(law.mgf(-alpha * result.beta_E) / target - 1.0))
+    exact = walk_pmf_exact(cfg.n, params).pmf
+    normal = exact >= sys.float_info.min
+    law_gap = float(np.max(np.abs(law.pmf[normal] / exact[normal] - 1.0)))
+    passed = off <= TOL.fcs_support and worst <= TOL.fcs_mgf_rel and law_gap <= TOL.walk_law_rel
     return CheckResult("energy counting statistics", passed, worst, TOL.fcs_mgf_rel,
-                       f"off-diagonal mass {off:.2e}")
+                       f"off-diagonal mass {off:.2e}; "
+                       f"law vs walk law {law_gap:.2e} vs {TOL.walk_law_rel:.0e}")
 
 
 def check_position_fcs() -> CheckResult:

@@ -68,17 +68,28 @@ class WalkLaw:
         return float(np.dot((self.support - m) ** 2, self.pmf))
 
     def mgf(self, eta: float) -> float:
-        return _mgf(eta, self.support, self.pmf)
+        """E[e^{eta S_n}], the exponential of `_log_mgf`; NumericsError where it overflows."""
+        try:
+            return math.exp(_log_mgf(eta, self.support, self.pmf))
+        except OverflowError:
+            raise NumericsError(f"the moment generating function E[e^(eta S)] at eta = {eta!r} "
+                                "is not a finite double") from None
 
 
-def _mgf(eta: float, support: np.ndarray, pmf: np.ndarray) -> float:
-    """E[e^{eta S}] for the law pmf on support; NumericsError where it is not a finite
-    double (a NaN or infinite eta, or a sum that overflows)."""
+def _log_mgf(eta: float, support: np.ndarray, probs: np.ndarray) -> float:
+    """log E[e^{eta S}] for the law probs on support; NumericsError where it is not a
+    finite double (a NaN or infinite eta, or a log that overflows).
+
+    Zero probabilities drop out, so an underflowed tail never meets e^{eta s} as
+    inf * 0; the largest exponent is factored out, so no term overflows.
+    """
+    live = probs > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.dot(np.exp(eta * support), pmf))
+        expo = eta * support[live] + np.log(probs[live])
+        top = float(np.max(expo))
+        value = top + math.log(float(np.sum(np.exp(expo - top))))
     if not math.isfinite(value):
-        raise NumericsError(f"the moment generating function E[e^(eta S)] at eta = {eta!r} "
-                            "is not a finite double")
+        raise NumericsError(f"the log MGF at eta = {eta!r} is not a finite double")
     return value
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from starkwalk import (
     apply_channel,
     bessel_halfwidth,
     bessel_j_array,
+    derive_params,
     energy_cgf,
     environment_reduced_map,
     free_dressing_weights,
@@ -107,11 +109,14 @@ def test_energy_fcs_normalization_and_support(params, cfg, window):
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = run_energy_fcs(cfg, rho)
     assert result.law.shape == (2 * window.n_k - 1, 2 * cfg.M + 1)
-    assert abs(result.total_weight() - 1.0) <= 1e-10
+    assert abs(result.law.sum() - 1.0) <= 1e-10
     assert result.off_diagonal_mass() <= 1e-12
-    m, probs = result.entropy_distribution()
-    assert abs(probs.sum() - 1.0) <= 1e-10
-    assert m.min() >= -cfg.n and m.max() <= cfg.n
+    law, K, n = result.walk_law(), window.n_k, cfg.n
+    assert law.n == n and abs(law.pmf.sum() - 1.0) <= 1e-10
+    # the rows |k - k'| <= n carry the whole marginal, its ends included
+    rows = result.law.sum(axis=1)
+    assert not rows[:K - 1 - n].any() and not rows[K + n:].any()
+    assert law.pmf[0] > 0.0 and law.pmf[-1] > 0.0
 
 
 def full_propagator_law(cfg, rho):
@@ -146,8 +151,9 @@ def test_energy_fcs_cgf_identity(params, window):
     for n in (1, 2, 3):
         cfg = ReservoirConfig(params=params, M=3, n=n, window=window)
         result = run_energy_fcs(cfg, rho)
+        law = result.walk_law()
         for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
-            assert abs(result.mgf(alpha) / theta(alpha, params) ** n - 1.0) <= 1e-8
+            assert abs(law.mgf(-alpha * result.beta_E) / theta(alpha, params) ** n - 1.0) <= 1e-8
         assert abs(energy_cgf(n, 0.7, params) - n * math.log(theta(0.7, params))) <= 1e-14
 
 
@@ -164,34 +170,66 @@ def test_energy_cgf_symmetry_and_variance(params):
     assert abs(second / target - 1.0) <= 1e-5
 
 
+# beta E = 1e308 * 2 overflows, yet every ModelParams check passes
+_HOT = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
+
+
+@pytest.mark.parametrize("value,want", [
+    # gamma = (alpha beta) E = inf = beta E: the fold of log theta is inf - inf
+    (lambda: theta(1.0, _HOT), None),
+    # gamma = 1e308 is finite: r = e^{-gamma} underflows and theta = 1 - p
+    (lambda: energy_cgf(3, 0.5, _HOT), lambda: 3.0 * math.log1p(-derive_params(_HOT).p)),
+    # n log theta = 3e308 leaves the double range
+    (lambda: energy_cgf(3, -0.5, _HOT), None),
+    # gamma = (0 beta) E = 0, as theta forms it, not 0 * inf = NaN
+    (lambda: energy_cgf(3, 0.0, _HOT), lambda: 0.0),
+], ids=["theta-one", "energy-cgf-half", "energy-cgf-minus-half", "energy-cgf-zero"])
+def test_energy_cgf_at_infinite_beta_e(value, want):
+    if want is None:
+        with pytest.raises(NumericsError, match="not a finite double|undefined"):
+            value()
+    else:
+        assert value() == want()
+
+
 def test_energy_fcs_moments(params, cfg, window):
     tc = transport_coefficients(params)
     be = params.beta * params.E
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = run_energy_fcs(cfg, rho)
-    assert abs(result.entropy_mean() / cfg.n - (-be * tc.v_d * params.tau)) <= 1e-8
-    assert abs(result.entropy_variance() / cfg.n - be**2 * 2.0 * tc.D * params.tau) <= 1e-8
+    law = result.walk_law()
+    assert abs(-be * law.mean() / cfg.n - (-be * tc.v_d * params.tau)) <= 1e-8
+    assert abs(be**2 * law.variance() / cfg.n - be**2 * 2.0 * tc.D * params.tau) <= 1e-8
 
 
 def test_energy_fcs_transient_ft(params, cfg, window):
     be = params.beta * params.E
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     result = run_energy_fcs(cfg, rho)
-    m, probs = result.entropy_distribution()
-    for j in range(1, cfg.n + 1):
-        pj = probs[np.searchsorted(m, j)]
-        pmj = probs[np.searchsorted(m, -j)]
-        assert abs(pmj / (math.exp(be * j) * pj) - 1.0) <= 1e-10
+    pmf, n = result.walk_law().pmf, cfg.n
+    # P[dS = -sigma] = e^{sigma} P[dS = sigma] with dS = -beta E S_n
+    for j in range(1, n + 1):
+        assert abs(pmf[n + j] / (math.exp(be * j) * pmf[n - j]) - 1.0) <= 1e-10
 
 
 def test_energy_fcs_reservoir_size_independent(params, window):
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     r3 = run_energy_fcs(ReservoirConfig(params=params, M=3, n=3, window=window), rho)
     r4 = run_energy_fcs(ReservoirConfig(params=params, M=4, n=3, window=window), rho)
-    m3, p3 = r3.entropy_distribution()
-    m4, p4 = r4.entropy_distribution()
-    assert np.array_equal(m3, m4)
-    assert np.max(np.abs(p3 - p4)) <= 1e-12
+    l3, l4 = r3.walk_law(), r4.walk_law()
+    assert l3.n == l4.n == 3
+    assert np.max(np.abs(l3.pmf - l4.pmf)) <= 1e-12
+
+
+@pytest.mark.parametrize("M,n", [(3, 1), (3, 2), (4, 2), (4, 4)])
+def test_energy_walk_law_is_the_walk_law(params, window, M, n):
+    # the reservoir counts the walk's own increments: law[dk, dm] = delta P_n(-dk)
+    rho = ParticleDensityMatrix.eigenstate(window, 0)
+    law = run_energy_fcs(ReservoirConfig(params=params, M=M, n=n, window=window), rho).walk_law()
+    exact = walk_pmf_exact(n, params).pmf
+    normal = exact >= sys.float_info.min
+    assert law.n == n and law.pmf.size == exact.size
+    assert np.max(np.abs(law.pmf[normal] / exact[normal] - 1.0)) <= TOL.walk_law_rel
 
 
 def test_energy_fcs_dephasing_automatic(params, cfg, window):
@@ -205,7 +243,7 @@ def test_energy_fcs_dephasing_automatic(params, cfg, window):
 
 
 def test_energy_fcs_refuses_a_state_without_weight(cfg, window):
-    # an all-zero law would follow, whose mgf and entropy_mean index an empty support
+    # an all-zero law would follow, whose walk law has no live entry for its MGF
     empty = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
     with pytest.raises(ConfigError, match="trace"):
         run_energy_fcs(cfg, empty)
@@ -224,11 +262,10 @@ def test_total_energy_rate_and_conservation(params, window):
     result_b = run_energy_fcs(cfg_b, rho)
     assert result_b.max_total_energy_change() <= 1e-12
 
-    hot = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
-    result_h = run_energy_fcs(ReservoirConfig(params=hot, M=2, n=2, window=window), rho)
-    assert abs(result_h.total_weight() - 1.0) <= 1e-10
+    result_h = run_energy_fcs(ReservoirConfig(params=_HOT, M=2, n=2, window=window), rho)
+    assert abs(result_h.walk_law().pmf.sum() - 1.0) <= 1e-10
     with pytest.raises(NumericsError, match="beta E"):
-        result_h.entropy_mean()
+        result_h.beta_E
 
 
 def test_free_kernel_closed_form(params):

@@ -244,7 +244,15 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
     pytest.param(lambda: bessel_j_array(-1.0, 3), "finite z >= 0", id="bessel-negative-z"),
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
-    pytest.param(lambda: bessel_table(0.0, 5), "F must be > 0", id="table-zero-force"),
+    pytest.param(lambda: bessel_table(0.0, 5), "the tilt F must be finite and > 0, got F = 0.0",
+                 id="table-zero-force"),
+    pytest.param(lambda: bessel_table(math.inf, 3), "got F = inf", id="table-infinite-force"),
+    pytest.param(lambda: transform_matrix(_W, math.inf), "got F = inf",
+                 id="transform-infinite-force"),
+    pytest.param(lambda: bessel_table("a", 3), "got F = 'a'", id="table-string-force"),
+    # the Bessel argument is a real number before any comparison is made
+    pytest.param(lambda: bessel_j_array("a", 3), "got z = 'a'", id="bessel-string-z"),
+    pytest.param(lambda: bessel_halfwidth("a"), "got z = 'a'", id="halfwidth-string-z"),
     pytest.param(lambda: bessel_squares(-1.0, "z"), "finite z >= 0", id="squares-negative-z"),
     # the tilt: finite and > 0 before 2/F or 4/F is formed
     pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 1, F=0.0),
