@@ -46,7 +46,7 @@ from .fcs import (
     run_energy_fcs,
     run_position_fcs,
 )
-from .params import DerivedParams, ModelParams, derive_params
+from .params import ModelParams
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,

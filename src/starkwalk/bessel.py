@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from .config import TOL
 from .errors import AccuracyError, BudgetError, ConfigError
-from .params import _require_count, _require_tilt
+from .params import _require_count, _require_real, _require_tilt
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
@@ -71,7 +70,8 @@ def _miller_start(z: float, what: str = "J_nu(z) at z") -> int:
     """The profile's top plus a margin past which the growing solution's admixture
     has decayed below double precision; refuses a z that is not a finite real number
     >= 0, and a start past `MAX_MILLER_ORDER` (before any Bessel value is computed)."""
-    if not isinstance(z, numbers.Real) or not math.isfinite(z) or z < 0.0:
+    _require_real(z, "z")
+    if not math.isfinite(z) or z < 0.0:
         raise ConfigError(f"J_nu(z) needs finite z >= 0, got z = {z!r}; "
                           "use J_nu(-z) = (-1)^nu J_nu(z)")
     # the top is past z, so a z past the budget is refused without the search
@@ -109,6 +109,8 @@ def _profile(z: float) -> np.ndarray:
 
 def bessel_j_array(z: float, nmax: int) -> np.ndarray:
     """J_0(z) .. J_nmax(z) for z >= 0: a prefix of the cached profile, padded with exact 0s."""
+    # z is checked before the profile's cache hashes it
+    _require_real(z, "z")
     nmax = _require_count(nmax, "nmax")
     if nmax > MAX_MILLER_ORDER:
         raise BudgetError(f"J_nu up to order {nmax} is past the order budget of {MAX_MILLER_ORDER}")
@@ -120,6 +122,7 @@ def bessel_j_array(z: float, nmax: int) -> np.ndarray:
 
 def bessel_halfwidth(z: float) -> int:
     """Smallest w such that the mass sum_{|nu|>w} J_nu(z)^2 is below 1e-16."""
+    _require_real(z, "z")
     mass = 2.0 * np.cumsum(_profile(z)[::-1] ** 2)[::-1]
     above = np.nonzero(mass > _HALFWIDTH_TAIL)[0]
     return int(above[-1]) if above.size else 0

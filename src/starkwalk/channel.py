@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_phase, derive_params
+from .params import ModelParams, _require_phase, _require_real
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks, _sites, _support
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
 
@@ -39,11 +39,10 @@ class KrausTriple:
 
 def kraus_weights(params: ModelParams) -> KrausTriple:
     """Jump weights p_-, p_0, p_+ with p_+- = p e^{-+beta E/2} / (2 cosh(beta E/2))."""
-    d = derive_params(params)
     g = math.exp(-params.beta * params.E)
-    return KrausTriple(p_minus=d.p * g / (1.0 + g),
-                       p_zero=1.0 - d.p,
-                       p_plus=d.p / (1.0 + g))
+    return KrausTriple(p_minus=params.p * g / (1.0 + g),
+                       p_zero=1.0 - params.p,
+                       p_plus=params.p / (1.0 + g))
 
 
 def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
@@ -53,6 +52,7 @@ def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
     Kraus weights bit for bit.  The weights sum to exp(log_theta(gamma)).
     NumericsError for NaN.
     """
+    _require_real(gamma, "gamma")
     if math.isnan(gamma):
         raise NumericsError("deformed weights at gamma = NaN")
     kt = kraus_weights(params)
@@ -90,10 +90,11 @@ def log_theta(gamma: float, params: ModelParams) -> float:
     log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN, and
     where the value is undefined (gamma = beta E = inf, whose fold is inf - inf).
     """
+    _require_real(gamma, "gamma")
     if math.isnan(gamma):
         raise NumericsError("log_theta of NaN")
     be = params.beta * params.E
-    value = _log_theta(gamma, derive_params(params).p, be)
+    value = _log_theta(gamma, params.p, be)
     if math.isnan(value):
         raise NumericsError(f"log_theta({gamma!r}) is undefined at beta E = {be!r}")
     return value
@@ -129,6 +130,7 @@ def _log_theta(gamma: float, p: float, be: float) -> float:
 
 def theta(alpha: float, params: ModelParams) -> float:
     """Trace growth rate exp(log_theta(alpha beta E)); NumericsError past the double range."""
+    _require_real(alpha, "alpha")
     try:
         return math.exp(log_theta(alpha * params.beta * params.E, params))
     except OverflowError:
@@ -157,6 +159,7 @@ def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
     Refuses with WindowError when support touches the boundary: mass is
     never silently truncated.
     """
+    _require_real(alpha, "alpha")
     require_interior(np.diagonal(dm.coeffs))
     w = deformed_weights(alpha * params.beta * params.E, params)
     return ParticleDensityMatrix(dm.window, _kick(dm.coeffs, w))
@@ -235,6 +238,7 @@ def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
     On interior entries the identity observable satisfies
     adjoint(I) = theta(alpha) I exactly.
     """
+    _require_real(alpha, "alpha")
     w = deformed_weights(alpha * params.beta * params.E, params)
     out = _kick(np.asarray(B, dtype=complex), w[::-1])
     _require_phase(params.tau * params.F, window.k_values)

@@ -24,7 +24,7 @@ from .bessel import bessel_squares
 from .channel import kraus_weights
 from .config import TOL
 from .errors import ConfigError, NumericsError, StarkwalkError
-from .params import ModelParams, _require_count, rabi_frequency
+from .params import ModelParams, _require_count
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
@@ -187,7 +187,7 @@ def _exp_spectrum(cfg: RunConfig) -> ResultTable:
     k_lo = -10 if cfg.window is None else -(cfg.window // 2)
     k_hi = 10 if cfg.window is None else k_lo + cfg.window - 1
     window = LatticeWindow(k_lo, k_hi, k_lo, k_hi)
-    omega0 = rabi_frequency(cfg.params)
+    omega0 = cfg.params.omega0
     blocks, _ = hamiltonian_blocks(cfg.params, window)
     eig = np.linalg.eigvalsh(blocks)
     rows = []

@@ -38,7 +38,7 @@ from .bessel import bessel_squares
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_count, _require_phase
+from .params import ModelParams, _require_count, _require_phase, _require_real
 from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
@@ -127,6 +127,7 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
     interactions; for general alpha it must agree with n applications of
     the deformed channel.  NumericsError for NaN alpha.
     """
+    _require_real(alpha, "alpha")
     if math.isnan(alpha):
         raise NumericsError("deformed reduction at alpha = NaN")
     K = cfg.window.n_k
@@ -234,6 +235,7 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     where n log theta is not a finite double.
     """
     n = _require_count(n, "n")
+    _require_real(alpha, "alpha")
     value = n * log_theta(alpha * params.beta * params.E, params)
     if not math.isfinite(value):
         raise NumericsError(f"the energy CGF n log theta({alpha!r}) at n = {n} "
@@ -278,11 +280,15 @@ class PositionFcsResult:
         return _log_mgf(eta, self.dx, self.probs)
 
     def window_probability(self, lo: float, hi: float) -> float:
+        _require_real(lo, "lo")
+        _require_real(hi, "hi")
         sel = (self.dx >= lo) & (self.dx <= hi)
         return float(np.sum(self.probs[sel]))
 
     def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
         """(1/n) log Q[dX/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]]."""
+        for value, name in ((v, "v"), (delta, "delta"), (tau, "tau")):
+            _require_real(value, name)
         scale = self.n * tau
         num = self.window_probability(-scale * (v + delta), -scale * (v - delta))
         den = self.window_probability(scale * (v - delta), scale * (v + delta))
@@ -411,6 +417,7 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     exact distribution of `run_position_fcs`.
     """
     n = _require_count(n, "n")
+    _require_real(eta, "eta")
     z = _kernel_argument(n * params.tau, params)
     try:
         x = 2.0 * z * math.sinh(0.5 * eta)
@@ -456,6 +463,7 @@ def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
     window exceed `TOL.position_cgf_identity` of the total.
     """
     n = _require_count(n, "n")
+    _require_real(eta, "eta")
     window = rho_p.window
     xs, q = position_distribution(rho_p, params.F)
 

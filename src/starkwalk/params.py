@@ -1,6 +1,7 @@
 """Physical inputs and the scalar constants derived from them."""
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -12,13 +13,18 @@ from .errors import ConfigError, NumericsError
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The five inputs of the model.
+    """The five inputs of the model, and the scalars derived from them.
 
     E    -- Bohr frequency of the two-level atoms (energy, >= 0)
     F    -- static tilt force on the lattice (energy, > 0)
     lam  -- particle-atom coupling constant (energy, real)
     tau  -- duration of one interaction (inverse energy, > 0)
     beta -- inverse temperature of the atoms (inverse energy, >= 0)
+
+    The derived scalars omega0, cos2theta, sin2theta (from E, F, lam) and p
+    (from those and tau) are cached properties: each is computed on first
+    use, and equality and hashing read the five inputs alone.  The thermal
+    weights of the atom live in `singleatom.AtomGibbs`.
     """
 
     E: float
@@ -30,7 +36,8 @@ class ModelParams:
     def __post_init__(self):
         for name in ("E", "F", "lam", "tau", "beta"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            _require_real(value, name)
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if not self.F > 0.0:
             raise ConfigError(
@@ -44,49 +51,50 @@ class ModelParams:
         if self.beta < 0.0:
             raise ConfigError("beta must be >= 0")
 
+    @functools.cached_property
+    def omega0(self) -> float:
+        """Rabi frequency hypot(E - F, 2 lam) of every sector; NumericsError past a double."""
+        omega0 = math.hypot(self.E - self.F, 2.0 * self.lam)
+        if not math.isfinite(omega0):
+            raise NumericsError(f"the Rabi frequency omega0 = hypot(E - F, 2 lam) overflows a "
+                                f"double at E - F = {self.E - self.F!r}, lam = {self.lam!r}")
+        return omega0
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Scalars derived from ModelParams.
+    @functools.cached_property
+    def cos2theta(self) -> float:
+        """(E - F)/omega0, the cosine of the doubled mixing angle; 1 when omega0 == 0."""
+        return (self.E - self.F) / self.omega0 if self.omega0 > 0.0 else 1.0
 
-    omega0    -- Rabi frequency sqrt((E-F)^2 + 4 lam^2)
-    p         -- jump probability per interaction, in [0, 1]
-    cos2theta -- (E-F)/omega0 (mixing angle), 1 when omega0 == 0
-    sin2theta -- 2 lam/omega0, 0 when omega0 == 0
+    @functools.cached_property
+    def sin2theta(self) -> float:
+        """2 lam/omega0, the sine of the doubled mixing angle; 0 when omega0 == 0."""
+        return 2.0 * self.lam / self.omega0 if self.omega0 > 0.0 else 0.0
 
-    The thermal weights of the atom live in `singleatom.AtomGibbs`.
-    """
+    @functools.cached_property
+    def p(self) -> float:
+        """Jump probability per interaction, (sin 2theta sin(omega0 tau / 2))^2 in [0, 1].
 
-    omega0: float
-    p: float
-    cos2theta: float
-    sin2theta: float
-
-
-def rabi_frequency(raw: ModelParams) -> float:
-    """omega0 = hypot(E - F, 2 lam), the Rabi frequency of every sector; no time enters it."""
-    return math.hypot(raw.E - raw.F, 2.0 * raw.lam)
-
-
-def derive_params(raw: ModelParams) -> DerivedParams:
-    """Evaluate all derived scalars for a valid ModelParams."""
-    delta = raw.E - raw.F
-    omega0 = rabi_frequency(raw)
-    if omega0 > 0.0:
-        cos2 = delta / omega0
-        sin2 = 2.0 * raw.lam / omega0
-        half_turn = 0.5 * omega0 * raw.tau
+        The only derived scalar that reads tau; NumericsError where the phase
+        omega0 tau / 2 overflows or reaches 2^52.
+        """
+        if self.omega0 == 0.0:
+            # lam == 0 and E == F: the coupling vanishes and H is diagonal
+            return 0.0
+        half_turn = 0.5 * self.omega0 * self.tau
         if not math.isfinite(half_turn):
-            raise NumericsError(f"phase omega0 tau / 2 overflows a double (omega0 = {omega0:.6g})")
+            raise NumericsError(
+                f"phase omega0 tau / 2 overflows a double (omega0 = {self.omega0:.6g})")
         if half_turn >= 2.0 ** 52:
             raise NumericsError(f"phase omega0 tau / 2 = {half_turn:.6g} reaches 2^52 at omega0 = "
-                                f"{omega0:.6g}; a double keeps no fractional digit of it")
+                                f"{self.omega0:.6g}; a double keeps no fractional digit of it")
         # p = (4 lam^2/omega0^2) sin^2(omega0 tau/2); this grouping keeps p <= 1 exactly
-        p = (sin2 * math.sin(half_turn)) ** 2
-    else:
-        # lam == 0 and E == F: the coupling vanishes and H is diagonal
-        cos2, sin2, p = 1.0, 0.0, 0.0
-    return DerivedParams(omega0=omega0, p=p, cos2theta=cos2, sin2theta=sin2)
+        return (self.sin2theta * math.sin(half_turn)) ** 2
+
+
+def _require_real(value, name: str) -> None:
+    """ConfigError unless value is a real number (a `numbers.Real`; NaN and inf pass)."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {name} = {value!r}")
 
 
 def _require_integer(value, name: str, low: int | None = None) -> int:
@@ -106,7 +114,8 @@ def _require_count(value, name: str, low: int = 0) -> int:
 
 def _require_tilt(F: float) -> None:
     """ConfigError unless the tilt F is a finite real number > 0."""
-    if not isinstance(F, numbers.Real) or not 0.0 < F < math.inf:
+    _require_real(F, "F")
+    if not 0.0 < F < math.inf:
         raise ConfigError(f"the tilt F must be finite and > 0, got F = {F!r}")
 
 
@@ -115,9 +124,14 @@ def _require_phase(t, *energies) -> None:
     overflows or reaches 2^52, where a double keeps no fractional bit of it.
 
     Rounding is monotone, so max |t| times max |energy| bounds every such phase;
-    it is taken in Python floats, which overflow to inf without a warning.
+    it is taken in Python floats, which overflow to inf without a warning.  A t
+    that is not a number or an array of them is refused with ConfigError.
     """
-    span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
+    try:
+        span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
+    except TypeError:
+        raise ConfigError(f"time t must be a real number or an array of them, "
+                          f"got t = {t!r}") from None
     top = max(float(np.abs(e).max()) for e in energies)
     phase = span * top
     if not math.isfinite(phase):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .params import DerivedParams, ModelParams, _require_phase, derive_params
+from .params import ModelParams, _require_phase, _require_real
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
@@ -46,6 +46,7 @@ class AtomGibbs:
         That is 0^a for a < 0 (w_excited rounds to 0 past beta E ~ 745), a
         power past the double range (|a| ~ 2000 at beta E = 2), or a NaN a.
         """
+        _require_real(a, "a")
         a = float(a)
         try:
             powers = [self.w_ground**a, self.w_excited**a]
@@ -121,14 +122,13 @@ def _scatter(blocks: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_angle(derived: DerivedParams) -> tuple[float, float]:
+def half_angle(params: ModelParams) -> tuple[float, float]:
     """(cos theta, sin theta) from the doubled angle, stable at the lam -> 0 edges."""
-    c2 = derived.cos2theta
-    cos_t = math.sqrt(0.5 * (1.0 + c2))
+    cos_t = math.sqrt(0.5 * (1.0 + params.cos2theta))
     if cos_t > 0.0:
-        sin_t = derived.sin2theta / (2.0 * cos_t)
+        sin_t = params.sin2theta / (2.0 * cos_t)
     else:
-        # c2 == -1: lam == 0 with E < F; any unit sin works since sin2theta == 0
+        # cos2theta == -1: lam == 0 with E < F; any unit sin works since sin2theta == 0
         sin_t = 1.0
     return cos_t, sin_t
 
@@ -152,14 +152,13 @@ def _closed_blocks(t: float | np.ndarray, params: ModelParams,
 
     t is a float or an array of times, which leads the shapes of both outputs.
     """
-    d = derive_params(params)
-    cos_t, sin_t = half_angle(d)
+    cos_t, sin_t = half_angle(params)
     R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
     Ek = _ladder(params, window)
     sector, bare = Ek[:-1] + 0.5 * (params.E - params.F), np.array([Ek[-1], Ek[0] + params.E])
-    _require_phase(t, d.omega0, sector, bare)
+    _require_phase(t, params.omega0, sector, bare)
     t = np.asarray(t, dtype=float)[..., None]
-    dressed = (R * np.exp(0.5j * t[..., None] * d.omega0 * np.array([1.0, -1.0]))) @ R.T
+    dressed = (R * np.exp(0.5j * t[..., None] * params.omega0 * np.array([1.0, -1.0]))) @ R.T
     phase, edges = np.exp(-1j * t * sector), np.exp(-1j * t * bare)
     return phase[..., None, None] * dressed[..., None, :, :], edges
 
@@ -327,9 +326,8 @@ def propagate_oracle(state: JointDensityMatrix, t: float | np.ndarray,
 
 def position_motion_bound(params: ModelParams) -> float:
     """Uniform bound on |<X(t)> - <X(0)>| for the single-atom evolution."""
-    d = derive_params(params)
-    s2 = abs(d.sin2theta)
-    return _bloch_reach(params.F) + s2**2 + s2 * abs(d.cos2theta) + s2
+    s2 = abs(params.sin2theta)
+    return _bloch_reach(params.F) + s2**2 + s2 * abs(params.cos2theta) + s2
 
 
 def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
@@ -350,8 +348,7 @@ def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
     """
     ts = _times(t)
     times = ts.reshape(-1)
-    d = derive_params(params)
-    _require_phase(times, d.omega0)
+    _require_phase(times, params.omega0)
     n = initial.window.n_k
     c = initial.coeffs
     gg, ee, ge, eg = c[:n, :n], c[n:, n:], c[:n, n:], c[n:, :n]
@@ -365,10 +362,10 @@ def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
             + (bloch.c_plus - 1.0 / params.F) * s_down)
     # b* (x) S pairs with Tr(S R_ge), b (x) S^T with Tr(S^T R_eg); s = 0 when omega0 = 0
     up, down = np.sum(np.diagonal(ge, 1)), np.sum(np.diagonal(eg, -1))
-    st2 = np.sin(0.5 * d.omega0 * times) ** 2
-    atom = ((d.sin2theta**2) * st2 * (np.trace(gg) - np.trace(ee))
-            + (d.sin2theta * d.cos2theta) * st2 * (up + down)
-            - 0.5j * d.sin2theta * np.sin(d.omega0 * times) * (up - down))
+    st2 = np.sin(0.5 * params.omega0 * times) ** 2
+    atom = ((params.sin2theta**2) * st2 * (np.trace(gg) - np.trace(ee))
+            + (params.sin2theta * params.cos2theta) * st2 * (up + down)
+            - 0.5j * params.sin2theta * np.sin(params.omega0 * times) * (up - down))
     x = (free + atom).real
     return float(x[0]) if ts.ndim == 0 else x
 

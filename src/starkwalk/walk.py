@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import _log_theta, kraus_weights, log_theta
 from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_count, derive_params
+from .params import ModelParams, _require_count, _require_real
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,9 @@ def transport_coefficients(params: ModelParams) -> TransportCoefficients:
     The mobility beta sin^2(lam tau) / (2 tau) is meaningful only on the
     E == F line (where p = sin^2(lam tau)) and is None otherwise.
     """
-    d = derive_params(params)
     th = math.tanh(0.5 * params.beta * params.E)
-    v_d = d.p * th / params.tau
-    D = 0.5 * d.p * (1.0 - d.p * th**2) / params.tau
+    v_d = params.p * th / params.tau
+    D = 0.5 * params.p * (1.0 - params.p * th**2) / params.tau
     mobility = None
     if params.E == params.F:
         mobility = params.beta * math.sin(params.lam * params.tau) ** 2 / (2.0 * params.tau)
@@ -83,6 +82,7 @@ def _log_mgf(eta: float, support: np.ndarray, probs: np.ndarray) -> float:
     Zero probabilities drop out, so an underflowed tail never meets e^{eta s} as
     inf * 0; the largest exponent is factored out, so no term overflows.
     """
+    _require_real(eta, "eta")
     live = probs > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         expo = eta * support[live] + np.log(probs[live])
@@ -397,7 +397,7 @@ def log_step_kernel(params: ModelParams) -> np.ndarray:
     l_+ = log p - log1p(e^{-beta E}), l_- = l_+ - beta E, l_0 = log1p(-p):
     exact where the weights underflow (p_- past beta E ~ 745).
     """
-    p, be = derive_params(params).p, params.beta * params.E
+    p, be = params.p, params.beta * params.E
     l_plus = (math.log(p) if p > 0.0 else -math.inf) - math.log1p(math.exp(-be))
     l_zero = math.log1p(-p) if p < 1.0 else -math.inf
     return np.array([l_plus - be, l_zero, l_plus])
@@ -477,6 +477,7 @@ def scgf(eta: float, params: ModelParams) -> float:
     every finite eta (e(eta) -> |eta| + log p_+- as eta -> +-inf), with
     e(0) = 0 and the symmetry e(-beta E - eta) = e(eta).
     """
+    _require_real(eta, "eta")
     return log_theta(-eta, params)
 
 
@@ -507,6 +508,7 @@ def rate_function(x: float, params: ModelParams) -> float:
     term overflows or cancels at any beta E.  The frozen walk (p = 0) has
     I = 0 at x = 0 only; NumericsError for NaN x and, inside (-1, 1), at p = 1.
     """
+    _require_real(x, "x")
     if math.isnan(x):
         raise NumericsError("rate function of NaN")
     return _rate(x, log_step_kernel(params).tolist(), params.beta * params.E)
@@ -538,10 +540,11 @@ def rate_function_numeric(x: float, params: ModelParams) -> float:
     holds x.  Newton stops at rounding level in e', or at a step or bracket of
     a few ulps of eta; it bisects where e'' is subnormal.
     """
+    _require_real(x, "x")
     if not -1.0 < x < 1.0:
         raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
     log_k = log_step_kernel(params).tolist()
-    p, be = derive_params(params).p, params.beta * params.E
+    p, be = params.p, params.beta * params.E
     lo, hi = -2.0, 2.0
     while not math.isinf(lo) and _tilted_moments(lo, p, be, log_k)[1] > x:
         lo *= 2.0
@@ -568,6 +571,7 @@ def rate_function_entropy(s: float, params: ModelParams) -> float:
     off the closed-form `rate_function`; +inf past the endpoints.  Requires
     beta E > 0; satisfies phi(-s) = phi(s) - s.
     """
+    _require_real(s, "s")
     be = params.beta * params.E
     if be <= 0.0:
         raise ConfigError("entropy rate function needs beta E > 0")

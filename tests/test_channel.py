@@ -19,7 +19,6 @@ from starkwalk import (
     apply_channel,
     apply_deformed,
     channel_oracle,
-    derive_params,
     free_evolve,
     kraus_weights,
     log_theta,
@@ -40,13 +39,12 @@ def window():
 
 def test_kraus_weights_reference_point(params):
     kt = kraus_weights(params)
-    d = derive_params(params)
     # frozen from 40-digit evaluation
     assert abs(kt.p_plus - 0.18586058182486645) < 1e-15
     assert abs(kt.p_minus - 0.025153494483789930) < 1e-15
     assert abs(kt.p_minus + kt.p_zero + kt.p_plus - 1.0) <= 1e-14
     assert abs(kt.p_minus - math.exp(-params.beta * params.E) * kt.p_plus) <= 1e-16
-    assert abs((kt.p_plus - kt.p_minus) - d.p * math.tanh(params.beta * params.E / 2)) <= 1e-15
+    assert abs((kt.p_plus - kt.p_minus) - params.p * math.tanh(params.beta * params.E / 2)) <= 1e-15
 
 
 def test_kraus_weights_temperature_limits():
@@ -54,7 +52,7 @@ def test_kraus_weights_temperature_limits():
     assert abs(hot.p_plus - hot.p_minus) <= 1e-16
     cold = kraus_weights(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=50.0))
     assert cold.p_minus <= 1e-20
-    d = derive_params(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=50.0))
+    d = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=50.0)
     assert abs(cold.p_plus - d.p) <= 1e-15
 
 
@@ -93,7 +91,7 @@ def test_log_theta_symmetry_far_out(params):
 def _log_theta_reference(gamma, params):
     """log(e^gamma p_- + p_0 + e^-gamma p_+) at 60 digits from the double p."""
     with mpmath.workdps(60):
-        p, be = mpmath.mpf(derive_params(params).p), mpmath.mpf(params.beta * params.E)
+        p, be = mpmath.mpf(params.p), mpmath.mpf(params.beta * params.E)
         p_plus = p / (1 + mpmath.exp(-be))
         return float(mpmath.log(mpmath.exp(gamma) * p_plus * mpmath.exp(-be) + (1 - p)
                                 + mpmath.exp(-gamma) * p_plus))
@@ -127,7 +125,7 @@ def test_log_theta_at_subnormal_jump_probability():
     # may be near 1; from log(p r) it keeps its digits.  log p and log r are
     # ~740 in size, so log(p r) carries ~2e-13 of rounding: the relative error
     # of p r, and so of log theta
-    p = derive_params(SUBNORMAL_P).p
+    p = SUBNORMAL_P.p
     assert 0.0 < p < sys.float_info.min
     for gamma in (709.5, 720.0, 740.0, 745.0, 747.25, 760.0, 900.0, -750.0, 1e5):
         want = _log_theta_at(gamma, p, 0.0)
@@ -142,7 +140,7 @@ def test_log_theta_at_subnormal_jump_probability():
 def test_rate_oracle_at_subnormal_jump_probability():
     # the Legendre oracle of the rate, which reads log_theta, agrees with the
     # closed form and with a 60-digit sup_eta [eta x - log((1 - p) + p cosh eta)]
-    p, x = derive_params(SUBNORMAL_P).p, 0.666
+    p, x = SUBNORMAL_P.p, 0.666
     with mpmath.workdps(60):
         P, X = mpmath.mpf(p), mpmath.mpf(x)
         eta = mpmath.findroot(
@@ -472,7 +470,7 @@ def test_spectral_radius_growth_rate(params, window):
 def test_adjoint_free_phase_overflow_is_refused():
     # tau F k overflows before the phases form: refused, not a numpy overflow
     # (at E = F the Rabi phase omega0 tau / 2 is lam tau, below the 2^52 at which
-    # derive_params would refuse first)
+    # ModelParams.p, read by the deformed weights, would refuse first)
     window = LatticeWindow(-16, 15, -16, 15)
     params = ModelParams(E=1.8e307, F=1.8e307, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(NumericsError, match="overflows"):

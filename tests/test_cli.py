@@ -338,9 +338,17 @@ def test_rate_far_from_equilibrium(capsys):
     assert len(abs_diff) == 21 and max(abs_diff) <= TOL.rate_match
 
 
+def test_spectrum_refuses_an_overflowing_rabi_frequency(capsys):
+    # 2 lam overflows a double: one error line, no rows of inf
+    rc = cli.main("--E 2 --F 1 --lambda 1e308 --tau 1 --beta 1 spectrum --window 3 --out -".split())
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert rc == 2 and out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_spectrum_reads_no_time(capsys):
     # no column of the ladder spectrum depends on tau: at omega0 tau / 2 past 2^52,
-    # where derive_params refuses, the rows are those of tau = 1
+    # where ModelParams.p refuses, the rows are those of tau = 1
     physics = "--E 1.697 --F 0.986 --lambda 0.1325 --beta 2"
     bodies = []
     for tau in ("1.26e24", "1"):

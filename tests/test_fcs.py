@@ -17,7 +17,6 @@ from starkwalk import (
     apply_channel,
     bessel_halfwidth,
     bessel_j_array,
-    derive_params,
     energy_cgf,
     environment_reduced_map,
     free_dressing_weights,
@@ -178,7 +177,7 @@ _HOT = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
     # gamma = (alpha beta) E = inf = beta E: the fold of log theta is inf - inf
     (lambda: theta(1.0, _HOT), None),
     # gamma = 1e308 is finite: r = e^{-gamma} underflows and theta = 1 - p
-    (lambda: energy_cgf(3, 0.5, _HOT), lambda: 3.0 * math.log1p(-derive_params(_HOT).p)),
+    (lambda: energy_cgf(3, 0.5, _HOT), lambda: 3.0 * math.log1p(-_HOT.p)),
     # n log theta = 3e308 leaves the double range
     (lambda: energy_cgf(3, -0.5, _HOT), None),
     # gamma = (0 beta) E = 0, as theta forms it, not 0 * inf = NaN

@@ -2,30 +2,29 @@ import math
 
 import pytest
 
-from starkwalk import ConfigError, ModelParams, NumericsError, derive_params
+from starkwalk import ConfigError, ModelParams, NumericsError
 
 
 def test_reference_point_derived_scalars(params):
-    d = derive_params(params)
-    assert abs(d.omega0 - math.sqrt(2.0)) < 1e-15
+    assert abs(params.omega0 - math.sqrt(2.0)) < 1e-15
     # frozen from 40-digit evaluation of (4 lam^2/omega0^2) sin^2(omega0 tau/2)
-    assert abs(d.p - 0.21101407630865638) < 1e-15
+    assert abs(params.p - 0.21101407630865638) < 1e-15
     # second expression tree for the same quantity
-    p_again = (2.0 * params.lam / d.omega0) ** 2 * 0.5 * (1.0 - math.cos(d.omega0 * params.tau))
-    assert abs(d.p - p_again) < 1e-14
-    assert abs(d.cos2theta**2 + d.sin2theta**2 - 1.0) < 1e-14
-    assert d.p > 0.0
+    omega0 = params.omega0
+    p_again = (2.0 * params.lam / omega0) ** 2 * 0.5 * (1.0 - math.cos(omega0 * params.tau))
+    assert abs(params.p - p_again) < 1e-14
+    assert abs(params.cos2theta**2 + params.sin2theta**2 - 1.0) < 1e-14
+    assert params.p > 0.0
 
 
 def test_equal_frequencies_reduce_to_sine():
     p = ModelParams(E=1.3, F=1.3, lam=0.7, tau=0.9, beta=0.5)
-    d = derive_params(p)
-    assert abs(d.omega0 - 2.0 * abs(p.lam)) < 1e-15
-    assert abs(d.p - math.sin(p.lam * p.tau) ** 2) < 1e-15
+    assert abs(p.omega0 - 2.0 * abs(p.lam)) < 1e-15
+    assert abs(p.p - math.sin(p.lam * p.tau) ** 2) < 1e-15
 
 
 def test_zero_coupling_is_resonant():
-    d = derive_params(ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0))
+    d = ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
     assert d.p == 0.0
     assert d.sin2theta == 0.0
 
@@ -33,7 +32,7 @@ def test_zero_coupling_is_resonant():
 def test_probability_stays_in_range():
     for lam in (0.1, 0.5, 3.0, -2.0):
         for tau in (0.3, 1.0, 7.0):
-            d = derive_params(ModelParams(E=2.0, F=0.7, lam=lam, tau=tau, beta=1.0))
+            d = ModelParams(E=2.0, F=0.7, lam=lam, tau=tau, beta=1.0)
             assert 0.0 <= d.p <= 1.0
 
 
@@ -57,7 +56,7 @@ def test_invalid_inputs_rejected():
 
 
 def test_omega0_zero_corner():
-    d = derive_params(ModelParams(E=1.0, F=1.0, lam=0.0, tau=1.0, beta=1.0))
+    d = ModelParams(E=1.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
     assert d.omega0 == 0.0
     assert d.p == 0.0
     assert d.cos2theta == 1.0 and d.sin2theta == 0.0
@@ -69,4 +68,20 @@ def test_overflowing_rabi_phase_is_numerics_error(E, lam, tau):
     # is finite but at or past 2^52, where sin(omega0 tau / 2) keeps no digit
     finite = math.isfinite(0.5 * math.hypot(E - 1.0, 2.0 * lam) * tau)
     with pytest.raises(NumericsError, match=r"2\^52" if finite else "overflows"):
-        derive_params(ModelParams(E=E, F=1.0, lam=lam, tau=tau, beta=1.0))
+        ModelParams(E=E, F=1.0, lam=lam, tau=tau, beta=1.0).p
+
+
+def test_derived_scalars_leave_equality_and_hash_alone():
+    # the cached derived scalars sit beside the five inputs, which alone decide == and hash
+    read = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    assert read.p > 0.0
+    fresh = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    assert read == fresh and hash(read) == hash(fresh)
+
+
+def test_overflowing_rabi_frequency_is_refused_by_every_angle():
+    # 2 lam overflows: omega0 is refused, so the mixing angle is never inf / inf
+    params = ModelParams(E=2.0, F=1.0, lam=1e308, tau=1.0, beta=1.0)
+    for name in ("omega0", "cos2theta", "sin2theta", "p"):
+        with pytest.raises(NumericsError, match="overflows"):
+            getattr(params, name)

@@ -19,7 +19,6 @@ from starkwalk import (
     ModelParams,
     StarkwalkError,
     deformed_weights,
-    derive_params,
     kraus_weights,
     log_theta,
     rate_function,
@@ -69,7 +68,7 @@ def _rate_invariants(params, x):
     tc = transport_coefficients(params)
     assert abs(rate_function(tc.v_d * params.tau, params)) <= TOL.rate_match
     assert rate_function(x, params) >= -TOL.rate_match
-    if derive_params(params).p > 0.0 and abs(x) < 1.0:
+    if params.p > 0.0 and abs(x) < 1.0:
         assert math.isclose(rate_function(x, params), rate_function_numeric(x, params),
                             rel_tol=TOL.rate_match, abs_tol=TOL.rate_match)
 
@@ -85,7 +84,7 @@ def test_closed_forms_hold_or_refuse(raw, alpha, eta, x, n):
         _invariants(params, alpha, eta)
     except StarkwalkError:
         pass
-    if derive_params(params).p < 1.0:
+    if params.p < 1.0:
         _rate_invariants(params, x)
     # the walk law may not refuse: it equals the n-fold convolution
     assert_law_matches_oracle(walk_pmf_exact(n, params).pmf, walk_pmf_oracle(n, params).pmf)

@@ -14,7 +14,6 @@ from starkwalk import (
     NumericsError,
     WindowError,
     closed_unitary,
-    derive_params,
     hamiltonian_blocks,
     oracle_unitary,
     position_expectation,
@@ -48,13 +47,12 @@ def number_operator(params, window):
 
 
 def test_block_eigenvalues_match_ladder(params, window):
-    d = derive_params(params)
     blocks, edges = hamiltonian_blocks(params, window)
     assert blocks.shape == (window.n_k - 1, 2, 2)
     ev = np.linalg.eigvalsh(blocks)
     base = 2.0 - params.F * window.k_values[:-1] + 0.5 * (params.E - params.F)
-    assert np.max(np.abs(ev[:, 0] - (base - 0.5 * d.omega0))) <= 1e-12
-    assert np.max(np.abs(ev[:, 1] - (base + 0.5 * d.omega0))) <= 1e-12
+    assert np.max(np.abs(ev[:, 0] - (base - 0.5 * params.omega0))) <= 1e-12
+    assert np.max(np.abs(ev[:, 1] - (base + 0.5 * params.omega0))) <= 1e-12
     # the unpaired states: (ground, k_max) and (excited, k_min)
     Ek = 2.0 - params.F * window.k_values
     assert np.array_equal(edges, [Ek[-1], Ek[0] + params.E])
@@ -187,18 +185,17 @@ def test_unitarity_of_interior_action(params, window):
 
 
 def test_dressed_eigenstate_is_stationary(params, window):
-    d = derive_params(params)
     n = window.n_k
     W = closed_unitary(1.0, params, window)
     # phi_{k,-} = cos |k,g> - sin |k+1,e> built from the half angle
-    cos_t = math.sqrt(0.5 * (1.0 + d.cos2theta))
-    sin_t = d.sin2theta / (2.0 * cos_t)
+    cos_t = math.sqrt(0.5 * (1.0 + params.cos2theta))
+    sin_t = params.sin2theta / (2.0 * cos_t)
     k = window.k_index(0)
     vec = np.zeros(2 * n, dtype=complex)
     vec[k] = cos_t
     vec[n + k + 1] = -sin_t
     out = W @ vec
-    energy = (2.0 - params.F * 0.0) + 0.5 * (params.E - params.F) - 0.5 * d.omega0
+    energy = (2.0 - params.F * 0.0) + 0.5 * (params.E - params.F) - 0.5 * params.omega0
     assert np.max(np.abs(out - np.exp(-1j * energy) * vec)) <= 1e-12
     dm = JointDensityMatrix(window, np.outer(vec, vec.conj()))
     evolved = propagate_closed(dm, 2.7, params)
@@ -223,16 +220,16 @@ def bloch_matrix(t, F, n):
 def heisenberg_position(t, params, window):
     """Dense X(t) = e^{itH} (I (x) X) e^{-itH} with the atom traced against its
     own operators: the closed-form Heisenberg evolution, assembled with np.kron."""
-    d = derive_params(params)
     n = window.n_k
     S = np.eye(n, k=-1)
     b = np.array([[0.0, 1.0], [0.0, 0.0]])
     op = np.kron(np.eye(2), position_operator(window, params.F)
                  + bloch_matrix(t, params.F, n)).astype(complex)
-    st2 = math.sin(0.5 * d.omega0 * t) ** 2
-    op += (d.sin2theta**2) * st2 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
-    op += (d.sin2theta * d.cos2theta) * st2 * (np.kron(b.T, S) + np.kron(b, S.T))
-    op += -0.5j * d.sin2theta * math.sin(d.omega0 * t) * (np.kron(b.T, S) - np.kron(b, S.T))
+    omega0, s2, c2 = params.omega0, params.sin2theta, params.cos2theta
+    st2 = math.sin(0.5 * omega0 * t) ** 2
+    op += (s2**2) * st2 * np.kron(np.diag([1.0, -1.0]), np.eye(n))
+    op += (s2 * c2) * st2 * (np.kron(b.T, S) + np.kron(b, S.T))
+    op += -0.5j * s2 * math.sin(omega0 * t) * (np.kron(b.T, S) - np.kron(b, S.T))
     return op
 
 
@@ -393,7 +390,6 @@ def test_time_shape_is_checked(params, window):
 
 
 def test_position_expectation_quasiperiodic_fit(params, window):
-    d = derive_params(params)
     rng = np.random.default_rng(14)
     state = random_joint(rng, window, 4)
     ts = np.linspace(0.0, 40.0, 400)
@@ -401,20 +397,36 @@ def test_position_expectation_quasiperiodic_fit(params, window):
     design = np.column_stack([
         np.ones_like(ts),
         np.cos(params.F * ts), np.sin(params.F * ts),
-        np.cos(d.omega0 * ts), np.sin(d.omega0 * ts),
+        np.cos(params.omega0 * ts), np.sin(params.omega0 * ts),
     ])
     coef, *_ = np.linalg.lstsq(design, xs, rcond=None)
     residual = np.max(np.abs(design @ coef - xs))
     assert residual <= TOL.quasi_periodic_fit
 
 
+def test_closed_routes_read_no_interaction_time(params, window):
+    # omega0 and the mixing angle do not read tau: at tau = 1e16, where the jump
+    # probability's phase omega0 tau / 2 is past 2^52, the closed routes still agree
+    # with their oracles, and the motion bound is that of tau = 1
+    slow = ModelParams(E=params.E, F=params.F, lam=params.lam, tau=1e16, beta=params.beta)
+    with pytest.raises(NumericsError, match=r"2\^52"):
+        slow.p
+    rng = np.random.default_rng(21)
+    for t in (0.1, 1.0, 3.0):
+        state = random_joint(rng, window, 5)
+        closed, oracle = propagate_closed(state, t, slow), propagate_oracle(state, t, slow)
+        assert np.max(np.abs(closed.coeffs - oracle.coeffs)) <= TOL.propagator_agreement
+        assert (abs(position_expectation(t, state, slow) - position_oracle(t, state, slow))
+                <= TOL.position_oracle)
+    assert position_motion_bound(slow) == position_motion_bound(params)
+
+
 def test_rabi_resonance_factorizes():
     # omega0 tau = 2 pi: E - F = 2 sqrt(pi^2 - 1) with lam = 1, tau = 1
     E = 1.0 + 2.0 * math.sqrt(math.pi**2 - 1.0)
     p = ModelParams(E=E, F=1.0, lam=1.0, tau=1.0, beta=1.0)
-    d = derive_params(p)
-    assert abs(d.omega0 - 2.0 * math.pi) <= 1e-12
-    assert d.p <= 1e-30
+    assert abs(p.omega0 - 2.0 * math.pi) <= 1e-12
+    assert p.p <= 1e-30
     window = LatticeWindow(-12, 11, -12, 11)
     rng = np.random.default_rng(15)
     state = random_joint(rng, window, 4)
@@ -448,8 +460,8 @@ def test_gibbs_weights(params):
 
 def test_overflowing_energies_are_refused():
     # F k on the window past the double range is refused; just below it the
-    # blocks stay finite and so does each sector's centre (e1 + e2) / 2; tau = 1e-300
-    # keeps the Rabi phase below 2^52, where derive_params would refuse first
+    # blocks stay finite and so does each sector's centre (e1 + e2) / 2; the closed
+    # route reads omega0 and the mixing angle but not ModelParams.p, so tau plays no part
     window = LatticeWindow(-16, 15, -16, 15)
     big = ModelParams(E=2.0, F=1.8e307, lam=0.5, tau=1e-300, beta=1.0)
     for route in (hamiltonian_blocks, lambda p, w: closed_unitary(1.0, p, w)):

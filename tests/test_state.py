@@ -13,26 +13,37 @@ from starkwalk import (
     ParticleDensityMatrix,
     ReservoirConfig,
     WindowError,
+    adjoint_apply,
     apply_channel,
+    apply_deformed,
     bessel_halfwidth,
     bessel_j_array,
     bessel_squares,
     bessel_table,
     bloch_coefficients,
     channel_oracle,
+    deformed_weights,
     energy_cgf,
+    environment_reduced_map,
     free_dressing_weights,
     free_evolve,
+    free_kernel,
+    log_theta,
     position_cgf,
     position_cgf_oracle,
     position_distribution,
     position_operator,
     position_oracle,
     propagate_closed,
+    rate_function,
+    rate_function_entropy,
+    rate_function_numeric,
     required_order,
     run_energy_fcs,
     run_position_fcs,
     sample_walk,
+    scgf,
+    theta,
     transform_matrix,
     walk_log_pmf,
     walk_pmf_exact,
@@ -317,6 +328,50 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
                  "n must be an integer >= 0, got -2", id="position-cgf-oracle-negative-n"),
     pytest.param(lambda: free_dressing_weights(-1, _P, _RHO.window),
                  "n must be an integer >= 0, got -1", id="dressing-negative-n"),
+    # an unhashable z is checked before the Bessel profile's cache hashes it
+    pytest.param(lambda: bessel_j_array([1.0], 3), "got z = [1.0]", id="bessel-list-z"),
+    pytest.param(lambda: bessel_halfwidth(np.array([1.0])), "got z = array([1.])",
+                 id="halfwidth-array-z"),
+    # every real argument is a real number before any arithmetic is done with it
+    pytest.param(lambda: log_theta("a", _P), "got gamma = 'a'", id="log-theta-string"),
+    pytest.param(lambda: theta("a", _P), "got alpha = 'a'", id="theta-string"),
+    pytest.param(lambda: deformed_weights("a", _P), "got gamma = 'a'",
+                 id="deformed-weights-string"),
+    pytest.param(lambda: scgf("a", _P), "got eta = 'a'", id="scgf-string"),
+    pytest.param(lambda: energy_cgf(2, "a", _P), "got alpha = 'a'", id="energy-cgf-string"),
+    pytest.param(lambda: position_cgf(2, "a", _P), "got eta = 'a'", id="position-cgf-string"),
+    pytest.param(lambda: rate_function("a", _P), "got x = 'a'", id="rate-string"),
+    pytest.param(lambda: rate_function_numeric("a", _P), "got x = 'a'",
+                 id="rate-numeric-string"),
+    pytest.param(lambda: rate_function_entropy("a", _P), "got s = 'a'",
+                 id="rate-entropy-string"),
+    pytest.param(lambda: apply_deformed(_RHO, "a", _P), "got alpha = 'a'",
+                 id="apply-deformed-string"),
+    pytest.param(lambda: apply_channel(_RHO, "a", _P), "got alpha = 'a'",
+                 id="apply-channel-string"),
+    pytest.param(lambda: walk_pmf_exact(3, _P).mgf("a"), "got eta = 'a'",
+                 id="walk-law-mgf-string"),
+    pytest.param(lambda: run_position_fcs(2, _RHO, _P).log_mgf("a"), "got eta = 'a'",
+                 id="position-log-mgf-string"),
+    pytest.param(lambda: run_position_fcs(2, _RHO, _P).ft_log_ratio("a", 0.1, 1.0),
+                 "got v = 'a'", id="ft-log-ratio-string"),
+    pytest.param(lambda: run_position_fcs(2, _RHO, _P).window_probability("a", 1.0),
+                 "got lo = 'a'", id="window-probability-string"),
+    pytest.param(lambda: adjoint_apply(np.eye(16), _RHO.window, "a", _P), "got alpha = 'a'",
+                 id="adjoint-apply-string"),
+    pytest.param(lambda: position_cgf_oracle(2, "a", _RHO, _P), "got eta = 'a'",
+                 id="position-cgf-oracle-string"),
+    pytest.param(lambda: environment_reduced_map(ReservoirConfig(params=_P, M=1, n=1,
+                                                                 window=_RHO.window),
+                                                 np.eye(16), "a"),
+                 "got alpha = 'a'", id="environment-map-string"),
+    pytest.param(lambda: AtomGibbs.from_params(_P).power("a"), "got a = 'a'",
+                 id="atom-power-string"),
+    pytest.param(lambda: free_kernel("a", _P), "got t = 'a'", id="free-kernel-string-time"),
+    pytest.param(lambda: free_evolve(_RHO, "a", _P), "got t = 'a'",
+                 id="free-evolve-string-time"),
+    pytest.param(lambda: bloch_coefficients("a", 1.0), "got t = 'a'",
+                 id="bloch-string-time"),
 ])
 def test_bad_arguments_raise_config_error(build, message):
     with pytest.raises(ConfigError) as refused:

@@ -14,7 +14,6 @@ from starkwalk import (
     ReservoirConfig,
     apply_channel,
     deformed_weights,
-    derive_params,
     energy_cgf,
     environment_reduced_map,
     kraus_weights,
@@ -191,7 +190,7 @@ def test_log_law_fluctuation_identity_at_n_2000():
 def _multinomial_reference(n, s, params):
     """P[S_n = s] at 50 digits: the sum over N_- of the trinomial multinomial terms."""
     with mpmath.workdps(50):
-        p, be = mpmath.mpf(derive_params(params).p), mpmath.mpf(params.beta * params.E)
+        p, be = mpmath.mpf(params.p), mpmath.mpf(params.beta * params.E)
         p_plus = p / (1 + mpmath.exp(-be))
         p_minus, p_zero = p_plus * mpmath.exp(-be), 1 - p
         m = max(0, -s)                    # N_- = m, N_+ = m + s, N_0 = n - 2m - s
@@ -366,7 +365,7 @@ def test_numeric_rate_matches_closed_form(params):
 def _rate_reference(x, params):
     """I(x) at 60 digits from the exact maximiser z = e^eta of eta x - e(eta)."""
     with mpmath.workdps(60):
-        p, be = mpmath.mpf(derive_params(params).p), mpmath.mpf(params.beta * params.E)
+        p, be = mpmath.mpf(params.p), mpmath.mpf(params.beta * params.E)
         p_plus = p / (1 + mpmath.exp(-be))
         p_minus, p_zero = p_plus * mpmath.exp(-be), 1 - p
         if abs(x) == 1.0:
