@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_phase, _require_real
+from .errors import NumericsError
+from .params import ModelParams, _require_phase, _require_real, _require_reals
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks, _sites, _support
 from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
 
@@ -148,38 +148,49 @@ def _shift(coeffs: np.ndarray, direction: int) -> np.ndarray:
 
 
 def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The three weighted translations (down, stay, up) on eigenbasis coefficients."""
-    return w[0] * _shift(coeffs, -1) + w[1] * coeffs + w[2] * _shift(coeffs, +1)
+    """The three weighted translations (down, stay, up) on eigenbasis coefficients.
+
+    w is one (down, stay, up) triple, or a stack of them along leading axes
+    (a stack of results, one per triple); the two translations are formed
+    once for all of them.
+    """
+    down, up = _shift(coeffs, -1), _shift(coeffs, +1)
+    out = np.empty(w.shape[:-1] + coeffs.shape, dtype=complex)
+    for o, (a, b, c) in zip(out.reshape((-1,) + coeffs.shape), w.reshape(-1, 3)):
+        np.multiply(a, down, out=o)
+        o += b * coeffs
+        o += c * up
+    return out
 
 
-def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
-                   params: ModelParams) -> ParticleDensityMatrix:
+def apply_deformed(
+        dm: ParticleDensityMatrix, alpha: float | np.ndarray,
+        params: ModelParams) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
     """One deformed interaction-picture step (no free evolution).
 
-    Refuses with WindowError when support touches the boundary: mass is
-    never silently truncated.
+    alpha is a float (one state is returned) or a 1-D array (a tuple of
+    states, one per alpha, from one stacked kick).  Refuses with WindowError
+    when support touches the boundary: mass is never silently truncated.
     """
-    _require_real(alpha, "alpha")
+    alphas = _require_reals(alpha, "alpha")
     require_interior(np.diagonal(dm.coeffs))
-    w = deformed_weights(alpha * params.beta * params.E, params)
-    return ParticleDensityMatrix(dm.window, _kick(dm.coeffs, w))
+    w = np.array([deformed_weights(a * params.beta * params.E, params)
+                  for a in alphas.reshape(-1).tolist()]).reshape(alphas.shape + (3,))
+    out = _kick(dm.coeffs, w)
+    if alphas.ndim == 0:
+        return ParticleDensityMatrix(dm.window, out)
+    return tuple(ParticleDensityMatrix(dm.window, c) for c in out)
 
 
-def apply_channel(dm: ParticleDensityMatrix, alpha: float,
-                  params: ModelParams) -> ParticleDensityMatrix:
-    """One full reduced step: free evolution over tau, then the deformed kicks."""
+def apply_channel(
+        dm: ParticleDensityMatrix, alpha: float | np.ndarray,
+        params: ModelParams) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+    """One full reduced step: free evolution over tau, then the deformed kicks.
+
+    alpha is a float or a 1-D array, as in `apply_deformed`: an array shares
+    the one free evolution.
+    """
     return apply_deformed(free_evolve(dm, params.tau, params), alpha, params)
-
-
-def _exponents(alpha) -> np.ndarray:
-    """alpha as a float array of at most one axis; anything else is refused."""
-    try:
-        alphas = np.asarray(alpha, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"deformation exponent {alpha!r} is not a number") from exc
-    if alphas.ndim > 1:
-        raise ConfigError(f"deformation exponents of shape {alphas.shape}: expected at most 1 axis")
-    return alphas
 
 
 def channel_oracle(
@@ -201,7 +212,7 @@ def channel_oracle(
     alpha): all of them share one crop, one set of sector blocks and one
     stacked conjugation.
     """
-    alphas = _exponents(alpha)
+    alphas = _require_reals(alpha, "alpha")
     gibbs = AtomGibbs.from_params(params)
     window, n = dm.window, dm.window.n_k
     ks = _sites(_support(dm.coeffs))

@@ -239,11 +239,12 @@ def _exp_walk(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_rate(cfg: RunConfig) -> ResultTable:
+    xs = np.linspace(-0.999, 0.999, cfg.n + 1)
+    numeric = rate_function_numeric(xs, cfg.params).tolist()
     rows = []
-    for x in np.linspace(-0.999, 0.999, cfg.n + 1):
-        closed = rate_function(float(x), cfg.params)
-        numeric = rate_function_numeric(float(x), cfg.params)
-        rows.append([float(x), closed, numeric, abs(closed - numeric)])
+    for x, m in zip(xs.tolist(), numeric):
+        closed = rate_function(x, cfg.params)
+        rows.append([x, closed, m, abs(closed - m)])
     return ResultTable(["x", "rate_closed", "rate_numeric", "abs_diff"], rows)
 
 

@@ -38,7 +38,7 @@ from .bessel import bessel_squares
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_count, _require_phase, _require_real
+from .params import ModelParams, _require_count, _require_phase, _require_real, _require_reals
 from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
@@ -245,6 +245,7 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
 
 def _kernel_argument(t: float, params: ModelParams) -> float:
     """z = |(4/F) sin(F t / 2)|, the argument of the free Bloch kernel at time t."""
+    _require_real(t, "t")
     _require_phase(t, params.F)
     return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
 
@@ -444,8 +445,8 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) ->
     return v_re**2 + v_im**2
 
 
-def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
-                        params: ModelParams) -> float:
+def position_cgf_oracle(n: int, eta: float | np.ndarray, rho_p: ParticleDensityMatrix,
+                        params: ModelParams) -> float | np.ndarray:
     """g_n(eta) evaluated on rho_p's window through the deformed channel.
 
     Sandwiching the kicks between e^{+-eta X/2} turns the interaction-
@@ -459,29 +460,37 @@ def position_cgf_oracle(n: int, eta: float, rho_p: ParticleDensityMatrix,
     is the uniformly bounded free dressing, whose diagonal is summed over
     the whole window from the windowed transform.  Independent of the
     Bessel-kernel reduction behind `position_cgf`; costs O(n_x^2 n_k).
-    Refuses with WindowError when the deformed weights that leave the
-    window exceed `TOL.position_cgf_identity` of the total.
+    eta is a float (a float is returned) or a 1-D array (an array, each
+    entry equal to the float call): the dephasing and the dressing weights
+    are computed once for all of them.  Refuses with WindowError when the
+    deformed weights that leave the window exceed
+    `TOL.position_cgf_identity` of the total.
     """
     n = _require_count(n, "n")
-    _require_real(eta, "eta")
+    etas = _require_reals(eta, "eta")
     window = rho_p.window
     xs, q = position_distribution(rho_p, params.F)
 
-    weights = deformed_weights(-eta, params)
-    w = q
-    lost = 0.0
-    for _ in range(n):
-        out = np.convolve(w, weights)
-        lost += out[0] + out[-1]
-        w = out[1:-1]
-    total = float(np.sum(w))
-    if lost > TOL.position_cgf_identity * total:
-        raise WindowError(
-            f"deformed weights leaked {lost:.3e} past the x-window "
-            f"(total {total:.3e}); enlarge the window for n = {n}"
-        )
+    walks = []
+    for e in etas.reshape(-1).tolist():
+        weights = deformed_weights(-e, params)
+        w = q
+        lost = 0.0
+        for _ in range(n):
+            out = np.convolve(w, weights)
+            lost += out[0] + out[-1]
+            w = out[1:-1]
+        total = float(np.sum(w))
+        if lost > TOL.position_cgf_identity * total:
+            raise WindowError(
+                f"deformed weights leaked {lost:.3e} past the x-window "
+                f"(total {total:.3e}) at eta = {e!r}; enlarge the window for n = {n}"
+            )
+        walks.append((e, w))
 
     W2 = free_dressing_weights(n, params, window)
     # sum_z e^{eta (z - x)} |V_xz|^2 over the window
-    qdiag = np.sum(W2 * np.exp(eta * (xs[None, :] - xs[:, None])), axis=1)
-    return math.log(float(np.dot(w, qdiag)))
+    values = [math.log(float(np.dot(w, np.sum(W2 * np.exp(e * (xs[None, :] - xs[:, None])),
+                                              axis=1))))
+              for e, w in walks]
+    return values[0] if etas.ndim == 0 else np.array(values)

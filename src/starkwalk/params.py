@@ -97,6 +97,23 @@ def _require_real(value, name: str) -> None:
         raise ConfigError(f"{name} must be a real number, got {name} = {value!r}")
 
 
+def _require_reals(value, name: str) -> np.ndarray:
+    """value as a float array of at most one axis: a real number (a 0-d array) or a
+    sequence or 1-D array of them; ConfigError otherwise, naming the argument."""
+    try:
+        real = isinstance(value, numbers.Real) or np.asarray(value).dtype.kind in "biuf"
+        values = np.asarray(value, dtype=float) if real else None
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None:
+        raise ConfigError(f"{name} must be a real number or a 1-D array of them, "
+                          f"got {name} = {value!r}")
+    if values.ndim > 1:
+        raise ConfigError(f"{name} of shape {values.shape}: expected a real number "
+                          "or a 1-D array of them")
+    return values
+
+
 def _require_integer(value, name: str, low: int | None = None) -> int:
     """int(value); ConfigError unless value is an integer, and >= low where low is
     given (a bool or float is not an integer)."""

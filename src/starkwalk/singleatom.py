@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_phase, _require_real
+from .params import ModelParams, _require_phase, _require_real, _require_reals
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
@@ -135,12 +135,7 @@ def half_angle(params: ModelParams) -> tuple[float, float]:
 
 def _times(t) -> np.ndarray:
     """t as a float array of at most one axis; a time that is not finite is refused."""
-    try:
-        ts = np.asarray(t, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"evolution time {t!r} is not a number") from exc
-    if ts.ndim > 1:
-        raise ConfigError(f"evolution time of shape {ts.shape}: expected at most 1 axis")
+    ts = _require_reals(t, "t")
     if not np.all(np.isfinite(ts)):
         raise ConfigError(f"evolution time must be finite, got {t!r}")
     return ts

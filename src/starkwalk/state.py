@@ -18,7 +18,7 @@ import numpy as np
 from .bessel import bessel_halfwidth, bessel_table
 from .config import TOL
 from .errors import ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_integer, _require_phase, _require_tilt
+from .params import ModelParams, _require_integer, _require_phase, _require_real, _require_tilt
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,7 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     states are exact fixed points (the phase is built from the integer
     index difference, so the diagonal factor is exactly one).
     """
+    _require_real(t, "t")
     n = dm.window.n_k
     _require_phase(t, params.F * (n - 1))
     # one exponential per index difference d = k - k', gathered onto the matrix

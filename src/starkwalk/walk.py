@@ -5,7 +5,8 @@ steps in {-1, 0, +1} of probabilities (p_-, p_0, p_+).  This module holds
 the transport coefficients, the exact law of S_n (from one ratio recurrence
 for the coefficients of (p_- + p_0 z + p_+ z^2)^n: the linear law in
 O(live span), with the full recurrence as its oracle, the log law in O(n),
-and the n-fold convolutions as the oracles of both), seeded Monte Carlo sampling,
+and a convolution power and the log-space convolution as the oracles of
+both), seeded Monte Carlo sampling,
 the scaled cumulant generating function (`log_theta` at gamma = -eta) and
 the closed-form / numerical Legendre pair of rate functions, all built on
 the log Kraus weights (`log_step_kernel`).
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _log_theta, kraus_weights, log_theta
+from .channel import kraus_weights, log_theta
 from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_count, _require_real
+from .params import ModelParams, _require_count, _require_real, _require_reals
 
 
 @dataclass(frozen=True)
@@ -377,17 +378,25 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
 
 
 def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
-    """The law of S_n as n sequential convolutions of the step law.
+    """The law of S_n as a convolution power of the step law, by binary powering.
 
-    The independent route for `walk_pmf_exact`: sums of positive terms, so
-    entries in the normal double range keep relative accuracy.  Cost is
-    O(n^2); meant for n <= 2000.
+    The independent route for `walk_pmf_exact`: the step law is squared
+    about log2(n) times and convolved into the result at the set bits of n.
+    Every entry is a sum of positive terms, so entries in the normal double
+    range keep relative accuracy.  Cost is O(n^2) in the last squaring and
+    convolution, ~log2(n) + popcount(n) calls; meant for n <= a few 10^3.
+    Its own oracle, the n sequential convolutions, is in the test suite.
     """
     n = _require_count(n, "n")
-    kernel = kraus_weights(params).as_array()
+    power = kraus_weights(params).as_array()
     pmf = np.array([1.0])
-    for _ in range(n):
-        pmf = np.convolve(pmf, kernel)
+    bits = n
+    while bits:
+        if bits & 1:
+            pmf = np.convolve(pmf, power)
+        bits >>= 1
+        if bits:
+            power = np.convolve(power, power)
     return WalkLaw(n=n, pmf=pmf)
 
 
@@ -481,21 +490,6 @@ def scgf(eta: float, params: ModelParams) -> float:
     return log_theta(-eta, params)
 
 
-def _tilted_moments(eta: float, p: float, be: float, log_k: list) -> tuple[float, float, float]:
-    """(e, e', e'') at eta from the tilted step law q_s = exp(l_s + eta s - e(eta)).
-
-    p and be = beta E are the inputs of `scgf`, computed once by the caller.
-    e' = q_+ - q_-, e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and
-    every term of e'' is positive, so nothing overflows or cancels.  q_- is
-    taken as exp(l_+ + (-be - eta) - e): near eta = -be the difference is
-    exact (Sterbenz), where l_- - eta would cancel two terms of size be.
-    """
-    e = _log_theta(-eta, p, be)
-    _, l_0, l_p = log_k
-    q_m, q_0, q_p = math.exp(l_p + (-be - eta) - e), math.exp(l_0 - e), math.exp(l_p + eta - e)
-    return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p
-
-
 def rate_function(x: float, params: ModelParams) -> float:
     """Closed-form large-deviation rate function of S_n / n.
 
@@ -533,35 +527,70 @@ def _rate(x: float, log_k, be: float) -> float:
     return tilt - x * (l_plus - l_zero) - l_zero - math.log((1.0 + R) / (1.0 - x * x))
 
 
-def rate_function_numeric(x: float, params: ModelParams) -> float:
+def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float | np.ndarray:
     """Rate function as the Legendre-Fenchel transform sup_eta [eta x - e(eta)].
 
-    Solves e'(eta) = x by safeguarded Newton.  The bracket doubles until it
-    holds x.  Newton stops at rounding level in e', or at a step or bracket of
-    a few ulps of eta; it bisects where e'' is subnormal.
+    x is a float (a float is returned) or a 1-D array (an array, each entry
+    equal to the float call bit for bit).  e(eta) is the log-sum-exp of the
+    tilted log weights l_s + eta s of `log_step_kernel`, and the tilted step
+    law q_s = exp(l_s + eta s - e) gives e' = q_+ - q_- and
+    e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and every term of e''
+    is positive, so nothing overflows or cancels.  l_- - eta is taken as
+    l_+ + (-beta E - eta): near eta = -beta E that difference is exact
+    (Sterbenz), where l_- - eta would cancel two terms of size beta E.
+
+    Each entry solves e'(eta) = x by safeguarded Newton, all entries in
+    lock-step.  Its bracket doubles until it holds x.  Newton stops at
+    rounding level in e', or at a step or bracket of a few ulps of eta; it
+    bisects where e'' is subnormal.  An entry leaves the iteration once it
+    stops, so no other entry changes its value.
     """
-    _require_real(x, "x")
-    if not -1.0 < x < 1.0:
+    xs = _require_reals(x, "x")
+    if not np.all((-1.0 < xs) & (xs < 1.0)):
         raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
-    log_k = log_step_kernel(params).tolist()
-    p, be = params.p, params.beta * params.E
-    lo, hi = -2.0, 2.0
-    while not math.isinf(lo) and _tilted_moments(lo, p, be, log_k)[1] > x:
-        lo *= 2.0
-    while not math.isinf(hi) and _tilted_moments(hi, p, be, log_k)[1] < x:
-        hi *= 2.0
-    if math.isinf(lo) or math.isinf(hi):
-        raise NumericsError(f"cannot bracket Legendre sup at x={x}")
-    eta = 0.5 * (lo + hi)
+    _, l_zero, l_plus = log_step_kernel(params).tolist()
+    be = params.beta * params.E
+
+    def moments(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(e, e', e'') at each eta."""
+        logw = np.array([l_plus + (-be - eta), np.full(eta.shape, l_zero), l_plus + eta])
+        low, mid, top = np.sort(logw, axis=0)
+        e = top + np.log1p(np.exp(low - top) + np.exp(mid - top))
+        q_m, q_0, q_p = np.exp(logw - e)
+        return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p
+
+    targets = xs.reshape(-1)
+    lo, hi = np.full(targets.size, -2.0), np.full(targets.size, 2.0)
+    for edge, side in ((lo, 1.0), (hi, -1.0)):
+        grow = np.arange(targets.size)
+        while grow.size:
+            grow = grow[side * (moments(edge[grow])[1] - targets[grow]) > 0.0]
+            with np.errstate(over="ignore"):     # a bracket doubled past a double is inf
+                edge[grow] *= 2.0
+            grow = grow[np.isfinite(edge[grow])]
+    stuck = ~(np.isfinite(lo) & np.isfinite(hi))
+    if stuck.any():
+        raise NumericsError(f"cannot bracket Legendre sup at x={targets[stuck][0].tolist()}")
+
+    out = np.empty(targets.size)
+    live, eta = np.arange(targets.size), 0.5 * (lo + hi)
     for _ in range(200):
-        e0, e1, e2 = _tilted_moments(eta, p, be, log_k)
-        f = e1 - x
-        lo, hi = (lo, eta) if f > 0.0 else (eta, hi)
-        step = f / e2 if e2 >= sys.float_info.min else math.inf
-        if abs(f) <= 1e-14 * (1.0 + abs(x)) or min(abs(step), hi - lo) <= 4.0 * math.ulp(eta):
-            return eta * x - e0
-        eta = eta - step if lo < eta - step < hi else 0.5 * (lo + hi)
-    raise NumericsError(f"Legendre sup did not converge at x={x}")
+        if not live.size:
+            break
+        target = targets[live]
+        e0, e1, e2 = moments(eta)
+        f = e1 - target
+        lo, hi = np.where(f > 0.0, lo, eta), np.where(f > 0.0, eta, hi)
+        step = np.divide(f, e2, out=np.full(f.shape, np.inf), where=e2 >= sys.float_info.min)
+        done = ((np.abs(f) <= 1e-14 * (1.0 + np.abs(target)))
+                | (np.minimum(np.abs(step), hi - lo) <= 4.0 * np.spacing(np.abs(eta))))
+        out[live[done]] = eta[done] * target[done] - e0[done]
+        live, lo, hi, eta, step = (a[~done] for a in (live, lo, hi, eta, step))
+        newton = eta - step
+        eta = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+    if live.size:
+        raise NumericsError(f"Legendre sup did not converge at x={targets[live[0]].tolist()}")
+    return float(out[0]) if xs.ndim == 0 else out
 
 
 def rate_function_entropy(s: float, params: ModelParams) -> float:

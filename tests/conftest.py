@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's own code paths:
 Bessel values come from the power series evaluated in 50-digit
 arithmetic, propagators from scipy's expm on a directly assembled
-Hamiltonian, and walk expectations from explicit enumeration.
+Hamiltonian, walk expectations from explicit enumeration, and the walk
+law from n sequential convolutions of the step law.
 """
 import sys
 
@@ -18,6 +19,7 @@ from starkwalk import (
     LatticeWindow,
     ModelParams,
     ParticleDensityMatrix,
+    kraus_weights,
     propagate_oracle,
 )
 
@@ -139,3 +141,13 @@ def assert_law_matches_oracle(pmf, oracle):
     normal = oracle >= sys.float_info.min
     assert np.max(np.abs(pmf[normal] / oracle[normal] - 1.0), initial=0.0) <= TOL.walk_law_rel
     assert np.all(pmf[~normal] < 2.0 * sys.float_info.min)
+
+
+def sequential_walk_law(n: int, params: ModelParams) -> np.ndarray:
+    """The law of S_n as n sequential convolutions of the step law, O(n^2): the
+    oracle of `walk_pmf_oracle`, which reaches the same power by binary powering."""
+    kernel = kraus_weights(params).as_array()
+    pmf = np.array([1.0])
+    for _ in range(n):
+        pmf = np.convolve(pmf, kernel)
+    return pmf

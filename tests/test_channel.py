@@ -227,6 +227,24 @@ def test_channel_vs_oracle(params, window):
             assert np.linalg.norm(a.coeffs - b.coeffs, "nuc") <= 1e-10
 
 
+def test_channel_on_an_array_of_alphas_equals_each_float_call(params, window):
+    # one free evolution and one stacked kick for all alphas, each state bit for bit the
+    # float call's; the float call returns a state, an array a tuple of them
+    rng = np.random.default_rng(25)
+    alphas = np.array([0.0, 0.3, 1.0, -0.7])
+    for _ in range(5):
+        dm = random_density(rng, window, 6)
+        for step in (apply_channel, apply_deformed):
+            stacked = step(dm, alphas, params)
+            assert isinstance(stacked, tuple) and len(stacked) == alphas.size
+            assert isinstance(step(dm, 0.3, params), ParticleDensityMatrix)
+            for alpha, out in zip(alphas.tolist(), stacked):
+                assert np.array_equal(out.coeffs, step(dm, alpha, params).coeffs)
+            assert np.array_equal(step(dm, [0.3], params)[0].coeffs,
+                                  step(dm, 0.3, params).coeffs)
+            assert step(dm, np.empty(0), params) == ()
+
+
 def oracle_inputs(window):
     """Operators that exercise the occupied-range crop of `channel_oracle`."""
     rng = np.random.default_rng(31)

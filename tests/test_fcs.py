@@ -460,6 +460,19 @@ def test_position_cgf_identity(n, E):
         assert abs(g - dist.log_mgf(eta)) <= TOL.position_cgf_identity
 
 
+def test_position_cgf_oracle_on_an_array_of_etas_equals_each_float_call(params):
+    # one dephasing and one set of dressing weights for all etas
+    n = 40
+    window = LatticeWindow.for_dynamics(0, 0, steps=n + 20, F=params.F)
+    rho = ParticleDensityMatrix.eigenstate(window, 0)
+    etas = np.array([-0.5, 0.5, 0.0, 1.0])
+    values = position_cgf_oracle(n, etas, rho, params)
+    assert isinstance(values, np.ndarray) and values.shape == etas.shape
+    assert values.tolist() == [position_cgf_oracle(n, eta, rho, params) for eta in etas.tolist()]
+    assert isinstance(position_cgf_oracle(n, 0.5, rho, params), float)
+    assert position_cgf_oracle(n, (-0.5, 0.5), rho, params).tolist() == values[:2].tolist()
+
+
 @pytest.mark.parametrize("n", [3, 40])
 def test_log_mgf_skips_zero_probabilities(n):
     # at beta E = 30 the law holds exact zeros where p_-^n underflows; any

@@ -370,6 +370,30 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
     pytest.param(lambda: free_kernel("a", _P), "got t = 'a'", id="free-kernel-string-time"),
     pytest.param(lambda: free_evolve(_RHO, "a", _P), "got t = 'a'",
                  id="free-evolve-string-time"),
+    # free_kernel and free_evolve take one time, not a list of them
+    pytest.param(lambda: free_kernel([1.0, 2.0], _P), "got t = [1.0, 2.0]",
+                 id="free-kernel-list-time"),
+    pytest.param(lambda: free_evolve(_RHO, [1.0, 2.0], _P), "got t = [1.0, 2.0]",
+                 id="free-evolve-list-time"),
+    # the oracles that take a real or a 1-D array of them refuse two axes
+    pytest.param(lambda: rate_function_numeric(np.zeros((2, 2)), _P),
+                 "x of shape (2, 2)", id="rate-numeric-2d"),
+    pytest.param(lambda: position_cgf_oracle(2, np.zeros((2, 2)), _RHO, _P),
+                 "eta of shape (2, 2)", id="position-cgf-oracle-2d"),
+    pytest.param(lambda: apply_channel(_RHO, np.zeros((2, 2)), _P),
+                 "alpha of shape (2, 2)", id="apply-channel-2d"),
+    pytest.param(lambda: apply_deformed(_RHO, np.zeros((2, 2)), _P),
+                 "alpha of shape (2, 2)", id="apply-deformed-2d"),
+    pytest.param(lambda: channel_oracle(_RHO, np.zeros((2, 2)), _P),
+                 "alpha of shape (2, 2)", id="channel-oracle-2d"),
+    pytest.param(lambda: channel_oracle(_RHO, "a", _P), "got alpha = 'a'",
+                 id="channel-oracle-string"),
+    pytest.param(lambda: rate_function_numeric([0.1, "a"], _P), "got x = [0.1, 'a']",
+                 id="rate-numeric-list-with-string"),
+    pytest.param(lambda: position_cgf_oracle(2, None, _RHO, _P), "got eta = None",
+                 id="position-cgf-oracle-none"),
+    pytest.param(lambda: apply_channel(_RHO, [None], _P), "got alpha = [None]",
+                 id="apply-channel-list-with-none"),
     pytest.param(lambda: bloch_coefficients("a", 1.0), "got t = 'a'",
                  id="bloch-string-time"),
 ])

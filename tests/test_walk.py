@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from starkwalk import (
     TOL,
+    ConfigError,
     LatticeWindow,
     ModelParams,
     NumericsError,
@@ -45,7 +47,7 @@ from starkwalk.walk import (
     log_step_kernel,
 )
 
-from conftest import assert_law_matches_oracle
+from conftest import assert_law_matches_oracle, sequential_walk_law
 
 walk_module = sys.modules["starkwalk.walk"]
 
@@ -137,6 +139,23 @@ def test_log_pmf_agrees_with_linear(params):
     logp = walk_log_pmf(n, params)
     mask = law.pmf > 1e-250
     assert np.max(np.abs(np.exp(logp[mask]) / law.pmf[mask] - 1.0)) <= 1e-10
+
+
+# the powering oracle's own check: the check parameters, p_- underflowing, and
+# p_0 = 1e-8, where the law alternates between heavy and light sites
+POWERING_PARAMS = {
+    "check-params": CHECK_PARAMS,
+    "beta-E-800": ModelParams(E=800.0, F=1.0, lam=1.0, tau=2.0, beta=1.0),
+    "p-near-one": ModelParams(E=1.0, F=1.0, lam=math.pi / 2 - 1e-4, tau=1.0, beta=0.3),
+}
+
+
+@pytest.mark.parametrize("params", POWERING_PARAMS.values(), ids=POWERING_PARAMS.keys())
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 50, 2000])
+def test_powering_oracle_matches_sequential_convolution(params, n):
+    pmf, oracle = walk_pmf_oracle(n, params).pmf, sequential_walk_law(n, params)
+    assert pmf.shape == oracle.shape == (2 * n + 1,)
+    assert_law_matches_oracle(pmf, oracle)
 
 
 @pytest.mark.parametrize("params", LAW_PARAMS.values(), ids=LAW_PARAMS.keys())
@@ -378,12 +397,18 @@ def _rate_reference(x, params):
         return float(x * mpmath.log(z) - mpmath.log(p_minus / z + p_zero + p_plus * z))
 
 
-@pytest.mark.parametrize("params", [
-    CHECK_PARAMS,
-    ModelParams(E=3.0, F=1.0, lam=1.0, tau=2.0, beta=11.0),
-    ModelParams(E=800.0, F=1.0, lam=1.0, tau=2.0, beta=1.0),
-    ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
-], ids=["check-params", "small-a", "beta-E-800", "beta-E-2500"])
+# the rate function's 60-digit reference sets
+RATE_PARAMS = {
+    "check-params": CHECK_PARAMS,
+    "small-a": ModelParams(E=3.0, F=1.0, lam=1.0, tau=2.0, beta=11.0),
+    "beta-E-800": ModelParams(E=800.0, F=1.0, lam=1.0, tau=2.0, beta=1.0),
+    "beta-E-2500": ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+}
+# beta E = 9e13, p = 1.2e-28
+HUGE_BETA_E = ModelParams(E=9e13, F=1.0, lam=0.5, tau=1e-13, beta=1.0)
+
+
+@pytest.mark.parametrize("params", RATE_PARAMS.values(), ids=RATE_PARAMS.keys())
 def test_rate_function_matches_mpmath(params):
     for x in (-1.0, -0.999, -0.5, -0.3, -0.01, 0.0, 0.3, 0.999, 1.0):
         ref = _rate_reference(x, params)
@@ -393,13 +418,56 @@ def test_rate_function_matches_mpmath(params):
 
 
 def test_rate_oracle_matches_closed_form_at_huge_beta_E():
-    # beta E = 9e13, p = 1.2e-28: the Legendre oracle's tilted q_- needs -beta E - eta
-    # as one exact difference; l_- - eta would cancel terms of size beta E
-    params = ModelParams(E=9e13, F=1.0, lam=0.5, tau=1e-13, beta=1.0)
+    # the Legendre oracle's tilted q_- needs -beta E - eta as one exact difference;
+    # l_- - eta would cancel terms of size beta E
+    params = HUGE_BETA_E
     for x in np.linspace(-0.999, 0.999, 41):
         x = float(x)
         assert math.isclose(rate_function_numeric(x, params), rate_function(x, params),
                             rel_tol=TOL.rate_match)
+
+
+@pytest.mark.parametrize("params", [*RATE_PARAMS.values(), HUGE_BETA_E],
+                         ids=[*RATE_PARAMS, "beta-E-9e13"])
+def test_rate_oracle_on_an_array_equals_each_float_call(params):
+    # the grid of `rate --n 400`, solved in lock-step: every entry bit for bit the float call
+    grid = np.linspace(-0.999, 0.999, 401)
+    numeric = rate_function_numeric(grid, params)
+    assert isinstance(numeric, np.ndarray) and numeric.shape == grid.shape
+    assert numeric.tolist() == [rate_function_numeric(x, params) for x in grid.tolist()]
+    assert isinstance(rate_function_numeric(0.3, params), float)
+    assert rate_function_numeric([0.3], params).tolist() == [rate_function_numeric(0.3, params)]
+    assert rate_function_numeric(np.empty(0), params).shape == (0,)
+
+
+def test_rate_oracle_lanes_that_stop_raise_no_warning():
+    # lanes that stop after one step (x at the drift) ride along with lanes that take
+    # many (x near the ends at beta E = 9e13); -W error turns any warning into a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (CHECK_PARAMS, HUGE_BETA_E):
+            v = transport_coefficients(params).v_d * params.tau
+            xs = np.array([v, -0.999999, v, 0.999999, 0.0, v])
+            assert np.array_equal(rate_function_numeric(xs, params),
+                                  [rate_function_numeric(x, params) for x in xs.tolist()])
+
+
+def test_rate_oracle_refuses_a_bracket_past_a_double_without_a_warning():
+    # the frozen walk (p = 0) has e' = 0 at every eta: x = 0 is solved, x = 0.5 doubles
+    # its bracket to inf, which is refused as one NumericsError for the whole array
+    frozen = ModelParams(E=2.0, F=2.0, lam=0.0, tau=1.0, beta=1.0)
+    assert rate_function_numeric(0.0, frozen) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="cannot bracket Legendre sup at x=0.5"):
+            rate_function_numeric(np.array([0.0, 0.5]), frozen)
+
+
+def test_rate_oracle_refuses_an_array_entry_outside_the_open_interval():
+    with pytest.raises(ConfigError, match="strictly inside"):
+        rate_function_numeric(np.array([0.0, 1.0]), CHECK_PARAMS)
+    with pytest.raises(ConfigError, match="strictly inside"):
+        rate_function_numeric(np.array([0.0, math.nan]), CHECK_PARAMS)
 
 
 _NAN_WINDOW = LatticeWindow(-12, 12, -12, 12)
