@@ -10,7 +10,10 @@ entropy-like increments dS_p = (beta E / F)(E_p' - E_p) = beta E (k - k')
 and dS_env = -beta (E_env' - E_env) = beta E (m - m') coincide with
 probability one (the law lives on the diagonal k - k' = m - m'), their
 cumulant generating function is n log theta(alpha), and the transient
-fluctuation theorem holds exactly at every n.
+fluctuation theorem holds exactly at every n.  The law is the walk law of
+`walk_pmf_exact` reversed, at every n and M >= n; the `fcs-energy`
+experiment reads it there, and the reservoir is its oracle in
+`verify-all` and the tests.
 
 Position: the position is measured at time 0 and time n tau.  The
 first measurement dephases the state in the position basis; each
@@ -38,7 +41,15 @@ from .bessel import bessel_squares
 from .channel import apply_channel, deformed_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_count, _require_phase, _require_real, _require_reals
+from .params import (
+    ModelParams,
+    _beta_E,
+    _require_atoms,
+    _require_count,
+    _require_phase,
+    _require_real,
+    _require_reals,
+)
 from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
@@ -67,12 +78,12 @@ class ReservoirConfig:
     def __post_init__(self):
         _require_count(self.n, "n")
         _require_count(self.M, "M", 1)
-        if self.n > self.M:
-            raise ConfigError(f"n = {self.n} interactions exceed the M = {self.M} atoms")
+        _require_atoms(self.n, self.M)
         if self.window.n_k > MAX_WINDOW or self.M > MAX_ATOMS:
             raise BudgetError(
                 f"brute-force budget is window <= {MAX_WINDOW}, M <= {MAX_ATOMS} "
-                f"(got {self.window.n_k}, {self.M}); use the channel path for more"
+                f"(got {self.window.n_k}, {self.M}); the energy law at any n is the walk "
+                "law walk_pmf_exact(n) reversed, as fcs-energy prints it"
             )
 
     @property
@@ -155,10 +166,7 @@ class EnergyFcsResult:
 
     @property
     def beta_E(self) -> float:
-        p = self.cfg.params
-        if not math.isfinite(p.beta * p.E):
-            raise NumericsError(f"beta E = {p.beta!r} * {p.E!r} overflows a double")
-        return p.beta * p.E
+        return _beta_E(self.cfg.params)
 
     def _increments(self) -> tuple[np.ndarray, np.ndarray]:
         """The index column k - k' and the index row m - m' of `law`."""

@@ -129,6 +129,22 @@ def _require_count(value, name: str, low: int = 0) -> int:
     return _require_integer(value, name, low)
 
 
+def _require_atoms(n: int, M: int) -> None:
+    """ConfigError where n interactions exceed the M atoms of a reservoir."""
+    if n > M:
+        raise ConfigError(f"n = {n} interactions exceed the M = {M} atoms")
+
+
+def _beta_E(params: ModelParams, jumps: int = 1) -> float:
+    """beta E, the entropy change of one jump; NumericsError where that of `jumps`
+    jumps (at least one), jumps * beta E, overflows a double."""
+    be, jumps = params.beta * params.E, max(jumps, 1)
+    if not math.isfinite(be * jumps):
+        raise NumericsError(f"the entropy change {jumps} beta E of {jumps} jump(s) overflows "
+                            f"a double at beta = {params.beta!r}, E = {params.E!r}")
+    return be
+
+
 def _require_tilt(F: float) -> None:
     """ConfigError unless the tilt F is a finite real number > 0."""
     _require_real(F, "F")

@@ -540,10 +540,12 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
     (Sterbenz), where l_- - eta would cancel two terms of size beta E.
 
     Each entry solves e'(eta) = x by safeguarded Newton, all entries in
-    lock-step.  Its bracket doubles until it holds x.  Newton stops at
-    rounding level in e', or at a step or bracket of a few ulps of eta; it
-    bisects where e'' is subnormal.  An entry leaves the iteration once it
-    stops, so no other entry changes its value.
+    lock-step.  Its bracket doubles until it holds x.  Newton stops where
+    the step would move I = eta x - e by at most a few ulps of I (about
+    |e' - x| times the step), or at a step or bracket of a few ulps of eta:
+    a residual in e' alone would stop early at a small jump probability,
+    where e' spans only ~p.  It bisects where e'' is subnormal.  An entry
+    leaves the iteration once it stops, so no other entry changes its value.
     """
     xs = _require_reals(x, "x")
     if not np.all((-1.0 < xs) & (xs < 1.0)):
@@ -581,10 +583,14 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
         e0, e1, e2 = moments(eta)
         f = e1 - target
         lo, hi = np.where(f > 0.0, lo, eta), np.where(f > 0.0, eta, hi)
-        step = np.divide(f, e2, out=np.full(f.shape, np.inf), where=e2 >= sys.float_info.min)
-        done = ((np.abs(f) <= 1e-14 * (1.0 + np.abs(target)))
+        newtonian = e2 >= sys.float_info.min
+        step = np.divide(f, e2, out=np.full(f.shape, np.inf), where=newtonian)
+        # the step moves I = eta x - e by about f step; inf where e'' is subnormal
+        moved = np.multiply(f, step, out=np.full(f.shape, np.inf), where=newtonian)
+        rate = eta * target - e0
+        done = ((np.abs(moved) <= 4.0 * np.spacing(np.abs(rate)))
                 | (np.minimum(np.abs(step), hi - lo) <= 4.0 * np.spacing(np.abs(eta))))
-        out[live[done]] = eta[done] * target[done] - e0[done]
+        out[live[done]] = rate[done]
         live, lo, hi, eta, step = (a[~done] for a in (live, lo, hi, eta, step))
         newton = eta - step
         eta = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))

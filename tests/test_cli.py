@@ -21,8 +21,11 @@ from starkwalk import (
     LatticeWindow,
     ModelParams,
     ParticleDensityMatrix,
+    ReservoirConfig,
     apply_channel,
     position_distribution,
+    run_energy_fcs,
+    theta,
     transport_coefficients,
 )
 from starkwalk.cli import (
@@ -83,7 +86,8 @@ def test_rate_experiment_table():
 
 
 def test_metadata_records_the_run_keys_the_experiment_reads():
-    # the atom count changes the rows, so it is in the metadata line too
+    # the atom count leaves the rows as they are, but it is a run key the experiment
+    # reads, so it is in the metadata line too
     lines = []
     for m in (2, 3):
         cfg = parse_config(f"--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 fcs-energy --n 2 --m {m}".split())
@@ -114,6 +118,51 @@ def test_fcs_energy_rows_diagonal():
         be = cfg.params.beta * cfg.params.E
         for m, row in zip(range(-n, n + 1), table.rows):
             assert row[0] == row[1] == be * m
+
+
+ENERGY_PHYSICS = ("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1",
+                  "--E 1.3 --F 0.7 --lambda 0.37 --tau 1.1 --beta 0.9")
+
+
+@pytest.mark.parametrize("physics", ENERGY_PHYSICS)
+def test_fcs_energy_rows_are_the_reservoir_law(physics):
+    # the rows read the walk law; the brute-force reservoir of M = m atoms is their oracle
+    window = LatticeWindow(-16, 15, -16, 15)
+    rho = ParticleDensityMatrix.eigenstate(window, 0)
+    for m in range(1, 5):
+        for n in range(m + 1):
+            cfg = parse_config(f"{physics} fcs-energy --n {n} --m {m}".split())
+            rows = run_experiment(cfg).rows
+            reservoir = ReservoirConfig(params=cfg.params, M=m, n=n, window=window)
+            # reversed, the oracle's S_n = n..-n is in the rows' ascending ds = -beta E S_n
+            oracle = run_energy_fcs(reservoir, rho).walk_law().pmf[::-1]
+            assert len(rows) == np.count_nonzero(oracle > 1e-15)
+            be = cfg.params.beta * cfg.params.E
+            for ds, _, prob in rows:
+                expected = oracle[round(ds / be) + n]
+                assert abs(prob / expected - 1.0) <= TOL.walk_law_rel, (n, m, ds)
+
+
+def test_fcs_energy_at_no_interaction_is_one_row(capsys):
+    assert cli.main(f"{FLAGS} fcs-energy --n 0 --out -".split()) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["0.0,0.0,1.0"]
+
+
+def test_fcs_energy_far_past_the_reservoir(capsys):
+    # n = 10^4 interactions: the closed form has no atom budget
+    n = 10_000
+    assert cli.main(f"{FLAGS} fcs-energy --n {n} --out -".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.split(",")[0] == line.split(",")[1] for line in lines[2:])
+    ds, _, prob = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]]).T
+    assert abs(prob.sum() - 1.0) <= TOL.trace
+    # the rows stop at prob 1e-15, about 8 standard deviations out, so the tilts are
+    # scaled by 1 / (beta E sqrt n) to keep the tilted law inside them
+    params = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    for a in (-1.0, 0.5, 2.0):
+        alpha = a / (params.beta * params.E * math.sqrt(n))
+        mgf = float(np.dot(np.exp(alpha * ds), prob))
+        assert abs(mgf / theta(alpha, params) ** n - 1.0) <= TOL.fcs_mgf_rel, a
 
 
 @pytest.mark.parametrize("n", [0, 10, 16, 17])
@@ -270,6 +319,8 @@ BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
     f"{FLAGS} channel-evolve --n 3 --window 30",
     f"{FLAGS} single-atom --n 2 --window 30",
     f"{FLAGS} fcs-energy --n 2 --window 20",
+    # m only has to be >= n
+    f"{FLAGS} fcs-energy --n 3 --m 2",
     # omega0 tau / 2 = 7.1e19 is past 2^52: the jump probability would carry no digit
     "--E 2 --F 1 --lambda 0.5 --tau 1e20 --beta 1 walk --n 3",
     "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
@@ -361,8 +412,9 @@ def test_spectrum_reads_no_time(capsys):
 @pytest.mark.parametrize("run", ["spectrum", "spectrum --window 12", "single-atom --n 3",
                                  "fcs-energy --n 2 --m 2"])
 def test_k_range_experiments_do_no_bessel_work(run, F, monkeypatch, capsys):
-    # these experiments read the eigenbasis index k alone, so no Bessel function is
-    # evaluated, also at tilts where 2/F is past the Bessel order budget or is inf
+    # spectrum and single-atom read the eigenbasis index k alone and fcs-energy the walk
+    # law, so no Bessel function is evaluated, also at tilts where 2/F is past the Bessel
+    # order budget or is inf
     def refuse(*args, **kwargs):
         raise AssertionError("a Bessel function was evaluated")
 

@@ -410,7 +410,8 @@ HUGE_BETA_E = ModelParams(E=9e13, F=1.0, lam=0.5, tau=1e-13, beta=1.0)
 
 @pytest.mark.parametrize("params", RATE_PARAMS.values(), ids=RATE_PARAMS.keys())
 def test_rate_function_matches_mpmath(params):
-    for x in (-1.0, -0.999, -0.5, -0.3, -0.01, 0.0, 0.3, 0.999, 1.0):
+    grid = np.linspace(-0.999, 0.999, 101).tolist()
+    for x in (-1.0, -0.999, -0.5, -0.3, -0.01, 0.0, 0.3, 0.999, 1.0, *grid):
         ref = _rate_reference(x, params)
         assert math.isclose(rate_function(x, params), ref, rel_tol=TOL.rate_match)
         if abs(x) < 1.0:
