@@ -34,7 +34,6 @@ from .errors import (
 from .fcs import (
     EnergyFcsResult,
     PositionCgf,
-    PositionFcsResult,
     ReservoirConfig,
     energy_cgf,
     environment_reduced_map,
@@ -71,8 +70,8 @@ from .state import (
     transform_matrix,
 )
 from .walk import (
+    LatticeLaw,
     TransportCoefficients,
-    WalkLaw,
     WalkSample,
     rate_function,
     rate_function_entropy,

@@ -22,7 +22,7 @@ from . import __version__
 from .bessel import bessel_squares
 from .channel import kraus_weights
 from .config import TOL
-from .errors import ConfigError, NumericsError, StarkwalkError
+from .errors import BudgetError, ConfigError, NumericsError, StarkwalkError
 from .fcs import run_position_fcs
 from .params import ModelParams, _beta_E, _require_atoms, _require_count
 from .singleatom import (
@@ -54,6 +54,8 @@ _COUNTS = {
 }
 # the keys every experiment accepts besides its own
 _OUTPUT_KEYS = ("format", "out")
+# channel-evolve's convolution is O(n^2): about 1.2 s at this many steps
+MAX_EVOLVE_STEPS = 10_000
 
 
 @dataclass
@@ -213,6 +215,11 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
+    if cfg.n > MAX_EVOLVE_STEPS:
+        raise BudgetError(f"channel-evolve convolves a law that grows by two sites a step, "
+                          f"O(n^2), within a budget of n <= {MAX_EVOLVE_STEPS} steps (got "
+                          f"{cfg.n}); summing the per-step cumulants, O(n), would lift it "
+                          "(ROADMAP item 2)")
     # kicks shift both eigenbasis indices and free evolution keeps the diagonal, so from
     # psi_0 each step convolves the position law, first J_x(2/F)^2, with the Kraus weights
     weights = kraus_weights(cfg.params).as_array()
@@ -229,12 +236,12 @@ def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
 def _exp_walk(cfg: RunConfig) -> ResultTable:
     law = walk_pmf_exact(cfg.n, cfg.params)
     sample = sample_walk(cfg.n, cfg.trials, cfg.seed, cfg.params)
-    # sample counts aligned to the support -n..n
+    # sample counts aligned to the law's sites
     counts = np.zeros(law.pmf.size, dtype=sample.counts.dtype)
-    counts[sample.values + cfg.n] = sample.counts
+    counts[sample.values - law.first] = sample.counts
     keep = ~((law.pmf < 1e-12) & (counts == 0))
     rows = [[s, p, c, c / cfg.trials] for s, p, c in
-            zip(law.support[keep].tolist(), law.pmf[keep].tolist(), counts[keep].tolist())]
+            zip(law.dx[keep].tolist(), law.pmf[keep].tolist(), counts[keep].tolist())]
     return ResultTable(["displacement", "exact_prob", "count", "empirical_prob"], rows)
 
 
@@ -255,11 +262,11 @@ def _exp_fcs_energy(cfg: RunConfig) -> ResultTable:
     be = _beta_E(cfg.params, cfg.n)
     law = walk_pmf_exact(cfg.n, cfg.params)
     # dS_p = dS_env = beta E (k - k') = -beta E S_n: the walk law reversed, so entry j
-    # holds ds = beta E (j - n) and P[S_n = n - j]; both columns are the same double,
-    # and at beta E = 0 every outcome is one 0.0 row
-    pmf = law.pmf[::-1]
+    # holds P[S_n = s_j] and ds = beta E (-s_j), in ascending order; both columns are
+    # the same double, and at beta E = 0 every outcome is one 0.0 row
+    pmf, sites = law.pmf[::-1], law.dx[::-1]
     live = pmf > 1e-15
-    ds, inverse = np.unique(be * law.support[live] + 0.0, return_inverse=True)
+    ds, inverse = np.unique(be * -sites[live] + 0.0, return_inverse=True)
     probs = np.bincount(inverse.reshape(-1), weights=pmf[live])
     rows = [[d, d, p] for d, p in zip(ds.tolist(), probs.tolist())]
     return ResultTable(["ds_particle", "ds_env", "prob"], rows)
@@ -269,8 +276,8 @@ def _exp_fcs_position(cfg: RunConfig) -> ResultTable:
     window = LatticeWindow(-8, 7, -8, 7)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     dist = run_position_fcs(cfg.n, rho, cfg.params)
-    live = dist.probs > 1e-15
-    rows = [[d, p] for d, p in zip(dist.dx[live].tolist(), dist.probs[live].tolist())]
+    live = dist.pmf > 1e-15
+    rows = [[d, p] for d, p in zip(dist.dx[live].tolist(), dist.pmf[live].tolist())]
     return ResultTable(["dx", "prob"], rows)
 
 

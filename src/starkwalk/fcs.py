@@ -28,6 +28,10 @@ theorem sums the kernel's exponential moment, so the cumulant generating
 function of the increment has the closed form
 n e(eta) + log I_0(2 z_n sinh(eta/2)) for every state; the windowed
 deformed-channel route stays as its oracle.
+
+Both increment laws are `walk.LatticeLaw`s: the reservoir's marginal
+`EnergyFcsResult.walk_law()` on -n..n, and the law of dX from
+`run_position_fcs` on the sites each route reaches.
 """
 from __future__ import annotations
 
@@ -58,7 +62,7 @@ from .state import (
     require_interior,
     transform_matrix,
 )
-from .walk import WalkLaw, _log_mgf, scgf, walk_pmf_exact
+from .walk import LatticeLaw, scgf, walk_pmf_exact
 
 MAX_WINDOW = 64
 MAX_ATOMS = 4
@@ -177,7 +181,7 @@ class EnergyFcsResult:
         dk, dm = self._increments()
         return float(np.sum(self.law[dk != dm]))
 
-    def walk_law(self) -> WalkLaw:
+    def walk_law(self) -> LatticeLaw:
         """The law of the ladder displacement S_n = k' - k, the marginal of `law`.
 
         dS_n = beta E (k - k') = -beta E S_n, so E[e^{alpha dS_n}] is
@@ -186,7 +190,7 @@ class EnergyFcsResult:
         rows |k - k'| <= n carry the whole marginal.
         """
         K, n = self.cfg.window.n_k, self.cfg.n
-        return WalkLaw(n=n, pmf=self.law.sum(axis=1)[K - 1 - n:K + n][::-1])
+        return LatticeLaw(n=n, first=-n, pmf=self.law.sum(axis=1)[K - 1 - n:K + n][::-1])
 
     def total_energy_change_mean(self) -> float:
         """Mean of (E_p' + E_env') - (E_p + E_env) = F (k - k') - E (m - m')."""
@@ -270,45 +274,8 @@ def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
                           "J_d(z) at z = (4/F)|sin(F t / 2)|")
 
 
-@dataclass(frozen=True)
-class PositionFcsResult:
-    """Law of the position increment dX after n interactions."""
-
-    n: int
-    dx: np.ndarray
-    probs: np.ndarray
-
-    def mean(self) -> float:
-        return float(np.dot(self.dx, self.probs))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot((self.dx - m) ** 2, self.probs))
-
-    def log_mgf(self, eta: float) -> float:
-        return _log_mgf(eta, self.dx, self.probs)
-
-    def window_probability(self, lo: float, hi: float) -> float:
-        _require_real(lo, "lo")
-        _require_real(hi, "hi")
-        sel = (self.dx >= lo) & (self.dx <= hi)
-        return float(np.sum(self.probs[sel]))
-
-    def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
-        """(1/n) log Q[dX/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]]."""
-        for value, name in ((v, "v"), (delta, "delta"), (tau, "tau")):
-            _require_real(value, name)
-        scale = self.n * tau
-        num = self.window_probability(-scale * (v + delta), -scale * (v - delta))
-        den = self.window_probability(scale * (v - delta), scale * (v + delta))
-        if self.n == 0 or not num > 0.0 or not den > 0.0:
-            raise NumericsError(f"log ratio undefined at n = {self.n}: window "
-                                f"probabilities {num:.3e} and {den:.3e}")
-        return (math.log(num) - math.log(den)) / self.n
-
-
 def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
-                     method: str = "reduced") -> PositionFcsResult:
+                     method: str = "reduced") -> LatticeLaw:
     """Distribution of the two-time position increment dX = x' - x.
 
     The first measurement dephases rho_p in the position basis; each
@@ -341,17 +308,14 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
         a = max(int(live.argmax()) - pad, 0)
         b = min(live.size - int(live[::-1].argmax()) + pad, live.size)
         probs[a:b + kernel.size - 1] = np.convolve(walk.pmf[a:b], kernel)
-        lo = -walk.n + d[0]
-        dx = np.arange(lo, lo + probs.size)
-        return PositionFcsResult(n=n, dx=dx, probs=probs)
+        return LatticeLaw(n=n, first=int(walk.first + d[0]), pmf=probs)
     if method != "matrix":
         raise ConfigError(f"unknown method {method!r}")
 
     window = rho_p.window
     xs, q = position_distribution(rho_p, params.F)
     span = window.n_x - 1
-    dx = np.arange(-span, span + 1)
-    probs = np.zeros(dx.size)
+    probs = np.zeros(2 * span + 1)
     skipped = 0.0
     for xi, qx in enumerate(q):
         if qx <= _PRUNE:
@@ -370,7 +334,7 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
             f"pruned conditional weight {skipped:.3e} exceeds the leakage "
             f"budget {TOL.leakage:.1e}; enlarge the window"
         )
-    return PositionFcsResult(n=n, dx=dx, probs=probs)
+    return LatticeLaw(n=n, first=-span, pmf=probs)
 
 
 # Below 1.5, log I_0(x) = log1p(sum_{k >= 1} y^k / (k!)^2) with y = x^2 / 4,

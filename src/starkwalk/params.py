@@ -91,17 +91,24 @@ class ModelParams:
         return (self.sin2theta * math.sin(half_turn)) ** 2
 
 
-def _require_real(value, name: str) -> None:
-    """ConfigError unless value is a real number (a `numbers.Real`; NaN and inf pass)."""
+def _require_real(value, name: str) -> float:
+    """float(value); ConfigError unless value is a real number (a `numbers.Real`; NaN
+    and inf pass) within the double range: an int past 2^1024 is refused."""
     if not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {name} = {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must lie in the double range, |{name}| < 2^1024") from None
 
 
 def _require_reals(value, name: str) -> np.ndarray:
     """value as a float array of at most one axis: a real number (a 0-d array) or a
     sequence or 1-D array of them; ConfigError otherwise, naming the argument."""
+    if isinstance(value, numbers.Real):
+        return np.asarray(_require_real(value, name))
     try:
-        real = isinstance(value, numbers.Real) or np.asarray(value).dtype.kind in "biuf"
+        real = np.asarray(value).dtype.kind in "biuf"
         values = np.asarray(value, dtype=float) if real else None
     except (TypeError, ValueError, OverflowError):
         values = None
@@ -158,13 +165,16 @@ def _require_phase(t, *energies) -> None:
 
     Rounding is monotone, so max |t| times max |energy| bounds every such phase;
     it is taken in Python floats, which overflow to inf without a warning.  A t
-    that is not a number or an array of them is refused with ConfigError.
+    that is not a number or an array of them, or is past the double range, is
+    refused with ConfigError.
     """
     try:
         span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
     except TypeError:
         raise ConfigError(f"time t must be a real number or an array of them, "
                           f"got t = {t!r}") from None
+    except OverflowError:
+        raise ConfigError("time t must lie in the double range, |t| < 2^1024") from None
     top = max(float(np.abs(e).max()) for e in energies)
     phase = span * top
     if not math.isfinite(phase):

@@ -9,7 +9,6 @@ acceptance tests and the `verify-all` CLI experiment.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +157,7 @@ def check_transport() -> CheckResult:
     sample = sample_walk(n, trials, seed=7, params=params)
     dev = abs(sample.mean() / (n * params.tau) - tc.v_d)
     bound = 4.0 * math.sqrt(2.0 * tc.D / (n * params.tau * trials))
-    exact, oracle = walk_pmf_exact(2000, params).pmf, walk_pmf_oracle(2000, params).pmf
-    normal = oracle >= sys.float_info.min
-    law_gap = float(np.max(np.abs(exact[normal] / oracle[normal] - 1.0)))
+    law_gap = walk_pmf_exact(2000, params).oracle_gap(walk_pmf_oracle(2000, params))
     passed = worst <= TOL.walk_moments_rel and dev <= bound and law_gap <= TOL.walk_law_rel
     return CheckResult("transport coefficients vs walk moments", passed, worst,
                        TOL.walk_moments_rel,
@@ -184,7 +181,7 @@ def check_clt() -> CheckResult:
     law = walk_pmf_exact(n, params)
     mu = tc.v_d * n * params.tau
     sigma = math.sqrt(2.0 * tc.D * n * params.tau)
-    z = (law.support - mu) / sigma
+    z = (law.dx - mu) / sigma
     cdf = np.cumsum(law.pmf)
     phi = _normal_cdf(z)
     dist = float(np.max(np.maximum(np.abs(cdf - phi),
@@ -206,7 +203,7 @@ def check_ldp() -> CheckResult:
             logp = np.log(law.pmf)
         for x in xs:
             k = round(x * n)
-            errs[(n, x)] = abs(-logp[k + n] / n - rate_function(x, params))
+            errs[(n, x)] = abs(-logp[k - law.first] / n - rate_function(x, params))
     worst800 = max(errs[(800, x)] for x in xs)
     monotone = all(errs[(200, x)] >= errs[(400, x)] >= errs[(800, x)] for x in xs)
     grid = np.linspace(-0.999, 0.999, 401)
@@ -215,6 +212,14 @@ def check_ldp() -> CheckResult:
     passed = worst800 <= TOL.ldp_abs and monotone and rate_gap <= TOL.rate_match
     return CheckResult("large deviations rate", passed, worst800, TOL.ldp_abs,
                        f"monotone={monotone}, closed-vs-numeric {rate_gap:.2e}")
+
+
+def _reservoir_run(params: ModelParams, n: int) -> fcs_mod.EnergyFcsResult:
+    """The brute-force reservoir of checks 7, 8 and 11: M = 3 atoms and n interactions,
+    from the k = 0 eigenstate on the window -16..15."""
+    window = LatticeWindow(-16, 15, -16, 15)
+    cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=n, window=window)
+    return fcs_mod.run_energy_fcs(cfg, ParticleDensityMatrix.eigenstate(window, 0))
 
 
 def check_fluctuation() -> CheckResult:
@@ -234,17 +239,13 @@ def check_fluctuation() -> CheckResult:
                            / np.maximum(1.0, np.abs(logp))))
 
     worst_energy = 0.0
-    window = LatticeWindow(-16, 15, -16, 15)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
     for n in (1, 2, 3):
-        cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=n, window=window)
-        result = fcs_mod.run_energy_fcs(cfg, rho)
-        pmf = result.walk_law().pmf
+        law = _reservoir_run(params, n).walk_law()
         # P[dS = -sigma] = e^{sigma} P[dS = sigma], dS = -beta E S_n: the walk's
         # positive displacements dominate
         for j in range(1, n + 1):
-            worst_energy = max(worst_energy,
-                               abs(pmf[n + j] / (math.exp(be * j) * pmf[n - j]) - 1.0))
+            up, down = law.pmf[j - law.first], law.pmf[-j - law.first]
+            worst_energy = max(worst_energy, abs(up / (math.exp(be * j) * down) - 1.0))
     passed = (worst <= TOL.fluctuation_rel and worst_energy <= TOL.fluctuation_rel
               and log_gap <= TOL.walk_law_rel)
     return CheckResult("fluctuation identities", passed, max(worst, worst_energy),
@@ -257,19 +258,14 @@ def check_energy_fcs() -> CheckResult:
     """8. Brute force M = n = 3: diagonal support, E[e^{a dS}] = theta(a)^n, and the
     reservoir's increment law equal to the walk law."""
     params = CHECK_PARAMS
-    window = LatticeWindow(-16, 15, -16, 15)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=3, window=window)
-    result = fcs_mod.run_energy_fcs(cfg, rho)
+    result = _reservoir_run(params, 3)
     off = result.off_diagonal_mass()
     law = result.walk_law()
     worst = 0.0
     for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        target = theta(alpha, params) ** cfg.n
+        target = theta(alpha, params) ** law.n
         worst = max(worst, abs(law.mgf(-alpha * result.beta_E) / target - 1.0))
-    exact = walk_pmf_exact(cfg.n, params).pmf
-    normal = exact >= sys.float_info.min
-    law_gap = float(np.max(np.abs(law.pmf[normal] / exact[normal] - 1.0)))
+    law_gap = law.oracle_gap(walk_pmf_exact(law.n, params))
     passed = off <= TOL.fcs_support and worst <= TOL.fcs_mgf_rel and law_gap <= TOL.walk_law_rel
     return CheckResult("energy counting statistics", passed, worst, TOL.fcs_mgf_rel,
                        f"off-diagonal mass {off:.2e}; "
@@ -321,19 +317,14 @@ def check_einstein() -> CheckResult:
 
 def check_energy_bookkeeping() -> CheckResult:
     """11. Total energy: rate (E-F) v_d tau off resonance, exact conservation at E = F."""
-    window = LatticeWindow(-16, 15, -16, 15)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
-    cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=3, window=window)
-    result = fcs_mod.run_energy_fcs(cfg, rho)
-    rate_err = abs(result.total_energy_change_mean() / cfg.n
+    result = _reservoir_run(params, 3)
+    rate_err = abs(result.total_energy_change_mean() / result.cfg.n
                    - (params.E - params.F) * tc.v_d * params.tau)
 
     balanced = ModelParams(E=1.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
-    cfg_b = fcs_mod.ReservoirConfig(params=balanced, M=3, n=3, window=window)
-    conins = fcs_mod.run_energy_fcs(cfg_b, rho).max_total_energy_change()
+    conins = _reservoir_run(balanced, 3).max_total_energy_change()
     passed = rate_err <= TOL.energy_rate and conins <= TOL.energy_conservation
     return CheckResult("energy bookkeeping", passed, rate_err, TOL.energy_rate,
                        f"E=F conservation defect {conins:.2e}")

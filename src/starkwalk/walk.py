@@ -2,7 +2,10 @@
 
 After n interactions the eigenbasis index performs a walk S_n with i.i.d.
 steps in {-1, 0, +1} of probabilities (p_-, p_0, p_+).  This module holds
-the transport coefficients, the exact law of S_n (from one ratio recurrence
+`LatticeLaw`, the one type of the law of an integer increment (S_n here,
+its reservoir marginal and the position increment in `fcs`), with the
+package's only moment, exponential-moment and law-vs-oracle code; the
+transport coefficients, the exact law of S_n (from one ratio recurrence
 for the coefficients of (p_- + p_0 z + p_+ z^2)^n: the linear law in
 O(live span), with the full recurrence as its oracle, the log law in O(n),
 and a convolution power and the log-space convolution as the oracles of
@@ -50,48 +53,85 @@ def transport_coefficients(params: ModelParams) -> TransportCoefficients:
 
 
 @dataclass(frozen=True)
-class WalkLaw:
-    """Exact law of S_n: pmf[j] = P[S_n = support[j]] on support -n..n."""
+class LatticeLaw:
+    """Exact law of an integer increment after n interactions: pmf[j] = P[first + j].
+
+    The walk S_n, its reservoir marginal and the position increment dX are all
+    this type; only its builders choose `first`, and readers index through it.
+    """
 
     n: int
+    first: int
     pmf: np.ndarray
 
     @property
-    def support(self) -> np.ndarray:
-        return np.arange(-self.n, self.n + 1)
+    def dx(self) -> np.ndarray:
+        return np.arange(self.first, self.first + self.pmf.size)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """`pmf` by its old position-law name, for `perfbench/` alone (package and tests
+        read `pmf`); it goes when the benchmark is resized (ROADMAP item 1)."""
+        return self.pmf
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.pmf))
+        return float(np.dot(self.dx, self.pmf))
 
     def variance(self) -> float:
         m = self.mean()
-        return float(np.dot((self.support - m) ** 2, self.pmf))
+        return float(np.dot((self.dx - m) ** 2, self.pmf))
+
+    def log_mgf(self, eta: float) -> float:
+        """log E[e^{eta dx}]; NumericsError where it is not a finite double (a NaN or
+        infinite eta, or a log that overflows).
+
+        Zero probabilities drop out, so an underflowed tail never meets e^{eta s} as
+        inf * 0; the largest exponent is factored out, so no term overflows.  eta is
+        taken as a float: an int eta times the integer sites could wrap.
+        """
+        eta = _require_real(eta, "eta")
+        live = self.pmf > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = eta * self.dx[live] + np.log(self.pmf[live])
+            top = float(np.max(expo))
+            value = top + math.log(float(np.sum(np.exp(expo - top))))
+        if not math.isfinite(value):
+            raise NumericsError(f"the log MGF at eta = {eta!r} is not a finite double")
+        return value
 
     def mgf(self, eta: float) -> float:
-        """E[e^{eta S_n}], the exponential of `_log_mgf`; NumericsError where it overflows."""
+        """E[e^{eta dx}], the exponential of `log_mgf`; NumericsError where it overflows."""
         try:
-            return math.exp(_log_mgf(eta, self.support, self.pmf))
+            return math.exp(self.log_mgf(eta))
         except OverflowError:
-            raise NumericsError(f"the moment generating function E[e^(eta S)] at eta = {eta!r} "
+            raise NumericsError(f"the moment generating function E[e^(eta dx)] at eta = {eta!r} "
                                 "is not a finite double") from None
 
+    def window_probability(self, lo: float, hi: float) -> float:
+        """P[lo <= dx <= hi]."""
+        _require_real(lo, "lo")
+        _require_real(hi, "hi")
+        return float(np.sum(self.pmf[(self.dx >= lo) & (self.dx <= hi)]))
 
-def _log_mgf(eta: float, support: np.ndarray, probs: np.ndarray) -> float:
-    """log E[e^{eta S}] for the law probs on support; NumericsError where it is not a
-    finite double (a NaN or infinite eta, or a log that overflows).
+    def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
+        """(1/n) log Q[dx/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]]."""
+        for value, name in ((v, "v"), (delta, "delta"), (tau, "tau")):
+            _require_real(value, name)
+        scale = self.n * tau
+        num = self.window_probability(-scale * (v + delta), -scale * (v - delta))
+        den = self.window_probability(scale * (v - delta), scale * (v + delta))
+        if self.n == 0 or not num > 0.0 or not den > 0.0:
+            raise NumericsError(f"log ratio undefined at n = {self.n}: window "
+                                f"probabilities {num:.3e} and {den:.3e}")
+        return (math.log(num) - math.log(den)) / self.n
 
-    Zero probabilities drop out, so an underflowed tail never meets e^{eta s} as
-    inf * 0; the largest exponent is factored out, so no term overflows.
-    """
-    _require_real(eta, "eta")
-    live = probs > 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = eta * support[live] + np.log(probs[live])
-        top = float(np.max(expo))
-        value = top + math.log(float(np.sum(np.exp(expo - top))))
-    if not math.isfinite(value):
-        raise NumericsError(f"the log MGF at eta = {eta!r} is not a finite double")
-    return value
+    def oracle_gap(self, oracle: LatticeLaw) -> float:
+        """max |pmf / oracle.pmf - 1| where the oracle is a normal double (subnormals carry
+        no relative accuracy); ConfigError unless both laws weigh the same sites."""
+        if (self.first, self.pmf.size) != (oracle.first, oracle.pmf.size):
+            raise ConfigError("a law and its oracle must weigh the same sites")
+        normal = oracle.pmf >= sys.float_info.min
+        return float(np.max(np.abs(self.pmf[normal] / oracle.pmf[normal] - 1.0), initial=0.0))
 
 
 def _ratio_overflow(n: int, log_k: np.ndarray) -> NumericsError:
@@ -351,7 +391,7 @@ def _law_sum(rel: np.ndarray) -> float:
     return _fsum(rel)
 
 
-def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
+def walk_pmf_exact(n: int, params: ModelParams) -> LatticeLaw:
     """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(live span).
 
     P[S_n = s] / P[mode] is the cumulative product of the neighbour ratios
@@ -370,14 +410,14 @@ def walk_pmf_exact(n: int, params: ModelParams) -> WalkLaw:
     """
     n = _require_count(n, "n")
     if n == 1:
-        return WalkLaw(n=n, pmf=kraus_weights(params).as_array())
+        return LatticeLaw(n=n, first=-n, pmf=kraus_weights(params).as_array())
     log_k = log_step_kernel(params)
     sites, down, up = _outward_ratios(n, log_k, *_live_span(n, log_k, params.beta * params.E))
     rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
-    return WalkLaw(n=n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
+    return LatticeLaw(n=n, first=-n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
 
 
-def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
+def walk_pmf_oracle(n: int, params: ModelParams) -> LatticeLaw:
     """The law of S_n as a convolution power of the step law, by binary powering.
 
     The independent route for `walk_pmf_exact`: the step law is squared
@@ -397,7 +437,7 @@ def walk_pmf_oracle(n: int, params: ModelParams) -> WalkLaw:
         bits >>= 1
         if bits:
             power = np.convolve(power, power)
-    return WalkLaw(n=n, pmf=pmf)
+    return LatticeLaw(n=n, first=-n, pmf=pmf)
 
 
 def log_step_kernel(params: ModelParams) -> np.ndarray:
@@ -453,10 +493,6 @@ class WalkSample:
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.counts) / self.trials)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot((self.values - m) ** 2, self.counts) / self.trials)
 
 
 def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSample:
@@ -544,8 +580,12 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
     the step would move I = eta x - e by at most a few ulps of I (about
     |e' - x| times the step), or at a step or bracket of a few ulps of eta:
     a residual in e' alone would stop early at a small jump probability,
-    where e' spans only ~p.  It bisects where e'' is subnormal.  An entry
-    leaves the iteration once it stops, so no other entry changes its value.
+    where e' spans only ~p.  Where e'' is normal it also stops once |e' - x|
+    is within four roundings of e' (`moments`' fourth value), which no eta
+    resolves: near e' = 0, at a tiny x, e' = q_+ - q_- cancels two nearly
+    equal terms, and the I reached is within ~(e' - x)^2 / e'' of the sup.
+    It bisects where e'' is subnormal.  An entry leaves the iteration once
+    it stops, so no other entry changes its value.
     """
     xs = _require_reals(x, "x")
     if not np.all((-1.0 < xs) & (xs < 1.0)):
@@ -553,13 +593,16 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
     _, l_zero, l_plus = log_step_kernel(params).tolist()
     be = params.beta * params.E
 
-    def moments(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(e, e', e'') at each eta."""
+    def moments(eta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(e, e', e'', the rounding of e') at each eta."""
         logw = np.array([l_plus + (-be - eta), np.full(eta.shape, l_zero), l_plus + eta])
         low, mid, top = np.sort(logw, axis=0)
         e = top + np.log1p(np.exp(low - top) + np.exp(mid - top))
-        q_m, q_0, q_p = np.exp(logw - e)
-        return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p
+        q = np.exp(logw - e)
+        q_m, q_0, q_p = q
+        # e' = q_+ - q_-, each q_s = exp(logw_s - e) good to an ulp of each term of its exponent
+        noise = np.sum(q[::2] * np.spacing(np.abs(logw[::2]) + np.abs(e) + 1.0), axis=0)
+        return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p, noise
 
     targets = xs.reshape(-1)
     lo, hi = np.full(targets.size, -2.0), np.full(targets.size, 2.0)
@@ -580,7 +623,7 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
         if not live.size:
             break
         target = targets[live]
-        e0, e1, e2 = moments(eta)
+        e0, e1, e2, noise = moments(eta)
         f = e1 - target
         lo, hi = np.where(f > 0.0, lo, eta), np.where(f > 0.0, eta, hi)
         newtonian = e2 >= sys.float_info.min
@@ -589,7 +632,8 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
         moved = np.multiply(f, step, out=np.full(f.shape, np.inf), where=newtonian)
         rate = eta * target - e0
         done = ((np.abs(moved) <= 4.0 * np.spacing(np.abs(rate)))
-                | (np.minimum(np.abs(step), hi - lo) <= 4.0 * np.spacing(np.abs(eta))))
+                | (np.minimum(np.abs(step), hi - lo) <= 4.0 * np.spacing(np.abs(eta)))
+                | newtonian & (np.abs(f) <= 4.0 * noise))
         out[live[done]] = rate[done]
         live, lo, hi, eta, step = (a[~done] for a in (live, lo, hi, eta, step))
         newton = eta - step

@@ -16,6 +16,7 @@ from starkwalk import (
     TOL,
     AtomGibbs,
     JointDensityMatrix,
+    LatticeLaw,
     LatticeWindow,
     ModelParams,
     ParticleDensityMatrix,
@@ -134,20 +135,19 @@ def random_interior_operator(rng, window: LatticeWindow, half: int) -> np.ndarra
     return A
 
 
-def assert_law_matches_oracle(pmf, oracle):
-    """Walk law vs the convolution oracle: relative agreement where the oracle is in
-    the normal double range; elsewhere both are below it (subnormals carry no
-    relative accuracy)."""
-    normal = oracle >= sys.float_info.min
-    assert np.max(np.abs(pmf[normal] / oracle[normal] - 1.0), initial=0.0) <= TOL.walk_law_rel
-    assert np.all(pmf[~normal] < 2.0 * sys.float_info.min)
+def assert_law_matches_oracle(law: LatticeLaw, oracle: LatticeLaw):
+    """A law vs its oracle on the same sites: `LatticeLaw.oracle_gap`, relative agreement
+    where the oracle is in the normal double range, within `walk_law_rel`; elsewhere
+    both are below it (subnormals carry no relative accuracy)."""
+    assert law.oracle_gap(oracle) <= TOL.walk_law_rel
+    assert np.all(law.pmf[oracle.pmf < sys.float_info.min] < 2.0 * sys.float_info.min)
 
 
-def sequential_walk_law(n: int, params: ModelParams) -> np.ndarray:
+def sequential_walk_law(n: int, params: ModelParams) -> LatticeLaw:
     """The law of S_n as n sequential convolutions of the step law, O(n^2): the
     oracle of `walk_pmf_oracle`, which reaches the same power by binary powering."""
     kernel = kraus_weights(params).as_array()
     pmf = np.array([1.0])
     for _ in range(n):
         pmf = np.convolve(pmf, kernel)
-    return pmf
+    return LatticeLaw(n=n, first=-n, pmf=pmf)

@@ -304,9 +304,18 @@ def test_channel_evolve_rows_match_the_iterated_channel(physics, n):
 
 
 FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
-# config-file cases: the run keys each one adds to a valid walk configuration
-BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
-               "config-out-int": {"out": 3}}
+_WALK_CONFIG = {"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1, "experiment": "walk"}
+# config-file cases: the text of the file, or None for a path where no file is
+BAD_CONFIGS = {
+    "config-n-string": json.dumps({**_WALK_CONFIG, "n": "10"}),
+    "config-out-true": json.dumps({**_WALK_CONFIG, "out": True}),
+    "config-out-int": json.dumps({**_WALK_CONFIG, "out": 3}),
+    "config-missing": None,
+    "config-not-an-object": "[2, 1, 0.5]",
+    "config-no-experiment": json.dumps({k: v for k, v in _WALK_CONFIG.items() if k != "experiment"}),
+    "config-unknown-experiment": json.dumps({**_WALK_CONFIG, "experiment": "bogus"}),
+    "config-unknown-format": json.dumps({**_WALK_CONFIG, "format": "xml"}),
+}
 
 
 @pytest.mark.parametrize("args", [
@@ -331,19 +340,31 @@ BAD_CONFIGS = {"config-n-string": {"n": "10"}, "config-out-true": {"out": True},
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 fcs-position --n 2",
     # the Bloch reach 4/F is inf: the closed form, the oracle and the bound would be NaN or inf
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
+    # n tau = 1e309 overflows before the time grid is built
+    "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 single-atom --n 10",
+    # the output path is a directory
+    f"{FLAGS} rate --n 2 --out {{tmp}}",
     *BAD_CONFIGS,
 ])
 def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
     if args in BAD_CONFIGS:
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1,
-                                    "experiment": "walk", **BAD_CONFIGS[args]}))
+        if BAD_CONFIGS[args] is not None:
+            path.write_text(BAD_CONFIGS[args])
         argv = ["--config", str(path)]
     else:
-        argv = args.split()
+        argv = args.format(tmp=tmp_path).split()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_channel_evolve_refuses_past_its_step_budget(capsys):
+    # the O(n^2) convolution is refused before any step is taken
+    assert cli.main(f"{FLAGS} channel-evolve --n {cli.MAX_EVOLVE_STEPS + 1}".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"n <= {cli.MAX_EVOLVE_STEPS}" in err and "O(n)" in err
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from starkwalk import (
     NumericsError,
     ParticleDensityMatrix,
     ReservoirConfig,
+    WindowError,
     apply_channel,
     bessel_halfwidth,
     bessel_j_array,
@@ -225,10 +225,9 @@ def test_energy_walk_law_is_the_walk_law(params, window, M, n):
     # the reservoir counts the walk's own increments: law[dk, dm] = delta P_n(-dk)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     law = run_energy_fcs(ReservoirConfig(params=params, M=M, n=n, window=window), rho).walk_law()
-    exact = walk_pmf_exact(n, params).pmf
-    normal = exact >= sys.float_info.min
-    assert law.n == n and law.pmf.size == exact.size
-    assert np.max(np.abs(law.pmf[normal] / exact[normal] - 1.0)) <= TOL.walk_law_rel
+    exact = walk_pmf_exact(n, params)
+    assert law.n == n and law.first == exact.first and law.pmf.size == exact.pmf.size
+    assert law.oracle_gap(exact) <= TOL.walk_law_rel
 
 
 def test_energy_fcs_dephasing_automatic(params, cfg, window):
@@ -246,6 +245,24 @@ def test_energy_fcs_refuses_a_state_without_weight(cfg, window):
     empty = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
     with pytest.raises(ConfigError, match="trace"):
         run_energy_fcs(cfg, empty)
+
+
+_P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+
+
+@pytest.mark.parametrize("refuse,message", [
+    pytest.param(lambda: run_energy_fcs(
+        ReservoirConfig(params=_P, M=2, n=2, window=LatticeWindow(-8, 7, -8, 7)),
+        ParticleDensityMatrix.eigenstate(LatticeWindow(-9, 8, -9, 8), 0)),
+        "rho_p window differs", id="energy-fcs-state-on-another-window"),
+    # 30 steps spread the deformed weights past a 40-site x-window
+    pytest.param(lambda: position_cgf_oracle(
+        30, 0.5, ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -20, 19), 0), _P),
+        "leaked .* past the x-window", id="position-cgf-oracle-leak"),
+])
+def test_a_state_the_window_cannot_hold_is_a_window_error(refuse, message):
+    with pytest.raises(WindowError, match=message):
+        refuse()
 
 
 def test_total_energy_rate_and_conservation(params, window):
@@ -372,7 +389,7 @@ def test_position_fcs_zero_steps(params):
     rho = ParticleDensityMatrix.eigenstate(small, 0)
     dist = run_position_fcs(0, rho, params, method="reduced")
     center = np.searchsorted(dist.dx, 0)
-    assert abs(dist.probs[center] - 1.0) <= 1e-12
+    assert abs(dist.pmf[center] - 1.0) <= 1e-12
 
 
 def test_position_fcs_matrix_equals_reduction(params):
@@ -382,8 +399,8 @@ def test_position_fcs_matrix_equals_reduction(params):
     a = run_position_fcs(n, rho, params, method="matrix")
     b = run_position_fcs(n, rho, params, method="reduced")
     lo, hi = max(a.dx[0], b.dx[0]), min(a.dx[-1], b.dx[-1])
-    pa = a.probs[(a.dx >= lo) & (a.dx <= hi)]
-    pb = b.probs[(b.dx >= lo) & (b.dx <= hi)]
+    pa = a.pmf[(a.dx >= lo) & (a.dx <= hi)]
+    pb = b.pmf[(b.dx >= lo) & (b.dx <= hi)]
     assert np.max(np.abs(pa - pb)) <= 1e-12
 
 
@@ -397,7 +414,7 @@ def test_position_fcs_state_independent(params):
     a = run_position_fcs(n, ParticleDensityMatrix(window, mix), params, method="matrix")
     b = run_position_fcs(n, ParticleDensityMatrix.position_state(window, 0, params.F),
                          params, method="matrix")
-    assert np.max(np.abs(a.probs - b.probs)) <= 1e-12
+    assert np.max(np.abs(a.pmf - b.pmf)) <= 1e-12
 
 
 def test_position_fcs_mean_is_drift(params):
@@ -405,7 +422,7 @@ def test_position_fcs_mean_is_drift(params):
     tc = transport_coefficients(params)
     dist = run_position_fcs(n, ParticleDensityMatrix.eigenstate(
         LatticeWindow(-8, 7, -8, 7), 0), params, method="reduced")
-    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    assert abs(dist.pmf.sum() - 1.0) <= 1e-12
     # the symmetric Bloch kernel leaves the drift untouched ...
     assert abs(dist.mean() / (n * params.tau) - tc.v_d) <= 1e-10
     # ... and adds its own bounded spread to the walk variance
@@ -435,7 +452,7 @@ def test_position_fcs_crop_is_the_whole_convolution(n):
         dist = run_position_fcs(n, rho, params, method="reduced")
         d, kernel = free_kernel(n * params.tau, params)
         whole = np.convolve(walk_pmf_exact(n, params).pmf, kernel)
-        assert np.array_equal(dist.probs, whole)
+        assert np.array_equal(dist.pmf, whole)
         assert np.array_equal(dist.dx, np.arange(-n + d[0], n + d[-1] + 1))
 
 

@@ -87,4 +87,4 @@ def test_closed_forms_hold_or_refuse(raw, alpha, eta, x, n):
     if params.p < 1.0:
         _rate_invariants(params, x)
     # the walk law may not refuse: it equals the n-fold convolution
-    assert_law_matches_oracle(walk_pmf_exact(n, params).pmf, walk_pmf_oracle(n, params).pmf)
+    assert_law_matches_oracle(walk_pmf_exact(n, params), walk_pmf_oracle(n, params))

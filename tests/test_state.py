@@ -69,6 +69,8 @@ def test_window_bookkeeping(window):
     assert window.k_index(window.k_min) == 0
     with pytest.raises(WindowError):
         window.k_index(window.k_max + 1)
+    with pytest.raises(WindowError, match="outside window"):
+        window.x_index(window.x_min - 1)
 
 
 @pytest.mark.parametrize("F", [0.1, 0.05])
@@ -240,6 +242,36 @@ def test_every_window_edge_refusal_is_the_one_message():
 _W = LatticeWindow(-2, 2, -4, 4)
 _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
 _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
+# an int past the double range, which float() cannot hold: each real argument it reaches
+_HUGE = 10**400
+_HUGE_REALS = {
+    "model-params": lambda: ModelParams(E=_HUGE, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+    "log-theta": lambda: log_theta(_HUGE, _P),
+    "deformed-weights": lambda: deformed_weights(_HUGE, _P),
+    "scgf": lambda: scgf(_HUGE, _P),
+    "rate": lambda: rate_function(_HUGE, _P),
+    "rate-numeric": lambda: rate_function_numeric(_HUGE, _P),
+    "rate-entropy": lambda: rate_function_entropy(_HUGE, _P),
+    "energy-cgf": lambda: energy_cgf(2, _HUGE, _P),
+    "position-cgf": lambda: position_cgf(2, _HUGE, _P),
+    "free-kernel": lambda: free_kernel(_HUGE, _P),
+    "free-evolve": lambda: free_evolve(_RHO, _HUGE, _P),
+    "bessel-table": lambda: bessel_table(_HUGE, 3),
+    "bessel-j-array": lambda: bessel_j_array(_HUGE, 3),
+    "bessel-halfwidth": lambda: bessel_halfwidth(_HUGE),
+    "bloch-coefficients": lambda: bloch_coefficients(_HUGE, 1.0),
+    "position-operator": lambda: position_operator(_W, _HUGE),
+    "dynamics-window": lambda: LatticeWindow.for_dynamics(0, 0, 1, F=_HUGE),
+    "transform-matrix": lambda: transform_matrix(_W, _HUGE),
+    "atom-power": lambda: AtomGibbs.from_params(_P).power(_HUGE),
+    "adjoint-apply": lambda: adjoint_apply(np.eye(16), _RHO.window, _HUGE, _P),
+    "environment-map": lambda: environment_reduced_map(
+        ReservoirConfig(params=_P, M=1, n=1, window=_RHO.window), np.eye(16), _HUGE),
+    "walk-law-mgf": lambda: walk_pmf_exact(3, _P).mgf(_HUGE),
+    "position-log-mgf": lambda: run_position_fcs(3, _RHO, _P).log_mgf(_HUGE),
+    "ft-log-ratio": lambda: run_position_fcs(3, _RHO, _P).ft_log_ratio(_HUGE, 0.1, 1.0),
+    "window-probability": lambda: run_position_fcs(3, _RHO, _P).window_probability(_HUGE, 1.0),
+}
 
 
 @pytest.mark.parametrize("build,message", [
@@ -252,6 +284,10 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
                  "diagonal weight vector", id="diagonal-shape"),
     pytest.param(lambda: ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0).check_density(),
                  "trace", id="trace"),
+    pytest.param(lambda: ParticleDensityMatrix(_W, np.triu(np.ones((5, 5))) / 5.0).check_density(),
+                 "not Hermitian", id="density-non-hermitian"),
+    pytest.param(lambda: ParticleDensityMatrix(_W, np.diag([1.5, -0.5, 0.0, 0.0, 0.0]))
+                 .check_density(), "not PSD", id="density-not-psd"),
     pytest.param(lambda: bessel_j_array(-1.0, 3), "finite z >= 0", id="bessel-negative-z"),
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
@@ -396,6 +432,15 @@ _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
                  id="apply-channel-list-with-none"),
     pytest.param(lambda: bloch_coefficients("a", 1.0), "got t = 'a'",
                  id="bloch-string-time"),
+    pytest.param(lambda: run_position_fcs(2, _RHO, _P, method="nope"), "unknown method 'nope'",
+                 id="position-fcs-unknown-method"),
+    pytest.param(lambda: walk_pmf_exact(3, _P).oracle_gap(walk_pmf_exact(2, _P)),
+                 "must weigh the same sites", id="oracle-gap-other-sites"),
+    pytest.param(lambda: rate_function_entropy(0.1, ModelParams(E=0.0, F=1.0, lam=0.5, tau=1.0,
+                                                                beta=1.0)),
+                 "needs beta E > 0", id="rate-entropy-zero-beta-E"),
+    *[pytest.param(build, "must lie in the double range", id=f"{name}-10**400")
+      for name, build in _HUGE_REALS.items()],
 ])
 def test_bad_arguments_raise_config_error(build, message):
     with pytest.raises(ConfigError) as refused:
@@ -423,5 +468,5 @@ def test_numpy_integer_counts_are_accepted():
     assert np.array_equal(bessel_j_array(2.0, three), bessel_j_array(2.0, 3))
     assert energy_cgf(three, 0.5, _P) == energy_cgf(3, 0.5, _P)
     assert position_cgf(three, 0.5, _P) == position_cgf(3, 0.5, _P)
-    assert np.array_equal(run_position_fcs(three, _RHO, _P).probs,
-                          run_position_fcs(3, _RHO, _P).probs)
+    assert np.array_equal(run_position_fcs(three, _RHO, _P).pmf,
+                          run_position_fcs(3, _RHO, _P).pmf)

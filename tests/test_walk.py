@@ -153,17 +153,17 @@ POWERING_PARAMS = {
 @pytest.mark.parametrize("params", POWERING_PARAMS.values(), ids=POWERING_PARAMS.keys())
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 50, 2000])
 def test_powering_oracle_matches_sequential_convolution(params, n):
-    pmf, oracle = walk_pmf_oracle(n, params).pmf, sequential_walk_law(n, params)
-    assert pmf.shape == oracle.shape == (2 * n + 1,)
-    assert_law_matches_oracle(pmf, oracle)
+    law, oracle = walk_pmf_oracle(n, params), sequential_walk_law(n, params)
+    assert law.pmf.shape == oracle.pmf.shape == (2 * n + 1,)
+    assert_law_matches_oracle(law, oracle)
 
 
 @pytest.mark.parametrize("params", LAW_PARAMS.values(), ids=LAW_PARAMS.keys())
 def test_law_matches_convolution_oracle(params):
     for n in (0, 1, 2, 50, 200, 2000):
-        pmf, oracle = walk_pmf_exact(n, params).pmf, walk_pmf_oracle(n, params).pmf
-        assert pmf.shape == oracle.shape == (2 * n + 1,)
-        assert_law_matches_oracle(pmf, oracle)
+        law, oracle = walk_pmf_exact(n, params), walk_pmf_oracle(n, params)
+        assert law.pmf.shape == oracle.pmf.shape == (2 * n + 1,)
+        assert_law_matches_oracle(law, oracle)
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 2000])
@@ -246,8 +246,8 @@ def test_law_at_n_100000_mass_and_moments():
     tc = transport_coefficients(params)
     law = walk_pmf_exact(n, params)
     assert abs(math.fsum(law.pmf) - 1.0) <= 1e-14
-    mean = math.fsum(law.support * law.pmf)
-    var = math.fsum((law.support - mean) ** 2 * law.pmf)    # two passes
+    mean = math.fsum(law.dx * law.pmf)
+    var = math.fsum((law.dx - mean) ** 2 * law.pmf)    # two passes
     assert math.isclose(mean, n * tc.v_d * params.tau, rel_tol=TOL.walk_moments_rel)
     assert math.isclose(var, n * 2.0 * tc.D * params.tau, rel_tol=TOL.walk_moments_rel)
 
@@ -362,6 +362,14 @@ def test_rate_function_properties(params):
     assert rate_function(-1.0001, params) == math.inf
 
 
+def test_closed_form_rate_at_p_one_refuses_inside_the_interval():
+    # p = 1 never stays put: only the ends x = +-1 have a closed form
+    locked = LAW_PARAMS["p-one"]
+    assert rate_function(1.0, locked) == -log_step_kernel(locked)[2]
+    with pytest.raises(NumericsError, match="needs p < 1"):
+        rate_function(0.5, locked)
+
+
 def test_rate_function_boundary_limits(params):
     kt = kraus_weights(params)
     assert abs(rate_function(1.0, params) + math.log(kt.p_plus)) <= 1e-12
@@ -464,6 +472,16 @@ def test_rate_oracle_refuses_a_bracket_past_a_double_without_a_warning():
             rate_function_numeric(np.array([0.0, 0.5]), frozen)
 
 
+@pytest.mark.parametrize("x", [2.514876900612406e-37, 1.6480220197333004e-91, 5e-324, -1e-20])
+@pytest.mark.parametrize("E,beta", [(0.0, 1.0), (2.0, 0.0)])
+def test_rate_oracle_at_a_tiny_x_and_beta_E_zero(E, beta, x):
+    # e' = q_+ - q_- cancels to 0 near eta = 0: Newton stops once e' - x is within
+    # its rounding, instead of creeping by x / e'' for 200 steps and refusing
+    params = ModelParams(E=E, F=1.0, lam=1.0, tau=1.0, beta=beta)
+    assert math.isclose(rate_function_numeric(x, params), rate_function(x, params),
+                        rel_tol=TOL.rate_match, abs_tol=TOL.rate_match)
+
+
 def test_rate_oracle_refuses_an_array_entry_outside_the_open_interval():
     with pytest.raises(ConfigError, match="strictly inside"):
         rate_function_numeric(np.array([0.0, 1.0]), CHECK_PARAMS)
@@ -507,6 +525,13 @@ def test_moment_generating_function_past_a_double_is_numerics_error(fn, eta):
     # the value overflows a double or is inf * 0: refused, not a numpy warning
     with pytest.raises(NumericsError, match="not a finite double"):
         fn(eta)
+
+
+@pytest.mark.parametrize("eta", [3, 2**62, -2**63, 2**63])
+@pytest.mark.parametrize("law", [_WALK_LAW, _POSITION_FCS], ids=["walk", "position"])
+def test_an_integer_eta_is_taken_as_its_float(law, eta):
+    # an int eta times the int64 sites would wrap (2**62 * 3) or refuse to convert (2**63)
+    assert law.log_mgf(eta) == law.log_mgf(float(eta))
 
 
 def test_walk_mgf_skips_the_underflowed_tail():
@@ -610,10 +635,12 @@ def test_walk_law_refuses_where_its_log_ratios_overflow():
     law = walk_pmf_exact(3, at(5e306)).pmf
     assert np.all(law[:3] == 0.0) and abs(law.sum() - 1.0) <= 1e-15
     assert np.array_equal(walk_log_pmf(3, at(5e306))[:3], [-3e307, -2e307, -1e307])
-    for beta in (5e307, 1e308):
+    # p = 1 takes the binomial ratios, whose log-weight term beta E overflows as well
+    locked = ModelParams(E=1.0, F=1.0, lam=math.pi / 2, tau=1.0, beta=1e308)
+    for params in (at(5e307), at(1e308), locked):
         for route in (walk_pmf_exact, walk_log_pmf):
             with pytest.raises(NumericsError, match="log ratios overflow"):
-                route(3, at(beta))
+                route(3, params)
 
 
 def _full_recurrence_law(n, params):
