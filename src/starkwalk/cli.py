@@ -36,7 +36,8 @@ from .singleatom import (
 from .state import LatticeWindow, ParticleDensityMatrix
 from .verify import run_all
 from .walk import (
-    rate_function,
+    _rate,
+    log_step_kernel,
     rate_function_numeric,
     sample_walk,
     walk_pmf_exact,
@@ -248,9 +249,11 @@ def _exp_walk(cfg: RunConfig) -> ResultTable:
 def _exp_rate(cfg: RunConfig) -> ResultTable:
     xs = np.linspace(-0.999, 0.999, cfg.n + 1)
     numeric = rate_function_numeric(xs, cfg.params).tolist()
+    # `rate_function` on each finite x, with the log kernel read once
+    log_k, be = log_step_kernel(cfg.params).tolist(), cfg.params.beta * cfg.params.E
     rows = []
     for x, m in zip(xs.tolist(), numeric):
-        closed = rate_function(x, cfg.params)
+        closed = _rate(x, log_k, be)
         rows.append([x, closed, m, abs(closed - m)])
     return ResultTable(["x", "rate_closed", "rate_numeric", "abs_diff"], rows)
 

@@ -38,7 +38,7 @@ class ModelParams:
             value = getattr(self, name)
             _require_real(value, name)
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite real number, got {_echo(value)}")
         if not self.F > 0.0:
             raise ConfigError(
                 "F must be > 0: the untilted (F=0) band has continuous "
@@ -91,11 +91,49 @@ class ModelParams:
         return (self.sin2theta * math.sin(half_turn)) ** 2
 
 
+# a refusal echoes an int of more digits than this by its length, and any other
+# value whose repr is longer than _ECHO_CHARS by its type and size
+_ECHO_DIGITS = 30
+_ECHO_CHARS = 120
+
+
+def _int_digits(value: int) -> int:
+    """The number of decimal digits of |value|, without converting it to a string
+    (past 4300 digits Python refuses that conversion)."""
+    value = abs(value)
+    digits = max(1, int((value.bit_length() - 1) * math.log10(2.0)) + 1)
+    if value >= 10 ** digits:
+        return digits + 1
+    return digits - 1 if digits > 1 and value < 10 ** (digits - 1) else digits
+
+
+def _echo(value) -> str:
+    """A bounded description of an argument for a refusal: its repr where that is
+    short; "an int of N digits" for an integer past `_ECHO_DIGITS` digits; else
+    its type and size.  Never the str() of an int past Python's digit limit,
+    which would turn the refusal itself into a bare ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        digits = _int_digits(int(value))
+        if digits > _ECHO_DIGITS:
+            return f"an int of {digits} digits"
+    try:
+        text = repr(value)
+    except ValueError:          # a container holding an int past the digit limit
+        text = None
+    if text is not None and len(text) <= _ECHO_CHARS:
+        return text
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape}"
+    if hasattr(value, "__len__"):
+        return f"a {type(value).__name__} of length {len(value)}"
+    return f"a value of type {type(value).__name__}"
+
+
 def _require_real(value, name: str) -> float:
     """float(value); ConfigError unless value is a real number (a `numbers.Real`; NaN
     and inf pass) within the double range: an int past 2^1024 is refused."""
     if not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {name} = {value!r}")
+        raise ConfigError(f"{name} must be a real number, got {name} = {_echo(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -114,7 +152,7 @@ def _require_reals(value, name: str) -> np.ndarray:
         values = None
     if values is None:
         raise ConfigError(f"{name} must be a real number or a 1-D array of them, "
-                          f"got {name} = {value!r}")
+                          f"got {name} = {_echo(value)}")
     if values.ndim > 1:
         raise ConfigError(f"{name} of shape {values.shape}: expected a real number "
                           "or a 1-D array of them")
@@ -127,7 +165,7 @@ def _require_integer(value, name: str, low: int | None = None) -> int:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or low is not None and value < low):
         floor = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
+        raise ConfigError(f"{name} must be an integer{floor}, got {_echo(value)}")
     return int(value)
 
 
@@ -156,7 +194,7 @@ def _require_tilt(F: float) -> None:
     """ConfigError unless the tilt F is a finite real number > 0."""
     _require_real(F, "F")
     if not 0.0 < F < math.inf:
-        raise ConfigError(f"the tilt F must be finite and > 0, got F = {F!r}")
+        raise ConfigError(f"the tilt F must be finite and > 0, got F = {_echo(F)}")
 
 
 def _require_phase(t, *energies) -> None:
@@ -172,7 +210,7 @@ def _require_phase(t, *energies) -> None:
         span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
     except TypeError:
         raise ConfigError(f"time t must be a real number or an array of them, "
-                          f"got t = {t!r}") from None
+                          f"got t = {_echo(t)}") from None
     except OverflowError:
         raise ConfigError("time t must lie in the double range, |t| < 2^1024") from None
     top = max(float(np.abs(e).max()) for e in energies)

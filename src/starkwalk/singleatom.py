@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_phase, _require_real, _require_reals
+from .params import ModelParams, _echo, _require_phase, _require_real, _require_reals
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
@@ -137,7 +137,7 @@ def _times(t) -> np.ndarray:
     """t as a float array of at most one axis; a time that is not finite is refused."""
     ts = _require_reals(t, "t")
     if not np.all(np.isfinite(ts)):
-        raise ConfigError(f"evolution time must be finite, got {t!r}")
+        raise ConfigError(f"evolution time must be finite, got {_echo(t)}")
     return ts
 
 
@@ -187,9 +187,9 @@ def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
     Every sector is e^{-it(E_k + (E - F)/2)} R diag(e^{it omega0/2}, e^{-it omega0/2}) R^T,
     with R the real rotation by the mixing angle onto the dressed states
     (cos|k,g> - sin|k+1,e>, sin|k,g> + cos|k+1,e>); the two unpaired edge
-    states take their bare phases.
+    states take their bare phases.  t is one real time: the result is one matrix.
     """
-    return _scatter(*_closed_blocks(t, params, window))
+    return _scatter(*_closed_blocks(_require_real(t, "t"), params, window))
 
 
 def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
@@ -197,8 +197,9 @@ def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
 
     A block mu + [[delta, lam], [lam, -delta]] exponentiates to
     e^{-it mu} (cos(rt) - i sin(rt) [[delta, lam], [lam, -delta]] / r), r = hypot(delta, lam).
+    t is one real time: the result is one matrix.
     """
-    return _scatter(*_oracle_blocks(t, params, window))
+    return _scatter(*_oracle_blocks(_require_real(t, "t"), params, window))
 
 
 def _apply_rows(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -18,7 +18,14 @@ import numpy as np
 from .bessel import bessel_halfwidth, bessel_table
 from .config import TOL
 from .errors import ConfigError, NumericsError, WindowError
-from .params import ModelParams, _require_integer, _require_phase, _require_real, _require_tilt
+from .params import (
+    ModelParams,
+    _require_integer,
+    _require_phase,
+    _require_real,
+    _require_reals,
+    _require_tilt,
+)
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,11 @@ class LatticeWindow:
         Each kick moves eigenbasis support by at most one site, so
         [k_lo - steps - margin, k_hi + steps + margin] keeps the support
         strictly interior; the position range pads further by the spread
-        of the Bessel profile.
+        of the Bessel profile.  Each bound, `steps` (>= 0) and `margin` (>= 0)
+        is an integer, refused under its own name.
         """
+        k_lo, k_hi = _require_integer(k_lo, "k_lo"), _require_integer(k_hi, "k_hi")
+        steps, margin = _require_integer(steps, "steps", 0), _require_integer(margin, "margin", 0)
         _require_tilt(F)
         x_pad = bessel_halfwidth(2.0 / F) + 8
         k_min = k_lo - steps - margin
@@ -125,11 +135,11 @@ class BlochCoefficients(NamedTuple):
 def bloch_coefficients(t: float | np.ndarray, F: float) -> BlochCoefficients:
     """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2).
 
-    t is a float (complex coefficients) or an array of times (arrays).
+    t is a real number (complex coefficients) or a 1-D array of times (arrays).
     """
     reach = _bloch_reach(F)
+    t = _require_reals(t, "t")
     _require_phase(t, F)
-    t = np.asarray(t, dtype=float)
     amp = reach * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
     c_plus = amp * np.exp(1j * phase) / 2j

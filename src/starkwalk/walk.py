@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import kraus_weights, log_theta
-from .errors import ConfigError, NumericsError
-from .params import ModelParams, _require_count, _require_real, _require_reals
+from .errors import BudgetError, ConfigError, NumericsError
+from .params import ModelParams, _echo, _require_count, _require_real, _require_reals
 
 
 @dataclass(frozen=True)
@@ -481,9 +481,23 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     return _place(n, sites, rel - math.log(_law_sum(np.exp(rel))), -math.inf)
 
 
+# trials per `rng.multinomial` call: the sampler holds one chunk of step counts at a time
+SAMPLE_CHUNK = 1 << 13
+# draws run at ~0.2 us a trial (BTPE), so this many take a few minutes
+MAX_TRIALS = 10**9
+# sites of the running tally of S_n (8 bytes each), refused before it is allocated
+MAX_TALLY_SITES = 1 << 22
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class WalkSample:
-    """Empirical summary of sampled walks: bit-reproducible for a fixed seed."""
+    """Empirical summary of sampled walks: bit-reproducible for a fixed seed.
+
+    `values` are the sampled S_n in ascending order and `counts` their
+    multiplicities; the chunked draws of `sample_walk` give the same arrays,
+    bit for bit, as one `rng.multinomial` call over all trials.
+    """
 
     n: int
     trials: int
@@ -501,16 +515,43 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSamp
     Generator: numpy Philox (counter-based) seeded with `seed`, so output is
     bit-identical across platforms for a fixed seed.  Each walk is reduced
     to its step counts (N_-, N_0, N_+), a sufficient statistic for
-    S_n = N_+ - N_-.
+    S_n = N_+ - N_-.  The counts are drawn `SAMPLE_CHUNK` trials per call and
+    each chunk's S_n is tallied at once into a count over the sites seen so
+    far: numpy draws each trial's binomials in order within a call, so the
+    chunks consume the stream of one call over all trials, bit for bit, and
+    memory is O(SAMPLE_CHUNK + tally span), independent of `trials`.
+
+    Refused before any draw: n past numpy's int64 range (ConfigError) and
+    trials past `MAX_TRIALS` (BudgetError).  A tally wider than
+    `MAX_TALLY_SITES` is refused (BudgetError) before it is allocated.
     """
     n, trials = _require_count(n, "n"), _require_count(trials, "trials", 1)
     seed = _require_count(seed, "seed")
+    if n > _INT64_MAX:
+        raise ConfigError(f"n = {_echo(n)} is past numpy's int64 range, n <= 2^63 - 1")
+    if trials > MAX_TRIALS:
+        raise BudgetError(f"trials = {_echo(trials)} is past the sample budget of "
+                          f"{MAX_TRIALS} trials")
+    weights = kraus_weights(params).as_array()
     rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(n, kraus_weights(params).as_array(), size=trials)
-    s = counts[:, 2] - counts[:, 0]
-    # a tally over the sampled range (no sort), nonzero bins in ascending order
-    lo = s.min()
-    tally = np.bincount(s - lo)
+    # tally[j] counts S_n = lo + j over the sites seen so far
+    lo, tally = 0, np.zeros(0, dtype=np.intp)
+    for done in range(0, trials, SAMPLE_CHUNK):
+        steps = rng.multinomial(n, weights, size=min(SAMPLE_CHUNK, trials - done))
+        s = steps[:, 2] - steps[:, 0]
+        s_lo, s_hi = int(s.min()), int(s.max())
+        span_lo, span_hi = s_lo, s_hi
+        if tally.size:
+            span_lo, span_hi = min(span_lo, lo), max(span_hi, lo + tally.size - 1)
+        if span_hi - span_lo >= MAX_TALLY_SITES:
+            raise BudgetError(f"the sampled S_n span {span_hi - span_lo + 1} sites, past the "
+                              f"tally budget of {MAX_TALLY_SITES} sites")
+        if span_hi - span_lo + 1 > tally.size:
+            grown = np.zeros(span_hi - span_lo + 1, dtype=np.intp)
+            grown[lo - span_lo:lo - span_lo + tally.size] = tally
+            lo, tally = span_lo, grown
+        tally[s_lo - lo:s_hi - lo + 1] += np.bincount(s - s_lo)
+    # nonzero bins in ascending order
     seen = np.flatnonzero(tally)
     return WalkSample(n=n, trials=trials, seed=seed, values=seen + lo, counts=tally[seen])
 

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's own code paths:
 Bessel values come from the power series evaluated in 50-digit
 arithmetic, propagators from scipy's expm on a directly assembled
-Hamiltonian, walk expectations from explicit enumeration, and the walk
-law from n sequential convolutions of the step law.
+Hamiltonian, walk expectations from explicit enumeration, the walk
+law from n sequential convolutions of the step law, and the sampled walk
+tally from one `rng.multinomial` call over all trials.
 """
 import sys
 
@@ -151,3 +152,17 @@ def sequential_walk_law(n: int, params: ModelParams) -> LatticeLaw:
     for _ in range(n):
         pmf = np.convolve(pmf, kernel)
     return LatticeLaw(n=n, first=-n, pmf=pmf)
+
+
+def one_call_walk_tally(n: int, trials: int, seed: int,
+                        params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts) of S_n over `trials` walks from one `rng.multinomial` call and a
+    `bincount` over the sampled range, O(trials) memory: the oracle of the streamed
+    `sample_walk`, which draws the same Philox stream in chunks."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    steps = rng.multinomial(n, kraus_weights(params).as_array(), size=trials)
+    s = steps[:, 2] - steps[:, 0]
+    lo = s.min()
+    tally = np.bincount(s - lo)
+    seen = np.flatnonzero(tally)
+    return seen + lo, tally[seen]

@@ -36,6 +36,7 @@ from starkwalk.cli import (
     write_output,
 )
 from starkwalk.verify import CheckResult
+from starkwalk.walk import MAX_TRIALS
 
 
 def test_parse_full_flag_line():
@@ -365,6 +366,14 @@ def test_channel_evolve_refuses_past_its_step_budget(capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ") and f"n <= {cli.MAX_EVOLVE_STEPS}" in err and "O(n)" in err
+
+
+def test_walk_refuses_past_its_sample_budget(capsys):
+    # the trial count is refused before any walk is drawn
+    assert cli.main(f"{FLAGS} walk --trials {MAX_TRIALS + 1}".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"budget of {MAX_TRIALS} trials" in err
 
 
 @pytest.mark.parametrize("args", [

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from starkwalk import ConfigError, ModelParams, NumericsError
+from starkwalk.params import _echo, _int_digits
 
 
 def test_reference_point_derived_scalars(params):
@@ -85,3 +87,14 @@ def test_overflowing_rabi_frequency_is_refused_by_every_angle():
     for name in ("omega0", "cos2theta", "sin2theta", "p"):
         with pytest.raises(NumericsError, match="overflows"):
             getattr(params, name)
+
+
+def test_refusals_echo_a_bounded_description():
+    # the digit count of an int, exact on both sides of each power of ten, with no str()
+    assert all(_int_digits(v) == len(str(abs(v)))
+               for k in range(400) for v in (10**k - 1, 10**k, -(10**k)) if v)
+    assert _echo(-(10**5000)) == "an int of 5001 digits"
+    assert _echo(10**30 - 1) == repr(10**30 - 1) and _echo(2.5) == "2.5"
+    assert _echo([10**5000]) == "a list of length 1"
+    assert _echo(np.zeros(1000)) == "an array of shape (1000,)"
+    assert _echo("a" * 500) == "a str of length 500"

@@ -22,6 +22,7 @@ from starkwalk import (
     bessel_table,
     bloch_coefficients,
     channel_oracle,
+    closed_unitary,
     deformed_weights,
     energy_cgf,
     environment_reduced_map,
@@ -29,6 +30,7 @@ from starkwalk import (
     free_evolve,
     free_kernel,
     log_theta,
+    oracle_unitary,
     position_cgf,
     position_cgf_oracle,
     position_distribution,
@@ -441,6 +443,38 @@ _HUGE_REALS = {
                  "needs beta E > 0", id="rate-entropy-zero-beta-E"),
     *[pytest.param(build, "must lie in the double range", id=f"{name}-10**400")
       for name, build in _HUGE_REALS.items()],
+    # an int past Python's 4300-digit string limit is echoed by its length, not its digits
+    pytest.param(lambda: rate_function_numeric([10**5000], _P), "got x = a list of length 1",
+                 id="rate-numeric-list-with-5001-digit-int"),
+    pytest.param(lambda: sample_walk(-10**5000, 1, 0, _P),
+                 "n must be an integer >= 0, got an int of 5001 digits",
+                 id="sample-5001-digit-negative-n"),
+    # each window argument is refused under its own name
+    pytest.param(lambda: LatticeWindow.for_dynamics("a", 0, 3, 1.0),
+                 "k_lo must be an integer, got 'a'", id="dynamics-window-string-k-lo"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, "a", 3, 1.0),
+                 "k_hi must be an integer, got 'a'", id="dynamics-window-string-k-hi"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, "a", 1.0),
+                 "steps must be an integer >= 0, got 'a'", id="dynamics-window-string-steps"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, -1, 1.0),
+                 "steps must be an integer >= 0, got -1", id="dynamics-window-negative-steps"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 3, 1.0, margin=2.5),
+                 "margin must be an integer >= 0, got 2.5", id="dynamics-window-fractional-margin"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 3, 1.0, margin=-1),
+                 "margin must be an integer >= 0, got -1", id="dynamics-window-negative-margin"),
+    # the two unitaries take one real time and return one matrix
+    pytest.param(lambda: closed_unitary(1j, _P, _W), "t must be a real number, got t = 1j",
+                 id="closed-unitary-complex-time"),
+    pytest.param(lambda: oracle_unitary(1j, _P, _W), "t must be a real number, got t = 1j",
+                 id="oracle-unitary-complex-time"),
+    pytest.param(lambda: closed_unitary([1.0, 2.0], _P, _W), "got t = [1.0, 2.0]",
+                 id="closed-unitary-list-time"),
+    pytest.param(lambda: oracle_unitary([1.0, 2.0], _P, _W), "got t = [1.0, 2.0]",
+                 id="oracle-unitary-list-time"),
+    # the Bloch coefficients take a real number or a 1-D array of them
+    pytest.param(lambda: bloch_coefficients(1j, 1.0), "got t = 1j", id="bloch-complex-time"),
+    pytest.param(lambda: bloch_coefficients(np.zeros((2, 2)), 1.0), "t of shape (2, 2)",
+                 id="bloch-2d-time"),
 ])
 def test_bad_arguments_raise_config_error(build, message):
     with pytest.raises(ConfigError) as refused:

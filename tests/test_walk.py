@@ -1,5 +1,8 @@
 import math
+import re
 import sys
+import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -8,6 +11,7 @@ import pytest
 
 from starkwalk import (
     TOL,
+    BudgetError,
     ConfigError,
     LatticeWindow,
     ModelParams,
@@ -36,6 +40,8 @@ from starkwalk import (
 from starkwalk.verify import CHECK_PARAMS
 from starkwalk.walk import (
     _FSUM_CHUNK,
+    MAX_TRIALS,
+    SAMPLE_CHUNK,
     _fsum,
     _law_sum,
     _live_span,
@@ -47,7 +53,7 @@ from starkwalk.walk import (
     log_step_kernel,
 )
 
-from conftest import assert_law_matches_oracle, sequential_walk_law
+from conftest import assert_law_matches_oracle, one_call_walk_tally, sequential_walk_law
 
 walk_module = sys.modules["starkwalk.walk"]
 
@@ -293,6 +299,70 @@ def test_sampling_symmetric_mean():
     s = sample_walk(n, trials, seed=5, params=p)
     sigma = math.sqrt(2.0 * tc.D * n * p.tau / trials)
     assert abs(s.mean()) <= 4.0 * sigma
+
+
+# p = 0 (lam = 0: the walk never moves) and p = 1.0 exactly (no pause step)
+_SAMPLE_PARAMS = {
+    "check": CHECK_PARAMS,
+    "frozen": ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0),
+    "locked": ModelParams(E=1.0, F=1.0, lam=math.pi / 2, tau=1.0, beta=1.0),
+}
+
+
+def test_sample_parameter_corners_are_exact():
+    assert _SAMPLE_PARAMS["frozen"].p == 0.0 and _SAMPLE_PARAMS["locked"].p == 1.0
+
+
+@pytest.mark.parametrize("key", list(_SAMPLE_PARAMS))
+@pytest.mark.parametrize("n", [0, 1, 50, 10_000])
+@pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
+                                    3 * SAMPLE_CHUNK + 5])
+def test_streamed_sample_is_the_one_call_tally(key, n, trials):
+    # chunked draws read the one-call Philox stream: values and counts bit-equal
+    params = _SAMPLE_PARAMS[key]
+    sample = sample_walk(n, trials, seed=trials + n, params=params)
+    values, counts = one_call_walk_tally(n, trials, trials + n, params)
+    assert np.array_equal(sample.values, values) and sample.values.dtype == values.dtype
+    assert np.array_equal(sample.counts, counts) and sample.counts.dtype == counts.dtype
+    assert int(sample.counts.sum()) == trials
+
+
+def test_sample_memory_is_independent_of_trials():
+    # one chunk of step counts and the tally span are held, not the 10^6 x 3 draws
+    tracemalloc.start()
+    try:
+        sample_walk(10_000, 10**6, 7, CHECK_PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("n, trials, error, limit", [
+    (100, MAX_TRIALS + 1, BudgetError, f"{MAX_TRIALS} trials"),
+    (100, 2**63, BudgetError, f"{MAX_TRIALS} trials"),
+    (2**63, 10, ConfigError, "n <= 2^63 - 1"),
+])
+def test_sample_size_refusals_come_before_any_draw(monkeypatch, n, trials, error, limit):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was built before the refusal")
+
+    monkeypatch.setattr(np.random, "Generator", no_draw)
+    start = time.perf_counter()
+    with pytest.raises(error, match=re.escape(limit)):
+        sample_walk(n, trials, 0, CHECK_PARAMS)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sample_tally_budget_is_its_span(monkeypatch):
+    # the budget admits a tally exactly as wide as the sampled span and refuses one site less
+    values, counts = one_call_walk_tally(10_000, 3 * SAMPLE_CHUNK, 5, CHECK_PARAMS)
+    span = int(values[-1] - values[0]) + 1
+    monkeypatch.setattr(walk_module, "MAX_TALLY_SITES", span)
+    assert np.array_equal(sample_walk(10_000, 3 * SAMPLE_CHUNK, 5, CHECK_PARAMS).counts, counts)
+    monkeypatch.setattr(walk_module, "MAX_TALLY_SITES", span - 1)
+    with pytest.raises(BudgetError, match=f"tally budget of {span - 1} sites"):
+        sample_walk(10_000, 3 * SAMPLE_CHUNK, 5, CHECK_PARAMS)
 
 
 def test_sampling_argument_errors(params):
