@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericsError
 from .params import ModelParams, _require_phase, _require_real, _require_reals
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks, _sites, _support
-from .state import LatticeWindow, ParticleDensityMatrix, free_evolve, require_interior
+from .state import LatticeWindow, ParticleDensityMatrix, _free_phases, require_interior
 
 
 @dataclass(frozen=True)
@@ -138,21 +138,22 @@ def theta(alpha: float, params: ModelParams) -> float:
 
 
 def _shift(coeffs: np.ndarray, direction: int) -> np.ndarray:
-    """Conjugation by the translation: both indices move by `direction`."""
+    """Conjugation by the translation: both trailing indices move by `direction`."""
     out = np.zeros_like(coeffs)
     if direction == 1:
-        out[1:, 1:] = coeffs[:-1, :-1]
+        out[..., 1:, 1:] = coeffs[..., :-1, :-1]
     else:
-        out[:-1, :-1] = coeffs[1:, 1:]
+        out[..., :-1, :-1] = coeffs[..., 1:, 1:]
     return out
 
 
 def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The three weighted translations (down, stay, up) on eigenbasis coefficients.
 
-    w is one (down, stay, up) triple, or a stack of them along leading axes
-    (a stack of results, one per triple); the two translations are formed
-    once for all of them.
+    coeffs is one matrix or a stack of them along leading (state) axes; w
+    is one (down, stay, up) triple, or a stack of them along leading axes
+    (a stack of results, one per triple, ahead of the state axes).  The two
+    translations are formed once for all of them.
     """
     down, up = _shift(coeffs, -1), _shift(coeffs, +1)
     out = np.empty(w.shape[:-1] + coeffs.shape, dtype=complex)
@@ -161,6 +162,43 @@ def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
         o += b * coeffs
         o += c * up
     return out
+
+
+def _deformed_triples(alphas: np.ndarray, params: ModelParams) -> np.ndarray:
+    """`deformed_weights` at gamma = alpha beta E for each alpha, shaped alphas.shape + (3,)."""
+    return (np.array([deformed_weights(a * params.beta * params.E, params)
+                      for a in alphas.reshape(-1).tolist()]).reshape(alphas.shape + (3,)))
+
+
+def _on_window(window: LatticeWindow, alphas: np.ndarray, sub: np.ndarray,
+               ks: slice) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+    """The states whose coefficients are `sub` (alphas.shape + (m, m)) on the k-range ks
+    and 0 elsewhere: one state for a 0-d alphas, a tuple of them for a 1-D one."""
+    n = window.n_k
+    out = np.zeros(sub.shape[:-2] + (n, n), dtype=complex)
+    out[..., ks, ks] = sub
+    if alphas.ndim == 0:
+        return ParticleDensityMatrix(window, out)
+    return tuple(ParticleDensityMatrix(window, c) for c in out)
+
+
+def _kicked(dm: ParticleDensityMatrix, alpha: float | np.ndarray, params: ModelParams,
+            evolve: bool) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+    """`apply_deformed`, after the free evolution over tau if `evolve`.
+
+    Both run on the occupied k-range of dm widened by one site, which holds
+    every entry a kick can reach; each entry is the whole-window one bit
+    for bit, since `_free_phases` depends on k - k' alone and a kick reads
+    the same three entries.
+    """
+    alphas = _require_reals(alpha, "alpha")
+    require_interior(np.diagonal(dm.coeffs))
+    w = _deformed_triples(alphas, params)
+    ks = _sites(_support(dm.coeffs))
+    sub = dm.coeffs[ks, ks]
+    if evolve:
+        sub = _free_phases(params.tau, params.F, ks.stop - ks.start) * sub
+    return _on_window(dm.window, alphas, _kick(sub, w), ks)
 
 
 def apply_deformed(
@@ -172,14 +210,7 @@ def apply_deformed(
     states, one per alpha, from one stacked kick).  Refuses with WindowError
     when support touches the boundary: mass is never silently truncated.
     """
-    alphas = _require_reals(alpha, "alpha")
-    require_interior(np.diagonal(dm.coeffs))
-    w = np.array([deformed_weights(a * params.beta * params.E, params)
-                  for a in alphas.reshape(-1).tolist()]).reshape(alphas.shape + (3,))
-    out = _kick(dm.coeffs, w)
-    if alphas.ndim == 0:
-        return ParticleDensityMatrix(dm.window, out)
-    return tuple(ParticleDensityMatrix(dm.window, c) for c in out)
+    return _kicked(dm, alpha, params, evolve=False)
 
 
 def apply_channel(
@@ -188,9 +219,40 @@ def apply_channel(
     """One full reduced step: free evolution over tau, then the deformed kicks.
 
     alpha is a float or a 1-D array, as in `apply_deformed`: an array shares
-    the one free evolution.
+    the one free evolution.  The free phases are refused where `free_evolve`
+    refuses them on the whole window.
     """
-    return apply_deformed(free_evolve(dm, params.tau, params), alpha, params)
+    _require_phase(params.tau, params.F * (dm.window.n_k - 1))
+    return _kicked(dm, alpha, params, evolve=True)
+
+
+def _atom_diagonals(gibbs: AtomGibbs, exponents: np.ndarray) -> np.ndarray:
+    """The diagonal of rho_beta^a for each exponent a, shaped exponents.shape + (2, 1, 1)."""
+    return (np.array([np.diagonal(gibbs.power(a)) for a in exponents.reshape(-1).tolist()])
+            .reshape(exponents.shape + (2, 1, 1)))
+
+
+def _partial_trace_on(rho: np.ndarray, lifted: np.ndarray, weights: np.ndarray,
+                      blocks: np.ndarray, edges: np.ndarray, ks: slice) -> np.ndarray:
+    """The partial-trace evaluation of `channel_oracle` on the k-range ks.
+
+    rho holds particle coefficients on ks, one matrix or a stack of them
+    along leading (state) axes; lifted and weights are `_atom_diagonals`
+    of 1 - alpha and of alpha, one exponent or a stack of them; blocks and
+    edges are one interaction's `_oracle_blocks` on the window.  The
+    leading axes of rho and of the atom diagonals broadcast against each
+    other and lead the result.  ks must hold every site the product and
+    its evolution reach, the occupied range widened by one site (`_sites`):
+    then each entry is the whole-window one bit for bit.
+    """
+    m = rho.shape[-1]
+    lead = np.broadcast_shapes(lifted.shape[:-3], rho.shape[:-2])
+    joint = np.zeros(lead + (2, m, 2, m), dtype=complex)
+    joint[..., 0, :, 0, :] = lifted[..., 0, :, :] * rho
+    joint[..., 1, :, 1, :] = lifted[..., 1, :, :] * rho
+    evolved = _conjugate_on(blocks, edges, joint.reshape(lead + (2 * m, 2 * m)), ks)
+    return (weights[..., 0, :, :] * evolved[..., :m, :m]
+            + weights[..., 1, :, :] * evolved[..., m:, m:])
 
 
 def channel_oracle(
@@ -203,43 +265,24 @@ def channel_oracle(
     and traces out the atom: the two diagonal atom blocks, each weighted by
     its scalar of rho_beta^{alpha}.  Entirely independent of the Kraus route.
 
-    Everything runs on the occupied k-range of rho widened by one site,
-    which holds every entry the product and its evolution can reach, so no
-    2n_k x 2n_k array is formed and the result equals the whole-window
-    evaluation bit for bit.  The edge refusal reads the particle diagonal
-    times the atom weights, the diagonal of the product.  alpha is a float
-    (one state is returned) or a 1-D array (a tuple of states, one per
-    alpha): all of them share one crop, one set of sector blocks and one
-    stacked conjugation.
+    Everything runs on the occupied k-range of rho widened by one site
+    (`_partial_trace_on`), so no 2n_k x 2n_k array is formed and the result
+    equals the whole-window evaluation bit for bit.  The edge refusal reads
+    the particle diagonal times the atom weights, the diagonal of the
+    product.  alpha is a float (one state is returned) or a 1-D array (a
+    tuple of states, one per alpha): all of them share one crop, one set of
+    sector blocks and one stacked conjugation.
     """
     alphas = _require_reals(alpha, "alpha")
     gibbs = AtomGibbs.from_params(params)
-    window, n = dm.window, dm.window.n_k
-    ks = _sites(_support(dm.coeffs))
-    m = ks.stop - ks.start
-    rho, diagonal = dm.coeffs[ks, ks], np.diagonal(dm.coeffs)
-
-    def atom_weights(exponents) -> np.ndarray:
-        """The diagonal of rho_beta^a for each exponent a, shaped (..., 2, 1, 1)."""
-        return (np.array([np.diagonal(gibbs.power(a)) for a in exponents.reshape(-1).tolist()])
-                .reshape(alphas.shape + (2, 1, 1)))
-
-    lifted = atom_weights(1.0 - alphas)
+    lifted = _atom_diagonals(gibbs, 1.0 - alphas)
     # the product's diagonal for every alpha, shaped (..., 2, n_k)
-    require_interior(lifted[..., 0] * diagonal, band=2)
-    joint = np.zeros(alphas.shape + (2, m, 2, m), dtype=complex)
-    joint[..., 0, :, 0, :] = lifted[..., 0, :, :] * rho
-    joint[..., 1, :, 1, :] = lifted[..., 1, :, :] * rho
-    evolved = _conjugate_on(*_oracle_blocks(params.tau, params, window),
-                            joint.reshape(alphas.shape + (2 * m, 2 * m)), ks)
-    weights = atom_weights(alphas)
-    reduced = (weights[..., 0, :, :] * evolved[..., :m, :m]
-               + weights[..., 1, :, :] * evolved[..., m:, m:])
-    out = np.zeros(alphas.shape + (n, n), dtype=complex)
-    out[..., ks, ks] = reduced
-    if alphas.ndim == 0:
-        return ParticleDensityMatrix(window, out)
-    return tuple(ParticleDensityMatrix(window, c) for c in out)
+    require_interior(lifted[..., 0] * np.diagonal(dm.coeffs), band=2)
+    ks = _sites(_support(dm.coeffs))
+    blocks, edges = _oracle_blocks(params.tau, params, dm.window)
+    reduced = _partial_trace_on(dm.coeffs[ks, ks], lifted, _atom_diagonals(gibbs, alphas),
+                                blocks, edges, ks)
+    return _on_window(dm.window, alphas, reduced, ks)
 
 
 def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,

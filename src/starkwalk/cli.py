@@ -57,6 +57,12 @@ _COUNTS = {
 _OUTPUT_KEYS = ("format", "out")
 # channel-evolve's convolution is O(n^2): about 1.2 s at this many steps
 MAX_EVOLVE_STEPS = 10_000
+# rate's grid of n + 1 points, a closed rate, a Legendre solve and a row each: about
+# 1.1 s and 85 MiB at this many points
+MAX_RATE_POINTS = 100_000
+# single-atom's 20 n + 1 times, two <X(t)> and a row each: about 1.3 s and 80 MiB at
+# this many times
+MAX_ATOM_TIMES = 100_000
 
 
 @dataclass
@@ -201,6 +207,9 @@ def _exp_spectrum(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_single_atom(cfg: RunConfig) -> ResultTable:
+    if 20 * cfg.n + 1 > MAX_ATOM_TIMES:
+        raise BudgetError(f"single-atom evaluates 20 n + 1 = {20 * cfg.n + 1} times, past the "
+                          f"budget of {MAX_ATOM_TIMES} times (n <= {(MAX_ATOM_TIMES - 1) // 20})")
     params = cfg.params
     window = LatticeWindow(-12, 12, -12, 12)
     rho_p = ParticleDensityMatrix.eigenstate(window, 0)
@@ -247,6 +256,9 @@ def _exp_walk(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_rate(cfg: RunConfig) -> ResultTable:
+    if cfg.n + 1 > MAX_RATE_POINTS:
+        raise BudgetError(f"rate evaluates a grid of n + 1 = {cfg.n + 1} points, past the budget "
+                          f"of {MAX_RATE_POINTS} points (n <= {MAX_RATE_POINTS - 1})")
     xs = np.linspace(-0.999, 0.999, cfg.n + 1)
     numeric = rate_function_numeric(xs, cfg.params).tolist()
     # `rate_function` on each finite x, with the log kernel read once

@@ -231,10 +231,19 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     _require_real(t, "t")
     n = dm.window.n_k
     _require_phase(t, params.F * (n - 1))
-    # one exponential per index difference d = k - k', gathered onto the matrix
-    d = np.arange(n)
-    phase = np.exp(1j * t * params.F * np.arange(1 - n, n))[d[:, None] - d[None, :] + n - 1]
-    return ParticleDensityMatrix(dm.window, phase * dm.coeffs)
+    return ParticleDensityMatrix(dm.window, _free_phases(t, params.F, n) * dm.coeffs)
+
+
+def _free_phases(t: float, F: float, m: int) -> np.ndarray:
+    """The m x m phases e^{i t F (k - k')} of `free_evolve` on m consecutive sites.
+
+    One exponential per index difference d = k - k', gathered onto the
+    matrix, so each entry depends on d alone: the phases of any k-range
+    equal the window's on it bit for bit, and they broadcast over leading
+    (state) axes of the coefficients they multiply.
+    """
+    d = np.arange(m)
+    return np.exp(1j * t * F * np.arange(1 - m, m))[d[:, None] - d[None, :] + m - 1]
 
 
 def position_distribution(dm: ParticleDensityMatrix, F: float) -> tuple[np.ndarray, np.ndarray]:

@@ -14,23 +14,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fcs as fcs_mod
-from .channel import apply_channel, channel_oracle, kraus_weights, theta
+from .channel import (
+    _atom_diagonals,
+    _deformed_triples,
+    _kick,
+    _partial_trace_on,
+    kraus_weights,
+    theta,
+)
 from .config import TOL
 from .params import ModelParams
 from .singleatom import (
-    JointDensityMatrix,
+    _closed_blocks,
+    _conjugate_on,
+    _oracle_blocks,
+    _sites,
     AtomGibbs,
+    JointDensityMatrix,
     position_expectation,
     position_motion_bound,
     position_oracle,
-    propagate_closed,
-    propagate_oracle,
 )
-from .state import LatticeWindow, ParticleDensityMatrix
+from .state import LatticeWindow, ParticleDensityMatrix, _free_phases
 from .walk import (
+    _rate,
     log_convolve_step,
     log_step_kernel,
-    rate_function,
     rate_function_numeric,
     sample_walk,
     transport_coefficients,
@@ -57,21 +66,31 @@ class CheckResult:
                 f"vs tolerance {self.tolerance:.3e}{extra}")
 
 
-def _random_state(rng, window: LatticeWindow, half: int, atoms: int = 1) -> np.ndarray:
-    """Coefficients of a random full-rank density matrix supported on |k| <= half.
+def _random_states(rng, window: LatticeWindow, half: int, count: int,
+                   atoms: int = 1) -> tuple[np.ndarray, slice]:
+    """`count` random full-rank density matrices supported on |k| <= half, drawn one
+    after another, as (stack, ks).
 
-    Over `atoms` atom-major blocks of the window: 1 for a particle state,
-    2 for a particle (x) atom state.
+    ks is that k-range widened by one site (`_sites`), and the stack,
+    shaped (count, atoms m, atoms m) for its m sites, holds each state's
+    coefficients on it over `atoms` atom-major blocks: 1 for a particle
+    state, 2 for a particle (x) atom state.  Everything outside ks is 0.
     """
-    n, s = window.n_k, 2 * half + 1
-    g = rng.normal(size=(atoms * s, atoms * s)) + 1j * rng.normal(size=(atoms * s, atoms * s))
-    block = g @ g.conj().T
-    block /= np.trace(block).real
+    s = 2 * half + 1
     i0 = window.k_index(-half)
-    idx = (n * np.arange(atoms)[:, None] + np.arange(i0, i0 + s)).ravel()
-    coeffs = np.zeros((atoms * n, atoms * n), dtype=complex)
-    coeffs[np.ix_(idx, idx)] = block
-    return coeffs
+    occupied = np.zeros(window.n_k, dtype=bool)
+    occupied[i0:i0 + s] = True
+    ks = _sites(occupied)
+    m = ks.stop - ks.start
+    idx = (m * np.arange(atoms)[:, None] + np.arange(i0 - ks.start, i0 - ks.start + s)).ravel()
+    block_of = np.ix_(idx, idx)
+    stack = np.zeros((count, atoms * m, atoms * m), dtype=complex)
+    for coeffs in stack:
+        g = rng.normal(size=(atoms * s, atoms * s)) + 1j * rng.normal(size=(atoms * s, atoms * s))
+        block = g @ g.conj().T
+        block /= np.trace(block).real
+        coeffs[block_of] = block
+    return stack, ks
 
 
 def _trace_norm(diffs: np.ndarray) -> float:
@@ -90,34 +109,43 @@ def _trace_norm(diffs: np.ndarray) -> float:
 
 
 def check_channel_oracle() -> CheckResult:
-    """1. Kraus route vs the defining partial trace, 20 states x 3 alphas: per state,
-    one free evolution and one stacked kick for all alphas, one oracle call, and
-    one batched SVD of the three differences."""
+    """1. Kraus route vs the defining partial trace, 20 states x 3 alphas: the states
+    stacked on their occupied k-range and freely evolved once, then per alpha one
+    kick and one partial trace of the whole stack, and one batched SVD of the 20
+    differences."""
     params = CHECK_PARAMS
     window = LatticeWindow(-32, 31, -32, 31)
     rng = np.random.default_rng(11)
     alphas = np.array([0.0, 0.3, 1.0])
+    rhos, ks = _random_states(rng, window, 10, 20)
+    evolved = _free_phases(params.tau, params.F, ks.stop - ks.start) * rhos
+    gibbs = AtomGibbs.from_params(params)
+    blocks, edges = _oracle_blocks(params.tau, params, window)
     worst = 0.0
-    for _ in range(20):
-        dm = ParticleDensityMatrix(window, _random_state(rng, window, 10))
-        diffs = [a.coeffs - b.coeffs for a, b in zip(apply_channel(dm, alphas, params),
-                                                      channel_oracle(dm, alphas, params))]
-        worst = max(worst, _trace_norm(np.stack(diffs)))
+    for w, lifted, weights in zip(_deformed_triples(alphas, params),
+                                  _atom_diagonals(gibbs, 1.0 - alphas),
+                                  _atom_diagonals(gibbs, alphas)):
+        diffs = _kick(evolved, w) - _partial_trace_on(rhos, lifted, weights, blocks, edges, ks)
+        worst = max(worst, _trace_norm(diffs))
     return CheckResult("channel vs partial-trace oracle", worst <= TOL.channel_oracle,
                        worst, TOL.channel_oracle, "trace-norm distance")
 
 
 def check_propagator() -> CheckResult:
-    """2. Closed-form propagator vs sector-block exponentials."""
+    """2. Closed-form propagator vs sector-block exponentials, 20 states x 3 times: the
+    states stacked on their occupied k-range, and per time each route conjugates the
+    whole stack once."""
     params = CHECK_PARAMS
     window = LatticeWindow(-24, 23, -24, 23)
     rng = np.random.default_rng(12)
     ts = np.array([0.1, params.tau, 3.0 * params.tau])
+    states, ks = _random_states(rng, window, 8, 20, atoms=2)
+    closed, oracle = _closed_blocks(ts, params, window), _oracle_blocks(ts, params, window)
     worst = 0.0
-    for _ in range(20):
-        state = JointDensityMatrix(window, _random_state(rng, window, 8, atoms=2))
-        for a, b in zip(propagate_closed(state, ts, params), propagate_oracle(state, ts, params)):
-            worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
+    for i in range(ts.size):
+        a = _conjugate_on(closed[0][i], closed[1][i], states, ks)
+        b = _conjugate_on(oracle[0][i], oracle[1][i], states, ks)
+        worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("closed propagator vs 2x2 oracle", worst <= TOL.propagator_agreement,
                        worst, TOL.propagator_agreement)
 
@@ -192,9 +220,11 @@ def check_clt() -> CheckResult:
 
 def check_ldp() -> CheckResult:
     """6. LDP errors at n = 800 small and monotone in n; closed vs numeric rate on a
-    401-point grid, the Legendre transforms solved in one lock-step call."""
+    401-point grid, the Legendre transforms solved in one lock-step call.  The closed
+    rate is `rate_function` at each (finite) x, with the log kernel read once."""
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
+    log_k, be = log_step_kernel(params).tolist(), params.beta * params.E
     xs = [-0.3, 0.0, 0.3, tc.v_d * params.tau]
     errs = {}
     laws = {n: walk_pmf_exact(n, params) for n in (200, 400, 800)}
@@ -203,11 +233,11 @@ def check_ldp() -> CheckResult:
             logp = np.log(law.pmf)
         for x in xs:
             k = round(x * n)
-            errs[(n, x)] = abs(-logp[k - law.first] / n - rate_function(x, params))
+            errs[(n, x)] = abs(-logp[k - law.first] / n - _rate(x, log_k, be))
     worst800 = max(errs[(800, x)] for x in xs)
     monotone = all(errs[(200, x)] >= errs[(400, x)] >= errs[(800, x)] for x in xs)
     grid = np.linspace(-0.999, 0.999, 401)
-    closed = np.array([rate_function(x, params) for x in grid.tolist()])
+    closed = np.array([_rate(x, log_k, be) for x in grid.tolist()])
     rate_gap = float(np.max(np.abs(closed - rate_function_numeric(grid, params))))
     passed = worst800 <= TOL.ldp_abs and monotone and rate_gap <= TOL.rate_match
     return CheckResult("large deviations rate", passed, worst800, TOL.ldp_abs,

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the package's own code paths:
 Bessel values come from the power series evaluated in 50-digit
 arithmetic, propagators from scipy's expm on a directly assembled
 Hamiltonian, walk expectations from explicit enumeration, the walk
-law from n sequential convolutions of the step law, and the sampled walk
-tally from one `rng.multinomial` call over all trials.
+law from n sequential convolutions of the step law, the sampled walk
+tally from one `rng.multinomial` call over all trials, and the measured
+values of acceptance checks 1 and 2 from the public routes, one
+whole-window state at a time.
 """
 import sys
 
@@ -21,9 +23,13 @@ from starkwalk import (
     LatticeWindow,
     ModelParams,
     ParticleDensityMatrix,
+    apply_channel,
+    channel_oracle,
     kraus_weights,
+    propagate_closed,
     propagate_oracle,
 )
+from starkwalk.verify import CHECK_PARAMS, _trace_norm
 
 
 @pytest.fixture
@@ -166,3 +172,34 @@ def one_call_walk_tally(n: int, trials: int, seed: int,
     tally = np.bincount(s - lo)
     seen = np.flatnonzero(tally)
     return seen + lo, tally[seen]
+
+
+def per_state_channel_check() -> float:
+    """Check 1's measured value, one whole-window state at a time: for each of the 20
+    states of seed 11, `apply_channel` and `channel_oracle` at the three alphas, and the
+    largest trace norm of the three differences (`_trace_norm`)."""
+    params, window = CHECK_PARAMS, LatticeWindow(-32, 31, -32, 31)
+    rng = np.random.default_rng(11)
+    alphas = np.array([0.0, 0.3, 1.0])
+    worst = 0.0
+    for _ in range(20):
+        dm = random_density(rng, window, 10)
+        diffs = [a.coeffs - b.coeffs for a, b in zip(apply_channel(dm, alphas, params),
+                                                      channel_oracle(dm, alphas, params))]
+        worst = max(worst, _trace_norm(np.stack(diffs)))
+    return worst
+
+
+def per_state_propagator_check() -> float:
+    """Check 2's measured value, one whole-window state at a time: for each of the 20
+    joint states of seed 12, `propagate_closed` and `propagate_oracle` at the three
+    times, and the largest entry of the differences."""
+    params, window = CHECK_PARAMS, LatticeWindow(-24, 23, -24, 23)
+    rng = np.random.default_rng(12)
+    ts = np.array([0.1, params.tau, 3.0 * params.tau])
+    worst = 0.0
+    for _ in range(20):
+        state = random_joint(rng, window, 8)
+        for a, b in zip(propagate_closed(state, ts, params), propagate_oracle(state, ts, params)):
+            worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
+    return worst

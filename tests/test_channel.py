@@ -25,7 +25,15 @@ from starkwalk import (
     oracle_unitary,
     theta,
 )
-from starkwalk.channel import _log_theta
+from starkwalk.channel import (
+    _atom_diagonals,
+    _deformed_triples,
+    _kick,
+    _log_theta,
+    _partial_trace_on,
+)
+from starkwalk.singleatom import _oracle_blocks, _sites, _support
+from starkwalk.state import _free_phases
 from starkwalk.verify import CHECK_PARAMS
 from starkwalk.walk import rate_function, rate_function_numeric
 
@@ -351,6 +359,77 @@ def test_cropped_oracle_forms_no_joint_window_array(params):
         tracemalloc.stop()
     joint_bytes = (2 * n) ** 2 * np.dtype(complex).itemsize
     assert peak < 0.6 * joint_bytes
+
+
+def state_stack(window):
+    """Random states of different supports, and their stack on the union of their
+    occupied k-ranges widened by one site: (states, stack, ks)."""
+    rng = np.random.default_rng(41)
+    dms = [random_density(rng, window, half, center)
+           for half, center in ((0, 0), (3, -5), (6, 2), (2, 9))]
+    ks = _sites(np.any([_support(dm.coeffs) for dm in dms], axis=0))
+    return dms, np.stack([dm.coeffs[ks, ks] for dm in dms]), ks
+
+
+def assert_on_own_crop(out: np.ndarray, stacked: np.ndarray, ks: slice, dm):
+    """The public result `out` equals the stacked kernel's entries on the call's own crop,
+    entry by entry, and is exactly 0 outside that crop (and so is the kernel)."""
+    own = _sites(_support(dm.coeffs))
+    inner = slice(own.start - ks.start, own.stop - ks.start)
+    assert np.array_equal(out[own, own], stacked[inner, inner])
+    rest = out.copy()
+    rest[own, own] = 0.0
+    assert not np.any(rest)
+    spill = stacked.copy()
+    spill[inner, inner] = 0.0
+    assert not np.any(spill)
+
+
+def test_stacked_kraus_kernels_equal_each_public_call(params, window):
+    # the free phases and the kicks of a stack of states of different supports, for an
+    # axis of alphas ahead of the state axis, against apply_channel and apply_deformed
+    dms, stack, ks = state_stack(window)
+    alphas = np.array([0.0, 0.3, 1.0, -0.7])
+    w = _deformed_triples(alphas, params)
+    evolved = _free_phases(params.tau, params.F, ks.stop - ks.start) * stack
+    for route, kicked in ((apply_channel, _kick(evolved, w)), (apply_deformed, _kick(stack, w))):
+        assert kicked.shape == alphas.shape + stack.shape
+        for i, dm in enumerate(dms):
+            for j, out in enumerate(route(dm, alphas, params)):
+                assert_on_own_crop(out.coeffs, kicked[j, i], ks, dm)
+            # one alpha on the stack, as the acceptance check runs it
+            one = _kick(evolved if route is apply_channel else stack, w[1])
+            assert_on_own_crop(route(dm, 0.3, params).coeffs, one[i], ks, dm)
+
+
+def test_stacked_partial_trace_equals_each_public_call(params, window):
+    # the lifted-product conjugation and the atom trace of a stack of states of
+    # different supports, for an axis of alphas ahead of the state axis
+    dms, stack, ks = state_stack(window)
+    alphas = np.array([0.0, 0.3, 1.0, -0.7])
+    gibbs = AtomGibbs.from_params(params)
+    lifted, weights = _atom_diagonals(gibbs, 1.0 - alphas), _atom_diagonals(gibbs, alphas)
+    blocks, edges = _oracle_blocks(params.tau, params, window)
+    traced = _partial_trace_on(stack, lifted[:, None], weights[:, None], blocks, edges, ks)
+    assert traced.shape == alphas.shape + stack.shape
+    for i, dm in enumerate(dms):
+        for j, out in enumerate(channel_oracle(dm, alphas, params)):
+            assert_on_own_crop(out.coeffs, traced[j, i], ks, dm)
+        one = _partial_trace_on(stack, lifted[1], weights[1], blocks, edges, ks)
+        assert_on_own_crop(channel_oracle(dm, 0.3, params).coeffs, one[i], ks, dm)
+
+
+def test_cropped_kraus_route_equals_the_whole_window_kick(params, window):
+    # apply_channel and apply_deformed run on the occupied k-range; the whole-window
+    # free evolution and kick give the same bits, crops clamped at an edge included
+    alphas = np.array([0.0, 0.3, 1.0, -0.7])
+    w = _deformed_triples(alphas, params)
+    for coeffs in oracle_inputs(window):
+        dm = ParticleDensityMatrix(window, coeffs)
+        for route, whole in ((apply_channel, free_evolve(dm, params.tau, params).coeffs),
+                             (apply_deformed, dm.coeffs)):
+            for out, reference in zip(route(dm, alphas, params), _kick(whole, w)):
+                assert np.array_equal(out.coeffs, reference)
 
 
 def test_oracle_output_is_density(params, window):

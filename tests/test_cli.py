@@ -376,6 +376,50 @@ def test_walk_refuses_past_its_sample_budget(capsys):
     assert err.startswith("error: ") and f"budget of {MAX_TRIALS} trials" in err
 
 
+# each grid budget: the experiment, its budget and unit, the grid size at n (linear in
+# n), and the first function that the grid is passed to
+GRID_BUDGETS = [
+    ("rate", cli.MAX_RATE_POINTS, "points", lambda n: n + 1, "rate_function_numeric"),
+    ("single-atom", cli.MAX_ATOM_TIMES, "times", lambda n: 20 * n + 1, "position_expectation"),
+]
+
+
+def _largest_accepted(budget, size) -> int:
+    n_max = (budget - size(0)) // (size(1) - size(0))
+    assert size(n_max) <= budget < size(n_max + 1)
+    return n_max
+
+
+@pytest.mark.parametrize("experiment, budget, unit, size, first", GRID_BUDGETS)
+def test_grid_refused_past_its_budget(experiment, budget, unit, size, first, capsys):
+    # refused before the grid is formed: one past the budget, and far past it, where the
+    # grid itself would not fit in memory
+    for n in (_largest_accepted(budget, size) + 1, 10**12):
+        assert cli.main(f"{FLAGS} {experiment} --n {n}".split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and f"budget of {budget} {unit}" in err
+
+
+@pytest.mark.parametrize("experiment, budget, unit, size, first", GRID_BUDGETS)
+def test_grid_accepted_at_its_budget(experiment, budget, unit, size, first, monkeypatch):
+    # the largest accepted n forms its whole grid; the run is stopped at the grid's first use
+    class Reached(Exception):
+        pass
+
+    grids = []
+
+    def stop(grid, *args):
+        grids.append(grid)
+        raise Reached
+
+    monkeypatch.setattr(cli, first, stop)
+    n_max = _largest_accepted(budget, size)
+    with pytest.raises(Reached):
+        run_experiment(parse_config(f"{FLAGS} {experiment} --n {n_max}".split()))
+    assert len(grids) == 1 and grids[0].size == size(n_max)
+
+
 @pytest.mark.parametrize("args", [
     # beta E at the top of the double range
     "--E 1e308 --F 1 --lambda 0.5 --tau 1 --beta 1 fcs-position --n 3",

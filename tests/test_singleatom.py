@@ -26,13 +26,18 @@ from starkwalk.singleatom import (
     _apply_rows,
     _closed_blocks,
     _conjugate,
+    _conjugate_on,
+    _crop,
     _dagger,
+    _occupied,
     _oracle_blocks,
     _scatter,
+    _sites,
+    _support,
 )
 from starkwalk.state import bloch_coefficients, position_operator
 
-from conftest import direct_joint_hamiltonian, random_joint
+from conftest import direct_joint_hamiltonian, random_density, random_joint
 
 
 @pytest.fixture
@@ -174,6 +179,44 @@ def test_time_batched_conjugate_equals_each_time(params, window, builder):
             one = builder(float(t), params, window)
             assert np.array_equal(blocks[i], one[0]) and np.array_equal(edges[i], one[1])
             assert np.array_equal(batched[i], _conjugate(*one, A))
+
+
+def joint_stack(window):
+    """Joint states of different supports, and their stack on the union of their
+    occupied k-ranges widened by one site: (states, stack, ks)."""
+    rng = np.random.default_rng(42)
+    n = window.n_k
+    atom = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+    states = [JointDensityMatrix.product(random_density(rng, window, half, center), atom)
+              for half, center in ((0, 0), (2, -5), (3, 4))] + [random_joint(rng, window, 2)]
+    occupied = [_support(st.coeffs) for st in states]
+    ks = _sites(np.any([occ[:n] | occ[n:] for occ in occupied], axis=0))
+    return states, np.stack([_crop(st.coeffs, ks) for st in states]), ks
+
+
+@pytest.mark.parametrize("builder, route", [(_closed_blocks, propagate_closed),
+                                            (_oracle_blocks, propagate_oracle)])
+def test_stacked_conjugation_equals_each_public_call(params, window, builder, route):
+    # a stack of states of different supports conjugated for an axis of times ahead of
+    # the state axis, and for one time as the acceptance check runs it: entry by entry
+    # the public call's on its own crop, and exactly 0 outside it
+    states, stack, ks = joint_stack(window)
+    n, m = window.n_k, ks.stop - ks.start
+    ts = np.array([0.1, 1.0, 3.0])
+    blocks, edges = builder(ts, params, window)
+    stacked = _conjugate_on(blocks[:, None], edges[:, None], stack, ks)
+    assert stacked.shape == ts.shape + stack.shape
+    one = _conjugate_on(blocks[1], edges[1], stack, ks)
+    for i, state in enumerate(states):
+        own = _occupied(state.coeffs)
+        inner = slice(own.start - ks.start, own.stop - ks.start)
+        for out, sub in zip(route(state, ts, params) + (route(state, ts[1], params),),
+                            tuple(stacked[:, i]) + (one[i],)):
+            out, sub = out.coeffs.reshape(2, n, 2, n).copy(), sub.reshape(2, m, 2, m).copy()
+            assert np.array_equal(out[:, own, :, own], sub[:, inner, :, inner])
+            out[:, own, :, own] = 0.0
+            sub[:, inner, :, inner] = 0.0
+            assert not np.any(out) and not np.any(sub)
 
 
 def test_unitarity_of_interior_action(params, window):
