@@ -19,8 +19,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .bessel import bessel_squares
-from .channel import kraus_weights
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, StarkwalkError
 from .fcs import run_position_fcs
@@ -40,6 +38,7 @@ from .walk import (
     log_step_kernel,
     rate_function_numeric,
     sample_walk,
+    transport_coefficients,
     walk_pmf_exact,
 )
 
@@ -55,14 +54,9 @@ _COUNTS = {
 }
 # the keys every experiment accepts besides its own
 _OUTPUT_KEYS = ("format", "out")
-# channel-evolve's convolution is O(n^2): about 1.2 s at this many steps
-MAX_EVOLVE_STEPS = 10_000
-# rate's grid of n + 1 points, a closed rate, a Legendre solve and a row each: about
-# 1.1 s and 85 MiB at this many points
-MAX_RATE_POINTS = 100_000
-# single-atom's 20 n + 1 times, two <X(t)> and a row each: about 1.3 s and 80 MiB at
-# this many times
-MAX_ATOM_TIMES = 100_000
+# the rows of one table (n + 1 for channel-evolve and rate, 20 n + 1 for single-atom); at
+# this many, rate takes about 1.1 s and 85 MiB, single-atom about 1.3 s and 80 MiB
+MAX_TABLE_ROWS = 100_000
 
 
 @dataclass
@@ -206,10 +200,17 @@ def _exp_spectrum(cfg: RunConfig) -> ResultTable:
     return ResultTable(["k", "eig_minus", "eig_plus", "predicted_minus", "predicted_plus"], rows)
 
 
+def _require_rows(cfg: RunConfig, per_step: int) -> int:
+    """The table's per_step n + 1 rows; BudgetError past `MAX_TABLE_ROWS`, before any grid."""
+    rows = per_step * cfg.n + 1
+    if rows > MAX_TABLE_ROWS:
+        raise BudgetError(f"{cfg.experiment} at n = {cfg.n} makes {rows} rows, past the budget "
+                          f"of {MAX_TABLE_ROWS} rows (n <= {(MAX_TABLE_ROWS - 1) // per_step})")
+    return rows
+
+
 def _exp_single_atom(cfg: RunConfig) -> ResultTable:
-    if 20 * cfg.n + 1 > MAX_ATOM_TIMES:
-        raise BudgetError(f"single-atom evaluates 20 n + 1 = {20 * cfg.n + 1} times, past the "
-                          f"budget of {MAX_ATOM_TIMES} times (n <= {(MAX_ATOM_TIMES - 1) // 20})")
+    times = _require_rows(cfg, 20)
     params = cfg.params
     window = LatticeWindow(-12, 12, -12, 12)
     rho_p = ParticleDensityMatrix.eigenstate(window, 0)
@@ -217,7 +218,7 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
     bound = position_motion_bound(params)
     if not np.isfinite(cfg.n * params.tau):
         raise NumericsError(f"the time n tau = {cfg.n} * {params.tau!r} overflows a double")
-    ts = np.linspace(0.0, cfg.n * params.tau, 20 * cfg.n + 1)
+    ts = np.linspace(0.0, cfg.n * params.tau, times)
     xt = position_expectation(ts, state, params).tolist()
     oracle = position_oracle(ts, state, params).tolist()
     rows = [[t, x, o, bound] for t, x, o in zip(ts.tolist(), xt, oracle)]
@@ -225,21 +226,17 @@ def _exp_single_atom(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
-    if cfg.n > MAX_EVOLVE_STEPS:
-        raise BudgetError(f"channel-evolve convolves a law that grows by two sites a step, "
-                          f"O(n^2), within a budget of n <= {MAX_EVOLVE_STEPS} steps (got "
-                          f"{cfg.n}); summing the per-step cumulants, O(n), would lift it "
-                          "(ROADMAP item 2)")
     # kicks shift both eigenbasis indices and free evolution keeps the diagonal, so from
-    # psi_0 each step convolves the position law, first J_x(2/F)^2, with the Kraus weights
-    weights = kraus_weights(cfg.params).as_array()
-    xs, law = bessel_squares(2.0 / cfg.params.F,
-                             "the position law of psi_0 needs J_x(z) at z = 2/F")
-    rows = []
-    for step in range(cfg.n + 1):
-        mean = float(np.dot(xs, law))
-        rows.append([step, float(law.sum()), mean, float(np.dot((xs - mean) ** 2, law))])
-        law, xs = np.convolve(law, weights), np.arange(xs[0] - 1, xs[-1] + 2)
+    # psi_0 the position law after s steps is J_x(2/F)^2 convolved s times with the Kraus
+    # weights: its cumulants add, trace 1, mean s v_d tau, variance 2/F^2 + 2 s D tau.
+    # |v_d tau| and D tau are at most 1, so only the variance can leave the double range
+    _require_rows(cfg, 1)
+    params, transport = cfg.params, transport_coefficients(cfg.params)
+    drift, spread = transport.v_d * params.tau, 2.0 * transport.D * params.tau
+    bloch = 2.0 / params.F / params.F
+    if not np.isfinite(bloch + cfg.n * spread):
+        raise NumericsError(f"the variance 2/F^2 + 2 n D tau at F = {params.F!r} is past a double")
+    rows = [[s, 1.0, s * drift, bloch + s * spread] for s in range(cfg.n + 1)]
     return ResultTable(["step", "trace", "mean_x", "var_x"], rows)
 
 
@@ -256,10 +253,7 @@ def _exp_walk(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_rate(cfg: RunConfig) -> ResultTable:
-    if cfg.n + 1 > MAX_RATE_POINTS:
-        raise BudgetError(f"rate evaluates a grid of n + 1 = {cfg.n + 1} points, past the budget "
-                          f"of {MAX_RATE_POINTS} points (n <= {MAX_RATE_POINTS - 1})")
-    xs = np.linspace(-0.999, 0.999, cfg.n + 1)
+    xs = np.linspace(-0.999, 0.999, _require_rows(cfg, 1))
     numeric = rate_function_numeric(xs, cfg.params).tolist()
     # `rate_function` on each finite x, with the log kernel read once
     log_k, be = log_step_kernel(cfg.params).tolist(), cfg.params.beta * cfg.params.E

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import kraus_weights, log_theta
+from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError
 from .params import ModelParams, _echo, _require_count, _require_real, _require_reals
 
@@ -619,14 +620,18 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
     Each entry solves e'(eta) = x by safeguarded Newton, all entries in
     lock-step.  Its bracket doubles until it holds x.  Newton stops where
     the step would move I = eta x - e by at most a few ulps of I (about
-    |e' - x| times the step), or at a step or bracket of a few ulps of eta:
-    a residual in e' alone would stop early at a small jump probability,
-    where e' spans only ~p.  Where e'' is normal it also stops once |e' - x|
-    is within four roundings of e' (`moments`' fourth value), which no eta
-    resolves: near e' = 0, at a tiny x, e' = q_+ - q_- cancels two nearly
-    equal terms, and the I reached is within ~(e' - x)^2 / e'' of the sup.
-    It bisects where e'' is subnormal.  An entry leaves the iteration once
-    it stops, so no other entry changes its value.
+    |e' - x| times the step): a residual in e' alone would stop early at a
+    small jump probability, where e' spans only ~p.  Where e'' is normal it
+    also stops once |e' - x| is within four roundings of e' (`moments`'
+    fourth value), which no eta resolves: near e' = 0, at a tiny x,
+    e' = q_+ - q_- cancels two nearly equal terms, and the I reached is
+    within ~(e' - x)^2 / e'' of the sup.  It bisects where e'' is subnormal.
+    Where no double is left to try (the Newton step rounds back to eta, or
+    the bracket is a few ulps wide; an ulp of eta near -beta E reaches 1 at
+    beta E = 2^53) it stops, and raises NumericsError where |e' - x| times
+    that step or bracket, about the gap to the sup, passes `rate_match`.
+    An entry leaves the iteration once it stops, so no other entry changes
+    its value.
     """
     xs = _require_reals(x, "x")
     if not np.all((-1.0 < xs) & (xs < 1.0)):
@@ -671,13 +676,19 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
         step = np.divide(f, e2, out=np.full(f.shape, np.inf), where=newtonian)
         # the step moves I = eta x - e by about f step; inf where e'' is subnormal
         moved = np.multiply(f, step, out=np.full(f.shape, np.inf), where=newtonian)
-        rate = eta * target - e0
+        rate, newton = eta * target - e0, eta - step
         done = ((np.abs(moved) <= 4.0 * np.spacing(np.abs(rate)))
-                | (np.minimum(np.abs(step), hi - lo) <= 4.0 * np.spacing(np.abs(eta)))
                 | newtonian & (np.abs(f) <= 4.0 * noise))
+        # no double left to try: I is then within about |f| times the step or the bracket
+        ended = ~done & ((newton == eta) | (hi - lo <= 4.0 * np.spacing(np.abs(eta))))
+        gap = np.abs(f[ended]) * np.minimum(np.abs(step[ended]), (hi - lo)[ended])
+        wide = target[ended][gap > TOL.rate_match * np.maximum(1.0, np.abs(rate[ended]))]
+        if wide.size:
+            raise NumericsError(f"the Legendre sup at x={wide[0].tolist()} needs eta finer "
+                                "than an ulp")
+        done |= ended
         out[live[done]] = rate[done]
-        live, lo, hi, eta, step = (a[~done] for a in (live, lo, hi, eta, step))
-        newton = eta - step
+        live, lo, hi, newton = (a[~done] for a in (live, lo, hi, newton))
         eta = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
     if live.size:
         raise NumericsError(f"Legendre sup did not converge at x={targets[live[0]].tolist()}")

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the package's own code paths:
 Bessel values come from the power series evaluated in 50-digit
 arithmetic, propagators from scipy's expm on a directly assembled
 Hamiltonian, walk expectations from explicit enumeration, the walk
-law from n sequential convolutions of the step law, the sampled walk
-tally from one `rng.multinomial` call over all trials, and the measured
+law from n sequential convolutions of the step law, the moments of
+`channel-evolve` from the Bloch profile (J_x from scipy) convolved step
+by step, the sampled walk tally from one `rng.multinomial` call over all
+trials, and the measured
 values of acceptance checks 1 and 2 from the public routes, one
 whole-window state at a time.
 """
@@ -14,6 +16,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from starkwalk import (
     TOL,
@@ -158,6 +161,21 @@ def sequential_walk_law(n: int, params: ModelParams) -> LatticeLaw:
     for _ in range(n):
         pmf = np.convolve(pmf, kernel)
     return LatticeLaw(n=n, first=-n, pmf=pmf)
+
+
+def convolved_position_moments(n: int, params: ModelParams) -> np.ndarray:
+    """(trace, mean, variance) of the position law of psi_0 after s = 0..n steps, O(n^2):
+    J_x(2/F)^2 from scipy, convolved s times with the Kraus weights. The oracle of
+    `channel-evolve`, which reads its rows from the drift and diffusion in O(n)."""
+    z = 2.0 / params.F
+    xs = np.arange(-int(z) - 60, int(z) + 61)
+    law, weights = special.jv(xs, z) ** 2, kraus_weights(params).as_array()
+    rows = []
+    for _ in range(n + 1):
+        mean = float(np.dot(xs, law))
+        rows.append([law.sum(), mean, float(np.dot((xs - mean) ** 2, law))])
+        law, xs = np.convolve(law, weights), np.arange(xs[0] - 1, xs[-1] + 2)
+    return np.array(rows)
 
 
 def one_call_walk_tally(n: int, trials: int, seed: int,

@@ -12,6 +12,7 @@ from starkwalk import (
     LatticeWindow,
     bessel_halfwidth,
     bessel_j_array,
+    bessel_squares,
     bessel_table,
     transform_matrix,
 )
@@ -151,6 +152,16 @@ def test_series_relative_accuracy_in_decay_tail():
 def test_large_argument_normalization():
     table = bessel_table(F=1e-3, order_max=2400)
     assert _normalization_defect(table) <= 1e-12
+
+
+def test_squared_profile_at_the_smallest_tilt_has_trace_one_and_variance_z_squared_over_two():
+    # z = 2/F = 8e5 (F = 2.5e-6): the profile stops at its Kapteyn top, inside the order
+    # budget, and its squares sum to 1 with second moment z^2 / 2 = 2/F^2 = 3.2e11
+    z = 8e5
+    xs, law = bessel_squares(z, "z")
+    assert _profile(z).size == _profile_top(z) < MAX_MILLER_ORDER and law[-1] > 0.0
+    assert abs(float(law.sum()) - 1.0) <= 1e-12
+    assert abs(float(np.dot(xs**2, law)) / (z * z / 2.0) - 1.0) <= 1e-10
 
 
 def test_range_too_small_is_an_error():

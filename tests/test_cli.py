@@ -38,6 +38,8 @@ from starkwalk.cli import (
 from starkwalk.verify import CheckResult
 from starkwalk.walk import MAX_TRIALS
 
+from conftest import convolved_position_moments
+
 
 def test_parse_full_flag_line():
     cfg = parse_config("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 "
@@ -304,6 +306,21 @@ def test_channel_evolve_rows_match_the_iterated_channel(physics, n):
         dm = apply_channel(dm, 0.0, cfg.params)
 
 
+@pytest.mark.parametrize("physics", [
+    "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1",
+    "--E 2 --F 0.3 --lambda 0.5 --tau 1 --beta 0",
+])
+def test_channel_evolve_rows_match_the_convolution_identity(physics):
+    # past the density matrix's reach: the Bloch profile convolved step by step, O(n^2)
+    cfg = parse_config(f"{physics} channel-evolve --n 2000".split())
+    rows = np.array(run_experiment(cfg).rows)
+    want = convolved_position_moments(2000, cfg.params)
+    assert np.array_equal(rows[:, 0], np.arange(2001)) and np.all(rows[:, 1] == 1.0)
+    assert np.all(np.abs(want[:, 0] - 1.0) <= TOL.trace)
+    scale = TOL.walk_moments_rel * np.maximum(1.0, np.abs(want[:, 1:]))
+    assert np.all(np.abs(rows[:, 2:] - want[:, 1:]) <= scale)
+
+
 FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
 _WALK_CONFIG = {"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1, "experiment": "walk"}
 # config-file cases: the text of the file, or None for a path where no file is
@@ -334,10 +351,9 @@ BAD_CONFIGS = {
     # omega0 tau / 2 = 7.1e19 is past 2^52: the jump probability would carry no digit
     "--E 2 --F 1 --lambda 0.5 --tau 1e20 --beta 1 walk --n 3",
     "--E nan --F 1 --lambda 0.5 --tau 1 --beta 1 walk",
-    # a tilt this small asks the Bessel recurrence for 2e9 orders
-    "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
-    # 2/F and 4/F overflow to inf: refused by the Bessel-square budget, not a traceback
+    # 2/F^2 overflows to inf: refused, not a row of inf
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
+    "--E 2 --F 1e-155 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 fcs-position --n 2",
     # the Bloch reach 4/F is inf: the closed form, the oracle and the bound would be NaN or inf
     "--E 2 --F 1e-310 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
@@ -360,14 +376,6 @@ def test_bad_input_exits_2_with_error_line(args, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err and len(err.splitlines()) == 1
 
 
-def test_channel_evolve_refuses_past_its_step_budget(capsys):
-    # the O(n^2) convolution is refused before any step is taken
-    assert cli.main(f"{FLAGS} channel-evolve --n {cli.MAX_EVOLVE_STEPS + 1}".split()) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("error: ") and f"n <= {cli.MAX_EVOLVE_STEPS}" in err and "O(n)" in err
-
-
 def test_walk_refuses_past_its_sample_budget(capsys):
     # the trial count is refused before any walk is drawn
     assert cli.main(f"{FLAGS} walk --trials {MAX_TRIALS + 1}".split()) == 2
@@ -376,33 +384,35 @@ def test_walk_refuses_past_its_sample_budget(capsys):
     assert err.startswith("error: ") and f"budget of {MAX_TRIALS} trials" in err
 
 
-# each grid budget: the experiment, its budget and unit, the grid size at n (linear in
-# n), and the first function that the grid is passed to
+# each table under the one row budget: the experiment, its row count at n (linear in n),
+# and the first function that its grid is passed to (None: the table is built whole)
 GRID_BUDGETS = [
-    ("rate", cli.MAX_RATE_POINTS, "points", lambda n: n + 1, "rate_function_numeric"),
-    ("single-atom", cli.MAX_ATOM_TIMES, "times", lambda n: 20 * n + 1, "position_expectation"),
+    ("channel-evolve", lambda n: n + 1, None),
+    ("rate", lambda n: n + 1, "rate_function_numeric"),
+    ("single-atom", lambda n: 20 * n + 1, "position_expectation"),
 ]
 
 
-def _largest_accepted(budget, size) -> int:
-    n_max = (budget - size(0)) // (size(1) - size(0))
-    assert size(n_max) <= budget < size(n_max + 1)
+def _largest_accepted(size) -> int:
+    n_max = (cli.MAX_TABLE_ROWS - size(0)) // (size(1) - size(0))
+    assert size(n_max) <= cli.MAX_TABLE_ROWS < size(n_max + 1)
     return n_max
 
 
-@pytest.mark.parametrize("experiment, budget, unit, size, first", GRID_BUDGETS)
-def test_grid_refused_past_its_budget(experiment, budget, unit, size, first, capsys):
+@pytest.mark.parametrize("experiment, size, first", GRID_BUDGETS)
+def test_grid_refused_past_its_budget(experiment, size, first, capsys):
     # refused before the grid is formed: one past the budget, and far past it, where the
     # grid itself would not fit in memory
-    for n in (_largest_accepted(budget, size) + 1, 10**12):
+    for n in (_largest_accepted(size) + 1, 10**12):
         assert cli.main(f"{FLAGS} {experiment} --n {n}".split()) == 2
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert err.startswith("error: ") and f"budget of {budget} {unit}" in err
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{experiment} at n = {n} makes {size(n)} rows" in err
+        assert f"budget of {cli.MAX_TABLE_ROWS} rows (n <= {_largest_accepted(size)})" in err
 
 
-@pytest.mark.parametrize("experiment, budget, unit, size, first", GRID_BUDGETS)
-def test_grid_accepted_at_its_budget(experiment, budget, unit, size, first, monkeypatch):
+@pytest.mark.parametrize("experiment, size, first", GRID_BUDGETS)
+def test_grid_accepted_at_its_budget(experiment, size, first, monkeypatch):
     # the largest accepted n forms its whole grid; the run is stopped at the grid's first use
     class Reached(Exception):
         pass
@@ -413,10 +423,15 @@ def test_grid_accepted_at_its_budget(experiment, budget, unit, size, first, monk
         grids.append(grid)
         raise Reached
 
+    n_max = _largest_accepted(size)
+    cfg = parse_config(f"{FLAGS} {experiment} --n {n_max}".split())
+    if first is None:
+        rows = run_experiment(cfg).rows
+        assert len(rows) == size(n_max) and all(map(math.isfinite, rows[-1]))
+        return
     monkeypatch.setattr(cli, first, stop)
-    n_max = _largest_accepted(budget, size)
     with pytest.raises(Reached):
-        run_experiment(parse_config(f"{FLAGS} {experiment} --n {n_max}".split()))
+        run_experiment(cfg)
     assert len(grids) == 1 and grids[0].size == size(n_max)
 
 
@@ -429,6 +444,8 @@ def test_grid_accepted_at_its_budget(experiment, budget, unit, size, first, monk
     "--E 2 --F 1 --lambda 0.5 --tau 1e308 --beta 1 fcs-position --n 2",
     # the Bloch reach 4/F = 4e9 is finite, and single-atom reads no Bessel function
     "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 single-atom --n 1",
+    # 2/F^2 = 2e18 is finite, and channel-evolve reads no Bessel function
+    "--E 2 --F 1e-9 --lambda 0.5 --tau 1 --beta 1 channel-evolve --n 2",
     # the Bessel argument 2 / F is 2e-300
     "--E 2 --F 1e300 --lambda 0.5 --tau 1 --beta 1 spectrum",
     # beta E overflows a double: the ds columns would be inf * 0
@@ -484,19 +501,19 @@ def test_spectrum_reads_no_time(capsys):
 
 @pytest.mark.parametrize("F", ["1", "1e-7", "1e-310"])
 @pytest.mark.parametrize("run", ["spectrum", "spectrum --window 12", "single-atom --n 3",
-                                 "fcs-energy --n 2 --m 2"])
+                                 "fcs-energy --n 2 --m 2", "channel-evolve --n 3"])
 def test_k_range_experiments_do_no_bessel_work(run, F, monkeypatch, capsys):
-    # spectrum and single-atom read the eigenbasis index k alone and fcs-energy the walk
-    # law, so no Bessel function is evaluated, also at tilts where 2/F is past the Bessel
-    # order budget or is inf
+    # spectrum and single-atom read the eigenbasis index k alone, fcs-energy the walk law
+    # and channel-evolve the drift and diffusion, so no Bessel function is evaluated, also
+    # at tilts where 2/F is past the Bessel order budget or is inf
     def refuse(*args, **kwargs):
         raise AssertionError("a Bessel function was evaluated")
 
     monkeypatch.setattr(starkwalk.bessel, "_profile", refuse)
     rc = cli.main(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 {run} --out -".split())
     out, err = capsys.readouterr()
-    if run.startswith("single-atom") and F == "1e-310":
-        # 4/F overflows: refused with one line
+    if run.startswith(("single-atom", "channel-evolve")) and F == "1e-310":
+        # 4/F and 2/F^2 overflow: refused with one line
         assert rc == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
         return
     assert rc == 0 and err == ""

@@ -506,6 +506,27 @@ def test_rate_oracle_matches_closed_form_at_huge_beta_E():
                             rel_tol=TOL.rate_match)
 
 
+# beta E = 3.6e15, where one ulp of eta ~ -beta E is 0.5 and moves q_- by e^0.5
+ULP_HALF_BETA_E = ModelParams(E=90458076926983.64, F=6.7136412086923185, lam=-2.174414705319727,
+                              tau=2.0504923415950067, beta=39.961278645291664)
+
+
+@pytest.mark.parametrize("x", [-7.46e-30, -1.97e-17, -1e-10])
+def test_rate_oracle_resolves_eta_at_an_ulp_of_order_one(x):
+    # a Newton step of a few ulps of eta is still a step: stopping on it gave -0.0344
+    # at x = -7.46e-30, where I is 2.7e-14
+    assert math.isclose(rate_function_numeric(x, ULP_HALF_BETA_E),
+                        rate_function(x, ULP_HALF_BETA_E), rel_tol=TOL.rate_match)
+
+
+def test_rate_oracle_refuses_an_eta_it_cannot_resolve():
+    # beta E = 1.6e18: the ulp of eta near -beta E is 256, and no double reaches the sup
+    params = ModelParams(E=2.668748208420642e16, F=0.05129723267391656, lam=0.24024763513490044,
+                         tau=0.01430642217090306, beta=58.27553263444768)
+    with pytest.raises(NumericsError, match="finer than an ulp"):
+        rate_function_numeric(-9.791670809925605e-33, params)
+
+
 @pytest.mark.parametrize("params", [*RATE_PARAMS.values(), HUGE_BETA_E],
                          ids=[*RATE_PARAMS, "beta-E-9e13"])
 def test_rate_oracle_on_an_array_equals_each_float_call(params):
