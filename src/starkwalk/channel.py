@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .params import ModelParams, _require_phase, _require_real, _require_reals
+from .params import ModelParams, _require_phase, _require_real
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks, _sites, _support
 from .state import LatticeWindow, ParticleDensityMatrix, _free_phases, require_interior
 
@@ -50,11 +50,12 @@ def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
 
     gamma = alpha beta E for the alpha-deformation; gamma = 0 gives the
     Kraus weights bit for bit.  The weights sum to exp(log_theta(gamma)).
-    NumericsError for NaN.
+    NumericsError for NaN and for an infinite gamma, where one weight is inf
+    and the other 0 (so a step would form inf * 0).
     """
     _require_real(gamma, "gamma")
-    if math.isnan(gamma):
-        raise NumericsError("deformed weights at gamma = NaN")
+    if not math.isfinite(gamma):
+        raise NumericsError(f"deformed weights at gamma = {gamma!r}")
     kt = kraus_weights(params)
     try:
         return np.array([math.exp(gamma) * kt.p_minus, kt.p_zero,
@@ -150,40 +151,22 @@ def _shift(coeffs: np.ndarray, direction: int) -> np.ndarray:
 def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The three weighted translations (down, stay, up) on eigenbasis coefficients.
 
-    coeffs is one matrix or a stack of them along leading (state) axes; w
-    is one (down, stay, up) triple, or a stack of them along leading axes
-    (a stack of results, one per triple, ahead of the state axes).  The two
-    translations are formed once for all of them.
+    coeffs is one matrix or a stack of them along leading (state) axes; w is
+    one (down, stay, up) triple.
     """
-    down, up = _shift(coeffs, -1), _shift(coeffs, +1)
-    out = np.empty(w.shape[:-1] + coeffs.shape, dtype=complex)
-    for o, (a, b, c) in zip(out.reshape((-1,) + coeffs.shape), w.reshape(-1, 3)):
-        np.multiply(a, down, out=o)
-        o += b * coeffs
-        o += c * up
-    return out
+    a, b, c = w
+    return a * _shift(coeffs, -1) + b * coeffs + c * _shift(coeffs, +1)
 
 
-def _deformed_triples(alphas: np.ndarray, params: ModelParams) -> np.ndarray:
-    """`deformed_weights` at gamma = alpha beta E for each alpha, shaped alphas.shape + (3,)."""
-    return (np.array([deformed_weights(a * params.beta * params.E, params)
-                      for a in alphas.reshape(-1).tolist()]).reshape(alphas.shape + (3,)))
+def _on_window(window: LatticeWindow, sub: np.ndarray, ks: slice) -> ParticleDensityMatrix:
+    """The state whose coefficients are `sub` on the k-range ks and 0 elsewhere."""
+    out = np.zeros((window.n_k, window.n_k), dtype=complex)
+    out[ks, ks] = sub
+    return ParticleDensityMatrix(window, out)
 
 
-def _on_window(window: LatticeWindow, alphas: np.ndarray, sub: np.ndarray,
-               ks: slice) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
-    """The states whose coefficients are `sub` (alphas.shape + (m, m)) on the k-range ks
-    and 0 elsewhere: one state for a 0-d alphas, a tuple of them for a 1-D one."""
-    n = window.n_k
-    out = np.zeros(sub.shape[:-2] + (n, n), dtype=complex)
-    out[..., ks, ks] = sub
-    if alphas.ndim == 0:
-        return ParticleDensityMatrix(window, out)
-    return tuple(ParticleDensityMatrix(window, c) for c in out)
-
-
-def _kicked(dm: ParticleDensityMatrix, alpha: float | np.ndarray, params: ModelParams,
-            evolve: bool) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+def _kicked(dm: ParticleDensityMatrix, alpha: float, params: ModelParams,
+            evolve: bool) -> ParticleDensityMatrix:
     """`apply_deformed`, after the free evolution over tau if `evolve`.
 
     Both run on the occupied k-range of dm widened by one site, which holds
@@ -191,45 +174,40 @@ def _kicked(dm: ParticleDensityMatrix, alpha: float | np.ndarray, params: ModelP
     for bit, since `_free_phases` depends on k - k' alone and a kick reads
     the same three entries.
     """
-    alphas = _require_reals(alpha, "alpha")
+    alpha = _require_real(alpha, "alpha")
     require_interior(np.diagonal(dm.coeffs))
-    w = _deformed_triples(alphas, params)
+    w = deformed_weights(alpha * params.beta * params.E, params)
     ks = _sites(_support(dm.coeffs))
     sub = dm.coeffs[ks, ks]
     if evolve:
         sub = _free_phases(params.tau, params.F, ks.stop - ks.start) * sub
-    return _on_window(dm.window, alphas, _kick(sub, w), ks)
+    return _on_window(dm.window, _kick(sub, w), ks)
 
 
-def apply_deformed(
-        dm: ParticleDensityMatrix, alpha: float | np.ndarray,
-        params: ModelParams) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
+                   params: ModelParams) -> ParticleDensityMatrix:
     """One deformed interaction-picture step (no free evolution).
 
-    alpha is a float (one state is returned) or a 1-D array (a tuple of
-    states, one per alpha, from one stacked kick).  Refuses with WindowError
-    when support touches the boundary: mass is never silently truncated.
+    Refuses with WindowError when support touches the boundary: mass is
+    never silently truncated.
     """
     return _kicked(dm, alpha, params, evolve=False)
 
 
-def apply_channel(
-        dm: ParticleDensityMatrix, alpha: float | np.ndarray,
-        params: ModelParams) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+def apply_channel(dm: ParticleDensityMatrix, alpha: float,
+                  params: ModelParams) -> ParticleDensityMatrix:
     """One full reduced step: free evolution over tau, then the deformed kicks.
 
-    alpha is a float or a 1-D array, as in `apply_deformed`: an array shares
-    the one free evolution.  The free phases are refused where `free_evolve`
-    refuses them on the whole window.
+    The free phases are refused where `free_evolve` refuses them on the
+    whole window.
     """
     _require_phase(params.tau, params.F * (dm.window.n_k - 1))
     return _kicked(dm, alpha, params, evolve=True)
 
 
-def _atom_diagonals(gibbs: AtomGibbs, exponents: np.ndarray) -> np.ndarray:
-    """The diagonal of rho_beta^a for each exponent a, shaped exponents.shape + (2, 1, 1)."""
-    return (np.array([np.diagonal(gibbs.power(a)) for a in exponents.reshape(-1).tolist()])
-            .reshape(exponents.shape + (2, 1, 1)))
+def _atom_diagonal(gibbs: AtomGibbs, a: float) -> np.ndarray:
+    """The diagonal of rho_beta^a, shaped (2, 1, 1)."""
+    return np.diagonal(gibbs.power(a))[:, None, None]
 
 
 def _partial_trace_on(rho: np.ndarray, lifted: np.ndarray, weights: np.ndarray,
@@ -237,27 +215,22 @@ def _partial_trace_on(rho: np.ndarray, lifted: np.ndarray, weights: np.ndarray,
     """The partial-trace evaluation of `channel_oracle` on the k-range ks.
 
     rho holds particle coefficients on ks, one matrix or a stack of them
-    along leading (state) axes; lifted and weights are `_atom_diagonals`
-    of 1 - alpha and of alpha, one exponent or a stack of them; blocks and
-    edges are one interaction's `_oracle_blocks` on the window.  The
-    leading axes of rho and of the atom diagonals broadcast against each
-    other and lead the result.  ks must hold every site the product and
-    its evolution reach, the occupied range widened by one site (`_sites`):
-    then each entry is the whole-window one bit for bit.
+    along leading (state) axes, which lead the result; lifted and weights
+    are the `_atom_diagonal` of 1 - alpha and of alpha; blocks and edges are
+    one interaction's `_oracle_blocks` on the window.  ks must hold every
+    site the product and its evolution reach, the occupied range widened by
+    one site (`_sites`): then each entry is the whole-window one bit for bit.
     """
-    m = rho.shape[-1]
-    lead = np.broadcast_shapes(lifted.shape[:-3], rho.shape[:-2])
+    m, lead = rho.shape[-1], rho.shape[:-2]
     joint = np.zeros(lead + (2, m, 2, m), dtype=complex)
-    joint[..., 0, :, 0, :] = lifted[..., 0, :, :] * rho
-    joint[..., 1, :, 1, :] = lifted[..., 1, :, :] * rho
+    joint[..., 0, :, 0, :] = lifted[0] * rho
+    joint[..., 1, :, 1, :] = lifted[1] * rho
     evolved = _conjugate_on(blocks, edges, joint.reshape(lead + (2 * m, 2 * m)), ks)
-    return (weights[..., 0, :, :] * evolved[..., :m, :m]
-            + weights[..., 1, :, :] * evolved[..., m:, m:])
+    return weights[0] * evolved[..., :m, :m] + weights[1] * evolved[..., m:, m:]
 
 
-def channel_oracle(
-        dm: ParticleDensityMatrix, alpha: float | np.ndarray,
-        params: ModelParams) -> ParticleDensityMatrix | tuple[ParticleDensityMatrix, ...]:
+def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
+                   params: ModelParams) -> ParticleDensityMatrix:
     """The defining partial-trace evaluation of the deformed reduced map.
 
     Builds rho (x) rho_beta^{1-alpha}, conjugates with the sector-block
@@ -269,20 +242,18 @@ def channel_oracle(
     (`_partial_trace_on`), so no 2n_k x 2n_k array is formed and the result
     equals the whole-window evaluation bit for bit.  The edge refusal reads
     the particle diagonal times the atom weights, the diagonal of the
-    product.  alpha is a float (one state is returned) or a 1-D array (a
-    tuple of states, one per alpha): all of them share one crop, one set of
-    sector blocks and one stacked conjugation.
+    product.
     """
-    alphas = _require_reals(alpha, "alpha")
+    alpha = _require_real(alpha, "alpha")
     gibbs = AtomGibbs.from_params(params)
-    lifted = _atom_diagonals(gibbs, 1.0 - alphas)
-    # the product's diagonal for every alpha, shaped (..., 2, n_k)
+    lifted = _atom_diagonal(gibbs, 1.0 - alpha)
+    # the product's diagonal, shaped (2, n_k)
     require_interior(lifted[..., 0] * np.diagonal(dm.coeffs), band=2)
     ks = _sites(_support(dm.coeffs))
     blocks, edges = _oracle_blocks(params.tau, params, dm.window)
-    reduced = _partial_trace_on(dm.coeffs[ks, ks], lifted, _atom_diagonals(gibbs, alphas),
+    reduced = _partial_trace_on(dm.coeffs[ks, ks], lifted, _atom_diagonal(gibbs, alpha),
                                 blocks, edges, ks)
-    return _on_window(dm.window, alphas, reduced, ks)
+    return _on_window(dm.window, reduced, ks)
 
 
 def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,

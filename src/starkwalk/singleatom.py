@@ -282,41 +282,30 @@ def _conjugate(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarr
     ks = _occupied(A)
     sub = _conjugate_on(blocks, edges, _crop(A, ks), ks)
     n, m = A.shape[-1] // 2, ks.stop - ks.start
-    lead = sub.shape[:-2]
-    out = np.zeros(lead + (2, n, 2, n), dtype=sub.dtype)
-    out[..., :, ks, :, ks] = sub.reshape(lead + (2, m, 2, m))
-    return out.reshape(lead + A.shape[-2:])
+    out = np.zeros((2, n, 2, n), dtype=sub.dtype)
+    out[:, ks, :, ks] = sub.reshape(2, m, 2, m)
+    return out.reshape(A.shape)
 
 
-def _propagate(builder, state: JointDensityMatrix, t,
-               params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
-    """Evolve state by the blocks `builder` forms, for one time or a 1-D array of times."""
-    ts = _times(t)
+def _propagate(builder, state: JointDensityMatrix, t: float,
+               params: ModelParams) -> JointDensityMatrix:
+    """Evolve state by the blocks `builder` forms for one real, finite time t, on the
+    occupied k-range of the state."""
+    t = _times(_require_real(t, "t"))
     require_interior(np.diagonal(state.coeffs).reshape(2, -1), band=2)
-    evolved = _conjugate(*builder(ts, params, state.window), state.coeffs)
-    if ts.ndim == 0:
-        return JointDensityMatrix(state.window, evolved)
-    return tuple(JointDensityMatrix(state.window, c) for c in evolved)
+    return JointDensityMatrix(state.window,
+                              _conjugate(*builder(t, params, state.window), state.coeffs))
 
 
-def propagate_closed(state: JointDensityMatrix, t: float | np.ndarray,
-                     params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
-    """Evolve by time t using the closed-form propagator (rotation + phases).
-
-    t is a float (one state is returned) or a 1-D array of times (a tuple
-    of states, one per time).  The sector blocks of all times are formed at
-    once and the state is conjugated once, on its occupied k-range; each
-    entry of a tuple is bit-equal to the call at that time alone.
-    """
+def propagate_closed(state: JointDensityMatrix, t: float,
+                     params: ModelParams) -> JointDensityMatrix:
+    """Evolve by time t using the closed-form propagator (rotation + phases)."""
     return _propagate(_closed_blocks, state, t, params)
 
 
-def propagate_oracle(state: JointDensityMatrix, t: float | np.ndarray,
-                     params: ModelParams) -> JointDensityMatrix | tuple[JointDensityMatrix, ...]:
-    """Evolve by time t exponentiating each 2x2 sector block spectrally.
-
-    t is a float or a 1-D array of times, as in `propagate_closed`.
-    """
+def propagate_oracle(state: JointDensityMatrix, t: float,
+                     params: ModelParams) -> JointDensityMatrix:
+    """Evolve by time t exponentiating each 2x2 sector block spectrally."""
     return _propagate(_oracle_blocks, state, t, params)
 
 

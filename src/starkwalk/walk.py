@@ -109,9 +109,10 @@ class LatticeLaw:
                                 "is not a finite double") from None
 
     def window_probability(self, lo: float, hi: float) -> float:
-        """P[lo <= dx <= hi]."""
-        _require_real(lo, "lo")
-        _require_real(hi, "hi")
+        """P[lo <= dx <= hi]; NumericsError for a NaN bound (an infinite one is valid)."""
+        for value, name in ((lo, "lo"), (hi, "hi")):
+            if math.isnan(_require_real(value, name)):
+                raise NumericsError(f"window probability with {name} = NaN")
         return float(np.sum(self.pmf[(self.dx >= lo) & (self.dx <= hi)]))
 
     def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
@@ -392,6 +393,19 @@ def _law_sum(rel: np.ndarray) -> float:
     return _fsum(rel)
 
 
+# sites of a law of S_n: its builders store all 2n + 1 of them densely, so an n past
+# 134,217,727, whose law would pass 2 GiB, is refused before any work
+MAX_LAW_SITES = 1 << 28
+
+
+def _require_law_sites(n: int) -> int:
+    """The count n; BudgetError where its 2n + 1 sites are past `MAX_LAW_SITES`."""
+    if 2 * n + 1 > MAX_LAW_SITES:
+        raise BudgetError(f"the law of S_n at n = {_echo(n)} has 2n + 1 sites, past the budget "
+                          f"of {MAX_LAW_SITES} sites (n <= {(MAX_LAW_SITES - 1) // 2})")
+    return n
+
+
 def walk_pmf_exact(n: int, params: ModelParams) -> LatticeLaw:
     """Exact law of S_n in 64-bit arithmetic, by a ratio recurrence in O(live span).
 
@@ -408,8 +422,9 @@ def walk_pmf_exact(n: int, params: ModelParams) -> LatticeLaw:
     their error growing at most linearly with the distance from the mode
     (~1e-13 at n = 2*10^4).  n = 0 and n = 1 are the delta and the step law
     itself; unreachable sites (p = 0, or the wrong parity at p = 1) are 0.
+    BudgetError past `MAX_LAW_SITES` sites.
     """
-    n = _require_count(n, "n")
+    n = _require_law_sites(_require_count(n, "n"))
     if n == 1:
         return LatticeLaw(n=n, first=-n, pmf=kraus_weights(params).as_array())
     log_k = log_step_kernel(params)
@@ -428,7 +443,7 @@ def walk_pmf_oracle(n: int, params: ModelParams) -> LatticeLaw:
     convolution, ~log2(n) + popcount(n) calls; meant for n <= a few 10^3.
     Its own oracle, the n sequential convolutions, is in the test suite.
     """
-    n = _require_count(n, "n")
+    n = _require_law_sites(_require_count(n, "n"))
     power = kraus_weights(params).as_array()
     pmf = np.array([1.0])
     bits = n
@@ -473,7 +488,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     -inf marks impossible values (p = 0, or the wrong parity at p = 1).
     n = 1 is `log_step_kernel` itself; `log_convolve_step` is the oracle.
     """
-    n = _require_count(n, "n")
+    n = _require_law_sites(_require_count(n, "n"))
     logk = log_step_kernel(params)
     if n == 1:
         return logk

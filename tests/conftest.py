@@ -198,12 +198,11 @@ def per_state_channel_check() -> float:
     largest trace norm of the three differences (`_trace_norm`)."""
     params, window = CHECK_PARAMS, LatticeWindow(-32, 31, -32, 31)
     rng = np.random.default_rng(11)
-    alphas = np.array([0.0, 0.3, 1.0])
     worst = 0.0
     for _ in range(20):
         dm = random_density(rng, window, 10)
-        diffs = [a.coeffs - b.coeffs for a, b in zip(apply_channel(dm, alphas, params),
-                                                      channel_oracle(dm, alphas, params))]
+        diffs = [apply_channel(dm, a, params).coeffs - channel_oracle(dm, a, params).coeffs
+                 for a in (0.0, 0.3, 1.0)]
         worst = max(worst, _trace_norm(np.stack(diffs)))
     return worst
 
@@ -214,10 +213,10 @@ def per_state_propagator_check() -> float:
     times, and the largest entry of the differences."""
     params, window = CHECK_PARAMS, LatticeWindow(-24, 23, -24, 23)
     rng = np.random.default_rng(12)
-    ts = np.array([0.1, params.tau, 3.0 * params.tau])
     worst = 0.0
     for _ in range(20):
         state = random_joint(rng, window, 8)
-        for a, b in zip(propagate_closed(state, ts, params), propagate_oracle(state, ts, params)):
+        for t in (0.1, params.tau, 3.0 * params.tau):
+            a, b = propagate_closed(state, t, params), propagate_oracle(state, t, params)
             worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
     return worst

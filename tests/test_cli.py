@@ -36,7 +36,7 @@ from starkwalk.cli import (
     write_output,
 )
 from starkwalk.verify import CheckResult
-from starkwalk.walk import MAX_TRIALS
+from starkwalk.walk import MAX_LAW_SITES, MAX_TRIALS
 
 from conftest import convolved_position_moments
 
@@ -382,6 +382,15 @@ def test_walk_refuses_past_its_sample_budget(capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ") and f"budget of {MAX_TRIALS} trials" in err
+
+
+@pytest.mark.parametrize("experiment", ["walk", "fcs-energy", "fcs-position"])
+def test_law_experiments_refuse_past_the_law_budget(experiment, capsys):
+    # at n = 10^9 the dense law of S_n would need 14.9 GiB: refused before it is built
+    assert cli.main(f"{FLAGS} {experiment} --n 1000000000".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"past the budget of {MAX_LAW_SITES} sites" in err
 
 
 # each table under the one row budget: the experiment, its row count at n (linear in n),

@@ -170,15 +170,18 @@ def test_cropped_conjugate_matches_dense(params, window, builder):
 
 @pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
 def test_time_batched_conjugate_equals_each_time(params, window, builder):
+    # the blocks of an array of times lead the conjugation kernel's result, as
+    # `position_oracle` batches them: each entry is that time's alone, bit for bit
     ts = np.array([0.0, 0.1, 1.0, 3.0, 17.25])
     blocks, edges = builder(ts, params, window)
     assert blocks.shape == (ts.size, window.n_k - 1, 2, 2) and edges.shape == (ts.size, 2)
     for A in crop_inputs(window):
-        batched = _conjugate(blocks, edges, A)
+        ks = _occupied(A)
+        batched = _conjugate_on(blocks, edges, _crop(A, ks), ks)
         for i, t in enumerate(ts):
             one = builder(float(t), params, window)
             assert np.array_equal(blocks[i], one[0]) and np.array_equal(edges[i], one[1])
-            assert np.array_equal(batched[i], _conjugate(*one, A))
+            assert np.array_equal(batched[i], _conjugate_on(*one, _crop(A, ks), ks))
 
 
 def joint_stack(window):
@@ -197,22 +200,19 @@ def joint_stack(window):
 @pytest.mark.parametrize("builder, route", [(_closed_blocks, propagate_closed),
                                             (_oracle_blocks, propagate_oracle)])
 def test_stacked_conjugation_equals_each_public_call(params, window, builder, route):
-    # a stack of states of different supports conjugated for an axis of times ahead of
-    # the state axis, and for one time as the acceptance check runs it: entry by entry
-    # the public call's on its own crop, and exactly 0 outside it
+    # a stack of states of different supports conjugated one time at a time, as the
+    # acceptance check runs it: entry by entry the public call's on its own crop, and
+    # exactly 0 outside it
     states, stack, ks = joint_stack(window)
     n, m = window.n_k, ks.stop - ks.start
-    ts = np.array([0.1, 1.0, 3.0])
-    blocks, edges = builder(ts, params, window)
-    stacked = _conjugate_on(blocks[:, None], edges[:, None], stack, ks)
-    assert stacked.shape == ts.shape + stack.shape
-    one = _conjugate_on(blocks[1], edges[1], stack, ks)
-    for i, state in enumerate(states):
-        own = _occupied(state.coeffs)
-        inner = slice(own.start - ks.start, own.stop - ks.start)
-        for out, sub in zip(route(state, ts, params) + (route(state, ts[1], params),),
-                            tuple(stacked[:, i]) + (one[i],)):
-            out, sub = out.coeffs.reshape(2, n, 2, n).copy(), sub.reshape(2, m, 2, m).copy()
+    for t in (0.1, 1.0, 3.0):
+        stacked = _conjugate_on(*builder(t, params, window), stack, ks)
+        assert stacked.shape == stack.shape
+        for state, sub in zip(states, stacked):
+            own = _occupied(state.coeffs)
+            inner = slice(own.start - ks.start, own.stop - ks.start)
+            out = route(state, t, params).coeffs.reshape(2, n, 2, n).copy()
+            sub = sub.reshape(2, m, 2, m).copy()
             assert np.array_equal(out[:, own, :, own], sub[:, inner, :, inner])
             out[:, own, :, own] = 0.0
             sub[:, inner, :, inner] = 0.0
@@ -337,24 +337,6 @@ def test_position_routes_accept_time_arrays(p, window):
         assert route(np.array([], dtype=float), state, p).shape == (0,)
 
 
-@pytest.mark.parametrize("route", [propagate_closed, propagate_oracle])
-def test_propagators_accept_time_arrays(params, window, route):
-    # one call over an array of times gives a tuple of states, each bit-equal
-    # to the call at that time alone
-    rng = np.random.default_rng(27)
-    ts = np.array([0.0, 0.1, 1.0, 3.0, 17.25])
-    for half in (0, 3, 5):
-        state = random_joint(rng, window, half)
-        batched = route(state, ts, params)
-        assert isinstance(batched, tuple) and len(batched) == ts.size
-        for t, one in zip(ts, batched):
-            alone = route(state, float(t), params)
-            assert isinstance(alone, JointDensityMatrix)
-            assert np.array_equal(one.coeffs, alone.coeffs)
-    assert route(state, np.array([], dtype=float), params) == ()
-    assert isinstance(route(state, np.float64(2.5), params), JointDensityMatrix)
-
-
 def test_position_oracle_batches_bound_memory(params, window, monkeypatch):
     # a batch smaller than the number of times gives the same values
     rng = np.random.default_rng(23)
@@ -422,11 +404,14 @@ def test_overflowing_bloch_reach_is_refused(window):
 def test_time_shape_is_checked(params, window):
     rng = np.random.default_rng(25)
     state = random_joint(rng, window, 3)
+    # the propagators take one real time and return one state: an array of any shape,
+    # 0-d and empty included, is refused with ConfigError naming t
     for route in (propagate_closed, propagate_oracle):
-        with pytest.raises(ConfigError):
-            route(state, np.zeros((2, 2)), params)
-        with pytest.raises(ConfigError):
-            route(state, "soon", params)
+        assert isinstance(route(state, np.float64(2.5), params), JointDensityMatrix)
+        for t in (np.array(2.5), np.array([0.0, 1.0]), np.zeros((2, 2)), np.empty(0),
+                  [1.0], "soon"):
+            with pytest.raises(ConfigError, match="t must be a real number, got t = "):
+                route(state, t, params)
     for route in (position_expectation, position_oracle):
         with pytest.raises(ConfigError):
             route(np.zeros((2, 2)), state, params)

@@ -222,7 +222,7 @@ def test_density_checks(window):
 
 
 def test_every_window_edge_refusal_is_the_one_message():
-    # particle, joint, alpha-batch and reservoir refusals: one message, each with its band
+    # particle, joint, oracle and reservoir refusals: one message, each with its band
     params = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     window = LatticeWindow(-8, 7, -8, 7)
     weights = np.zeros(window.n_k)
@@ -234,7 +234,7 @@ def test_every_window_edge_refusal_is_the_one_message():
             (1, lambda: apply_channel(dm, 0.0, params)),
             (2, lambda: propagate_closed(joint, 1.0, params)),
             (2, lambda: position_oracle(np.array([0.5, 1.0]), joint, params)),
-            (2, lambda: channel_oracle(dm, np.array([0.0, 0.3, 1.0]), params)),
+            (2, lambda: channel_oracle(dm, 0.3, params)),
             (3, lambda: run_energy_fcs(reservoir, dm))):
         with pytest.raises(WindowError, match=rf"^support within {band} sites of the window "
                            r"edge \(occupancy \S+ > 1\.0e-10\); enlarge the window$"):
@@ -418,12 +418,13 @@ _HUGE_REALS = {
                  "x of shape (2, 2)", id="rate-numeric-2d"),
     pytest.param(lambda: position_cgf_oracle(2, np.zeros((2, 2)), _RHO, _P),
                  "eta of shape (2, 2)", id="position-cgf-oracle-2d"),
+    # the channel steps take one real alpha: an array of any shape is refused
     pytest.param(lambda: apply_channel(_RHO, np.zeros((2, 2)), _P),
-                 "alpha of shape (2, 2)", id="apply-channel-2d"),
+                 "alpha must be a real number, got alpha = array(", id="apply-channel-2d"),
     pytest.param(lambda: apply_deformed(_RHO, np.zeros((2, 2)), _P),
-                 "alpha of shape (2, 2)", id="apply-deformed-2d"),
+                 "alpha must be a real number, got alpha = array(", id="apply-deformed-2d"),
     pytest.param(lambda: channel_oracle(_RHO, np.zeros((2, 2)), _P),
-                 "alpha of shape (2, 2)", id="channel-oracle-2d"),
+                 "alpha must be a real number, got alpha = array(", id="channel-oracle-2d"),
     pytest.param(lambda: channel_oracle(_RHO, "a", _P), "got alpha = 'a'",
                  id="channel-oracle-string"),
     pytest.param(lambda: rate_function_numeric([0.1, "a"], _P), "got x = [0.1, 'a']",

@@ -18,7 +18,9 @@ from starkwalk import (
     NumericsError,
     ParticleDensityMatrix,
     ReservoirConfig,
+    adjoint_apply,
     apply_channel,
+    apply_deformed,
     deformed_weights,
     energy_cgf,
     environment_reduced_map,
@@ -40,6 +42,7 @@ from starkwalk import (
 from starkwalk.verify import CHECK_PARAMS
 from starkwalk.walk import (
     _FSUM_CHUNK,
+    MAX_LAW_SITES,
     MAX_TRIALS,
     SAMPLE_CHUNK,
     _fsum,
@@ -365,6 +368,41 @@ def test_sample_tally_budget_is_its_span(monkeypatch):
         sample_walk(10_000, 3 * SAMPLE_CHUNK, 5, CHECK_PARAMS)
 
 
+@pytest.mark.parametrize("build", [
+    walk_pmf_exact, walk_log_pmf, walk_pmf_oracle,
+    lambda n, params: run_position_fcs(n, _NAN_STATE, params),
+], ids=["exact", "log", "oracle", "position-fcs"])
+@pytest.mark.parametrize("n", [MAX_LAW_SITES // 2, 2**63], ids=["max-plus-one-site", "2**63"])
+def test_a_law_past_its_site_budget_is_refused_before_any_work(build, n):
+    # 2n + 1 dense sites: one site past the budget and n = 2^63 are refused at once,
+    # with nothing allocated (10^9 asked numpy for 14.9 GiB, 2^63 ran on unrefused)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"past the budget of {MAX_LAW_SITES} sites"):
+            build(n, CHECK_PARAMS)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 2**16, (elapsed, peak)
+
+
+@pytest.mark.parametrize("values", [
+    lambda n: walk_pmf_exact(n, CHECK_PARAMS).pmf,
+    lambda n: walk_log_pmf(n, CHECK_PARAMS),
+    lambda n: walk_pmf_oracle(n, CHECK_PARAMS).pmf,
+], ids=["exact", "log", "oracle"])
+def test_the_law_site_budget_admits_its_edge(monkeypatch, values):
+    # a law of exactly MAX_LAW_SITES sites is built as without the budget; one site more
+    # is refused
+    whole = values(10)
+    monkeypatch.setattr(walk_module, "MAX_LAW_SITES", 21)
+    assert np.array_equal(values(10), whole)
+    with pytest.raises(BudgetError, match=re.escape("(n <= 10)")):
+        values(11)
+
+
 def test_sampling_argument_errors(params):
     with pytest.raises(ValueError):
         sample_walk(10, 0, seed=0, params=params)
@@ -586,26 +624,41 @@ _WALK_LAW = walk_pmf_exact(5, CHECK_PARAMS)
 _POSITION_FCS = run_position_fcs(3, _NAN_STATE, CHECK_PARAMS)
 
 
-@pytest.mark.parametrize("fn", [
-    lambda v: log_theta(v, CHECK_PARAMS),
-    lambda v: theta(v, CHECK_PARAMS),
-    lambda v: scgf(v, CHECK_PARAMS),
-    lambda v: energy_cgf(3, v, CHECK_PARAMS),
-    lambda v: rate_function(v, CHECK_PARAMS),
-    lambda v: deformed_weights(v, CHECK_PARAMS),
-    lambda v: apply_channel(_NAN_STATE, v, CHECK_PARAMS),
-    lambda v: position_cgf_oracle(2, v, _NAN_STATE, CHECK_PARAMS),
-    lambda v: environment_reduced_map(
+_INFINITIES = (math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("fn,also", [
+    (lambda v: log_theta(v, CHECK_PARAMS), ()),
+    (lambda v: theta(v, CHECK_PARAMS), ()),
+    (lambda v: scgf(v, CHECK_PARAMS), ()),
+    (lambda v: energy_cgf(3, v, CHECK_PARAMS), ()),
+    (lambda v: rate_function(v, CHECK_PARAMS), ()),
+    (lambda v: deformed_weights(v, CHECK_PARAMS), _INFINITIES),
+    (lambda v: apply_channel(_NAN_STATE, v, CHECK_PARAMS), _INFINITIES),
+    (lambda v: apply_deformed(_NAN_STATE, v, CHECK_PARAMS), _INFINITIES),
+    (lambda v: adjoint_apply(np.eye(_NAN_WINDOW.n_k), _NAN_WINDOW, v, CHECK_PARAMS),
+     _INFINITIES),
+    (lambda v: position_cgf_oracle(2, v, _NAN_STATE, CHECK_PARAMS), _INFINITIES),
+    (lambda v: environment_reduced_map(
         ReservoirConfig(params=CHECK_PARAMS, M=1, n=1, window=_NAN_WINDOW),
-        np.eye(_NAN_WINDOW.n_k), v),
-    _WALK_LAW.mgf,
-    _POSITION_FCS.log_mgf,
+        np.eye(_NAN_WINDOW.n_k), v), ()),
+    (_WALK_LAW.mgf, ()),
+    (_POSITION_FCS.log_mgf, ()),
+    (lambda v: _POSITION_FCS.window_probability(-1.0, v), ()),
 ], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function", "deformed_weights",
-        "apply_channel", "position_cgf_oracle", "environment_reduced_map", "walk_mgf",
-        "position_log_mgf"])
-def test_nan_argument_is_numerics_error(fn):
-    with pytest.raises(NumericsError):
-        fn(math.nan)
+        "apply_channel", "apply_deformed", "adjoint_apply", "position_cgf_oracle",
+        "environment_reduced_map", "walk_mgf", "position_log_mgf", "window_probability"])
+def test_nan_argument_is_numerics_error(fn, also):
+    # and the routes through `deformed_weights` refuse an infinite exponent too, where one
+    # weight is inf and the other 0, so a step would form inf * 0
+    for value in (math.nan, *also):
+        with pytest.raises(NumericsError):
+            fn(value)
+
+
+def test_window_probability_takes_infinite_bounds():
+    assert _WALK_LAW.window_probability(-math.inf, math.inf) == float(np.sum(_WALK_LAW.pmf))
+    assert _WALK_LAW.window_probability(math.inf, math.inf) == 0.0
 
 
 @pytest.mark.parametrize("fn,eta", [
