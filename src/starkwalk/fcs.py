@@ -128,10 +128,16 @@ def repeated_interaction_propagator(cfg: ReservoirConfig) -> np.ndarray:
     return _evolve(cfg, np.eye(cfg.dim, dtype=complex))
 
 
-def environment_weights(cfg: ReservoirConfig) -> np.ndarray:
-    """Diagonal of rho_beta^{(x)M} over the atom-bit configurations."""
-    gibbs = AtomGibbs.from_params(cfg.params)
-    return np.prod(np.where(_occupations(cfg.M), gibbs.w_excited, gibbs.w_ground), axis=1)
+def environment_weights(cfg: ReservoirConfig, a: float = 1.0) -> np.ndarray:
+    """Diagonal of (rho_beta^a)^{(x)M} over the atom-bit configurations, from one atom's
+    `AtomGibbs.power`; NumericsError where that power or a product of M of them is not
+    a finite double."""
+    ground, excited = np.diagonal(AtomGibbs.from_params(cfg.params).power(a)).tolist()
+    with np.errstate(over="ignore"):
+        w = np.prod(np.where(_occupations(cfg.M), excited, ground), axis=1)
+    if not np.all(np.isfinite(w)):
+        raise NumericsError(f"rho_beta^a on {cfg.M} atoms at a = {a!r} overflows a double")
+    return w
 
 
 def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
@@ -140,18 +146,17 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
 
     For alpha = 0 this is the reduced Schroedinger dynamics after n
     interactions; for general alpha it must agree with n applications of
-    the deformed channel.  NumericsError for NaN alpha.
+    the deformed channel.  NumericsError where alpha is NaN or either power of
+    rho_beta is not a finite double (`environment_weights`).
     """
-    _require_real(alpha, "alpha")
-    if math.isnan(alpha):
-        raise NumericsError("deformed reduction at alpha = NaN")
+    alpha = _require_real(alpha, "alpha")
     K = cfg.window.n_k
     # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
-    w = environment_weights(cfg)
+    kept, traced = environment_weights(cfg, 1.0 - alpha), environment_weights(cfg, alpha)
     U = repeated_interaction_propagator(cfg)
-    joint = np.kron(np.diag((w ** (1.0 - alpha)).astype(complex)), np.asarray(A, dtype=complex))
+    joint = np.kron(np.diag(kept.astype(complex)), np.asarray(A, dtype=complex))
     evolved = (U @ joint @ U.conj().T).reshape(1 << cfg.M, K, 1 << cfg.M, K)
-    return np.einsum("b,bkbl->kl", w ** alpha, evolved)
+    return np.einsum("b,bkbl->kl", traced, evolved)
 
 
 @dataclass(frozen=True)
@@ -247,6 +252,7 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     where n log theta is not a finite double.
     """
     n = _require_count(n, "n")
+    _require_real(n, "n")
     _require_real(alpha, "alpha")
     value = n * log_theta(alpha * params.beta * params.E, params)
     if not math.isfinite(value):
@@ -390,6 +396,7 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     exact distribution of `run_position_fcs`.
     """
     n = _require_count(n, "n")
+    _require_real(n, "n")
     _require_real(eta, "eta")
     z = _kernel_argument(n * params.tau, params)
     try:
@@ -409,6 +416,7 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) ->
     matrix products.
     """
     n = _require_count(n, "n")
+    _require_real(n, "n")
     psi = transform_matrix(window, params.F)
     _require_phase(n * params.tau * params.F, window.k_values)
     arg = n * params.tau * params.F * window.k_values
@@ -417,8 +425,8 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) ->
     return v_re**2 + v_im**2
 
 
-def position_cgf_oracle(n: int, eta: float | np.ndarray, rho_p: ParticleDensityMatrix,
-                        params: ModelParams) -> float | np.ndarray:
+def position_cgf_oracle(n: int, eta: np.ndarray, rho_p: ParticleDensityMatrix,
+                        params: ModelParams) -> np.ndarray:
     """g_n(eta) evaluated on rho_p's window through the deformed channel.
 
     Sandwiching the kicks between e^{+-eta X/2} turns the interaction-
@@ -432,10 +440,9 @@ def position_cgf_oracle(n: int, eta: float | np.ndarray, rho_p: ParticleDensityM
     is the uniformly bounded free dressing, whose diagonal is summed over
     the whole window from the windowed transform.  Independent of the
     Bessel-kernel reduction behind `position_cgf`; costs O(n_x^2 n_k).
-    eta is a float (a float is returned) or a 1-D array (an array, each
-    entry equal to the float call): the dephasing and the dressing weights
-    are computed once for all of them.  Refuses with WindowError when the
-    deformed weights that leave the window exceed
+    eta is a 1-D array, and one g_n is returned per entry: the dephasing and
+    the dressing weights are computed once for all of them.  Refuses with
+    WindowError when the deformed weights that leave the window exceed
     `TOL.position_cgf_identity` of the total.
     """
     n = _require_count(n, "n")
@@ -444,7 +451,7 @@ def position_cgf_oracle(n: int, eta: float | np.ndarray, rho_p: ParticleDensityM
     xs, q = position_distribution(rho_p, params.F)
 
     walks = []
-    for e in etas.reshape(-1).tolist():
+    for e in etas.tolist():
         weights = deformed_weights(-e, params)
         w = q
         lost = 0.0
@@ -462,7 +469,6 @@ def position_cgf_oracle(n: int, eta: float | np.ndarray, rho_p: ParticleDensityM
 
     W2 = free_dressing_weights(n, params, window)
     # sum_z e^{eta (z - x)} |V_xz|^2 over the window
-    values = [math.log(float(np.dot(w, np.sum(W2 * np.exp(e * (xs[None, :] - xs[:, None])),
-                                              axis=1))))
-              for e, w in walks]
-    return values[0] if etas.ndim == 0 else np.array(values)
+    gaps = xs[None, :] - xs[:, None]
+    return np.array([math.log(float(np.dot(w, np.sum(W2 * np.exp(e * gaps), axis=1))))
+                     for e, w in walks])

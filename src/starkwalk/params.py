@@ -141,21 +141,20 @@ def _require_real(value, name: str) -> float:
 
 
 def _require_reals(value, name: str) -> np.ndarray:
-    """value as a float array of at most one axis: a real number (a 0-d array) or a
-    sequence or 1-D array of them; ConfigError otherwise, naming the argument."""
-    if isinstance(value, numbers.Real):
-        return np.asarray(_require_real(value, name))
+    """value as a 1-D float array, from a sequence or 1-D array of real numbers (empty
+    is valid); ConfigError otherwise, naming the argument: a bare number or a 0-d
+    array is refused, as is an array of two or more axes."""
     try:
         real = np.asarray(value).dtype.kind in "biuf"
         values = np.asarray(value, dtype=float) if real else None
     except (TypeError, ValueError, OverflowError):
         values = None
     if values is None:
-        raise ConfigError(f"{name} must be a real number or a 1-D array of them, "
+        raise ConfigError(f"{name} must be a 1-D array of real numbers, "
                           f"got {name} = {_echo(value)}")
-    if values.ndim > 1:
-        raise ConfigError(f"{name} of shape {values.shape}: expected a real number "
-                          "or a 1-D array of them")
+    if values.ndim != 1:
+        raise ConfigError(f"{name} of shape {values.shape}: expected a 1-D array "
+                          "of real numbers")
     return values
 
 
@@ -198,21 +197,15 @@ def _require_tilt(F: float) -> None:
 
 
 def _require_phase(t, *energies) -> None:
-    """Refuse with NumericsError a time t (number or array) at which a phase t * energy
-    overflows or reaches 2^52, where a double keeps no fractional bit of it.
+    """Refuse with NumericsError a time t at which a phase t * energy overflows or
+    reaches 2^52, where a double keeps no fractional bit of it.
 
-    Rounding is monotone, so max |t| times max |energy| bounds every such phase;
-    it is taken in Python floats, which overflow to inf without a warning.  A t
-    that is not a number or an array of them, or is past the double range, is
-    refused with ConfigError.
+    t is a real number or a 1-D float array that its caller has already
+    checked.  Rounding is monotone, so max |t| times max |energy| bounds every
+    such phase; it is taken in Python floats, which overflow to inf without a
+    warning.
     """
-    try:
-        span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
-    except TypeError:
-        raise ConfigError(f"time t must be a real number or an array of them, "
-                          f"got t = {_echo(t)}") from None
-    except OverflowError:
-        raise ConfigError("time t must lie in the double range, |t| < 2^1024") from None
+    span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
     top = max(float(np.abs(e).max()) for e in energies)
     phase = span * top
     if not math.isfinite(phase):

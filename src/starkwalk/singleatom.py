@@ -134,7 +134,7 @@ def half_angle(params: ModelParams) -> tuple[float, float]:
 
 
 def _times(t) -> np.ndarray:
-    """t as a float array of at most one axis; a time that is not finite is refused."""
+    """t as a 1-D float array of times; a time that is not finite is refused."""
     ts = _require_reals(t, "t")
     if not np.all(np.isfinite(ts)):
         raise ConfigError(f"evolution time must be finite, got {_echo(t)}")
@@ -291,7 +291,9 @@ def _propagate(builder, state: JointDensityMatrix, t: float,
                params: ModelParams) -> JointDensityMatrix:
     """Evolve state by the blocks `builder` forms for one real, finite time t, on the
     occupied k-range of the state."""
-    t = _times(_require_real(t, "t"))
+    t = _require_real(t, "t")
+    if not math.isfinite(t):
+        raise ConfigError(f"evolution time must be finite, got {t!r}")
     require_interior(np.diagonal(state.coeffs).reshape(2, -1), band=2)
     return JointDensityMatrix(state.window,
                               _conjugate(*builder(t, params, state.window), state.coeffs))
@@ -315,8 +317,8 @@ def position_motion_bound(params: ModelParams) -> float:
     return _bloch_reach(params.F) + s2**2 + s2 * abs(params.cos2theta) + s2
 
 
-def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
-                         params: ModelParams) -> float | np.ndarray:
+def position_expectation(t: np.ndarray, initial: JointDensityMatrix,
+                         params: ModelParams) -> np.ndarray:
     """<X(t)> from the closed-form Heisenberg evolution of the position.
 
     X(t) = I (x) (X + B(t)) + s^2 st2 (b*b - bb*)
@@ -326,13 +328,10 @@ def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
     Tr(S R) = sum R[i, i+1] and Tr(S^T R) = sum R[i+1, i].  The result is a
     trigonometric polynomial in the Bloch frequency F and the Rabi
     frequency omega0; the motion stays within position_motion_bound of its
-    starting point for all t.  t is a float (a float is returned) or a 1-D
-    array of times (an array is returned): the state is read once, and each
-    time costs O(1).  A float takes the same array arithmetic as each
-    entry of an array, so both forms give the same bits.
+    starting point for all t.  t is a 1-D array of times, and one <X(t)> is
+    returned per time: the state is read once, and each time costs O(1).
     """
-    ts = _times(t)
-    times = ts.reshape(-1)
+    times = _times(t)
     _require_phase(times, params.omega0)
     n = initial.window.n_k
     c = initial.coeffs
@@ -351,31 +350,29 @@ def position_expectation(t: float | np.ndarray, initial: JointDensityMatrix,
     atom = ((params.sin2theta**2) * st2 * (np.trace(gg) - np.trace(ee))
             + (params.sin2theta * params.cos2theta) * st2 * (up + down)
             - 0.5j * params.sin2theta * np.sin(params.omega0 * times) * (up - down))
-    x = (free + atom).real
-    return float(x[0]) if ts.ndim == 0 else x
+    return (free + atom).real
 
 
 # complex entries per time batch of `position_oracle`, which bounds its memory
 _BATCH_ENTRIES = 1 << 18
 
 
-def position_oracle(t: float | np.ndarray, initial: JointDensityMatrix,
-                    params: ModelParams) -> float | np.ndarray:
+def position_oracle(t: np.ndarray, initial: JointDensityMatrix,
+                    params: ModelParams) -> np.ndarray:
     """<X(t)> = Tr[(I (x) X) W rho W^dagger] with W the spectral sector exponentials.
 
     The single-atom position oracle: the state evolves through
     `_oracle_blocks`, as in `propagate_oracle`, on its occupied k-range,
     and the trace against the lattice position is taken entrywise on that
-    range, with no Heisenberg algebra.  t is a float (a float is returned)
-    or a 1-D array of times (an array is returned), evolved in batches.
+    range, with no Heisenberg algebra.  t is a 1-D array of times, evolved in
+    batches, and one <X(t)> is returned per time.
     """
-    ts = _times(t)
+    times = _times(t)
     require_interior(np.diagonal(initial.coeffs).reshape(2, -1), band=2)
     window = initial.window
     ks = _occupied(initial.coeffs)
     m = ks.stop - ks.start
     X = position_operator(window, params.F)[ks, ks]
-    times = ts.reshape(-1)
     out = np.empty(times.shape)
     step = max(1, _BATCH_ENTRIES // (4 * window.n_k + 4 * m * m))
     for i in range(0, times.size, step):
@@ -383,4 +380,4 @@ def position_oracle(t: float | np.ndarray, initial: JointDensityMatrix,
                                 _crop(initial.coeffs, ks), ks)
         out[i:i + step] = np.sum(X.T * (evolved[..., :m, :m] + evolved[..., m:, m:]),
                                  axis=(-2, -1)).real
-    return float(out[0]) if ts.ndim == 0 else out
+    return out

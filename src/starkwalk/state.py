@@ -128,24 +128,20 @@ def position_operator(window: LatticeWindow, F: float) -> np.ndarray:
 class BlochCoefficients(NamedTuple):
     """B(t) = c_plus e^{i xi} + c_minus e^{-i xi} on the Brillouin zone."""
 
-    c_plus: complex
-    c_minus: complex
+    c_plus: np.ndarray
+    c_minus: np.ndarray
 
 
-def bloch_coefficients(t: float | np.ndarray, F: float) -> BlochCoefficients:
-    """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2).
-
-    t is a real number (complex coefficients) or a 1-D array of times (arrays).
-    """
+def bloch_coefficients(t: np.ndarray, F: float) -> BlochCoefficients:
+    """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2),
+    one complex entry per time of the 1-D array t."""
     reach = _bloch_reach(F)
     t = _require_reals(t, "t")
     _require_phase(t, F)
     amp = reach * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
     c_plus = amp * np.exp(1j * phase) / 2j
-    if c_plus.ndim:
-        return BlochCoefficients(c_plus=c_plus, c_minus=np.conj(c_plus))
-    return BlochCoefficients(c_plus=complex(c_plus), c_minus=complex(np.conj(c_plus)))
+    return BlochCoefficients(c_plus=c_plus, c_minus=np.conj(c_plus))
 
 
 @dataclass(frozen=True)

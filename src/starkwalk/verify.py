@@ -37,9 +37,9 @@ from .singleatom import (
 )
 from .state import LatticeWindow, ParticleDensityMatrix, _free_phases
 from .walk import (
-    _rate,
     log_convolve_step,
     log_step_kernel,
+    rate_function,
     rate_function_numeric,
     sample_walk,
     transport_coefficients,
@@ -219,25 +219,24 @@ def check_clt() -> CheckResult:
 
 def check_ldp() -> CheckResult:
     """6. LDP errors at n = 800 small and monotone in n; closed vs numeric rate on a
-    401-point grid, the Legendre transforms solved in one lock-step call.  The closed
-    rate is `rate_function` at each (finite) x, with the log kernel read once."""
+    401-point grid, the Legendre transforms solved in one lock-step call."""
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
-    log_k, be = log_step_kernel(params).tolist(), params.beta * params.E
     xs = [-0.3, 0.0, 0.3, tc.v_d * params.tau]
+    rates = rate_function(xs, params).tolist()
     errs = {}
     laws = {n: walk_pmf_exact(n, params) for n in (200, 400, 800)}
     for n, law in laws.items():
         with np.errstate(divide="ignore"):
             logp = np.log(law.pmf)
-        for x in xs:
+        for x, rate in zip(xs, rates):
             k = round(x * n)
-            errs[(n, x)] = abs(-logp[k - law.first] / n - _rate(x, log_k, be))
+            errs[(n, x)] = abs(-logp[k - law.first] / n - rate)
     worst800 = max(errs[(800, x)] for x in xs)
     monotone = all(errs[(200, x)] >= errs[(400, x)] >= errs[(800, x)] for x in xs)
     grid = np.linspace(-0.999, 0.999, 401)
-    closed = np.array([_rate(x, log_k, be) for x in grid.tolist()])
-    rate_gap = float(np.max(np.abs(closed - rate_function_numeric(grid, params))))
+    gap = rate_function(grid, params) - rate_function_numeric(grid, params)
+    rate_gap = float(np.max(np.abs(gap)))
     passed = worst800 <= TOL.ldp_abs and monotone and rate_gap <= TOL.rate_match
     return CheckResult("large deviations rate", passed, worst800, TOL.ldp_abs,
                        f"monotone={monotone}, closed-vs-numeric {rate_gap:.2e}")

@@ -583,8 +583,8 @@ def scgf(eta: float, params: ModelParams) -> float:
     return log_theta(-eta, params)
 
 
-def rate_function(x: float, params: ModelParams) -> float:
-    """Closed-form large-deviation rate function of S_n / n.
+def rate_function(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Closed-form large-deviation rate function of S_n / n, one rate per entry of x.
 
     With the log weights l_s of `log_step_kernel`, a^2 = 4 exp(l_+ + l_- - 2 l_0)
     and R = sqrt(x^2 + a^2 (1-x^2)), on [0, 1) (the first term is 0 at x = 0):
@@ -593,12 +593,13 @@ def rate_function(x: float, params: ModelParams) -> float:
 
     I(1) = -l_+, I(x) = I(-x) - beta E x for x < 0, +inf outside [-1, 1]: no
     term overflows or cancels at any beta E.  The frozen walk (p = 0) has
-    I = 0 at x = 0 only; NumericsError for NaN x and, inside (-1, 1), at p = 1.
+    I = 0 at x = 0 only; NumericsError for a NaN x and, inside (-1, 1), at p = 1.
     """
-    _require_real(x, "x")
-    if math.isnan(x):
+    xs = _require_reals(x, "x")
+    if np.isnan(xs).any():
         raise NumericsError("rate function of NaN")
-    return _rate(x, log_step_kernel(params).tolist(), params.beta * params.E)
+    log_k, be = log_step_kernel(params).tolist(), params.beta * params.E
+    return np.array([_rate(x, log_k, be) for x in xs.tolist()])
 
 
 def _rate(x: float, log_k, be: float) -> float:
@@ -620,15 +621,14 @@ def _rate(x: float, log_k, be: float) -> float:
     return tilt - x * (l_plus - l_zero) - l_zero - math.log((1.0 + R) / (1.0 - x * x))
 
 
-def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float | np.ndarray:
+def rate_function_numeric(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Rate function as the Legendre-Fenchel transform sup_eta [eta x - e(eta)].
 
-    x is a float (a float is returned) or a 1-D array (an array, each entry
-    equal to the float call bit for bit).  e(eta) is the log-sum-exp of the
-    tilted log weights l_s + eta s of `log_step_kernel`, and the tilted step
-    law q_s = exp(l_s + eta s - e) gives e' = q_+ - q_- and
-    e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and every term of e''
-    is positive, so nothing overflows or cancels.  l_- - eta is taken as
+    x is a 1-D array, and one rate is returned per entry.  e(eta) is the
+    log-sum-exp of the tilted log weights l_s + eta s of `log_step_kernel`,
+    and the tilted step law q_s = exp(l_s + eta s - e) gives e' = q_+ - q_-
+    and e'' = q_0 (q_- + q_+) + 4 q_- q_+: no q_s exceeds 1 and every term
+    of e'' is positive, so nothing overflows or cancels.  l_- - eta is taken as
     l_+ + (-beta E - eta): near eta = -beta E that difference is exact
     (Sterbenz), where l_- - eta would cancel two terms of size beta E.
 
@@ -648,8 +648,8 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
     An entry leaves the iteration once it stops, so no other entry changes
     its value.
     """
-    xs = _require_reals(x, "x")
-    if not np.all((-1.0 < xs) & (xs < 1.0)):
+    targets = _require_reals(x, "x")
+    if not np.all((-1.0 < targets) & (targets < 1.0)):
         raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
     _, l_zero, l_plus = log_step_kernel(params).tolist()
     be = params.beta * params.E
@@ -665,7 +665,6 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
         noise = np.sum(q[::2] * np.spacing(np.abs(logw[::2]) + np.abs(e) + 1.0), axis=0)
         return e, q_p - q_m, q_0 * (q_m + q_p) + 4.0 * q_m * q_p, noise
 
-    targets = xs.reshape(-1)
     lo, hi = np.full(targets.size, -2.0), np.full(targets.size, 2.0)
     for edge, side in ((lo, 1.0), (hi, -1.0)):
         grow = np.arange(targets.size)
@@ -707,7 +706,7 @@ def rate_function_numeric(x: float | np.ndarray, params: ModelParams) -> float |
         eta = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
     if live.size:
         raise NumericsError(f"Legendre sup did not converge at x={targets[live[0]].tolist()}")
-    return float(out[0]) if xs.ndim == 0 else out
+    return out
 
 
 def rate_function_entropy(s: float, params: ModelParams) -> float:
@@ -721,4 +720,7 @@ def rate_function_entropy(s: float, params: ModelParams) -> float:
     be = params.beta * params.E
     if be <= 0.0:
         raise ConfigError("entropy rate function needs beta E > 0")
-    return rate_function(-s / be, params)
+    x = -s / be
+    if math.isnan(x):
+        raise NumericsError("rate function of NaN")
+    return _rate(x, log_step_kernel(params).tolist(), be)

@@ -151,7 +151,7 @@ def test_rate_oracle_at_subnormal_jump_probability():
         want = float(eta * X - mpmath.log((1 - P) + P * mpmath.cosh(eta)))
     assert abs(want - 494.698476610639) <= 1e-12
     for rate in (rate_function, rate_function_numeric):
-        assert abs(rate(x, SUBNORMAL_P) - want) <= TOL.rate_match * want, rate
+        assert abs(rate([x], SUBNORMAL_P)[0] - want) <= TOL.rate_match * want, rate
 
 
 GAMMA_GRID = [s * g for g in (1e-6, 1e-3, 0.1, 1.0, 5.0) for s in (1.0, -1.0)]

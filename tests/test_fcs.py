@@ -257,7 +257,7 @@ _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
         "rho_p window differs", id="energy-fcs-state-on-another-window"),
     # 30 steps spread the deformed weights past a 40-site x-window
     pytest.param(lambda: position_cgf_oracle(
-        30, 0.5, ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -20, 19), 0), _P),
+        30, [0.5], ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -20, 19), 0), _P),
         "leaked .* past the x-window", id="position-cgf-oracle-leak"),
 ])
 def test_a_state_the_window_cannot_hold_is_a_window_error(refuse, message):
@@ -471,13 +471,14 @@ def test_position_cgf_identity(n, E):
     window = LatticeWindow.for_dynamics(0, 0, steps=n + 20, F=params.F)
     rho = ParticleDensityMatrix.eigenstate(window, 0)
     dist = run_position_fcs(n, rho, params, method="reduced")
-    for eta in (-0.5, 0.3, 1.0):
+    etas = (-0.5, 0.3, 1.0)
+    for eta, oracle in zip(etas, position_cgf_oracle(n, etas, rho, params).tolist()):
         g = position_cgf(n, eta, params).value
-        assert abs(g - position_cgf_oracle(n, eta, rho, params)) <= TOL.position_cgf_identity
+        assert abs(g - oracle) <= TOL.position_cgf_identity
         assert abs(g - dist.log_mgf(eta)) <= TOL.position_cgf_identity
 
 
-def test_position_cgf_oracle_on_an_array_of_etas_equals_each_float_call(params):
+def test_position_cgf_oracle_on_an_array_of_etas_equals_each_one_entry_call(params):
     # one dephasing and one set of dressing weights for all etas
     n = 40
     window = LatticeWindow.for_dynamics(0, 0, steps=n + 20, F=params.F)
@@ -485,9 +486,10 @@ def test_position_cgf_oracle_on_an_array_of_etas_equals_each_float_call(params):
     etas = np.array([-0.5, 0.5, 0.0, 1.0])
     values = position_cgf_oracle(n, etas, rho, params)
     assert isinstance(values, np.ndarray) and values.shape == etas.shape
-    assert values.tolist() == [position_cgf_oracle(n, eta, rho, params) for eta in etas.tolist()]
-    assert isinstance(position_cgf_oracle(n, 0.5, rho, params), float)
+    assert values.tolist() == [position_cgf_oracle(n, [eta], rho, params)[0]
+                               for eta in etas.tolist()]
     assert position_cgf_oracle(n, (-0.5, 0.5), rho, params).tolist() == values[:2].tolist()
+    assert position_cgf_oracle(n, np.empty(0), rho, params).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [3, 40])

@@ -255,9 +255,9 @@ def test_edge_support_is_refused(params, window):
 
 def bloch_matrix(t, F, n):
     """B(t) as an eigenbasis matrix: e^{i xi} shifts k down, e^{-i xi} shifts up."""
-    coeffs = bloch_coefficients(t, F)
+    c_plus, c_minus = (c[0] for c in bloch_coefficients([t], F))
     S = np.eye(n, k=-1)
-    return coeffs.c_plus * S.T + coeffs.c_minus * S
+    return c_plus * S.T + c_minus * S
 
 
 def heisenberg_position(t, params, window):
@@ -286,9 +286,10 @@ def test_position_expectation_matches_dense_heisenberg_operator(p, window):
     rng = np.random.default_rng(19)
     for _ in range(4):
         state = random_joint(rng, window, 4)
-        for t in (0.0, 0.37, 1.0, 2.9, 11.5):
+        ts = (0.0, 0.37, 1.0, 2.9, 11.5)
+        for t, x in zip(ts, position_expectation(ts, state, p).tolist()):
             dense = float(np.trace(heisenberg_position(t, p, window) @ state.coeffs).real)
-            assert abs(position_expectation(t, state, p) - dense) <= 1e-12
+            assert abs(x - dense) <= 1e-12
 
 
 def test_position_expectation_zero_coupling_is_bloch(window):
@@ -296,10 +297,11 @@ def test_position_expectation_zero_coupling_is_bloch(window):
     rng = np.random.default_rng(12)
     state = random_joint(rng, window, 4)
     X = position_operator(window, p.F)
-    for t in (0.0, 0.9, 4.4):
+    ts = (0.0, 0.9, 4.4)
+    for t, x in zip(ts, position_expectation(ts, state, p).tolist()):
         free = np.kron(np.eye(2), X + bloch_matrix(t, p.F, window.n_k))
         expected = float(np.trace(free @ state.coeffs).real)
-        assert abs(position_expectation(t, state, p) - expected) <= 1e-12
+        assert abs(x - expected) <= 1e-12
 
 
 def test_position_expectation_matches_oracle_and_bound(params, window):
@@ -307,14 +309,14 @@ def test_position_expectation_matches_oracle_and_bound(params, window):
     state = random_joint(rng, window, 4)
     X = np.kron(np.eye(2), position_operator(window, params.F))
     bound = position_motion_bound(params)
-    x0 = position_expectation(0.0, state, params)
-    for t in np.linspace(0.0, 12.0, 31):
-        xt = position_expectation(float(t), state, params)
-        oracle = position_oracle(float(t), state, params)
+    ts = np.linspace(0.0, 12.0, 31)
+    xts = position_expectation(ts, state, params).tolist()
+    oracles = position_oracle(ts, state, params).tolist()
+    for t, xt, oracle in zip(ts.tolist(), xts, oracles):
         assert abs(xt - oracle) <= TOL.position_oracle
-        assert abs(xt - x0) <= bound
+        assert abs(xt - xts[0]) <= bound
         # the oracle is the plain trace against the dense evolved state
-        W = oracle_unitary(float(t), params, window)
+        W = oracle_unitary(t, params, window)
         dense = float(np.trace(X @ (W @ state.coeffs @ W.conj().T)).real)
         assert abs(oracle - dense) <= 1e-12
 
@@ -330,10 +332,8 @@ def test_position_routes_accept_time_arrays(p, window):
     for route in (position_expectation, position_oracle):
         batched = route(ts, state, p)
         assert isinstance(batched, np.ndarray) and batched.shape == ts.shape
-        each = [route(float(t), state, p) for t in ts]
-        assert all(isinstance(x, float) for x in each)
+        each = [route([t], state, p)[0] for t in ts.tolist()]
         assert np.array_equal(batched, each)
-        assert isinstance(route(np.float64(2.5), state, p), float)
         assert route(np.array([], dtype=float), state, p).shape == (0,)
 
 
@@ -356,7 +356,7 @@ def test_non_finite_time_is_refused(params, window, bad):
             route(state, bad, params)
     for route in (position_expectation, position_oracle):
         with pytest.raises(ConfigError, match="finite"):
-            route(bad, state, params)
+            route([bad], state, params)
         with pytest.raises(ConfigError, match="finite"):
             route(np.array([0.0, 1.0, bad]), state, params)
 
@@ -377,7 +377,7 @@ def test_overflowing_phase_is_refused(params, window):
             route(np.array([0.0, 1.7e308]), state, params)
         with pytest.raises(NumericsError, match=r"2\^52"):
             route(np.array([0.0, 1e300]), state, params)
-        assert np.isfinite(route(1e6, state, params))
+        assert np.all(np.isfinite(route([1e6], state, params)))
 
 
 def test_overflowing_bloch_reach_is_refused(window):
@@ -389,7 +389,7 @@ def test_overflowing_bloch_reach_is_refused(window):
     tiny = ModelParams(E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
     for refused in (lambda: position_motion_bound(tiny),
                     lambda: position_operator(window, tiny.F),
-                    lambda: bloch_coefficients(0.0, tiny.F)):
+                    lambda: bloch_coefficients([0.0], tiny.F)):
         with pytest.raises(NumericsError, match="4/F overflows"):
             refused()
     for route in (position_expectation, position_oracle):
@@ -412,16 +412,19 @@ def test_time_shape_is_checked(params, window):
                   [1.0], "soon"):
             with pytest.raises(ConfigError, match="t must be a real number, got t = "):
                 route(state, t, params)
+    # the position routes take a 1-D array of times: a bare number, a 0-d array and a
+    # 2-D array are refused with ConfigError naming t
     for route in (position_expectation, position_oracle):
-        with pytest.raises(ConfigError):
-            route(np.zeros((2, 2)), state, params)
+        for t in (2.5, np.float64(2.5), np.array(2.5), np.zeros((2, 2))):
+            with pytest.raises(ConfigError, match=r"t of shape \("):
+                route(t, state, params)
 
 
 def test_position_expectation_quasiperiodic_fit(params, window):
     rng = np.random.default_rng(14)
     state = random_joint(rng, window, 4)
     ts = np.linspace(0.0, 40.0, 400)
-    xs = np.array([position_expectation(float(t), state, params) for t in ts])
+    xs = position_expectation(ts, state, params)
     design = np.column_stack([
         np.ones_like(ts),
         np.cos(params.F * ts), np.sin(params.F * ts),
@@ -444,8 +447,8 @@ def test_closed_routes_read_no_interaction_time(params, window):
         state = random_joint(rng, window, 5)
         closed, oracle = propagate_closed(state, t, slow), propagate_oracle(state, t, slow)
         assert np.max(np.abs(closed.coeffs - oracle.coeffs)) <= TOL.propagator_agreement
-        assert (abs(position_expectation(t, state, slow) - position_oracle(t, state, slow))
-                <= TOL.position_oracle)
+        assert (abs(position_expectation([t], state, slow)[0]
+                    - position_oracle([t], state, slow)[0]) <= TOL.position_oracle)
     assert position_motion_bound(slow) == position_motion_bound(params)
 
 

@@ -180,21 +180,21 @@ def test_position_operator_matches_bessel_sums(window):
 
 
 def test_bloch_offset_example():
-    coeffs = bloch_coefficients(1.0, math.pi)
+    coeffs = bloch_coefficients([1.0], math.pi)
     # (4/pi) sin(pi/2) sin(xi + pi/2) = (2/pi)(e^{i xi} + e^{-i xi})
-    assert abs(coeffs.c_plus - 2.0 / math.pi) <= 1e-15
-    assert abs(coeffs.c_minus - 2.0 / math.pi) <= 1e-15
+    assert abs(coeffs.c_plus[0] - 2.0 / math.pi) <= 1e-15
+    assert abs(coeffs.c_minus[0] - 2.0 / math.pi) <= 1e-15
 
 
 def test_bloch_offset_vanishes_on_period(params):
-    coeffs = bloch_coefficients(2.0 * math.pi / params.F, params.F)
-    assert abs(coeffs.c_plus) + abs(coeffs.c_minus) <= 1e-14
+    coeffs = bloch_coefficients([2.0 * math.pi / params.F], params.F)
+    assert abs(coeffs.c_plus[0]) + abs(coeffs.c_minus[0]) <= 1e-14
 
 
 def test_bloch_norm_bound(params):
-    for n in range(1, 30):
-        coeffs = bloch_coefficients(n * params.tau, params.F)
-        assert abs(coeffs.c_plus) + abs(coeffs.c_minus) <= 4.0 / params.F + 1e-14
+    coeffs = bloch_coefficients(np.arange(1, 30) * params.tau, params.F)
+    assert np.all(np.abs(coeffs.c_plus) + np.abs(coeffs.c_minus) <= 4.0 / params.F + 1e-14)
+    assert bloch_coefficients(np.empty(0), params.F).c_plus.shape == (0,)
 
 
 def test_free_motion_mean_stays_bounded(params, window):
@@ -251,17 +251,18 @@ _HUGE_REALS = {
     "log-theta": lambda: log_theta(_HUGE, _P),
     "deformed-weights": lambda: deformed_weights(_HUGE, _P),
     "scgf": lambda: scgf(_HUGE, _P),
-    "rate": lambda: rate_function(_HUGE, _P),
-    "rate-numeric": lambda: rate_function_numeric(_HUGE, _P),
     "rate-entropy": lambda: rate_function_entropy(_HUGE, _P),
     "energy-cgf": lambda: energy_cgf(2, _HUGE, _P),
     "position-cgf": lambda: position_cgf(2, _HUGE, _P),
+    # a count that is multiplied into a float: n log theta and n tau
+    "energy-cgf-n": lambda: energy_cgf(_HUGE, 0.5, _P),
+    "position-cgf-n": lambda: position_cgf(_HUGE, 0.5, _P),
+    "dressing-n": lambda: free_dressing_weights(_HUGE, _P, _RHO.window),
     "free-kernel": lambda: free_kernel(_HUGE, _P),
     "free-evolve": lambda: free_evolve(_RHO, _HUGE, _P),
     "bessel-table": lambda: bessel_table(_HUGE, 3),
     "bessel-j-array": lambda: bessel_j_array(_HUGE, 3),
     "bessel-halfwidth": lambda: bessel_halfwidth(_HUGE),
-    "bloch-coefficients": lambda: bloch_coefficients(_HUGE, 1.0),
     "position-operator": lambda: position_operator(_W, _HUGE),
     "dynamics-window": lambda: LatticeWindow.for_dynamics(0, 0, 1, F=_HUGE),
     "transform-matrix": lambda: transform_matrix(_W, _HUGE),
@@ -306,10 +307,10 @@ _HUGE_REALS = {
     # the tilt: finite and > 0 before 2/F or 4/F is formed
     pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 1, F=0.0),
                  "the tilt F must be finite and > 0, got F = 0.0", id="dynamics-window-zero-force"),
-    pytest.param(lambda: bloch_coefficients(1.0, 0.0), "got F = 0.0", id="bloch-zero-force"),
-    pytest.param(lambda: bloch_coefficients(1.0, -1.0), "got F = -1.0",
+    pytest.param(lambda: bloch_coefficients([1.0], 0.0), "got F = 0.0", id="bloch-zero-force"),
+    pytest.param(lambda: bloch_coefficients([1.0], -1.0), "got F = -1.0",
                  id="bloch-negative-force"),
-    pytest.param(lambda: bloch_coefficients(1.0, math.inf), "got F = inf",
+    pytest.param(lambda: bloch_coefficients([1.0], math.inf), "got F = inf",
                  id="bloch-infinite-force"),
     pytest.param(lambda: position_operator(_W, -1.0), "got F = -1.0",
                  id="position-operator-negative-force"),
@@ -362,7 +363,7 @@ _HUGE_REALS = {
                  id="position-cgf-negative-n"),
     pytest.param(lambda: energy_cgf(-2, 0.5, _P), "n must be an integer >= 0, got -2",
                  id="energy-cgf-negative-n"),
-    pytest.param(lambda: position_cgf_oracle(-2, 0.5, _RHO, _P),
+    pytest.param(lambda: position_cgf_oracle(-2, [0.5], _RHO, _P),
                  "n must be an integer >= 0, got -2", id="position-cgf-oracle-negative-n"),
     pytest.param(lambda: free_dressing_weights(-1, _P, _RHO.window),
                  "n must be an integer >= 0, got -1", id="dressing-negative-n"),
@@ -444,6 +445,13 @@ _HUGE_REALS = {
                  "needs beta E > 0", id="rate-entropy-zero-beta-E"),
     *[pytest.param(build, "must lie in the double range", id=f"{name}-10**400")
       for name, build in _HUGE_REALS.items()],
+    # the batched routes take a 1-D array: one entry past the double range is not a real array
+    pytest.param(lambda: rate_function([_HUGE], _P), "got x = a list of length 1",
+                 id="rate-10**400"),
+    pytest.param(lambda: rate_function_numeric([_HUGE], _P), "got x = a list of length 1",
+                 id="rate-numeric-10**400"),
+    pytest.param(lambda: bloch_coefficients([_HUGE], 1.0), "got t = a list of length 1",
+                 id="bloch-coefficients-10**400"),
     # an int past Python's 4300-digit string limit is echoed by its length, not its digits
     pytest.param(lambda: rate_function_numeric([10**5000], _P), "got x = a list of length 1",
                  id="rate-numeric-list-with-5001-digit-int"),
@@ -472,10 +480,19 @@ _HUGE_REALS = {
                  id="closed-unitary-list-time"),
     pytest.param(lambda: oracle_unitary([1.0, 2.0], _P, _W), "got t = [1.0, 2.0]",
                  id="oracle-unitary-list-time"),
-    # the Bloch coefficients take a real number or a 1-D array of them
+    # the batched routes take a 1-D array: a bare number, a 0-d array and two axes are
+    # refused, naming the argument
     pytest.param(lambda: bloch_coefficients(1j, 1.0), "got t = 1j", id="bloch-complex-time"),
     pytest.param(lambda: bloch_coefficients(np.zeros((2, 2)), 1.0), "t of shape (2, 2)",
                  id="bloch-2d-time"),
+    *[pytest.param(lambda route=route, value=value: route(value), message, id=f"{name}-{kind}")
+      for name, route, message in (
+          ("rate", lambda v: rate_function(v, _P), "x of shape ()"),
+          ("rate-numeric", lambda v: rate_function_numeric(v, _P), "x of shape ()"),
+          ("position-cgf-oracle", lambda v: position_cgf_oracle(2, v, _RHO, _P),
+           "eta of shape ()"),
+          ("bloch", lambda v: bloch_coefficients(v, 1.0), "t of shape ()"))
+      for kind, value in (("float", 0.5), ("0d", np.array(0.5)))],
 ])
 def test_bad_arguments_raise_config_error(build, message):
     with pytest.raises(ConfigError) as refused:

@@ -453,48 +453,44 @@ def test_scgf_defined_at_zero_temperature_product():
 
 def test_rate_function_properties(params):
     tc = transport_coefficients(params)
-    assert abs(rate_function(tc.v_d * params.tau, params)) <= 1e-15
+    assert abs(rate_function([tc.v_d * params.tau], params)[0]) <= 1e-15
     # frozen: I(0) = -log theta(1/2)
-    assert abs(rate_function(0.0, params) - 0.07716780505219559) < 1e-15
+    assert abs(rate_function([0.0], params)[0] - 0.07716780505219559) < 1e-15
     be = params.beta * params.E
     xs = np.linspace(-0.95, 0.95, 39)
     # the closed form is built on this symmetry, so the Legendre oracle checks it
-    for x in xs:
-        assert abs(rate_function_numeric(float(x), params)
-                   - (-be * x + rate_function_numeric(float(-x), params))) <= 1e-10
+    numeric, mirrored = rate_function_numeric(xs, params), rate_function_numeric(-xs, params)
+    assert np.all(np.abs(numeric - (-be * xs + mirrored)) <= 1e-10)
     # strict convexity via second differences
-    vals = [rate_function(float(x), params) for x in xs]
-    second = np.diff(vals, 2)
+    second = np.diff(rate_function(xs, params), 2)
     assert np.all(second > 0.0)
-    assert rate_function(1.5, params) == math.inf
-    assert rate_function(-1.0001, params) == math.inf
+    assert rate_function([1.5, -1.0001], params).tolist() == [math.inf, math.inf]
 
 
 def test_closed_form_rate_at_p_one_refuses_inside_the_interval():
     # p = 1 never stays put: only the ends x = +-1 have a closed form
     locked = LAW_PARAMS["p-one"]
-    assert rate_function(1.0, locked) == -log_step_kernel(locked)[2]
+    assert rate_function([1.0], locked)[0] == -log_step_kernel(locked)[2]
     with pytest.raises(NumericsError, match="needs p < 1"):
-        rate_function(0.5, locked)
+        rate_function([0.5], locked)
 
 
 def test_rate_function_boundary_limits(params):
     kt = kraus_weights(params)
-    assert abs(rate_function(1.0, params) + math.log(kt.p_plus)) <= 1e-12
-    assert abs(rate_function(-1.0, params) + math.log(kt.p_minus)) <= 1e-12
+    at_end, at_start, inside = rate_function([1.0, -1.0, 1.0 - 1e-9], params).tolist()
+    assert abs(at_end + math.log(kt.p_plus)) <= 1e-12
+    assert abs(at_start + math.log(kt.p_minus)) <= 1e-12
     # continuity into the endpoint
-    assert abs(rate_function(1.0 - 1e-9, params) - rate_function(1.0, params)) <= 1e-6
+    assert abs(inside - at_end) <= 1e-6
 
 
 def test_numeric_rate_matches_closed_form(params):
-    for x in np.linspace(-0.999, 0.999, 81):
-        closed = rate_function(float(x), params)
-        numeric = rate_function_numeric(float(x), params)
-        assert abs(closed - numeric) <= 1e-8
+    xs = np.linspace(-0.999, 0.999, 81)
+    assert np.all(np.abs(rate_function(xs, params) - rate_function_numeric(xs, params)) <= 1e-8)
     tc = transport_coefficients(params)
-    assert abs(rate_function_numeric(tc.v_d * params.tau, params)) <= 1e-12
+    assert abs(rate_function_numeric([tc.v_d * params.tau], params)[0]) <= 1e-12
     with pytest.raises(ValueError):
-        rate_function_numeric(1.0, params)
+        rate_function_numeric([1.0], params)
 
 
 def _rate_reference(x, params):
@@ -527,21 +523,24 @@ HUGE_BETA_E = ModelParams(E=9e13, F=1.0, lam=0.5, tau=1e-13, beta=1.0)
 @pytest.mark.parametrize("params", RATE_PARAMS.values(), ids=RATE_PARAMS.keys())
 def test_rate_function_matches_mpmath(params):
     grid = np.linspace(-0.999, 0.999, 101).tolist()
-    for x in (-1.0, -0.999, -0.5, -0.3, -0.01, 0.0, 0.3, 0.999, 1.0, *grid):
+    xs = [-1.0, -0.999, -0.5, -0.3, -0.01, 0.0, 0.3, 0.999, 1.0, *grid]
+    closed = rate_function(xs, params).tolist()
+    numeric = iter(rate_function_numeric([x for x in xs if abs(x) < 1.0], params).tolist())
+    for x, rate in zip(xs, closed):
         ref = _rate_reference(x, params)
-        assert math.isclose(rate_function(x, params), ref, rel_tol=TOL.rate_match)
+        assert math.isclose(rate, ref, rel_tol=TOL.rate_match)
         if abs(x) < 1.0:
-            assert math.isclose(rate_function_numeric(x, params), ref, rel_tol=TOL.rate_match)
+            assert math.isclose(next(numeric), ref, rel_tol=TOL.rate_match)
 
 
 def test_rate_oracle_matches_closed_form_at_huge_beta_E():
     # the Legendre oracle's tilted q_- needs -beta E - eta as one exact difference;
     # l_- - eta would cancel terms of size beta E
     params = HUGE_BETA_E
-    for x in np.linspace(-0.999, 0.999, 41):
-        x = float(x)
-        assert math.isclose(rate_function_numeric(x, params), rate_function(x, params),
-                            rel_tol=TOL.rate_match)
+    xs = np.linspace(-0.999, 0.999, 41)
+    for numeric, closed in zip(rate_function_numeric(xs, params).tolist(),
+                               rate_function(xs, params).tolist()):
+        assert math.isclose(numeric, closed, rel_tol=TOL.rate_match)
 
 
 # beta E = 3.6e15, where one ulp of eta ~ -beta E is 0.5 and moves q_- by e^0.5
@@ -553,8 +552,8 @@ ULP_HALF_BETA_E = ModelParams(E=90458076926983.64, F=6.7136412086923185, lam=-2.
 def test_rate_oracle_resolves_eta_at_an_ulp_of_order_one(x):
     # a Newton step of a few ulps of eta is still a step: stopping on it gave -0.0344
     # at x = -7.46e-30, where I is 2.7e-14
-    assert math.isclose(rate_function_numeric(x, ULP_HALF_BETA_E),
-                        rate_function(x, ULP_HALF_BETA_E), rel_tol=TOL.rate_match)
+    assert math.isclose(rate_function_numeric([x], ULP_HALF_BETA_E)[0],
+                        rate_function([x], ULP_HALF_BETA_E)[0], rel_tol=TOL.rate_match)
 
 
 def test_rate_oracle_refuses_an_eta_it_cannot_resolve():
@@ -562,20 +561,21 @@ def test_rate_oracle_refuses_an_eta_it_cannot_resolve():
     params = ModelParams(E=2.668748208420642e16, F=0.05129723267391656, lam=0.24024763513490044,
                          tau=0.01430642217090306, beta=58.27553263444768)
     with pytest.raises(NumericsError, match="finer than an ulp"):
-        rate_function_numeric(-9.791670809925605e-33, params)
+        rate_function_numeric([-9.791670809925605e-33], params)
 
 
 @pytest.mark.parametrize("params", [*RATE_PARAMS.values(), HUGE_BETA_E],
                          ids=[*RATE_PARAMS, "beta-E-9e13"])
-def test_rate_oracle_on_an_array_equals_each_float_call(params):
-    # the grid of `rate --n 400`, solved in lock-step: every entry bit for bit the float call
+def test_rate_oracle_on_an_array_equals_each_one_entry_call(params):
+    # the grid of `rate --n 400`, solved in lock-step: every entry bit for bit its one-entry call
     grid = np.linspace(-0.999, 0.999, 401)
     numeric = rate_function_numeric(grid, params)
     assert isinstance(numeric, np.ndarray) and numeric.shape == grid.shape
-    assert numeric.tolist() == [rate_function_numeric(x, params) for x in grid.tolist()]
-    assert isinstance(rate_function_numeric(0.3, params), float)
-    assert rate_function_numeric([0.3], params).tolist() == [rate_function_numeric(0.3, params)]
+    assert numeric.tolist() == [rate_function_numeric([x], params)[0] for x in grid.tolist()]
+    assert rate_function_numeric((0.3,), params).tolist() == rate_function_numeric(
+        np.array([0.3]), params).tolist()
     assert rate_function_numeric(np.empty(0), params).shape == (0,)
+    assert rate_function(np.empty(0), params).shape == (0,)
 
 
 def test_rate_oracle_lanes_that_stop_raise_no_warning():
@@ -587,14 +587,14 @@ def test_rate_oracle_lanes_that_stop_raise_no_warning():
             v = transport_coefficients(params).v_d * params.tau
             xs = np.array([v, -0.999999, v, 0.999999, 0.0, v])
             assert np.array_equal(rate_function_numeric(xs, params),
-                                  [rate_function_numeric(x, params) for x in xs.tolist()])
+                                  [rate_function_numeric([x], params)[0] for x in xs.tolist()])
 
 
 def test_rate_oracle_refuses_a_bracket_past_a_double_without_a_warning():
     # the frozen walk (p = 0) has e' = 0 at every eta: x = 0 is solved, x = 0.5 doubles
     # its bracket to inf, which is refused as one NumericsError for the whole array
     frozen = ModelParams(E=2.0, F=2.0, lam=0.0, tau=1.0, beta=1.0)
-    assert rate_function_numeric(0.0, frozen) == 0.0
+    assert rate_function_numeric([0.0], frozen).tolist() == [0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="cannot bracket Legendre sup at x=0.5"):
@@ -607,7 +607,7 @@ def test_rate_oracle_at_a_tiny_x_and_beta_E_zero(E, beta, x):
     # e' = q_+ - q_- cancels to 0 near eta = 0: Newton stops once e' - x is within
     # its rounding, instead of creeping by x / e'' for 200 steps and refusing
     params = ModelParams(E=E, F=1.0, lam=1.0, tau=1.0, beta=beta)
-    assert math.isclose(rate_function_numeric(x, params), rate_function(x, params),
+    assert math.isclose(rate_function_numeric([x], params)[0], rate_function([x], params)[0],
                         rel_tol=TOL.rate_match, abs_tol=TOL.rate_match)
 
 
@@ -632,16 +632,16 @@ _INFINITIES = (math.inf, -math.inf)
     (lambda v: theta(v, CHECK_PARAMS), ()),
     (lambda v: scgf(v, CHECK_PARAMS), ()),
     (lambda v: energy_cgf(3, v, CHECK_PARAMS), ()),
-    (lambda v: rate_function(v, CHECK_PARAMS), ()),
+    (lambda v: rate_function([v], CHECK_PARAMS), ()),
     (lambda v: deformed_weights(v, CHECK_PARAMS), _INFINITIES),
     (lambda v: apply_channel(_NAN_STATE, v, CHECK_PARAMS), _INFINITIES),
     (lambda v: apply_deformed(_NAN_STATE, v, CHECK_PARAMS), _INFINITIES),
     (lambda v: adjoint_apply(np.eye(_NAN_WINDOW.n_k), _NAN_WINDOW, v, CHECK_PARAMS),
      _INFINITIES),
-    (lambda v: position_cgf_oracle(2, v, _NAN_STATE, CHECK_PARAMS), _INFINITIES),
+    (lambda v: position_cgf_oracle(2, [v], _NAN_STATE, CHECK_PARAMS), _INFINITIES),
     (lambda v: environment_reduced_map(
         ReservoirConfig(params=CHECK_PARAMS, M=1, n=1, window=_NAN_WINDOW),
-        np.eye(_NAN_WINDOW.n_k), v), ()),
+        np.eye(_NAN_WINDOW.n_k), v), (*_INFINITIES, 2000.0, -2000.0)),
     (_WALK_LAW.mgf, ()),
     (_POSITION_FCS.log_mgf, ()),
     (lambda v: _POSITION_FCS.window_probability(-1.0, v), ()),
@@ -650,7 +650,8 @@ _INFINITIES = (math.inf, -math.inf)
         "environment_reduced_map", "walk_mgf", "position_log_mgf", "window_probability"])
 def test_nan_argument_is_numerics_error(fn, also):
     # and the routes through `deformed_weights` refuse an infinite exponent too, where one
-    # weight is inf and the other 0, so a step would form inf * 0
+    # weight is inf and the other 0, so a step would form inf * 0; the environment map
+    # refuses an exponent at which a power of rho_beta is not a finite double
     for value in (math.nan, *also):
         with pytest.raises(NumericsError):
             fn(value)
@@ -691,7 +692,7 @@ def test_walk_mgf_skips_the_underflowed_tail():
 def test_double_legendre_recovers_scgf(params):
     # sup_x [eta x - I(x)] = e(eta) on a grid
     xs = np.linspace(-0.9999, 0.9999, 4001)
-    Ix = np.array([rate_function(float(x), params) for x in xs])
+    Ix = rate_function(xs, params)
     for eta in np.linspace(-1.5, 1.5, 7):
         back = np.max(eta * xs - Ix)
         assert abs(back - scgf(float(eta), params)) <= 1e-6
@@ -710,7 +711,7 @@ def test_entropy_rate_function(params):
                    - (rate_function_entropy(float(s), params) - s)) <= 1e-10
         # against the Legendre oracle of the displacement rate function
         assert abs(rate_function_entropy(float(s), params)
-                   - rate_function_numeric(float(-s / be), params)) <= 1e-10
+                   - rate_function_numeric([float(-s / be)], params)[0]) <= 1e-10
 
 
 def test_chunked_fsum_is_correctly_rounded():
