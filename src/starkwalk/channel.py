@@ -211,21 +211,22 @@ def _atom_diagonal(gibbs: AtomGibbs, a: float) -> np.ndarray:
 
 
 def _partial_trace_on(rho: np.ndarray, lifted: np.ndarray, weights: np.ndarray,
-                      blocks: np.ndarray, edges: np.ndarray, ks: slice) -> np.ndarray:
-    """The partial-trace evaluation of `channel_oracle` on the k-range ks.
+                      blocks: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The partial-trace evaluation of `channel_oracle` on a k-range ks.
 
     rho holds particle coefficients on ks, one matrix or a stack of them
     along leading (state) axes, which lead the result; lifted and weights
     are the `_atom_diagonal` of 1 - alpha and of alpha; blocks and edges are
-    one interaction's `_oracle_blocks` on the window.  ks must hold every
-    site the product and its evolution reach, the occupied range widened by
-    one site (`_sites`): then each entry is the whole-window one bit for bit.
+    one interaction's `_oracle_blocks` for the sectors of ks.  ks must hold
+    every site the product and its evolution reach, the occupied range
+    widened by one site (`_sites`): then each entry is the whole-window one
+    bit for bit.
     """
     m, lead = rho.shape[-1], rho.shape[:-2]
     joint = np.zeros(lead + (2, m, 2, m), dtype=complex)
     joint[..., 0, :, 0, :] = lifted[0] * rho
     joint[..., 1, :, 1, :] = lifted[1] * rho
-    evolved = _conjugate_on(blocks, edges, joint.reshape(lead + (2 * m, 2 * m)), ks)
+    evolved = _conjugate_on(blocks, edges, joint.reshape(lead + (2 * m, 2 * m)))
     return weights[0] * evolved[..., :m, :m] + weights[1] * evolved[..., m:, m:]
 
 
@@ -250,9 +251,9 @@ def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
     # the product's diagonal, shaped (2, n_k)
     require_interior(lifted[..., 0] * np.diagonal(dm.coeffs), band=2)
     ks = _sites(_support(dm.coeffs))
-    blocks, edges = _oracle_blocks(params.tau, params, dm.window)
+    blocks, edges = _oracle_blocks(params.tau, params, dm.window, ks)
     reduced = _partial_trace_on(dm.coeffs[ks, ks], lifted, _atom_diagonal(gibbs, alpha),
-                                blocks, edges, ks)
+                                blocks, edges)
     return _on_window(dm.window, reduced, ks)
 
 

@@ -36,6 +36,7 @@ Both increment laws are `walk.LatticeLaw`s: the reservoir's marginal
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -425,6 +426,36 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) ->
     return v_re**2 + v_im**2
 
 
+def _leak_limit(n: int, weights: np.ndarray, q: np.ndarray) -> float:
+    """A leaked weight past which `position_cgf_oracle` must refuse after n steps.
+
+    A step moves each site's weight by the deformed weights (a, b, c) to
+    the sites below, at and above it, or out of the window.  So for a tilt
+    u_i = s^(i - i0) >= 1 on the N sites, i0 the end where it is least, the
+    sum of u_i w_i grows by at most a/s + b + c s per step, and it lies
+    between the mass and s^(N - 1) times the mass (s^(1 - N) for s < 1).
+    s = 1 bounds the weight left after n steps by theta^n times the mass of
+    q; s = sqrt(a/c), the least rate b + 2 sqrt(ac) (theta at beta E / 2,
+    at most 1), by that rate^n (a/c)^(+-(N - 1)/2) times it.  The lesser
+    bound, times `TOL.position_cgf_identity` and widened by a few ulps per
+    step and site for rounding, is the limit; at least the least normal
+    double, and none where q holds no weight.
+    """
+    a, b, c = weights.tolist()
+    mass = float(np.sum(q[q > 0.0]))
+    if mass == 0.0:
+        return math.inf
+    growth = n * math.log(a + b + c)
+    if a > 0.0 and c > 0.0:
+        growth = min(growth, n * math.log(b + 2.0 * math.sqrt(a) * math.sqrt(c))
+                     + 0.5 * (q.size - 1) * abs(math.log(a) - math.log(c)))
+    cap = math.log(TOL.position_cgf_identity) + math.log(mass) + growth
+    cap += 8.0 * sys.float_info.epsilon * (n + q.size) + 1e-12 * (1.0 + abs(cap))
+    if cap > 709.0:
+        return math.inf
+    return max(math.exp(cap), sys.float_info.min)
+
+
 def position_cgf_oracle(n: int, eta: np.ndarray, rho_p: ParticleDensityMatrix,
                         params: ModelParams) -> np.ndarray:
     """g_n(eta) evaluated on rho_p's window through the deformed channel.
@@ -443,7 +474,9 @@ def position_cgf_oracle(n: int, eta: np.ndarray, rho_p: ParticleDensityMatrix,
     eta is a 1-D array, and one g_n is returned per entry: the dephasing and
     the dressing weights are computed once for all of them.  Refuses with
     WindowError when the deformed weights that leave the window exceed
-    `TOL.position_cgf_identity` of the total.
+    `TOL.position_cgf_identity` of the total; at the first step where the
+    weight leaked so far already exceeds that share of a bound on the
+    total (`_leak_limit`), so a window that leaks early is refused early.
     """
     n = _require_count(n, "n")
     etas = _require_reals(eta, "eta")
@@ -453,17 +486,24 @@ def position_cgf_oracle(n: int, eta: np.ndarray, rho_p: ParticleDensityMatrix,
     walks = []
     for e in etas.tolist():
         weights = deformed_weights(-e, params)
+        limit = _leak_limit(n, weights, q)
         w = q
         lost = 0.0
-        for _ in range(n):
+        for j in range(1, n + 1):
             out = np.convolve(w, weights)
             lost += out[0] + out[-1]
             w = out[1:-1]
+            if lost > limit:
+                raise WindowError(
+                    f"deformed weights leaked {lost:.3e} past the x-window by step {j} of "
+                    f"n = {n} at eta = {e!r}, more than {TOL.position_cgf_identity:.0e} of "
+                    f"any total left at step n; enlarge the window"
+                )
         total = float(np.sum(w))
         if lost > TOL.position_cgf_identity * total:
             raise WindowError(
                 f"deformed weights leaked {lost:.3e} past the x-window "
-                f"(total {total:.3e}) at eta = {e!r}; enlarge the window for n = {n}"
+                f"(total {total:.3e}) by step {n} at eta = {e!r}; enlarge the window for n = {n}"
             )
         walks.append((e, w))
 

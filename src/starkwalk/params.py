@@ -197,8 +197,8 @@ def _require_tilt(F: float) -> None:
 
 
 def _require_phase(t, *energies) -> None:
-    """Refuse with NumericsError a time t at which a phase t * energy overflows or
-    reaches 2^52, where a double keeps no fractional bit of it.
+    """Refuse with NumericsError a time t at which a phase t * energy is NaN (a NaN t),
+    overflows, or reaches 2^52, where a double keeps no fractional bit of it.
 
     t is a real number or a 1-D float array that its caller has already
     checked.  Rounding is monotone, so max |t| times max |energy| bounds every
@@ -208,6 +208,8 @@ def _require_phase(t, *energies) -> None:
     span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
     top = max(float(np.abs(e).max()) for e in energies)
     phase = span * top
+    if math.isnan(phase):
+        raise NumericsError(f"phase t * energy is NaN at |t| = {span:.6g}")
     if not math.isfinite(phase):
         raise NumericsError(f"phase t * energy overflows a double at |t| = {span:.6g}")
     if phase >= 2.0 ** 52:

@@ -141,28 +141,40 @@ def _times(t) -> np.ndarray:
     return ts
 
 
-def _closed_blocks(t: float | np.ndarray, params: ModelParams,
-                   window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
+def _sectors(window: LatticeWindow, ks: slice | None) -> slice:
+    """The sectors of the k-range ks, a slice of window indices: the first site of each
+    lies in ks, the last site of ks excluded.  The whole window where ks is None."""
+    return slice(0, window.n_k - 1) if ks is None else slice(ks.start, ks.stop - 1)
+
+
+def _closed_blocks(t: float | np.ndarray, params: ModelParams, window: LatticeWindow,
+                   ks: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(blocks, edges) of e^{-itH} from the closed form; see `closed_unitary`.
 
     t is a float or an array of times, which leads the shapes of both outputs.
+    blocks holds the sectors of the k-range ks (`_sectors`), the whole window
+    by default; each block is an elementwise formula in its sector, so it is
+    the whole-window block bit for bit.  The phase refusal reads the energies
+    of the whole window, with no time axis.
     """
     cos_t, sin_t = half_angle(params)
     R = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
     Ek = _ladder(params, window)
     sector, bare = Ek[:-1] + 0.5 * (params.E - params.F), np.array([Ek[-1], Ek[0] + params.E])
     _require_phase(t, params.omega0, sector, bare)
+    sector = sector[_sectors(window, ks)]
     t = np.asarray(t, dtype=float)[..., None]
     dressed = (R * np.exp(0.5j * t[..., None] * params.omega0 * np.array([1.0, -1.0]))) @ R.T
     phase, edges = np.exp(-1j * t * sector), np.exp(-1j * t * bare)
     return phase[..., None, None] * dressed[..., None, :, :], edges
 
 
-def _oracle_blocks(t: float | np.ndarray, params: ModelParams,
-                   window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_blocks(t: float | np.ndarray, params: ModelParams, window: LatticeWindow,
+                   ks: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(blocks, edges) of e^{-itH} from the spectral formula; see `oracle_unitary`.
 
     t is a float or an array of times, which leads the shapes of both outputs.
+    blocks holds the sectors of the k-range ks, as in `_closed_blocks`.
     """
     blocks, edges = hamiltonian_blocks(params, window)
     e1, e2, lam = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
@@ -171,6 +183,8 @@ def _oracle_blocks(t: float | np.ndarray, params: ModelParams,
     mu, delta = 0.5 * e1 + 0.5 * e2, 0.5 * (e1 - e2)
     r = np.hypot(delta, lam)
     _require_phase(t, r, mu, edges)
+    sectors = _sectors(window, ks)
+    mu, delta, lam, r = mu[sectors], delta[sectors], lam[sectors], r[sectors]
     t = np.asarray(t, dtype=float)[..., None]
     c, s = np.cos(r * t), np.sin(r * t)
     # sin(rt) = 0 where r = 0, so a unit divisor there leaves the identity block
@@ -260,27 +274,28 @@ def _crop(A: np.ndarray, ks: slice) -> np.ndarray:
     return A.reshape(2, n, 2, n)[:, ks, :, ks].reshape(2 * m, 2 * m)
 
 
-def _conjugate_on(blocks: np.ndarray, edges: np.ndarray, sub: np.ndarray,
-                  ks: slice) -> np.ndarray:
-    """W A W^dagger on a k-range ks that holds `_occupied(A)`, from sub = `_crop(A, ks)`.
+def _conjugate_on(blocks: np.ndarray, edges: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """W A W^dagger on a k-range ks that holds `_occupied(A)`, from sub = `_crop(A, ks)`
+    and the blocks of the sectors of ks (the builders' `ks` argument).
 
     O(m^2) for m sites.  W is block-diagonal in the sectors, so every entry
-    of A and of W A W^dagger outside the range is exactly 0.  Inside it the
-    sectors are blocks[ks.start:ks.stop - 1] and each entry is formed from
-    the same rows as on the whole window, so the result is bit-equal to the
-    full-window route.  The sub-window's two unpaired rows take the
-    window's edge phases: where the range is clamped they are the real edge
-    states, and elsewhere their rows and columns are zero.  Leading (time)
-    axes of blocks and edges, and leading axes of sub, lead the result.
+    of A and of W A W^dagger outside the range is exactly 0.  Inside it each
+    entry is formed from the same rows as on the whole window, so the result
+    is bit-equal to the full-window route.  The sub-window's two unpaired
+    rows take the window's edge phases: where the range is clamped they are
+    the real edge states, and elsewhere their rows and columns are zero.
+    Leading (time) axes of blocks and edges, and leading axes of sub, lead
+    the result.
     """
-    sub_blocks = blocks[..., ks.start:ks.stop - 1, :, :]
-    return _dagger(_apply_rows(sub_blocks, edges, _dagger(_apply_rows(sub_blocks, edges, sub))))
+    return _dagger(_apply_rows(blocks, edges, _dagger(_apply_rows(blocks, edges, sub))))
 
 
-def _conjugate(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """W A W^dagger as (W (W A)^dagger)^dagger on the occupied range of A, zero elsewhere."""
+def _conjugate(builder, t, params: ModelParams, window: LatticeWindow,
+               A: np.ndarray) -> np.ndarray:
+    """W A W^dagger as (W (W A)^dagger)^dagger on the occupied range of A, zero elsewhere,
+    with W the blocks `builder` forms on that range at time t."""
     ks = _occupied(A)
-    sub = _conjugate_on(blocks, edges, _crop(A, ks), ks)
+    sub = _conjugate_on(*builder(t, params, window, ks), _crop(A, ks))
     n, m = A.shape[-1] // 2, ks.stop - ks.start
     out = np.zeros((2, n, 2, n), dtype=sub.dtype)
     out[:, ks, :, ks] = sub.reshape(2, m, 2, m)
@@ -296,7 +311,7 @@ def _propagate(builder, state: JointDensityMatrix, t: float,
         raise ConfigError(f"evolution time must be finite, got {t!r}")
     require_interior(np.diagonal(state.coeffs).reshape(2, -1), band=2)
     return JointDensityMatrix(state.window,
-                              _conjugate(*builder(t, params, state.window), state.coeffs))
+                              _conjugate(builder, t, params, state.window, state.coeffs))
 
 
 def propagate_closed(state: JointDensityMatrix, t: float,
@@ -363,9 +378,10 @@ def position_oracle(t: np.ndarray, initial: JointDensityMatrix,
 
     The single-atom position oracle: the state evolves through
     `_oracle_blocks`, as in `propagate_oracle`, on its occupied k-range,
-    and the trace against the lattice position is taken entrywise on that
-    range, with no Heisenberg algebra.  t is a 1-D array of times, evolved in
-    batches, and one <X(t)> is returned per time.
+    with blocks for the sectors of that range alone, and the trace against
+    the lattice position is taken entrywise on that range, with no
+    Heisenberg algebra.  t is a 1-D array of times, evolved in batches, and
+    one <X(t)> is returned per time.
     """
     times = _times(t)
     require_interior(np.diagonal(initial.coeffs).reshape(2, -1), band=2)
@@ -373,11 +389,11 @@ def position_oracle(t: np.ndarray, initial: JointDensityMatrix,
     ks = _occupied(initial.coeffs)
     m = ks.stop - ks.start
     X = position_operator(window, params.F)[ks, ks]
+    sub = _crop(initial.coeffs, ks)
     out = np.empty(times.shape)
-    step = max(1, _BATCH_ENTRIES // (4 * window.n_k + 4 * m * m))
+    step = max(1, _BATCH_ENTRIES // (4 * m + 4 * m * m))
     for i in range(0, times.size, step):
-        evolved = _conjugate_on(*_oracle_blocks(times[i:i + step], params, window),
-                                _crop(initial.coeffs, ks), ks)
+        evolved = _conjugate_on(*_oracle_blocks(times[i:i + step], params, window, ks), sub)
         out[i:i + step] = np.sum(X.T * (evolved[..., :m, :m] + evolved[..., m:, m:]),
                                  axis=(-2, -1)).real
     return out

@@ -37,7 +37,7 @@ from .singleatom import (
 )
 from .state import LatticeWindow, ParticleDensityMatrix, _free_phases
 from .walk import (
-    log_convolve_step,
+    LatticeLaw,
     log_step_kernel,
     rate_function,
     rate_function_numeric,
@@ -119,12 +119,12 @@ def check_channel_oracle() -> CheckResult:
     rhos, ks = _random_states(rng, window, 10, 20)
     evolved = _free_phases(params.tau, params.F, ks.stop - ks.start) * rhos
     gibbs = AtomGibbs.from_params(params)
-    blocks, edges = _oracle_blocks(params.tau, params, window)
+    blocks, edges = _oracle_blocks(params.tau, params, window, ks)
     worst = 0.0
     for alpha in (0.0, 0.3, 1.0):
         kicked = _kick(evolved, deformed_weights(alpha * params.beta * params.E, params))
         traced = _partial_trace_on(rhos, _atom_diagonal(gibbs, 1.0 - alpha),
-                                   _atom_diagonal(gibbs, alpha), blocks, edges, ks)
+                                   _atom_diagonal(gibbs, alpha), blocks, edges)
         worst = max(worst, _trace_norm(kicked - traced))
     return CheckResult("channel vs partial-trace oracle", worst <= TOL.channel_oracle,
                        worst, TOL.channel_oracle, "trace-norm distance")
@@ -132,18 +132,19 @@ def check_channel_oracle() -> CheckResult:
 
 def check_propagator() -> CheckResult:
     """2. Closed-form propagator vs sector-block exponentials, 20 states x 3 times: the
-    states stacked on their occupied k-range, and per time each route conjugates the
-    whole stack once."""
+    states stacked on their occupied k-range, the blocks of both routes built for the
+    sectors of that range alone, and per time each route conjugates the whole stack
+    once."""
     params = CHECK_PARAMS
     window = LatticeWindow(-24, 23, -24, 23)
     rng = np.random.default_rng(12)
     ts = np.array([0.1, params.tau, 3.0 * params.tau])
     states, ks = _random_states(rng, window, 8, 20, atoms=2)
-    closed, oracle = _closed_blocks(ts, params, window), _oracle_blocks(ts, params, window)
+    closed, oracle = _closed_blocks(ts, params, window, ks), _oracle_blocks(ts, params, window, ks)
     worst = 0.0
     for i in range(ts.size):
-        a = _conjugate_on(closed[0][i], closed[1][i], states, ks)
-        b = _conjugate_on(oracle[0][i], oracle[1][i], states, ks)
+        a = _conjugate_on(closed[0][i], closed[1][i], states)
+        b = _conjugate_on(oracle[0][i], oracle[1][i], states)
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("closed propagator vs 2x2 oracle", worst <= TOL.propagator_agreement,
                        worst, TOL.propagator_agreement)
@@ -200,19 +201,36 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
 
 
+def _kolmogorov(law: LatticeLaw, mu: float, sigma: float) -> float:
+    """Kolmogorov distance between `law`, standardized by mu and sigma, and the normal
+    law.
+
+    Taken on the law's nonzero span widened by one site each side (`_sites`)
+    and the lattice's last site.  Outside the span the cdf is flat, 0 below
+    it and its total above it, and Phi is monotone: below the span no site
+    beats the first one of the span, and above it the largest distance is
+    at the site past the span or at the last site.  So the distance equals
+    the dense one over every site of the law bit for bit: the cumulative sum
+    adds exact zeros outside the span, and each Phi is the same elementwise
+    value.
+    """
+    live = _sites(law.pmf != 0.0)
+    z = (np.append(law.dx[live], law.first + law.pmf.size - 1) - mu) / sigma
+    cdf = np.cumsum(law.pmf[live])
+    # the cdf at each site and one site below it; at the last site both are the total
+    below, cdf = np.concatenate([[0.0], cdf[:-1], cdf[-1:]]), np.append(cdf, cdf[-1])
+    phi = _normal_cdf(z)
+    return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(below - phi))))
+
+
 def check_clt() -> CheckResult:
-    """5. Kolmogorov distance of the standardized exact pmf at n = 10^4."""
+    """5. Kolmogorov distance of the standardized exact pmf at n = 10^4, on the law's
+    nonzero span (`_kolmogorov`)."""
     params = CHECK_PARAMS
     tc = transport_coefficients(params)
     n = 10_000
     law = walk_pmf_exact(n, params)
-    mu = tc.v_d * n * params.tau
-    sigma = math.sqrt(2.0 * tc.D * n * params.tau)
-    z = (law.dx - mu) / sigma
-    cdf = np.cumsum(law.pmf)
-    phi = _normal_cdf(z)
-    dist = float(np.max(np.maximum(np.abs(cdf - phi),
-                                   np.abs(np.concatenate([[0.0], cdf[:-1]]) - phi))))
+    dist = _kolmogorov(law, tc.v_d * n * params.tau, math.sqrt(2.0 * tc.D * n * params.tau))
     return CheckResult("central limit theorem (Kolmogorov)", dist <= TOL.clt_kolmogorov,
                        dist, TOL.clt_kolmogorov)
 
@@ -250,21 +268,59 @@ def _reservoir_run(params: ModelParams, n: int) -> fcs_mod.EnergyFcsResult:
     return fcs_mod.run_energy_fcs(cfg, ParticleDensityMatrix.eigenstate(window, 0))
 
 
+def _log_convolution_table(logk: np.ndarray, steps: int) -> np.ndarray:
+    """The log laws of S_0 .. S_steps by log-space convolution, one row per n.
+
+    Row n holds log P[S_n = d] at column steps + 1 + d, -inf off its support
+    and in the two padding columns.  Each step sums the three shifted rows
+    above, (d + 1) + log p_-, then d + log p_0, then (d - 1) + log p_+, with
+    `np.logaddexp` in the order `np.logaddexp.reduce` takes over a padded
+    stack, so each row is the step-by-step log convolution bit for bit.
+    """
+    c = steps + 1
+    table = np.full((steps + 1, 2 * c + 1), -np.inf)
+    table[0, c] = 0.0
+    for n in range(1, steps + 1):
+        prev, row = table[n - 1], table[n, c - n:c + n + 1]
+        np.add(prev[c - n + 1:c + n + 2], logk[0], out=row)
+        np.logaddexp(row, prev[c - n:c + n + 1] + logk[1], out=row)
+        np.logaddexp(row, prev[c - n - 1:c + n] + logk[2], out=row)
+    return table
+
+
+def _walk_fluctuation(params: ModelParams, steps: int) -> tuple[float, float]:
+    """(defect, gap) of the walk part of check 7, from one `_log_convolution_table`.
+
+    defect is the largest |log P[S_n = -k] - (log P[S_n = k] - beta E k)| over
+    1 <= k <= n <= steps, taken in one masked expression over the table;
+    gap is `walk_log_pmf(steps)` against the table's last row,
+    relative to max(1, |log P|).
+    """
+    be = params.beta * params.E
+    table = _log_convolution_table(log_step_kernel(params), steps)
+    c = steps + 1
+    # row n - 1 of down and up holds log P[S_n = -k] and log P[S_n = k] at column k - 1
+    down, up = table[1:, c - 1:0:-1], table[1:, c + 1:c + 1 + steps]
+    k = np.arange(1, steps + 1)
+    below = k <= k[:, None]
+    defects = up - be * k
+    np.subtract(down, defects, out=defects, where=below)
+    defect = float(np.max(np.abs(defects, out=defects), where=below, initial=0.0))
+    logp = table[steps, 1:-1]
+    gap = float(np.max(np.abs(walk_log_pmf(steps, params) - logp) / np.maximum(1.0, np.abs(logp))))
+    return defect, gap
+
+
 def check_fluctuation() -> CheckResult:
     """7. Exact walk fluctuation symmetry for all n <= 200; energy FT at n <= 3;
-    the log walk law equal to the log-space convolution at n = 200."""
+    the log walk law equal to the log-space convolution at n = 200.
+
+    The 200 convolution steps fill one table, and the walk's defects of all
+    n are read from it at once (`_walk_fluctuation`).
+    """
     params = CHECK_PARAMS
     be = params.beta * params.E
-    logk = log_step_kernel(params)
-    logp = np.array([0.0])
-    worst = 0.0
-    for n in range(1, 201):
-        logp = log_convolve_step(logp, logk)
-        k = np.arange(1, n + 1)
-        defect = np.abs(logp[n - k] - (logp[n + k] - be * k))
-        worst = max(worst, float(np.max(defect)))
-    log_gap = float(np.max(np.abs(walk_log_pmf(200, params) - logp)
-                           / np.maximum(1.0, np.abs(logp))))
+    worst, log_gap = _walk_fluctuation(params, 200)
 
     worst_energy = 0.0
     for n in (1, 2, 3):
@@ -359,7 +415,9 @@ def check_energy_bookkeeping() -> CheckResult:
 
 
 def check_boundedness() -> CheckResult:
-    """12. Single-atom <X(t)> within the closed-form bound and equal to the oracle."""
+    """12. Single-atom <X(t)> within the closed-form bound and equal to the oracle,
+    `position_oracle` evolving the state with blocks for the sectors of its occupied
+    k-range alone (3 of the window's 47)."""
     params = CHECK_PARAMS
     window = LatticeWindow(-24, 23, -24, 23)
     n = window.n_k

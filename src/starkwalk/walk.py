@@ -468,15 +468,6 @@ def log_step_kernel(params: ModelParams) -> np.ndarray:
     return np.array([l_plus - be, l_zero, l_plus])
 
 
-def log_convolve_step(logp: np.ndarray, logk: np.ndarray) -> np.ndarray:
-    """One log-space convolution step: support widens by one on each side."""
-    m = logp.size
-    padded = np.full((3, m + 2), -np.inf)
-    for i in range(3):
-        padded[i, i:i + m] = logp + logk[i]
-    return np.logaddexp.reduce(padded, axis=0)
-
-
 def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     """log P[S_n = k] on support -n..n, by the ratio recurrence in O(n).
 
@@ -486,7 +477,8 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     `walk_pmf_exact`): finite and accurate relative to max(1, |log P|) deep
     into the tails where the linear law underflows, and at any beta E.
     -inf marks impossible values (p = 0, or the wrong parity at p = 1).
-    n = 1 is `log_step_kernel` itself; `log_convolve_step` is the oracle.
+    n = 1 is `log_step_kernel` itself.  Its oracle is the log-space
+    convolution table of acceptance check 7.
     """
     n = _require_law_sites(_require_count(n, "n"))
     logk = log_step_kernel(params)

@@ -9,8 +9,14 @@ law from n sequential convolutions of the step law, the moments of
 by step, the sampled walk tally from one `rng.multinomial` call over all
 trials, and the measured
 values of acceptance checks 1 and 2 from the public routes, one
-whole-window state at a time.
+whole-window state at a time.  The routes that work only where the mass
+is are held to the same bits as references that work everywhere: the
+single-atom position oracle on whole-window blocks, check 5's distance
+over every dense site, check 7's defects one n at a time from step-by-step
+log convolutions, and the leak refusal of the position CGF oracle after
+all n steps.
 """
+import math
 import sys
 
 import mpmath as mp
@@ -32,7 +38,11 @@ from starkwalk import (
     propagate_closed,
     propagate_oracle,
 )
-from starkwalk.verify import CHECK_PARAMS, _trace_norm
+from starkwalk.channel import deformed_weights
+from starkwalk.singleatom import _conjugate_on, _crop, _occupied, _oracle_blocks
+from starkwalk.state import position_distribution, position_operator
+from starkwalk.verify import CHECK_PARAMS, _normal_cdf, _trace_norm
+from starkwalk.walk import log_step_kernel, walk_log_pmf
 
 
 @pytest.fixture
@@ -220,3 +230,82 @@ def per_state_propagator_check() -> float:
             a, b = propagate_closed(state, t, params), propagate_oracle(state, t, params)
             worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
     return worst
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same doubles bit for bit: equal shapes and equal 64-bit words
+    (a complex array as its real and imaginary parts)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def whole_window_blocks(builder, t, params: ModelParams, window: LatticeWindow,
+                        ks: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of the sectors of ks sliced from `builder`'s blocks of the whole
+    window, and its edges: the reference for the builders' blocks of a k-range."""
+    blocks, edges = builder(t, params, window)
+    return blocks[..., ks.start:ks.stop - 1, :, :], edges
+
+
+def whole_window_position_oracle(t: np.ndarray, initial: JointDensityMatrix,
+                                 params: ModelParams) -> np.ndarray:
+    """`position_oracle` on blocks of every sector of the window, all times at once,
+    the sectors of the occupied range sliced out of them."""
+    times = np.asarray(t, dtype=float)
+    ks = _occupied(initial.coeffs)
+    m = ks.stop - ks.start
+    X = position_operator(initial.window, params.F)[ks, ks]
+    evolved = _conjugate_on(*whole_window_blocks(_oracle_blocks, times, params,
+                                                 initial.window, ks),
+                            _crop(initial.coeffs, ks))
+    return np.sum(X.T * (evolved[..., :m, :m] + evolved[..., m:, m:]), axis=(-2, -1)).real
+
+
+def dense_kolmogorov(law: LatticeLaw, mu: float, sigma: float) -> float:
+    """Check 5's Kolmogorov distance over every site of the law, its zeros included."""
+    z = (law.dx - mu) / sigma
+    cdf = np.cumsum(law.pmf)
+    phi = _normal_cdf(z)
+    return float(np.max(np.maximum(np.abs(cdf - phi),
+                                   np.abs(np.concatenate([[0.0], cdf[:-1]]) - phi))))
+
+
+def log_convolve_step(logp: np.ndarray, logk: np.ndarray) -> np.ndarray:
+    """One log-space convolution step: support widens by one on each side."""
+    m = logp.size
+    padded = np.full((3, m + 2), -np.inf)
+    for i in range(3):
+        padded[i, i:i + m] = logp + logk[i]
+    return np.logaddexp.reduce(padded, axis=0)
+
+
+def per_n_walk_fluctuation(params: ModelParams, steps: int) -> tuple[float, float]:
+    """The walk part of check 7 one n at a time: (defect, gap) from `steps` successive
+    `log_convolve_step` calls, the defects of each n reduced before the next step."""
+    be = params.beta * params.E
+    logk = log_step_kernel(params)
+    logp = np.array([0.0])
+    worst = 0.0
+    for n in range(1, steps + 1):
+        logp = log_convolve_step(logp, logk)
+        k = np.arange(1, n + 1)
+        worst = max(worst, float(np.max(np.abs(logp[n - k] - (logp[n + k] - be * k)))))
+    gap = float(np.max(np.abs(walk_log_pmf(steps, params) - logp)
+                       / np.maximum(1.0, np.abs(logp))))
+    return worst, gap
+
+
+def full_run_leaks(n: int, eta: float, rho_p: ParticleDensityMatrix,
+                   params: ModelParams) -> bool:
+    """Whether `position_cgf_oracle` refuses n steps at eta, by running all n steps of
+    the deformed weights on the x-window and comparing the weight lost past it with
+    `TOL.position_cgf_identity` of the weight left: the reference for its early refusal."""
+    weights = deformed_weights(-eta, params)
+    w = position_distribution(rho_p, params.F)[1]
+    lost = 0.0
+    for _ in range(n):
+        out = np.convolve(w, weights)
+        lost += out[0] + out[-1]
+        w = out[1:-1]
+    return lost > TOL.position_cgf_identity * float(np.sum(w))

@@ -5,12 +5,19 @@ prints a PASS/FAIL line with the measured error, so `pytest -v -s
 tests/test_acceptance.py` doubles as a readable verification report
 (the `starkwalk ... verify-all` experiment emits the same table).
 """
+import math
+
 import numpy as np
 import pytest
 
+from starkwalk import LatticeLaw, ModelParams, transport_coefficients, walk_pmf_exact
+from starkwalk.singleatom import _closed_blocks, _oracle_blocks
 from starkwalk.state import LatticeWindow
 from starkwalk.verify import (
+    CHECK_PARAMS,
+    _kolmogorov,
     _random_states,
+    _walk_fluctuation,
     check_boundedness,
     check_channel_oracle,
     check_clt,
@@ -26,10 +33,14 @@ from starkwalk.verify import (
 )
 
 from conftest import (
+    dense_kolmogorov,
+    per_n_walk_fluctuation,
     per_state_channel_check,
     per_state_propagator_check,
     random_density,
     random_joint,
+    same_bits,
+    whole_window_blocks,
 )
 
 CRITERIA = [
@@ -79,3 +90,77 @@ def test_stacked_checks_measure_the_per_state_routes(check, per_state):
     # checks 1 and 2 run each route once per exponent or time on the whole stack; their
     # measured values are the public routes' one state at a time, bit for bit
     assert check().measured == per_state()
+
+
+@pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
+@pytest.mark.parametrize("window, half, ts", [
+    # check 2: three times on -24..23, states on |k| <= 8
+    (LatticeWindow(-24, 23, -24, 23), 8, np.array([0.1, 1.0, 3.0])),
+    # check 1 and channel_oracle: one interaction on -32..31, states on |k| <= 10
+    (LatticeWindow(-32, 31, -32, 31), 10, 1.0),
+])
+def test_sector_blocks_are_the_whole_window_blocks(builder, window, half, ts):
+    # checks 1 and 2 build blocks for the sectors of their k-range alone: the same bits
+    # as the whole window's blocks sliced to it, and the same edges; so are ranges
+    # clamped at either edge of the window, and the whole window
+    _, ks = _random_states(np.random.default_rng(12), window, half, 1)
+    n = window.n_k
+    for k_range in (ks, slice(0, 5), slice(n - 5, n), slice(0, n), slice(3, 5)):
+        sectors = builder(ts, CHECK_PARAMS, window, k_range)
+        whole = whole_window_blocks(builder, ts, CHECK_PARAMS, window, k_range)
+        assert same_bits(sectors[0], whole[0]) and same_bits(sectors[1], whole[1])
+
+
+def _standardized(n, params):
+    tc = transport_coefficients(params)
+    return tc.v_d * n * params.tau, math.sqrt(2.0 * tc.D * n * params.tau)
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000, 10_000])
+@pytest.mark.parametrize("params", [
+    CHECK_PARAMS,
+    ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0),
+    ModelParams(E=1.0, F=1.0, lam=1.2, tau=1.0, beta=3.0),
+], ids=["check-params", "beta-E-0", "strong-bias"])
+def test_kolmogorov_on_the_live_span_is_the_dense_distance(n, params):
+    # check 5 reads the law's nonzero span and the last site; the dense distance over
+    # all 2n + 1 sites has the same bits, spans that fill the lattice included
+    law = walk_pmf_exact(n, params)
+    mu, sigma = _standardized(n, params)
+    assert same_bits(_kolmogorov(law, mu, sigma), dense_kolmogorov(law, mu, sigma))
+
+
+@pytest.mark.parametrize("first, pmf, mu, sigma", [
+    # a defective law (total 1/2) at Phi ~ 1/4: the largest distance, 1/2 - Phi(-5), is
+    # at the lattice's last site, far past the span
+    (-50, 0.5 * np.eye(101)[43], 0.0, 10.0),
+    # the same law at Phi ~ 3/4: the largest distance is on the span
+    (-50, 0.5 * np.eye(101)[57], 0.0, 10.0),
+    # mass on both edge sites of the lattice, and zeros inside the span
+    (-3, np.array([0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.25]), 0.0, 2.0),
+    # a single site, and a law past the normal's reach on either side
+    (-5, np.eye(11)[5], 0.0, 1.0),
+    (-5, np.eye(11)[0], 40.0, 1.0),
+    (-5, np.eye(11)[10], -40.0, 1.0),
+], ids=["defective-low", "defective-high", "edges-and-gaps", "point", "far-left", "far-right"])
+def test_kolmogorov_on_the_live_span_is_the_dense_distance_on_any_law(first, pmf, mu, sigma):
+    law = LatticeLaw(n=(pmf.size - 1) // 2, first=first, pmf=pmf)
+    assert same_bits(_kolmogorov(law, mu, sigma), dense_kolmogorov(law, mu, sigma))
+
+
+def test_check_5_measures_the_dense_distance():
+    law = walk_pmf_exact(10_000, CHECK_PARAMS)
+    assert same_bits(check_clt().measured,
+                     dense_kolmogorov(law, *_standardized(10_000, CHECK_PARAMS)))
+
+
+@pytest.mark.parametrize("params", [
+    CHECK_PARAMS,
+    ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0),
+    ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+], ids=["check-params", "beta-E-0", "beta-E-2500"])
+def test_walk_fluctuation_from_one_table_is_the_per_n_loop(params):
+    # check 7's defects and log-law gap, from one table and one expression, are those of
+    # 200 log_convolve_step calls with the defects of each n reduced in turn, bit for bit
+    assert same_bits(np.array(_walk_fluctuation(params, 200)),
+                     np.array(per_n_walk_fluctuation(params, 200)))

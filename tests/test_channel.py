@@ -375,10 +375,10 @@ def test_stacked_partial_trace_equals_each_public_call(params, window):
     # different supports, one alpha at a time as the acceptance check runs them
     dms, stack, ks = state_stack(window)
     gibbs = AtomGibbs.from_params(params)
-    blocks, edges = _oracle_blocks(params.tau, params, window)
+    blocks, edges = _oracle_blocks(params.tau, params, window, ks)
     for alpha in (0.0, 0.3, 1.0, -0.7):
         traced = _partial_trace_on(stack, _atom_diagonal(gibbs, 1.0 - alpha),
-                                   _atom_diagonal(gibbs, alpha), blocks, edges, ks)
+                                   _atom_diagonal(gibbs, alpha), blocks, edges)
         assert traced.shape == stack.shape
         for i, dm in enumerate(dms):
             assert_on_own_crop(channel_oracle(dm, alpha, params).coeffs, traced[i], ks, dm)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from starkwalk import (
 )
 from starkwalk.fcs import environment_weights
 
-from conftest import direct_step_hamiltonian, random_density
+from conftest import direct_step_hamiltonian, full_run_leaks, random_density
 
 
 @pytest.fixture
@@ -263,6 +264,32 @@ _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
 def test_a_state_the_window_cannot_hold_is_a_window_error(refuse, message):
     with pytest.raises(WindowError, match=message):
         refuse()
+
+
+_LEAKY = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -20, 19), 0)
+
+
+@pytest.mark.parametrize("eta", [0.5, -0.5])
+def test_a_window_that_leaks_early_is_refused_early(eta):
+    # the 40-site x-window leaks within a few steps; at n = 30000 the refusal comes at
+    # the step where it is already certain, not after all 30000 steps
+    with pytest.raises(WindowError, match=r"leaked .* past the x-window by step (\d+) of "
+                                          r"n = 30000 ") as info:
+        position_cgf_oracle(30000, [eta], _LEAKY, _P)
+    step = int(re.search(r"by step (\d+) of", str(info.value)).group(1))
+    assert 1 <= step <= 30
+
+
+@pytest.mark.parametrize("eta", [0.5, -0.5, 0.0, 1.5, -3.0])
+def test_early_refusal_only_where_the_full_run_refuses(eta):
+    # n = 0..45 spans the onset of the leak: the oracle refuses exactly the n at which
+    # all n steps leak more than position_cgf_identity of the weight left
+    for n in range(46):
+        if full_run_leaks(n, eta, _LEAKY, _P):
+            with pytest.raises(WindowError, match="past the x-window"):
+                position_cgf_oracle(n, [eta], _LEAKY, _P)
+        else:
+            assert np.isfinite(position_cgf_oracle(n, [eta], _LEAKY, _P)).all()
 
 
 def test_total_energy_rate_and_conservation(params, window):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from starkwalk import ConfigError, ModelParams, NumericsError
+from starkwalk import ConfigError, LatticeWindow, ModelParams, NumericsError, ParticleDensityMatrix
+from starkwalk.fcs import free_kernel
 from starkwalk.params import _echo, _int_digits
+from starkwalk.state import bloch_coefficients, free_evolve
 
 
 def test_reference_point_derived_scalars(params):
@@ -71,6 +73,20 @@ def test_overflowing_rabi_phase_is_numerics_error(E, lam, tau):
     finite = math.isfinite(0.5 * math.hypot(E - 1.0, 2.0 * lam) * tau)
     with pytest.raises(NumericsError, match=r"2\^52" if finite else "overflows"):
         ModelParams(E=E, F=1.0, lam=lam, tau=tau, beta=1.0).p
+
+
+def test_a_nan_time_is_a_nan_phase():
+    # a NaN time makes every phase t * energy NaN: that is what the refusal says, not
+    # an overflow, through each route that reaches the phase check with it
+    params = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+    dm = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
+    for refuse in (lambda: bloch_coefficients([math.nan], params.F),
+                   lambda: bloch_coefficients(np.array([0.5, math.nan]), params.F),
+                   lambda: free_evolve(dm, math.nan, params),
+                   lambda: free_kernel(math.nan, params)):
+        with pytest.raises(NumericsError, match=r"phase t \* energy is NaN") as info:
+            refuse()
+        assert "overflows" not in str(info.value)
 
 
 def test_derived_scalars_leave_equality_and_hash_alone():

@@ -12,6 +12,7 @@ from starkwalk import (
     LatticeWindow,
     ModelParams,
     NumericsError,
+    ParticleDensityMatrix,
     WindowError,
     closed_unitary,
     hamiltonian_blocks,
@@ -37,7 +38,13 @@ from starkwalk.singleatom import (
 )
 from starkwalk.state import bloch_coefficients, position_operator
 
-from conftest import direct_joint_hamiltonian, random_density, random_joint
+from conftest import (
+    direct_joint_hamiltonian,
+    random_density,
+    random_joint,
+    same_bits,
+    whole_window_position_oracle,
+)
 
 
 @pytest.fixture
@@ -130,7 +137,8 @@ def test_row_applier_matches_dense_unitary(params, window, builder):
         blocks, edges = builder(t, params, window)
         W = _scatter(blocks, edges)
         assert np.max(np.abs(_apply_rows(blocks, edges, A) - W @ A)) <= 1e-13
-        assert np.max(np.abs(_conjugate(blocks, edges, A) - W @ A @ W.conj().T)) <= 1e-12
+        conjugated = _conjugate(builder, t, params, window, A)
+        assert np.max(np.abs(conjugated - W @ A @ W.conj().T)) <= 1e-12
 
 
 def crop_inputs(window):
@@ -155,14 +163,14 @@ def crop_inputs(window):
 
 @pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
 def test_cropped_conjugate_matches_dense(params, window, builder):
-    # _conjugate works on the occupied k-range of A only; it must agree with
-    # the dense W A W^dagger entry for entry, and bit for bit with the two row
-    # applications over the whole window
+    # _conjugate works on the occupied k-range of A only, with the blocks of its
+    # sectors; it must agree with the dense W A W^dagger entry for entry, and bit
+    # for bit with the two row applications over the whole window
     for A in crop_inputs(window):
         for t in (0.1, 1.0, 3.0):
             blocks, edges = builder(t, params, window)
             W = _scatter(blocks, edges)
-            out = _conjugate(blocks, edges, A)
+            out = _conjugate(builder, t, params, window, A)
             assert np.max(np.abs(out - W @ A @ W.conj().T)) <= 1e-12
             whole = _dagger(_apply_rows(blocks, edges, _dagger(_apply_rows(blocks, edges, A))))
             assert np.array_equal(out, whole)
@@ -177,11 +185,13 @@ def test_time_batched_conjugate_equals_each_time(params, window, builder):
     assert blocks.shape == (ts.size, window.n_k - 1, 2, 2) and edges.shape == (ts.size, 2)
     for A in crop_inputs(window):
         ks = _occupied(A)
-        batched = _conjugate_on(blocks, edges, _crop(A, ks), ks)
+        sectors = builder(ts, params, window, ks)
+        assert sectors[0].shape == (ts.size, ks.stop - ks.start - 1, 2, 2)
+        batched = _conjugate_on(*sectors, _crop(A, ks))
         for i, t in enumerate(ts):
-            one = builder(float(t), params, window)
-            assert np.array_equal(blocks[i], one[0]) and np.array_equal(edges[i], one[1])
-            assert np.array_equal(batched[i], _conjugate_on(*one, _crop(A, ks), ks))
+            one = builder(float(t), params, window, ks)
+            assert np.array_equal(sectors[0][i], one[0]) and np.array_equal(sectors[1][i], one[1])
+            assert np.array_equal(batched[i], _conjugate_on(*one, _crop(A, ks)))
 
 
 def joint_stack(window):
@@ -206,7 +216,7 @@ def test_stacked_conjugation_equals_each_public_call(params, window, builder, ro
     states, stack, ks = joint_stack(window)
     n, m = window.n_k, ks.stop - ks.start
     for t in (0.1, 1.0, 3.0):
-        stacked = _conjugate_on(*builder(t, params, window), stack, ks)
+        stacked = _conjugate_on(*builder(t, params, window, ks), stack)
         assert stacked.shape == stack.shape
         for state, sub in zip(states, stacked):
             own = _occupied(state.coeffs)
@@ -345,6 +355,33 @@ def test_position_oracle_batches_bound_memory(params, window, monkeypatch):
     whole = position_oracle(ts, state, params)
     monkeypatch.setattr("starkwalk.singleatom._BATCH_ENTRIES", 1)
     assert np.array_equal(position_oracle(ts, state, params), whole)
+
+
+def check_12_state(params):
+    """Acceptance check 12's state: the particle in (|0> + |1>)/sqrt 2, the atom thermal."""
+    window = LatticeWindow(-24, 23, -24, 23)
+    vec = np.zeros(window.n_k, dtype=complex)
+    vec[window.k_index(0)] = vec[window.k_index(1)] = 1.0 / math.sqrt(2.0)
+    rho_p = ParticleDensityMatrix(window, np.outer(vec, vec.conj()))
+    return JointDensityMatrix.product(rho_p, AtomGibbs.from_params(params).density())
+
+
+def test_position_oracle_on_sector_blocks_is_the_whole_window_route(params):
+    # the oracle builds blocks for the sectors of the occupied range alone: its values
+    # are those of the whole window's blocks sliced to that range, bit for bit, at check
+    # 12's state and times, at the CLI's single-atom state and times for --n 5 and 20, and
+    # on seeded random states
+    gibbs = AtomGibbs.from_params(params).density()
+    cli_window = LatticeWindow(-12, 12, -12, 12)
+    cli_state = JointDensityMatrix.product(ParticleDensityMatrix.eigenstate(cli_window, 0), gibbs)
+    cases = [(check_12_state(params), np.linspace(0.0, 50.0 * params.tau, 201))]
+    cases += [(cli_state, np.linspace(0.0, n * params.tau, 20 * n + 1)) for n in (5, 20)]
+    rng = np.random.default_rng(31)
+    window = LatticeWindow(-12, 11, -12, 11)
+    cases += [(random_joint(rng, window, half), np.linspace(0.0, 9.0, 37)) for half in (0, 3, 8)]
+    for state, ts in cases:
+        assert same_bits(position_oracle(ts, state, params),
+                         whole_window_position_oracle(ts, state, params))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -39,7 +39,7 @@ from starkwalk import (
     walk_pmf_exact,
     walk_pmf_oracle,
 )
-from starkwalk.verify import CHECK_PARAMS
+from starkwalk.verify import CHECK_PARAMS, _log_convolution_table
 from starkwalk.walk import (
     _FSUM_CHUNK,
     MAX_LAW_SITES,
@@ -52,11 +52,16 @@ from starkwalk.walk import (
     _outward_ratios,
     _place,
     _ratio_recurrence,
-    log_convolve_step,
     log_step_kernel,
 )
 
-from conftest import assert_law_matches_oracle, one_call_walk_tally, sequential_walk_law
+from conftest import (
+    assert_law_matches_oracle,
+    log_convolve_step,
+    one_call_walk_tally,
+    same_bits,
+    sequential_walk_law,
+)
 
 walk_module = sys.modules["starkwalk.walk"]
 
@@ -204,6 +209,24 @@ def test_log_law_matches_log_convolution(params):
             assert np.all(law[~finite] == -math.inf)
             gap = np.abs(law[finite] - logp[finite]) / np.maximum(1.0, np.abs(logp[finite]))
             assert np.max(gap) <= TOL.walk_law_rel
+
+
+@pytest.mark.parametrize("params", [
+    *LAW_PARAMS.values(), ModelParams(E=2500.0, F=1.0, lam=0.5, tau=1.0, beta=1.0),
+], ids=[*LAW_PARAMS.keys(), "beta-E-2500"])
+def test_log_convolution_table_rows_are_the_step_by_step_convolution(params):
+    # check 7's table: row n is the n-th log_convolve_step centred on the middle column,
+    # bit for bit, and -inf off its support; -inf log weights (p = 0, p = 1) included
+    steps = 60
+    logk = log_step_kernel(params)
+    table = _log_convolution_table(logk, steps)
+    assert table.shape == (steps + 1, 2 * steps + 3)
+    c, logp = steps + 1, np.array([0.0])
+    for n in range(steps + 1):
+        if n:
+            logp = log_convolve_step(logp, logk)
+        assert same_bits(table[n, c - n:c + n + 1], logp)
+        assert np.all(table[n, :c - n] == -math.inf) and np.all(table[n, c + n + 1:] == -math.inf)
 
 
 def test_log_law_fluctuation_identity_at_n_2000():
