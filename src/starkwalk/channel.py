@@ -21,8 +21,15 @@ import numpy as np
 
 from .errors import NumericsError
 from .params import ModelParams, _require_phase, _require_real
-from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks, _sites, _support
-from .state import LatticeWindow, ParticleDensityMatrix, _free_phases, require_interior
+from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks
+from .state import (
+    LatticeWindow,
+    ParticleDensityMatrix,
+    _crop,
+    _free_phases,
+    _uncrop,
+    require_interior,
+)
 
 
 @dataclass(frozen=True)
@@ -158,30 +165,17 @@ def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a * _shift(coeffs, -1) + b * coeffs + c * _shift(coeffs, +1)
 
 
-def _on_window(window: LatticeWindow, sub: np.ndarray, ks: slice) -> ParticleDensityMatrix:
-    """The state whose coefficients are `sub` on the k-range ks and 0 elsewhere."""
-    out = np.zeros((window.n_k, window.n_k), dtype=complex)
-    out[ks, ks] = sub
-    return ParticleDensityMatrix(window, out)
-
-
 def _kicked(dm: ParticleDensityMatrix, alpha: float, params: ModelParams,
             evolve: bool) -> ParticleDensityMatrix:
-    """`apply_deformed`, after the free evolution over tau if `evolve`.
-
-    Both run on the occupied k-range of dm widened by one site, which holds
-    every entry a kick can reach; each entry is the whole-window one bit
-    for bit, since `_free_phases` depends on k - k' alone and a kick reads
-    the same three entries.
-    """
+    """`apply_deformed`, after the free evolution over tau if `evolve`, both on the
+    occupied k-range of dm (`_crop`); `_free_phases` depends on k - k' alone."""
     alpha = _require_real(alpha, "alpha")
     require_interior(np.diagonal(dm.coeffs))
     w = deformed_weights(alpha * params.beta * params.E, params)
-    ks = _sites(_support(dm.coeffs))
-    sub = dm.coeffs[ks, ks]
+    sub, ks = _crop(dm.coeffs)
     if evolve:
         sub = _free_phases(params.tau, params.F, ks.stop - ks.start) * sub
-    return _on_window(dm.window, _kick(sub, w), ks)
+    return ParticleDensityMatrix(dm.window, _uncrop(_kick(sub, w), ks, dm.window.n_k))
 
 
 def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
@@ -217,10 +211,8 @@ def _partial_trace_on(rho: np.ndarray, lifted: np.ndarray, weights: np.ndarray,
     rho holds particle coefficients on ks, one matrix or a stack of them
     along leading (state) axes, which lead the result; lifted and weights
     are the `_atom_diagonal` of 1 - alpha and of alpha; blocks and edges are
-    one interaction's `_oracle_blocks` for the sectors of ks.  ks must hold
-    every site the product and its evolution reach, the occupied range
-    widened by one site (`_sites`): then each entry is the whole-window one
-    bit for bit.
+    one interaction's `_oracle_blocks` for the sectors of ks, the occupied
+    range of `_crop`.
     """
     m, lead = rho.shape[-1], rho.shape[:-2]
     joint = np.zeros(lead + (2, m, 2, m), dtype=complex)
@@ -239,22 +231,19 @@ def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
     and traces out the atom: the two diagonal atom blocks, each weighted by
     its scalar of rho_beta^{alpha}.  Entirely independent of the Kraus route.
 
-    Everything runs on the occupied k-range of rho widened by one site
-    (`_partial_trace_on`), so no 2n_k x 2n_k array is formed and the result
-    equals the whole-window evaluation bit for bit.  The edge refusal reads
-    the particle diagonal times the atom weights, the diagonal of the
-    product.
+    Everything runs on the occupied k-range of rho (`_crop`), so no
+    2n_k x 2n_k array is formed.  The edge refusal reads the particle
+    diagonal times the atom weights, the diagonal of the product.
     """
     alpha = _require_real(alpha, "alpha")
     gibbs = AtomGibbs.from_params(params)
     lifted = _atom_diagonal(gibbs, 1.0 - alpha)
     # the product's diagonal, shaped (2, n_k)
     require_interior(lifted[..., 0] * np.diagonal(dm.coeffs), band=2)
-    ks = _sites(_support(dm.coeffs))
+    sub, ks = _crop(dm.coeffs)
     blocks, edges = _oracle_blocks(params.tau, params, dm.window, ks)
-    reduced = _partial_trace_on(dm.coeffs[ks, ks], lifted, _atom_diagonal(gibbs, alpha),
-                                blocks, edges)
-    return _on_window(dm.window, reduced, ks)
+    reduced = _partial_trace_on(sub, lifted, _atom_diagonal(gibbs, alpha), blocks, edges)
+    return ParticleDensityMatrix(dm.window, _uncrop(reduced, ks, dm.window.n_k))
 
 
 def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,

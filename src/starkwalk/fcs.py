@@ -59,6 +59,7 @@ from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
+    _span,
     position_distribution,
     require_interior,
     transform_matrix,
@@ -311,10 +312,8 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
         # the walk's nonzero sites padded by kernel.size - 1 zeros: every output
         # touching them is the same full-length dot product as in the whole
         # convolution, and every other output is 0
-        live, pad = walk.pmf != 0.0, kernel.size - 1
-        a = max(int(live.argmax()) - pad, 0)
-        b = min(live.size - int(live[::-1].argmax()) + pad, live.size)
-        probs[a:b + kernel.size - 1] = np.convolve(walk.pmf[a:b], kernel)
+        live = _span(walk.pmf != 0.0, kernel.size - 1)
+        probs[live.start:live.stop + kernel.size - 1] = np.convolve(walk.pmf[live], kernel)
         return LatticeLaw(n=n, first=int(walk.first + d[0]), pmf=probs)
     if method != "matrix":
         raise ConfigError(f"unknown method {method!r}")

@@ -19,6 +19,8 @@ from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
     _bloch_reach,
+    _crop,
+    _uncrop,
     bloch_coefficients,
     position_operator,
     require_interior,
@@ -238,54 +240,14 @@ def _dagger(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
 
 
-def _support(A: np.ndarray) -> np.ndarray:
-    """Mask of the indices i at which row i or column i of A has a nonzero entry."""
-    # real and imaginary parts side by side: column j of A is float columns 2j, 2j + 1
-    nz = np.ascontiguousarray(A, dtype=complex).view(np.float64) != 0.0
-    return nz.any(axis=1) | nz.any(axis=0).reshape(-1, 2).any(axis=1)
-
-
-def _sites(occupied: np.ndarray) -> slice:
-    """The sites marked in `occupied`, widened by one each side and clamped to the window.
-
-    Widened so that the range holds both members of every sector that
-    touches them; with no site marked, the range is the first sector.
-    """
-    k = np.flatnonzero(occupied)
-    if not k.size:
-        return slice(0, 2)
-    return slice(max(int(k[0]) - 1, 0), min(int(k[-1]) + 2, occupied.size))
-
-
-def _occupied(A: np.ndarray) -> slice:
-    """The k-range that W A W^dagger can reach from A, as a slice of window indices.
-
-    It covers every k where a row or column of either atom block is nonzero,
-    widened by `_sites`.
-    """
-    n = A.shape[-1] // 2
-    occ = _support(A)
-    return _sites(occ[:n] | occ[n:])
-
-
-def _crop(A: np.ndarray, ks: slice) -> np.ndarray:
-    """The atom-major 2n_k x 2n_k operator A on the k-range ks: both atom blocks, 2m x 2m."""
-    n, m = A.shape[-1] // 2, ks.stop - ks.start
-    return A.reshape(2, n, 2, n)[:, ks, :, ks].reshape(2 * m, 2 * m)
-
-
 def _conjugate_on(blocks: np.ndarray, edges: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """W A W^dagger on a k-range ks that holds `_occupied(A)`, from sub = `_crop(A, ks)`
-    and the blocks of the sectors of ks (the builders' `ks` argument).
+    """W A W^dagger on the k-range ks of `_crop`, from sub = A on ks and the blocks of
+    the sectors of ks (the builders' `ks` argument), in O(m^2) for m sites.
 
-    O(m^2) for m sites.  W is block-diagonal in the sectors, so every entry
-    of A and of W A W^dagger outside the range is exactly 0.  Inside it each
-    entry is formed from the same rows as on the whole window, so the result
-    is bit-equal to the full-window route.  The sub-window's two unpaired
-    rows take the window's edge phases: where the range is clamped they are
-    the real edge states, and elsewhere their rows and columns are zero.
-    Leading (time) axes of blocks and edges, and leading axes of sub, lead
-    the result.
+    The sub-window's two unpaired rows take the window's edge phases: where
+    the range is clamped they are the real edge states, and elsewhere their
+    rows and columns are zero.  Leading (time) axes of blocks and edges, and
+    leading axes of sub, lead the result.
     """
     return _dagger(_apply_rows(blocks, edges, _dagger(_apply_rows(blocks, edges, sub))))
 
@@ -294,12 +256,8 @@ def _conjugate(builder, t, params: ModelParams, window: LatticeWindow,
                A: np.ndarray) -> np.ndarray:
     """W A W^dagger as (W (W A)^dagger)^dagger on the occupied range of A, zero elsewhere,
     with W the blocks `builder` forms on that range at time t."""
-    ks = _occupied(A)
-    sub = _conjugate_on(*builder(t, params, window, ks), _crop(A, ks))
-    n, m = A.shape[-1] // 2, ks.stop - ks.start
-    out = np.zeros((2, n, 2, n), dtype=sub.dtype)
-    out[:, ks, :, ks] = sub.reshape(2, m, 2, m)
-    return out.reshape(A.shape)
+    sub, ks = _crop(A, atoms=2)
+    return _uncrop(_conjugate_on(*builder(t, params, window, ks), sub), ks, window.n_k, atoms=2)
 
 
 def _propagate(builder, state: JointDensityMatrix, t: float,
@@ -386,10 +344,9 @@ def position_oracle(t: np.ndarray, initial: JointDensityMatrix,
     times = _times(t)
     require_interior(np.diagonal(initial.coeffs).reshape(2, -1), band=2)
     window = initial.window
-    ks = _occupied(initial.coeffs)
+    sub, ks = _crop(initial.coeffs, atoms=2)
     m = ks.stop - ks.start
     X = position_operator(window, params.F)[ks, ks]
-    sub = _crop(initial.coeffs, ks)
     out = np.empty(times.shape)
     step = max(1, _BATCH_ENTRIES // (4 * m + 4 * m * m))
     for i in range(0, times.size, step):

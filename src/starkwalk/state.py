@@ -216,6 +216,55 @@ def require_interior(diagonal: np.ndarray, band: int = 1) -> None:
         )
 
 
+def _support(A: np.ndarray) -> np.ndarray:
+    """Mask of the indices i at which row i or column i of A, or of any matrix stacked
+    along A's leading axes, has a nonzero entry."""
+    # real and imaginary parts side by side: column j of A is float columns 2j, 2j + 1
+    nz = np.ascontiguousarray(A, dtype=complex).view(np.float64) != 0.0
+    nz = nz.reshape((-1,) + nz.shape[-2:]).any(axis=0)
+    return nz.any(axis=1) | nz.any(axis=0).reshape(-1, 2).any(axis=1)
+
+
+def _span(mask: np.ndarray, pad: int) -> slice:
+    """The indices marked in `mask`, widened by `pad` on each side and clamped to it,
+    as a slice; with none marked, the first two (one sector).
+
+    The occupied-range rule of the package: each kick moves the eigenbasis
+    index by at most one site, and each sector block pairs a site with its
+    neighbour, so a crop widened by one site holds every entry a kick or a
+    sector block can reach from the occupied sites, and each entry on it is
+    the whole-window one bit for bit.  Outside it every entry is exactly 0.
+    The same holds for a convolution with a kernel of width pad + 1.
+    """
+    k = np.flatnonzero(mask)
+    if not k.size:
+        return slice(0, 2)
+    return slice(max(int(k[0]) - pad, 0), min(int(k[-1]) + pad + 1, mask.size))
+
+
+def _crop(A: np.ndarray, atoms: int = 1) -> tuple[np.ndarray, slice]:
+    """(sub, ks): A on its occupied k-range ks, `_span` of `_support` padded by one site.
+
+    A is a particle operator (atoms = 1) or an atom-major joint operator
+    (atoms = 2), n_k sites per atom block, and sub holds every atom block on
+    ks; leading (state) axes of A lead sub, and ks holds the sites of all.
+    """
+    n, lead = A.shape[-1] // atoms, A.shape[:-2]
+    ks = _span(_support(A).reshape(atoms, n).any(axis=0), 1)
+    m = ks.stop - ks.start
+    sub = A.reshape(lead + (atoms, n, atoms, n))[..., :, ks, :, ks]
+    return sub.reshape(lead + (atoms * m, atoms * m)), ks
+
+
+def _uncrop(sub: np.ndarray, ks: slice, n_k: int, atoms: int = 1) -> np.ndarray:
+    """The operator on n_k sites per atom block that is `sub` on the k-range ks and 0
+    elsewhere: the inverse of `_crop`, leading axes of sub included."""
+    lead, m = sub.shape[:-2], ks.stop - ks.start
+    out = np.zeros(lead + (atoms, n_k, atoms, n_k), dtype=sub.dtype)
+    out[..., :, ks, :, ks] = sub.reshape(lead + (atoms, m, atoms, m))
+    return out.reshape(lead + (atoms * n_k, atoms * n_k))
+
+
 def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> ParticleDensityMatrix:
     """Free evolution for time t: rho_{kk'} -> e^{-i t (E_k - E_k')} rho_{kk'}.
 

@@ -28,14 +28,13 @@ from .singleatom import (
     _closed_blocks,
     _conjugate_on,
     _oracle_blocks,
-    _sites,
     AtomGibbs,
     JointDensityMatrix,
     position_expectation,
     position_motion_bound,
     position_oracle,
 )
-from .state import LatticeWindow, ParticleDensityMatrix, _free_phases
+from .state import LatticeWindow, ParticleDensityMatrix, _free_phases, _span, _support, _uncrop
 from .walk import (
     LatticeLaw,
     log_step_kernel,
@@ -71,8 +70,8 @@ def _random_states(rng, window: LatticeWindow, half: int, count: int,
     """`count` random full-rank density matrices supported on |k| <= half, drawn one
     after another, as (stack, ks).
 
-    ks is that k-range widened by one site (`_sites`), and the stack,
-    shaped (count, atoms m, atoms m) for its m sites, holds each state's
+    ks is that k-range widened by one site (`_span`), and the stack, shaped
+    (count, atoms m, atoms m) for its m sites, holds each state's
     coefficients on it over `atoms` atom-major blocks: 1 for a particle
     state, 2 for a particle (x) atom state.  Everything outside ks is 0.
     """
@@ -80,32 +79,25 @@ def _random_states(rng, window: LatticeWindow, half: int, count: int,
     i0 = window.k_index(-half)
     occupied = np.zeros(window.n_k, dtype=bool)
     occupied[i0:i0 + s] = True
-    ks = _sites(occupied)
-    m = ks.stop - ks.start
-    idx = (m * np.arange(atoms)[:, None] + np.arange(i0 - ks.start, i0 - ks.start + s)).ravel()
-    block_of = np.ix_(idx, idx)
-    stack = np.zeros((count, atoms * m, atoms * m), dtype=complex)
-    for coeffs in stack:
-        g = rng.normal(size=(atoms * s, atoms * s)) + 1j * rng.normal(size=(atoms * s, atoms * s))
-        block = g @ g.conj().T
-        block /= np.trace(block).real
-        coeffs[block_of] = block
-    return stack, ks
+    ks = _span(occupied, 1)
+    # each state's real normals, then its imaginary ones: the order of a draw per state;
+    # rebinding g frees the normals before the Gram product
+    g = rng.normal(size=(count, 2, atoms * s, atoms * s))
+    g = g[:, 0] + 1j * g[:, 1]
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    blocks /= np.trace(blocks, axis1=-2, axis2=-1).real[:, None, None]
+    inner = slice(i0 - ks.start, i0 - ks.start + s)
+    return _uncrop(blocks, inner, ks.stop - ks.start, atoms), ks
 
 
 def _trace_norm(diffs: np.ndarray) -> float:
     """The largest nuclear norm in a stack of matrices, on the smallest square holding
-    the nonzero rows and columns of all of them.
+    the nonzero rows and columns of all of them (`_span` with no padding).
 
     Zero rows and columns do not change the singular values.
     """
-    nz = np.any(diffs != 0.0, axis=tuple(range(diffs.ndim - 2)))    # over the stack
-    idx = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
-    if not idx.size:
-        return 0.0
-    lo, hi = int(idx[0]), int(idx[-1]) + 1
-    crop = diffs[..., lo:hi, lo:hi]
-    return float(np.max(np.sum(np.linalg.svd(crop, compute_uv=False), axis=-1)))
+    ks = _span(_support(diffs), 0)
+    return float(np.max(np.sum(np.linalg.svd(diffs[..., ks, ks], compute_uv=False), axis=-1)))
 
 
 def check_channel_oracle() -> CheckResult:
@@ -205,7 +197,7 @@ def _kolmogorov(law: LatticeLaw, mu: float, sigma: float) -> float:
     """Kolmogorov distance between `law`, standardized by mu and sigma, and the normal
     law.
 
-    Taken on the law's nonzero span widened by one site each side (`_sites`)
+    Taken on the law's nonzero span widened by one site each side (`_span`)
     and the lattice's last site.  Outside the span the cdf is flat, 0 below
     it and its total above it, and Phi is monotone: below the span no site
     beats the first one of the span, and above it the largest distance is
@@ -214,7 +206,7 @@ def _kolmogorov(law: LatticeLaw, mu: float, sigma: float) -> float:
     adds exact zeros outside the span, and each Phi is the same elementwise
     value.
     """
-    live = _sites(law.pmf != 0.0)
+    live = _span(law.pmf != 0.0, 1)
     z = (np.append(law.dx[live], law.first + law.pmf.size - 1) - mu) / sigma
     cdf = np.cumsum(law.pmf[live])
     # the cdf at each site and one site below it; at the last site both are the total

@@ -610,7 +610,11 @@ def _rate(x: float, log_k, be: float) -> float:
     a2 = 4.0 * math.exp(l_plus + l_minus - 2.0 * l_zero)
     R = math.sqrt(x * x + a2 * (1.0 - x * x))
     tilt = x * math.log((x + R) / (2.0 * (1.0 - x))) if x > 0.0 else 0.0
-    return tilt - x * (l_plus - l_zero) - l_zero - math.log((1.0 + R) / (1.0 - x * x))
+    # 1 + R drops an R below an ulp of 1, which log1p keeps; at R >= 2^-10 the
+    # quotient form is kept, so every rate there keeps its bits
+    last = (math.log1p(R) - math.log1p(-x * x) if R < 2.0**-10
+            else math.log((1.0 + R) / (1.0 - x * x)))
+    return tilt - x * (l_plus - l_zero) - l_zero - last
 
 
 def rate_function_numeric(x: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -14,7 +14,10 @@ is are held to the same bits as references that work everywhere: the
 single-atom position oracle on whole-window blocks, check 5's distance
 over every dense site, check 7's defects one n at a time from step-by-step
 log convolutions, and the leak refusal of the position CGF oracle after
-all n steps.
+all n steps.  The crop helpers of `state.py` are held to the rules they
+replaced: the occupied range of a joint operator, its crop and restore,
+the support square of a stack, and check 1 and 2's states drawn one at a
+time.
 """
 import math
 import sys
@@ -39,7 +42,7 @@ from starkwalk import (
     propagate_oracle,
 )
 from starkwalk.channel import deformed_weights
-from starkwalk.singleatom import _conjugate_on, _crop, _occupied, _oracle_blocks
+from starkwalk.singleatom import _conjugate_on, _oracle_blocks
 from starkwalk.state import position_distribution, position_operator
 from starkwalk.verify import CHECK_PARAMS, _normal_cdf, _trace_norm
 from starkwalk.walk import log_step_kernel, walk_log_pmf
@@ -233,11 +236,17 @@ def per_state_propagator_check() -> float:
 
 
 def same_bits(a, b) -> bool:
-    """a and b hold the same doubles bit for bit: equal shapes and equal 64-bit words
-    (a complex array as its real and imaginary parts)."""
+    """a and b hold the same doubles bit for bit: equal shapes, dtypes and bytes in C
+    order (a complex array as its real and imaginary parts), whatever their strides."""
     a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_bits_up_to_zero_signs(a, b) -> bool:
+    """`same_bits` once +0.0 is added to every entry of both, which turns -0.0 into
+    +0.0 and leaves every other double as it is: a route on a crop leaves +0.0 where
+    the whole window's arithmetic can leave -0.0 (a phase times 0)."""
+    return same_bits(np.asarray(a) + 0.0, np.asarray(b) + 0.0)
 
 
 def whole_window_blocks(builder, t, params: ModelParams, window: LatticeWindow,
@@ -248,17 +257,81 @@ def whole_window_blocks(builder, t, params: ModelParams, window: LatticeWindow,
     return blocks[..., ks.start:ks.stop - 1, :, :], edges
 
 
+def widened_sites(occupied: np.ndarray) -> slice:
+    """The sites marked in `occupied`, widened by one each side and clamped to the window;
+    with no site marked, the first sector.  The reference of `state._span` at pad 1."""
+    k = np.flatnonzero(occupied)
+    if not k.size:
+        return slice(0, 2)
+    return slice(max(int(k[0]) - 1, 0), min(int(k[-1]) + 2, occupied.size))
+
+
+def occupied_range(A: np.ndarray) -> slice:
+    """The k-range of an atom-major joint operator A that W A W^dagger can reach: every
+    k where a row or column of either atom block is nonzero, by `widened_sites`.  The
+    reference of the range `state._crop` takes at atoms = 2."""
+    n = A.shape[-1] // 2
+    nz = A != 0
+    occ = nz.any(axis=0) | nz.any(axis=1)
+    return widened_sites(occ[:n] | occ[n:])
+
+
+def crop_joint(A: np.ndarray, ks: slice) -> np.ndarray:
+    """The atom-major 2n_k x 2n_k operator A on the k-range ks: both atom blocks, 2m x 2m."""
+    n, m = A.shape[-1] // 2, ks.stop - ks.start
+    return A.reshape(2, n, 2, n)[:, ks, :, ks].reshape(2 * m, 2 * m)
+
+
+def scatter_joint(sub: np.ndarray, ks: slice, n: int) -> np.ndarray:
+    """The atom-major 2n x 2n operator that is the 2m x 2m `sub` on the k-range ks and 0
+    elsewhere: the reference of `state._uncrop` at atoms = 2."""
+    m = ks.stop - ks.start
+    out = np.zeros((2, n, 2, n), dtype=sub.dtype)
+    out[:, ks, :, ks] = sub.reshape(2, m, 2, m)
+    return out.reshape(2 * n, 2 * n)
+
+
+def stacked_support_square(diffs: np.ndarray) -> slice:
+    """The smallest square holding the nonzero rows and columns of every matrix in a
+    stack, as a slice (empty if there are none): the reference of the crop of
+    `verify._trace_norm`."""
+    nz = np.any(diffs != 0.0, axis=tuple(range(diffs.ndim - 2)))    # over the stack
+    idx = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def per_state_random_states(rng, window: LatticeWindow, half: int, count: int,
+                            atoms: int = 1) -> tuple[np.ndarray, slice]:
+    """`verify._random_states` one state at a time: two normal draws per state, one
+    Gram matrix each, placed on the widened k-range through `np.ix_`."""
+    s = 2 * half + 1
+    i0 = window.k_index(-half)
+    occupied = np.zeros(window.n_k, dtype=bool)
+    occupied[i0:i0 + s] = True
+    ks = widened_sites(occupied)
+    m = ks.stop - ks.start
+    idx = (m * np.arange(atoms)[:, None] + np.arange(i0 - ks.start, i0 - ks.start + s)).ravel()
+    block_of = np.ix_(idx, idx)
+    stack = np.zeros((count, atoms * m, atoms * m), dtype=complex)
+    for coeffs in stack:
+        g = rng.normal(size=(atoms * s, atoms * s)) + 1j * rng.normal(size=(atoms * s, atoms * s))
+        block = g @ g.conj().T
+        block /= np.trace(block).real
+        coeffs[block_of] = block
+    return stack, ks
+
+
 def whole_window_position_oracle(t: np.ndarray, initial: JointDensityMatrix,
                                  params: ModelParams) -> np.ndarray:
     """`position_oracle` on blocks of every sector of the window, all times at once,
     the sectors of the occupied range sliced out of them."""
     times = np.asarray(t, dtype=float)
-    ks = _occupied(initial.coeffs)
+    ks = occupied_range(initial.coeffs)
     m = ks.stop - ks.start
     X = position_operator(initial.window, params.F)[ks, ks]
     evolved = _conjugate_on(*whole_window_blocks(_oracle_blocks, times, params,
                                                  initial.window, ks),
-                            _crop(initial.coeffs, ks))
+                            crop_joint(initial.coeffs, ks))
     return np.sum(X.T * (evolved[..., :m, :m] + evolved[..., m:, m:]), axis=(-2, -1)).real
 
 

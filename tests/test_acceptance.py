@@ -37,6 +37,7 @@ from conftest import (
     per_n_walk_fluctuation,
     per_state_channel_check,
     per_state_propagator_check,
+    per_state_random_states,
     random_density,
     random_joint,
     same_bits,
@@ -80,6 +81,18 @@ def test_stacked_states_are_the_per_state_draws():
             assert np.array_equal(whole[:, ks, :, ks].reshape(atoms * m, atoms * m), sub)
             whole[:, ks, :, ks] = 0.0
             assert not np.any(whole)
+
+
+@pytest.mark.parametrize("atoms", [1, 2])
+@pytest.mark.parametrize("k_min, half", [(-32, 10), (-24, 8), (-24, 23), (-23, 23)],
+                         ids=["check-1", "check-2", "clamped-above", "clamped-below"])
+def test_random_states_in_one_draw_are_the_per_state_loop(atoms, k_min, half):
+    # one normal draw and one batched Gram product give each state's bits, and ks
+    # holds them, where the widened range is clamped at a window edge too
+    window = LatticeWindow(k_min, k_min + 47, k_min, k_min + 47)
+    stack, ks = _random_states(np.random.default_rng(7), window, half, 5, atoms=atoms)
+    loop, loop_ks = per_state_random_states(np.random.default_rng(7), window, half, 5, atoms)
+    assert ks == loop_ks and same_bits(stack, loop)
 
 
 @pytest.mark.parametrize("check, per_state", [

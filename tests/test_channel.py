@@ -27,12 +27,17 @@ from starkwalk import (
     theta,
 )
 from starkwalk.channel import _atom_diagonal, _kick, _log_theta, _partial_trace_on
-from starkwalk.singleatom import _oracle_blocks, _sites, _support
-from starkwalk.state import _free_phases
+from starkwalk.singleatom import _oracle_blocks
+from starkwalk.state import _crop, _free_phases
 from starkwalk.verify import CHECK_PARAMS
 from starkwalk.walk import rate_function, rate_function_numeric
 
-from conftest import kron_channel_oracle, random_density, random_interior_operator
+from conftest import (
+    kron_channel_oracle,
+    random_density,
+    random_interior_operator,
+    same_bits_up_to_zero_signs,
+)
 
 
 @pytest.fixture
@@ -264,7 +269,8 @@ def test_cropped_oracle_equals_kron_route(p, alphas, window):
         for alpha in alphas:
             alone = channel_oracle(dm, alpha, p)
             assert isinstance(alone, ParticleDensityMatrix)
-            assert np.array_equal(alone.coeffs, kron_channel_oracle(dm, alpha, p).coeffs)
+            assert same_bits_up_to_zero_signs(alone.coeffs,
+                                              kron_channel_oracle(dm, alpha, p).coeffs)
     zero = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
     assert not np.any(channel_oracle(zero, 0.3, p).coeffs)
 
@@ -337,14 +343,13 @@ def state_stack(window):
     rng = np.random.default_rng(41)
     dms = [random_density(rng, window, half, center)
            for half, center in ((0, 0), (3, -5), (6, 2), (2, 9))]
-    ks = _sites(np.any([_support(dm.coeffs) for dm in dms], axis=0))
-    return dms, np.stack([dm.coeffs[ks, ks] for dm in dms]), ks
+    return (dms, *_crop(np.stack([dm.coeffs for dm in dms])))
 
 
 def assert_on_own_crop(out: np.ndarray, stacked: np.ndarray, ks: slice, dm):
     """The public result `out` equals the stacked kernel's entries on the call's own crop,
     entry by entry, and is exactly 0 outside that crop (and so is the kernel)."""
-    own = _sites(_support(dm.coeffs))
+    own = _crop(dm.coeffs)[1]
     inner = slice(own.start - ks.start, own.stop - ks.start)
     assert np.array_equal(out[own, own], stacked[inner, inner])
     rest = out.copy()
@@ -393,7 +398,8 @@ def test_cropped_kraus_route_equals_the_whole_window_kick(params, window):
                              (apply_deformed, dm.coeffs)):
             for alpha in (0.0, 0.3, 1.0, -0.7):
                 w = deformed_weights(alpha * params.beta * params.E, params)
-                assert np.array_equal(route(dm, alpha, params).coeffs, _kick(whole, w))
+                assert same_bits_up_to_zero_signs(route(dm, alpha, params).coeffs,
+                                                  _kick(whole, w))
 
 
 def test_oracle_output_is_density(params, window):

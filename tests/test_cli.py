@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import starkwalk.bessel
 import starkwalk.cli as cli
@@ -540,24 +538,52 @@ CONTRACT_RUNS = {
     "fcs-energy": "--n 2 --m 2",
     "fcs-position": "--n 3",
 }
-_log_uniform = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
-_log_uniform_or_0 = st.one_of(st.just(0.0), _log_uniform)
-# tilts down to the subnormal range, where 2/F and 4/F overflow to inf
-_tilt = st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e)
+# the decimal exponent box of (E, F, lam, tau, beta); E, lam and beta may also be 0,
+# and tilts reach the subnormal range, where 2/F and 4/F overflow to inf
+_EXPONENTS = ((-300.0, 308.0), (-323.0, 308.0), (-300.0, 308.0), (-300.0, 308.0),
+              (-300.0, 308.0))
+_MAY_BE_ZERO = (True, False, True, False, True)
+_CONTRACT_DRAWS = 300
+# inputs of earlier defects of the contract, run on every pass
+_PINNED = [
+    ("fcs-energy", 2.0, 1.0, 0.5, 1.0, 1e308),
+    ("spectrum", 2.0, 1e-310, 0.5, 1.0, 1.0),
+    ("single-atom", 2.0, 1e-310, 0.5, 1.0, 1.0),
+    ("spectrum", 1.697, 0.986, 0.1325, 1.26e24, 2.0),
+    ("fcs-position", 2.0, 1e-6, 0.5, 1e6, 1.0),
+    ("fcs-position", 2.0, 1e-9, 0.5, 1e9, 1.0),
+]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@example(experiment="fcs-energy", E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1e308)
-@example(experiment="spectrum", E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
-@example(experiment="single-atom", E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
-@example(experiment="spectrum", E=1.697, F=0.986, lam=0.1325, tau=1.26e24, beta=2.0)
-@example(experiment="fcs-position", E=2.0, F=1e-6, lam=0.5, tau=1e6, beta=1.0)
-@example(experiment="fcs-position", E=2.0, F=1e-9, lam=0.5, tau=1e9, beta=1.0)
-@given(experiment=st.sampled_from(sorted(CONTRACT_RUNS)), E=_log_uniform_or_0, F=_tilt,
-       lam=_log_uniform_or_0, tau=_log_uniform, beta=_log_uniform_or_0)
-def test_every_experiment_gives_valid_rows_or_one_error_line(experiment, E, F, lam, tau, beta):
+def _contract_cases() -> list[tuple]:
+    """(experiment, E, F, lam, tau, beta): _CONTRACT_DRAWS draws from a seeded generator,
+    each coordinate 10^u for u uniform on its exponent range and, where it may be, 0
+    with probability 1/4, the experiment uniform; then the pinned cases; then, for
+    every experiment, one draw with each coordinate at each of its bounds (0, 10^lo,
+    10^hi)."""
+    rng = np.random.default_rng(20261020)
+    experiments = sorted(CONTRACT_RUNS)
+    bounds = [(j, value) for j, ((lo, hi), zero) in enumerate(zip(_EXPONENTS, _MAY_BE_ZERO))
+              for value in [0.0] * zero + [10.0 ** lo, 10.0 ** hi]]
+    count = _CONTRACT_DRAWS + len(experiments) * len(bounds)
+    lows, highs = np.array(_EXPONENTS).T
+    values = 10.0 ** rng.uniform(lows, highs, size=(count, len(_EXPONENTS)))
+    values[(rng.random(size=values.shape) < 0.25) & np.array(_MAY_BE_ZERO)] = 0.0
+    picks = rng.integers(len(experiments), size=count)
+    row = _CONTRACT_DRAWS
+    for e in range(len(experiments)):
+        for j, value in bounds:
+            picks[row], values[row, j] = e, value
+            row += 1
+    cases = [(experiments[e], *v) for e, v in zip(picks.tolist(), values.tolist())]
+    return cases[:_CONTRACT_DRAWS] + _PINNED + cases[_CONTRACT_DRAWS:]
+
+
+@pytest.mark.parametrize("case", _contract_cases())
+def test_every_experiment_gives_valid_rows_or_one_error_line(case):
     # every input in the box either exits 2 with one error line, or exits 0 with
     # finite cells that pass the experiment's own invariants
+    experiment, E, F, lam, tau, beta = case
     argv = [f"--E={E!r}", f"--F={F!r}", f"--lambda={lam!r}", f"--tau={tau!r}",
             f"--beta={beta!r}", experiment, *CONTRACT_RUNS[experiment].split(), "--out", "-"]
     out, err = io.StringIO(), io.StringIO()

@@ -28,21 +28,18 @@ from starkwalk.singleatom import (
     _closed_blocks,
     _conjugate,
     _conjugate_on,
-    _crop,
     _dagger,
-    _occupied,
     _oracle_blocks,
     _scatter,
-    _sites,
-    _support,
 )
-from starkwalk.state import bloch_coefficients, position_operator
+from starkwalk.state import _crop, bloch_coefficients, position_operator
 
 from conftest import (
     direct_joint_hamiltonian,
     random_density,
     random_joint,
     same_bits,
+    same_bits_up_to_zero_signs,
     whole_window_position_oracle,
 )
 
@@ -165,15 +162,20 @@ def crop_inputs(window):
 def test_cropped_conjugate_matches_dense(params, window, builder):
     # _conjugate works on the occupied k-range of A only, with the blocks of its
     # sectors; it must agree with the dense W A W^dagger entry for entry, and bit
-    # for bit with the two row applications over the whole window
-    for A in crop_inputs(window):
+    # for bit with the two row applications over the whole window; so must the
+    # public route, on every input but the last, whose diagonal reaches the edge
+    route = {_closed_blocks: propagate_closed, _oracle_blocks: propagate_oracle}[builder]
+    inputs = crop_inputs(window)
+    for i, A in enumerate(inputs):
         for t in (0.1, 1.0, 3.0):
             blocks, edges = builder(t, params, window)
             W = _scatter(blocks, edges)
             out = _conjugate(builder, t, params, window, A)
             assert np.max(np.abs(out - W @ A @ W.conj().T)) <= 1e-12
             whole = _dagger(_apply_rows(blocks, edges, _dagger(_apply_rows(blocks, edges, A))))
-            assert np.array_equal(out, whole)
+            assert same_bits_up_to_zero_signs(out, whole)
+            if i < len(inputs) - 1:
+                assert same_bits(route(JointDensityMatrix(window, A), t, params).coeffs, out)
 
 
 @pytest.mark.parametrize("builder", [_closed_blocks, _oracle_blocks])
@@ -184,27 +186,24 @@ def test_time_batched_conjugate_equals_each_time(params, window, builder):
     blocks, edges = builder(ts, params, window)
     assert blocks.shape == (ts.size, window.n_k - 1, 2, 2) and edges.shape == (ts.size, 2)
     for A in crop_inputs(window):
-        ks = _occupied(A)
+        sub, ks = _crop(A, atoms=2)
         sectors = builder(ts, params, window, ks)
         assert sectors[0].shape == (ts.size, ks.stop - ks.start - 1, 2, 2)
-        batched = _conjugate_on(*sectors, _crop(A, ks))
+        batched = _conjugate_on(*sectors, sub)
         for i, t in enumerate(ts):
             one = builder(float(t), params, window, ks)
             assert np.array_equal(sectors[0][i], one[0]) and np.array_equal(sectors[1][i], one[1])
-            assert np.array_equal(batched[i], _conjugate_on(*one, _crop(A, ks)))
+            assert np.array_equal(batched[i], _conjugate_on(*one, sub))
 
 
 def joint_stack(window):
     """Joint states of different supports, and their stack on the union of their
     occupied k-ranges widened by one site: (states, stack, ks)."""
     rng = np.random.default_rng(42)
-    n = window.n_k
     atom = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     states = [JointDensityMatrix.product(random_density(rng, window, half, center), atom)
               for half, center in ((0, 0), (2, -5), (3, 4))] + [random_joint(rng, window, 2)]
-    occupied = [_support(st.coeffs) for st in states]
-    ks = _sites(np.any([occ[:n] | occ[n:] for occ in occupied], axis=0))
-    return states, np.stack([_crop(st.coeffs, ks) for st in states]), ks
+    return (states, *_crop(np.stack([st.coeffs for st in states]), atoms=2))
 
 
 @pytest.mark.parametrize("builder, route", [(_closed_blocks, propagate_closed),
@@ -219,7 +218,7 @@ def test_stacked_conjugation_equals_each_public_call(params, window, builder, ro
         stacked = _conjugate_on(*builder(t, params, window, ks), stack)
         assert stacked.shape == stack.shape
         for state, sub in zip(states, stacked):
-            own = _occupied(state.coeffs)
+            own = _crop(state.coeffs, atoms=2)[1]
             inner = slice(own.start - ks.start, own.stop - ks.start)
             out = route(state, t, params).coeffs.reshape(2, n, 2, n).copy()
             sub = sub.reshape(2, m, 2, m).copy()
@@ -369,8 +368,8 @@ def check_12_state(params):
 def test_position_oracle_on_sector_blocks_is_the_whole_window_route(params):
     # the oracle builds blocks for the sectors of the occupied range alone: its values
     # are those of the whole window's blocks sliced to that range, bit for bit, at check
-    # 12's state and times, at the CLI's single-atom state and times for --n 5 and 20, and
-    # on seeded random states
+    # 12's state and times, at the CLI's single-atom state and times for --n 5 and 20, on
+    # seeded random states and on ranges clamped at either window edge
     gibbs = AtomGibbs.from_params(params).density()
     cli_window = LatticeWindow(-12, 12, -12, 12)
     cli_state = JointDensityMatrix.product(ParticleDensityMatrix.eigenstate(cli_window, 0), gibbs)
@@ -379,6 +378,9 @@ def test_position_oracle_on_sector_blocks_is_the_whole_window_route(params):
     rng = np.random.default_rng(31)
     window = LatticeWindow(-12, 11, -12, 11)
     cases += [(random_joint(rng, window, half), np.linspace(0.0, 9.0, 37)) for half in (0, 3, 8)]
+    # the upper, lower and both-edge operators of crop_inputs, whose diagonals are 0
+    cases += [(JointDensityMatrix(window, A), np.linspace(0.0, 9.0, 37))
+              for A in crop_inputs(window)[3:6]]
     for state, ts in cases:
         assert same_bits(position_oracle(ts, state, params),
                          whole_window_position_oracle(ts, state, params))

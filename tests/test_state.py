@@ -51,9 +51,18 @@ from starkwalk import (
     walk_pmf_exact,
     walk_pmf_oracle,
 )
-from starkwalk.state import require_interior
+from starkwalk.state import _crop, _span, _support, _uncrop, require_interior
 
-from conftest import bessel_series, random_density
+from conftest import (
+    bessel_series,
+    crop_joint,
+    random_density,
+    random_joint,
+    same_bits,
+    scatter_joint,
+    stacked_support_square,
+    widened_sites,
+)
 
 
 def position_mean(dm, F):
@@ -522,3 +531,67 @@ def test_numpy_integer_counts_are_accepted():
     assert position_cgf(three, 0.5, _P) == position_cgf(3, 0.5, _P)
     assert np.array_equal(run_position_fcs(three, _RHO, _P).pmf,
                           run_position_fcs(3, _RHO, _P).pmf)
+
+
+# the occupied-range rule of state.py
+
+@pytest.mark.parametrize("pad", [0, 1, 6, 20])
+@pytest.mark.parametrize("marked", [(), tuple(range(12)), (0,), (11,), (5,), (1, 2), (3, 9)],
+                         ids=["empty", "full", "first", "last", "middle", "near-first", "gap"])
+def test_span_is_the_marked_indices_widened_by_pad(pad, marked):
+    # every index within pad of a marked one, clamped to the mask, as a slice; with
+    # none marked, the first two indices (one sector); pads 6 and 20 are the widths
+    # of a convolution kernel, the second wider than the mask
+    mask = np.zeros(12, dtype=bool)
+    mask[list(marked)] = True
+    reach = [i for i in range(12) if any(abs(i - j) <= pad for j in marked)]
+    expected = slice(reach[0], reach[-1] + 1) if reach else slice(0, 2)
+    assert _span(mask, pad) == expected
+    if pad == 1:
+        assert _span(mask, pad) == widened_sites(mask)
+
+
+def crop_cases(window: LatticeWindow, atoms: int) -> list[np.ndarray]:
+    """Seeded operators on n_k sites per atom block: interior states of different
+    supports, coherences that clamp the range at the first site, at the last site and
+    at both, and the zero operator."""
+    rng = np.random.default_rng(33 + atoms)
+    n, size = window.n_k, atoms * window.n_k
+    if atoms == 1:
+        cases = [random_density(rng, window, half, center).coeffs
+                 for half, center in ((0, 0), (3, -5), (6, 2))]
+    else:
+        atom = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+        cases = [JointDensityMatrix.product(random_density(rng, window, 2, -4), atom).coeffs,
+                 random_joint(rng, window, 3).coeffs]
+    for edges, inner in (((0,), 4), ((n - 1,), n - 6), ((0, n - 1), n // 2)):
+        A = np.zeros((size, size), dtype=complex)
+        A[inner, inner] = 1.0
+        for e in edges:    # the edge site in the last atom block, the excited one
+            i = e + (atoms - 1) * n
+            A[i, inner], A[inner, i] = 0.3 - 0.2j, 0.3 + 0.2j
+        cases.append(A)
+    return cases + [np.zeros((size, size), dtype=complex)]
+
+
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_crop_and_uncrop_are_the_reference_rules(atoms):
+    # _support reduces over leading axes as _trace_norm's mask did; _crop takes the
+    # range widened by one site of every atom block, clamped to the window, and
+    # _uncrop puts it back
+    window = LatticeWindow(-16, 15, -16, 15)
+    n = window.n_k
+    cases = crop_cases(window, atoms)
+    stacked = np.stack(cases)
+    assert _span(_support(stacked), 0) == stacked_support_square(stacked)
+    ranges = []
+    for A in [*cases, stacked]:
+        sub, ks = _crop(A, atoms)
+        nz = (A.reshape((-1,) + A.shape[-2:]) != 0).any(axis=0)
+        assert ks == widened_sites((nz.any(axis=0) | nz.any(axis=1)).reshape(atoms, n).any(axis=0))
+        if atoms == 2 and A.ndim == 2:
+            assert same_bits(sub, crop_joint(A, ks))
+            assert same_bits(_uncrop(sub, ks, n, atoms), scatter_joint(sub, ks, n))
+        assert same_bits(_uncrop(sub, ks, n, atoms), A)
+        ranges.append((ks.start, ks.stop))
+    assert {0, n} <= {k for r in ranges for k in r} and (0, 2) in ranges

@@ -579,6 +579,14 @@ def test_rate_oracle_resolves_eta_at_an_ulp_of_order_one(x):
                         rate_function([x], ULP_HALF_BETA_E)[0], rel_tol=TOL.rate_match)
 
 
+@pytest.mark.parametrize("x", [1e-25, 1e-17, 1e-12])
+def test_rate_keeps_an_R_below_an_ulp_of_one(x):
+    # a^2 underflows to 0 here, so R = x: log((1 + R) / (1 - x^2)) rounded 1 + R and
+    # gave relative errors of 0.36, 4.7e-2 and 2.7e-6 at these three points
+    assert math.isclose(rate_function([x], ULP_HALF_BETA_E)[0],
+                        _rate_reference(x, ULP_HALF_BETA_E), rel_tol=1e-14)
+
+
 def test_rate_oracle_refuses_an_eta_it_cannot_resolve():
     # beta E = 1.6e18: the ulp of eta near -beta E is 256, and no double reaches the sup
     params = ModelParams(E=2.668748208420642e16, F=0.05129723267391656, lam=0.24024763513490044,
