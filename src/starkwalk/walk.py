@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -514,7 +515,12 @@ class WalkSample:
     counts: np.ndarray
 
     def mean(self) -> float:
-        return float(np.dot(self.values, self.counts) / self.trials)
+        """Mean S_n over the trials, correctly rounded.
+
+        The sum of values times counts is taken in Python ints, since an
+        int64 dot wraps silently past 2^63, and int / int rounds once.
+        """
+        return sum(map(operator.mul, self.values.tolist(), self.counts.tolist())) / self.trials
 
 
 def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSample:

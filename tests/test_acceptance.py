@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from starkwalk import LatticeLaw, ModelParams, transport_coefficients, walk_pmf_exact
+from starkwalk import LatticeLaw, ModelParams, transport_coefficients, verify, walk_pmf_exact
 from starkwalk.singleatom import _closed_blocks, _oracle_blocks
 from starkwalk.state import LatticeWindow
 from starkwalk.verify import (
@@ -65,6 +65,30 @@ def test_acceptance(label, check):
     result = check()
     print(f"\n{label}: {result.line()}")
     assert result.passed, result.line()
+
+
+def test_transport_bound_is_the_per_trial_grand_mean_bound():
+    # 4 sigma of the grand mean of 10^5 walks of 10^4 steps, sigma^2 = 2 D / (10^4 tau 10^5)
+    tc = transport_coefficients(CHECK_PARAMS)
+    bound = 4.0 * math.sqrt(2.0 * tc.D / (10**4 * CHECK_PARAMS.tau * 10**5))
+    assert f"{bound:.2e}" == "5.44e-05"
+    assert f"vs 4-sigma {bound:.2e};" in check_transport().detail
+
+
+def test_transport_catches_a_wrong_drift(monkeypatch):
+    # a sample drawn at beta = 0.99 has a drift > 10 sigma off v_d: the Monte Carlo gate
+    # fails, and the exact-moment value it reports does not move
+    wrong = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.99)
+    tc, steps = transport_coefficients(CHECK_PARAMS), 10**9
+    sigma = math.sqrt(2.0 * tc.D / (steps * CHECK_PARAMS.tau))
+    assert abs(transport_coefficients(wrong).v_d - tc.v_d) >= 10.0 * sigma
+    measured = check_transport().measured
+    draw = verify.sample_walk
+    monkeypatch.setattr(verify, "sample_walk",
+                        lambda n, trials, seed, params: draw(n, trials, seed, wrong))
+    result = check_transport()
+    assert not result.passed
+    assert same_bits(result.measured, measured)
 
 
 def test_stacked_states_are_the_per_state_draws():

@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from starkwalk import (
     NumericsError,
     ParticleDensityMatrix,
     ReservoirConfig,
+    WalkSample,
     adjoint_apply,
     apply_channel,
     apply_deformed,
@@ -325,6 +327,42 @@ def test_sampling_symmetric_mean():
     s = sample_walk(n, trials, seed=5, params=p)
     sigma = math.sqrt(2.0 * tc.D * n * p.tau / trials)
     assert abs(s.mean()) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("n, trials", [(10**9, 1), (10**5, 1), (100, 1000)],
+                         ids=["check-4-walk", "long-walk", "per-trial"])
+def test_grand_mean_has_the_law_of_one_long_walk(n, trials):
+    # the step counts of T walks of n steps sum to Multinomial(nT, p): the grand mean of
+    # the per-trial route and S_N / T of one N = nT-step walk have one law, N(v_d, 2D/(N tau));
+    # z = (grand mean / (n tau) - v_d) / sigma over seeds 0..399
+    params = CHECK_PARAMS
+    tc = transport_coefficients(params)
+    sigma = math.sqrt(2.0 * tc.D / (n * trials * params.tau))
+    means = np.array([sample_walk(n, trials, seed, params).mean() for seed in range(400)])
+    z = (means / (n * params.tau) - tc.v_d) / sigma
+    assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
+    assert abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / z.size)
+
+
+@pytest.mark.parametrize("n, values, counts, exact", [
+    # sum(values * counts) = 1.605e19: an int64 dot wraps to a mean of -2.397e9
+    (10**11, [16_000_000_000, 16_100_000_000], [500_000_000, 500_000_000],
+     Fraction(16_050_000_000)),
+    # 3 * 2^62 - 1 wraps too, and its quotient by 3 is rounded once
+    (2**62, [2**62 - 1, 2**62], [1, 2], Fraction(3 * 2**62 - 1, 3)),
+], ids=["1.6e19", "3*2^62"])
+def test_sample_mean_is_exact_past_int64(n, values, counts, exact):
+    sample = WalkSample(n=n, trials=sum(counts), seed=0, values=np.array(values),
+                        counts=np.array(counts))
+    assert sample.mean() == float(exact)
+
+
+def test_sample_mean_below_2_53_is_the_int64_dot():
+    # the exact sum over the trials, rounded once: below 2^53 the int64 dot's bits
+    sample = sample_walk(10_000, 100_003, 7, CHECK_PARAMS)
+    total = sum(int(v) * int(c) for v, c in zip(sample.values, sample.counts))
+    assert sample.mean() == float(Fraction(total, sample.trials))
+    assert sample.mean() == float(np.dot(sample.values, sample.counts) / sample.trials)
 
 
 # p = 0 (lam = 0: the walk never moves) and p = 1.0 exactly (no pause step)
