@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 from .bessel import bessel_halfwidth, bessel_j_array, bessel_squares, bessel_table
 from .channel import (
     KrausTriple,
-    adjoint_apply,
     apply_channel,
-    apply_deformed,
     channel_oracle,
     deformed_weights,
     kraus_weights,
@@ -36,7 +34,6 @@ from .fcs import (
     PositionCgf,
     ReservoirConfig,
     energy_cgf,
-    environment_reduced_map,
     free_dressing_weights,
     free_kernel,
     position_cgf,
@@ -49,7 +46,6 @@ from .params import ModelParams
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
-    closed_unitary,
     hamiltonian_blocks,
     oracle_unitary,
     position_expectation,
@@ -74,7 +70,6 @@ from .walk import (
     TransportCoefficients,
     WalkSample,
     rate_function,
-    rate_function_entropy,
     rate_function_numeric,
     sample_walk,
     scgf,

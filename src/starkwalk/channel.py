@@ -23,7 +23,6 @@ from .errors import NumericsError
 from .params import ModelParams, _require_phase, _require_real
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks
 from .state import (
-    LatticeWindow,
     ParticleDensityMatrix,
     _crop,
     _free_phases,
@@ -165,38 +164,22 @@ def _kick(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a * _shift(coeffs, -1) + b * coeffs + c * _shift(coeffs, +1)
 
 
-def _kicked(dm: ParticleDensityMatrix, alpha: float, params: ModelParams,
-            evolve: bool) -> ParticleDensityMatrix:
-    """`apply_deformed`, after the free evolution over tau if `evolve`, both on the
-    occupied k-range of dm (`_crop`); `_free_phases` depends on k - k' alone."""
-    alpha = _require_real(alpha, "alpha")
-    require_interior(np.diagonal(dm.coeffs))
-    w = deformed_weights(alpha * params.beta * params.E, params)
-    sub, ks = _crop(dm.coeffs)
-    if evolve:
-        sub = _free_phases(params.tau, params.F, ks.stop - ks.start) * sub
-    return ParticleDensityMatrix(dm.window, _uncrop(_kick(sub, w), ks, dm.window.n_k))
-
-
-def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
-                   params: ModelParams) -> ParticleDensityMatrix:
-    """One deformed interaction-picture step (no free evolution).
-
-    Refuses with WindowError when support touches the boundary: mass is
-    never silently truncated.
-    """
-    return _kicked(dm, alpha, params, evolve=False)
-
-
 def apply_channel(dm: ParticleDensityMatrix, alpha: float,
                   params: ModelParams) -> ParticleDensityMatrix:
     """One full reduced step: free evolution over tau, then the deformed kicks.
 
-    The free phases are refused where `free_evolve` refuses them on the
-    whole window.
+    Both run on the occupied k-range of dm (`_crop`); `_free_phases` depends
+    on k - k' alone.  The free phases are refused where `free_evolve` refuses
+    them on the whole window.  Refuses with WindowError when support touches
+    the boundary: mass is never silently truncated.
     """
     _require_phase(params.tau, params.F * (dm.window.n_k - 1))
-    return _kicked(dm, alpha, params, evolve=True)
+    alpha = _require_real(alpha, "alpha")
+    require_interior(np.diagonal(dm.coeffs))
+    w = deformed_weights(alpha * params.beta * params.E, params)
+    sub, ks = _crop(dm.coeffs)
+    sub = _free_phases(params.tau, params.F, ks.stop - ks.start) * sub
+    return ParticleDensityMatrix(dm.window, _uncrop(_kick(sub, w), ks, dm.window.n_k))
 
 
 def _atom_diagonal(gibbs: AtomGibbs, a: float) -> np.ndarray:
@@ -244,18 +227,3 @@ def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
     blocks, edges = _oracle_blocks(params.tau, params, dm.window, ks)
     reduced = _partial_trace_on(sub, lifted, _atom_diagonal(gibbs, alpha), blocks, edges)
     return ParticleDensityMatrix(dm.window, _uncrop(reduced, ks, dm.window.n_k))
-
-
-def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
-                  params: ModelParams) -> np.ndarray:
-    """Heisenberg-picture counterpart: adjoint Kraus step, then inverse free phases.
-
-    On interior entries the identity observable satisfies
-    adjoint(I) = theta(alpha) I exactly.
-    """
-    _require_real(alpha, "alpha")
-    w = deformed_weights(alpha * params.beta * params.E, params)
-    out = _kick(np.asarray(B, dtype=complex), w[::-1])
-    _require_phase(params.tau * params.F, window.k_values)
-    u = np.exp(1j * params.tau * params.F * window.k_values)
-    return u.conj()[:, None] * out * u[None, :]

@@ -130,35 +130,11 @@ def repeated_interaction_propagator(cfg: ReservoirConfig) -> np.ndarray:
     return _evolve(cfg, np.eye(cfg.dim, dtype=complex))
 
 
-def environment_weights(cfg: ReservoirConfig, a: float = 1.0) -> np.ndarray:
-    """Diagonal of (rho_beta^a)^{(x)M} over the atom-bit configurations, from one atom's
-    `AtomGibbs.power`; NumericsError where that power or a product of M of them is not
-    a finite double."""
-    ground, excited = np.diagonal(AtomGibbs.from_params(cfg.params).power(a)).tolist()
-    with np.errstate(over="ignore"):
-        w = np.prod(np.where(_occupations(cfg.M), excited, ground), axis=1)
-    if not np.all(np.isfinite(w)):
-        raise NumericsError(f"rho_beta^a on {cfg.M} atoms at a = {a!r} overflows a double")
-    return w
-
-
-def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
-                            alpha: float = 0.0) -> np.ndarray:
-    """Brute-force deformed reduction: trace the reservoir out of U (A x rho^{1-a}) U*.
-
-    For alpha = 0 this is the reduced Schroedinger dynamics after n
-    interactions; for general alpha it must agree with n applications of
-    the deformed channel.  NumericsError where alpha is NaN or either power of
-    rho_beta is not a finite double (`environment_weights`).
-    """
-    alpha = _require_real(alpha, "alpha")
-    K = cfg.window.n_k
-    # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
-    kept, traced = environment_weights(cfg, 1.0 - alpha), environment_weights(cfg, alpha)
-    U = repeated_interaction_propagator(cfg)
-    joint = np.kron(np.diag(kept.astype(complex)), np.asarray(A, dtype=complex))
-    evolved = (U @ joint @ U.conj().T).reshape(1 << cfg.M, K, 1 << cfg.M, K)
-    return np.einsum("b,bkbl->kl", traced, evolved)
+def environment_weights(cfg: ReservoirConfig) -> np.ndarray:
+    """Diagonal of rho_beta^{(x)M} over the atom-bit configurations, from one atom's
+    `AtomGibbs.power(1.0)`."""
+    ground, excited = np.diagonal(AtomGibbs.from_params(cfg.params).power(1.0)).tolist()
+    return np.prod(np.where(_occupations(cfg.M), excited, ground), axis=1)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .state import (
     ParticleDensityMatrix,
     _bloch_reach,
     _crop,
+    _frozen_coeffs,
     _uncrop,
     bloch_coefficients,
     position_operator,
@@ -68,13 +69,8 @@ class JointDensityMatrix:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        n = 2 * self.window.n_k
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (n, n):
-            raise ConfigError(f"joint coefficient shape {arr.shape}, expected {(n, n)}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        coeffs = _frozen_coeffs(self.coeffs, 2 * self.window.n_k, "joint ")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def product(cls, dm: ParticleDensityMatrix, atom: np.ndarray) -> "JointDensityMatrix":
@@ -151,7 +147,7 @@ def _sectors(window: LatticeWindow, ks: slice | None) -> slice:
 
 def _closed_blocks(t: float | np.ndarray, params: ModelParams, window: LatticeWindow,
                    ks: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, edges) of e^{-itH} from the closed form; see `closed_unitary`.
+    """(blocks, edges) of e^{-itH} from the closed form.
 
     t is a float or an array of times, which leads the shapes of both outputs.
     blocks holds the sectors of the k-range ks (`_sectors`), the whole window
@@ -195,17 +191,6 @@ def _oracle_blocks(t: float | np.ndarray, params: ModelParams, window: LatticeWi
     W = np.stack([np.stack([c - diag, off], axis=-1),
                   np.stack([off, c + diag], axis=-1)], axis=-2)
     return np.exp(-1j * t * mu)[..., None, None] * W, np.exp(-1j * t * edges)
-
-
-def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
-    """e^{-itH} from the closed form: rotation, diagonal phases, rotation back.
-
-    Every sector is e^{-it(E_k + (E - F)/2)} R diag(e^{it omega0/2}, e^{-it omega0/2}) R^T,
-    with R the real rotation by the mixing angle onto the dressed states
-    (cos|k,g> - sin|k+1,e>, sin|k,g> + cos|k+1,e>); the two unpaired edge
-    states take their bare phases.  t is one real time: the result is one matrix.
-    """
-    return _scatter(*_closed_blocks(_require_real(t, "t"), params, window))
 
 
 def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:

@@ -20,6 +20,7 @@ from .config import TOL
 from .errors import ConfigError, NumericsError, WindowError
 from .params import (
     ModelParams,
+    _echo,
     _require_integer,
     _require_phase,
     _require_real,
@@ -144,6 +145,22 @@ def bloch_coefficients(t: np.ndarray, F: float) -> BlochCoefficients:
     return BlochCoefficients(c_plus=c_plus, c_minus=np.conj(c_plus))
 
 
+def _frozen_coeffs(coeffs, n: int, kind: str) -> np.ndarray:
+    """coeffs as a read-only complex n x n copy; ConfigError for another shape or for an
+    entry that is not a finite number.  kind ("", "joint ") names the operator."""
+    try:
+        arr = np.array(coeffs, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{kind}coefficients must be finite numbers, "
+                          f"got {_echo(coeffs)}") from None
+    if arr.shape != (n, n):
+        raise ConfigError(f"{kind}coefficient shape {arr.shape}, expected {(n, n)}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{kind}coefficients must be finite numbers")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ParticleDensityMatrix:
     """rho = sum rho_{kk'} |psi_k><psi_{k'}| on the window (eigenbasis coefficients)."""
@@ -152,12 +169,7 @@ class ParticleDensityMatrix:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (self.window.n_k, self.window.n_k):
-            raise ConfigError(f"coefficient shape {arr.shape} does not match window size {self.window.n_k}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen_coeffs(self.coeffs, self.window.n_k, ""))
 
     @classmethod
     def eigenstate(cls, window: LatticeWindow, k: int) -> "ParticleDensityMatrix":
@@ -165,13 +177,6 @@ class ParticleDensityMatrix:
         i = window.k_index(k)
         c[i, i] = 1.0
         return cls(window, c)
-
-    @classmethod
-    def from_diagonal(cls, window: LatticeWindow, weights: np.ndarray) -> "ParticleDensityMatrix":
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (window.n_k,):
-            raise ConfigError("diagonal weight vector does not match window size")
-        return cls(window, np.diag(w.astype(complex)))
 
     @classmethod
     def position_state(cls, window: LatticeWindow, x: int, F: float) -> "ParticleDensityMatrix":
@@ -189,8 +194,6 @@ class ParticleDensityMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.coeffs + self.coeffs.conj().T))[0])
 
     def check_density(self) -> None:
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ConfigError("density matrix coefficients must be finite")
         if self.hermiticity_defect() > TOL.hermiticity:
             raise ConfigError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
         if abs(self.trace() - 1.0) > TOL.trace:

@@ -130,7 +130,9 @@ class LatticeLaw:
 
     def oracle_gap(self, oracle: LatticeLaw) -> float:
         """max |pmf / oracle.pmf - 1| where the oracle is a normal double (subnormals carry
-        no relative accuracy); ConfigError unless both laws weigh the same sites."""
+        no relative accuracy); ConfigError unless the oracle is a law on the same sites."""
+        if not isinstance(oracle, LatticeLaw):
+            raise ConfigError(f"the oracle must be a LatticeLaw, got {_echo(oracle)}")
         if (self.first, self.pmf.size) != (oracle.first, oracle.pmf.size):
             raise ConfigError("a law and its oracle must weigh the same sites")
         normal = oracle.pmf >= sys.float_info.min
@@ -709,20 +711,3 @@ def rate_function_numeric(x: np.ndarray, params: ModelParams) -> np.ndarray:
     if live.size:
         raise NumericsError(f"Legendre sup did not converge at x={targets[live[0]].tolist()}")
     return out
-
-
-def rate_function_entropy(s: float, params: ModelParams) -> float:
-    """Rate function of the entropy-like increment per step.
-
-    phi(s) = sup_alpha (alpha s - log theta(alpha)) = I(-s / (beta E)), read
-    off the closed-form `rate_function`; +inf past the endpoints.  Requires
-    beta E > 0; satisfies phi(-s) = phi(s) - s.
-    """
-    _require_real(s, "s")
-    be = params.beta * params.E
-    if be <= 0.0:
-        raise ConfigError("entropy rate function needs beta E > 0")
-    x = -s / be
-    if math.isnan(x):
-        raise NumericsError("rate function of NaN")
-    return _rate(x, log_step_kernel(params).tolist(), be)

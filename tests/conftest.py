@@ -17,7 +17,10 @@ log convolutions, and the leak refusal of the position CGF oracle after
 all n steps.  The crop helpers of `state.py` are held to the rules they
 replaced: the occupied range of a joint operator, its crop and restore,
 the support square of a stack, and check 1 and 2's states drawn one at a
-time.
+time.  Six routes that only the tests call live here too: the deformed kick without
+free phases, its Heisenberg adjoint, the diagonal-state builder, the closed-form
+unitary as one matrix, the reservoir's deformed reduction and the rate function of
+the entropy-like increment.
 """
 import math
 import sys
@@ -30,22 +33,34 @@ from scipy import special
 from starkwalk import (
     TOL,
     AtomGibbs,
+    ConfigError,
     JointDensityMatrix,
     LatticeLaw,
     LatticeWindow,
     ModelParams,
+    NumericsError,
     ParticleDensityMatrix,
+    ReservoirConfig,
     apply_channel,
     channel_oracle,
     kraus_weights,
     propagate_closed,
     propagate_oracle,
+    repeated_interaction_propagator,
 )
-from starkwalk.channel import deformed_weights
-from starkwalk.singleatom import _conjugate_on, _oracle_blocks
-from starkwalk.state import position_distribution, position_operator
+from starkwalk.channel import _kick, deformed_weights
+from starkwalk.fcs import _occupations
+from starkwalk.params import _require_phase, _require_real
+from starkwalk.singleatom import _closed_blocks, _conjugate_on, _oracle_blocks, _scatter
+from starkwalk.state import (
+    _crop,
+    _uncrop,
+    position_distribution,
+    position_operator,
+    require_interior,
+)
 from starkwalk.verify import CHECK_PARAMS, _normal_cdf, _trace_norm
-from starkwalk.walk import log_step_kernel, walk_log_pmf
+from starkwalk.walk import _rate, log_step_kernel, walk_log_pmf
 
 
 @pytest.fixture
@@ -382,3 +397,100 @@ def full_run_leaks(n: int, eta: float, rho_p: ParticleDensityMatrix,
         lost += out[0] + out[-1]
         w = out[1:-1]
     return lost > TOL.position_cgf_identity * float(np.sum(w))
+
+
+def apply_deformed(dm: ParticleDensityMatrix, alpha: float,
+                   params: ModelParams) -> ParticleDensityMatrix:
+    """One deformed interaction-picture step (no free evolution): `apply_channel`
+    without its free phases, on the occupied k-range of dm (`_crop`).
+
+    Refuses with WindowError when support touches the boundary: mass is
+    never silently truncated.
+    """
+    alpha = _require_real(alpha, "alpha")
+    require_interior(np.diagonal(dm.coeffs))
+    w = deformed_weights(alpha * params.beta * params.E, params)
+    sub, ks = _crop(dm.coeffs)
+    return ParticleDensityMatrix(dm.window, _uncrop(_kick(sub, w), ks, dm.window.n_k))
+
+
+def adjoint_apply(B: np.ndarray, window: LatticeWindow, alpha: float,
+                  params: ModelParams) -> np.ndarray:
+    """Heisenberg-picture counterpart: adjoint Kraus step, then inverse free phases.
+
+    On interior entries the identity observable satisfies
+    adjoint(I) = theta(alpha) I exactly.
+    """
+    _require_real(alpha, "alpha")
+    w = deformed_weights(alpha * params.beta * params.E, params)
+    out = _kick(np.asarray(B, dtype=complex), w[::-1])
+    _require_phase(params.tau * params.F, window.k_values)
+    u = np.exp(1j * params.tau * params.F * window.k_values)
+    return u.conj()[:, None] * out * u[None, :]
+
+
+def from_diagonal(window: LatticeWindow, weights: np.ndarray) -> ParticleDensityMatrix:
+    """The eigenbasis-diagonal state with the given weights on the window's k-range."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (window.n_k,):
+        raise ConfigError("diagonal weight vector does not match window size")
+    return ParticleDensityMatrix(window, np.diag(w.astype(complex)))
+
+
+def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.ndarray:
+    """e^{-itH} from the closed form: rotation, diagonal phases, rotation back.
+
+    Every sector is e^{-it(E_k + (E - F)/2)} R diag(e^{it omega0/2}, e^{-it omega0/2}) R^T,
+    with R the real rotation by the mixing angle onto the dressed states
+    (cos|k,g> - sin|k+1,e>, sin|k,g> + cos|k+1,e>); the two unpaired edge
+    states take their bare phases.  t is one real time: the result is one matrix.
+    """
+    return _scatter(*_closed_blocks(_require_real(t, "t"), params, window))
+
+
+def environment_power(cfg: ReservoirConfig, a: float) -> np.ndarray:
+    """Diagonal of (rho_beta^a)^{(x)M} over the atom-bit configurations, from one atom's
+    `AtomGibbs.power`; NumericsError where that power or a product of M of them is not
+    a finite double."""
+    ground, excited = np.diagonal(AtomGibbs.from_params(cfg.params).power(a)).tolist()
+    with np.errstate(over="ignore"):
+        w = np.prod(np.where(_occupations(cfg.M), excited, ground), axis=1)
+    if not np.all(np.isfinite(w)):
+        raise NumericsError(f"rho_beta^a on {cfg.M} atoms at a = {a!r} overflows a double")
+    return w
+
+
+def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
+                            alpha: float = 0.0) -> np.ndarray:
+    """Brute-force deformed reduction: trace the reservoir out of U (A x rho^{1-a}) U*.
+
+    For alpha = 0 this is the reduced Schroedinger dynamics after n
+    interactions; for general alpha it must agree with n applications of
+    the deformed channel.  NumericsError where alpha is NaN or either power of
+    rho_beta is not a finite double (`environment_power`).
+    """
+    alpha = _require_real(alpha, "alpha")
+    K = cfg.window.n_k
+    # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
+    kept, traced = environment_power(cfg, 1.0 - alpha), environment_power(cfg, alpha)
+    U = repeated_interaction_propagator(cfg)
+    joint = np.kron(np.diag(kept.astype(complex)), np.asarray(A, dtype=complex))
+    evolved = (U @ joint @ U.conj().T).reshape(1 << cfg.M, K, 1 << cfg.M, K)
+    return np.einsum("b,bkbl->kl", traced, evolved)
+
+
+def rate_function_entropy(s: float, params: ModelParams) -> float:
+    """Rate function of the entropy-like increment per step.
+
+    phi(s) = sup_alpha (alpha s - log theta(alpha)) = I(-s / (beta E)), read
+    off the closed-form `rate_function`; +inf past the endpoints.  Requires
+    beta E > 0; satisfies phi(-s) = phi(s) - s.
+    """
+    _require_real(s, "s")
+    be = params.beta * params.E
+    if be <= 0.0:
+        raise ConfigError("entropy rate function needs beta E > 0")
+    x = -s / be
+    if math.isnan(x):
+        raise NumericsError("rate function of NaN")
+    return _rate(x, log_step_kernel(params).tolist(), be)

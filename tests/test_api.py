@@ -1,0 +1,56 @@
+"""The public surface: routes that only the tests call live in `conftest.py`, and no
+module of the package imports a name it never uses."""
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import starkwalk
+
+# routes moved to tests/conftest.py: no caller in the package, its CLI or its benchmark
+TEST_ONLY_ROUTES = ("adjoint_apply", "apply_deformed", "rate_function_entropy",
+                    "environment_reduced_map", "closed_unitary", "from_diagonal")
+
+SOURCES = sorted(Path(starkwalk.__file__).parent.glob("*.py"))
+
+
+def package_modules() -> list:
+    """starkwalk and each starkwalk.* module but `__main__`, which runs the CLI."""
+    names = [info.name for info in pkgutil.iter_modules(starkwalk.__path__)]
+    return [starkwalk] + [importlib.import_module(f"starkwalk.{name}")
+                          for name in names if name != "__main__"]
+
+
+def test_test_only_routes_are_not_in_the_package():
+    # neither a module attribute nor an attribute of a class the package defines
+    for module in package_modules():
+        classes = [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                   if obj.__module__.startswith("starkwalk")]
+        for owner in (module, *classes):
+            present = [name for name in TEST_ONLY_ROUTES if hasattr(owner, name)]
+            assert not present, (owner.__name__, present)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The name each import binds, mapped to the line of its import (`__future__` aside)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -15,9 +15,7 @@ from starkwalk import (
     NumericsError,
     ParticleDensityMatrix,
     WindowError,
-    adjoint_apply,
     apply_channel,
-    apply_deformed,
     channel_oracle,
     deformed_weights,
     free_evolve,
@@ -33,6 +31,9 @@ from starkwalk.verify import CHECK_PARAMS
 from starkwalk.walk import rate_function, rate_function_numeric
 
 from conftest import (
+    adjoint_apply,
+    apply_deformed,
+    from_diagonal,
     kron_channel_oracle,
     random_density,
     random_interior_operator,
@@ -210,7 +211,7 @@ def test_channel_on_diagonal_equals_deformed(params, window):
     w = np.zeros(window.n_k)
     w[10:22] = rng.random(12)
     w /= w.sum()
-    dm = ParticleDensityMatrix.from_diagonal(window, w)
+    dm = from_diagonal(window, w)
     a = apply_channel(dm, 0.3, params)
     b = apply_deformed(dm, 0.3, params)
     assert np.array_equal(a.coeffs, b.coeffs)
@@ -479,7 +480,7 @@ def test_master_step_equals_channel_diagonal(params, window):
     w /= w.sum()
     # the classical step p_k -> p_+ p_{k-1} + p_0 p_k + p_- p_{k+1}
     out_vec = np.convolve(w, kraus_weights(params).as_array())[1:-1]
-    out_dm = apply_channel(ParticleDensityMatrix.from_diagonal(window, w), 0.0, params)
+    out_dm = apply_channel(from_diagonal(window, w), 0.0, params)
     assert np.max(np.abs(out_vec - np.diagonal(out_dm.coeffs).real)) <= TOL.master_vs_channel
 
 

@@ -19,7 +19,6 @@ from starkwalk import (
     bessel_halfwidth,
     bessel_j_array,
     energy_cgf,
-    environment_reduced_map,
     free_dressing_weights,
     free_kernel,
     position_cgf,
@@ -34,7 +33,14 @@ from starkwalk import (
 )
 from starkwalk.fcs import environment_weights
 
-from conftest import direct_step_hamiltonian, full_run_leaks, random_density, same_bits
+from conftest import (
+    direct_step_hamiltonian,
+    environment_reduced_map,
+    from_diagonal,
+    full_run_leaks,
+    random_density,
+    same_bits,
+)
 
 
 @pytest.fixture
@@ -234,7 +240,7 @@ def test_energy_walk_law_is_the_walk_law(params, window, M, n):
 def test_energy_fcs_dephasing_automatic(params, cfg, window):
     rng = np.random.default_rng(41)
     rho = random_density(rng, window, 4)
-    dephased = ParticleDensityMatrix.from_diagonal(
+    dephased = from_diagonal(
         window, np.diagonal(rho.coeffs).real)
     a = run_energy_fcs(cfg, rho)
     b = run_energy_fcs(cfg, dephased)

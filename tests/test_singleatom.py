@@ -14,7 +14,6 @@ from starkwalk import (
     NumericsError,
     ParticleDensityMatrix,
     WindowError,
-    closed_unitary,
     hamiltonian_blocks,
     oracle_unitary,
     position_expectation,
@@ -35,6 +34,7 @@ from starkwalk.singleatom import (
 from starkwalk.state import _crop, bloch_coefficients, position_operator
 
 from conftest import (
+    closed_unitary,
     direct_joint_hamiltonian,
     random_density,
     random_joint,

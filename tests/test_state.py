@@ -13,19 +13,15 @@ from starkwalk import (
     ParticleDensityMatrix,
     ReservoirConfig,
     WindowError,
-    adjoint_apply,
     apply_channel,
-    apply_deformed,
     bessel_halfwidth,
     bessel_j_array,
     bessel_squares,
     bessel_table,
     bloch_coefficients,
     channel_oracle,
-    closed_unitary,
     deformed_weights,
     energy_cgf,
-    environment_reduced_map,
     free_dressing_weights,
     free_evolve,
     free_kernel,
@@ -38,7 +34,6 @@ from starkwalk import (
     position_oracle,
     propagate_closed,
     rate_function,
-    rate_function_entropy,
     rate_function_numeric,
     required_order,
     run_energy_fcs,
@@ -56,6 +51,7 @@ from starkwalk.state import _crop, _span, _support, _uncrop, require_interior
 from conftest import (
     bessel_series,
     crop_joint,
+    from_diagonal,
     random_density,
     random_joint,
     same_bits,
@@ -120,7 +116,7 @@ def test_free_evolve_is_the_phase_map(params, t):
 
 
 def test_free_evolve_diagonal_states_fixed(params, window):
-    dm = ParticleDensityMatrix.from_diagonal(window, np.ones(window.n_k) / window.n_k)
+    dm = from_diagonal(window, np.ones(window.n_k) / window.n_k)
     out = free_evolve(dm, 2.17, params)
     assert np.array_equal(out.coeffs, dm.coeffs)
 
@@ -236,7 +232,7 @@ def test_every_window_edge_refusal_is_the_one_message():
     window = LatticeWindow(-8, 7, -8, 7)
     weights = np.zeros(window.n_k)
     weights[0], weights[window.n_k // 2] = 0.25, 0.75
-    dm = ParticleDensityMatrix.from_diagonal(window, weights)
+    dm = from_diagonal(window, weights)
     joint = JointDensityMatrix.product(dm, AtomGibbs.from_params(params).density())
     reservoir = ReservoirConfig(params=params, M=2, n=2, window=window)
     for band, refuse in (
@@ -251,6 +247,13 @@ def test_every_window_edge_refusal_is_the_one_message():
 
 
 _W = LatticeWindow(-2, 2, -4, 4)
+
+
+def _entry(n: int, value) -> list:
+    """An n x n list of lists of 0.0, with `value` at (0, 0)."""
+    return [[value if i == j == 0 else 0.0 for j in range(n)] for i in range(n)]
+
+
 _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
 _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
 # an int past the double range, which float() cannot hold: each real argument it reaches
@@ -260,7 +263,6 @@ _HUGE_REALS = {
     "log-theta": lambda: log_theta(_HUGE, _P),
     "deformed-weights": lambda: deformed_weights(_HUGE, _P),
     "scgf": lambda: scgf(_HUGE, _P),
-    "rate-entropy": lambda: rate_function_entropy(_HUGE, _P),
     "energy-cgf": lambda: energy_cgf(2, _HUGE, _P),
     "position-cgf": lambda: position_cgf(2, _HUGE, _P),
     # a count that is multiplied into a float: n log theta and n tau
@@ -276,9 +278,6 @@ _HUGE_REALS = {
     "dynamics-window": lambda: LatticeWindow.for_dynamics(0, 0, 1, F=_HUGE),
     "transform-matrix": lambda: transform_matrix(_W, _HUGE),
     "atom-power": lambda: AtomGibbs.from_params(_P).power(_HUGE),
-    "adjoint-apply": lambda: adjoint_apply(np.eye(16), _RHO.window, _HUGE, _P),
-    "environment-map": lambda: environment_reduced_map(
-        ReservoirConfig(params=_P, M=1, n=1, window=_RHO.window), np.eye(16), _HUGE),
     "walk-law-mgf": lambda: walk_pmf_exact(3, _P).mgf(_HUGE),
     "position-log-mgf": lambda: run_position_fcs(3, _RHO, _P).log_mgf(_HUGE),
     "ft-log-ratio": lambda: run_position_fcs(3, _RHO, _P).ft_log_ratio(_HUGE, 0.1, 1.0),
@@ -292,8 +291,6 @@ _HUGE_REALS = {
                  id="particle-shape"),
     pytest.param(lambda: JointDensityMatrix(_W, np.eye(5)), "joint coefficient shape",
                  id="joint-shape"),
-    pytest.param(lambda: ParticleDensityMatrix.from_diagonal(_W, np.ones(4)),
-                 "diagonal weight vector", id="diagonal-shape"),
     pytest.param(lambda: ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0).check_density(),
                  "trace", id="trace"),
     pytest.param(lambda: ParticleDensityMatrix(_W, np.triu(np.ones((5, 5))) / 5.0).check_density(),
@@ -338,9 +335,17 @@ _HUGE_REALS = {
                  "k must be an integer, got 0.5", id="eigenstate-fractional-k"),
     pytest.param(lambda: _W.x_index(1.5), "x must be an integer, got 1.5",
                  id="window-fractional-x"),
-    # a non-finite state is refused before any eigenvalue is taken
+    # a non-finite state is refused when it is built, before any eigenvalue is taken
     pytest.param(lambda: ParticleDensityMatrix(_W, np.full((5, 5), math.nan)).check_density(),
                  "coefficients must be finite", id="density-nan"),
+    # each coefficient of a particle or joint state is a finite number
+    *[pytest.param(lambda build=build, value=value: build(value), message, id=f"{name}-{kind}")
+      for name, build in (("particle", lambda v: ParticleDensityMatrix(_W, _entry(5, v))),
+                          ("joint", lambda v: JointDensityMatrix(_W, _entry(10, v))))
+      for kind, value, message in (
+          ("nan-entry", math.nan, "coefficients must be finite numbers"),
+          ("inf-entry", math.inf, "coefficients must be finite numbers"),
+          ("string-entry", "a", "coefficients must be finite numbers, got a list of length"))],
     # 2/F overflows to inf: the x-padding's Bessel profile refuses it as bessel_j_array does
     pytest.param(lambda: bessel_halfwidth(math.inf), "finite z >= 0", id="halfwidth-infinite-z"),
     pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, steps=1, F=1e-310), "finite z >= 0",
@@ -391,10 +396,6 @@ _HUGE_REALS = {
     pytest.param(lambda: rate_function("a", _P), "got x = 'a'", id="rate-string"),
     pytest.param(lambda: rate_function_numeric("a", _P), "got x = 'a'",
                  id="rate-numeric-string"),
-    pytest.param(lambda: rate_function_entropy("a", _P), "got s = 'a'",
-                 id="rate-entropy-string"),
-    pytest.param(lambda: apply_deformed(_RHO, "a", _P), "got alpha = 'a'",
-                 id="apply-deformed-string"),
     pytest.param(lambda: apply_channel(_RHO, "a", _P), "got alpha = 'a'",
                  id="apply-channel-string"),
     pytest.param(lambda: walk_pmf_exact(3, _P).mgf("a"), "got eta = 'a'",
@@ -405,14 +406,8 @@ _HUGE_REALS = {
                  "got v = 'a'", id="ft-log-ratio-string"),
     pytest.param(lambda: run_position_fcs(2, _RHO, _P).window_probability("a", 1.0),
                  "got lo = 'a'", id="window-probability-string"),
-    pytest.param(lambda: adjoint_apply(np.eye(16), _RHO.window, "a", _P), "got alpha = 'a'",
-                 id="adjoint-apply-string"),
     pytest.param(lambda: position_cgf_oracle(2, "a", _RHO, _P), "got eta = 'a'",
                  id="position-cgf-oracle-string"),
-    pytest.param(lambda: environment_reduced_map(ReservoirConfig(params=_P, M=1, n=1,
-                                                                 window=_RHO.window),
-                                                 np.eye(16), "a"),
-                 "got alpha = 'a'", id="environment-map-string"),
     pytest.param(lambda: AtomGibbs.from_params(_P).power("a"), "got a = 'a'",
                  id="atom-power-string"),
     pytest.param(lambda: free_kernel("a", _P), "got t = 'a'", id="free-kernel-string-time"),
@@ -431,8 +426,6 @@ _HUGE_REALS = {
     # the channel steps take one real alpha: an array of any shape is refused
     pytest.param(lambda: apply_channel(_RHO, np.zeros((2, 2)), _P),
                  "alpha must be a real number, got alpha = array(", id="apply-channel-2d"),
-    pytest.param(lambda: apply_deformed(_RHO, np.zeros((2, 2)), _P),
-                 "alpha must be a real number, got alpha = array(", id="apply-deformed-2d"),
     pytest.param(lambda: channel_oracle(_RHO, np.zeros((2, 2)), _P),
                  "alpha must be a real number, got alpha = array(", id="channel-oracle-2d"),
     pytest.param(lambda: channel_oracle(_RHO, "a", _P), "got alpha = 'a'",
@@ -449,9 +442,8 @@ _HUGE_REALS = {
                  id="position-fcs-unknown-method"),
     pytest.param(lambda: walk_pmf_exact(3, _P).oracle_gap(walk_pmf_exact(2, _P)),
                  "must weigh the same sites", id="oracle-gap-other-sites"),
-    pytest.param(lambda: rate_function_entropy(0.1, ModelParams(E=0.0, F=1.0, lam=0.5, tau=1.0,
-                                                                beta=1.0)),
-                 "needs beta E > 0", id="rate-entropy-zero-beta-E"),
+    pytest.param(lambda: walk_pmf_exact(3, _P).oracle_gap("a"),
+                 "the oracle must be a LatticeLaw, got 'a'", id="oracle-gap-not-a-law"),
     *[pytest.param(build, "must lie in the double range", id=f"{name}-10**400")
       for name, build in _HUGE_REALS.items()],
     # the batched routes take a 1-D array: one entry past the double range is not a real array
@@ -480,13 +472,9 @@ _HUGE_REALS = {
                  "margin must be an integer >= 0, got 2.5", id="dynamics-window-fractional-margin"),
     pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 3, 1.0, margin=-1),
                  "margin must be an integer >= 0, got -1", id="dynamics-window-negative-margin"),
-    # the two unitaries take one real time and return one matrix
-    pytest.param(lambda: closed_unitary(1j, _P, _W), "t must be a real number, got t = 1j",
-                 id="closed-unitary-complex-time"),
+    # the unitary takes one real time and returns one matrix
     pytest.param(lambda: oracle_unitary(1j, _P, _W), "t must be a real number, got t = 1j",
                  id="oracle-unitary-complex-time"),
-    pytest.param(lambda: closed_unitary([1.0, 2.0], _P, _W), "got t = [1.0, 2.0]",
-                 id="closed-unitary-list-time"),
     pytest.param(lambda: oracle_unitary([1.0, 2.0], _P, _W), "got t = [1.0, 2.0]",
                  id="oracle-unitary-list-time"),
     # the batched routes take a 1-D array: a bare number, a 0-d array and two axes are
@@ -510,9 +498,11 @@ def test_bad_arguments_raise_config_error(build, message):
 
 
 def test_nan_state_fails_the_leakage_test():
-    # a NaN pmf leaks NaN mass, which the leakage budget refuses
+    # a NaN pmf leaks NaN mass, which the leakage budget refuses; the constructor refuses
+    # a NaN state, so one is forced past it here
     window = LatticeWindow.for_dynamics(0, 0, steps=1, F=1.0)
-    nan_state = ParticleDensityMatrix(window, np.full((window.n_k, window.n_k), math.nan))
+    nan_state = ParticleDensityMatrix.eigenstate(window, 0)
+    object.__setattr__(nan_state, "coeffs", np.full((window.n_k, window.n_k), math.nan))
     with pytest.raises(WindowError, match="leakage budget"):
         position_distribution(nan_state, 1.0)
 

@@ -18,19 +18,14 @@ from starkwalk import (
     ModelParams,
     NumericsError,
     ParticleDensityMatrix,
-    ReservoirConfig,
     WalkSample,
-    adjoint_apply,
     apply_channel,
-    apply_deformed,
     deformed_weights,
     energy_cgf,
-    environment_reduced_map,
     kraus_weights,
     log_theta,
     position_cgf_oracle,
     rate_function,
-    rate_function_entropy,
     rate_function_numeric,
     run_position_fcs,
     sample_walk,
@@ -61,6 +56,7 @@ from conftest import (
     assert_law_matches_oracle,
     log_convolve_step,
     one_call_walk_tally,
+    rate_function_entropy,
     same_bits,
     sequential_walk_law,
 )
@@ -704,23 +700,16 @@ _INFINITIES = (math.inf, -math.inf)
     (lambda v: rate_function([v], CHECK_PARAMS), ()),
     (lambda v: deformed_weights(v, CHECK_PARAMS), _INFINITIES),
     (lambda v: apply_channel(_NAN_STATE, v, CHECK_PARAMS), _INFINITIES),
-    (lambda v: apply_deformed(_NAN_STATE, v, CHECK_PARAMS), _INFINITIES),
-    (lambda v: adjoint_apply(np.eye(_NAN_WINDOW.n_k), _NAN_WINDOW, v, CHECK_PARAMS),
-     _INFINITIES),
     (lambda v: position_cgf_oracle(2, [v], _NAN_STATE, CHECK_PARAMS), _INFINITIES),
-    (lambda v: environment_reduced_map(
-        ReservoirConfig(params=CHECK_PARAMS, M=1, n=1, window=_NAN_WINDOW),
-        np.eye(_NAN_WINDOW.n_k), v), (*_INFINITIES, 2000.0, -2000.0)),
     (_WALK_LAW.mgf, ()),
     (_POSITION_FCS.log_mgf, ()),
     (lambda v: _POSITION_FCS.window_probability(-1.0, v), ()),
 ], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function", "deformed_weights",
-        "apply_channel", "apply_deformed", "adjoint_apply", "position_cgf_oracle",
-        "environment_reduced_map", "walk_mgf", "position_log_mgf", "window_probability"])
+        "apply_channel", "position_cgf_oracle", "walk_mgf", "position_log_mgf",
+        "window_probability"])
 def test_nan_argument_is_numerics_error(fn, also):
     # and the routes through `deformed_weights` refuse an infinite exponent too, where one
-    # weight is inf and the other 0, so a step would form inf * 0; the environment map
-    # refuses an exponent at which a power of rho_beta is not a finite double
+    # weight is inf and the other 0, so a step would form inf * 0
     for value in (math.nan, *also):
         with pytest.raises(NumericsError):
             fn(value)
