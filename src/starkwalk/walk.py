@@ -117,9 +117,12 @@ class LatticeLaw:
         return float(np.sum(self.pmf[(self.dx >= lo) & (self.dx <= hi)]))
 
     def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
-        """(1/n) log Q[dx/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]]."""
+        """(1/n) log Q[dx/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]];
+        ConfigError unless tau is finite and > 0 (a NaN one is a NumericsError)."""
         for value, name in ((v, "v"), (delta, "delta"), (tau, "tau")):
             _require_real(value, name)
+        if not (0.0 < tau < math.inf or math.isnan(tau)):
+            raise ConfigError(f"tau must be finite and > 0, got tau = {_echo(tau)}")
         scale = self.n * tau
         num = self.window_probability(-scale * (v + delta), -scale * (v - delta))
         den = self.window_probability(scale * (v - delta), scale * (v + delta))

@@ -20,15 +20,14 @@ the support square of a stack, and check 1 and 2's states drawn one at a
 time.  Six routes that only the tests call live here too: the deformed kick without
 free phases, its Heisenberg adjoint, the diagonal-state builder, the closed-form
 unitary as one matrix, the reservoir's deformed reduction and the rate function of
-the entropy-like increment.
+the entropy-like increment.  The oracles that read mpmath or scipy import it
+where they run, so a test that needs neither runs without them.
 """
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
-from scipy import special
 
 from starkwalk import (
     TOL,
@@ -70,6 +69,7 @@ def params():
 
 def bessel_series(nu: int, z: float, dps: int = 50) -> float:
     """Power-series oracle: J_nu(z) = sum (-1)^m (z/2)^{2m+nu} / (m! (m+nu)!)."""
+    mp = pytest.importorskip("mpmath")
     sign = 1.0
     if nu < 0:
         nu, sign = -nu, (-1.0) ** nu
@@ -195,6 +195,7 @@ def convolved_position_moments(n: int, params: ModelParams) -> np.ndarray:
     """(trace, mean, variance) of the position law of psi_0 after s = 0..n steps, O(n^2):
     J_x(2/F)^2 from scipy, convolved s times with the Kraus weights. The oracle of
     `channel-evolve`, which reads its rows from the drift and diffusion in O(n)."""
+    special = pytest.importorskip("scipy.special")
     z = 2.0 / params.F
     xs = np.arange(-int(z) - 60, int(z) + 61)
     law, weights = special.jv(xs, z) ** 2, kraus_weights(params).as_array()

@@ -1,9 +1,13 @@
-"""The public surface: routes that only the tests call live in `conftest.py`, and no
-module of the package imports a name it never uses."""
+"""The public surface: routes that only the tests call live in `conftest.py`, no
+module of the package imports a name it never uses, and the runtime loads no test
+oracle."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,15 @@ def test_no_module_imports_a_name_it_never_uses(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_runtime_imports_no_scipy_or_mpmath():
+    # the package and its CLI need numpy alone: a fresh interpreter that imports both
+    # loads no module of the tests' oracles
+    code = ("import sys, starkwalk, starkwalk.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')]; "
+            "assert not loaded, loaded")
+    env = {**os.environ, "PYTHONPATH": str(Path(starkwalk.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr

@@ -2,7 +2,6 @@ import math
 import sys
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -99,6 +98,7 @@ def test_log_theta_symmetry_far_out(params):
 
 def _log_theta_reference(gamma, params):
     """log(e^gamma p_- + p_0 + e^-gamma p_+) at 60 digits from the double p."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         p, be = mpmath.mpf(params.p), mpmath.mpf(params.beta * params.E)
         p_plus = p / (1 + mpmath.exp(-be))
@@ -120,6 +120,7 @@ def test_log_theta_matches_mpmath(params, gammas):
 
 def _log_theta_at(gamma, p, be):
     """log((1 - p) + p cosh(be/2 - gamma)/cosh(be/2)) at 60 digits from the doubles."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         gamma, p, be = mpmath.mpf(gamma), mpmath.mpf(p), mpmath.mpf(be)
         return mpmath.log((1 - p) + p * mpmath.cosh(be / 2 - gamma) / mpmath.cosh(be / 2))
@@ -149,6 +150,7 @@ def test_log_theta_at_subnormal_jump_probability():
 def test_rate_oracle_at_subnormal_jump_probability():
     # the Legendre oracle of the rate, which reads log_theta, agrees with the
     # closed form and with a 60-digit sup_eta [eta x - log((1 - p) + p cosh eta)]
+    mpmath = pytest.importorskip("mpmath")
     p, x = SUBNORMAL_P.p, 0.666
     with mpmath.workdps(60):
         P, X = mpmath.mpf(p), mpmath.mpf(x)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -78,10 +79,13 @@ def test_parse_config_file_unknown_keys(tmp_path):
 
 
 def test_rate_experiment_table():
-    cfg = parse_config("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 rate --n 40".split())
+    # the Legendre oracle solves the 401-point grid in one lock-step call: every abs_diff
+    # is within rate_match and is |rate_closed - rate_numeric| of its own row
+    cfg = parse_config("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 rate --n 400".split())
     table = run_experiment(cfg)
     assert table.columns == ["x", "rate_closed", "rate_numeric", "abs_diff"]
-    assert max(row[3] for row in table.rows) <= 1e-8
+    assert len(table.rows) == 401 and max(row[3] for row in table.rows) <= TOL.rate_match
+    assert all(diff == abs(closed - numeric) for _, closed, numeric, diff in table.rows)
     # rate draws no sample: its metadata holds no seed
     assert "seed" not in table.metadata
 
@@ -506,6 +510,10 @@ def test_spectrum_reads_no_time(capsys):
     assert bodies[0] == bodies[1] and len(bodies[0]) == 21
 
 
+def _refuse_bessel(*args, **kwargs):
+    raise AssertionError("a Bessel function was evaluated")
+
+
 @pytest.mark.parametrize("F", ["1", "1e-7", "1e-310"])
 @pytest.mark.parametrize("run", ["spectrum", "spectrum --window 12", "single-atom --n 3",
                                  "fcs-energy --n 2 --m 2", "channel-evolve --n 3"])
@@ -513,10 +521,7 @@ def test_k_range_experiments_do_no_bessel_work(run, F, monkeypatch, capsys):
     # spectrum and single-atom read the eigenbasis index k alone, fcs-energy the walk law
     # and channel-evolve the drift and diffusion, so no Bessel function is evaluated, also
     # at tilts where 2/F is past the Bessel order budget or is inf
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Bessel function was evaluated")
-
-    monkeypatch.setattr(starkwalk.bessel, "_profile", refuse)
+    monkeypatch.setattr(starkwalk.bessel, "_profile", _refuse_bessel)
     rc = cli.main(f"--E 2 --F {F} --lambda 0.5 --tau 1 --beta 1 {run} --out -".split())
     out, err = capsys.readouterr()
     if run.startswith(("single-atom", "channel-evolve")) and F == "1e-310":
@@ -553,14 +558,37 @@ _PINNED = [
     ("fcs-position", 2.0, 1e-6, 0.5, 1e6, 1.0),
     ("fcs-position", 2.0, 1e-9, 0.5, 1e9, 1.0),
 ]
+# runs past the sweep's small sizes, and inputs where a route once failed
+_SIZED = [
+    ("single-atom --n 5", 2.0, 1.0, 0.5, 1.0, 1.0),
+    ("single-atom --n 20", 2.0, 1.0, 0.5, 1.0, 1.0),
+    # the closed route reads omega0 and the mixing angle, never the jump probability,
+    # whose phase omega0 tau / 2 is past 2^52
+    ("single-atom --n 0", 2.0, 1.0, 0.5, 1e16, 1.0),
+    # the largest n of the row budget, at a tilt past the Bessel order budget
+    (f"channel-evolve --n {cli.MAX_TABLE_ROWS - 1}", 2.0, 1e-7, 0.5, 1.0, 1.0),
+    # z = 2/F = 40 and up to 4/F = 80: the squared Bessel kernel runs over hundreds of orders
+    ("channel-evolve --n 20", 2.0, 0.05, 0.5, 1.0, 1.0),
+    ("fcs-position --n 20", 2.0, 0.05, 0.5, 1.0, 1.0),
+    ("walk --n 50", 2.0, 1.0, 0.5, 1.0, 1.0),
+    # the laws on their live span from a restarted recurrence, and near p = 1 from j = 0
+    ("walk --n 1000000 --trials 100", 2.0, 1.0, 0.5, 1.0, 1.0),
+    ("fcs-position --n 1000000", 2.0, 1.0, 0.5, 1.0, 1.0),
+    ("walk --n 20000", 1.0, 1.0, 1.5706963267948966, 1.0, 0.3),
+    # the energy law is the walk law reversed, so it has no atom budget
+    ("fcs-energy --n 100000", 2.0, 1.0, 0.5, 1.0, 1.0),
+]
+# spectrum and single-atom read the eigenbasis index k alone, fcs-energy the walk law
+# and channel-evolve the drift and diffusion: none of them evaluates a Bessel function
+_NO_BESSEL = ("spectrum", "single-atom", "fcs-energy", "channel-evolve")
 
 
 def _contract_cases() -> list[tuple]:
-    """(experiment, E, F, lam, tau, beta): _CONTRACT_DRAWS draws from a seeded generator,
+    """(run, E, F, lam, tau, beta): _CONTRACT_DRAWS draws from a seeded generator,
     each coordinate 10^u for u uniform on its exponent range and, where it may be, 0
     with probability 1/4, the experiment uniform; then the pinned cases; then, for
     every experiment, one draw with each coordinate at each of its bounds (0, 10^lo,
-    10^hi)."""
+    10^hi); each of these runs with its `CONTRACT_RUNS` keys.  Last, the sized runs."""
     rng = np.random.default_rng(20261020)
     experiments = sorted(CONTRACT_RUNS)
     bounds = [(j, value) for j, ((lo, hi), zero) in enumerate(zip(_EXPONENTS, _MAY_BE_ZERO))
@@ -576,16 +604,20 @@ def _contract_cases() -> list[tuple]:
             picks[row], values[row, j] = e, value
             row += 1
     cases = [(experiments[e], *v) for e, v in zip(picks.tolist(), values.tolist())]
-    return cases[:_CONTRACT_DRAWS] + _PINNED + cases[_CONTRACT_DRAWS:]
+    swept = cases[:_CONTRACT_DRAWS] + _PINNED + cases[_CONTRACT_DRAWS:]
+    return [(f"{e} {CONTRACT_RUNS[e]}", *v) for e, *v in swept] + _SIZED
 
 
 @pytest.mark.parametrize("case", _contract_cases())
-def test_every_experiment_gives_valid_rows_or_one_error_line(case):
+def test_every_experiment_gives_valid_rows_or_one_error_line(case, monkeypatch):
     # every input in the box either exits 2 with one error line, or exits 0 with
     # finite cells that pass the experiment's own invariants
-    experiment, E, F, lam, tau, beta = case
+    run, E, F, lam, tau, beta = case
+    experiment = run.split()[0]
+    if experiment in _NO_BESSEL:
+        monkeypatch.setattr(starkwalk.bessel, "_profile", _refuse_bessel)
     argv = [f"--E={E!r}", f"--F={F!r}", f"--lambda={lam!r}", f"--tau={tau!r}",
-            f"--beta={beta!r}", experiment, *CONTRACT_RUNS[experiment].split(), "--out", "-"]
+            f"--beta={beta!r}", *run.split(), "--out", "-"]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = cli.main(argv)
@@ -598,11 +630,23 @@ def test_every_experiment_gives_valid_rows_or_one_error_line(case):
     rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]])
     assert rows.size and np.all(np.isfinite(rows))
     col = dict(zip(lines[1].split(","), rows.T))
+    sizes = {name: size for name, size, _ in GRID_BUDGETS}
+    if experiment in sizes:
+        assert len(rows) == sizes[experiment](parse_config(argv).n)
+    if experiment == "single-atom":
+        # within its oracle and within the motion bound of the first row, t = 0, where
+        # both routes read <X> of the starting state
+        closed, oracle, bound = col["x_closed"], col["x_oracle"], col["bound"]
+        assert np.all(np.abs(closed - oracle) <= TOL.position_oracle)
+        assert np.all(np.abs(closed - closed[0]) <= bound) and closed[0] == oracle[0]
     if experiment == "channel-evolve":
-        assert np.all(np.abs(col["trace"] - 1.0) <= TOL.trace)
+        assert np.all(col["trace"] == 1.0)
     if experiment == "rate":
         closed, numeric = col["rate_closed"], col["rate_numeric"]
         assert np.all(np.abs(closed - numeric) <= TOL.rate_match * np.maximum(1.0, np.abs(closed)))
+        assert np.array_equal(col["abs_diff"], np.abs(closed - numeric))
+    if experiment == "fcs-energy":
+        assert np.array_equal(col["ds_particle"], col["ds_env"])
     if experiment in ("fcs-energy", "fcs-position"):
         assert abs(col["prob"].sum() - 1.0) <= TOL.trace
 
@@ -651,6 +695,20 @@ def test_readme_lists_the_run_keys_of_each_experiment():
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M))
     assert {e: tuple(re.findall(r"`--([a-z]+)`", rows.get(e, ""))) for e in READS} == READS
     assert {name: keys for name, (_, keys) in cli.EXPERIMENTS.items()} == READS
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # the README's "Command line" examples as written there, so the docs cannot drift
+    # from the flags; each exits 0 in a scratch working directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = [line for line in section.splitlines() if line.startswith("starkwalk ")]
+    assert len(examples) >= 4
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STARKWALK_OUTDIR", raising=False)
+    for line in examples:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert capsys.readouterr().err == "", line
 
 
 @pytest.mark.parametrize("args", [

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from starkwalk import (
     TOL,
@@ -558,6 +557,7 @@ def test_step_unitary_is_unitary_on_interior(params, window):
 def test_step_unitary_is_exponential_of_step_hamiltonian(params):
     # the propagator after each step against the product of expm of the
     # kron-assembled step Hamiltonians: particle + atom j coupled, the others idle
+    expm = pytest.importorskip("scipy.linalg").expm
     window = LatticeWindow(-4, 3, -4, 3)
     M = 3
     direct = np.eye(window.n_k << M)

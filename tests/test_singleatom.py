@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from starkwalk import (
     TOL,
@@ -103,6 +102,7 @@ def test_propagators_at_zero_time(params, window):
 
 
 def test_closed_vs_oracle_vs_expm(params, window):
+    expm = pytest.importorskip("scipy.linalg").expm
     rng = np.random.default_rng(8)
     H = direct_joint_hamiltonian(params, window)
     for t in (0.1, 1.0, 3.0):

@@ -1,23 +1,17 @@
-"""The runtime needs numpy alone.
-
-Its two special functions, log I_0 in the position CGF and the normal
-CDF of the CLT check, are checked against 60-digit mpmath and against
-scipy.special; a fresh interpreter that imports the package and its CLI
-must not load scipy.
+"""The runtime's own special functions, log I_0 in the position CGF and the
+normal CDF of the CLT check, against 60-digit mpmath and against
+scipy.special.  Without either oracle the module is skipped.
 """
 import math
-import os
-import subprocess
-import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import i0e, ndtr
 
-import starkwalk
 from starkwalk.fcs import _log_i0
 from starkwalk.verify import _normal_cdf
+
+mp = pytest.importorskip("mpmath")
+special = pytest.importorskip("scipy.special")
 
 # 300 and 750 sit where a lower split would truncate the series too early and
 # where a higher one would overflow np.i0
@@ -40,7 +34,7 @@ def test_log_i0_matches_mpmath(x):
 @pytest.mark.parametrize("x", LOG_I0_POINTS + [-x for x in LOG_I0_POINTS[1:]])
 def test_log_i0_matches_scipy(x):
     # the scaled Bessel function of scipy cannot overflow either
-    ref = math.log(i0e(x)) + abs(x)
+    ref = math.log(special.i0e(x)) + abs(x)
     assert abs(_log_i0(x) - ref) <= LOG_I0_REL * max(1.0, abs(ref))
 
 
@@ -75,15 +69,5 @@ def test_normal_cdf_matches_mpmath():
 
 
 def test_normal_cdf_matches_scipy():
-    assert_normal_cdf_close(_normal_cdf(Z), ndtr(Z), 8e-16)
+    assert_normal_cdf_close(_normal_cdf(Z), special.ndtr(Z), 8e-16)
 
-
-def test_runtime_does_not_import_scipy():
-    code = ("import sys, starkwalk, starkwalk.cli; "
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
-            "assert not loaded, loaded")
-    src = os.path.dirname(os.path.dirname(starkwalk.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr

@@ -444,6 +444,12 @@ _HUGE_REALS = {
                  "must weigh the same sites", id="oracle-gap-other-sites"),
     pytest.param(lambda: walk_pmf_exact(3, _P).oracle_gap("a"),
                  "the oracle must be a LatticeLaw, got 'a'", id="oracle-gap-not-a-law"),
+    # a time of 0 or -0.0, and an infinite one where v < delta, made the FT ratio 0.0
+    *[pytest.param(lambda v=v, tau=tau: run_position_fcs(3, _RHO, _P).ft_log_ratio(v, 0.1, tau),
+                   f"tau must be finite and > 0, got tau = {tau!r}",
+                   id=f"ft-log-ratio-v-{v}-tau-{tau!r}")
+      for v, tau in ((0.05, 0.0), (0.05, -0.0), (0.05, math.inf), (0.2, math.inf),
+                     (0.05, -math.inf), (0.05, -1.0))],
     *[pytest.param(build, "must lie in the double range", id=f"{name}-10**400")
       for name, build in _HUGE_REALS.items()],
     # the batched routes take a 1-D array: one entry past the double range is not a real array

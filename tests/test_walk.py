@@ -6,7 +6,6 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -238,6 +237,7 @@ def test_log_law_fluctuation_identity_at_n_2000():
 
 def _multinomial_reference(n, s, params):
     """P[S_n = s] at 50 digits: the sum over N_- of the trinomial multinomial terms."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         p, be = mpmath.mpf(params.p), mpmath.mpf(params.beta * params.E)
         p_plus = p / (1 + mpmath.exp(-be))
@@ -258,6 +258,7 @@ def _multinomial_reference(n, s, params):
 
 
 def test_law_matches_multinomial_spot_values():
+    mpmath = pytest.importorskip("mpmath")
     params, n = CHECK_PARAMS, 10_000
     tc = transport_coefficients(params)
     mean, sigma = n * tc.v_d * params.tau, math.sqrt(n * 2.0 * tc.D * params.tau)
@@ -388,10 +389,10 @@ def test_streamed_sample_is_the_one_call_tally(key, n, trials):
 
 
 def test_sample_memory_is_independent_of_trials():
-    # one chunk of step counts and the tally span are held, not the 10^6 x 3 draws
+    # one chunk of step counts and the tally span are held, not the 10^7 x 3 draws
     tracemalloc.start()
     try:
-        sample_walk(10_000, 10**6, 7, CHECK_PARAMS)
+        sample_walk(10_000, 10**7, 7, CHECK_PARAMS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -552,6 +553,7 @@ def test_numeric_rate_matches_closed_form(params):
 
 def _rate_reference(x, params):
     """I(x) at 60 digits from the exact maximiser z = e^eta of eta x - e(eta)."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         p, be = mpmath.mpf(params.p), mpmath.mpf(params.beta * params.E)
         p_plus = p / (1 + mpmath.exp(-be))
@@ -704,9 +706,10 @@ _INFINITIES = (math.inf, -math.inf)
     (_WALK_LAW.mgf, ()),
     (_POSITION_FCS.log_mgf, ()),
     (lambda v: _POSITION_FCS.window_probability(-1.0, v), ()),
+    (lambda v: _POSITION_FCS.ft_log_ratio(0.1, 0.02, v), ()),
 ], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function", "deformed_weights",
         "apply_channel", "position_cgf_oracle", "walk_mgf", "position_log_mgf",
-        "window_probability"])
+        "window_probability", "ft_log_ratio_tau"])
 def test_nan_argument_is_numerics_error(fn, also):
     # and the routes through `deformed_weights` refuse an infinite exponent too, where one
     # weight is inf and the other 0, so a step would form inf * 0
