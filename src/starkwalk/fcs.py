@@ -2,7 +2,7 @@
 
 Energy: the reservoir energy and the particle energy are measured
 projectively before the first and after the n-th interaction, on a
-finite reservoir of M >= n atoms simulated brute force (joint unitary
+finite reservoir of n atoms simulated brute force (joint unitary
 product, no channel shortcut).  Both energies are ladders, so the
 outcome is the joint law of two integer increments: the particle's
 ladder index k - k' and the reservoir's excitation number m - m'.  The
@@ -10,8 +10,8 @@ entropy-like increments dS_p = (beta E / F)(E_p' - E_p) = beta E (k - k')
 and dS_env = -beta (E_env' - E_env) = beta E (m - m') coincide with
 probability one (the law lives on the diagonal k - k' = m - m'), their
 cumulant generating function is n log theta(alpha), and the transient
-fluctuation theorem holds exactly at every n.  The law is the walk law of
-`walk_pmf_exact` reversed, at every n and M >= n; the `fcs-energy`
+fluctuation theorem holds exactly at every n, from every initial state.
+The law is the walk law of `walk_pmf_exact` reversed; the `fcs-energy`
 experiment reads it there, and the reservoir is its oracle in
 `verify-all` and the tests.
 
@@ -49,7 +49,6 @@ from .errors import BudgetError, ConfigError, NumericsError, WindowError
 from .params import (
     ModelParams,
     _beta_E,
-    _require_atoms,
     _require_count,
     _require_phase,
     _require_real,
@@ -61,7 +60,6 @@ from .state import (
     ParticleDensityMatrix,
     _span,
     position_distribution,
-    require_interior,
     transform_matrix,
 )
 from .walk import LatticeLaw, scgf, walk_pmf_exact
@@ -74,27 +72,28 @@ _PRUNE = 1e-12
 
 @dataclass(frozen=True)
 class ReservoirConfig:
-    """Brute-force reservoir: M atoms, n <= M interactions, particle window."""
+    """Brute-force reservoir: n interactions, one atom each."""
 
     params: ModelParams
-    M: int
     n: int
-    window: LatticeWindow
 
     def __post_init__(self):
         _require_count(self.n, "n")
-        _require_count(self.M, "M", 1)
-        _require_atoms(self.n, self.M)
-        if self.window.n_k > MAX_WINDOW or self.M > MAX_ATOMS:
+        if self.n > MAX_ATOMS:
             raise BudgetError(
-                f"brute-force budget is window <= {MAX_WINDOW}, M <= {MAX_ATOMS} "
-                f"(got {self.window.n_k}, {self.M}); the energy law at any n is the walk "
-                "law walk_pmf_exact(n) reversed, as fcs-energy prints it"
+                f"brute-force budget is n <= {MAX_ATOMS} atoms (got {self.n}); the energy law "
+                "at any n is the walk law walk_pmf_exact(n) reversed, as fcs-energy prints it"
             )
 
     @property
+    def window(self) -> LatticeWindow:
+        """k = -(n+1)..n+1: the sites the k = 0 start reaches in n steps, and one spare."""
+        edge = self.n + 1
+        return LatticeWindow(-edge, edge, -edge, edge)
+
+    @property
     def dim(self) -> int:
-        return self.window.n_k << self.M
+        return self.window.n_k << self.n
 
 
 def _occupations(M: int) -> np.ndarray:
@@ -102,21 +101,21 @@ def _occupations(M: int) -> np.ndarray:
     return (np.arange(1 << M)[:, None] >> np.arange(M - 1, -1, -1)) & 1
 
 
-def _evolve(cfg: ReservoirConfig, X: np.ndarray) -> np.ndarray:
-    """U(n tau, 0) @ X: the n pair steps applied to the columns of X.
+def _evolve(cfg: ReservoirConfig, window: LatticeWindow, X: np.ndarray) -> np.ndarray:
+    """U(n tau, 0) @ X on the joint space of the n atoms and the window.
 
     Step j applies the single-atom propagator to the (atom j, particle)
     rows, into which the rows of X split as (atoms before j, atom j, atoms
     after j, particle), and a free phase e^{-i tau E} for each other
     excited atom.
     """
-    p, K, M, cols = cfg.params, cfg.window.n_k, cfg.M, X.shape[1]
-    W = _oracle_blocks(p.tau, p, cfg.window)
-    occ = _occupations(M)
+    p, K, n, cols = cfg.params, window.n_k, cfg.n, X.shape[1]
+    W = _oracle_blocks(p.tau, p, window)
+    occ = _occupations(n)
     _require_phase(p.tau, p.E)
     idle_phase = np.exp(-1j * p.tau * p.E)
-    for j in range(cfg.n):
-        before, after = 1 << j, 1 << (M - 1 - j)
+    for j in range(n):
+        before, after = 1 << j, 1 << (n - 1 - j)
         rows = X.reshape(before, 2, after, K, cols).swapaxes(1, 2)
         stepped = _apply_rows(*W, rows.reshape(before, after, 2 * K, cols))
         stepped = stepped.reshape(before, after, 2, K, cols).swapaxes(1, 2).reshape(X.shape)
@@ -125,16 +124,19 @@ def _evolve(cfg: ReservoirConfig, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def repeated_interaction_propagator(cfg: ReservoirConfig) -> np.ndarray:
-    """U(n tau, 0) = e^{-i tau H_n} ... e^{-i tau H_1} on the joint space."""
-    return _evolve(cfg, np.eye(cfg.dim, dtype=complex))
+def repeated_interaction_propagator(cfg: ReservoirConfig, window: LatticeWindow) -> np.ndarray:
+    """U(n tau, 0) = e^{-i tau H_n} ... e^{-i tau H_1} on the joint space of the n atoms
+    and `window`; BudgetError past `MAX_WINDOW` sites."""
+    if window.n_k > MAX_WINDOW:
+        raise BudgetError(f"the dense propagator's budget is window <= {MAX_WINDOW} "
+                          f"(got {window.n_k})")
+    return _evolve(cfg, window, np.eye(window.n_k << cfg.n, dtype=complex))
 
 
 def environment_weights(cfg: ReservoirConfig) -> np.ndarray:
-    """Diagonal of rho_beta^{(x)M} over the atom-bit configurations, from one atom's
-    `AtomGibbs.power(1.0)`."""
-    ground, excited = np.diagonal(AtomGibbs.from_params(cfg.params).power(1.0)).tolist()
-    return np.prod(np.where(_occupations(cfg.M), excited, ground), axis=1)
+    """Diagonal of rho_beta^{(x)n} over the atom-bit configurations."""
+    gibbs = AtomGibbs.from_params(cfg.params)
+    return np.prod(np.where(_occupations(cfg.n), gibbs.w_excited, gibbs.w_ground), axis=1)
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,10 @@ class EnergyFcsResult:
     """Joint law of the two integer increments of the two-time energy measurement.
 
     law[i, j] is the probability that the particle's ladder index fell by
-    k - k' = i - (n_k - 1) and the reservoir lost m - m' = j - M excitations,
-    where (k, m) is the first outcome and (k', m') the second; k indices
-    refer to window.k_values.  The zero increment sits at the centre of each
-    axis, and the conservation law is the diagonal k - k' = m - m'.
+    k - k' = i - n and the reservoir lost m - m' = j - n excitations, where
+    (k, m) is the first outcome and (k', m') the second.  The zero increment
+    sits at the centre of each axis, and the conservation law is the
+    diagonal k - k' = m - m'.
     """
 
     cfg: ReservoirConfig
@@ -157,8 +159,8 @@ class EnergyFcsResult:
 
     def _increments(self) -> tuple[np.ndarray, np.ndarray]:
         """The index column k - k' and the index row m - m' of `law`."""
-        K, M = self.cfg.window.n_k, self.cfg.M
-        return np.arange(1 - K, K)[:, None], np.arange(-M, M + 1)[None, :]
+        steps = np.arange(-self.cfg.n, self.cfg.n + 1)
+        return steps[:, None], steps[None, :]
 
     def off_diagonal_mass(self) -> float:
         dk, dm = self._increments()
@@ -169,11 +171,10 @@ class EnergyFcsResult:
 
         dS_n = beta E (k - k') = -beta E S_n, so E[e^{alpha dS_n}] is
         `.mgf(-alpha beta E)`, its mean -beta E `.mean()` and its variance
-        beta E^2 `.variance()`.  Each step moves k by at most one, so the
-        rows |k - k'| <= n carry the whole marginal.
+        beta E^2 `.variance()`.
         """
-        K, n = self.cfg.window.n_k, self.cfg.n
-        return LatticeLaw(n=n, first=-n, pmf=self.law.sum(axis=1)[K - 1 - n:K + n][::-1])
+        n = self.cfg.n
+        return LatticeLaw(n=n, first=-n, pmf=self.law.sum(axis=1)[::-1])
 
     def total_energy_change_mean(self) -> float:
         """Mean of (E_p' + E_env') - (E_p + E_env) = F (k - k') - E (m - m')."""
@@ -188,39 +189,27 @@ class EnergyFcsResult:
         return float(np.max(np.where(self.law > TOL.fcs_support, np.abs(F * dk - E * dm), 0.0)))
 
 
-def run_energy_fcs(cfg: ReservoirConfig, rho_p: ParticleDensityMatrix) -> EnergyFcsResult:
-    """Exact two-time energy measurement statistics on the finite reservoir.
+def run_energy_fcs(cfg: ReservoirConfig) -> EnergyFcsResult:
+    """Exact two-time energy measurement statistics on the n-atom reservoir.
 
     The particle energy projections are the eigenbasis projectors (the
     ladder is nondegenerate for F > 0); reservoir levels are grouped by
-    total excitation number.  The first measurement dephases rho_p in the
-    eigenbasis; conditional states are diagonal, so only |U|^2 enters, and
-    only on the columns where diag(rho_p) is nonzero: 2^M columns for an
-    eigenstate, which the pair steps evolve without forming U.  Each
-    (final, initial) pair of basis states adds its weight to the cell of
-    its two increments.
+    total excitation number.  The first measurement dephases any particle
+    state in the eigenbasis, and each sector block depends on k only
+    through a phase, so the law is the same from every interior state; the
+    pair steps evolve the 2^n identity columns of k = 0 without forming U.
+    Only |U|^2 enters: each (final, initial) pair of basis states adds its
+    weight to the cell of its two increments.
     """
-    if rho_p.window != cfg.window:
-        raise WindowError("rho_p window differs from the reservoir window")
-    rho_p.check_density()
-    require_interior(np.diagonal(rho_p.coeffs), band=cfg.n + 1)
-    K, M = cfg.window.n_k, cfg.M
-    pops = _occupations(M).sum(axis=1)
-    qk = np.diagonal(rho_p.coeffs).real
-
-    # evolve only the identity columns (bits, k) of the k that rho_p occupies
-    live = np.flatnonzero(qk)
-    cols = (K * np.arange(1 << M)[:, None] + live[None, :]).ravel()
-    start_cols = np.zeros((cfg.dim, cols.size), dtype=complex)
-    start_cols[cols, np.arange(cols.size)] = 1.0
-    # starting states are diagonal, so outcome probabilities only mix |U|^2;
-    # axes (final bits, final k, initial bits, initial k)
-    W2 = (np.abs(_evolve(cfg, start_cols)) ** 2).reshape(1 << M, K, 1 << M, live.size)
-    terms = W2 * (environment_weights(cfg)[:, None] * qk[None, live])
-    cell = ((live - np.arange(K)[:, None, None] + K - 1) * (2 * M + 1)
-            + pops[:, None] - pops[:, None, None, None] + M)
-    law = np.bincount(cell.ravel(), weights=terms.ravel(), minlength=(2 * K - 1) * (2 * M + 1))
-    return EnergyFcsResult(cfg=cfg, law=law.reshape(2 * K - 1, 2 * M + 1))
+    n, K, B, side = cfg.n, cfg.window.n_k, 1 << cfg.n, 2 * cfg.n + 1
+    pops = _occupations(n).sum(axis=1)
+    W2 = np.abs(_evolve(cfg, cfg.window, np.eye(cfg.dim, dtype=complex)[:, n + 1::K])) ** 2
+    # axes (final bits, final k', initial bits), k' = n..-n so that row i of law is
+    # k - k' = i - n; the spare sites k' = +-(n + 1) are never reached
+    terms = W2.reshape(B, K, B)[:, -2:0:-1] * environment_weights(cfg)
+    cell = np.arange(side)[:, None] * side + pops[None, None, :] - pops[:, None, None] + n
+    law = np.bincount(cell.ravel(), weights=terms.ravel(), minlength=side * side)
+    return EnergyFcsResult(cfg=cfg, law=law.reshape(side, side))
 
 
 def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:

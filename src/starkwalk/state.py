@@ -208,7 +208,9 @@ def require_interior(diagonal: np.ndarray, band: int = 1) -> None:
     `diagonal` is a particle diagonal over the window's k-range, or a stack
     of them along leading axes (an atom-major joint diagonal reshaped to
     (2, n_k)); the occupancy is the largest |entry| within `band` sites of
-    either end of any of them.  The one window-edge refusal of the package.
+    either end of any of them.  The one window-edge refusal of the package:
+    the channel steps read band 1, the single-atom and channel-oracle routes
+    band 2; the energy reservoir derives a window that holds its reach.
     """
     d = np.abs(diagonal)
     mass = float(max(np.max(d[..., :band], initial=0.0), np.max(d[..., -band:], initial=0.0)))

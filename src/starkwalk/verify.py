@@ -262,11 +262,8 @@ def check_ldp() -> CheckResult:
 
 
 def _reservoir_run(params: ModelParams, n: int) -> fcs_mod.EnergyFcsResult:
-    """The brute-force reservoir of checks 7, 8 and 11: M = 3 atoms and n interactions,
-    from the k = 0 eigenstate on the window -16..15."""
-    window = LatticeWindow(-16, 15, -16, 15)
-    cfg = fcs_mod.ReservoirConfig(params=params, M=3, n=n, window=window)
-    return fcs_mod.run_energy_fcs(cfg, ParticleDensityMatrix.eigenstate(window, 0))
+    """The brute-force reservoir of checks 7, 8 and 11: n atoms and n interactions."""
+    return fcs_mod.run_energy_fcs(fcs_mod.ReservoirConfig(params=params, n=n))
 
 
 def _log_convolution_table(logk: np.ndarray, steps: int) -> np.ndarray:
@@ -340,7 +337,7 @@ def check_fluctuation() -> CheckResult:
 
 
 def check_energy_fcs() -> CheckResult:
-    """8. Brute force M = n = 3: diagonal support, E[e^{a dS}] = theta(a)^n, and the
+    """8. Brute force at n = 3: diagonal support, E[e^{a dS}] = theta(a)^n, and the
     reservoir's increment law equal to the walk law."""
     params = CHECK_PARAMS
     result = _reservoir_run(params, 3)

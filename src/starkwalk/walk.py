@@ -118,12 +118,19 @@ class LatticeLaw:
 
     def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
         """(1/n) log Q[dx/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]];
-        ConfigError unless tau is finite and > 0 (a NaN one is a NumericsError)."""
+        ConfigError unless v, delta are finite and tau finite and > 0, NumericsError for a
+        NaN one or an n tau past a double (a bound n tau (v +- delta) may overflow to inf)."""
         for value, name in ((v, "v"), (delta, "delta"), (tau, "tau")):
-            _require_real(value, name)
-        if not (0.0 < tau < math.inf or math.isnan(tau)):
+            if math.isnan(_require_real(value, name)):
+                raise NumericsError(f"FT log ratio with {name} = NaN")
+        for value, name in ((v, "v"), (delta, "delta")):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
+        if not 0.0 < tau < math.inf:
             raise ConfigError(f"tau must be finite and > 0, got tau = {_echo(tau)}")
         scale = self.n * tau
+        if not math.isfinite(scale):
+            raise NumericsError(f"n tau overflows a double at n = {self.n}, tau = {tau!r}")
         num = self.window_probability(-scale * (v + delta), -scale * (v - delta))
         den = self.window_probability(scale * (v - delta), scale * (v + delta))
         if self.n == 0 or not num > 0.0 or not den > 0.0:

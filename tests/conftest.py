@@ -450,20 +450,21 @@ def closed_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
 
 
 def environment_power(cfg: ReservoirConfig, a: float) -> np.ndarray:
-    """Diagonal of (rho_beta^a)^{(x)M} over the atom-bit configurations, from one atom's
-    `AtomGibbs.power`; NumericsError where that power or a product of M of them is not
-    a finite double."""
+    """Diagonal of (rho_beta^a)^{(x)n} over the n atoms' bit configurations, from one
+    atom's `AtomGibbs.power`; NumericsError where that power or a product of n of them
+    is not a finite double."""
     ground, excited = np.diagonal(AtomGibbs.from_params(cfg.params).power(a)).tolist()
     with np.errstate(over="ignore"):
-        w = np.prod(np.where(_occupations(cfg.M), excited, ground), axis=1)
+        w = np.prod(np.where(_occupations(cfg.n), excited, ground), axis=1)
     if not np.all(np.isfinite(w)):
-        raise NumericsError(f"rho_beta^a on {cfg.M} atoms at a = {a!r} overflows a double")
+        raise NumericsError(f"rho_beta^a on {cfg.n} atoms at a = {a!r} overflows a double")
     return w
 
 
-def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
+def environment_reduced_map(cfg: ReservoirConfig, window: LatticeWindow, A: np.ndarray,
                             alpha: float = 0.0) -> np.ndarray:
-    """Brute-force deformed reduction: trace the reservoir out of U (A x rho^{1-a}) U*.
+    """Brute-force deformed reduction: trace the reservoir out of U (A x rho^{1-a}) U*,
+    with U the dense propagator on `window`.
 
     For alpha = 0 this is the reduced Schroedinger dynamics after n
     interactions; for general alpha it must agree with n applications of
@@ -471,12 +472,12 @@ def environment_reduced_map(cfg: ReservoirConfig, A: np.ndarray,
     rho_beta is not a finite double (`environment_power`).
     """
     alpha = _require_real(alpha, "alpha")
-    K = cfg.window.n_k
+    K, B = window.n_k, 1 << cfg.n
     # rho_beta^{1-alpha} and rho_beta^{alpha} are diagonal over bit configurations
     kept, traced = environment_power(cfg, 1.0 - alpha), environment_power(cfg, alpha)
-    U = repeated_interaction_propagator(cfg)
+    U = repeated_interaction_propagator(cfg, window)
     joint = np.kron(np.diag(kept.astype(complex)), np.asarray(A, dtype=complex))
-    evolved = (U @ joint @ U.conj().T).reshape(1 << cfg.M, K, 1 << cfg.M, K)
+    evolved = (U @ joint @ U.conj().T).reshape(B, K, B, K)
     return np.einsum("b,bkbl->kl", traced, evolved)
 
 

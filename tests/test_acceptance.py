@@ -18,17 +18,9 @@ from starkwalk.verify import (
     _kolmogorov,
     _random_states,
     _walk_fluctuation,
-    check_boundedness,
     check_channel_oracle,
     check_clt,
-    check_einstein,
-    check_energy_bookkeeping,
-    check_energy_fcs,
-    check_fluctuation,
-    check_ldp,
-    check_position_fcs,
     check_propagator,
-    check_theta_identities,
     check_transport,
 )
 
@@ -44,20 +36,24 @@ from conftest import (
     whole_window_blocks,
 )
 
-CRITERIA = [
-    ("01 channel-oracle equivalence", check_channel_oracle),
-    ("02 propagator cross-check", check_propagator),
-    ("03 theta identities", check_theta_identities),
-    ("04 transport coefficients", check_transport),
-    ("05 central limit theorem", check_clt),
-    ("06 large deviations", check_ldp),
-    ("07 fluctuation identities", check_fluctuation),
-    ("08 energy counting statistics", check_energy_fcs),
-    ("09 position counting statistics", check_position_fcs),
-    ("10 einstein relation", check_einstein),
-    ("11 energy bookkeeping", check_energy_bookkeeping),
-    ("12 single-atom boundedness", check_boundedness),
-]
+# the report's label of each check in verify.ALL_CHECKS, by its name there; a check
+# with no label here still runs, under its own name
+LABELS = {
+    "channel-oracle": "channel-oracle equivalence",
+    "propagator": "propagator cross-check",
+    "theta": "theta identities",
+    "transport": "transport coefficients",
+    "clt": "central limit theorem",
+    "ldp": "large deviations",
+    "fluctuation": "fluctuation identities",
+    "energy-fcs": "energy counting statistics",
+    "position-fcs": "position counting statistics",
+    "einstein": "einstein relation",
+    "energy-bookkeeping": "energy bookkeeping",
+    "boundedness": "single-atom boundedness",
+}
+CRITERIA = [(f"{i:02d} {LABELS.get(name, name)}", check)
+            for i, (name, check) in enumerate(verify.ALL_CHECKS, 1)]
 
 
 @pytest.mark.parametrize("label,check", CRITERIA, ids=[c[0] for c in CRITERIA])

@@ -1,8 +1,9 @@
 """The public surface: routes that only the tests call live in `conftest.py`, no
-module of the package imports a name it never uses, and the runtime loads no test
-oracle."""
+module of the package imports a name it never uses, the runtime loads no test
+oracle, and every name the benchmark binds still resolves."""
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -70,3 +71,30 @@ def test_runtime_imports_no_scipy_or_mpmath():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def _perfbench_module(name: str, monkeypatch):
+    """perfbench/<name>.py, imported from its file as `perfbench_<name>`."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is made
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["verify", "walk"])
+def test_enforced_workload_passes_a_traced_pass(workload, monkeypatch):
+    # a traced pass binds every traced name by getattr and calls each work counter on
+    # its call's arguments, so a renamed route or a counter that reads a gone attribute
+    # fails here; then every gate of the workload's ops must pass
+    workloads = _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+    inputs = (workloads.reference_inputs(workload)
+              or workloads.make_inputs(workload, workloads.REFERENCE_SEED))
+    ops = workloads.build_ops(workload, inputs)
+    outputs = tracing.Tracer().run_pass(lambda: [op.run() for op in ops])
+    failed = [(op.name, gate) for op, out in zip(ops, outputs)
+              for gate in op.gates(out) if not gate.ok]
+    assert not failed

@@ -131,16 +131,14 @@ ENERGY_PHYSICS = ("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1",
 
 @pytest.mark.parametrize("physics", ENERGY_PHYSICS)
 def test_fcs_energy_rows_are_the_reservoir_law(physics):
-    # the rows read the walk law; the brute-force reservoir of M = m atoms is their oracle
-    window = LatticeWindow(-16, 15, -16, 15)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
+    # the rows read the walk law, the same for every m >= n; the brute-force reservoir
+    # of n atoms is their oracle
     for m in range(1, 5):
         for n in range(m + 1):
             cfg = parse_config(f"{physics} fcs-energy --n {n} --m {m}".split())
             rows = run_experiment(cfg).rows
-            reservoir = ReservoirConfig(params=cfg.params, M=m, n=n, window=window)
             # reversed, the oracle's S_n = n..-n is in the rows' ascending ds = -beta E S_n
-            oracle = run_energy_fcs(reservoir, rho).walk_law().pmf[::-1]
+            oracle = run_energy_fcs(ReservoirConfig(params=cfg.params, n=n)).walk_law().pmf[::-1]
             assert len(rows) == np.count_nonzero(oracle > 1e-15)
             be = cfg.params.beta * cfg.params.E
             for ds, _, prob in rows:

@@ -7,7 +7,6 @@ import pytest
 from starkwalk import (
     TOL,
     BudgetError,
-    ConfigError,
     LatticeWindow,
     ModelParams,
     NumericsError,
@@ -30,12 +29,11 @@ from starkwalk import (
     transport_coefficients,
     walk_pmf_exact,
 )
-from starkwalk.fcs import environment_weights
+from starkwalk.fcs import EnergyFcsResult, environment_weights
 
 from conftest import (
     direct_step_hamiltonian,
     environment_reduced_map,
-    from_diagonal,
     full_run_leaks,
     random_density,
     same_bits,
@@ -48,29 +46,25 @@ def window():
 
 
 @pytest.fixture
-def cfg(params, window):
-    return ReservoirConfig(params=params, M=3, n=3, window=window)
+def cfg(params):
+    return ReservoirConfig(params=params, n=3)
 
 
 def test_budget_enforced(params):
     big = LatticeWindow(-64, 63, -64, 63)
     with pytest.raises(BudgetError):
-        ReservoirConfig(params=params, M=2, n=2, window=big)
-    small = LatticeWindow(-8, 7, -8, 7)
+        repeated_interaction_propagator(ReservoirConfig(params=params, n=2), big)
     with pytest.raises(BudgetError):
-        ReservoirConfig(params=params, M=5, n=2, window=small)
-    with pytest.raises(ValueError):
-        ReservoirConfig(params=params, M=2, n=3, window=small)
+        ReservoirConfig(params=params, n=5)
 
 
 def test_propagator_trivial_cases(params, window):
-    cfg0 = ReservoirConfig(params=params, M=2, n=0, window=window)
-    assert np.array_equal(repeated_interaction_propagator(cfg0), np.eye(cfg0.dim))
+    cfg0 = ReservoirConfig(params=params, n=0)
+    assert np.array_equal(repeated_interaction_propagator(cfg0, window), np.eye(window.n_k))
 
     free = ModelParams(E=2.0, F=1.0, lam=0.0, tau=1.0, beta=1.0)
-    cfg1 = ReservoirConfig(params=free, M=2, n=2, window=window)
-    U = repeated_interaction_propagator(cfg1)
-    K = window.n_k
+    cfg1 = ReservoirConfig(params=free, n=2)
+    U = repeated_interaction_propagator(cfg1, window)
     Ek = 2.0 - free.F * window.k_values.astype(float)
     phases = []
     for bits in range(4):
@@ -81,18 +75,16 @@ def test_propagator_trivial_cases(params, window):
 
 
 def test_conserved_quantity_commutes(params, window):
-    # beta* H_p + beta H_env commutes with every step, so with U after each of them
-    cfg = ReservoirConfig(params=params, M=2, n=2, window=window)
+    # beta* H_p + beta H_env commutes with every step, so with U on n atoms at each n
     K = window.n_k
     beta_star = params.beta * params.E / params.F
     Ek = 2.0 - params.F * window.k_values.astype(float)
-    Hp = np.kron(np.eye(1 << cfg.M), np.diag(Ek))
-    pops = np.array([bin(b).count("1") for b in range(1 << cfg.M)])
-    Henv = np.kron(np.diag(params.E * pops.astype(float)), np.eye(K))
-    Q = beta_star * Hp + params.beta * Henv
-    for n in range(1, cfg.M + 1):
-        U = repeated_interaction_propagator(ReservoirConfig(params=params, M=cfg.M, n=n,
-                                                            window=window))
+    for n in (1, 2):
+        Hp = np.kron(np.eye(1 << n), np.diag(Ek))
+        pops = np.array([bin(b).count("1") for b in range(1 << n)])
+        Henv = np.kron(np.diag(params.E * pops.astype(float)), np.eye(K))
+        Q = beta_star * Hp + params.beta * Henv
+        U = repeated_interaction_propagator(ReservoirConfig(params=params, n=n), window)
         comm = Q @ U - U @ Q
         assert np.max(np.abs(comm)) <= 1e-12
 
@@ -100,62 +92,84 @@ def test_conserved_quantity_commutes(params, window):
 def test_reduction_to_channel_powers(params, window):
     rng = np.random.default_rng(40)
     rho = random_density(rng, window, 5)
-    for M, n in ((2, 2), (3, 3)):
-        cfg = ReservoirConfig(params=params, M=M, n=n, window=window)
+    for n in (2, 3):
+        cfg = ReservoirConfig(params=params, n=n)
         for alpha in (0.0, 0.3, 1.0):
-            reduced = environment_reduced_map(cfg, rho.coeffs, alpha)
+            reduced = environment_reduced_map(cfg, window, rho.coeffs, alpha)
             dm = rho
             for _ in range(n):
                 dm = apply_channel(dm, alpha, params)
             assert np.linalg.norm(reduced - dm.coeffs, "nuc") <= 1e-10
 
 
-def test_energy_fcs_normalization_and_support(params, cfg, window):
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    result = run_energy_fcs(cfg, rho)
-    assert result.law.shape == (2 * window.n_k - 1, 2 * cfg.M + 1)
+def test_energy_fcs_normalization_and_support(cfg):
+    result = run_energy_fcs(cfg)
+    n = cfg.n
+    assert result.law.shape == (2 * n + 1, 2 * n + 1)
     assert abs(result.law.sum() - 1.0) <= 1e-10
     assert result.off_diagonal_mass() <= 1e-12
-    law, K, n = result.walk_law(), window.n_k, cfg.n
+    law = result.walk_law()
     assert law.n == n and abs(law.pmf.sum() - 1.0) <= 1e-10
-    # the rows |k - k'| <= n carry the whole marginal, its ends included
-    rows = result.law.sum(axis=1)
-    assert not rows[:K - 1 - n].any() and not rows[K + n:].any()
     assert law.pmf[0] > 0.0 and law.pmf[-1] > 0.0
 
 
-def full_propagator_law(cfg, rho):
-    """The joint law of (k - k', m - m') from every column of the full U, each
-    cell summed over (final bits, final k, initial bits, initial k) in turn."""
-    K, M, B = cfg.window.n_k, cfg.M, 1 << cfg.M
+def full_propagator_law(cfg, window, rho):
+    """The joint law of (k - k', m - m') from every column of the full U on rho's
+    window, each starting basis state weighted by the dephased rho, each cell summed
+    over (final bits, final k, initial bits, initial k) in turn; as an
+    `EnergyFcsResult` of cfg, once the rows |k - k'| > n are seen to be empty."""
+    K, n, B = window.n_k, cfg.n, 1 << cfg.n
     pops = np.array([bin(b).count("1") for b in range(B)])
-    W2 = (np.abs(repeated_interaction_propagator(cfg)) ** 2).reshape(B, K, B, K)
+    W2 = (np.abs(repeated_interaction_propagator(cfg, window)) ** 2).reshape(B, K, B, K)
     start = environment_weights(cfg)[:, None] * np.diagonal(rho.coeffs).real[None, :]
     ki = np.arange(K)
-    law = np.zeros((2 * K - 1, 2 * M + 1))
+    law = np.zeros((2 * K - 1, 2 * n + 1))
     for a in range(B):
         for kf in range(K):
-            # the cells (k - k' + K - 1, m - m' + M) of every initial (bits, k)
-            cells = (ki[None, :] - kf + K - 1, pops[:, None] - pops[a] + M)
+            # the cells (k - k' + K - 1, m - m' + n) of every initial (bits, k)
+            cells = (ki[None, :] - kf + K - 1, pops[:, None] - pops[a] + n)
             np.add.at(law, cells, W2[a, kf] * start)
-    return law
+    rows = slice(K - 1 - n, K + n)
+    assert not law[:rows.start].any() and not law[rows.stop:].any()
+    return EnergyFcsResult(cfg=cfg, law=law[rows])
 
 
-@pytest.mark.parametrize("M", [1, 2, 3])
-def test_energy_fcs_starting_columns_equal_full_propagator(params, window, M):
+def _coherent(rng, window, half):
+    """A random pure state on k = -half..half, coherent across those sites."""
+    psi = np.zeros(window.n_k, dtype=complex)
+    i0 = window.k_index(-half)
+    psi[i0:i0 + 2 * half + 1] = rng.normal(size=2 * half + 1) + 1j * rng.normal(size=2 * half + 1)
+    psi /= np.linalg.norm(psi)
+    return ParticleDensityMatrix(window, np.outer(psi, psi.conj()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_energy_fcs_starting_columns_equal_full_propagator(params, window, n):
+    # the law from the k = 0 columns alone is the law from every interior state, each
+    # run on the full U of -16..15: the measurement dephases the state, and each sector
+    # block depends on k only through a phase
     rng = np.random.default_rng(41)
-    cfg = ReservoirConfig(params=params, M=M, n=M, window=window)
-    mixed = random_density(rng, window, 3)
+    cfg = ReservoirConfig(params=params, n=n)
+    result = run_energy_fcs(cfg)
+    law = result.walk_law()
     for rho in (ParticleDensityMatrix.eigenstate(window, 0),
-                ParticleDensityMatrix.eigenstate(window, 2), mixed):
-        assert np.array_equal(run_energy_fcs(cfg, rho).law, full_propagator_law(cfg, rho))
+                ParticleDensityMatrix.eigenstate(window, 2),
+                random_density(rng, window, 3), _coherent(rng, window, 3)):
+        full = full_propagator_law(cfg, window, rho)
+        assert law.oracle_gap(full.walk_law()) <= TOL.walk_law_rel
+        # U couples only the pairs that keep k - k' = m - m', so both are exactly 0
+        assert result.off_diagonal_mass() == full.off_diagonal_mass() == 0.0
+        assert math.isclose(result.total_energy_change_mean(), full.total_energy_change_mean(),
+                            rel_tol=TOL.walk_law_rel, abs_tol=TOL.fcs_support)
+        assert result.max_total_energy_change() == full.max_total_energy_change()
+    # from the k = 0 eigenstate the full U's law has the same bits
+    full = full_propagator_law(cfg, window, ParticleDensityMatrix.eigenstate(window, 0))
+    assert np.array_equal(result.law, full.law)
 
 
-def test_energy_fcs_cgf_identity(params, window):
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
+def test_energy_fcs_cgf_identity(params):
     for n in (1, 2, 3):
-        cfg = ReservoirConfig(params=params, M=3, n=n, window=window)
-        result = run_energy_fcs(cfg, rho)
+        result = run_energy_fcs(ReservoirConfig(params=params, n=n))
         law = result.walk_law()
         for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
             assert abs(law.mgf(-alpha * result.beta_E) / theta(alpha, params) ** n - 1.0) <= 1e-8
@@ -197,70 +211,35 @@ def test_energy_cgf_at_infinite_beta_e(value, want):
         assert value() == want()
 
 
-def test_energy_fcs_moments(params, cfg, window):
+def test_energy_fcs_moments(params, cfg):
     tc = transport_coefficients(params)
     be = params.beta * params.E
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    result = run_energy_fcs(cfg, rho)
-    law = result.walk_law()
+    law = run_energy_fcs(cfg).walk_law()
     assert abs(-be * law.mean() / cfg.n - (-be * tc.v_d * params.tau)) <= 1e-8
     assert abs(be**2 * law.variance() / cfg.n - be**2 * 2.0 * tc.D * params.tau) <= 1e-8
 
 
-def test_energy_fcs_transient_ft(params, cfg, window):
+def test_energy_fcs_transient_ft(params, cfg):
     be = params.beta * params.E
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    result = run_energy_fcs(cfg, rho)
-    pmf, n = result.walk_law().pmf, cfg.n
+    pmf, n = run_energy_fcs(cfg).walk_law().pmf, cfg.n
     # P[dS = -sigma] = e^{sigma} P[dS = sigma] with dS = -beta E S_n
     for j in range(1, n + 1):
         assert abs(pmf[n + j] / (math.exp(be * j) * pmf[n - j]) - 1.0) <= 1e-10
 
 
-def test_energy_fcs_reservoir_size_independent(params, window):
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    r3 = run_energy_fcs(ReservoirConfig(params=params, M=3, n=3, window=window), rho)
-    r4 = run_energy_fcs(ReservoirConfig(params=params, M=4, n=3, window=window), rho)
-    l3, l4 = r3.walk_law(), r4.walk_law()
-    assert l3.n == l4.n == 3
-    assert np.max(np.abs(l3.pmf - l4.pmf)) <= 1e-12
-
-
-@pytest.mark.parametrize("M,n", [(3, 1), (3, 2), (4, 2), (4, 4)])
-def test_energy_walk_law_is_the_walk_law(params, window, M, n):
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_energy_walk_law_is_the_walk_law(params, n):
     # the reservoir counts the walk's own increments: law[dk, dm] = delta P_n(-dk)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    law = run_energy_fcs(ReservoirConfig(params=params, M=M, n=n, window=window), rho).walk_law()
+    law = run_energy_fcs(ReservoirConfig(params=params, n=n)).walk_law()
     exact = walk_pmf_exact(n, params)
     assert law.n == n and law.first == exact.first and law.pmf.size == exact.pmf.size
     assert law.oracle_gap(exact) <= TOL.walk_law_rel
-
-
-def test_energy_fcs_dephasing_automatic(params, cfg, window):
-    rng = np.random.default_rng(41)
-    rho = random_density(rng, window, 4)
-    dephased = from_diagonal(
-        window, np.diagonal(rho.coeffs).real)
-    a = run_energy_fcs(cfg, rho)
-    b = run_energy_fcs(cfg, dephased)
-    assert np.max(np.abs(a.law - b.law)) <= 1e-14
-
-
-def test_energy_fcs_refuses_a_state_without_weight(cfg, window):
-    # an all-zero law would follow, whose walk law has no live entry for its MGF
-    empty = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
-    with pytest.raises(ConfigError, match="trace"):
-        run_energy_fcs(cfg, empty)
 
 
 _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
 
 
 @pytest.mark.parametrize("refuse,message", [
-    pytest.param(lambda: run_energy_fcs(
-        ReservoirConfig(params=_P, M=2, n=2, window=LatticeWindow(-8, 7, -8, 7)),
-        ParticleDensityMatrix.eigenstate(LatticeWindow(-9, 8, -9, 8), 0)),
-        "rho_p window differs", id="energy-fcs-state-on-another-window"),
     # 30 steps spread the deformed weights past a 40-site x-window
     pytest.param(lambda: position_cgf_oracle(
         30, [0.5], ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -20, 19), 0), _P),
@@ -297,20 +276,17 @@ def test_early_refusal_only_where_the_full_run_refuses(eta):
             assert np.isfinite(position_cgf_oracle(n, [eta], _LEAKY, _P)).all()
 
 
-def test_total_energy_rate_and_conservation(params, window):
+def test_total_energy_rate_and_conservation(params, cfg):
     tc = transport_coefficients(params)
-    rho = ParticleDensityMatrix.eigenstate(window, 0)
-    cfg = ReservoirConfig(params=params, M=3, n=3, window=window)
-    result = run_energy_fcs(cfg, rho)
+    result = run_energy_fcs(cfg)
     expected = (params.E - params.F) * tc.v_d * params.tau
     assert abs(result.total_energy_change_mean() / cfg.n - expected) <= 1e-6
 
     balanced = ModelParams(E=1.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
-    cfg_b = ReservoirConfig(params=balanced, M=3, n=3, window=window)
-    result_b = run_energy_fcs(cfg_b, rho)
+    result_b = run_energy_fcs(ReservoirConfig(params=balanced, n=3))
     assert result_b.max_total_energy_change() <= 1e-12
 
-    result_h = run_energy_fcs(ReservoirConfig(params=_HOT, M=2, n=2, window=window), rho)
+    result_h = run_energy_fcs(ReservoirConfig(params=_HOT, n=2))
     assert abs(result_h.walk_law().pmf.sum() - 1.0) <= 1e-10
     with pytest.raises(NumericsError, match="beta E"):
         result_h.beta_E
@@ -414,6 +390,30 @@ def test_ft_log_ratio_without_mass_is_numerics_error(params, n):
     dist = run_position_fcs(n, rho, params)
     with pytest.raises(NumericsError, match="log ratio"):
         dist.ft_log_ratio(0.9, 0.01, params.tau)
+
+
+@pytest.mark.parametrize("args,message", [
+    # n tau = 3e308 overflows, and times v - delta = 0 it was a NaN bound
+    ((1e308, 1e308, 1e308), r"n tau overflows a double at n = 3, tau = 1e\+308"),
+    ((0.1, 0.02, 1e308), r"n tau overflows a double at n = 3"),
+    ((math.nan, 0.1, 1.0), "FT log ratio with v = NaN"),
+    ((0.1, math.nan, 1.0), "FT log ratio with delta = NaN"),
+], ids=["overflow-at-zero-width-gap", "overflow", "nan-v", "nan-delta"])
+def test_ft_log_ratio_names_the_cause_of_a_nan_bound(params, args, message):
+    dist = run_position_fcs(3, ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0),
+                            params)
+    with pytest.raises(NumericsError, match=message):
+        dist.ft_log_ratio(*args)
+
+
+def test_ft_log_ratio_takes_an_overflowing_bound_as_infinite(params):
+    # finite v, delta and n tau whose bounds n tau (v +- delta) overflow: each is the
+    # infinite bound it stands for, so both windows are half-lines or the whole line
+    dist = run_position_fcs(3, ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0),
+                            params)
+    assert dist.ft_log_ratio(0.1, 1e308, 1.0) == 0.0
+    below, above = dist.window_probability(-math.inf, 0), dist.window_probability(0, math.inf)
+    assert dist.ft_log_ratio(1e308, 1e308, 1.0) == (math.log(below) - math.log(above)) / 3
 
 
 def test_position_fcs_zero_steps(params):
@@ -549,9 +549,8 @@ def test_step_unitary_is_unitary_on_interior(params, window):
     # every atom position, and the whole joint space: the edge states of the
     # single-atom propagator are exact phases, so U is unitary after each step
     for n in (1, 2, 3):
-        cfg = ReservoirConfig(params=params, M=3, n=n, window=window)
-        U = repeated_interaction_propagator(cfg)
-        assert np.max(np.abs(U.conj().T @ U - np.eye(cfg.dim))) <= 1e-12
+        U = repeated_interaction_propagator(ReservoirConfig(params=params, n=n), window)
+        assert np.max(np.abs(U.conj().T @ U - np.eye(window.n_k << n))) <= 1e-12
 
 
 def test_step_unitary_is_exponential_of_step_hamiltonian(params):
@@ -559,11 +558,10 @@ def test_step_unitary_is_exponential_of_step_hamiltonian(params):
     # kron-assembled step Hamiltonians: particle + atom j coupled, the others idle
     expm = pytest.importorskip("scipy.linalg").expm
     window = LatticeWindow(-4, 3, -4, 3)
-    M = 3
-    direct = np.eye(window.n_k << M)
     for n in (1, 2, 3):
-        H = direct_step_hamiltonian(params, window, M, n - 1)
-        direct = expm(-1j * params.tau * H) @ direct
-        U = repeated_interaction_propagator(ReservoirConfig(params=params, M=M, n=n,
-                                                            window=window))
+        direct = np.eye(window.n_k << n)
+        for j in range(n):
+            H = direct_step_hamiltonian(params, window, n, j)
+            direct = expm(-1j * params.tau * H) @ direct
+        U = repeated_interaction_propagator(ReservoirConfig(params=params, n=n), window)
         assert np.max(np.abs(U - direct)) <= 1e-13

@@ -227,20 +227,18 @@ def test_density_checks(window):
 
 
 def test_every_window_edge_refusal_is_the_one_message():
-    # particle, joint, oracle and reservoir refusals: one message, each with its band
+    # particle, joint and oracle refusals: one message, each with its band
     params = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     window = LatticeWindow(-8, 7, -8, 7)
     weights = np.zeros(window.n_k)
     weights[0], weights[window.n_k // 2] = 0.25, 0.75
     dm = from_diagonal(window, weights)
     joint = JointDensityMatrix.product(dm, AtomGibbs.from_params(params).density())
-    reservoir = ReservoirConfig(params=params, M=2, n=2, window=window)
     for band, refuse in (
             (1, lambda: apply_channel(dm, 0.0, params)),
             (2, lambda: propagate_closed(joint, 1.0, params)),
             (2, lambda: position_oracle(np.array([0.5, 1.0]), joint, params)),
-            (2, lambda: channel_oracle(dm, 0.3, params)),
-            (3, lambda: run_energy_fcs(reservoir, dm))):
+            (2, lambda: channel_oracle(dm, 0.3, params))):
         with pytest.raises(WindowError, match=rf"^support within {band} sites of the window "
                            r"edge \(occupancy \S+ > 1\.0e-10\); enlarge the window$"):
             refuse()
@@ -365,8 +363,8 @@ _HUGE_REALS = {
                  id="sample-fractional-trials"),
     pytest.param(lambda: sample_walk(3, 10, -1, _P), "seed must be an integer >= 0, got -1",
                  id="sample-negative-seed"),
-    pytest.param(lambda: ReservoirConfig(params=_P, M=2.5, n=2, window=_RHO.window),
-                 "M must be an integer >= 1, got 2.5", id="reservoir-fractional-m"),
+    pytest.param(lambda: ReservoirConfig(params=_P, n=2.5),
+                 "n must be an integer >= 0, got 2.5", id="reservoir-fractional-n"),
     pytest.param(lambda: bessel_j_array(2.0, 2.5), "nmax must be an integer >= 0, got 2.5",
                  id="bessel-fractional-order"),
     pytest.param(lambda: run_position_fcs(-3, _RHO, _P, method="matrix"),
@@ -450,6 +448,15 @@ _HUGE_REALS = {
                    id=f"ft-log-ratio-v-{v}-tau-{tau!r}")
       for v, tau in ((0.05, 0.0), (0.05, -0.0), (0.05, math.inf), (0.2, math.inf),
                      (0.05, -math.inf), (0.05, -1.0))],
+    # an infinite v or delta is refused by name: inf - inf made a NaN bound, and an
+    # infinite delta made the ratio 0.0
+    *[pytest.param(lambda v=v, d=d: run_position_fcs(3, _RHO, _P).ft_log_ratio(v, d, 1.0),
+                   f"{name} must be finite, got {name} = {bad!r}",
+                   id=f"ft-log-ratio-v-{v}-delta-{d}")
+      for v, d, name, bad in ((math.inf, math.inf, "v", math.inf),
+                              (-math.inf, 0.1, "v", -math.inf),
+                              (0.1, math.inf, "delta", math.inf),
+                              (0.1, -math.inf, "delta", -math.inf))],
     *[pytest.param(build, "must lie in the double range", id=f"{name}-10**400")
       for name, build in _HUGE_REALS.items()],
     # the batched routes take a 1-D array: one entry past the double range is not a real array
@@ -521,7 +528,8 @@ def test_numpy_integer_counts_are_accepted():
     assert np.array_equal(walk_log_pmf(three, _P), walk_log_pmf(3, _P))
     assert np.array_equal(sample_walk(three, three, three, _P).counts,
                           sample_walk(3, 3, 3, _P).counts)
-    assert ReservoirConfig(params=_P, M=three, n=three, window=window).M == 3
+    assert np.array_equal(run_energy_fcs(ReservoirConfig(params=_P, n=three)).law,
+                          run_energy_fcs(ReservoirConfig(params=_P, n=3)).law)
     assert np.array_equal(bessel_j_array(2.0, three), bessel_j_array(2.0, 3))
     assert energy_cgf(three, 0.5, _P) == energy_cgf(3, 0.5, _P)
     assert position_cgf(three, 0.5, _P) == position_cgf(3, 0.5, _P)
