@@ -227,13 +227,17 @@ def test_energy_fcs_transient_ft(params, cfg):
         assert abs(pmf[n + j] / (math.exp(be * j) * pmf[n - j]) - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-def test_energy_walk_law_is_the_walk_law(params, n):
-    # the reservoir counts the walk's own increments: law[dk, dm] = delta P_n(-dk)
-    law = run_energy_fcs(ReservoirConfig(params=params, n=n)).walk_law()
+@pytest.mark.parametrize("k0,n", [(3, 1), (3, 2), (4, 2), (4, 4)])
+def test_energy_walk_law_is_the_walk_law(params, window, k0, n):
+    # the reservoir counts the walk's own increments: law[dk, dm] = delta P_n(-dk), both
+    # from the k = 0 columns and from the eigenstate at k0 through the full U of -16..15
+    cfg = ReservoirConfig(params=params, n=n)
     exact = walk_pmf_exact(n, params)
-    assert law.n == n and law.first == exact.first and law.pmf.size == exact.pmf.size
-    assert law.oracle_gap(exact) <= TOL.walk_law_rel
+    for law in (run_energy_fcs(cfg).walk_law(),
+                full_propagator_law(cfg, window,
+                                    ParticleDensityMatrix.eigenstate(window, k0)).walk_law()):
+        assert law.n == n and law.first == exact.first and law.pmf.size == exact.pmf.size
+        assert law.oracle_gap(exact) <= TOL.walk_law_rel
 
 
 _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
