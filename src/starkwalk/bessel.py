@@ -140,6 +140,7 @@ def bessel_table(F: float, order_max: int) -> np.ndarray:
     table cannot support faithful basis transforms.
     """
     _require_tilt(F)
+    order_max = _require_count(order_max, "order_max")
     z = 2.0 / F
     half = bessel_j_array(z, order_max)
     captured = half[0] ** 2 + 2.0 * np.sum(half[1:] ** 2)

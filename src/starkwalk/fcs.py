@@ -362,7 +362,8 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     """
     n = _require_count(n, "n")
     _require_real(n, "n")
-    _require_real(eta, "eta")
+    if math.isnan(_require_real(eta, "eta")):
+        raise NumericsError("position CGF at eta = NaN")
     z = _kernel_argument(n * params.tau, params)
     try:
         x = 2.0 * z * math.sinh(0.5 * eta)

@@ -187,20 +187,6 @@ class ParticleDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.coeffs).real)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.coeffs - self.coeffs.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.coeffs + self.coeffs.conj().T))[0])
-
-    def check_density(self) -> None:
-        if self.hermiticity_defect() > TOL.hermiticity:
-            raise ConfigError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
-        if abs(self.trace() - 1.0) > TOL.trace:
-            raise ConfigError(f"trace {self.trace():.12f} != 1")
-        if self.min_eigenvalue() < TOL.psd_min_eig:
-            raise ConfigError(f"not PSD: min eigenvalue {self.min_eigenvalue():.3e}")
-
 
 def require_interior(diagonal: np.ndarray, band: int = 1) -> None:
     """Refuse (rather than truncate) a state whose occupancy reaches the window edge.

@@ -58,12 +58,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = f"  [{self.detail}]" if self.detail else ""
-        return (f"{status}  {self.name}: measured {self.measured:.3e} "
-                f"vs tolerance {self.tolerance:.3e}{extra}")
-
 
 def _random_states(rng, window: LatticeWindow, half: int, count: int,
                    atoms: int = 1) -> tuple[np.ndarray, slice]:

@@ -27,7 +27,14 @@ import numpy as np
 from .channel import kraus_weights, log_theta
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError
-from .params import ModelParams, _echo, _require_count, _require_real, _require_reals
+from .params import (
+    ModelParams,
+    _echo,
+    _require_count,
+    _require_integer,
+    _require_real,
+    _require_reals,
+)
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,24 @@ class LatticeLaw:
 
     The walk S_n, its reservoir marginal and the position increment dX are all
     this type; only its builders choose `first`, and readers index through it.
+    n is an integer >= 0 within the double range, `first` an integer and pmf a 1-D
+    array, each refused by name otherwise; the checks are O(1), so pmf's values are
+    taken as given.
     """
 
     n: int
     first: int
     pmf: np.ndarray
+
+    def __post_init__(self):
+        n = _require_integer(self.n, "n", 0)
+        _require_real(n, "n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "first", _require_integer(self.first, "first"))
+        if not isinstance(self.pmf, np.ndarray):
+            raise ConfigError(f"pmf must be a 1-D array, got {_echo(self.pmf)}")
+        if self.pmf.ndim != 1:
+            raise ConfigError(f"pmf of shape {self.pmf.shape}: expected a 1-D array")
 
     @property
     def dx(self) -> np.ndarray:
@@ -93,6 +113,8 @@ class LatticeLaw:
         """
         eta = _require_real(eta, "eta")
         live = self.pmf > 0.0
+        if not live.any():
+            raise NumericsError("the log MGF of a law with no positive probability is -inf")
         with np.errstate(over="ignore", invalid="ignore"):
             expo = eta * self.dx[live] + np.log(self.pmf[live])
             top = float(np.max(expo))

@@ -17,14 +17,18 @@ log convolutions, and the leak refusal of the position CGF oracle after
 all n steps.  The crop helpers of `state.py` are held to the rules they
 replaced: the occupied range of a joint operator, its crop and restore,
 the support square of a stack, and check 1 and 2's states drawn one at a
-time.  Six routes that only the tests call live here too: the deformed kick without
+time.  Ten routes that only the tests call live here too: the deformed kick without
 free phases, its Heisenberg adjoint, the diagonal-state builder, the closed-form
-unitary as one matrix, the reservoir's deformed reduction and the rate function of
-the entropy-like increment.  The oracles that read mpmath or scipy import it
-where they run, so a test that needs neither runs without them.
+unitary as one matrix, the reservoir's deformed reduction, the rate function of
+the entropy-like increment, the density-matrix assertion with its Hermiticity
+defect and least eigenvalue, and the line that prints an acceptance check.  So do
+the tolerances that only the tests read (`TEST_TOL`).  The oracles that read
+mpmath or scipy import it where they run, so a test that needs neither runs
+without them.
 """
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -58,8 +62,63 @@ from starkwalk.state import (
     position_operator,
     require_interior,
 )
-from starkwalk.verify import CHECK_PARAMS, _normal_cdf, _trace_norm
+from starkwalk.verify import CHECK_PARAMS, CheckResult, _normal_cdf, _trace_norm
 from starkwalk.walk import _rate, log_step_kernel, walk_log_pmf
+
+
+@dataclass(frozen=True)
+class SuiteTolerances:
+    """The bounds that only the tests read, each at the value it had in
+    `starkwalk.config.Tolerances`; the runtime's and `verify-all`'s stay there."""
+
+    # state invariants
+    hermiticity: float = 1e-12
+    psd_min_eig: float = -1e-10
+
+    # special functions
+    bessel_vs_series: float = 1e-12
+
+    # channel / propagator cross-checks
+    adjoint_duality: float = 1e-10
+    time_reversal: float = 1e-10
+    master_vs_channel: float = 1e-14
+
+    # random walk statistics
+    scgf_symmetry: float = 1e-12
+
+    # single-atom dynamics
+    quasi_periodic_fit: float = 1e-8
+    rabi_factorization: float = 1e-12
+
+
+TEST_TOL = SuiteTolerances()
+
+
+def hermiticity_defect(dm: ParticleDensityMatrix) -> float:
+    """The largest entry of |rho - rho*|."""
+    return float(np.max(np.abs(dm.coeffs - dm.coeffs.conj().T)))
+
+
+def min_eigenvalue(dm: ParticleDensityMatrix) -> float:
+    """The smallest eigenvalue of the Hermitian part of rho."""
+    return float(np.linalg.eigvalsh(0.5 * (dm.coeffs + dm.coeffs.conj().T))[0])
+
+
+def check_density(dm: ParticleDensityMatrix) -> None:
+    """Assert that dm is a density matrix: Hermitian, of unit trace and positive
+    semidefinite, each within its tolerance."""
+    defect, trace, low = hermiticity_defect(dm), dm.trace(), min_eigenvalue(dm)
+    assert defect <= TEST_TOL.hermiticity, f"not Hermitian: defect {defect:.3e}"
+    assert abs(trace - 1.0) <= TOL.trace, f"trace {trace:.12f} != 1"
+    assert low >= TEST_TOL.psd_min_eig, f"not PSD: min eigenvalue {low:.3e}"
+
+
+def check_line(result: CheckResult) -> str:
+    """One acceptance check as a line: status, measured value, tolerance, detail."""
+    status = "PASS" if result.passed else "FAIL"
+    extra = f"  [{result.detail}]" if result.detail else ""
+    return (f"{status}  {result.name}: measured {result.measured:.3e} "
+            f"vs tolerance {result.tolerance:.3e}{extra}")
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from starkwalk.verify import (
 )
 
 from conftest import (
+    check_line,
     dense_kolmogorov,
     per_n_walk_fluctuation,
     per_state_channel_check,
@@ -59,8 +60,8 @@ CRITERIA = [(f"{i:02d} {LABELS.get(name, name)}", check)
 @pytest.mark.parametrize("label,check", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance(label, check):
     result = check()
-    print(f"\n{label}: {result.line()}")
-    assert result.passed, result.line()
+    print(f"\n{label}: {check_line(result)}")
+    assert result.passed, check_line(result)
 
 
 def test_transport_bound_is_the_per_trial_grand_mean_bound():

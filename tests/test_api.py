@@ -1,12 +1,15 @@
 """The public surface: routes that only the tests call live in `conftest.py`, no
 module of the package imports a name it never uses, the runtime loads no test
-oracle, and every name the benchmark binds still resolves."""
+oracle, `Tolerances` holds only what the package or the benchmark reads, and every
+name the benchmark binds still resolves."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +17,15 @@ from pathlib import Path
 import pytest
 
 import starkwalk
+from starkwalk.config import Tolerances
 
 # routes moved to tests/conftest.py: no caller in the package, its CLI or its benchmark
 TEST_ONLY_ROUTES = ("adjoint_apply", "apply_deformed", "rate_function_entropy",
-                    "environment_reduced_map", "closed_unitary", "from_diagonal")
+                    "environment_reduced_map", "closed_unitary", "from_diagonal",
+                    "check_density", "hermiticity_defect", "min_eigenvalue", "line")
 
 SOURCES = sorted(Path(starkwalk.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def package_modules() -> list:
@@ -37,6 +43,15 @@ def test_test_only_routes_are_not_in_the_package():
         for owner in (module, *classes):
             present = [name for name in TEST_ONLY_ROUTES if hasattr(owner, name)]
             assert not present, (owner.__name__, present)
+
+
+def test_every_tolerance_is_read_by_the_package_or_the_benchmark():
+    # every CLI output embeds the whole record, so a field that neither reads belongs to
+    # the tests' own bounds (conftest.SuiteTolerances); a read of a field the record
+    # lacks would fail when it runs
+    read = {name for path in SOURCES + sorted(PERFBENCH.glob("*.py"))
+            for name in re.findall(r"\bTOL\.(\w+)", path.read_text())}
+    assert read == {field.name for field in dataclasses.fields(Tolerances)}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -75,7 +90,7 @@ def test_runtime_imports_no_scipy_or_mpmath():
 
 def _perfbench_module(name: str, monkeypatch):
     """perfbench/<name>.py, imported from its file as `perfbench_<name>`."""
-    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    path = PERFBENCH / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the class is made

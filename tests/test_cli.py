@@ -37,7 +37,7 @@ from starkwalk.cli import (
 from starkwalk.verify import CheckResult
 from starkwalk.walk import MAX_LAW_SITES, MAX_TRIALS
 
-from conftest import convolved_position_moments
+from conftest import TEST_TOL, convolved_position_moments
 
 
 def test_parse_full_flag_line():
@@ -301,8 +301,8 @@ def test_channel_evolve_rows_match_the_iterated_channel(physics, n):
         want_mean = float(np.dot(xs, pmf))
         want_var = float(np.dot((xs - want_mean) ** 2, pmf))
         assert abs(trace - dm.trace()) <= TOL.trace
-        assert abs(mean - want_mean) <= TOL.master_vs_channel * max(1.0, abs(want_mean))
-        assert abs(var - want_var) <= TOL.master_vs_channel * max(1.0, abs(want_var))
+        assert abs(mean - want_mean) <= TEST_TOL.master_vs_channel * max(1.0, abs(want_mean))
+        assert abs(var - want_var) <= TEST_TOL.master_vs_channel * max(1.0, abs(want_var))
         dm = apply_channel(dm, 0.0, cfg.params)
 
 

@@ -30,7 +30,7 @@ from starkwalk import (
     walk_pmf_oracle,
 )
 
-from conftest import assert_law_matches_oracle
+from conftest import TEST_TOL, assert_law_matches_oracle
 
 
 # (E, F, lam, tau, beta, alpha, eta, x); F = 0 and tau = 0 sit inside the box on
@@ -64,7 +64,7 @@ def _invariants(params, alpha, eta):
     assert math.isclose(theta(1.0 - alpha, params), theta(alpha, params),
                         rel_tol=TOL.theta_symmetry)
     assert math.isclose(scgf(-be - eta, params), scgf(eta, params),
-                        rel_tol=TOL.scgf_symmetry, abs_tol=TOL.scgf_symmetry)
+                        rel_tol=TEST_TOL.scgf_symmetry, abs_tol=TEST_TOL.scgf_symmetry)
 
     # one step from a delta carries mass theta; compared in log space, where
     # the closed form keeps relative accuracy even when theta is ~1e200

@@ -33,6 +33,7 @@ from starkwalk.singleatom import (
 from starkwalk.state import _crop, bloch_coefficients, position_operator
 
 from conftest import (
+    TEST_TOL,
     closed_unitary,
     direct_joint_hamiltonian,
     random_density,
@@ -471,7 +472,7 @@ def test_position_expectation_quasiperiodic_fit(params, window):
     ])
     coef, *_ = np.linalg.lstsq(design, xs, rcond=None)
     residual = np.max(np.abs(design @ coef - xs))
-    assert residual <= TOL.quasi_periodic_fit
+    assert residual <= TEST_TOL.quasi_periodic_fit
 
 
 def test_closed_routes_read_no_interaction_time(params, window):
@@ -505,7 +506,7 @@ def test_rabi_resonance_factorizes():
     W_free = np.kron(np.diag([1.0, np.exp(-1j * p.tau * p.F)]),
                      np.diag(np.exp(-1j * p.tau * Ek)))
     factorized = W_free @ state.coeffs @ W_free.conj().T
-    assert np.max(np.abs(evolved.coeffs - factorized)) <= TOL.rabi_factorization
+    assert np.max(np.abs(evolved.coeffs - factorized)) <= TEST_TOL.rabi_factorization
 
 
 def test_diagonal_hamiltonian_corner():

@@ -8,6 +8,7 @@ from starkwalk import (
     AtomGibbs,
     ConfigError,
     JointDensityMatrix,
+    LatticeLaw,
     LatticeWindow,
     ModelParams,
     ParticleDensityMatrix,
@@ -50,8 +51,10 @@ from starkwalk.state import _crop, _span, _support, _uncrop, require_interior
 
 from conftest import (
     bessel_series,
+    check_density,
     crop_joint,
     from_diagonal,
+    hermiticity_defect,
     random_density,
     random_joint,
     same_bits,
@@ -96,7 +99,7 @@ def test_free_evolve_preserves_spectrum(params, window):
     for _ in range(5):
         dm = random_density(rng, window, 4)
         out = free_evolve(dm, 0.37, params)
-        assert out.hermiticity_defect() <= 1e-12
+        assert hermiticity_defect(out) <= 1e-12
         assert abs(out.trace() - dm.trace()) <= 1e-12
         ev_in = np.linalg.eigvalsh(dm.coeffs)
         ev_out = np.linalg.eigvalsh(out.coeffs)
@@ -219,11 +222,15 @@ def test_boundary_refusal(window):
 
 
 def test_density_checks(window):
+    # the tests' density assertion passes an eigenstate and names each defect
     dm = ParticleDensityMatrix.eigenstate(window, 0)
-    dm.check_density()
-    bad = ParticleDensityMatrix(window, 2.0 * dm.coeffs)
-    with pytest.raises(ValueError):
-        bad.check_density()
+    check_density(dm)
+    n = window.n_k
+    for coeffs, message in ((2.0 * dm.coeffs, "trace"),
+                            (np.triu(np.ones((n, n))) / n, "not Hermitian"),
+                            (np.diag([1.5, -0.5] + [0.0] * (n - 2)), "not PSD")):
+        with pytest.raises(AssertionError, match=message):
+            check_density(ParticleDensityMatrix(window, coeffs))
 
 
 def test_every_window_edge_refusal_is_the_one_message():
@@ -256,6 +263,15 @@ _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
 _RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
 # an int past the double range, which float() cannot hold: each real argument it reaches
 _HUGE = 10**400
+_LAW = walk_pmf_exact(3, _P)
+
+
+def _law_ratio(**fields) -> float:
+    """The FT log ratio of the n = 3 walk law with `fields` replaced."""
+    law = LatticeLaw(**{"n": _LAW.n, "first": _LAW.first, "pmf": _LAW.pmf, **fields})
+    return law.ft_log_ratio(0.1, 0.02, 1.0)
+
+
 _HUGE_REALS = {
     "model-params": lambda: ModelParams(E=_HUGE, F=1.0, lam=0.5, tau=1.0, beta=1.0),
     "log-theta": lambda: log_theta(_HUGE, _P),
@@ -280,6 +296,8 @@ _HUGE_REALS = {
     "position-log-mgf": lambda: run_position_fcs(3, _RHO, _P).log_mgf(_HUGE),
     "ft-log-ratio": lambda: run_position_fcs(3, _RHO, _P).ft_log_ratio(_HUGE, 0.1, 1.0),
     "window-probability": lambda: run_position_fcs(3, _RHO, _P).window_probability(_HUGE, 1.0),
+    # n tau was a bare OverflowError
+    "lattice-law-n": lambda: _law_ratio(n=_HUGE),
 }
 
 
@@ -289,15 +307,22 @@ _HUGE_REALS = {
                  id="particle-shape"),
     pytest.param(lambda: JointDensityMatrix(_W, np.eye(5)), "joint coefficient shape",
                  id="joint-shape"),
-    pytest.param(lambda: ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0).check_density(),
-                 "trace", id="trace"),
-    pytest.param(lambda: ParticleDensityMatrix(_W, np.triu(np.ones((5, 5))) / 5.0).check_density(),
-                 "not Hermitian", id="density-non-hermitian"),
-    pytest.param(lambda: ParticleDensityMatrix(_W, np.diag([1.5, -0.5, 0.0, 0.0, 0.0]))
-                 .check_density(), "not PSD", id="density-not-psd"),
     pytest.param(lambda: bessel_j_array(-1.0, 3), "finite z >= 0", id="bessel-negative-z"),
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
+    pytest.param(lambda: bessel_table(1.0, -1), "order_max must be an integer >= 0, got -1",
+                 id="table-negative-order"),
+    # a law's fields are refused by name when it is built: a bad n reached "log ratio
+    # undefined", a fractional first gave half-integer sites, and a 2-D or list pmf a
+    # bare ValueError, IndexError or AttributeError in a reader
+    *[pytest.param(lambda fields=fields: _law_ratio(**fields), message, id=f"lattice-law-{kind}")
+      for kind, fields, message in (
+          ("negative-n", {"n": -3}, "n must be an integer >= 0, got -3"),
+          ("fractional-n", {"n": 2.5}, "n must be an integer >= 0, got 2.5"),
+          ("bool-n", {"n": True}, "n must be an integer >= 0, got True"),
+          ("fractional-first", {"first": 0.5}, "first must be an integer, got 0.5"),
+          ("2d-pmf", {"pmf": _LAW.pmf.reshape(7, 1)}, "pmf of shape (7, 1): expected a 1-D array"),
+          ("list-pmf", {"pmf": [0.5, 0.5]}, "pmf must be a 1-D array, got [0.5, 0.5]"))],
     pytest.param(lambda: bessel_table(0.0, 5), "the tilt F must be finite and > 0, got F = 0.0",
                  id="table-zero-force"),
     pytest.param(lambda: bessel_table(math.inf, 3), "got F = inf", id="table-infinite-force"),
@@ -333,8 +358,8 @@ _HUGE_REALS = {
                  "k must be an integer, got 0.5", id="eigenstate-fractional-k"),
     pytest.param(lambda: _W.x_index(1.5), "x must be an integer, got 1.5",
                  id="window-fractional-x"),
-    # a non-finite state is refused when it is built, before any eigenvalue is taken
-    pytest.param(lambda: ParticleDensityMatrix(_W, np.full((5, 5), math.nan)).check_density(),
+    # a non-finite state is refused when it is built
+    pytest.param(lambda: ParticleDensityMatrix(_W, np.full((5, 5), math.nan)),
                  "coefficients must be finite", id="density-nan"),
     # each coefficient of a particle or joint state is a finite number
     *[pytest.param(lambda build=build, value=value: build(value), message, id=f"{name}-{kind}")

@@ -13,6 +13,7 @@ from starkwalk import (
     TOL,
     BudgetError,
     ConfigError,
+    LatticeLaw,
     LatticeWindow,
     ModelParams,
     NumericsError,
@@ -23,6 +24,7 @@ from starkwalk import (
     energy_cgf,
     kraus_weights,
     log_theta,
+    position_cgf,
     position_cgf_oracle,
     rate_function,
     rate_function_numeric,
@@ -52,6 +54,7 @@ from starkwalk.walk import (
 )
 
 from conftest import (
+    TEST_TOL,
     assert_law_matches_oracle,
     log_convolve_step,
     one_call_walk_tally,
@@ -484,11 +487,11 @@ def test_scgf_far_tails(params):
     kt = kraus_weights(params)
     be = params.beta * params.E
     assert math.isclose(scgf(800.0, params), 800.0 + math.log(kt.p_plus),
-                        rel_tol=TOL.scgf_symmetry)
+                        rel_tol=TEST_TOL.scgf_symmetry)
     assert math.isclose(scgf(-800.0, params), 800.0 + math.log(kt.p_minus),
-                        rel_tol=TOL.scgf_symmetry)
+                        rel_tol=TEST_TOL.scgf_symmetry)
     assert math.isclose(scgf(-be - 800.0, params), scgf(800.0, params),
-                        rel_tol=TOL.scgf_symmetry)
+                        rel_tol=TEST_TOL.scgf_symmetry)
 
 
 def test_scgf_derivatives_match_transport(params):
@@ -707,15 +710,18 @@ _INFINITIES = (math.inf, -math.inf)
     (_POSITION_FCS.log_mgf, ()),
     (lambda v: _POSITION_FCS.window_probability(-1.0, v), ()),
     (lambda v: _POSITION_FCS.ft_log_ratio(0.1, 0.02, v), ()),
+    (lambda v: position_cgf(5, v, CHECK_PARAMS), ()),
 ], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function", "deformed_weights",
         "apply_channel", "position_cgf_oracle", "walk_mgf", "position_log_mgf",
-        "window_probability", "ft_log_ratio_tau"])
+        "window_probability", "ft_log_ratio_tau", "position_cgf"])
 def test_nan_argument_is_numerics_error(fn, also):
     # and the routes through `deformed_weights` refuse an infinite exponent too, where one
-    # weight is inf and the other 0, so a step would form inf * 0
+    # weight is inf and the other 0, so a step would form inf * 0; a NaN is not called
+    # an overflow
     for value in (math.nan, *also):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError) as refused:
             fn(value)
+        assert math.isinf(value) or "overflow" not in str(refused.value)
 
 
 def test_window_probability_takes_infinite_bounds():
@@ -731,6 +737,15 @@ def test_moment_generating_function_past_a_double_is_numerics_error(fn, eta):
     # the value overflows a double or is inf * 0: refused, not a numpy warning
     with pytest.raises(NumericsError, match="not a finite double"):
         fn(eta)
+
+
+@pytest.mark.parametrize("pmf", [np.zeros(7), np.zeros(0)], ids=["zeros", "empty"])
+def test_log_mgf_of_a_law_without_mass_is_numerics_error(pmf):
+    # no positive entry leaves no term to sum: refused, not numpy's maximum of nothing
+    law = LatticeLaw(n=3, first=-3, pmf=pmf)
+    for fn in (law.log_mgf, law.mgf):
+        with pytest.raises(NumericsError, match="no positive probability"):
+            fn(0.5)
 
 
 @pytest.mark.parametrize("eta", [3, 2**62, -2**63, 2**63])
