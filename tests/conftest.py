@@ -20,7 +20,7 @@ the support square of a stack, and check 1 and 2's states drawn one at a
 time.  Ten routes that only the tests call live here too: the deformed kick without
 free phases, its Heisenberg adjoint, the diagonal-state builder, the closed-form
 unitary as one matrix, the reservoir's deformed reduction, the rate function of
-the entropy-like increment, the density-matrix assertion with its Hermiticity
+the entropy-like increment, the density-matrix check with its Hermiticity
 defect and least eigenvalue, and the line that prints an acceptance check.  So do
 the tolerances that only the tests read (`TEST_TOL`).  The oracles that read
 mpmath or scipy import it where they run, so a test that needs neither runs
@@ -105,12 +105,15 @@ def min_eigenvalue(dm: ParticleDensityMatrix) -> float:
 
 
 def check_density(dm: ParticleDensityMatrix) -> None:
-    """Assert that dm is a density matrix: Hermitian, of unit trace and positive
-    semidefinite, each within its tolerance."""
+    """Refuse dm unless it is a density matrix: Hermitian, of unit trace and positive
+    semidefinite, each within its tolerance; a ConfigError names the defect."""
     defect, trace, low = hermiticity_defect(dm), dm.trace(), min_eigenvalue(dm)
-    assert defect <= TEST_TOL.hermiticity, f"not Hermitian: defect {defect:.3e}"
-    assert abs(trace - 1.0) <= TOL.trace, f"trace {trace:.12f} != 1"
-    assert low >= TEST_TOL.psd_min_eig, f"not PSD: min eigenvalue {low:.3e}"
+    if defect > TEST_TOL.hermiticity:
+        raise ConfigError(f"not Hermitian: defect {defect:.3e}")
+    if abs(trace - 1.0) > TOL.trace:
+        raise ConfigError(f"trace {trace:.12f} != 1")
+    if low < TEST_TOL.psd_min_eig:
+        raise ConfigError(f"not PSD: min eigenvalue {low:.3e}")
 
 
 def check_line(result: CheckResult) -> str:

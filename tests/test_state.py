@@ -222,15 +222,11 @@ def test_boundary_refusal(window):
 
 
 def test_density_checks(window):
-    # the tests' density assertion passes an eigenstate and names each defect
     dm = ParticleDensityMatrix.eigenstate(window, 0)
     check_density(dm)
-    n = window.n_k
-    for coeffs, message in ((2.0 * dm.coeffs, "trace"),
-                            (np.triu(np.ones((n, n))) / n, "not Hermitian"),
-                            (np.diag([1.5, -0.5] + [0.0] * (n - 2)), "not PSD")):
-        with pytest.raises(AssertionError, match=message):
-            check_density(ParticleDensityMatrix(window, coeffs))
+    bad = ParticleDensityMatrix(window, 2.0 * dm.coeffs)
+    with pytest.raises(ValueError):
+        check_density(bad)
 
 
 def test_every_window_edge_refusal_is_the_one_message():
@@ -307,6 +303,13 @@ _HUGE_REALS = {
                  id="particle-shape"),
     pytest.param(lambda: JointDensityMatrix(_W, np.eye(5)), "joint coefficient shape",
                  id="joint-shape"),
+    # the tests' density check names each defect
+    pytest.param(lambda: check_density(ParticleDensityMatrix(_W, 2.0 * np.eye(5) / 5.0)),
+                 "trace", id="trace"),
+    pytest.param(lambda: check_density(ParticleDensityMatrix(_W, np.triu(np.ones((5, 5))) / 5.0)),
+                 "not Hermitian", id="density-non-hermitian"),
+    pytest.param(lambda: check_density(ParticleDensityMatrix(_W, np.diag([1.5, -0.5, 0, 0, 0]))),
+                 "not PSD", id="density-not-psd"),
     pytest.param(lambda: bessel_j_array(-1.0, 3), "finite z >= 0", id="bessel-negative-z"),
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
