@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .bessel import bessel_halfwidth, bessel_j_array, bessel_squares, bessel_table
 from .channel import (
-    KrausTriple,
     apply_channel,
     channel_oracle,
     deformed_weights,

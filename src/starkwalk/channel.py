@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,11 @@ from .state import (
 )
 
 
-@dataclass(frozen=True)
-class KrausTriple:
-    """Jump weights of one reduced interaction: (down, stay, up)."""
-
-    p_minus: float
-    p_zero: float
-    p_plus: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_minus, self.p_zero, self.p_plus])
-
-
-def kraus_weights(params: ModelParams) -> KrausTriple:
-    """Jump weights p_-, p_0, p_+ with p_+- = p e^{-+beta E/2} / (2 cosh(beta E/2))."""
+def kraus_weights(params: ModelParams) -> np.ndarray:
+    """The jump weights (p_-, p_0, p_+), p_+- = p e^{-+beta E/2} / (2 cosh(beta E/2)), as one
+    1-D array."""
     g = math.exp(-params.beta * params.E)
-    return KrausTriple(p_minus=params.p * g / (1.0 + g),
-                       p_zero=1.0 - params.p,
-                       p_plus=params.p / (1.0 + g))
+    return np.array([params.p * g / (1.0 + g), 1.0 - params.p, params.p / (1.0 + g)])
 
 
 def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
@@ -62,10 +48,9 @@ def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
     _require_real(gamma, "gamma")
     if not math.isfinite(gamma):
         raise NumericsError(f"deformed weights at gamma = {gamma!r}")
-    kt = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params).tolist()
     try:
-        return np.array([math.exp(gamma) * kt.p_minus, kt.p_zero,
-                         math.exp(-gamma) * kt.p_plus])
+        return np.array([math.exp(gamma) * p_minus, p_zero, math.exp(-gamma) * p_plus])
     except OverflowError:
         raise NumericsError(f"deformed weights overflow at gamma = {gamma!r}") from None
 

@@ -53,8 +53,9 @@ _COUNTS = {
 }
 # the keys every experiment accepts besides its own
 _OUTPUT_KEYS = ("format", "out")
-# the rows of one table (n + 1 for channel-evolve and rate, 20 n + 1 for single-atom); at
-# this many, rate takes about 1.1 s and 85 MiB, single-atom about 1.3 s and 80 MiB
+# the rows of one table (n + 1 for channel-evolve and rate, 20 n + 1 for single-atom,
+# window - 1 for spectrum); at this many, rate takes about 1.1 s and 85 MiB, single-atom
+# about 1.3 s and 80 MiB, spectrum about 0.6 s and 89 MiB
 MAX_TABLE_ROWS = 100_000
 
 
@@ -186,6 +187,8 @@ def _metadata(cfg: RunConfig) -> dict:
 # spectrum and single-atom read the eigenbasis index k alone, so each of their windows
 # is a k-range, with an x-range (which neither of them reads) set equal to it
 def _exp_spectrum(cfg: RunConfig) -> ResultTable:
+    if cfg.window is not None:
+        _require_rows(cfg, 1, "window", -1)
     k_lo = -10 if cfg.window is None else -(cfg.window // 2)
     k_hi = 10 if cfg.window is None else k_lo + cfg.window - 1
     window = LatticeWindow(k_lo, k_hi, k_lo, k_hi)
@@ -199,12 +202,15 @@ def _exp_spectrum(cfg: RunConfig) -> ResultTable:
     return ResultTable(["k", "eig_minus", "eig_plus", "predicted_minus", "predicted_plus"], rows)
 
 
-def _require_rows(cfg: RunConfig, per_step: int) -> int:
-    """The table's per_step n + 1 rows; BudgetError past `MAX_TABLE_ROWS`, before any grid."""
-    rows = per_step * cfg.n + 1
+def _require_rows(cfg: RunConfig, per_step: int, key: str = "n", extra: int = 1) -> int:
+    """The table's per_step * (run key) + extra rows (per_step n + 1, or spectrum's window - 1);
+    BudgetError past `MAX_TABLE_ROWS`, before any grid."""
+    value = getattr(cfg, key)
+    rows = per_step * value + extra
     if rows > MAX_TABLE_ROWS:
-        raise BudgetError(f"{cfg.experiment} at n = {cfg.n} makes {rows} rows, past the budget "
-                          f"of {MAX_TABLE_ROWS} rows (n <= {(MAX_TABLE_ROWS - 1) // per_step})")
+        raise BudgetError(f"{cfg.experiment} at {key} = {value} makes {rows} rows, past the "
+                          f"budget of {MAX_TABLE_ROWS} rows "
+                          f"({key} <= {(MAX_TABLE_ROWS - extra) // per_step})")
     return rows
 
 

@@ -197,13 +197,16 @@ def run_energy_fcs(cfg: ReservoirConfig) -> EnergyFcsResult:
     total excitation number.  The first measurement dephases any particle
     state in the eigenbasis, and each sector block depends on k only
     through a phase, so the law is the same from every interior state; the
-    pair steps evolve the 2^n identity columns of k = 0 without forming U.
+    pair steps evolve the 2^n unit columns of k = 0, one per atom
+    configuration, without forming U.
     Only |U|^2 enters: each (final, initial) pair of basis states adds its
     weight to the cell of its two increments.
     """
     n, K, B, side = cfg.n, cfg.window.n_k, 1 << cfg.n, 2 * cfg.n + 1
     pops = _occupations(n).sum(axis=1)
-    W2 = np.abs(_evolve(cfg, cfg.window, np.eye(cfg.dim, dtype=complex)[:, n + 1::K])) ** 2
+    starts = np.zeros((B, K, B), dtype=complex)
+    starts[:, n + 1] = np.eye(B)
+    W2 = np.abs(_evolve(cfg, cfg.window, starts.reshape(cfg.dim, B))) ** 2
     # axes (final bits, final k', initial bits), k' = n..-n so that row i of law is
     # k - k' = i - n; the spare sites k' = +-(n + 1) are never reached
     terms = W2.reshape(B, K, B)[:, -2:0:-1] * environment_weights(cfg)

@@ -92,7 +92,8 @@ class ModelParams:
 
 
 # a refusal echoes an int of more digits than this by its length, and any other
-# value whose repr is longer than _ECHO_CHARS by its type and size
+# value whose repr is longer than _ECHO_CHARS by its type and size (an array always
+# by its shape)
 _ECHO_DIGITS = 30
 _ECHO_CHARS = 120
 
@@ -108,10 +109,12 @@ def _int_digits(value: int) -> int:
 
 
 def _echo(value) -> str:
-    """A bounded description of an argument for a refusal: its repr where that is
-    short; "an int of N digits" for an integer past `_ECHO_DIGITS` digits; else
-    its type and size.  Never the str() of an int past Python's digit limit,
-    which would turn the refusal itself into a bare ValueError."""
+    """A bounded, one-line description of an argument for a refusal: an array by its
+    shape; "an int of N digits" for an integer past `_ECHO_DIGITS` digits; its repr
+    where that is short; else its type and size.  Never the str() of an int past
+    Python's digit limit, which would turn the refusal itself into a bare ValueError."""
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape}"
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         digits = _int_digits(int(value))
         if digits > _ECHO_DIGITS:
@@ -122,8 +125,6 @@ def _echo(value) -> str:
         text = None
     if text is not None and len(text) <= _ECHO_CHARS:
         return text
-    if isinstance(value, np.ndarray):
-        return f"an array of shape {value.shape}"
     if hasattr(value, "__len__"):
         return f"a {type(value).__name__} of length {len(value)}"
     return f"a value of type {type(value).__name__}"
@@ -189,11 +190,12 @@ def _beta_E(params: ModelParams, jumps: int = 1) -> float:
     return be
 
 
-def _require_tilt(F: float) -> None:
-    """ConfigError unless the tilt F is a finite real number > 0."""
-    _require_real(F, "F")
-    if not 0.0 < F < math.inf:
+def _require_tilt(F: float) -> float:
+    """float(F); ConfigError unless the tilt F is a finite real number > 0."""
+    tilt = _require_real(F, "F")
+    if not 0.0 < tilt < math.inf:
         raise ConfigError(f"the tilt F must be finite and > 0, got F = {_echo(F)}")
+    return tilt
 
 
 def _require_phase(t, *energies) -> None:

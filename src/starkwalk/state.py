@@ -136,6 +136,7 @@ class BlochCoefficients(NamedTuple):
 def bloch_coefficients(t: np.ndarray, F: float) -> BlochCoefficients:
     """Fourier coefficients of the free position offset (4/F) sin(Ft/2) sin(xi + Ft/2),
     one complex entry per time of the 1-D array t."""
+    F = _require_tilt(F)
     reach = _bloch_reach(F)
     t = _require_reals(t, "t")
     _require_phase(t, F)

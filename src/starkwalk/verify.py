@@ -139,15 +139,14 @@ def check_propagator() -> CheckResult:
 def check_theta_identities() -> CheckResult:
     """3. theta(0) = theta(1) = 1, theta(1-a) = theta(a), Kraus identity."""
     params = CHECK_PARAMS
-    triple = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params).tolist()
     be = params.beta * params.E
     grid = np.arange(-2.0, 3.0001, 0.05)
     worst_sym = max(abs(theta(0.0, params) - 1.0), abs(theta(1.0, params) - 1.0))
     worst_kraus = 0.0
     for a in grid:
         worst_sym = max(worst_sym, abs(theta(1.0 - a, params) - theta(a, params)))
-        viak = (math.exp(a * be) * triple.p_minus + triple.p_zero
-                + math.exp(-a * be) * triple.p_plus)
+        viak = math.exp(a * be) * p_minus + p_zero + math.exp(-a * be) * p_plus
         worst_kraus = max(worst_kraus, abs(theta(a, params) - viak))
     passed = worst_sym <= TOL.theta_symmetry and worst_kraus <= TOL.theta_kraus_identity
     return CheckResult("theta symmetry and Kraus identity", passed,

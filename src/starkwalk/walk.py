@@ -269,8 +269,8 @@ def _restart_index(n: int, q: float, first: int) -> int:
     return first - max(1, math.ceil(steps)) if 2.0 * steps < first - 2 else 0
 
 
-def _outward_ratios(n: int, log_k: np.ndarray, sites: slice | None = None,
-                    start: int = 0) -> tuple[slice, np.ndarray, np.ndarray]:
+def _outward_ratios(n: int, log_k: np.ndarray,
+                    sites: slice | None = None) -> tuple[slice, np.ndarray, np.ndarray]:
     """The reachable sites of S_n and the log ratios between neighbours, split at the mode.
 
     Returns (sites, down, up): `sites` indexes the support -n..n; `up[i]` is
@@ -289,8 +289,8 @@ def _outward_ratios(n: int, log_k: np.ndarray, sites: slice | None = None,
     By default the ratios cover every reachable site, from the j = 0 start:
     the full recurrence, the oracle of the live span.  For 0 < p < 1,
     `sites` (a contiguous slice holding the mean) limits them to those sites,
-    and only the t_j they read are computed, from `start`
-    (`_ratio_recurrence`, bit-equal to the j = 0 start).
+    and only the t_j they read are computed, from the restart of
+    `_restart_index` (`_ratio_recurrence`, bit-equal to the j = 0 start).
     """
     l_minus, l_zero, l_plus = log_k.tolist()
     anchor = 0                     # the site the mode search sums from
@@ -305,7 +305,7 @@ def _outward_ratios(n: int, log_k: np.ndarray, sites: slice | None = None,
         sites = sites or slice(0, 2 * n + 1)
         below, above, first, last = _t_reads(n, sites.start, sites.stop - 1)
         q = math.exp(l_plus + l_minus - 2.0 * l_zero)
-        log_t = np.log(_ratio_recurrence(n, q, first, last, start))
+        log_t = np.log(_ratio_recurrence(n, q, first, last, _restart_index(n, q, first)))
         low, high = (log_t[r.start - first:r.stop - first] for r in (below, above))
         ratios = np.concatenate([low + (l_zero - l_minus), -(high[::-1] + (l_zero - l_plus))])
         anchor = _mean_site(n, log_k) - sites.start
@@ -329,21 +329,20 @@ def _outward_ratios(n: int, log_k: np.ndarray, sites: slice | None = None,
 _LIVE_FLOOR = (1075 + 32) * math.log(2.0)
 
 
-def _live_span(n: int, log_k: np.ndarray, be: float) -> tuple[slice | None, int]:
-    """The sites where S_n's law can be nonzero in a double, and where their recurrence starts.
+def _live_span(n: int, log_k: np.ndarray, be: float) -> slice | None:
+    """The sites where S_n's law can be nonzero in a double.
 
     P[k] <= exp(-n I(k/n)) (Chernoff, I the closed-form rate function) and
     P[mode] >= 1/(2n+1), so P[k] / P[mode] <= (2n+1) exp(-n I(k/n)); the
     sites where that is below 2^-1075 times the slack of `_LIVE_FLOOR` are
     exact zeros.  n I(k/n) is convex with its minimum at the mean, so each
-    edge is a bisection from the mean site.  Returns (None, 0), the whole
-    support from the j = 0 start, at n = 0, at p = 0 or 1, and where
-    n I(+-1), the two ends, are under the floor.  The overflow refusal of
-    `_outward_ratios` comes first.
+    edge is a bisection from the mean site.  Returns None, the whole
+    support, at n = 0, at p = 0 or 1, and where n I(+-1), the two ends, are
+    under the floor.  The overflow refusal of `_outward_ratios` comes first.
     """
     l_minus, l_zero, l_plus = log_k.tolist()
     if n == 0 or l_plus == -math.inf or l_zero == -math.inf:
-        return None, 0
+        return None
     _require_finite_ratios(n, log_k)
     floor = _LIVE_FLOOR + math.log(2 * n + 1)
 
@@ -351,10 +350,10 @@ def _live_span(n: int, log_k: np.ndarray, be: float) -> tuple[slice | None, int]
         return n * _rate((k - n) / n, (l_minus, l_zero, l_plus), be) > floor
 
     if not (dead(0) or dead(2 * n)):
-        return None, 0
+        return None
     mean = _mean_site(n, log_k)
     if dead(mean):
-        return None, 0
+        return None
     edges = []
     for live, far in ((mean, 0), (mean, 2 * n)):
         if not dead(far):
@@ -367,10 +366,7 @@ def _live_span(n: int, log_k: np.ndarray, be: float) -> tuple[slice | None, int]
             else:
                 live = mid
         edges.append(live)
-    a, b = edges
-    first = _t_reads(n, a, b)[2]
-    q = math.exp(l_plus + l_minus - 2.0 * l_zero)
-    return slice(a, b + 1), _restart_index(n, q, first)
+    return slice(edges[0], edges[1] + 1)
 
 
 def _outward_products(ratios: np.ndarray) -> np.ndarray:
@@ -461,9 +457,9 @@ def walk_pmf_exact(n: int, params: ModelParams) -> LatticeLaw:
     """
     n = _require_law_sites(_require_count(n, "n"))
     if n == 1:
-        return LatticeLaw(n=n, first=-n, pmf=kraus_weights(params).as_array())
+        return LatticeLaw(n=n, first=-n, pmf=kraus_weights(params))
     log_k = log_step_kernel(params)
-    sites, down, up = _outward_ratios(n, log_k, *_live_span(n, log_k, params.beta * params.E))
+    sites, down, up = _outward_ratios(n, log_k, _live_span(n, log_k, params.beta * params.E))
     rel = np.concatenate([_outward_products(down)[:0:-1], _outward_products(up)])
     return LatticeLaw(n=n, first=-n, pmf=_place(n, sites, rel / _law_sum(rel), 0.0))
 
@@ -479,7 +475,7 @@ def walk_pmf_oracle(n: int, params: ModelParams) -> LatticeLaw:
     Its own oracle, the n sequential convolutions, is in the test suite.
     """
     n = _require_law_sites(_require_count(n, "n"))
-    power = kraus_weights(params).as_array()
+    power = kraus_weights(params)
     pmf = np.array([1.0])
     bits = n
     while bits:
@@ -580,7 +576,7 @@ def sample_walk(n: int, trials: int, seed: int, params: ModelParams) -> WalkSamp
     if trials > MAX_TRIALS:
         raise BudgetError(f"trials = {_echo(trials)} is past the sample budget of "
                           f"{MAX_TRIALS} trials")
-    weights = kraus_weights(params).as_array()
+    weights = kraus_weights(params)
     rng = np.random.Generator(np.random.Philox(seed))
     # tally[j] counts S_n = lo + j over the sites seen so far
     lo, tally = 0, np.zeros(0, dtype=np.intp)

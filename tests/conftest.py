@@ -246,7 +246,7 @@ def assert_law_matches_oracle(law: LatticeLaw, oracle: LatticeLaw):
 def sequential_walk_law(n: int, params: ModelParams) -> LatticeLaw:
     """The law of S_n as n sequential convolutions of the step law, O(n^2): the
     oracle of `walk_pmf_oracle`, which reaches the same power by binary powering."""
-    kernel = kraus_weights(params).as_array()
+    kernel = kraus_weights(params)
     pmf = np.array([1.0])
     for _ in range(n):
         pmf = np.convolve(pmf, kernel)
@@ -260,7 +260,7 @@ def convolved_position_moments(n: int, params: ModelParams) -> np.ndarray:
     special = pytest.importorskip("scipy.special")
     z = 2.0 / params.F
     xs = np.arange(-int(z) - 60, int(z) + 61)
-    law, weights = special.jv(xs, z) ** 2, kraus_weights(params).as_array()
+    law, weights = special.jv(xs, z) ** 2, kraus_weights(params)
     rows = []
     for _ in range(n + 1):
         mean = float(np.dot(xs, law))
@@ -275,7 +275,7 @@ def one_call_walk_tally(n: int, trials: int, seed: int,
     `bincount` over the sampled range, O(trials) memory: the oracle of the streamed
     `sample_walk`, which draws the same Philox stream in chunks."""
     rng = np.random.Generator(np.random.Philox(seed))
-    steps = rng.multinomial(n, kraus_weights(params).as_array(), size=trials)
+    steps = rng.multinomial(n, kraus_weights(params), size=trials)
     s = steps[:, 2] - steps[:, 0]
     lo = s.min()
     tally = np.bincount(s - lo)

@@ -99,7 +99,7 @@ def _perfbench_module(name: str, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", ["verify", "walk"])
+@pytest.mark.parametrize("workload", ["verify", "walk", "evolve", "reservoir"])
 def test_enforced_workload_passes_a_traced_pass(workload, monkeypatch):
     # a traced pass binds every traced name by getattr and calls each work counter on
     # its call's arguments, so a renamed route or a counter that reads a gone attribute

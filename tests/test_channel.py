@@ -50,22 +50,24 @@ def window():
 
 
 def test_kraus_weights_reference_point(params):
-    kt = kraus_weights(params)
+    weights = kraus_weights(params)
+    assert weights.dtype == np.float64 and weights.shape == (3,)
+    p_minus, p_zero, p_plus = weights
     # frozen from 40-digit evaluation
-    assert abs(kt.p_plus - 0.18586058182486645) < 1e-15
-    assert abs(kt.p_minus - 0.025153494483789930) < 1e-15
-    assert abs(kt.p_minus + kt.p_zero + kt.p_plus - 1.0) <= 1e-14
-    assert abs(kt.p_minus - math.exp(-params.beta * params.E) * kt.p_plus) <= 1e-16
-    assert abs((kt.p_plus - kt.p_minus) - params.p * math.tanh(params.beta * params.E / 2)) <= 1e-15
+    assert abs(p_plus - 0.18586058182486645) < 1e-15
+    assert abs(p_minus - 0.025153494483789930) < 1e-15
+    assert abs(p_minus + p_zero + p_plus - 1.0) <= 1e-14
+    assert abs(p_minus - math.exp(-params.beta * params.E) * p_plus) <= 1e-16
+    assert abs((p_plus - p_minus) - params.p * math.tanh(params.beta * params.E / 2)) <= 1e-15
 
 
 def test_kraus_weights_temperature_limits():
-    hot = kraus_weights(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
-    assert abs(hot.p_plus - hot.p_minus) <= 1e-16
-    cold = kraus_weights(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=50.0))
-    assert cold.p_minus <= 1e-20
+    hot_minus, _, hot_plus = kraus_weights(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
+    assert abs(hot_plus - hot_minus) <= 1e-16
     d = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=50.0)
-    assert abs(cold.p_plus - d.p) <= 1e-15
+    cold_minus, _, cold_plus = kraus_weights(d)
+    assert cold_minus <= 1e-20
+    assert abs(cold_plus - d.p) <= 1e-15
 
 
 def test_theta_normalization_and_symmetry(params):
@@ -78,11 +80,11 @@ def test_theta_normalization_and_symmetry(params):
 
 
 def test_theta_equals_kraus_mgf(params):
-    kt = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params)
     be = params.beta * params.E
     for a in np.arange(-2.0, 3.0001, 0.1):
-        via_kraus = (math.exp(a * be) * kt.p_minus + kt.p_zero
-                     + math.exp(-a * be) * kt.p_plus)
+        via_kraus = (math.exp(a * be) * p_minus + p_zero
+                     + math.exp(-a * be) * p_plus)
         assert abs(theta(a, params) - via_kraus) <= 1e-13
 
 
@@ -184,14 +186,14 @@ def test_log_theta_core_is_relative_at_small_gamma(be):
 
 
 def test_deformed_on_eigenstate_is_trinomial(params, window):
-    kt = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params)
     dm = ParticleDensityMatrix.eigenstate(window, 0)
     out = apply_deformed(dm, 0.0, params)
     i = window.k_index(0)
     diag = np.diagonal(out.coeffs).real
-    assert diag[i - 1] == kt.p_minus
-    assert diag[i] == kt.p_zero
-    assert diag[i + 1] == kt.p_plus
+    assert diag[i - 1] == p_minus
+    assert diag[i] == p_zero
+    assert diag[i + 1] == p_plus
     assert np.count_nonzero(out.coeffs) == 3
 
 
@@ -485,18 +487,18 @@ def test_master_step_equals_channel_diagonal(params, window):
     w[8:24] = rng.random(16)
     w /= w.sum()
     # the classical step p_k -> p_+ p_{k-1} + p_0 p_k + p_- p_{k+1}
-    out_vec = np.convolve(w, kraus_weights(params).as_array())[1:-1]
+    out_vec = np.convolve(w, kraus_weights(params))[1:-1]
     out_dm = apply_channel(from_diagonal(window, w), 0.0, params)
     assert np.max(np.abs(out_vec - np.diagonal(out_dm.coeffs).real)) <= TEST_TOL.master_vs_channel
 
 
 def test_exponential_family_is_stationary_direction(params, window):
-    kt = kraus_weights(params)
+    weights = kraus_weights(params)
     be = params.beta * params.E
     k = window.k_values.astype(float)
     for a, b in ((1.0, 0.0), (0.3, 0.2), (0.0, 1.0)):
         w = a + b * np.exp(be * (k - k[-1]))   # shifted to avoid overflow
-        out = np.convolve(w, kt.as_array())[1:-1]
+        out = np.convolve(w, weights)[1:-1]
         rel = np.abs(out[1:-1] / w[1:-1] - 1.0)
         assert np.max(rel) <= 1e-13
 
@@ -504,15 +506,15 @@ def test_exponential_family_is_stationary_direction(params, window):
 def test_no_stationary_state(params):
     # the truncated master matrix is strictly substochastic: spectral radius < 1,
     # so no probability vector is stationary on any finite window
-    kt = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params)
     for W in (3, 8, 21):
         M = np.zeros((W, W))
         for i in range(W):
             if i > 0:
-                M[i, i - 1] = kt.p_plus
-            M[i, i] = kt.p_zero
+                M[i, i - 1] = p_plus
+            M[i, i] = p_zero
             if i < W - 1:
-                M[i, i + 1] = kt.p_minus
+                M[i, i + 1] = p_minus
         radius = np.max(np.abs(np.linalg.eigvals(M)))
         assert radius < 1.0 - 1e-6
 

@@ -393,13 +393,20 @@ def test_law_experiments_refuse_past_the_law_budget(experiment, capsys):
     assert f"past the budget of {MAX_LAW_SITES} sites" in err
 
 
-# each table under the one row budget: the experiment, its row count at n (linear in n),
-# and the first function that its grid is passed to (None: the table is built whole)
+# each table under the one row budget: the experiment, its row count at its first run
+# key (linear in it), and the first function that its grid is passed to (None: the
+# table is built whole)
 GRID_BUDGETS = [
     ("channel-evolve", lambda n: n + 1, None),
     ("rate", lambda n: n + 1, "rate_function_numeric"),
     ("single-atom", lambda n: 20 * n + 1, "position_expectation"),
+    ("spectrum", lambda window: window - 1, None),
 ]
+
+
+def _sized_key(experiment: str) -> str:
+    """The run key that sizes the experiment's table: n, or spectrum's window."""
+    return cli.EXPERIMENTS[experiment][1][0]
 
 
 def _largest_accepted(size) -> int:
@@ -412,12 +419,14 @@ def _largest_accepted(size) -> int:
 def test_grid_refused_past_its_budget(experiment, size, first, capsys):
     # refused before the grid is formed: one past the budget, and far past it, where the
     # grid itself would not fit in memory
-    for n in (_largest_accepted(size) + 1, 10**12):
-        assert cli.main(f"{FLAGS} {experiment} --n {n}".split()) == 2
+    key = _sized_key(experiment)
+    for n in (_largest_accepted(size) + 1, 10**12, 10**13):
+        assert cli.main(f"{FLAGS} {experiment} --{key} {n}".split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert f"{experiment} at n = {n} makes {size(n)} rows" in err
-        assert f"budget of {cli.MAX_TABLE_ROWS} rows (n <= {_largest_accepted(size)})" in err
+        assert f"{experiment} at {key} = {n} makes {size(n)} rows" in err
+        assert (f"budget of {cli.MAX_TABLE_ROWS} rows ({key} <= {_largest_accepted(size)})"
+                in err)
 
 
 @pytest.mark.parametrize("experiment, size, first", GRID_BUDGETS)
@@ -433,7 +442,7 @@ def test_grid_accepted_at_its_budget(experiment, size, first, monkeypatch):
         raise Reached
 
     n_max = _largest_accepted(size)
-    cfg = parse_config(f"{FLAGS} {experiment} --n {n_max}".split())
+    cfg = parse_config(f"{FLAGS} {experiment} --{_sized_key(experiment)} {n_max}".split())
     if first is None:
         rows = run_experiment(cfg).rows
         assert len(rows) == size(n_max) and all(map(math.isfinite, rows[-1]))
@@ -628,7 +637,7 @@ def test_every_experiment_gives_valid_rows_or_one_error_line(case, monkeypatch):
     rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]])
     assert rows.size and np.all(np.isfinite(rows))
     col = dict(zip(lines[1].split(","), rows.T))
-    sizes = {name: size for name, size, _ in GRID_BUDGETS}
+    sizes = {name: size for name, size, _ in GRID_BUDGETS if _sized_key(name) == "n"}
     if experiment in sizes:
         assert len(rows) == sizes[experiment](parse_config(argv).n)
     if experiment == "single-atom":

@@ -57,9 +57,9 @@ def _cases() -> list[tuple]:
 def _invariants(params, alpha, eta):
     be = params.beta * params.E
 
-    kt = kraus_weights(params)
-    assert abs(kt.as_array().sum() - 1.0) <= TOL.theta_kraus_identity
-    assert np.array_equal(deformed_weights(0.0, params), kt.as_array())
+    weights = kraus_weights(params)
+    assert abs(weights.sum() - 1.0) <= TOL.theta_kraus_identity
+    assert np.array_equal(deformed_weights(0.0, params), weights)
 
     assert math.isclose(theta(1.0 - alpha, params), theta(alpha, params),
                         rel_tol=TOL.theta_symmetry)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from starkwalk import (
     LatticeLaw,
     LatticeWindow,
     ModelParams,
+    NumericsError,
     ParticleDensityMatrix,
     ReservoirConfig,
     WindowError,
@@ -203,6 +205,21 @@ def test_bloch_norm_bound(params):
     coeffs = bloch_coefficients(np.arange(1, 30) * params.tau, params.F)
     assert np.all(np.abs(coeffs.c_plus) + np.abs(coeffs.c_minus) <= 4.0 / params.F + 1e-14)
     assert bloch_coefficients(np.empty(0), params.F).c_plus.shape == (0,)
+
+
+# a real tilt of another type is read as its float: the same bits, or the same refusal
+@pytest.mark.parametrize("F, refusal", [
+    (Fraction(1, 2), None),
+    # the phase t F = 1e20 is past 2^52
+    (10**20, r"phase t \* energy = 1e\+20 reaches 2\^52"),
+], ids=["fraction-force", "int-10**20-force"])
+def test_bloch_coefficients_read_a_real_tilt_as_its_float(F, refusal):
+    if refusal is not None:
+        with pytest.raises(NumericsError, match=refusal):
+            bloch_coefficients([1.0], F)
+        return
+    got, want = bloch_coefficients([1.0], F), bloch_coefficients([1.0], float(F))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_free_motion_mean_stays_bounded(params, window):
@@ -409,7 +426,7 @@ _HUGE_REALS = {
                  "n must be an integer >= 0, got -1", id="dressing-negative-n"),
     # an unhashable z is checked before the Bessel profile's cache hashes it
     pytest.param(lambda: bessel_j_array([1.0], 3), "got z = [1.0]", id="bessel-list-z"),
-    pytest.param(lambda: bessel_halfwidth(np.array([1.0])), "got z = array([1.])",
+    pytest.param(lambda: bessel_halfwidth(np.array([1.0])), "got z = an array of shape (1,)",
                  id="halfwidth-array-z"),
     # every real argument is a real number before any arithmetic is done with it
     pytest.param(lambda: log_theta("a", _P), "got gamma = 'a'", id="log-theta-string"),
@@ -451,9 +468,11 @@ _HUGE_REALS = {
                  "eta of shape (2, 2)", id="position-cgf-oracle-2d"),
     # the channel steps take one real alpha: an array of any shape is refused
     pytest.param(lambda: apply_channel(_RHO, np.zeros((2, 2)), _P),
-                 "alpha must be a real number, got alpha = array(", id="apply-channel-2d"),
+                 "alpha must be a real number, got alpha = an array of shape (2, 2)",
+                 id="apply-channel-2d"),
     pytest.param(lambda: channel_oracle(_RHO, np.zeros((2, 2)), _P),
-                 "alpha must be a real number, got alpha = array(", id="channel-oracle-2d"),
+                 "alpha must be a real number, got alpha = an array of shape (2, 2)",
+                 id="channel-oracle-2d"),
     pytest.param(lambda: channel_oracle(_RHO, "a", _P), "got alpha = 'a'",
                  id="channel-oracle-string"),
     pytest.param(lambda: rate_function_numeric([0.1, "a"], _P), "got x = [0.1, 'a']",
@@ -470,6 +489,10 @@ _HUGE_REALS = {
                  "must weigh the same sites", id="oracle-gap-other-sites"),
     pytest.param(lambda: walk_pmf_exact(3, _P).oracle_gap("a"),
                  "the oracle must be a LatticeLaw, got 'a'", id="oracle-gap-not-a-law"),
+    # an array is echoed by its shape, on one line however small it is
+    pytest.param(lambda: walk_pmf_exact(3, _P).oracle_gap(np.ones((3, 2))),
+                 "the oracle must be a LatticeLaw, got an array of shape (3, 2)",
+                 id="oracle-gap-array"),
     # a time of 0 or -0.0, and an infinite one where v < delta, made the FT ratio 0.0
     *[pytest.param(lambda v=v, tau=tau: run_position_fcs(3, _RHO, _P).ft_log_ratio(v, 0.1, tau),
                    f"tau must be finite and > 0, got tau = {tau!r}",

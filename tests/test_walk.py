@@ -88,8 +88,8 @@ def test_transport_reference_point(params):
 def test_transport_infinite_temperature():
     tc = transport_coefficients(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
     assert tc.v_d == 0.0
-    d_p = kraus_weights(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
-    p = d_p.p_plus + d_p.p_minus
+    p_minus, _, p_plus = kraus_weights(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0))
+    p = p_plus + p_minus
     assert abs(tc.D - p / 2.0) <= 1e-15
 
 
@@ -101,18 +101,17 @@ def test_einstein_relation_near_zero_force():
 
 
 def test_single_step_law(params):
-    kt = kraus_weights(params)
     law = walk_pmf_exact(1, params)
-    assert np.array_equal(law.pmf, kt.as_array())
+    assert np.array_equal(law.pmf, kraus_weights(params))
 
 
 def test_two_step_enumeration(params):
-    kt = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params)
     law = walk_pmf_exact(2, params)
     # P[S_2 = 0] = p_0^2 + 2 p_+ p_-
-    assert abs(law.pmf[2] - (kt.p_zero**2 + 2.0 * kt.p_plus * kt.p_minus)) <= 1e-15
-    assert abs(law.pmf[0] - kt.p_minus**2) <= 1e-16
-    assert abs(law.pmf[4] - kt.p_plus**2) <= 1e-16
+    assert abs(law.pmf[2] - (p_zero**2 + 2.0 * p_plus * p_minus)) <= 1e-15
+    assert abs(law.pmf[0] - p_minus**2) <= 1e-16
+    assert abs(law.pmf[4] - p_plus**2) <= 1e-16
 
 
 def test_moments_match_transport(params):
@@ -299,8 +298,7 @@ def test_log_pmf_far_from_equilibrium():
 def test_log_pmf_reaches_below_denormals(params):
     # at n = 200 the all-down corner is ~e^{-737}, far below float range
     logp = walk_log_pmf(200, params)
-    kt = kraus_weights(params)
-    assert abs(logp[0] - 200.0 * math.log(kt.p_minus)) <= 1e-9
+    assert abs(logp[0] - 200.0 * math.log(kraus_weights(params)[0])) <= 1e-9
     assert logp[0] < -730.0
 
 
@@ -473,22 +471,22 @@ def test_sampling_argument_errors(params):
 
 def test_scgf_basics(params):
     assert scgf(0.0, params) == 0.0
-    kt = kraus_weights(params)
+    p_minus, p_zero, p_plus = kraus_weights(params)
     be = params.beta * params.E
     for eta in np.linspace(-2.0, 2.0, 17):
         assert abs(scgf(-be - eta, params) - scgf(eta, params)) <= 1e-12
         # the log of the one-step moment E[e^{eta S_1}] from the Kraus weights
-        moment = kt.p_minus * math.exp(-eta) + kt.p_zero + kt.p_plus * math.exp(eta)
+        moment = p_minus * math.exp(-eta) + p_zero + p_plus * math.exp(eta)
         assert abs(scgf(eta, params) - math.log(moment)) <= 1e-14
 
 
 def test_scgf_far_tails(params):
     # e(eta) -> |eta| + log p_+- without overflow; the FT symmetry survives
-    kt = kraus_weights(params)
+    p_minus, _, p_plus = kraus_weights(params)
     be = params.beta * params.E
-    assert math.isclose(scgf(800.0, params), 800.0 + math.log(kt.p_plus),
+    assert math.isclose(scgf(800.0, params), 800.0 + math.log(p_plus),
                         rel_tol=TEST_TOL.scgf_symmetry)
-    assert math.isclose(scgf(-800.0, params), 800.0 + math.log(kt.p_minus),
+    assert math.isclose(scgf(-800.0, params), 800.0 + math.log(p_minus),
                         rel_tol=TEST_TOL.scgf_symmetry)
     assert math.isclose(scgf(-be - 800.0, params), scgf(800.0, params),
                         rel_tol=TEST_TOL.scgf_symmetry)
@@ -506,9 +504,9 @@ def test_scgf_derivatives_match_transport(params):
 
 def test_scgf_defined_at_zero_temperature_product():
     p = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0)
-    kt = kraus_weights(p)
+    p_minus, p_zero, p_plus = kraus_weights(p)
     for eta in (-1.0, 0.3, 2.0):
-        direct = math.log(kt.p_minus * math.exp(-eta) + kt.p_zero + kt.p_plus * math.exp(eta))
+        direct = math.log(p_minus * math.exp(-eta) + p_zero + p_plus * math.exp(eta))
         assert abs(scgf(eta, p) - direct) <= 1e-14
 
 
@@ -537,10 +535,10 @@ def test_closed_form_rate_at_p_one_refuses_inside_the_interval():
 
 
 def test_rate_function_boundary_limits(params):
-    kt = kraus_weights(params)
+    p_minus, _, p_plus = kraus_weights(params)
     at_end, at_start, inside = rate_function([1.0, -1.0, 1.0 - 1e-9], params).tolist()
-    assert abs(at_end + math.log(kt.p_plus)) <= 1e-12
-    assert abs(at_start + math.log(kt.p_minus)) <= 1e-12
+    assert abs(at_end + math.log(p_plus)) <= 1e-12
+    assert abs(at_start + math.log(p_minus)) <= 1e-12
     # continuity into the endpoint
     assert abs(inside - at_end) <= 1e-6
 
@@ -842,7 +840,7 @@ def test_sampled_tally_is_the_sorted_unique_tally(params, n):
     for seed in (0, 3, 7, 11):
         sample = sample_walk(n, 2000, seed=seed, params=params)
         rng = np.random.Generator(np.random.Philox(seed))
-        steps = rng.multinomial(n, kraus_weights(params).as_array(), size=2000)
+        steps = rng.multinomial(n, kraus_weights(params), size=2000)
         values, counts = np.unique(steps[:, 2] - steps[:, 0], return_counts=True)
         assert np.array_equal(sample.values, values) and sample.values.dtype == values.dtype
         assert np.array_equal(sample.counts, counts) and sample.counts.dtype == counts.dtype
@@ -883,15 +881,33 @@ def test_live_span_law_is_the_full_recurrence_law(n):
     for params in [*_sum_params(), SMALL_P]:
         law = walk_pmf_exact(n, params).pmf
         if n == 1:
-            assert np.array_equal(law, kraus_weights(params).as_array())
+            assert np.array_equal(law, kraus_weights(params))
         else:
             assert np.array_equal(law, _full_recurrence_law(n, params))
 
 
-def test_live_span_law_at_n_10_6():
+@pytest.fixture
+def recurrence_plan(monkeypatch):
+    """plan(n, params): the live span of S_n and the start that `_ratio_recurrence`
+    receives when `_outward_ratios` forms the ratios on it, as (sites, start)."""
+    starts = []
+    real = walk_module._ratio_recurrence
+    monkeypatch.setattr(walk_module, "_ratio_recurrence",
+                        lambda *a: starts.append(a[4]) or real(*a))
+
+    def plan(n, params):
+        logk = log_step_kernel(params)
+        sites = _live_span(n, logk, params.beta * params.E)
+        starts.clear()
+        _outward_ratios(n, logk, sites)
+        assert len(starts) == 1
+        return sites, starts[0]
+    return plan
+
+
+def test_live_span_law_at_n_10_6(recurrence_plan):
     n = 10**6
-    logk = log_step_kernel(CHECK_PARAMS)
-    sites, start = _live_span(n, logk, CHECK_PARAMS.beta * CHECK_PARAMS.E)
+    sites, start = recurrence_plan(n, CHECK_PARAMS)
     # 33,069 nonzero sites; the recurrence restarts far past j = 0
     assert sites.stop - sites.start < 40_000 and start > 800_000
     law = walk_pmf_exact(n, CHECK_PARAMS).pmf
@@ -900,27 +916,26 @@ def test_live_span_law_at_n_10_6():
 
 
 @pytest.mark.parametrize("n", [2000, 20_000, 100_000])
-def test_near_p_one_takes_the_j0_start(n):
+def test_near_p_one_takes_the_j0_start(n, recurrence_plan):
     # rho is within ~1e-8 of 1 there: no restart can be certified in time
     for params in NEAR_ONE.values():
-        sites, start = _live_span(n, log_step_kernel(params), params.beta * params.E)
+        sites, start = recurrence_plan(n, params)
         assert sites is not None and start == 0
     for params in (CHECK_PARAMS, SMALL_P):
-        assert _live_span(n, log_step_kernel(params), params.beta * params.E)[1] > 0
+        assert recurrence_plan(n, params)[1] > 0
 
 
-def test_whole_support_live_reads_only_the_two_ends(monkeypatch):
+def test_whole_support_live_reads_only_the_two_ends(monkeypatch, recurrence_plan):
     # where n I(+-1) is under the floor the envelope is not searched
     xs = []
     real = walk_module._rate
     monkeypatch.setattr(walk_module, "_rate", lambda x, *a: xs.append(x) or real(x, *a))
-    logk, be = log_step_kernel(CHECK_PARAMS), CHECK_PARAMS.beta * CHECK_PARAMS.E
     for n in (2, 50, 200):
         xs.clear()
-        assert _live_span(n, logk, be) == (None, 0)
+        assert recurrence_plan(n, CHECK_PARAMS) == (None, 0)
         assert {abs(x) for x in xs} == {1.0}
     xs.clear()
-    assert _live_span(20_000, logk, be)[0] is not None
+    assert recurrence_plan(20_000, CHECK_PARAMS)[0] is not None
     assert min(abs(x) for x in xs) < 1.0
 
 
