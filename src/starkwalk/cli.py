@@ -248,12 +248,13 @@ def _exp_channel_evolve(cfg: RunConfig) -> ResultTable:
 def _exp_walk(cfg: RunConfig) -> ResultTable:
     law = walk_pmf_exact(cfg.n, cfg.params)
     sample = sample_walk(cfg.n, cfg.trials, cfg.seed, cfg.params)
-    # sample counts aligned to the law's sites
-    counts = np.zeros(law.pmf.size, dtype=sample.counts.dtype)
-    counts[sample.values - law.first] = sample.counts
-    keep = ~((law.pmf < 1e-12) & (counts == 0))
+    # a row for each site of probability >= 1e-12 and each sampled value, whatever its law
+    kept = np.flatnonzero(law.pmf >= 1e-12) + law.first
+    sites, row = np.unique(np.concatenate((sample.values, kept)), return_inverse=True)
+    counts = np.zeros(sites.size, dtype=sample.counts.dtype)
+    counts[row[:sample.values.size]] = sample.counts
     rows = [[s, p, c, c / cfg.trials] for s, p, c in
-            zip(law.dx[keep].tolist(), law.pmf[keep].tolist(), counts[keep].tolist())]
+            zip(sites.tolist(), law.pmf[sites - law.first].tolist(), counts.tolist())]
     return ResultTable(["displacement", "exact_prob", "count", "empirical_prob"], rows)
 
 
@@ -271,13 +272,11 @@ def _exp_fcs_energy(cfg: RunConfig) -> ResultTable:
     _require_atoms(cfg.n, cfg.n if cfg.m is None else cfg.m)
     be = _beta_E(cfg.params, cfg.n)
     law = walk_pmf_exact(cfg.n, cfg.params)
-    # dS_p = dS_env = beta E (k - k') = -beta E S_n: the walk law reversed, so entry j
-    # holds P[S_n = s_j] and ds = beta E (-s_j), in ascending order; both columns are
-    # the same double, and at beta E = 0 every outcome is one 0.0 row
-    pmf, sites = law.pmf[::-1], law.dx[::-1]
-    live = pmf > 1e-15
-    ds, inverse = np.unique(be * -sites[live] + 0.0, return_inverse=True)
-    probs = np.bincount(inverse.reshape(-1), weights=pmf[live])
+    # dS_p = dS_env = -beta E S_n: the law's sites above 1e-15, reversed, so ds is ascending;
+    # both columns are the same double, and at beta E = 0 every outcome is one 0.0 row
+    live = np.flatnonzero(law.pmf > 1e-15)[::-1]
+    ds, inverse = np.unique(be * -(live + law.first) + 0.0, return_inverse=True)
+    probs = np.bincount(inverse.reshape(-1), weights=law.pmf[live])
     rows = [[d, d, p] for d, p in zip(ds.tolist(), probs.tolist())]
     return ResultTable(["ds_particle", "ds_env", "prob"], rows)
 

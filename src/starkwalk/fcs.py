@@ -31,7 +31,7 @@ deformed-channel route stays as its oracle.
 
 Both increment laws are `walk.LatticeLaw`s: the reservoir's marginal
 `EnergyFcsResult.walk_law()` on -n..n, and the law of dX from
-`run_position_fcs` on the sites each route reaches.
+`run_position_fcs` on the sites each route reaches (O(sqrt n) for `reduced`).
 """
 from __future__ import annotations
 
@@ -139,7 +139,7 @@ def environment_weights(cfg: ReservoirConfig) -> np.ndarray:
     return np.prod(np.where(_occupations(cfg.n), gibbs.w_excited, gibbs.w_ground), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyFcsResult:
     """Joint law of the two integer increments of the two-time energy measurement.
 
@@ -147,7 +147,7 @@ class EnergyFcsResult:
     k - k' = i - n and the reservoir lost m - m' = j - n excitations, where
     (k, m) is the first outcome and (k', m') the second.  The zero increment
     sits at the centre of each axis, and the conservation law is the
-    diagonal k - k' = m - m'.
+    diagonal k - k' = m - m'.  `run_energy_fcs` makes `law` read-only.
     """
 
     cfg: ReservoirConfig
@@ -212,6 +212,7 @@ def run_energy_fcs(cfg: ReservoirConfig) -> EnergyFcsResult:
     terms = W2.reshape(B, K, B)[:, -2:0:-1] * environment_weights(cfg)
     cell = np.arange(side)[:, None] * side + pops[None, None, :] - pops[:, None, None] + n
     law = np.bincount(cell.ravel(), weights=terms.ravel(), minlength=side * side)
+    law.setflags(write=False)
     return EnergyFcsResult(cfg=cfg, law=law.reshape(side, side))
 
 
@@ -264,10 +265,11 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     method='reduced' (the default) evaluates the conditional evolution
     exactly at every n: the kicks keep position eigenprojectors diagonal,
     giving the trinomial walk, and the deferred free evolutions
-    contribute the Bloch kernel; the two laws convolve, over the walk's
-    nonzero sites only (O(live span x kernel), bit-equal to the whole
-    convolution).  The tails keep relative accuracy, which direct matrix
-    evolution cannot provide.
+    contribute the Bloch kernel; the two laws convolve over the walk's
+    nonzero sites only, and the law is returned on the sites they reach
+    (O(live span x kernel); each entry is the whole convolution's bit for
+    bit, and it is 0 elsewhere).  The tails keep relative accuracy, which
+    direct matrix evolution cannot provide.
     method='matrix' iterates apply_channel literally on the conditional
     states on rho_p's window (small n; used to validate the reduction),
     skipping the starting positions of weight at most 1e-12.
@@ -276,13 +278,9 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
         d, kernel = free_kernel(n * params.tau, params)
-        probs = np.zeros(walk.pmf.size + kernel.size - 1)
-        # the walk's nonzero sites padded by kernel.size - 1 zeros: every output
-        # touching them is the same full-length dot product as in the whole
-        # convolution, and every other output is 0
         live = _span(walk.pmf != 0.0, kernel.size - 1)
-        probs[live.start:live.stop + kernel.size - 1] = np.convolve(walk.pmf[live], kernel)
-        return LatticeLaw(n=n, first=int(walk.first + d[0]), pmf=probs)
+        return LatticeLaw(n=n, first=int(walk.first + d[0]) + live.start,
+                          pmf=np.convolve(walk.pmf[live], kernel))
     if method != "matrix":
         raise ConfigError(f"unknown method {method!r}")
 

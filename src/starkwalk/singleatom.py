@@ -61,7 +61,7 @@ class AtomGibbs:
                             f"(atom weights {self.w_ground!r}, {self.w_excited!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDensityMatrix:
     """Operator on particle (x) atom; atom-major layout, index = a * n_k + k_index."""
 

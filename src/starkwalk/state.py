@@ -162,7 +162,7 @@ def _frozen_coeffs(coeffs, n: int, kind: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleDensityMatrix:
     """rho = sum rho_{kk'} |psi_k><psi_{k'}| on the window (eigenbasis coefficients)."""
 

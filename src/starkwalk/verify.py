@@ -8,6 +8,7 @@ acceptance tests and the `verify-all` CLI experiment.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -254,8 +255,9 @@ def check_ldp() -> CheckResult:
                        f"monotone={monotone}, closed-vs-numeric {rate_gap:.2e}")
 
 
+@functools.cache
 def _reservoir_run(params: ModelParams, n: int) -> fcs_mod.EnergyFcsResult:
-    """The brute-force reservoir of checks 7, 8 and 11: n atoms and n interactions."""
+    """The brute-force reservoir of checks 7, 8 and 11, run once per (params, n)."""
     return fcs_mod.run_energy_fcs(fcs_mod.ReservoirConfig(params=params, n=n))
 
 

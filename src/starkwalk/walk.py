@@ -61,7 +61,7 @@ def transport_coefficients(params: ModelParams) -> TransportCoefficients:
     return TransportCoefficients(v_d=v_d, D=D, mobility=mobility)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeLaw:
     """Exact law of an integer increment after n interactions: pmf[j] = P[first + j].
 
@@ -529,7 +529,7 @@ MAX_TALLY_SITES = 1 << 22
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSample:
     """Empirical summary of sampled walks: bit-reproducible for a fixed seed.
 

@@ -64,6 +64,18 @@ def test_acceptance(label, check):
     assert result.passed, check_line(result)
 
 
+def test_run_all_runs_each_reservoir_once(monkeypatch):
+    # checks 7, 8 and 11 read the brute-force reservoir at (CHECK_PARAMS, 1..3) and at
+    # E = F, n = 3: four runs, each shared through the cache, whose law is read-only
+    calls = []
+    run = verify.fcs_mod.run_energy_fcs
+    monkeypatch.setattr(verify.fcs_mod, "run_energy_fcs", lambda cfg: calls.append(cfg) or run(cfg))
+    verify._reservoir_run.cache_clear()
+    verify.run_all()
+    assert len(calls) == 4
+    assert not verify._reservoir_run(CHECK_PARAMS, 3).law.flags.writeable
+
+
 def test_transport_bound_is_the_per_trial_grand_mean_bound():
     # 4 sigma of the grand mean of 10^5 walks of 10^4 steps, sigma^2 = 2 D / (10^4 tau 10^5)
     tc = transport_coefficients(CHECK_PARAMS)

@@ -18,6 +18,11 @@ import pytest
 
 import starkwalk
 from starkwalk.config import Tolerances
+from starkwalk.fcs import ReservoirConfig, run_energy_fcs
+from starkwalk.params import ModelParams
+from starkwalk.singleatom import AtomGibbs, JointDensityMatrix
+from starkwalk.state import LatticeWindow, ParticleDensityMatrix
+from starkwalk.walk import sample_walk, walk_pmf_exact
 
 # routes moved to tests/conftest.py: no caller in the package, its CLI or its benchmark
 TEST_ONLY_ROUTES = ("adjoint_apply", "apply_deformed", "rate_function_entropy",
@@ -33,6 +38,29 @@ def package_modules() -> list:
     names = [info.name for info in pkgutil.iter_modules(starkwalk.__path__)]
     return [starkwalk] + [importlib.import_module(f"starkwalk.{name}")
                           for name in names if name != "__main__"]
+
+
+P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+RHO = ParticleDensityMatrix.eigenstate(LatticeWindow(-3, 3, -3, 3), 0)
+# each record that holds an array, built twice from the same inputs
+ARRAY_RECORDS = {
+    "LatticeLaw": lambda: walk_pmf_exact(5, P),
+    "ParticleDensityMatrix": lambda: ParticleDensityMatrix.eigenstate(RHO.window, 0),
+    "JointDensityMatrix": lambda: JointDensityMatrix.product(
+        RHO, AtomGibbs.from_params(P).density()),
+    "WalkSample": lambda: sample_walk(5, 10, 0, P),
+    "EnergyFcsResult": lambda: run_energy_fcs(ReservoirConfig(P, 2)),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS)
+def test_array_records_compare_and_hash_by_identity(build):
+    # a field-wise == would ask an array for its truth value, and a field-wise hash
+    # would hash an array; each record is equal to itself alone
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert len({a, b, a}) == 2
 
 
 def test_test_only_routes_are_not_in_the_package():

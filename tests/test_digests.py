@@ -1,6 +1,6 @@
 """Byte identity of the pinned CLI outputs.
 
-The eight runs below, at `--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1`, are
+The runs below, at `--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1`, are
 regenerated in one process and each rendered table is compared with its
 committed SHA-256 digest.  A change that means to move bytes updates `RUNS`
 in the same commit and says in CHANGES.md which rows moved, and by how much.
@@ -51,6 +51,13 @@ RUNS = {
                        "25fa3f002844a9595f74025b38aa3d37b8071096e08323c8245446ecc4894804"),
     "spectrum": ("spectrum",
                  "c572008a619ee72e015df83cd326ab79f597ced524b3187d547b8787f5e2e900"),
+    # the law experiments at a large n, where the law is nonzero on 33k of its 2M sites
+    "walk-1e6": ("walk --n 1000000 --trials 1000 --seed 3",
+                 "497df679f553ae1f4a790d4f64b54d53c1f4dc1fbc7baa0b3234f2110f276e27"),
+    "fcs-energy-1e6": ("fcs-energy --n 1000000",
+                       "fd1d24a63ac07d2f51ed259dbb1554861956d97a7c2a98ead45a25221c8eea4a"),
+    "fcs-position-1e6": ("fcs-position --n 1000000",
+                         "13151b407495c322aa24a0055857c3c132aefe06d12a9818cf9376b9e0adc175"),
 }
 
 _REGENERATE = """

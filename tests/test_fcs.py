@@ -480,8 +480,9 @@ BOX_PARAMS.append(ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0))
 @pytest.mark.parametrize("n", [1, 500, 20_000, 100_000])
 def test_position_fcs_crop_is_the_whole_convolution(n):
     # only the walk's nonzero sites, padded by kernel.size - 1 zeros on each
-    # side, are convolved: every output is the same dot product as in the
-    # convolution over the whole support, or 0 (without the padding, edge
+    # side, are convolved, and the law holds the sites that convolution reaches:
+    # each entry is the same dot product as in the convolution over the whole
+    # support, which is exactly 0 at every other site (without the padding, edge
     # entries near 1e-153 differ in their last bits); at n = 1 and 500 the
     # padded span is clamped at both ends of the law
     rho = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
@@ -489,8 +490,11 @@ def test_position_fcs_crop_is_the_whole_convolution(n):
         dist = run_position_fcs(n, rho, params, method="reduced")
         d, kernel = free_kernel(n * params.tau, params)
         whole = np.convolve(walk_pmf_exact(n, params).pmf, kernel)
-        assert same_bits(dist.pmf, whole)
-        assert np.array_equal(dist.dx, np.arange(-n + d[0], n + d[-1] + 1))
+        lo = dist.first - (-n + int(d[0]))
+        hi = lo + dist.pmf.size
+        assert 0 <= lo < hi <= whole.size
+        assert same_bits(dist.pmf, whole[lo:hi])
+        assert not whole[:lo].any() and not whole[hi:].any()
 
 
 def test_position_cgf_zero_eta(params):
