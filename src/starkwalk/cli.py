@@ -22,7 +22,7 @@ from . import __version__
 from .config import TOL
 from .errors import BudgetError, ConfigError, NumericsError, StarkwalkError
 from .fcs import run_position_fcs
-from .params import ModelParams, _beta_E, _require_atoms, _require_count
+from .params import ModelParams, _beta_E, _require_atoms, _require_count, _require_real
 from .singleatom import (
     AtomGibbs,
     JointDensityMatrix,
@@ -32,7 +32,7 @@ from .singleatom import (
     position_oracle,
 )
 from .state import LatticeWindow, ParticleDensityMatrix
-from .verify import run_all
+from .verify import CHECK_PARAMS, run_all
 from .walk import (
     rate_function,
     rate_function_numeric,
@@ -41,7 +41,11 @@ from .walk import (
     walk_pmf_exact,
 )
 
-_PARAM_KEYS = ("E", "F", "lambda", "tau", "beta")
+# every physics run key, a global flag (before the subcommand): its `ModelParams` field
+# and its help; an experiment reads all five, or none and runs at `verify.CHECK_PARAMS`
+_PHYSICS = {"E": ("E", "atomic Bohr frequency (>= 0)"), "F": ("F", "static tilt force (> 0)"),
+            "lambda": ("lam", "coupling constant"), "tau": ("tau", "interaction duration (> 0)"),
+            "beta": ("beta", "inverse temperature (>= 0)")}
 # every integer run key: its smallest accepted value (window: k_min < k_max), its
 # default and its help; `EXPERIMENTS` names the ones each experiment reads
 _COUNTS = {
@@ -104,19 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="starkwalk",
         description="Tilted-band repeated-interaction simulator (batch mode).")
     ap.add_argument("--config", help="JSON file with the same keys as the flags")
-    ap.add_argument("--E", type=float, help="atomic Bohr frequency (>= 0)")
-    ap.add_argument("--F", type=float, help="static tilt force (> 0)")
-    ap.add_argument("--lambda", dest="lambda", metavar="LAM", type=float,
-                    help="coupling constant")
-    ap.add_argument("--tau", type=float, help="interaction duration (> 0)")
-    ap.add_argument("--beta", type=float, help="inverse temperature (>= 0)")
+    for key, (name, text) in _PHYSICS.items():
+        ap.add_argument(f"--{key}", metavar=name.upper(), type=float, help=text)
     # also before the subcommand, so a config-file run can set them without naming it
     _output_flags(ap)
     sub = ap.add_subparsers(dest="experiment")
     for name, (_, keys) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
         for key in keys:
-            sp.add_argument(f"--{key}", type=int, help=_COUNTS[key][2])
+            if key in _COUNTS:
+                sp.add_argument(f"--{key}", type=int, help=_COUNTS[key][2])
         # unset, a subcommand's flag must not overwrite the top-level one with None
         _output_flags(sp, default=argparse.SUPPRESS)
     return ap
@@ -141,25 +142,29 @@ def parse_config(argv: list[str]) -> RunConfig:
     # every flag given overrides the file; the subcommand defines only the keys it reads
     merged.update((key, value) for key, value in flags.items() if value is not None)
 
-    missing = [k for k in _PARAM_KEYS if k not in merged]
-    if missing:
-        raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
     if "experiment" not in merged:
         raise ConfigError(f"missing experiment; choose one of {', '.join(EXPERIMENTS)}")
     experiment = merged["experiment"]
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     reads = EXPERIMENTS[experiment][1]
-    unread = sorted(set(merged) - {*_PARAM_KEYS, "experiment", *reads, *_OUTPUT_KEYS}) + extra
+    physics = [key for key in reads if key in _PHYSICS]
+    unread = sorted(set(merged) - {"experiment", *reads, *_OUTPUT_KEYS}) + extra
     if unread:
+        # a physics flag given after the subcommand comes back in `extra`: say where it goes
+        late = any(arg.lstrip("-").partition("=")[0] in physics for arg in extra)
+        where = "; physics flags go before the subcommand" if late else ""
         raise ConfigError(f"{experiment} does not read {' '.join(unread)}; "
-                          f"it reads {', '.join(reads + _OUTPUT_KEYS)}")
-    try:
-        params = ModelParams(E=float(merged["E"]), F=float(merged["F"]),
-                             lam=float(merged["lambda"]), tau=float(merged["tau"]),
-                             beta=float(merged["beta"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+                          f"it reads {', '.join(reads + _OUTPUT_KEYS)}{where}")
+    missing = [key for key in physics if key not in merged]
+    if missing:
+        raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
+    # a flag is a float already; a config file's JSON true is an int to Python, but no real
+    for key in physics:
+        if isinstance(merged[key], bool):
+            raise ConfigError(f"{key} must be a real number, got {key} = {merged[key]}")
+    params = ModelParams(**{_PHYSICS[key][0]: _require_real(merged[key], key)
+                            for key in physics}) if physics else CHECK_PARAMS
 
     cfg = RunConfig(params=params, experiment=experiment,
                     fmt=merged.get("format", "csv"), out=merged.get("out"),
@@ -173,13 +178,13 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _metadata(cfg: RunConfig) -> dict:
-    # the run keys the experiment reads, and no others: what reproduces the run
+    # the physics the run read (verify-all's: the set it checks) and the integer run keys
+    # the experiment reads, and no others: what reproduces the run
     return {
         "version": __version__,
-        "params": {"E": cfg.params.E, "F": cfg.params.F, "lambda": cfg.params.lam,
-                   "tau": cfg.params.tau, "beta": cfg.params.beta},
+        "params": {key: getattr(cfg.params, name) for key, (name, _) in _PHYSICS.items()},
         "experiment": cfg.experiment,
-        **{key: getattr(cfg, key) for key in EXPERIMENTS[cfg.experiment][1]},
+        **{key: getattr(cfg, key) for key in EXPERIMENTS[cfg.experiment][1] if key in _COUNTS},
         "tolerances": asdict(TOL),
     }
 
@@ -291,25 +296,22 @@ def _exp_fcs_position(cfg: RunConfig) -> ResultTable:
 
 
 def _exp_verify_all(cfg: RunConfig) -> ResultTable:
-    rows = []
-    for result in run_all():
-        rows.append([result.name, "pass" if result.passed else "FAIL",
-                     result.measured, result.tolerance,
-                     result.detail.replace(",", ";")])
+    rows = [[result.name, "pass" if result.passed else "FAIL", result.measured,
+             result.tolerance, result.detail.replace(",", ";")] for result in run_all()]
     return ResultTable(["check", "status", "measured", "tolerance", "detail"], rows)
 
 
-# each experiment: its runner and the run keys it reads.  This one table drives
-# the subcommands and their flags, the config-file key check, the fill-in of
-# RunConfig and the dispatch; a key an experiment does not read is refused.
+# each experiment: its runner and the run keys it reads, physics and integer.  This one
+# table drives the subcommands and their flags, the config-file key check, the fill-in
+# of RunConfig and the dispatch; a key an experiment does not read is refused.
 EXPERIMENTS = {
-    "spectrum": (_exp_spectrum, ("window",)),
-    "single-atom": (_exp_single_atom, ("n",)),
-    "channel-evolve": (_exp_channel_evolve, ("n",)),
-    "walk": (_exp_walk, ("n", "trials", "seed")),
-    "rate": (_exp_rate, ("n",)),
-    "fcs-energy": (_exp_fcs_energy, ("n", "m")),
-    "fcs-position": (_exp_fcs_position, ("n",)),
+    "spectrum": (_exp_spectrum, (*_PHYSICS, "window")),
+    "single-atom": (_exp_single_atom, (*_PHYSICS, "n")),
+    "channel-evolve": (_exp_channel_evolve, (*_PHYSICS, "n")),
+    "walk": (_exp_walk, (*_PHYSICS, "n", "trials", "seed")),
+    "rate": (_exp_rate, (*_PHYSICS, "n")),
+    "fcs-energy": (_exp_fcs_energy, (*_PHYSICS, "n", "m")),
+    "fcs-position": (_exp_fcs_position, (*_PHYSICS, "n")),
     "verify-all": (_exp_verify_all, ()),
 }
 
@@ -359,10 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     except StarkwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.experiment == "verify-all":
-        failed = [row for row in table.rows if row[1] != "pass"]
-        return 1 if failed else 0
-    return 0
+    # verify-all exits 1 when a check fails
+    return int(cfg.experiment == "verify-all" and any(row[1] != "pass" for row in table.rows))
 
 
 if __name__ == "__main__":

@@ -284,9 +284,16 @@ def _free_phases(t: float, F: float, m: int) -> np.ndarray:
 
 
 def position_distribution(dm: ParticleDensityMatrix, F: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position pmf over the window: pmf(x) = sum_{kk'} psi_k(x) rho_{kk'} psi_k'(x)."""
-    psi = transform_matrix(dm.window, F)
-    pmf = np.sum((psi @ dm.coeffs) * psi, axis=1).real
+    """Position pmf over the window: pmf(x) = sum_{kk'} psi_k(x) rho_{kk'} psi_k'(x).
+
+    The sums run over the state's occupied k-range alone (`_crop`), O(n_x m^2)
+    for m occupied sites, plus the O(n_x n_k) gather of the transform: the
+    terms left out are exact zeros.  For an eigenstate each entry is the
+    whole-window sum bit for bit; otherwise the summation order differs (tests).
+    """
+    sub, ks = _crop(dm.coeffs)
+    psi = transform_matrix(dm.window, F)[:, ks]
+    pmf = np.sum((psi @ sub) * psi, axis=1).real
     leak = abs(float(np.sum(pmf)) - dm.trace())
     # written so that a NaN leak (a non-finite state) fails it too
     if not leak <= TOL.leakage:

@@ -61,6 +61,7 @@ from starkwalk.state import (
     position_distribution,
     position_operator,
     require_interior,
+    transform_matrix,
 )
 from starkwalk.verify import CHECK_PARAMS, CheckResult, _normal_cdf, _trace_norm
 from starkwalk.walk import _rate, log_step_kernel, walk_log_pmf
@@ -376,6 +377,13 @@ def stacked_support_square(diffs: np.ndarray) -> slice:
     nz = np.any(diffs != 0.0, axis=tuple(range(diffs.ndim - 2)))    # over the stack
     idx = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def dense_position_distribution(dm: ParticleDensityMatrix, F: float) -> np.ndarray:
+    """`position_distribution`'s pmf with the sums over the whole window's k-range, every
+    zero term included: the reference of its crop, O(n_x n_k^2)."""
+    psi = transform_matrix(dm.window, F)
+    return np.sum((psi @ dm.coeffs) * psi, axis=1).real
 
 
 def per_state_random_states(rng, window: LatticeWindow, half: int, count: int,

@@ -34,7 +34,7 @@ from starkwalk.cli import (
     run_experiment,
     write_output,
 )
-from starkwalk.verify import CheckResult
+from starkwalk.verify import CHECK_PARAMS, CheckResult
 from starkwalk.walk import MAX_LAW_SITES, MAX_TRIALS
 
 from conftest import TEST_TOL, convolved_position_moments
@@ -258,14 +258,57 @@ def test_main_exit_codes(monkeypatch, tmp_path):
                 CheckResult("bad", False, 2.0, 1.0)]
 
     monkeypatch.setattr(cli, "run_all", fake_run_all)
-    rc = cli.main("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 verify-all "
-                  f"--out {tmp_path / 'v.csv'}".split())
+    rc = cli.main(f"verify-all --out {tmp_path / 'v.csv'}".split())
     assert rc == 1
 
     monkeypatch.setattr(cli, "run_all", lambda: [CheckResult("ok", True, 0.0, 1.0)])
-    rc = cli.main("--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1 verify-all "
-                  f"--out {tmp_path / 'v2.csv'}".split())
+    rc = cli.main(f"verify-all --out {tmp_path / 'v2.csv'}".split())
     assert rc == 0
+
+
+def test_verify_all_records_the_parameters_it_checks(monkeypatch):
+    # verify-all reads no physics key: its run and its metadata hold the set it checks
+    monkeypatch.setattr(cli, "run_all", lambda: [CheckResult("ok", True, 0.0, 1.0)])
+    cfg = parse_config(["verify-all"])
+    p = CHECK_PARAMS
+    assert cfg.params == p
+    assert run_experiment(cfg).metadata["params"] == {
+        "E": p.E, "F": p.F, "lambda": p.lam, "tau": p.tau, "beta": p.beta}
+
+
+def test_verify_all_refuses_physics_keys(tmp_path, capsys):
+    # as flags or in a config file, with one error line that names them
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"experiment": "verify-all", "E": 7}))
+    for argv, keys in (("--E 7 --F 0.3 --lambda 1.1 --tau 2 --beta 3 verify-all --out -".split(),
+                        "E F beta lambda tau"),
+                       (["--config", str(path)], "E")):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: verify-all does not read {keys}; it reads format, out\n")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("E", True), ("F", "1"), ("lambda", "0.5"), ("tau", False), ("beta", "1e0"),
+    ("E", None), ("F", [1.0]),
+])
+def test_config_physics_values_are_typed_like_run_keys(key, value, tmp_path, capsys):
+    # a JSON bool or string is refused naming its key, as for "n": "2" and "n": true
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**PHYSICS, "experiment": "rate", "n": 2, key: value}))
+    assert cli.main(["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {key} must be a real number, got {key} = ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args,hint", [
+    ("walk --E 3", True), ("rate --lambda=3", True), ("rate --trials 3", False)])
+def test_physics_flag_after_the_subcommand_says_where_it_goes(args, hint, capsys):
+    assert cli.main(f"{FLAGS} {args}".split()) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.endswith("; physics flags go before the subcommand\n") == hint
 
 
 def test_spectrum_and_channel_evolve_experiments():
@@ -322,7 +365,8 @@ def test_channel_evolve_rows_match_the_convolution_identity(physics):
 
 
 FLAGS = "--E 2 --F 1 --lambda 0.5 --tau 1 --beta 1"
-_WALK_CONFIG = {"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1, "experiment": "walk"}
+PHYSICS = {"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1}
+_WALK_CONFIG = {**PHYSICS, "experiment": "walk"}
 # config-file cases: the text of the file, or None for a path where no file is
 BAD_CONFIGS = {
     "config-n-string": json.dumps({**_WALK_CONFIG, "n": "10"}),
@@ -405,8 +449,9 @@ GRID_BUDGETS = [
 
 
 def _sized_key(experiment: str) -> str:
-    """The run key that sizes the experiment's table: n, or spectrum's window."""
-    return cli.EXPERIMENTS[experiment][1][0]
+    """The run key that sizes the experiment's table: n, or spectrum's window, its first
+    integer run key."""
+    return next(key for key in cli.EXPERIMENTS[experiment][1] if key not in PHYSICS)
 
 
 def _largest_accepted(size) -> int:
@@ -658,49 +703,67 @@ def test_every_experiment_gives_valid_rows_or_one_error_line(case, monkeypatch):
         assert abs(col["prob"].sum() - 1.0) <= TOL.trace
 
 
-# the run keys each experiment reads, written out here so that the CLI's table is checked
+# the run keys each experiment reads, written out here so that the CLI's table is checked:
+# the five physics keys (global flags, before the subcommand) and the integer run keys
 READS = {
-    "spectrum": ("window",),
-    "single-atom": ("n",),
-    "channel-evolve": ("n",),
-    "walk": ("n", "trials", "seed"),
-    "rate": ("n",),
-    "fcs-energy": ("n", "m"),
-    "fcs-position": ("n",),
+    "spectrum": (*PHYSICS, "window"),
+    "single-atom": (*PHYSICS, "n"),
+    "channel-evolve": (*PHYSICS, "n"),
+    "walk": (*PHYSICS, "n", "trials", "seed"),
+    "rate": (*PHYSICS, "n"),
+    "fcs-energy": (*PHYSICS, "n", "m"),
+    "fcs-position": (*PHYSICS, "n"),
     "verify-all": (),
 }
-RUN_KEYS = ("n", "trials", "seed", "window", "m")
+RUN_KEYS = (*PHYSICS, "n", "trials", "seed", "window", "m")
+# the ModelParams field of each physics key
+_FIELDS = {"E": "E", "F": "F", "lambda": "lam", "tau": "tau", "beta": "beta"}
 
 
 @pytest.mark.parametrize("experiment", sorted(READS))
 def test_each_experiment_takes_only_the_run_keys_it_reads(experiment, tmp_path, capsys):
     # a key the experiment does not read is refused, as a flag and in a config file,
-    # with one error line; each key it reads is taken, and --help lists only those
-    physics = {"E": 2, "F": 1, "lambda": 0.5, "tau": 1, "beta": 1, "experiment": experiment}
+    # with one error line; each key it reads is taken, a physics key it reads is
+    # required, and --help lists only its integer run keys
+    base = {key: PHYSICS[key] for key in READS[experiment] if key in PHYSICS}
+    flags = [arg for key, value in base.items() for arg in (f"--{key}", str(value))]
     path = tmp_path / "run.json"
+
+    def refused(argv, key):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+        assert key in lines[0]
+
     for key in RUN_KEYS:
-        path.write_text(json.dumps({**physics, key: 3}))
-        for argv in (f"{FLAGS} {experiment} --{key} 3 --out -".split(),
+        path.write_text(json.dumps({**base, "experiment": experiment, key: 3}))
+        flag = [f"--{key}", "3"]
+        for argv in ([*flags, *flag, experiment, "--out", "-"] if key in PHYSICS
+                     else [*flags, experiment, *flag, "--out", "-"],
                      ["--config", str(path)]):
-            if key in READS[experiment]:
+            if key not in READS[experiment]:
+                refused(argv, key)
+            elif key in PHYSICS:
+                assert getattr(parse_config(argv).params, _FIELDS[key]) == 3.0
+            else:
                 assert getattr(parse_config(argv), key) == 3
-                continue
-            assert cli.main(argv) == 2
-            out, err = capsys.readouterr()
-            lines = err.splitlines()
-            assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
-            assert key in lines[0]
+    for key in base:
+        kept = {k: v for k, v in base.items() if k != key}
+        path.write_text(json.dumps({**kept, "experiment": experiment}))
+        refused(["--config", str(path)], key)
     with pytest.raises(SystemExit) as done:
-        parse_config(f"{FLAGS} {experiment} --help".split())
+        parse_config([*flags, experiment, "--help"])
     assert done.value.code == 0
     listed = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M)
-    assert listed == [f"--{key}" for key in READS[experiment]] + ["--format", "--out"]
+    counts = [f"--{key}" for key in READS[experiment] if key not in PHYSICS]
+    assert listed == counts + ["--format", "--out"]
 
 
 def test_readme_lists_the_run_keys_of_each_experiment():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M))
-    assert {e: tuple(re.findall(r"`--([a-z]+)`", rows.get(e, ""))) for e in READS} == READS
+    assert {e: tuple(re.findall(r"`--([A-Za-z]+)`", rows.get(e, ""))) for e in READS} == READS
     assert {name: keys for name, (_, keys) in cli.EXPERIMENTS.items()} == READS
 
 

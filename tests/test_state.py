@@ -55,6 +55,7 @@ from conftest import (
     bessel_series,
     check_density,
     crop_joint,
+    dense_position_distribution,
     from_diagonal,
     hermiticity_defect,
     random_density,
@@ -158,6 +159,42 @@ def test_position_mean_of_central_eigenstate(window):
     oracle = sum(x * bessel_series(-x, 2.0) ** 2 for x in range(-30, 31))
     assert abs(oracle) < 1e-15
     assert abs(position_mean(dm, 1.0) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("F", [1.0, 0.4, 3.0])
+def test_position_distribution_is_the_whole_window_sum(F):
+    # the sums run on the occupied k-range alone: on every eigenstate (at the window's
+    # edges too) and on the zero state each entry is the whole-window sum bit for bit;
+    # on random states the summation order differs, and each entry is within 8 ulps of
+    # the largest (2 measured)
+    rng = np.random.default_rng(11)
+    for half in (0, 3, 15, 30):
+        window = LatticeWindow.for_dynamics(-half, half, steps=10, F=F)
+        for k in (window.k_min, -half, 0, half, window.k_max):
+            dm = ParticleDensityMatrix.eigenstate(window, k)
+            assert same_bits(position_distribution(dm, F)[1], dense_position_distribution(dm, F))
+        zero = ParticleDensityMatrix(window, np.zeros((window.n_k, window.n_k)))
+        assert same_bits(position_distribution(zero, F)[1], dense_position_distribution(zero, F))
+        for _ in range(5):
+            dm = random_density(rng, window, half)
+            got, want = position_distribution(dm, F)[1], dense_position_distribution(dm, F)
+            assert np.max(np.abs(got - want)) <= 8 * np.spacing(np.max(want))
+
+
+def test_position_distribution_reads_the_occupied_range(monkeypatch):
+    # a state on 7 of 137 sites: the sums run over those sites widened by one, 9 x 9
+    shapes = []
+
+    def spy(A, atoms=1):
+        sub, ks = _crop(A, atoms)
+        shapes.append(sub.shape)
+        return sub, ks
+
+    monkeypatch.setattr("starkwalk.state._crop", spy)
+    window = LatticeWindow.for_dynamics(0, 0, steps=60, F=1.0)
+    dm = random_density(np.random.default_rng(3), window, 3)
+    assert window.n_k == 137 and position_distribution(dm, 1.0)[1].size == window.n_x
+    assert shapes == [(9, 9)]
 
 
 def test_position_leakage_error(params):
