@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import NumericsError
-from .params import ModelParams, _require_phase, _require_real
+from .params import ModelParams, _require_params, _require_phase, _require_real
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks
 from .state import (
     ParticleDensityMatrix,
@@ -33,6 +33,7 @@ from .state import (
 def kraus_weights(params: ModelParams) -> np.ndarray:
     """The jump weights (p_-, p_0, p_+), p_+- = p e^{-+beta E/2} / (2 cosh(beta E/2)), as one
     1-D array."""
+    _require_params(params)
     g = math.exp(-params.beta * params.E)
     return np.array([params.p * g / (1.0 + g), 1.0 - params.p, params.p / (1.0 + g)])
 
@@ -85,6 +86,7 @@ def log_theta(gamma: float, params: ModelParams) -> float:
     _require_real(gamma, "gamma")
     if math.isnan(gamma):
         raise NumericsError("log_theta of NaN")
+    _require_params(params)
     be = params.beta * params.E
     value = _log_theta(gamma, params.p, be)
     if math.isnan(value):
@@ -121,12 +123,17 @@ def _log_theta(gamma: float, p: float, be: float) -> float:
 
 
 def theta(alpha: float, params: ModelParams) -> float:
-    """Trace growth rate exp(log_theta(alpha beta E)); NumericsError past the double range."""
+    """Trace growth rate exp(log_theta(alpha beta E)); NumericsError past the double range,
+    an infinite alpha included, where log_theta is inf."""
     _require_real(alpha, "alpha")
+    _require_params(params)
     try:
-        return math.exp(log_theta(alpha * params.beta * params.E, params))
+        value = math.exp(log_theta(alpha * params.beta * params.E, params))
+        if value < math.inf:
+            return value
     except OverflowError:
-        raise NumericsError(f"theta({alpha!r}) overflows a double; use log_theta") from None
+        pass
+    raise NumericsError(f"theta({alpha!r}) overflows a double; use log_theta")
 
 
 def _shift(coeffs: np.ndarray, direction: int) -> np.ndarray:
@@ -158,6 +165,7 @@ def apply_channel(dm: ParticleDensityMatrix, alpha: float,
     them on the whole window.  Refuses with WindowError when support touches
     the boundary: mass is never silently truncated.
     """
+    _require_params(params)
     _require_phase(params.tau, params.F * (dm.window.n_k - 1))
     alpha = _require_real(alpha, "alpha")
     require_interior(np.diagonal(dm.coeffs))

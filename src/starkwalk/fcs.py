@@ -50,6 +50,8 @@ from .params import (
     ModelParams,
     _beta_E,
     _require_count,
+    _require_finite,
+    _require_params,
     _require_phase,
     _require_real,
     _require_reals,
@@ -78,6 +80,7 @@ class ReservoirConfig:
     n: int
 
     def __post_init__(self):
+        _require_params(self.params)
         _require_count(self.n, "n")
         if self.n > MAX_ATOMS:
             raise BudgetError(
@@ -225,6 +228,7 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     n = _require_count(n, "n")
     _require_real(n, "n")
     _require_real(alpha, "alpha")
+    _require_params(params)
     value = n * log_theta(alpha * params.beta * params.E, params)
     if not math.isfinite(value):
         raise NumericsError(f"the energy CGF n log theta({alpha!r}) at n = {n} "
@@ -233,8 +237,8 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
 
 
 def _kernel_argument(t: float, params: ModelParams) -> float:
-    """z = |(4/F) sin(F t / 2)|, the argument of the free Bloch kernel at time t."""
-    _require_real(t, "t")
+    """z = |(4/F) sin(F t / 2)|, the argument of the free Bloch kernel at time t, a finite
+    real number or a time n tau its caller computed."""
     _require_phase(t, params.F)
     return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
 
@@ -247,6 +251,8 @@ def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     from the generating function of the Bessel profile and is verified
     against the windowed transform in the test suite.
     """
+    _require_finite(t, "t")
+    _require_params(params)
     return bessel_squares(_kernel_argument(t, params), f"the free kernel at t = {t!r} needs "
                           "J_d(z) at z = (4/F)|sin(F t / 2)|")
 
@@ -275,8 +281,11 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     skipping the starting positions of weight at most 1e-12.
     """
     n = _require_count(n, "n")
+    _require_params(params)
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
+        # n tau past the double range is a NumericsError, not free_kernel's ConfigError
+        _require_phase(n * params.tau, params.F)
         d, kernel = free_kernel(n * params.tau, params)
         live = _span(walk.pmf != 0.0, kernel.size - 1)
         return LatticeLaw(n=n, first=int(walk.first + d[0]) + live.start,
@@ -365,6 +374,7 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     _require_real(n, "n")
     if math.isnan(_require_real(eta, "eta")):
         raise NumericsError("position CGF at eta = NaN")
+    _require_params(params)
     z = _kernel_argument(n * params.tau, params)
     try:
         x = 2.0 * z * math.sinh(0.5 * eta)
@@ -384,6 +394,7 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) ->
     """
     n = _require_count(n, "n")
     _require_real(n, "n")
+    _require_params(params)
     psi = transform_matrix(window, params.F)
     _require_phase(n * params.tau * params.F, window.k_values)
     arg = n * params.tau * params.F * window.k_values
@@ -446,6 +457,7 @@ def position_cgf_oracle(n: int, eta: np.ndarray, rho_p: ParticleDensityMatrix,
     """
     n = _require_count(n, "n")
     etas = _require_reals(eta, "eta")
+    _require_params(params)
     window = rho_p.window
     xs, q = position_distribution(rho_p, params.F)
 

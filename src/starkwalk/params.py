@@ -159,6 +159,39 @@ def _require_reals(value, name: str) -> np.ndarray:
     return values
 
 
+def _require_finite(value, name: str) -> float:
+    """float(value) for a finite real number; ConfigError for a non-real (`_require_real`)
+    or an infinite one, NumericsError for a NaN, which is no value to compute with.
+
+    The one rule for an argument that must be finite, such as a time; a value the
+    package computes past the double range is its caller's NumericsError.
+    """
+    x = _require_real(value, name)
+    if math.isnan(x):
+        raise NumericsError(f"{name} is NaN")
+    if math.isinf(x):
+        raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
+    return x
+
+
+def _require_finites(value, name: str) -> np.ndarray:
+    """`_require_finite` for a 1-D array of real numbers (`_require_reals`): NumericsError
+    where an entry is NaN, else ConfigError where one is infinite."""
+    values = _require_reals(value, name)
+    if np.isnan(values).any():
+        raise NumericsError(f"{name} holds a NaN, got {name} = {_echo(value)}")
+    if np.isinf(values).any():
+        raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
+    return values
+
+
+def _require_params(params) -> None:
+    """ConfigError unless params is a `ModelParams`: each public entry that takes params
+    calls it before it first reads them, or first hands them to an entry that does."""
+    if not isinstance(params, ModelParams):
+        raise ConfigError(f"params must be a ModelParams, got params = {_echo(params)}")
+
+
 def _require_integer(value, name: str, low: int | None = None) -> int:
     """int(value); ConfigError unless value is an integer, and >= low where low is
     given (a bool or float is not an integer)."""
@@ -199,19 +232,18 @@ def _require_tilt(F: float) -> float:
 
 
 def _require_phase(t, *energies) -> None:
-    """Refuse with NumericsError a time t at which a phase t * energy is NaN (a NaN t),
-    overflows, or reaches 2^52, where a double keeps no fractional bit of it.
+    """Refuse with NumericsError a finite time t at which a phase t * energy overflows,
+    or reaches 2^52, where a double keeps no fractional bit of it.
 
     t is a real number or a 1-D float array that its caller has already
-    checked.  Rounding is monotone, so max |t| times max |energy| bounds every
-    such phase; it is taken in Python floats, which overflow to inf without a
+    checked (`_require_finite`, `_require_finites`), or a time it computed.
+    Rounding is monotone, so max |t| times max |energy| bounds every such
+    phase; it is taken in Python floats, which overflow to inf without a
     warning.
     """
     span = abs(t) if isinstance(t, float) else float(np.max(np.abs(t), initial=0.0))
     top = max(float(np.abs(e).max()) for e in energies)
     phase = span * top
-    if math.isnan(phase):
-        raise NumericsError(f"phase t * energy is NaN at |t| = {span:.6g}")
     if not math.isfinite(phase):
         raise NumericsError(f"phase t * energy overflows a double at |t| = {span:.6g}")
     if phase >= 2.0 ** 52:

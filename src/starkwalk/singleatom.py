@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
-from .params import ModelParams, _echo, _require_phase, _require_real, _require_reals
+from .errors import NumericsError
+from .params import (
+    ModelParams,
+    _require_finite,
+    _require_finites,
+    _require_params,
+    _require_phase,
+    _require_real,
+)
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
@@ -37,6 +44,7 @@ class AtomGibbs:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "AtomGibbs":
+        _require_params(params)
         g = math.exp(-params.beta * params.E)
         return cls(w_ground=1.0 / (1.0 + g), w_excited=g / (1.0 + g))
 
@@ -101,6 +109,7 @@ def hamiltonian_blocks(params: ModelParams,
     the two states the truncation leaves unpaired, (ground, k_max) and
     (excited, k_min).
     """
+    _require_params(params)
     Ek = _ladder(params, window)
     blocks = np.empty((window.n_k - 1, 2, 2))
     blocks[:, 0, 0] = Ek[:-1]
@@ -129,14 +138,6 @@ def half_angle(params: ModelParams) -> tuple[float, float]:
         # cos2theta == -1: lam == 0 with E < F; any unit sin works since sin2theta == 0
         sin_t = 1.0
     return cos_t, sin_t
-
-
-def _times(t) -> np.ndarray:
-    """t as a 1-D float array of times; a time that is not finite is refused."""
-    ts = _require_reals(t, "t")
-    if not np.all(np.isfinite(ts)):
-        raise ConfigError(f"evolution time must be finite, got {_echo(t)}")
-    return ts
 
 
 def _sectors(window: LatticeWindow, ks: slice | None) -> slice:
@@ -198,9 +199,11 @@ def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
 
     A block mu + [[delta, lam], [lam, -delta]] exponentiates to
     e^{-it mu} (cos(rt) - i sin(rt) [[delta, lam], [lam, -delta]] / r), r = hypot(delta, lam).
-    t is one real time: the result is one matrix.
+    t is one finite real time: the result is one matrix.
     """
-    return _scatter(*_oracle_blocks(_require_real(t, "t"), params, window))
+    t = _require_finite(t, "t")
+    _require_params(params)
+    return _scatter(*_oracle_blocks(t, params, window))
 
 
 def _apply_rows(blocks: np.ndarray, edges: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -249,9 +252,8 @@ def _propagate(builder, state: JointDensityMatrix, t: float,
                params: ModelParams) -> JointDensityMatrix:
     """Evolve state by the blocks `builder` forms for one real, finite time t, on the
     occupied k-range of the state."""
-    t = _require_real(t, "t")
-    if not math.isfinite(t):
-        raise ConfigError(f"evolution time must be finite, got {t!r}")
+    t = _require_finite(t, "t")
+    _require_params(params)
     require_interior(np.diagonal(state.coeffs).reshape(2, -1), band=2)
     return JointDensityMatrix(state.window,
                               _conjugate(builder, t, params, state.window, state.coeffs))
@@ -271,6 +273,7 @@ def propagate_oracle(state: JointDensityMatrix, t: float,
 
 def position_motion_bound(params: ModelParams) -> float:
     """Uniform bound on |<X(t)> - <X(0)>| for the single-atom evolution."""
+    _require_params(params)
     s2 = abs(params.sin2theta)
     return _bloch_reach(params.F) + s2**2 + s2 * abs(params.cos2theta) + s2
 
@@ -289,7 +292,8 @@ def position_expectation(t: np.ndarray, initial: JointDensityMatrix,
     starting point for all t.  t is a 1-D array of times, and one <X(t)> is
     returned per time: the state is read once, and each time costs O(1).
     """
-    times = _times(t)
+    times = _require_finites(t, "t")
+    _require_params(params)
     _require_phase(times, params.omega0)
     n = initial.window.n_k
     c = initial.coeffs
@@ -326,7 +330,8 @@ def position_oracle(t: np.ndarray, initial: JointDensityMatrix,
     Heisenberg algebra.  t is a 1-D array of times, evolved in batches, and
     one <X(t)> is returned per time.
     """
-    times = _times(t)
+    times = _require_finites(t, "t")
+    _require_params(params)
     require_interior(np.diagonal(initial.coeffs).reshape(2, -1), band=2)
     window = initial.window
     sub, ks = _crop(initial.coeffs, atoms=2)

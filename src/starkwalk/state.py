@@ -21,10 +21,11 @@ from .errors import ConfigError, NumericsError, WindowError
 from .params import (
     ModelParams,
     _echo,
+    _require_finite,
+    _require_finites,
     _require_integer,
+    _require_params,
     _require_phase,
-    _require_real,
-    _require_reals,
     _require_tilt,
 )
 
@@ -138,7 +139,7 @@ def bloch_coefficients(t: np.ndarray, F: float) -> BlochCoefficients:
     one complex entry per time of the 1-D array t."""
     F = _require_tilt(F)
     reach = _bloch_reach(F)
-    t = _require_reals(t, "t")
+    t = _require_finites(t, "t")
     _require_phase(t, F)
     amp = reach * np.sin(0.5 * F * t)
     phase = 0.5 * F * t
@@ -265,7 +266,8 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     states are exact fixed points (the phase is built from the integer
     index difference, so the diagonal factor is exactly one).
     """
-    _require_real(t, "t")
+    _require_finite(t, "t")
+    _require_params(params)
     n = dm.window.n_k
     _require_phase(t, params.F * (n - 1))
     return ParticleDensityMatrix(dm.window, _free_phases(t, params.F, n) * dm.coeffs)

@@ -31,7 +31,9 @@ from .params import (
     ModelParams,
     _echo,
     _require_count,
+    _require_finite,
     _require_integer,
+    _require_params,
     _require_real,
     _require_reals,
 )
@@ -52,6 +54,7 @@ def transport_coefficients(params: ModelParams) -> TransportCoefficients:
     The mobility beta sin^2(lam tau) / (2 tau) is meaningful only on the
     E == F line (where p = sin^2(lam tau)) and is None otherwise.
     """
+    _require_params(params)
     th = math.tanh(0.5 * params.beta * params.E)
     v_d = params.p * th / params.tau
     D = 0.5 * params.p * (1.0 - params.p * th**2) / params.tau
@@ -140,15 +143,12 @@ class LatticeLaw:
 
     def ft_log_ratio(self, v: float, delta: float, tau: float) -> float:
         """(1/n) log Q[dx/(n tau) in [-v-delta, -v+delta]] / Q[... in [v-delta, v+delta]];
-        ConfigError unless v, delta are finite and tau finite and > 0, NumericsError for a
-        NaN one or an n tau past a double (a bound n tau (v +- delta) may overflow to inf)."""
+        v, delta and tau are finite (`_require_finite`) and tau > 0, else ConfigError;
+        NumericsError for an n tau past a double (a bound n tau (v +- delta) may overflow
+        to inf)."""
         for value, name in ((v, "v"), (delta, "delta"), (tau, "tau")):
-            if math.isnan(_require_real(value, name)):
-                raise NumericsError(f"FT log ratio with {name} = NaN")
-        for value, name in ((v, "v"), (delta, "delta")):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
-        if not 0.0 < tau < math.inf:
+            _require_finite(value, name)
+        if not tau > 0.0:
             raise ConfigError(f"tau must be finite and > 0, got tau = {_echo(tau)}")
         scale = self.n * tau
         if not math.isfinite(scale):
@@ -456,6 +456,7 @@ def walk_pmf_exact(n: int, params: ModelParams) -> LatticeLaw:
     BudgetError past `MAX_LAW_SITES` sites.
     """
     n = _require_law_sites(_require_count(n, "n"))
+    _require_params(params)
     if n == 1:
         return LatticeLaw(n=n, first=-n, pmf=kraus_weights(params))
     log_k = log_step_kernel(params)
@@ -512,6 +513,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     convolution table of acceptance check 7.
     """
     n = _require_law_sites(_require_count(n, "n"))
+    _require_params(params)
     logk = log_step_kernel(params)
     if n == 1:
         return logk
@@ -626,6 +628,7 @@ def rate_function(x: np.ndarray, params: ModelParams) -> np.ndarray:
     xs = _require_reals(x, "x")
     if np.isnan(xs).any():
         raise NumericsError("rate function of NaN")
+    _require_params(params)
     log_k, be = log_step_kernel(params).tolist(), params.beta * params.E
     return np.array([_rate(x, log_k, be) for x in xs.tolist()])
 
@@ -683,6 +686,7 @@ def rate_function_numeric(x: np.ndarray, params: ModelParams) -> np.ndarray:
     targets = _require_reals(x, "x")
     if not np.all((-1.0 < targets) & (targets < 1.0)):
         raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
+    _require_params(params)
     _, l_zero, l_plus = log_step_kernel(params).tolist()
     be = params.beta * params.E
 

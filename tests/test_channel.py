@@ -95,6 +95,14 @@ def test_theta_overflow_is_numerics_error():
         theta(400.0, CHECK_PARAMS)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf])
+def test_theta_of_an_infinite_alpha_is_numerics_error(alpha):
+    # log theta is inf there, its limit, and theta is past the double range as at 400
+    assert log_theta(alpha * CHECK_PARAMS.beta * CHECK_PARAMS.E, CHECK_PARAMS) == math.inf
+    with pytest.raises(NumericsError, match="overflows a double; use log_theta"):
+        theta(alpha, CHECK_PARAMS)
+
+
 def test_log_theta_symmetry_far_out(params):
     be = params.beta * params.E
     for gamma in (-800.0, 800.0):

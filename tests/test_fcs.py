@@ -386,6 +386,20 @@ def test_free_dressing_phase_overflow_is_refused():
         free_dressing_weights(3, params, window)
 
 
+@pytest.mark.parametrize("route", [
+    lambda p, rho: run_position_fcs(2, rho, p),
+    lambda p, rho: position_cgf(2, 0.1, p),
+    lambda p, rho: free_dressing_weights(2, p, rho.window),
+], ids=["run_position_fcs", "position_cgf", "free_dressing_weights"])
+def test_a_computed_time_past_a_double_is_numerics_error(route):
+    # n tau = 2e308 is a time the package computed, not an argument: a NumericsError, where
+    # free_kernel refuses an infinite argument t with ConfigError
+    params = ModelParams(E=1.0, F=1.0, lam=1e-300, tau=1e308, beta=1.0)
+    rho = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
+    with pytest.raises(NumericsError, match=re.escape("overflows a double at |t| = inf")):
+        route(params, rho)
+
+
 @pytest.mark.parametrize("n", [0, 5])
 def test_ft_log_ratio_without_mass_is_numerics_error(params, n):
     # at n = 5 the windows [4.45, 4.55] and [-4.55, -4.45] hold no lattice site;
@@ -400,8 +414,8 @@ def test_ft_log_ratio_without_mass_is_numerics_error(params, n):
     # n tau = 3e308 overflows, and times v - delta = 0 it was a NaN bound
     ((1e308, 1e308, 1e308), r"n tau overflows a double at n = 3, tau = 1e\+308"),
     ((0.1, 0.02, 1e308), r"n tau overflows a double at n = 3"),
-    ((math.nan, 0.1, 1.0), "FT log ratio with v = NaN"),
-    ((0.1, math.nan, 1.0), "FT log ratio with delta = NaN"),
+    ((math.nan, 0.1, 1.0), "v is NaN"),
+    ((0.1, math.nan, 1.0), "delta is NaN"),
 ], ids=["overflow-at-zero-width-gap", "overflow", "nan-v", "nan-delta"])
 def test_ft_log_ratio_names_the_cause_of_a_nan_bound(params, args, message):
     dist = run_position_fcs(3, ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0),

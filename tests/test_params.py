@@ -1,9 +1,21 @@
+import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from starkwalk import ConfigError, LatticeWindow, ModelParams, NumericsError, ParticleDensityMatrix
+import starkwalk
+from starkwalk import (
+    AtomGibbs,
+    ConfigError,
+    JointDensityMatrix,
+    LatticeWindow,
+    ModelParams,
+    NumericsError,
+    ParticleDensityMatrix,
+    StarkwalkError,
+)
 from starkwalk.fcs import free_kernel
 from starkwalk.params import _echo, _int_digits
 from starkwalk.state import bloch_coefficients, free_evolve
@@ -76,15 +88,15 @@ def test_overflowing_rabi_phase_is_numerics_error(E, lam, tau):
 
 
 def test_a_nan_time_is_a_nan_phase():
-    # a NaN time makes every phase t * energy NaN: that is what the refusal says, not
-    # an overflow, through each route that reaches the phase check with it
+    # a NaN time is refused as NaN by name before any phase t * energy is formed, not
+    # called an overflow
     params = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     dm = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 7, -8, 7), 0)
     for refuse in (lambda: bloch_coefficients([math.nan], params.F),
                    lambda: bloch_coefficients(np.array([0.5, math.nan]), params.F),
                    lambda: free_evolve(dm, math.nan, params),
                    lambda: free_kernel(math.nan, params)):
-        with pytest.raises(NumericsError, match=r"phase t \* energy is NaN") as info:
+        with pytest.raises(NumericsError, match=r"^t (is|holds a) NaN") as info:
             refuse()
         assert "overflows" not in str(info.value)
 
@@ -114,3 +126,103 @@ def test_refusals_echo_a_bounded_description():
     assert _echo([10**5000]) == "a list of length 1"
     assert _echo(np.zeros(1000)) == "an array of shape (1000,)"
     assert _echo("a" * 500) == "a str of length 500"
+
+
+# the table of the one rule for an argument that must be finite, and of the one params
+# rule: every public entry of the package (each function, class and classmethod that
+# `starkwalk` exports) whose signature has the argument joins its table by itself
+_WINDOW = LatticeWindow(-12, 12, -12, 12)
+_P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
+_DM = ParticleDensityMatrix.eigenstate(_WINDOW, 0)
+_JOINT = JointDensityMatrix.product(_DM, AtomGibbs.from_params(_P).density())
+# a valid value for each argument, by name, then by annotation
+_VALID = {"params": _P, "window": _WINDOW, "dm": _DM, "rho_p": _DM, "state": _JOINT,
+          "initial": _JOINT}
+_BY_ANNOTATION = {"float": 0.5, "int": 3, "np.ndarray": [0.5]}
+
+
+def public_entries() -> dict:
+    """name -> callable for each public function, class and classmethod `starkwalk` exports."""
+    entries = {}
+    for name, obj in vars(starkwalk).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        if inspect.isclass(obj):
+            if issubclass(obj, BaseException):
+                continue
+            entries.update({f"{name}.{attr}": getattr(obj, attr) for attr in vars(obj)
+                            if not attr.startswith("_") and inspect.ismethod(getattr(obj, attr))})
+        entries[name] = obj
+    return entries
+
+
+def entries_taking(argument: str) -> dict:
+    """name -> (callable, signature) for each public entry with a parameter `argument`."""
+    taking = {}
+    for name, entry in public_entries().items():
+        try:
+            signature = inspect.signature(entry)
+        except (TypeError, ValueError):
+            continue
+        if argument in signature.parameters:
+            taking[name] = (entry, signature)
+    return taking
+
+
+def call_with(entry, signature, argument: str, value):
+    """entry called with `value` for `argument` and a valid value for each other required
+    parameter."""
+    args = {}
+    for parameter in signature.parameters.values():
+        if parameter.name == argument:
+            args[parameter.name] = value
+        elif parameter.default is inspect.Parameter.empty:
+            args[parameter.name] = _VALID.get(parameter.name,
+                                              _BY_ANNOTATION.get(parameter.annotation))
+    return entry(**args)
+
+
+_LAW = starkwalk.run_position_fcs(3, _DM, _P)
+_TIME_ENTRIES = entries_taking("t")
+_PARAMS_ENTRIES = entries_taking("params")
+_FINITE_ROWS = {
+    **{f"{name}-t": (functools.partial(call_with, entry, signature, "t"), "t",
+                     signature.parameters["t"].annotation == "np.ndarray")
+       for name, (entry, signature) in _TIME_ENTRIES.items()},
+    "ft_log_ratio-v": (lambda v: _LAW.ft_log_ratio(v, 0.1, 1.0), "v", False),
+    "ft_log_ratio-delta": (lambda v: _LAW.ft_log_ratio(0.1, v, 1.0), "delta", False),
+    "ft_log_ratio-tau": (lambda v: _LAW.ft_log_ratio(0.1, 0.1, v), "tau", False),
+}
+
+
+def test_the_tables_find_the_known_entries():
+    # the tables read signatures, so a route renamed away from `t` or `params` would
+    # leave them silently
+    assert {"oracle_unitary", "free_evolve", "free_kernel", "propagate_closed",
+            "propagate_oracle", "position_expectation", "position_oracle",
+            "bloch_coefficients"} <= set(_TIME_ENTRIES)
+    assert {"ReservoirConfig", "AtomGibbs.from_params", "walk_pmf_exact",
+            "kraus_weights", "theta"} <= set(_PARAMS_ENTRIES)
+
+
+@pytest.mark.parametrize("bad,refusal", [(math.nan, NumericsError), (math.inf, ConfigError),
+                                         (-math.inf, ConfigError)], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", _FINITE_ROWS.values(), ids=_FINITE_ROWS)
+def test_an_argument_that_must_be_finite_follows_one_rule(row, bad, refusal):
+    # NaN is a NumericsError and +-inf a ConfigError, each naming the argument: a time
+    # batch carries its bad value as one entry of a 1-D array
+    route, name, batched = row
+    with pytest.raises(StarkwalkError) as refused:
+        route(np.array([0.0, 0.5, bad]) if batched else bad)
+    assert type(refused.value) is refusal
+    assert str(refused.value).startswith(f"{name} ")
+
+
+@pytest.mark.parametrize("bad", ["a", None], ids=["string", "none"])
+@pytest.mark.parametrize("name", _PARAMS_ENTRIES)
+def test_a_wrong_type_params_is_config_error(name, bad):
+    # refused by name before any attribute is read, not a bare AttributeError
+    entry, signature = _PARAMS_ENTRIES[name]
+    with pytest.raises(ConfigError,
+                       match=f"^params must be a ModelParams, got params = {bad!r}$"):
+        call_with(entry, signature, "params", bad)

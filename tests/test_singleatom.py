@@ -389,15 +389,17 @@ def test_position_oracle_on_sector_blocks_is_the_whole_window_route(params):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_is_refused(params, window, bad):
+    # a NaN time is a NumericsError, an infinite one a ConfigError, as for every time
     rng = np.random.default_rng(24)
     state = random_joint(rng, window, 3)
+    refusal, match = (NumericsError, "NaN") if math.isnan(bad) else (ConfigError, "finite")
     for route in (propagate_closed, propagate_oracle):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(refusal, match=match):
             route(state, bad, params)
     for route in (position_expectation, position_oracle):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(refusal, match=match):
             route([bad], state, params)
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(refusal, match=match):
             route(np.array([0.0, 1.0, bad]), state, params)
 
 

@@ -532,7 +532,7 @@ _HUGE_REALS = {
                  id="oracle-gap-array"),
     # a time of 0 or -0.0, and an infinite one where v < delta, made the FT ratio 0.0
     *[pytest.param(lambda v=v, tau=tau: run_position_fcs(3, _RHO, _P).ft_log_ratio(v, 0.1, tau),
-                   f"tau must be finite and > 0, got tau = {tau!r}",
+                   f"tau must be finite{'' if math.isinf(tau) else ' and > 0'}, got tau = {tau!r}",
                    id=f"ft-log-ratio-v-{v}-tau-{tau!r}")
       for v, tau in ((0.05, 0.0), (0.05, -0.0), (0.05, math.inf), (0.2, math.inf),
                      (0.05, -math.inf), (0.05, -1.0))],

@@ -20,10 +20,14 @@ from starkwalk import (
     ParticleDensityMatrix,
     WalkSample,
     apply_channel,
+    bloch_coefficients,
     deformed_weights,
     energy_cgf,
+    free_evolve,
+    free_kernel,
     kraus_weights,
     log_theta,
+    oracle_unitary,
     position_cgf,
     position_cgf_oracle,
     rate_function,
@@ -709,9 +713,14 @@ _INFINITIES = (math.inf, -math.inf)
     (lambda v: _POSITION_FCS.window_probability(-1.0, v), ()),
     (lambda v: _POSITION_FCS.ft_log_ratio(0.1, 0.02, v), ()),
     (lambda v: position_cgf(5, v, CHECK_PARAMS), ()),
+    (lambda v: oracle_unitary(v, CHECK_PARAMS, _NAN_WINDOW), ()),
+    (lambda v: free_evolve(_NAN_STATE, v, CHECK_PARAMS), ()),
+    (lambda v: bloch_coefficients([0.5, v], CHECK_PARAMS.F), ()),
+    (lambda v: free_kernel(v, CHECK_PARAMS), ()),
 ], ids=["log_theta", "theta", "scgf", "energy_cgf", "rate_function", "deformed_weights",
         "apply_channel", "position_cgf_oracle", "walk_mgf", "position_log_mgf",
-        "window_probability", "ft_log_ratio_tau", "position_cgf"])
+        "window_probability", "ft_log_ratio_tau", "position_cgf", "oracle_unitary",
+        "free_evolve", "bloch_coefficients", "free_kernel"])
 def test_nan_argument_is_numerics_error(fn, also):
     # and the routes through `deformed_weights` refuse an infinite exponent too, where one
     # weight is inf and the other 0, so a step would form inf * 0; a NaN is not called
