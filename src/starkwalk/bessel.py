@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import AccuracyError, BudgetError, ConfigError
-from .params import _require_count, _require_real, _require_tilt
+from .params import _require_count, _require_finite, _require_real, _require_tilt
 
 # kept low enough that squaring any entry during normalization cannot overflow
 _RESCALE = 1e130
@@ -68,12 +68,11 @@ def _profile_top(z: float) -> int:
 
 def _miller_start(z: float, what: str = "J_nu(z) at z") -> int:
     """The profile's top plus a margin past which the growing solution's admixture
-    has decayed below double precision; refuses a z that is not a finite real number
-    >= 0, and a start past `MAX_MILLER_ORDER` (before any Bessel value is computed)."""
-    _require_real(z, "z")
-    if not math.isfinite(z) or z < 0.0:
-        raise ConfigError(f"J_nu(z) needs finite z >= 0, got z = {z!r}; "
-                          "use J_nu(-z) = (-1)^nu J_nu(z)")
+    has decayed below double precision; refuses a z that is not finite (`_require_finite`)
+    and >= 0, and a start past `MAX_MILLER_ORDER` (before any Bessel value is computed)."""
+    z = _require_finite(z, "z")
+    if z < 0.0:
+        raise ConfigError(f"z must be >= 0, got z = {z!r}; use J_nu(-z) = (-1)^nu J_nu(z)")
     # the top is past z, so a z past the budget is refused without the search
     if z <= MAX_MILLER_ORDER:
         start = _profile_top(z) + 16 + int(14.0 * max(z, 1.0) ** (1.0 / 3.0))

@@ -43,8 +43,8 @@ def deformed_weights(gamma: float, params: ModelParams) -> np.ndarray:
 
     gamma = alpha beta E for the alpha-deformation; gamma = 0 gives the
     Kraus weights bit for bit.  The weights sum to exp(log_theta(gamma)).
-    NumericsError for NaN and for an infinite gamma, where one weight is inf
-    and the other 0 (so a step would form inf * 0).
+    NumericsError for an infinite gamma, where one weight is inf and the other 0
+    (so a step would form inf * 0).
     """
     _require_real(gamma, "gamma")
     if not math.isfinite(gamma):
@@ -80,12 +80,10 @@ def log_theta(gamma: float, params: ModelParams) -> float:
     defined at beta E = 0.  log r is evaluated without subtracting large
     terms, so nothing overflows at any finite gamma.  The one closed form behind
     `theta`, `walk.scgf` and `fcs.energy_cgf`: log_theta(0) = 0 and
-    log_theta(gamma) = log_theta(beta E - gamma).  NumericsError for NaN, and
-    where the value is undefined (gamma = beta E = inf, whose fold is inf - inf).
+    log_theta(gamma) = log_theta(beta E - gamma).  NumericsError where the value
+    is undefined (gamma = beta E = inf, whose fold is inf - inf).
     """
     _require_real(gamma, "gamma")
-    if math.isnan(gamma):
-        raise NumericsError("log_theta of NaN")
     _require_params(params)
     be = params.beta * params.E
     value = _log_theta(gamma, params.p, be)

@@ -159,10 +159,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     missing = [key for key in physics if key not in merged]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
-    # a flag is a float already; a config file's JSON true is an int to Python, but no real
-    for key in physics:
-        if isinstance(merged[key], bool):
-            raise ConfigError(f"{key} must be a real number, got {key} = {merged[key]}")
     params = ModelParams(**{_PHYSICS[key][0]: _require_real(merged[key], key)
                             for key in physics}) if physics else CHECK_PARAMS
 

@@ -49,6 +49,7 @@ from .errors import BudgetError, ConfigError, NumericsError, WindowError
 from .params import (
     ModelParams,
     _beta_E,
+    _echo,
     _require_count,
     _require_finite,
     _require_params,
@@ -60,6 +61,7 @@ from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
     LatticeWindow,
     ParticleDensityMatrix,
+    _bloch_reach,
     _span,
     position_distribution,
     transform_matrix,
@@ -99,6 +101,12 @@ class ReservoirConfig:
         return self.window.n_k << self.n
 
 
+def _require_config(cfg) -> None:
+    """ConfigError unless cfg is a `ReservoirConfig`, as `_require_params` for params."""
+    if not isinstance(cfg, ReservoirConfig):
+        raise ConfigError(f"cfg must be a ReservoirConfig, got cfg = {_echo(cfg)}")
+
+
 def _occupations(M: int) -> np.ndarray:
     """occ[bits, j] = 1 if atom j is excited in configuration `bits` (atom 0 leads)."""
     return (np.arange(1 << M)[:, None] >> np.arange(M - 1, -1, -1)) & 1
@@ -130,6 +138,7 @@ def _evolve(cfg: ReservoirConfig, window: LatticeWindow, X: np.ndarray) -> np.nd
 def repeated_interaction_propagator(cfg: ReservoirConfig, window: LatticeWindow) -> np.ndarray:
     """U(n tau, 0) = e^{-i tau H_n} ... e^{-i tau H_1} on the joint space of the n atoms
     and `window`; BudgetError past `MAX_WINDOW` sites."""
+    _require_config(cfg)
     if window.n_k > MAX_WINDOW:
         raise BudgetError(f"the dense propagator's budget is window <= {MAX_WINDOW} "
                           f"(got {window.n_k})")
@@ -205,6 +214,7 @@ def run_energy_fcs(cfg: ReservoirConfig) -> EnergyFcsResult:
     Only |U|^2 enters: each (final, initial) pair of basis states adds its
     weight to the cell of its two increments.
     """
+    _require_config(cfg)
     n, K, B, side = cfg.n, cfg.window.n_k, 1 << cfg.n, 2 * cfg.n + 1
     pops = _occupations(n).sum(axis=1)
     starts = np.zeros((B, K, B), dtype=complex)
@@ -238,9 +248,9 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
 
 def _kernel_argument(t: float, params: ModelParams) -> float:
     """z = |(4/F) sin(F t / 2)|, the argument of the free Bloch kernel at time t, a finite
-    real number or a time n tau its caller computed."""
+    real number or a time n tau its caller computed; NumericsError where 4/F overflows."""
     _require_phase(t, params.F)
-    return abs(4.0 / params.F * math.sin(0.5 * params.F * t))
+    return abs(_bloch_reach(params.F) * math.sin(0.5 * params.F * t))
 
 
 def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -372,8 +382,7 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     """
     n = _require_count(n, "n")
     _require_real(n, "n")
-    if math.isnan(_require_real(eta, "eta")):
-        raise NumericsError("position CGF at eta = NaN")
+    _require_real(eta, "eta")
     _require_params(params)
     z = _kernel_argument(n * params.tau, params)
     try:

@@ -35,15 +35,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("E", "F", "lam", "tau", "beta"):
-            value = getattr(self, name)
-            _require_real(value, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite real number, got {_echo(value)}")
-        if not self.F > 0.0:
-            raise ConfigError(
-                "F must be > 0: the untilted (F=0) band has continuous "
-                "spectrum and is outside the scope of this package"
-            )
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+        _require_tilt(self.F)
         if not self.tau > 0.0:
             raise ConfigError("tau must be > 0")
         if self.E < 0.0:
@@ -131,22 +124,26 @@ def _echo(value) -> str:
 
 
 def _require_real(value, name: str) -> float:
-    """float(value); ConfigError unless value is a real number (a `numbers.Real`; NaN
-    and inf pass) within the double range: an int past 2^1024 is refused."""
-    if not isinstance(value, numbers.Real):
+    """float(value), the one gate for a real argument (inf passes): ConfigError for a
+    non-`numbers.Real`, a bool or an int past 2^1024, NumericsError for a NaN."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number, got {name} = {_echo(value)}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ConfigError(f"{name} must lie in the double range, |{name}| < 2^1024") from None
+    if math.isnan(x):
+        raise NumericsError(f"{name} is NaN")
+    return x
 
 
 def _require_reals(value, name: str) -> np.ndarray:
     """value as a 1-D float array, from a sequence or 1-D array of real numbers (empty
-    is valid); ConfigError otherwise, naming the argument: a bare number or a 0-d
-    array is refused, as is an array of two or more axes."""
+    is valid); ConfigError otherwise, naming the argument: a bare number, a 0-d array,
+    an array of bools or one of two or more axes is refused.  NumericsError where an
+    entry is NaN."""
     try:
-        real = np.asarray(value).dtype.kind in "biuf"
+        real = np.asarray(value).dtype.kind in "iuf"
         values = np.asarray(value, dtype=float) if real else None
     except (TypeError, ValueError, OverflowError):
         values = None
@@ -156,30 +153,24 @@ def _require_reals(value, name: str) -> np.ndarray:
     if values.ndim != 1:
         raise ConfigError(f"{name} of shape {values.shape}: expected a 1-D array "
                           "of real numbers")
+    if np.isnan(values).any():
+        raise NumericsError(f"{name} holds a NaN, got {name} = {_echo(value)}")
     return values
 
 
 def _require_finite(value, name: str) -> float:
-    """float(value) for a finite real number; ConfigError for a non-real (`_require_real`)
-    or an infinite one, NumericsError for a NaN, which is no value to compute with.
-
-    The one rule for an argument that must be finite, such as a time; a value the
-    package computes past the double range is its caller's NumericsError.
-    """
+    """`_require_real`, and ConfigError for an infinite value: the one rule for an
+    argument that must be finite, such as a time.  A value the package computes
+    past the double range is its caller's NumericsError."""
     x = _require_real(value, name)
-    if math.isnan(x):
-        raise NumericsError(f"{name} is NaN")
     if math.isinf(x):
         raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
     return x
 
 
 def _require_finites(value, name: str) -> np.ndarray:
-    """`_require_finite` for a 1-D array of real numbers (`_require_reals`): NumericsError
-    where an entry is NaN, else ConfigError where one is infinite."""
+    """`_require_finite` for a 1-D array of real numbers (`_require_reals`)."""
     values = _require_reals(value, name)
-    if np.isnan(values).any():
-        raise NumericsError(f"{name} holds a NaN, got {name} = {_echo(value)}")
     if np.isinf(values).any():
         raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
     return values
@@ -224,10 +215,11 @@ def _beta_E(params: ModelParams, jumps: int = 1) -> float:
 
 
 def _require_tilt(F: float) -> float:
-    """float(F); ConfigError unless the tilt F is a finite real number > 0."""
-    tilt = _require_real(F, "F")
-    if not 0.0 < tilt < math.inf:
-        raise ConfigError(f"the tilt F must be finite and > 0, got F = {_echo(F)}")
+    """float(F); ConfigError unless the tilt F is finite (`_require_finite`) and > 0."""
+    tilt = _require_finite(F, "F")
+    if not tilt > 0.0:
+        raise ConfigError(f"F must be > 0, got F = {_echo(F)}: the untilted (F = 0) band has "
+                          "continuous spectrum and is outside the scope of this package")
     return tilt
 
 

@@ -54,11 +54,10 @@ class AtomGibbs:
     def power(self, a: float) -> np.ndarray:
         """rho_beta^a; NumericsError where a weight's power is not a finite double.
 
-        That is 0^a for a < 0 (w_excited rounds to 0 past beta E ~ 745), a
-        power past the double range (|a| ~ 2000 at beta E = 2), or a NaN a.
+        That is 0^a for a < 0 (w_excited rounds to 0 past beta E ~ 745), or a
+        power past the double range (|a| ~ 2000 at beta E = 2).
         """
-        _require_real(a, "a")
-        a = float(a)
+        a = _require_real(a, "a")
         try:
             powers = [self.w_ground**a, self.w_excited**a]
             if all(map(math.isfinite, powers)):

@@ -141,3 +141,61 @@ def test_enforced_workload_passes_a_traced_pass(workload, monkeypatch):
     failed = [(op.name, gate) for op, out in zip(ops, outputs)
               for gate in op.gates(out) if not gate.ok]
     assert not failed
+
+
+def _is_argument(node, names: set) -> bool:
+    """Whether node is one of `names` as given, or as a `_require_*` helper or float()
+    returns it."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args
+            and (node.func.id == "float" or node.func.id.startswith("_require_"))
+            and _is_argument(node.args[0], names))
+
+
+def argument_tests(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each call in a function of `tree` that asks one of its own
+    arguments whether it is NaN (`math.isnan`, `np.isnan`) or a bool (`isinstance`).
+
+    An argument is a parameter, a name bound to one (`xs = _require_reals(x, "x")`) and
+    the first name of a loop over (parameter, ...) tuples; a value the function computed
+    from its arguments is none.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        signature = node.args
+        names = {arg.arg for arg in (*signature.posonlyargs, *signature.args,
+                                     *signature.kwonlyargs)}
+        for bind in ast.walk(node):
+            if isinstance(bind, ast.Assign) and _is_argument(bind.value, names):
+                names |= {target.id for target in bind.targets if isinstance(target, ast.Name)}
+            elif (isinstance(bind, ast.For) and isinstance(bind.target, ast.Tuple)
+                  and isinstance(bind.iter, (ast.Tuple, ast.List))
+                  and isinstance(bind.target.elts[0], ast.Name)
+                  and any(isinstance(item, ast.Tuple) and _is_argument(item.elts[0], names)
+                          for item in bind.iter.elts)):
+                names.add(bind.target.elts[0].id)
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call) and call.args
+                    and _is_argument(call.args[0], names)):
+                continue
+            func = call.func
+            nan_test = (isinstance(func, ast.Attribute) and func.attr == "isnan"
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in ("math", "np", "numpy"))
+            bool_test = (isinstance(func, ast.Name) and func.id == "isinstance"
+                         and len(call.args) == 2 and "bool" in ast.unparse(call.args[1]))
+            if nan_test or bool_test:
+                found.append((getattr(node, "name", "<lambda>"), call.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "params.py"],
+                         ids=lambda p: p.name)
+def test_only_params_tests_an_argument_for_nan_or_bool(path):
+    # NaN and bool are refused by `params._require_real` under the argument's own name;
+    # a NaN check of a value the function computed, such as log_theta's result, is its own
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not argument_tests(tree), f"{path.name}: {argument_tests(tree)}"

@@ -9,6 +9,8 @@ from starkwalk import (
     BudgetError,
     ConfigError,
     LatticeWindow,
+    NumericsError,
+    StarkwalkError,
     bessel_halfwidth,
     bessel_j_array,
     bessel_squares,
@@ -176,10 +178,16 @@ def test_recurrence_past_budget_is_budget_error(z, nmax):
         bessel_j_array(z, nmax)
 
 
-@pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
-def test_bad_argument_is_config_error(z):
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("z,refusal", [
+    pytest.param(-1.0, ConfigError, id="-1.0"),
+    pytest.param(math.inf, ConfigError, id="inf"),
+    # a NaN is no value to compute with: refused by name as every NaN real argument is
+    pytest.param(math.nan, NumericsError, id="nan"),
+])
+def test_bad_argument_is_config_error(z, refusal):
+    with pytest.raises(StarkwalkError) as refused:
         bessel_j_array(z, 4)
+    assert type(refused.value) is refusal and str(refused.value).startswith("z ")
 
 
 def test_halfwidth_captures_mass():

@@ -17,6 +17,7 @@ from starkwalk import (
     apply_channel,
     channel_oracle,
     deformed_weights,
+    energy_cgf,
     free_evolve,
     kraus_weights,
     log_theta,
@@ -101,6 +102,21 @@ def test_theta_of_an_infinite_alpha_is_numerics_error(alpha):
     assert log_theta(alpha * CHECK_PARAMS.beta * CHECK_PARAMS.E, CHECK_PARAMS) == math.inf
     with pytest.raises(NumericsError, match="overflows a double; use log_theta"):
         theta(alpha, CHECK_PARAMS)
+
+
+_HOT = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=0.0)
+_HOT_STATE = ParticleDensityMatrix.eigenstate(LatticeWindow(-8, 8, -8, 8), 0)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf])
+@pytest.mark.parametrize("route", [lambda a: theta(a, _HOT), lambda a: energy_cgf(3, a, _HOT),
+                                   lambda a: apply_channel(_HOT_STATE, a, _HOT)],
+                         ids=["theta", "energy_cgf", "apply_channel"])
+def test_an_infinite_alpha_at_zero_beta_E_is_a_nan_exponent(route, alpha):
+    # each route forms the exponent alpha beta E = inf * 0 itself, and hands the NaN to
+    # the gate of log_theta's or the deformed weights' gamma
+    with pytest.raises(NumericsError, match="^gamma is NaN$"):
+        route(alpha)
 
 
 def test_log_theta_symmetry_far_out(params):
@@ -325,14 +341,15 @@ def test_oracle_exponent_shape_is_checked(params, window):
     ((3.0, 1.0, 0.2, 0.6, 300.0), 2.5),
     # w_excited^{1 - alpha} = 0.119^-1999 overflows a double at beta E = 2
     ((2.0, 1.0, 0.5, 1.0, 1.0), 2000.0),
-    # a NaN exponent gives NaN powers, refused the same way
+    # a NaN exponent is refused by its own name before any power is formed
     ((2.0, 1.0, 0.5, 1.0, 1.0), math.nan),
 ])
 def test_oracle_refuses_an_atom_power_past_the_double_range(physics, alpha):
     E, F, lam, tau, beta = physics
     p = ModelParams(E=E, F=F, lam=lam, tau=tau, beta=beta)
     dm = ParticleDensityMatrix.eigenstate(LatticeWindow.for_dynamics(0, 0, 1, p.F), 0)
-    with pytest.raises(NumericsError, match=f"exponent a = {1.0 - alpha!r}"):
+    cause = "^alpha is NaN$" if math.isnan(alpha) else f"exponent a = {1.0 - alpha!r}"
+    with pytest.raises(NumericsError, match=cause):
         channel_oracle(dm, alpha, p)
 
 

@@ -400,6 +400,16 @@ def test_a_computed_time_past_a_double_is_numerics_error(route):
         route(params, rho)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("route", [free_kernel, lambda t, p: position_cgf(round(t), 0.1, p)],
+                         ids=["free_kernel", "position_cgf"])
+def test_a_bloch_reach_past_a_double_is_named(route, t):
+    # 4/F is inf at F = 1e-310: the kernel's z would be inf, or inf * 0 = NaN at t = 0
+    params = ModelParams(E=2.0, F=1e-310, lam=0.5, tau=1.0, beta=1.0)
+    with pytest.raises(NumericsError, match="the Bloch reach 4/F overflows"):
+        route(t, params)
+
+
 @pytest.mark.parametrize("n", [0, 5])
 def test_ft_log_ratio_without_mass_is_numerics_error(params, n):
     # at n = 5 the windows [4.45, 4.55] and [-4.55, -4.45] hold no lattice site;

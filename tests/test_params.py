@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import math
@@ -63,11 +64,12 @@ def test_invalid_inputs_rejected():
         ModelParams(E=-0.1, F=1.0, lam=0.5, tau=1.0, beta=1.0)
     with pytest.raises(ValueError):
         ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=-0.5)
-    # non-finite or non-real inputs are refused by name
+    # non-finite or non-real inputs are refused by name: NaN as no value to compute with
     for field in ("E", "F", "lam", "tau", "beta"):
-        for bad in (math.nan, math.inf, "2"):
+        for bad, refusal in ((math.nan, NumericsError), (math.inf, ConfigError),
+                             ("2", ConfigError), (True, ConfigError)):
             values = {"E": 2.0, "F": 1.0, "lam": 0.5, "tau": 1.0, "beta": 1.0, field: bad}
-            with pytest.raises(ConfigError, match=field):
+            with pytest.raises(refusal, match=f"^{field} "):
                 ModelParams(**values)
 
 
@@ -128,21 +130,30 @@ def test_refusals_echo_a_bounded_description():
     assert _echo("a" * 500) == "a str of length 500"
 
 
-# the table of the one rule for an argument that must be finite, and of the one params
-# rule: every public entry of the package (each function, class and classmethod that
-# `starkwalk` exports) whose signature has the argument joins its table by itself
+# the tables of the one gate for a real argument, of the one rule for an argument that
+# must be finite, and of the one params and cfg rules: every public entry of the package
+# (each function, class, classmethod and instance method that `starkwalk` exports) whose
+# signature has the argument joins its table by itself
 _WINDOW = LatticeWindow(-12, 12, -12, 12)
 _P = ModelParams(E=2.0, F=1.0, lam=0.5, tau=1.0, beta=1.0)
 _DM = ParticleDensityMatrix.eigenstate(_WINDOW, 0)
-_JOINT = JointDensityMatrix.product(_DM, AtomGibbs.from_params(_P).density())
+_GIBBS = AtomGibbs.from_params(_P)
+_JOINT = JointDensityMatrix.product(_DM, _GIBBS.density())
+_LAW = starkwalk.run_position_fcs(3, _DM, _P)
 # a valid value for each argument, by name, then by annotation
 _VALID = {"params": _P, "window": _WINDOW, "dm": _DM, "rho_p": _DM, "state": _JOINT,
-          "initial": _JOINT}
+          "initial": _JOINT, "cfg": starkwalk.ReservoirConfig(_P, 1)}
 _BY_ANNOTATION = {"float": 0.5, "int": 3, "np.ndarray": [0.5]}
+# the instance whose methods join the tables, for each exported class that has some
+_INSTANCES = {AtomGibbs: _GIBBS, JointDensityMatrix: _JOINT, LatticeWindow: _WINDOW,
+              ParticleDensityMatrix: _DM, starkwalk.LatticeLaw: _LAW,
+              starkwalk.WalkSample: starkwalk.sample_walk(3, 10, 0, _P),
+              starkwalk.EnergyFcsResult: starkwalk.run_energy_fcs(_VALID["cfg"])}
 
 
 def public_entries() -> dict:
-    """name -> callable for each public function, class and classmethod `starkwalk` exports."""
+    """name -> callable for each public function, class and classmethod `starkwalk` exports,
+    and each public instance method of an exported class, bound to its `_INSTANCES` entry."""
     entries = {}
     for name, obj in vars(starkwalk).items():
         if name.startswith("_") or not callable(obj):
@@ -150,23 +161,32 @@ def public_entries() -> dict:
         if inspect.isclass(obj):
             if issubclass(obj, BaseException):
                 continue
-            entries.update({f"{name}.{attr}": getattr(obj, attr) for attr in vars(obj)
-                            if not attr.startswith("_") and inspect.ismethod(getattr(obj, attr))})
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if inspect.ismethod(getattr(obj, attr)):
+                    entries[f"{name}.{attr}"] = getattr(obj, attr)
+                elif inspect.isfunction(member):
+                    entries[f"{name}.{attr}"] = getattr(_INSTANCES[obj], attr)
         entries[name] = obj
     return entries
 
 
-def entries_taking(argument: str) -> dict:
-    """name -> (callable, signature) for each public entry with a parameter `argument`."""
-    taking = {}
+def public_signatures() -> dict:
+    """name -> (callable, signature) for each public entry that has a signature."""
+    signed = {}
     for name, entry in public_entries().items():
         try:
-            signature = inspect.signature(entry)
+            signed[name] = (entry, inspect.signature(entry))
         except (TypeError, ValueError):
             continue
-        if argument in signature.parameters:
-            taking[name] = (entry, signature)
-    return taking
+    return signed
+
+
+def entries_taking(argument: str) -> dict:
+    """name -> (callable, signature) for each public entry with a parameter `argument`."""
+    return {name: (entry, signature) for name, (entry, signature) in public_signatures().items()
+            if argument in signature.parameters}
 
 
 def call_with(entry, signature, argument: str, value):
@@ -182,9 +202,54 @@ def call_with(entry, signature, argument: str, value):
     return entry(**args)
 
 
-_LAW = starkwalk.run_position_fcs(3, _DM, _P)
 _TIME_ENTRIES = entries_taking("t")
 _PARAMS_ENTRIES = entries_taking("params")
+# EnergyFcsResult holds its cfg as given, as it holds its law
+_CFG_ENTRIES = {name: row for name, row in entries_taking("cfg").items()
+                if name != "EnergyFcsResult"}
+# Real parameters that do not pass the real gate.  Records hold their values as given:
+# every field of Tolerances and TransportCoefficients, AtomGibbs' w_ground and w_excited,
+# WalkSample's values and counts, EnergyFcsResult's law, LatticeLaw's pmf (its type and
+# shape are checked, not its values), PositionCgf's value and rate_limit and
+# BlochCoefficients' c_plus and c_minus.  Density coefficients, the coeffs of both density
+# matrices and the atom matrix that JointDensityMatrix.product takes, keep
+# `_frozen_coeffs`' ConfigError "coefficients must be finite numbers" for NaN, inf and a
+# non-number alike.
+_NOT_GATED = {
+    "Tolerances": tuple(field.name for field in dataclasses.fields(starkwalk.Tolerances)),
+    "TransportCoefficients": ("v_d", "D", "mobility"),
+    "AtomGibbs": ("w_ground", "w_excited"),
+    "WalkSample": ("values", "counts"),
+    "EnergyFcsResult": ("law",),
+    "LatticeLaw": ("pmf",),
+    "PositionCgf": ("value", "rate_limit"),
+    "BlochCoefficients": ("c_plus", "c_minus"),
+    "ParticleDensityMatrix": ("coeffs",),
+    "JointDensityMatrix": ("coeffs",),
+    "JointDensityMatrix.product": ("atom",),
+}
+
+
+def _annotation(parameter: inspect.Parameter) -> str:
+    """The annotation of a parameter as its source text (a NamedTuple's is a ForwardRef)."""
+    return getattr(parameter.annotation, "__forward_arg__", parameter.annotation)
+
+
+def real_parameters() -> dict:
+    """"entry-argument" -> (callable, signature, argument, batched) for each public parameter
+    annotated float (a real) or np.ndarray (a 1-D array of reals, batched), except those
+    named in `_NOT_GATED`."""
+    rows = {}
+    for name, (entry, signature) in public_signatures().items():
+        for parameter in signature.parameters.values():
+            kind = _annotation(parameter)
+            if kind in ("float", "np.ndarray") and parameter.name not in _NOT_GATED.get(name, ()):
+                rows[f"{name}-{parameter.name}"] = (entry, signature, parameter.name,
+                                                    kind == "np.ndarray")
+    return rows
+
+
+_REAL_ROWS = real_parameters()
 _FINITE_ROWS = {
     **{f"{name}-t": (functools.partial(call_with, entry, signature, "t"), "t",
                      signature.parameters["t"].annotation == "np.ndarray")
@@ -203,6 +268,33 @@ def test_the_tables_find_the_known_entries():
             "bloch_coefficients"} <= set(_TIME_ENTRIES)
     assert {"ReservoirConfig", "AtomGibbs.from_params", "walk_pmf_exact",
             "kraus_weights", "theta"} <= set(_PARAMS_ENTRIES)
+    assert set(_CFG_ENTRIES) == {"run_energy_fcs", "repeated_interaction_propagator"}
+    assert {"z", "F", "alpha", "gamma", "eta", "x", "t", "E", "lam", "tau", "beta", "lo",
+            "hi", "a", "v", "delta"} <= {argument for _, _, argument, _ in _REAL_ROWS.values()}
+    assert {"LatticeLaw.log_mgf-eta", "LatticeLaw.mgf-eta", "LatticeLaw.window_probability-lo",
+            "LatticeLaw.ft_log_ratio-tau", "AtomGibbs.power-a"} <= set(_REAL_ROWS)
+    # each skip the comment on `_NOT_GATED` names is a real parameter of its entry
+    signed = public_signatures()
+    for name, skipped in _NOT_GATED.items():
+        parameters = signed[name][1].parameters
+        assert all(_annotation(parameters[field]).startswith(("float", "np.ndarray"))
+                   for field in skipped)
+
+
+@pytest.mark.parametrize("bad", [math.nan, True], ids=["nan", "bool"])
+@pytest.mark.parametrize("row", _REAL_ROWS.values(), ids=_REAL_ROWS)
+def test_a_real_argument_passes_one_gate(row, bad):
+    # NaN is a NumericsError and a bool a ConfigError, each naming the argument; an array
+    # argument carries its bad value as its one entry
+    entry, signature, name, batched = row
+    with pytest.raises(StarkwalkError) as refused:
+        call_with(entry, signature, name, [bad] if batched else bad)
+    if bad is True:
+        assert type(refused.value) is ConfigError
+        assert str(refused.value).startswith(f"{name} must be")
+    else:
+        assert type(refused.value) is NumericsError
+        assert str(refused.value).startswith((f"{name} is NaN", f"{name} holds a NaN"))
 
 
 @pytest.mark.parametrize("bad,refusal", [(math.nan, NumericsError), (math.inf, ConfigError),
@@ -226,3 +318,13 @@ def test_a_wrong_type_params_is_config_error(name, bad):
     with pytest.raises(ConfigError,
                        match=f"^params must be a ModelParams, got params = {bad!r}$"):
         call_with(entry, signature, "params", bad)
+
+
+@pytest.mark.parametrize("bad", ["a", None], ids=["string", "none"])
+@pytest.mark.parametrize("name", _CFG_ENTRIES)
+def test_a_wrong_type_cfg_is_config_error(name, bad):
+    # refused by name before any attribute is read, not a bare AttributeError
+    entry, signature = _CFG_ENTRIES[name]
+    with pytest.raises(ConfigError,
+                       match=f"^cfg must be a ReservoirConfig, got cfg = {bad!r}$"):
+        call_with(entry, signature, "cfg", bad)

@@ -364,7 +364,8 @@ _HUGE_REALS = {
                  "not Hermitian", id="density-non-hermitian"),
     pytest.param(lambda: check_density(ParticleDensityMatrix(_W, np.diag([1.5, -0.5, 0, 0, 0]))),
                  "not PSD", id="density-not-psd"),
-    pytest.param(lambda: bessel_j_array(-1.0, 3), "finite z >= 0", id="bessel-negative-z"),
+    pytest.param(lambda: bessel_j_array(-1.0, 3), "z must be >= 0, got z = -1.0",
+                 id="bessel-negative-z"),
     pytest.param(lambda: bessel_j_array(1.0, -1), "nmax must be an integer >= 0, got -1",
                  id="bessel-negative-order"),
     pytest.param(lambda: bessel_table(1.0, -1), "order_max must be an integer >= 0, got -1",
@@ -380,7 +381,7 @@ _HUGE_REALS = {
           ("fractional-first", {"first": 0.5}, "first must be an integer, got 0.5"),
           ("2d-pmf", {"pmf": _LAW.pmf.reshape(7, 1)}, "pmf of shape (7, 1): expected a 1-D array"),
           ("list-pmf", {"pmf": [0.5, 0.5]}, "pmf must be a 1-D array, got [0.5, 0.5]"))],
-    pytest.param(lambda: bessel_table(0.0, 5), "the tilt F must be finite and > 0, got F = 0.0",
+    pytest.param(lambda: bessel_table(0.0, 5), "F must be > 0, got F = 0.0",
                  id="table-zero-force"),
     pytest.param(lambda: bessel_table(math.inf, 3), "got F = inf", id="table-infinite-force"),
     pytest.param(lambda: transform_matrix(_W, math.inf), "got F = inf",
@@ -389,10 +390,11 @@ _HUGE_REALS = {
     # the Bessel argument is a real number before any comparison is made
     pytest.param(lambda: bessel_j_array("a", 3), "got z = 'a'", id="bessel-string-z"),
     pytest.param(lambda: bessel_halfwidth("a"), "got z = 'a'", id="halfwidth-string-z"),
-    pytest.param(lambda: bessel_squares(-1.0, "z"), "finite z >= 0", id="squares-negative-z"),
+    pytest.param(lambda: bessel_squares(-1.0, "z"), "z must be >= 0, got z = -1.0",
+                 id="squares-negative-z"),
     # the tilt: finite and > 0 before 2/F or 4/F is formed
     pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, 1, F=0.0),
-                 "the tilt F must be finite and > 0, got F = 0.0", id="dynamics-window-zero-force"),
+                 "F must be > 0, got F = 0.0", id="dynamics-window-zero-force"),
     pytest.param(lambda: bloch_coefficients([1.0], 0.0), "got F = 0.0", id="bloch-zero-force"),
     pytest.param(lambda: bloch_coefficients([1.0], -1.0), "got F = -1.0",
                  id="bloch-negative-force"),
@@ -427,8 +429,10 @@ _HUGE_REALS = {
           ("inf-entry", math.inf, "coefficients must be finite numbers"),
           ("string-entry", "a", "coefficients must be finite numbers, got a list of length"))],
     # 2/F overflows to inf: the x-padding's Bessel profile refuses it as bessel_j_array does
-    pytest.param(lambda: bessel_halfwidth(math.inf), "finite z >= 0", id="halfwidth-infinite-z"),
-    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, steps=1, F=1e-310), "finite z >= 0",
+    pytest.param(lambda: bessel_halfwidth(math.inf), "z must be finite, got z = inf",
+                 id="halfwidth-infinite-z"),
+    pytest.param(lambda: LatticeWindow.for_dynamics(0, 0, steps=1, F=1e-310),
+                 "z must be finite, got z = inf",
                  id="dynamics-window-infinite-bessel-argument"),
     # counts: an integer at or above its floor, or ConfigError naming the argument
     pytest.param(lambda: walk_pmf_exact(2.5, _P), "n must be an integer >= 0, got 2.5",
@@ -532,7 +536,7 @@ _HUGE_REALS = {
                  id="oracle-gap-array"),
     # a time of 0 or -0.0, and an infinite one where v < delta, made the FT ratio 0.0
     *[pytest.param(lambda v=v, tau=tau: run_position_fcs(3, _RHO, _P).ft_log_ratio(v, 0.1, tau),
-                   f"tau must be finite{'' if math.isinf(tau) else ' and > 0'}, got tau = {tau!r}",
+                   f"tau must be {'finite' if math.isinf(tau) else '> 0'}, got tau = {tau!r}",
                    id=f"ft-log-ratio-v-{v}-tau-{tau!r}")
       for v, tau in ((0.05, 0.0), (0.05, -0.0), (0.05, math.inf), (0.2, math.inf),
                      (0.05, -math.inf), (0.05, -1.0))],

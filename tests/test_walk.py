@@ -686,7 +686,7 @@ def test_rate_oracle_at_a_tiny_x_and_beta_E_zero(E, beta, x):
 def test_rate_oracle_refuses_an_array_entry_outside_the_open_interval():
     with pytest.raises(ConfigError, match="strictly inside"):
         rate_function_numeric(np.array([0.0, 1.0]), CHECK_PARAMS)
-    with pytest.raises(ConfigError, match="strictly inside"):
+    with pytest.raises(NumericsError, match="^x holds a NaN"):
         rate_function_numeric(np.array([0.0, math.nan]), CHECK_PARAMS)
 
 
