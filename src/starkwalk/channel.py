@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import NumericsError
-from .params import ModelParams, _require_params, _require_phase, _require_real
+from .params import ModelParams, _require_phase, _require_real, _require_type
 from .singleatom import AtomGibbs, _conjugate_on, _oracle_blocks
 from .state import (
     ParticleDensityMatrix,
@@ -33,7 +33,7 @@ from .state import (
 def kraus_weights(params: ModelParams) -> np.ndarray:
     """The jump weights (p_-, p_0, p_+), p_+- = p e^{-+beta E/2} / (2 cosh(beta E/2)), as one
     1-D array."""
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     g = math.exp(-params.beta * params.E)
     return np.array([params.p * g / (1.0 + g), 1.0 - params.p, params.p / (1.0 + g)])
 
@@ -84,7 +84,7 @@ def log_theta(gamma: float, params: ModelParams) -> float:
     is undefined (gamma = beta E = inf, whose fold is inf - inf).
     """
     _require_real(gamma, "gamma")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     be = params.beta * params.E
     value = _log_theta(gamma, params.p, be)
     if math.isnan(value):
@@ -124,7 +124,7 @@ def theta(alpha: float, params: ModelParams) -> float:
     """Trace growth rate exp(log_theta(alpha beta E)); NumericsError past the double range,
     an infinite alpha included, where log_theta is inf."""
     _require_real(alpha, "alpha")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     try:
         value = math.exp(log_theta(alpha * params.beta * params.E, params))
         if value < math.inf:
@@ -163,7 +163,8 @@ def apply_channel(dm: ParticleDensityMatrix, alpha: float,
     them on the whole window.  Refuses with WindowError when support touches
     the boundary: mass is never silently truncated.
     """
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
+    _require_type(dm, ParticleDensityMatrix, "dm")
     _require_phase(params.tau, params.F * (dm.window.n_k - 1))
     alpha = _require_real(alpha, "alpha")
     require_interior(np.diagonal(dm.coeffs))
@@ -211,6 +212,7 @@ def channel_oracle(dm: ParticleDensityMatrix, alpha: float,
     """
     alpha = _require_real(alpha, "alpha")
     gibbs = AtomGibbs.from_params(params)
+    _require_type(dm, ParticleDensityMatrix, "dm")
     lifted = _atom_diagonal(gibbs, 1.0 - alpha)
     # the product's diagonal, shaped (2, n_k)
     require_interior(lifted[..., 0] * np.diagonal(dm.coeffs), band=2)

@@ -49,13 +49,12 @@ from .errors import BudgetError, ConfigError, NumericsError, WindowError
 from .params import (
     ModelParams,
     _beta_E,
-    _echo,
     _require_count,
     _require_finite,
-    _require_params,
     _require_phase,
     _require_real,
     _require_reals,
+    _require_type,
 )
 from .singleatom import AtomGibbs, _apply_rows, _oracle_blocks
 from .state import (
@@ -82,7 +81,7 @@ class ReservoirConfig:
     n: int
 
     def __post_init__(self):
-        _require_params(self.params)
+        _require_type(self.params, ModelParams, "params")
         _require_count(self.n, "n")
         if self.n > MAX_ATOMS:
             raise BudgetError(
@@ -99,12 +98,6 @@ class ReservoirConfig:
     @property
     def dim(self) -> int:
         return self.window.n_k << self.n
-
-
-def _require_config(cfg) -> None:
-    """ConfigError unless cfg is a `ReservoirConfig`, as `_require_params` for params."""
-    if not isinstance(cfg, ReservoirConfig):
-        raise ConfigError(f"cfg must be a ReservoirConfig, got cfg = {_echo(cfg)}")
 
 
 def _occupations(M: int) -> np.ndarray:
@@ -138,7 +131,8 @@ def _evolve(cfg: ReservoirConfig, window: LatticeWindow, X: np.ndarray) -> np.nd
 def repeated_interaction_propagator(cfg: ReservoirConfig, window: LatticeWindow) -> np.ndarray:
     """U(n tau, 0) = e^{-i tau H_n} ... e^{-i tau H_1} on the joint space of the n atoms
     and `window`; BudgetError past `MAX_WINDOW` sites."""
-    _require_config(cfg)
+    _require_type(cfg, ReservoirConfig, "cfg")
+    _require_type(window, LatticeWindow, "window")
     if window.n_k > MAX_WINDOW:
         raise BudgetError(f"the dense propagator's budget is window <= {MAX_WINDOW} "
                           f"(got {window.n_k})")
@@ -214,7 +208,7 @@ def run_energy_fcs(cfg: ReservoirConfig) -> EnergyFcsResult:
     Only |U|^2 enters: each (final, initial) pair of basis states adds its
     weight to the cell of its two increments.
     """
-    _require_config(cfg)
+    _require_type(cfg, ReservoirConfig, "cfg")
     n, K, B, side = cfg.n, cfg.window.n_k, 1 << cfg.n, 2 * cfg.n + 1
     pops = _occupations(n).sum(axis=1)
     starts = np.zeros((B, K, B), dtype=complex)
@@ -238,7 +232,7 @@ def energy_cgf(n: int, alpha: float, params: ModelParams) -> float:
     n = _require_count(n, "n")
     _require_real(n, "n")
     _require_real(alpha, "alpha")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     value = n * log_theta(alpha * params.beta * params.E, params)
     if not math.isfinite(value):
         raise NumericsError(f"the energy CGF n log theta({alpha!r}) at n = {n} "
@@ -262,7 +256,7 @@ def free_kernel(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     against the windowed transform in the test suite.
     """
     _require_finite(t, "t")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     return bessel_squares(_kernel_argument(t, params), f"the free kernel at t = {t!r} needs "
                           "J_d(z) at z = (4/F)|sin(F t / 2)|")
 
@@ -291,7 +285,8 @@ def run_position_fcs(n: int, rho_p: ParticleDensityMatrix, params: ModelParams,
     skipping the starting positions of weight at most 1e-12.
     """
     n = _require_count(n, "n")
-    _require_params(params)
+    _require_type(rho_p, ParticleDensityMatrix, "rho_p")
+    _require_type(params, ModelParams, "params")
     if method == "reduced":
         walk = walk_pmf_exact(n, params)
         # n tau past the double range is a NumericsError, not free_kernel's ConfigError
@@ -383,7 +378,7 @@ def position_cgf(n: int, eta: float, params: ModelParams) -> PositionCgf:
     n = _require_count(n, "n")
     _require_real(n, "n")
     _require_real(eta, "eta")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     z = _kernel_argument(n * params.tau, params)
     try:
         x = 2.0 * z * math.sinh(0.5 * eta)
@@ -403,7 +398,7 @@ def free_dressing_weights(n: int, params: ModelParams, window: LatticeWindow) ->
     """
     n = _require_count(n, "n")
     _require_real(n, "n")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     psi = transform_matrix(window, params.F)
     _require_phase(n * params.tau * params.F, window.k_values)
     arg = n * params.tau * params.F * window.k_values
@@ -466,7 +461,8 @@ def position_cgf_oracle(n: int, eta: np.ndarray, rho_p: ParticleDensityMatrix,
     """
     n = _require_count(n, "n")
     etas = _require_reals(eta, "eta")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
+    _require_type(rho_p, ParticleDensityMatrix, "rho_p")
     window = rho_p.window
     xs, q = position_distribution(rho_p, params.F)
 

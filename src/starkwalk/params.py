@@ -137,13 +137,26 @@ def _require_real(value, name: str) -> float:
     return x
 
 
+def _require_type(value, cls: type, name: str) -> None:
+    """ConfigError unless value is a cls, the one gate for an argument of a package type
+    (`ModelParams`, `LatticeWindow`, a density matrix, `ReservoirConfig`, `LatticeLaw`):
+    each public entry calls it before it first reads the argument, or first hands it to
+    an entry that does."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {name} = {_echo(value)}")
+
+
 def _require_reals(value, name: str) -> np.ndarray:
     """value as a 1-D float array, from a sequence or 1-D array of real numbers (empty
     is valid); ConfigError otherwise, naming the argument: a bare number, a 0-d array,
-    an array of bools or one of two or more axes is refused.  NumericsError where an
+    a bool entry or an array of two or more axes is refused.  NumericsError where an
     entry is NaN."""
     try:
         real = np.asarray(value).dtype.kind in "iuf"
+        # numpy reads a bool among numbers as 0 or 1, so a sequence is read entry by entry
+        if real and not isinstance(value, np.ndarray):
+            real = not any(isinstance(v, (bool, np.bool_))
+                           for v in np.asarray(value, dtype=object).flat)
         values = np.asarray(value, dtype=float) if real else None
     except (TypeError, ValueError, OverflowError):
         values = None
@@ -174,13 +187,6 @@ def _require_finites(value, name: str) -> np.ndarray:
     if np.isinf(values).any():
         raise ConfigError(f"{name} must be finite, got {name} = {_echo(value)}")
     return values
-
-
-def _require_params(params) -> None:
-    """ConfigError unless params is a `ModelParams`: each public entry that takes params
-    calls it before it first reads them, or first hands them to an entry that does."""
-    if not isinstance(params, ModelParams):
-        raise ConfigError(f"params must be a ModelParams, got params = {_echo(params)}")
 
 
 def _require_integer(value, name: str, low: int | None = None) -> int:

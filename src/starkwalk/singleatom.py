@@ -18,9 +18,9 @@ from .params import (
     ModelParams,
     _require_finite,
     _require_finites,
-    _require_params,
     _require_phase,
     _require_real,
+    _require_type,
 )
 from .state import (
     LatticeWindow,
@@ -44,7 +44,7 @@ class AtomGibbs:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "AtomGibbs":
-        _require_params(params)
+        _require_type(params, ModelParams, "params")
         g = math.exp(-params.beta * params.E)
         return cls(w_ground=1.0 / (1.0 + g), w_excited=g / (1.0 + g))
 
@@ -76,11 +76,13 @@ class JointDensityMatrix:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _require_type(self.window, LatticeWindow, "window")
         coeffs = _frozen_coeffs(self.coeffs, 2 * self.window.n_k, "joint ")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def product(cls, dm: ParticleDensityMatrix, atom: np.ndarray) -> "JointDensityMatrix":
+        _require_type(dm, ParticleDensityMatrix, "dm")
         return cls(dm.window, np.kron(np.asarray(atom, dtype=complex), dm.coeffs))
 
     def trace(self) -> float:
@@ -108,7 +110,8 @@ def hamiltonian_blocks(params: ModelParams,
     the two states the truncation leaves unpaired, (ground, k_max) and
     (excited, k_min).
     """
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
+    _require_type(window, LatticeWindow, "window")
     Ek = _ladder(params, window)
     blocks = np.empty((window.n_k - 1, 2, 2))
     blocks[:, 0, 0] = Ek[:-1]
@@ -201,7 +204,7 @@ def oracle_unitary(t: float, params: ModelParams, window: LatticeWindow) -> np.n
     t is one finite real time: the result is one matrix.
     """
     t = _require_finite(t, "t")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     return _scatter(*_oracle_blocks(t, params, window))
 
 
@@ -252,7 +255,8 @@ def _propagate(builder, state: JointDensityMatrix, t: float,
     """Evolve state by the blocks `builder` forms for one real, finite time t, on the
     occupied k-range of the state."""
     t = _require_finite(t, "t")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
+    _require_type(state, JointDensityMatrix, "state")
     require_interior(np.diagonal(state.coeffs).reshape(2, -1), band=2)
     return JointDensityMatrix(state.window,
                               _conjugate(builder, t, params, state.window, state.coeffs))
@@ -272,7 +276,7 @@ def propagate_oracle(state: JointDensityMatrix, t: float,
 
 def position_motion_bound(params: ModelParams) -> float:
     """Uniform bound on |<X(t)> - <X(0)>| for the single-atom evolution."""
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     s2 = abs(params.sin2theta)
     return _bloch_reach(params.F) + s2**2 + s2 * abs(params.cos2theta) + s2
 
@@ -292,8 +296,9 @@ def position_expectation(t: np.ndarray, initial: JointDensityMatrix,
     returned per time: the state is read once, and each time costs O(1).
     """
     times = _require_finites(t, "t")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     _require_phase(times, params.omega0)
+    _require_type(initial, JointDensityMatrix, "initial")
     n = initial.window.n_k
     c = initial.coeffs
     gg, ee, ge, eg = c[:n, :n], c[n:, n:], c[:n, n:], c[n:, :n]
@@ -330,7 +335,8 @@ def position_oracle(t: np.ndarray, initial: JointDensityMatrix,
     one <X(t)> is returned per time.
     """
     times = _require_finites(t, "t")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
+    _require_type(initial, JointDensityMatrix, "initial")
     require_interior(np.diagonal(initial.coeffs).reshape(2, -1), band=2)
     window = initial.window
     sub, ks = _crop(initial.coeffs, atoms=2)

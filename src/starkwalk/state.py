@@ -24,9 +24,9 @@ from .params import (
     _require_finite,
     _require_finites,
     _require_integer,
-    _require_params,
     _require_phase,
     _require_tilt,
+    _require_type,
 )
 
 
@@ -93,6 +93,7 @@ class LatticeWindow:
 
 def required_order(window: LatticeWindow) -> int:
     """Bessel order range needed to evaluate psi_k(x) across the window."""
+    _require_type(window, LatticeWindow, "window")
     return max(abs(window.k_max - window.x_min), abs(window.x_max - window.k_min))
 
 
@@ -119,6 +120,7 @@ def _bloch_reach(F: float) -> float:
 
 def position_operator(window: LatticeWindow, F: float) -> np.ndarray:
     """Lattice position X in the eigenbasis: k on the diagonal, -1/F beside it."""
+    _require_type(window, LatticeWindow, "window")
     _bloch_reach(F)
     n = window.n_k
     X = np.diag(window.k_values.astype(float))
@@ -171,10 +173,12 @@ class ParticleDensityMatrix:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _require_type(self.window, LatticeWindow, "window")
         object.__setattr__(self, "coeffs", _frozen_coeffs(self.coeffs, self.window.n_k, ""))
 
     @classmethod
     def eigenstate(cls, window: LatticeWindow, k: int) -> "ParticleDensityMatrix":
+        _require_type(window, LatticeWindow, "window")
         c = np.zeros((window.n_k, window.n_k), dtype=complex)
         i = window.k_index(k)
         c[i, i] = 1.0
@@ -267,7 +271,8 @@ def free_evolve(dm: ParticleDensityMatrix, t: float, params: ModelParams) -> Par
     index difference, so the diagonal factor is exactly one).
     """
     _require_finite(t, "t")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
+    _require_type(dm, ParticleDensityMatrix, "dm")
     n = dm.window.n_k
     _require_phase(t, params.F * (n - 1))
     return ParticleDensityMatrix(dm.window, _free_phases(t, params.F, n) * dm.coeffs)
@@ -293,6 +298,7 @@ def position_distribution(dm: ParticleDensityMatrix, F: float) -> tuple[np.ndarr
     terms left out are exact zeros.  For an eigenstate each entry is the
     whole-window sum bit for bit; otherwise the summation order differs (tests).
     """
+    _require_type(dm, ParticleDensityMatrix, "dm")
     sub, ks = _crop(dm.coeffs)
     psi = transform_matrix(dm.window, F)[:, ks]
     pmf = np.sum((psi @ sub) * psi, axis=1).real

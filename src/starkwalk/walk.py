@@ -33,9 +33,9 @@ from .params import (
     _require_count,
     _require_finite,
     _require_integer,
-    _require_params,
     _require_real,
     _require_reals,
+    _require_type,
 )
 
 
@@ -54,7 +54,7 @@ def transport_coefficients(params: ModelParams) -> TransportCoefficients:
     The mobility beta sin^2(lam tau) / (2 tau) is meaningful only on the
     E == F line (where p = sin^2(lam tau)) and is None otherwise.
     """
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     th = math.tanh(0.5 * params.beta * params.E)
     v_d = params.p * th / params.tau
     D = 0.5 * params.p * (1.0 - params.p * th**2) / params.tau
@@ -162,8 +162,7 @@ class LatticeLaw:
     def oracle_gap(self, oracle: LatticeLaw) -> float:
         """max |pmf / oracle.pmf - 1| where the oracle is a normal double (subnormals carry
         no relative accuracy); ConfigError unless the oracle is a law on the same sites."""
-        if not isinstance(oracle, LatticeLaw):
-            raise ConfigError(f"the oracle must be a LatticeLaw, got {_echo(oracle)}")
+        _require_type(oracle, LatticeLaw, "oracle")
         if (self.first, self.pmf.size) != (oracle.first, oracle.pmf.size):
             raise ConfigError("a law and its oracle must weigh the same sites")
         normal = oracle.pmf >= sys.float_info.min
@@ -455,7 +454,7 @@ def walk_pmf_exact(n: int, params: ModelParams) -> LatticeLaw:
     BudgetError past `MAX_LAW_SITES` sites.
     """
     n = _require_law_sites(_require_count(n, "n"))
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     if n == 1:
         return LatticeLaw(n=n, first=-n, pmf=kraus_weights(params))
     log_k = log_step_kernel(params)
@@ -512,7 +511,7 @@ def walk_log_pmf(n: int, params: ModelParams) -> np.ndarray:
     convolution table of acceptance check 7.
     """
     n = _require_law_sites(_require_count(n, "n"))
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     logk = log_step_kernel(params)
     if n == 1:
         return logk
@@ -625,7 +624,7 @@ def rate_function(x: np.ndarray, params: ModelParams) -> np.ndarray:
     I = 0 at x = 0 only; NumericsError inside (-1, 1) at p = 1.
     """
     xs = _require_reals(x, "x")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     log_k, be = log_step_kernel(params).tolist(), params.beta * params.E
     return np.array([_rate(x, log_k, be) for x in xs.tolist()])
 
@@ -683,7 +682,7 @@ def rate_function_numeric(x: np.ndarray, params: ModelParams) -> np.ndarray:
     targets = _require_reals(x, "x")
     if not np.all((-1.0 < targets) & (targets < 1.0)):
         raise ConfigError("numeric rate function requires x strictly inside (-1, 1)")
-    _require_params(params)
+    _require_type(params, ModelParams, "params")
     _, l_zero, l_plus = log_step_kernel(params).tolist()
     be = params.beta * params.E
 

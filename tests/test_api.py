@@ -30,6 +30,9 @@ TEST_ONLY_ROUTES = ("adjoint_apply", "apply_deformed", "rate_function_entropy",
                     "check_density", "hermiticity_defect", "min_eigenvalue", "line")
 
 SOURCES = sorted(Path(starkwalk.__file__).parent.glob("*.py"))
+# the names of the classes the package defines
+PACKAGE_CLASSES = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)}
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
@@ -155,7 +158,8 @@ def _is_argument(node, names: set) -> bool:
 
 def argument_tests(tree: ast.Module) -> list[tuple[str, int]]:
     """(function, line) of each call in a function of `tree` that asks one of its own
-    arguments whether it is NaN (`math.isnan`, `np.isnan`) or a bool (`isinstance`).
+    arguments whether it is NaN (`math.isnan`, `np.isnan`), a bool or an instance of a
+    class the package defines (`isinstance`).
 
     An argument is a parameter, a name bound to one (`xs = _require_reals(x, "x")`) and
     the first name of a loop over (parameter, ...) tuples; a value the function computed
@@ -185,9 +189,12 @@ def argument_tests(tree: ast.Module) -> list[tuple[str, int]]:
             nan_test = (isinstance(func, ast.Attribute) and func.attr == "isnan"
                         and isinstance(func.value, ast.Name)
                         and func.value.id in ("math", "np", "numpy"))
-            bool_test = (isinstance(func, ast.Name) and func.id == "isinstance"
-                         and len(call.args) == 2 and "bool" in ast.unparse(call.args[1]))
-            if nan_test or bool_test:
+            type_test = (isinstance(func, ast.Name) and func.id == "isinstance"
+                         and len(call.args) == 2
+                         and ("bool" in ast.unparse(call.args[1])
+                              or any(getattr(part, "id", getattr(part, "attr", None))
+                                     in PACKAGE_CLASSES for part in ast.walk(call.args[1]))))
+            if nan_test or type_test:
                 found.append((getattr(node, "name", "<lambda>"), call.lineno))
     return found
 
@@ -195,7 +202,25 @@ def argument_tests(tree: ast.Module) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "params.py"],
                          ids=lambda p: p.name)
 def test_only_params_tests_an_argument_for_nan_or_bool(path):
-    # NaN and bool are refused by `params._require_real` under the argument's own name;
-    # a NaN check of a value the function computed, such as log_theta's result, is its own
+    # NaN and bool are refused by `params._require_real`, and an argument of a package
+    # type by `params._require_type`, under the argument's own name; a NaN check of a value
+    # the function computed, such as log_theta's result, or a type check of an attribute,
+    # such as LatticeLaw's pmf, is its own
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not argument_tests(tree), f"{path.name}: {argument_tests(tree)}"
+
+
+def test_the_argument_rule_sees_a_type_check_of_an_argument():
+    # an isinstance of an argument against a package class is flagged; one of an
+    # attribute, or against a class the package does not define, is not
+    source = """
+def gate(window, k):
+    return isinstance(window, (LatticeWindow, int))
+def qualified(oracle):
+    return isinstance(oracle, walk.LatticeLaw)
+def held(self):
+    return isinstance(self.pmf, LatticeLaw)
+def builtin(value):
+    return isinstance(value, dict)
+"""
+    assert [name for name, _ in argument_tests(ast.parse(source))] == ["gate", "qualified"]

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from starkwalk import (
     ModelParams,
     NumericsError,
     ParticleDensityMatrix,
+    ReservoirConfig,
     StarkwalkError,
 )
 from starkwalk.fcs import free_kernel
@@ -131,7 +133,8 @@ def test_refusals_echo_a_bounded_description():
 
 
 # the tables of the one gate for a real argument, of the one rule for an argument that
-# must be finite, and of the one params and cfg rules: every public entry of the package
+# must be finite, and of the one gate for an argument of a package type (a record): every
+# public entry of the package
 # (each function, class, classmethod and instance method that `starkwalk` exports) whose
 # signature has the argument joins its table by itself
 _WINDOW = LatticeWindow(-12, 12, -12, 12)
@@ -142,7 +145,7 @@ _JOINT = JointDensityMatrix.product(_DM, _GIBBS.density())
 _LAW = starkwalk.run_position_fcs(3, _DM, _P)
 # a valid value for each argument, by name, then by annotation
 _VALID = {"params": _P, "window": _WINDOW, "dm": _DM, "rho_p": _DM, "state": _JOINT,
-          "initial": _JOINT, "cfg": starkwalk.ReservoirConfig(_P, 1)}
+          "initial": _JOINT, "cfg": ReservoirConfig(_P, 1), "oracle": _LAW}
 _BY_ANNOTATION = {"float": 0.5, "int": 3, "np.ndarray": [0.5]}
 # the instance whose methods join the tables, for each exported class that has some
 _INSTANCES = {AtomGibbs: _GIBBS, JointDensityMatrix: _JOINT, LatticeWindow: _WINDOW,
@@ -207,6 +210,11 @@ _PARAMS_ENTRIES = entries_taking("params")
 # EnergyFcsResult holds its cfg as given, as it holds its law
 _CFG_ENTRIES = {name: row for name, row in entries_taking("cfg").items()
                 if name != "EnergyFcsResult"}
+# the six records the paper's objects reach the API as, each with a valid record of
+# another of the six types, which a parameter annotated with the first must refuse
+_OTHER_RECORD = {ModelParams: _VALID["cfg"], ReservoirConfig: _P, LatticeWindow: _LAW,
+                 starkwalk.LatticeLaw: _WINDOW, ParticleDensityMatrix: _JOINT,
+                 JointDensityMatrix: _DM}
 # Real parameters that do not pass the real gate.  Records hold their values as given:
 # every field of Tolerances and TransportCoefficients, AtomGibbs' w_ground and w_excited,
 # WalkSample's values and counts, EnergyFcsResult's law, LatticeLaw's pmf (its type and
@@ -249,7 +257,22 @@ def real_parameters() -> dict:
     return rows
 
 
+def record_parameters() -> dict:
+    """"entry-argument" -> (callable, signature, argument, record) for each public parameter
+    annotated with one of the six records of `_OTHER_RECORD`, except EnergyFcsResult's cfg:
+    a record holds its fields as given."""
+    records = {record.__name__: record for record in _OTHER_RECORD}
+    rows = {}
+    for name, (entry, signature) in public_signatures().items():
+        for parameter in signature.parameters.values():
+            row = f"{name}-{parameter.name}"
+            if _annotation(parameter) in records and row != "EnergyFcsResult-cfg":
+                rows[row] = (entry, signature, parameter.name, records[_annotation(parameter)])
+    return rows
+
+
 _REAL_ROWS = real_parameters()
+_RECORD_ROWS = record_parameters()
 _FINITE_ROWS = {
     **{f"{name}-t": (functools.partial(call_with, entry, signature, "t"), "t",
                      signature.parameters["t"].annotation == "np.ndarray")
@@ -269,6 +292,13 @@ def test_the_tables_find_the_known_entries():
     assert {"ReservoirConfig", "AtomGibbs.from_params", "walk_pmf_exact",
             "kraus_weights", "theta"} <= set(_PARAMS_ENTRIES)
     assert set(_CFG_ENTRIES) == {"run_energy_fcs", "repeated_interaction_propagator"}
+    assert {"transform_matrix-window", "ParticleDensityMatrix-window",
+            "ParticleDensityMatrix.eigenstate-window", "JointDensityMatrix-window",
+            "JointDensityMatrix.product-dm", "position_distribution-dm", "apply_channel-dm",
+            "propagate_closed-state", "position_oracle-initial", "run_position_fcs-rho_p",
+            "position_cgf_oracle-rho_p", "repeated_interaction_propagator-window",
+            "LatticeLaw.oracle_gap-oracle"} <= set(_RECORD_ROWS)
+    assert {record for _, _, _, record in _RECORD_ROWS.values()} == set(_OTHER_RECORD)
     assert {"z", "F", "alpha", "gamma", "eta", "x", "t", "E", "lam", "tau", "beta", "lo",
             "hi", "a", "v", "delta"} <= {argument for _, _, argument, _ in _REAL_ROWS.values()}
     assert {"LatticeLaw.log_mgf-eta", "LatticeLaw.mgf-eta", "LatticeLaw.window_probability-lo",
@@ -281,20 +311,25 @@ def test_the_tables_find_the_known_entries():
                    for field in skipped)
 
 
-@pytest.mark.parametrize("bad", [math.nan, True], ids=["nan", "bool"])
-@pytest.mark.parametrize("row", _REAL_ROWS.values(), ids=_REAL_ROWS)
-def test_a_real_argument_passes_one_gate(row, bad):
-    # NaN is a NumericsError and a bool a ConfigError, each naming the argument; an array
-    # argument carries its bad value as its one entry
-    entry, signature, name, batched = row
+# a NaN and a bool for every real parameter, which an array parameter carries as its one
+# entry, and for an array parameter a bool among numbers, which numpy would read as 1.0
+_REAL_CASES = [pytest.param(row, [bad] if row[3] else bad, refusal, id=f"{name}-{kind}")
+               for name, row in _REAL_ROWS.items()
+               for kind, bad, refusal in (("nan", math.nan, NumericsError),
+                                          ("bool", True, ConfigError))]
+_REAL_CASES += [pytest.param(row, [0.5, True], ConfigError, id=f"{name}-bool-among-numbers")
+                for name, row in _REAL_ROWS.items() if row[3]]
+
+
+@pytest.mark.parametrize("row,bad,refusal", _REAL_CASES)
+def test_a_real_argument_passes_one_gate(row, bad, refusal):
+    # NaN is a NumericsError and a bool a ConfigError, each naming the argument
+    entry, signature, name, _ = row
     with pytest.raises(StarkwalkError) as refused:
-        call_with(entry, signature, name, [bad] if batched else bad)
-    if bad is True:
-        assert type(refused.value) is ConfigError
-        assert str(refused.value).startswith(f"{name} must be")
-    else:
-        assert type(refused.value) is NumericsError
-        assert str(refused.value).startswith((f"{name} is NaN", f"{name} holds a NaN"))
+        call_with(entry, signature, name, bad)
+    assert type(refused.value) is refusal
+    assert str(refused.value).startswith((f"{name} is NaN", f"{name} holds a NaN")
+                                         if refusal is NumericsError else f"{name} must be")
 
 
 @pytest.mark.parametrize("bad,refusal", [(math.nan, NumericsError), (math.inf, ConfigError),
@@ -310,6 +345,22 @@ def test_an_argument_that_must_be_finite_follows_one_rule(row, bad, refusal):
     assert str(refused.value).startswith(f"{name} ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["a", None, 3, (1, 2, 3, 4), _OTHER_RECORD],
+                         ids=["string", "none", "int", "tuple", "record"])
+@pytest.mark.parametrize("row", _RECORD_ROWS.values(), ids=_RECORD_ROWS)
+def test_a_wrong_type_record_is_config_error(row, bad):
+    # refused by one ConfigError that names the argument, before any attribute is read:
+    # never a bare AttributeError or ValueError; "record" is a record of another type
+    entry, signature, name, record = row
+    bad = _OTHER_RECORD[record] if bad is _OTHER_RECORD else bad
+    text = f"{name} must be a {record.__name__}, got {name} = {_echo(bad)}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        call_with(entry, signature, name, bad)
+
+
+# the params and cfg rows of the record table for "a" and None, under the names that
+# pinned these two texts first
 @pytest.mark.parametrize("bad", ["a", None], ids=["string", "none"])
 @pytest.mark.parametrize("name", _PARAMS_ENTRIES)
 def test_a_wrong_type_params_is_config_error(name, bad):
